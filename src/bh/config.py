@@ -7,6 +7,7 @@ The only environment override honored anywhere is BH_OUTPUT_DIR.
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -116,7 +117,22 @@ def _get_float(cp, section, key, default=None, positive=False):
         val = float(raw)
     except ValueError as exc:
         raise ConfigInvalid(f"[{section}] {key} is not a number") from exc
+    if not math.isfinite(val):
+        raise ConfigInvalid(f"[{section}] {key} must be finite, got {val}")
     if positive and val <= 0.0:
+        raise ConfigInvalid(f"[{section}] {key} must be positive, got {val}")
+    return val
+
+
+def _get_int(cp, section, key, default):
+    raw = cp.get(section, key, fallback=None)
+    if raw is None:
+        return default
+    try:
+        val = int(raw.strip())
+    except ValueError as exc:
+        raise ConfigInvalid(f"[{section}] {key} is not an integer") from exc
+    if val <= 0:
         raise ConfigInvalid(f"[{section}] {key} must be positive, got {val}")
     return val
 
@@ -129,8 +145,8 @@ def _get_list(cp, section, key, default):
         vals = tuple(float(tok) for tok in raw.replace(",", " ").split())
     except ValueError as exc:
         raise ConfigInvalid(f"[{section}] {key} is not a number list") from exc
-    if not vals or any(v <= 0.0 for v in vals):
-        raise ConfigInvalid(f"[{section}] {key} must list positive values")
+    if not vals or any(not (0.0 < v < math.inf) for v in vals):
+        raise ConfigInvalid(f"[{section}] {key} must list positive finite values")
     return vals
 
 
@@ -165,7 +181,7 @@ def load_config(path: str) -> RunConfig:
                            _get_float(cp, "kernel", "dt", 0.01, positive=True))
     macro_grid = TimeGrid(_get_float(cp, "macro", "t_end", 1.0, positive=True),
                           _get_float(cp, "macro", "dt", 0.05, positive=True))
-    macro_n = int(_get_float(cp, "macro", "n", 32, positive=True))
+    macro_n = _get_int(cp, "macro", "n", 32)
     if macro_grid.t_end > kernel_grid.t_end + 1e-12:
         raise ConfigInvalid("macro horizon exceeds kernel horizon")
 

@@ -19,6 +19,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (DegenerateFacet, MissingAdjacency, NonpositiveCoefficient,
                      SingularSystem, SolverFailure)
+from .geometry import facet_measures, periodic_classes
 
 _FACT = {1: 1.0, 2: 2.0, 3: 6.0}
 
@@ -32,22 +33,9 @@ def identity_dof_map(n_vertices: int) -> np.ndarray:
 
 
 def periodic_dof_map(n_vertices: int, periodic_pairs: np.ndarray) -> np.ndarray:
-    """Vertex -> dof map identifying periodic partners (union-find roots)."""
-    parent = np.arange(n_vertices, dtype=np.int64)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for p, q, _ in periodic_pairs:
-        ra, rb = find(int(p)), find(int(q))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = np.array([find(i) for i in range(n_vertices)])
-    uniq, inv = np.unique(roots, return_inverse=True)
-    return inv.astype(np.int64)
+    """Vertex -> dof map identifying periodic partners, dofs numbered by the
+    smallest vertex of each periodic class."""
+    return periodic_classes(n_vertices, periodic_pairs)
 
 
 def n_dofs(vdof: np.ndarray) -> int:
@@ -88,11 +76,18 @@ def phase_coefficient(phase: np.ndarray, values: dict) -> np.ndarray:
 
 
 def assemble_stiffness(vertices, simplices, coeff, vdof, ndof,
-                       allow_zero=False) -> sp.csr_matrix:
-    """Bulk stiffness sum_K coeff_K int_K grad phi_p . grad phi_q."""
+                       allow_zero=False, element_geometry=None) -> sp.csr_matrix:
+    """Bulk stiffness sum_K coeff_K int_K grad phi_p . grad phi_q.
+
+    element_geometry is the (grads, vols) pair of element_gradients for
+    these vertices and simplices, for callers assembling several
+    coefficients on one mesh; it is computed here when not given.
+    """
     coeff = np.asarray(coeff, dtype=float)
     _check_coeff(coeff, allow_zero)
-    grads, vols = element_gradients(vertices, simplices)
+    if element_geometry is None:
+        element_geometry = element_gradients(vertices, simplices)
+    grads, vols = element_geometry
     w = np.abs(vols) * coeff
     kloc = np.einsum("e,eik,ejk->eij", w, grads, grads)
     dofs = vdof[simplices]
@@ -117,22 +112,25 @@ def assemble_gradient_load(vertices, simplices, coeff, vecs, vdof, ndof) -> np.n
     return b
 
 
+def lumped_weights(vols, npv) -> np.ndarray:
+    """(ne, 1) share |K| / npv of each element vertex in the lumped mass."""
+    return np.abs(vols)[:, None] / npv
+
+
 def volume_dof_weights(vertices, simplices, vdof, ndof) -> np.ndarray:
     """w_p = int phi_p over the whole mesh (exact for P1)."""
     _, vols = element_gradients(vertices, simplices)
     npv = simplices.shape[1]
     w = np.zeros(ndof)
-    contrib = np.repeat(np.abs(vols)[:, None] / npv, npv, axis=1)
+    contrib = np.repeat(lumped_weights(vols, npv), npv, axis=1)
     np.add.at(w, vdof[simplices].ravel(), contrib.ravel())
     return w
 
 
-def lumped_load(vertices, simplices, node_values, vdof, ndof) -> np.ndarray:
-    """Vertex-lumped right hand side int f phi_p with f given at vertices."""
-    _, vols = element_gradients(vertices, simplices)
-    npv = simplices.shape[1]
-    vals = node_values[simplices]
-    contrib = np.abs(vols)[:, None] / npv * vals
+def lumped_load(weights, simplices, node_values, vdof, ndof) -> np.ndarray:
+    """Vertex-lumped right hand side int f phi_p with f given at vertices;
+    weights comes from lumped_weights once per mesh."""
+    contrib = weights * node_values[simplices]
     b = np.zeros(ndof)
     np.add.at(b, vdof[simplices].ravel(), contrib.ravel())
     return b
@@ -246,20 +244,12 @@ def surface_gradient_load(vertices, facets, coeff, vecs, vdof, ndof) -> np.ndarr
 
 def surface_dof_weights(vertices, facets, vdof, ndof) -> np.ndarray:
     """w_p = int_Gamma phi_p over the given facets."""
-    meas = facet_measures_cached(vertices, facets)
+    meas = facet_measures(vertices, facets)
     npf = facets.shape[1]
     contrib = np.repeat(meas[:, None] / npf, npf, axis=1)
     w = np.zeros(ndof)
     np.add.at(w, vdof[facets].ravel(), contrib.ravel())
     return w
-
-
-def facet_measures_cached(vertices, facets):
-    pts = vertices[facets]
-    if facets.shape[1] == 2:
-        return np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-    return 0.5 * np.linalg.norm(np.cross(pts[:, 1] - pts[:, 0],
-                                         pts[:, 2] - pts[:, 0]), axis=1)
 
 
 def facet_field_gradients(vertices, facets, node_values) -> np.ndarray:

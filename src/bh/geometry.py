@@ -22,15 +22,19 @@ both sides).
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from .errors import InvalidGeometry, MeshFailure, MissingAdjacency, NonIntegerTiling
+from .errors import InvalidGeometry, MeshFailure, NonIntegerTiling
 
 PHASE_INT = 0
 PHASE_OUT = 1
 PHASE_MEMBRANE = 2
 
-# precedence used to orient interface normals: inner side listed first
-_PHASE_RANK = {PHASE_INT: 0, PHASE_MEMBRANE: 1, PHASE_OUT: 2}
+# precedence used to orient interface normals, indexed by phase: inner side
+# listed first (int -> membrane -> out)
+_PHASE_RANK = np.empty(3, dtype=np.int64)
+_PHASE_RANK[[PHASE_INT, PHASE_MEMBRANE, PHASE_OUT]] = [0, 1, 2]
 
 KINDS = ("Disk2D", "Layered2D", "TubeLattice3D")
 
@@ -110,25 +114,6 @@ class MembraneMesh(CellMesh):
 
 
 @dataclass
-class MicroMesh:
-    """eps-periodic tiling of a unit cell mesh over the fixed domain (0,1)^N."""
-
-    vertices: np.ndarray
-    simplices: np.ndarray
-    phase: np.ndarray
-    eps: float
-    boundary_vertices: np.ndarray  # indices of vertices on the outer boundary
-    eta: float = 0.0               # nonzero for tiled membrane cells
-
-    @property
-    def dim(self) -> int:
-        return self.vertices.shape[1]
-
-    def volumes(self) -> np.ndarray:
-        return simplex_volumes(self.vertices, self.simplices)
-
-
-@dataclass
 class SurfaceMesh:
     """Interface triangulation with normals, component labels and adjacency."""
 
@@ -146,6 +131,27 @@ class SurfaceMesh:
         if component is None:
             return float(self.measures.sum())
         return float(self.measures[self.component == component].sum())
+
+
+@dataclass
+class MicroMesh:
+    """eps-periodic tiling of a unit cell mesh over the fixed domain (0,1)^N,
+    carrying the interface between its phases."""
+
+    vertices: np.ndarray
+    simplices: np.ndarray
+    phase: np.ndarray
+    eps: float
+    boundary_vertices: np.ndarray  # indices of vertices on the outer boundary
+    interface: SurfaceMesh         # facets between the phases of this tiling
+    eta: float = 0.0               # nonzero for tiled membrane cells
+
+    @property
+    def dim(self) -> int:
+        return self.vertices.shape[1]
+
+    def volumes(self) -> np.ndarray:
+        return simplex_volumes(self.vertices, self.simplices)
 
 
 # ---------------------------------------------------------------------------
@@ -181,74 +187,53 @@ def facet_measures(vertices: np.ndarray, facets: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = np.arange(n)
-
-    def find(self, a):
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+def _components(n, a, b):
+    """Connected components of the undirected graph on n nodes with edges
+    (a[i], b[i]); labels are numbered in order of each component's
+    smallest node."""
+    graph = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    return connected_components(graph, directed=False)[1].astype(np.int64)
 
 
-def _canonical_vertex_map(n_vertices: int, periodic_pairs: np.ndarray) -> np.ndarray:
-    """Map each vertex to its canonical periodic representative."""
-    uf = _UnionFind(n_vertices)
-    for p, q, _ in periodic_pairs:
-        uf.union(int(p), int(q))
-    return np.array([uf.find(i) for i in range(n_vertices)])
+def periodic_classes(n_vertices: int, periodic_pairs: np.ndarray) -> np.ndarray:
+    """Label of each vertex's periodic class, numbered by smallest member."""
+    pairs = np.asarray(periodic_pairs, dtype=np.int64).reshape(-1, 3)
+    return _components(n_vertices, pairs[:, 0], pairs[:, 1])
 
 
 def extract_interface(vertices, simplices, phase, periodic_pairs=None):
     """Build the SurfaceMesh separating distinct phases of a fitted mesh.
 
     Facets are oriented from the lower-rank phase into the higher-rank one
-    (int -> membrane -> out).  Components are labelled by facet connectivity
-    through shared ridges; when periodic pairs are given, ridges are matched
-    modulo the periodic identification so that wrapping interfaces come out
-    as single components.
+    (int -> membrane -> out) and listed in lexicographic order of their
+    sorted vertex ids.  Components are labelled by facet connectivity
+    through shared ridges, in order of their first facet; when periodic
+    pairs are given, ridges are matched modulo the periodic identification
+    so that wrapping interfaces come out as single components.
     """
+    simplices = np.asarray(simplices, dtype=np.int64)
     ne, npv = simplices.shape
     nfv = npv - 1  # vertices per facet
 
-    # enumerate element facets: facet k of element e omits local vertex k
-    from collections import defaultdict
-    facet_elems = defaultdict(list)
-    for e in range(ne):
-        verts = simplices[e]
-        for k in range(npv):
-            f = tuple(sorted(np.delete(verts, k)))
-            facet_elems[f].append(e)
-
-    facets, inner, outer = [], [], []
-    for f, elems in facet_elems.items():
-        if len(elems) != 2:
-            continue
-        e0, e1 = elems
-        if phase[e0] == phase[e1]:
-            continue
-        if _PHASE_RANK[int(phase[e0])] < _PHASE_RANK[int(phase[e1])]:
-            facets.append(f); inner.append(e0); outer.append(e1)
-        else:
-            facets.append(f); inner.append(e1); outer.append(e0)
-    if not facets:
+    # facet k of element e omits local vertex k; row e * npv + k
+    drop = np.array([[j for j in range(npv) if j != k] for k in range(npv)])
+    all_facets = np.sort(simplices[:, drop], axis=2).reshape(-1, nfv)
+    order = np.lexsort(all_facets.T[::-1])
+    sorted_facets = all_facets[order]
+    same = np.all(sorted_facets[1:] == sorted_facets[:-1], axis=1)
+    # facets shared by exactly two elements: rows equal to the next row only
+    padded = np.concatenate(([False], same, [False]))
+    first = np.flatnonzero(same & ~padded[:-2] & ~padded[2:])
+    e0 = order[first] // npv      # stable sort: e0 < e1
+    e1 = order[first + 1] // npv
+    keep = phase[e0] != phase[e1]
+    first, e0, e1 = first[keep], e0[keep], e1[keep]
+    if not len(first):
         raise MeshFailure("no interface facets found between phases")
-
-    order = np.lexsort(np.array(facets, dtype=np.int64).T[::-1])
-    facets = np.array(facets, dtype=np.int64)[order]
-    inner = np.array(inner, dtype=np.int64)[order]
-    outer = np.array(outer, dtype=np.int64)[order]
-
-    # one sanity pass: each interface facet needs bulk neighbours on both sides
-    if np.any(inner < 0) or np.any(outer < 0):
-        raise MissingAdjacency("interface facet without an element on each side")
+    facets = sorted_facets[first]
+    inner_first = _PHASE_RANK[phase[e0]] < _PHASE_RANK[phase[e1]]
+    inner = np.where(inner_first, e0, e1)
+    outer = np.where(inner_first, e1, e0)
 
     measures = facet_measures(vertices, facets)
     if np.any(measures < 1e-14):
@@ -263,30 +248,25 @@ def extract_interface(vertices, simplices, phase, periodic_pairs=None):
         raise MeshFailure("cannot orient an interface facet")
     nrm *= sign[:, None]
 
-    # component labelling through shared ridges, modulo periodicity
+    # component labelling: facets joined through shared ridges, with ridge
+    # vertices compared modulo periodicity (a facet-ridge incidence graph)
     nv = vertices.shape[0]
-    canon = (amap := _canonical_vertex_map(nv, periodic_pairs)) if periodic_pairs is not None and len(periodic_pairs) else np.arange(nv)
-    uf = _UnionFind(len(facets))
-    ridge_owner = {}
-    for i, f in enumerate(facets):
-        cf = sorted(int(canon[v]) for v in f)
-        if nfv == 2:
-            ridges = [(cf[0],), (cf[1],)]
-        else:
-            ridges = [tuple(sorted((cf[0], cf[1]))), tuple(sorted((cf[0], cf[2]))),
-                      tuple(sorted((cf[1], cf[2])))]
-        for r in ridges:
-            if r in ridge_owner:
-                uf.union(ridge_owner[r], i)
-            else:
-                ridge_owner[r] = i
-    roots = np.array([uf.find(i) for i in range(len(facets))])
-    labels = {}
-    comp = np.zeros(len(facets), dtype=np.int64)
-    for i, r in enumerate(roots):
-        if r not in labels:
-            labels[r] = len(labels)
-        comp[i] = labels[r]
+    if periodic_pairs is not None and len(periodic_pairs):
+        canon = periodic_classes(nv, periodic_pairs)
+    else:
+        canon = np.arange(nv, dtype=np.int64)
+    cf = np.sort(canon[facets], axis=1)
+    if nfv == 2:
+        ridges = cf
+    else:
+        ridges = np.column_stack([cf[:, 0] * nv + cf[:, 1],
+                                  cf[:, 0] * nv + cf[:, 2],
+                                  cf[:, 1] * nv + cf[:, 2]])
+    _, ridge_id = np.unique(ridges.ravel(), return_inverse=True)
+    nf = len(facets)
+    comp = _components(nf + int(ridge_id.max()) + 1,
+                       np.repeat(np.arange(nf), ridges.shape[1]),
+                       nf + ridge_id.ravel())[:nf]
 
     return SurfaceMesh(facets=facets, normals=nrm, component=comp,
                        measures=measures, adjacency=np.column_stack([inner, outer]))
@@ -846,6 +826,9 @@ def tile_micro_domain(mesh: CellMesh, surf: SurfaceMesh, eps: float,
     geometries the inclusions of cells touching the outer boundary are
     re-labelled as matrix material (stripped) so that no inclusion meets
     the boundary; pass strip_boundary_inclusions=False to keep them.
+
+    Returns (micro, micro.interface): the tiled mesh carries its interface,
+    extracted once here without periodic pairs.
     """
     m = int(round(1.0 / eps))
     if m < 1 or abs(m * eps - 1.0) > 1e-12:
@@ -857,63 +840,52 @@ def tile_micro_domain(mesh: CellMesh, surf: SurfaceMesh, eps: float,
         # membranes only exist around disconnected inclusions
         inclusions_disconnected = bool(np.any(mesh.phase == PHASE_MEMBRANE)) or _looks_disconnected(mesh, surf)
 
-    # canonicalization of local vertices across cell boundaries
-    high_map = {}
-    for p, q, axis in mesh.periodic_pairs:
-        high_map.setdefault(int(q), []).append((int(axis), int(p)))
+    # table of (axis, low) entries per high vertex, in periodic_pairs order
+    pairs = np.asarray(mesh.periodic_pairs, dtype=np.int64).reshape(-1, 3)
+    lows, highs, axes = pairs[np.argsort(pairs[:, 1], kind="stable")].T
+    slot = np.arange(len(highs)) - np.searchsorted(highs, highs)
+    degree = np.bincount(highs, minlength=nv)
+    pair_axis = np.full((nv, max(1, degree.max(initial=0))), -1, dtype=np.int64)
+    pair_low = np.zeros_like(pair_axis)
+    pair_axis[highs, slot] = axes
+    pair_low[highs, slot] = lows
 
-    cells = list(np.ndindex(*([m] * dim)))
-    cell_no = {c: i for i, c in enumerate(cells)}
+    # canonicalization of (cell, local vertex) across cell boundaries: a
+    # vertex on a high face moves to its low partner in the next cell along
+    # the first axis that can still advance, until nothing moves
+    n_cells = m ** dim
+    cells = np.stack(np.unravel_index(np.arange(n_cells), (m,) * dim), axis=1)
+    cell = np.repeat(cells, nv, axis=0)
+    vert = np.tile(np.arange(nv), n_cells)
+    active = np.flatnonzero(degree[vert] > 0)
+    while len(active):
+        v = vert[active]
+        ax = pair_axis[v]
+        can = (ax >= 0) & (cell[active[:, None], np.maximum(ax, 0)] + 1 < m)
+        moves = can.any(axis=1)
+        active, v, ax, can = active[moves], v[moves], ax[moves], can[moves]
+        j = can.argmax(axis=1)
+        cell[active, ax[np.arange(len(j)), j]] += 1
+        vert[active] = pair_low[v, j]
+        active = active[degree[vert[active]] > 0]
 
-    def canonical(cell, v):
-        cell = list(cell)
-        moved = True
-        while moved:
-            moved = False
-            for axis, low in high_map.get(v, []):
-                if cell[axis] + 1 < m:
-                    cell[axis] += 1
-                    v = low
-                    moved = True
-                    break
-        return tuple(cell), v
-
-    gidx = {}
-    positions = []
-    local_global = np.empty((len(cells), nv), dtype=np.int64)
-    base_int = np.asarray(mesh.vertices, dtype=float)
-    for ci, cell in enumerate(cells):
-        off = np.array(cell, dtype=float)
-        for v in range(nv):
-            key = canonical(cell, v)
-            g = gidx.get(key)
-            if g is None:
-                g = len(positions)
-                gidx[key] = g
-                oc = np.array(key[0], dtype=float)
-                positions.append((base_int[key[1]] + oc) / m)
-            local_global[ci, v] = g
-    vertices = np.array(positions)
+    # global vertices numbered by first appearance, cell by cell
+    key = np.ravel_multi_index(tuple(cell.T), (m,) * dim) * nv + vert
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    local_global = rank[inverse].reshape(n_cells, nv)
+    first = np.sort(first)
+    vertices = (np.asarray(mesh.vertices, dtype=float)[vert[first]]
+                + cell[first]) / m
 
     ne = mesh.simplices.shape[0]
-    simplices = np.empty((len(cells) * ne, dim + 1), dtype=np.int64)
-    phase = np.empty(len(cells) * ne, dtype=np.int64)
-    stripped = np.zeros(len(cells), dtype=bool)
-    for ci, cell in enumerate(cells):
-        sl = slice(ci * ne, (ci + 1) * ne)
-        simplices[sl] = local_global[ci][mesh.simplices]
-        ph = mesh.phase.copy()
-        on_boundary = any(c == 0 or c == m - 1 for c in cell)
-        if strip_boundary_inclusions and inclusions_disconnected and on_boundary:
-            ph[ph == PHASE_INT] = PHASE_OUT
-            ph[ph == PHASE_MEMBRANE] = PHASE_OUT
-            stripped[ci] = True
-        phase[sl] = ph
-
-    boundary = np.where(np.any((vertices == 0.0) | (vertices == 1.0), axis=1))[0]
-    micro = MicroMesh(vertices=vertices, simplices=simplices, phase=phase,
-                      eps=eps, boundary_vertices=boundary,
-                      eta=getattr(mesh, "eta", 0.0))
+    simplices = local_global[:, mesh.simplices].reshape(n_cells * ne, dim + 1)
+    phase = np.tile(np.asarray(mesh.phase, dtype=np.int64), n_cells)
+    if strip_boundary_inclusions and inclusions_disconnected:
+        on_boundary = np.any((cells == 0) | (cells == m - 1), axis=1)
+        phase[np.repeat(on_boundary, ne)
+              & ((phase == PHASE_INT) | (phase == PHASE_MEMBRANE))] = PHASE_OUT
 
     if np.all(phase == PHASE_OUT):
         micro_surf = SurfaceMesh(facets=np.zeros((0, dim), dtype=np.int64),
@@ -924,10 +896,15 @@ def tile_micro_domain(mesh: CellMesh, surf: SurfaceMesh, eps: float,
     else:
         micro_surf = extract_interface(vertices, simplices, phase, None)
 
+    boundary = np.where(np.any((vertices == 0.0) | (vertices == 1.0), axis=1))[0]
+    micro = MicroMesh(vertices=vertices, simplices=simplices, phase=phase,
+                      eps=eps, boundary_vertices=boundary,
+                      interface=micro_surf, eta=getattr(mesh, "eta", 0.0))
+
     vol = micro.volumes().sum()
     if abs(vol - 1.0) > 1e-12:
         raise MeshFailure(f"tiled domain volume sums to {vol!r}, not 1")
-    return micro, micro_surf
+    return micro, micro.interface
 
 
 def _looks_disconnected(mesh: CellMesh, surf: SurfaceMesh) -> bool:

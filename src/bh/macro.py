@@ -270,6 +270,8 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
     V, S = mesh.vertices, mesh.simplices
     grads, vols = fem.element_gradients(V, S)
     w_el = np.abs(vols)
+    load_w = fem.lumped_weights(vols, S.shape[1])
+    vdof = fem.identity_dof_map(nv)
 
     grad_u0 = None
     if Phi_res is not None and problem.u0_bar is not None:
@@ -311,7 +313,7 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
             rhs += weak_divergence_load(vec)
         if problem.source is not None:
             fvals = problem.source(V, grid.times[n])
-            rhs += fem.lumped_load(V, S, fvals, fem.identity_dof_map(nv), nv)
+            rhs += fem.lumped_load(load_w, S, fvals, vdof, nv)
         U[n, free] = lu.solve(rhs[free])
         r = A_ff @ U[n, free] - rhs[free]
         if np.linalg.norm(r) > 1e-8 * max(np.linalg.norm(rhs[free]), 1e-300):
@@ -349,11 +351,13 @@ def solve_homogenized_elliptic(problem: MacroProblem) -> TransientField:
 
     V, S = mesh.vertices, mesh.simplices
     U = np.zeros((M + 1, nv))
-    for n in range(M + 1):
-        if problem.source is None:
-            break
-        fvals = problem.source(V, grid.times[n])
-        b = fem.lumped_load(V, S, fvals, fem.identity_dof_map(nv), nv)
-        U[n, free] = lu.solve(b[free])
+    if problem.source is not None:
+        _, vols = fem.element_gradients(V, S)
+        load_w = fem.lumped_weights(vols, S.shape[1])
+        vdof = fem.identity_dof_map(nv)
+        for n in range(M + 1):
+            fvals = problem.source(V, grid.times[n])
+            b = fem.lumped_load(load_w, S, fvals, vdof, nv)
+            U[n, free] = lu.solve(b[free])
     return TransientField(levels=U, grid=grid,
                           diagnostics={"degenerate_zero_limit": False})

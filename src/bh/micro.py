@@ -2,7 +2,8 @@
 
 solve_micro marches the dynamic-interface problem for any surface scaling
 exponent k: the bulk diffusion operator is coupled to a Laplace-Beltrami
-stiffness on the inclusion boundaries weighted by eps^k alpha.  The initial
+stiffness on the inclusion boundaries weighted by eps^k alpha, assembled on
+the interface facets the tiled MicroMesh carries.  The initial
 state extends the scaled initial datum harmonically from the interface, the
 same initialization the cell evolutions use, so with eps = 1 and periodic
 data the two operators coincide.
@@ -28,7 +29,7 @@ from . import fem, geometry, macro
 from .cell import CellCoefficients
 from .errors import SolverFailure, WrongGeometryClass
 from .geometry import (PHASE_INT, PHASE_MEMBRANE, PHASE_OUT, MicroMesh,
-                       extract_interface, tile_micro_domain)
+                       tile_micro_domain)
 from .macro import TransientField
 from .timegrid import TimeGrid
 
@@ -89,19 +90,23 @@ def solve_micro(run: MicroRun) -> TransientField:
 
     lam = fem.phase_coefficient(phase, {PHASE_INT: coeffs.lam_int,
                                         PHASE_OUT: coeffs.lam_out})
-    K = fem.assemble_stiffness(V, S, lam, vdof, nd)
-    K_unit = fem.assemble_stiffness(V, S, np.ones(len(S)), vdof, nd)
+    grads, vols = fem.element_gradients(V, S)
+    K = fem.assemble_stiffness(V, S, lam, vdof, nd,
+                               element_geometry=(grads, vols))
+    K_unit = fem.assemble_stiffness(V, S, np.ones(len(S)), vdof, nd,
+                                    element_geometry=(grads, vols))
     if np.all(phase == phase[0]):
         # boundary stripping can empty the geometry entirely; the march
         # degenerates to quasi-static diffusion with no surface memory
         S1 = sp.csr_matrix((nd, nd))
         gamma = np.empty(0, dtype=np.int64)
     else:
-        surf = extract_interface(V, S, phase,
-                                 run.periodic_pairs if periodic else None)
-        S1 = fem.assemble_surface_stiffness(V, surf.facets,
-                                            np.ones(len(surf.facets)), vdof, nd)
-        gamma = np.unique(vdof[surf.facets])
+        # the facets are those of the tiling's interface whether or not
+        # periodic pairs identify its vertices
+        facets = mesh.interface.facets
+        S1 = fem.assemble_surface_stiffness(V, facets, np.ones(len(facets)),
+                                            vdof, nd)
+        gamma = np.unique(vdof[facets])
 
     if periodic:
         fixed = np.empty(0, dtype=np.int64)
@@ -135,6 +140,7 @@ def solve_micro(run: MicroRun) -> TransientField:
     n_steps = grid.n_steps
     X = np.zeros((n_steps + 1, nd))
     X[0] = x0
+    load_w = fem.lumped_weights(vols, S.shape[1])
     surf_energy = np.empty(n_steps + 1)
     surf_energy[0] = surf_scale * float(x0 @ (S1 @ x0))
     bulk_l2t = 0.0
@@ -142,7 +148,7 @@ def solve_micro(run: MicroRun) -> TransientField:
         rhs = c * (S1 @ X[n - 1])
         if run.source is not None:
             fvals = np.asarray(run.source(V, grid.times[n]), dtype=float)
-            rhs = rhs + fem.lumped_load(V, S, fvals, vdof, nd)
+            rhs = rhs + fem.lumped_load(load_w, S, fvals, vdof, nd)
         try:
             X[n] = solve(rhs)
         except Exception as exc:
@@ -181,8 +187,11 @@ def solve_membrane(run: MembraneRun) -> TransientField:
                                         PHASE_MEMBRANE: 0.0})
     tilde = fem.phase_coefficient(phase, {PHASE_INT: 0.0, PHASE_OUT: 0.0,
                                           PHASE_MEMBRANE: coeffs.alpha / mesh.eta})
-    K_lam = fem.assemble_stiffness(V, S, lam, vdof, nv, allow_zero=True)
-    K_til = fem.assemble_stiffness(V, S, tilde, vdof, nv, allow_zero=True)
+    geom = fem.element_gradients(V, S)
+    K_lam = fem.assemble_stiffness(V, S, lam, vdof, nv, allow_zero=True,
+                                   element_geometry=geom)
+    K_til = fem.assemble_stiffness(V, S, tilde, vdof, nv, allow_zero=True,
+                                   element_geometry=geom)
     boundary = np.unique(mesh.boundary_vertices)
 
     # initial state: nodal initial datum inside the band, lambda-harmonic
@@ -203,7 +212,8 @@ def solve_membrane(run: MembraneRun) -> TransientField:
     n_steps = grid.n_steps
     X = np.zeros((n_steps + 1, nv))
     X[0] = x0
-    K_unit = fem.assemble_stiffness(V, S, np.ones(len(S)), vdof, nv)
+    K_unit = fem.assemble_stiffness(V, S, np.ones(len(S)), vdof, nv,
+                                    element_geometry=geom)
     band_energy = np.empty(n_steps + 1)
     band_energy[0] = float(x0 @ (K_til @ x0)) / coeffs.alpha
     bulk_l2t = 0.0

@@ -1,0 +1,270 @@
+"""Array mesh bookkeeping against the loop implementations it replaced.
+
+extract_interface, the canonical vertex map of tile_micro_domain and
+fem.periodic_dof_map were once per-facet and per-vertex Python loops with
+union-find components.  Those loops survive here, unchanged in substance,
+as oracles: on small meshes of every geometry the array code must give
+bitwise identical facets, normals, components, measures, adjacency, tiled
+positions, connectivity and dof numbering.
+"""
+from collections import defaultdict
+
+import numpy as np
+import pytest
+
+from bh import fem, geometry
+from bh.geometry import (PHASE_INT, PHASE_MEMBRANE, PHASE_OUT,
+                         build_membrane_cell, extract_interface,
+                         tile_micro_domain)
+
+_RANK = {PHASE_INT: 0, PHASE_MEMBRANE: 1, PHASE_OUT: 2}
+
+
+# ---------------------------------------------------------------------------
+# oracles: the former loop implementations
+# ---------------------------------------------------------------------------
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = np.arange(n)
+
+    def find(self, a):
+        p = self.parent
+        while p[a] != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        return a
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def _loop_canonical_vertex_map(n_vertices, periodic_pairs):
+    uf = _UnionFind(n_vertices)
+    for p, q, _ in periodic_pairs:
+        uf.union(int(p), int(q))
+    return np.array([uf.find(i) for i in range(n_vertices)])
+
+
+def loop_extract_interface(vertices, simplices, phase, periodic_pairs=None):
+    ne, npv = simplices.shape
+    nfv = npv - 1
+
+    facet_elems = defaultdict(list)
+    for e in range(ne):
+        verts = simplices[e]
+        for k in range(npv):
+            facet_elems[tuple(sorted(np.delete(verts, k)))].append(e)
+
+    facets, inner, outer = [], [], []
+    for f, elems in facet_elems.items():
+        if len(elems) != 2:
+            continue
+        e0, e1 = elems
+        if phase[e0] == phase[e1]:
+            continue
+        if _RANK[int(phase[e0])] < _RANK[int(phase[e1])]:
+            facets.append(f); inner.append(e0); outer.append(e1)
+        else:
+            facets.append(f); inner.append(e1); outer.append(e0)
+
+    order = np.lexsort(np.array(facets, dtype=np.int64).T[::-1])
+    facets = np.array(facets, dtype=np.int64)[order]
+    inner = np.array(inner, dtype=np.int64)[order]
+    outer = np.array(outer, dtype=np.int64)[order]
+
+    measures = geometry.facet_measures(vertices, facets)
+    nrm = geometry._facet_normals(vertices, facets)
+    c_in = vertices[simplices[inner]].mean(axis=1)
+    c_out = vertices[simplices[outer]].mean(axis=1)
+    nrm *= np.sign(np.einsum("ij,ij->i", nrm, c_out - c_in))[:, None]
+
+    nv = vertices.shape[0]
+    if periodic_pairs is not None and len(periodic_pairs):
+        canon = _loop_canonical_vertex_map(nv, periodic_pairs)
+    else:
+        canon = np.arange(nv)
+    uf = _UnionFind(len(facets))
+    ridge_owner = {}
+    for i, f in enumerate(facets):
+        cf = sorted(int(canon[v]) for v in f)
+        if nfv == 2:
+            ridges = [(cf[0],), (cf[1],)]
+        else:
+            ridges = [(cf[0], cf[1]), (cf[0], cf[2]), (cf[1], cf[2])]
+        for r in ridges:
+            if r in ridge_owner:
+                uf.union(ridge_owner[r], i)
+            else:
+                ridge_owner[r] = i
+    labels = {}
+    comp = np.zeros(len(facets), dtype=np.int64)
+    for i in range(len(facets)):
+        comp[i] = labels.setdefault(uf.find(i), len(labels))
+    return geometry.SurfaceMesh(facets=facets, normals=nrm, component=comp,
+                                measures=measures,
+                                adjacency=np.column_stack([inner, outer]))
+
+
+def loop_tiling(mesh, eps, strip, disconnected):
+    """(vertices, simplices, phase) of the former per-vertex tiling loop."""
+    m = int(round(1.0 / eps))
+    dim = mesh.dim
+    nv = mesh.vertices.shape[0]
+    high_map = {}
+    for p, q, axis in mesh.periodic_pairs:
+        high_map.setdefault(int(q), []).append((int(axis), int(p)))
+
+    def canonical(cell, v):
+        cell = list(cell)
+        moved = True
+        while moved:
+            moved = False
+            for axis, low in high_map.get(v, []):
+                if cell[axis] + 1 < m:
+                    cell[axis] += 1
+                    v = low
+                    moved = True
+                    break
+        return tuple(cell), v
+
+    cells = list(np.ndindex(*([m] * dim)))
+    gidx, positions = {}, []
+    local_global = np.empty((len(cells), nv), dtype=np.int64)
+    base = np.asarray(mesh.vertices, dtype=float)
+    for ci, cell in enumerate(cells):
+        for v in range(nv):
+            key = canonical(cell, v)
+            g = gidx.get(key)
+            if g is None:
+                g = len(positions)
+                gidx[key] = g
+                positions.append((base[key[1]] + np.array(key[0], dtype=float)) / m)
+            local_global[ci, v] = g
+
+    ne = mesh.simplices.shape[0]
+    simplices = np.empty((len(cells) * ne, dim + 1), dtype=np.int64)
+    phase = np.empty(len(cells) * ne, dtype=np.int64)
+    for ci, cell in enumerate(cells):
+        sl = slice(ci * ne, (ci + 1) * ne)
+        simplices[sl] = local_global[ci][mesh.simplices]
+        ph = mesh.phase.copy()
+        if strip and disconnected and any(c == 0 or c == m - 1 for c in cell):
+            ph[ph == PHASE_INT] = PHASE_OUT
+            ph[ph == PHASE_MEMBRANE] = PHASE_OUT
+        phase[sl] = ph
+    return np.array(positions), simplices, phase
+
+
+def loop_periodic_dof_map(n_vertices, periodic_pairs):
+    parent = np.arange(n_vertices, dtype=np.int64)
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for p, q, _ in periodic_pairs:
+        ra, rb = find(int(p)), find(int(q))
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    roots = np.array([find(i) for i in range(n_vertices)])
+    return np.unique(roots, return_inverse=True)[1].astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def membrane(disk):
+    mesh, surf = build_membrane_cell(disk.spec, 0.2)
+    return mesh, surf
+
+
+def _cell(request, name):
+    if name == "membrane":
+        return request.getfixturevalue("membrane")
+    bundle = request.getfixturevalue(name)
+    return bundle.mesh, bundle.surf
+
+
+def _assert_same(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+
+
+def _assert_same_surface(new, old):
+    for name in ("facets", "normals", "component", "measures", "adjacency"):
+        _assert_same(getattr(new, name), getattr(old, name))
+
+
+CELLS = ["disk", "layered", "tube", "membrane"]
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "plain"])
+@pytest.mark.parametrize("name", CELLS)
+def test_extract_interface_matches_loop(request, name, periodic):
+    mesh, _ = _cell(request, name)
+    pairs = mesh.periodic_pairs if periodic else None
+    new = extract_interface(mesh.vertices, mesh.simplices, mesh.phase, pairs)
+    old = loop_extract_interface(mesh.vertices, mesh.simplices, mesh.phase,
+                                 pairs)
+    _assert_same_surface(new, old)
+
+
+def test_periodic_ridge_matching_joins_corner_pieces(layered):
+    # inclusion = the square around the cell corner: four L-shaped interface
+    # pieces in the cell, one closed curve modulo the periodic identification
+    mesh = layered.mesh
+    cent = mesh.vertices[mesh.simplices].mean(axis=1)
+    outside = (np.abs(cent - 0.5) < 0.25).any(axis=1)
+    phase = np.where(outside, PHASE_OUT, PHASE_INT)
+    for pairs, n_components in ((mesh.periodic_pairs, 1), (None, 4)):
+        new = extract_interface(mesh.vertices, mesh.simplices, phase, pairs)
+        old = loop_extract_interface(mesh.vertices, mesh.simplices, phase,
+                                     pairs)
+        _assert_same_surface(new, old)
+        assert new.n_components == n_components
+
+
+@pytest.mark.parametrize("name", CELLS)
+def test_periodic_dof_map_matches_union_find(request, name):
+    mesh, _ = _cell(request, name)
+    nv = len(mesh.vertices)
+    _assert_same(fem.periodic_dof_map(nv, mesh.periodic_pairs),
+                 loop_periodic_dof_map(nv, mesh.periodic_pairs))
+
+
+def test_periodic_dof_map_matches_union_find_on_chains():
+    # high-to-low chains and a pair listed against vertex order
+    pairs = np.array([[4, 6, 0], [1, 4, 1], [6, 2, 0], [0, 7, 1]])
+    _assert_same(fem.periodic_dof_map(9, pairs), loop_periodic_dof_map(9, pairs))
+    empty = np.zeros((0, 3), dtype=np.int64)
+    _assert_same(fem.periodic_dof_map(4, empty), loop_periodic_dof_map(4, empty))
+
+
+@pytest.mark.parametrize("name, eps, strip", [
+    ("disk", 0.5, True), ("disk", 0.5, False),
+    ("disk", 0.25, True), ("disk", 0.25, False),
+    ("disk", 1.0 / 3.0, True), ("layered", 0.5, True), ("tube", 0.5, False),
+    ("membrane", 0.5, False), ("membrane", 1.0 / 3.0, True),
+])
+def test_tiling_matches_loop(request, name, eps, strip):
+    mesh, surf = _cell(request, name)
+    micro, micro_surf = tile_micro_domain(mesh, surf, eps,
+                                          strip_boundary_inclusions=strip)
+    disconnected = name in ("disk", "membrane")
+    vertices, simplices, phase = loop_tiling(mesh, eps, strip, disconnected)
+    _assert_same(micro.vertices, vertices)
+    _assert_same(micro.simplices, simplices)
+    _assert_same(micro.phase, phase)
+    assert micro_surf is micro.interface
+    if np.all(phase == PHASE_OUT):
+        assert len(micro_surf.facets) == 0
+    else:
+        _assert_same_surface(micro_surf,
+                             loop_extract_interface(vertices, simplices, phase))

@@ -73,7 +73,9 @@ def test_mass_quadratic_matches_closed_form(a, b, c, square):
 
 def test_lumped_load_total_mass(square):
     nv = len(square.vertices)
-    b = fem.lumped_load(square.vertices, square.simplices, np.ones(nv),
+    _, vols = fem.element_gradients(square.vertices, square.simplices)
+    w = fem.lumped_weights(vols, square.simplices.shape[1])
+    b = fem.lumped_load(w, square.simplices, np.ones(nv),
                         fem.identity_dof_map(nv), nv)
     assert abs(b.sum() - 1.0) <= 1e-12
     assert b.min() > 0.0

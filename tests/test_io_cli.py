@@ -5,10 +5,13 @@ the CLI tests drive main() in-process on a small layered configuration and
 check artifacts, hash guards and exit codes.
 """
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bh
 from bh import cli, formats
 from bh.config import load_config, preset_function
 from bh.errors import ConfigInvalid, MissingArtifact
@@ -90,6 +93,25 @@ def test_config_env_override(tiny_cfg, monkeypatch):
 ])
 def test_config_rejections(tmp_path, patch, message):
     bad = TINY_INI.replace(patch, message)
+    p = tmp_path / "bad.ini"
+    p.write_text(bad)
+    with pytest.raises(ConfigInvalid):
+        load_config(str(p))
+
+
+@pytest.mark.parametrize("patch, message", [
+    ("[kernel]\nt_end = 0.2\ndt = 0.05", "[kernel]\nt_end = 0.2\ndt = nan"),
+    ("[kernel]\nt_end = 0.2", "[kernel]\nt_end = inf"),
+    ("lambda_int = 1.0", "lambda_int = nan"),
+    ("k = 2.0", "k = -inf"),
+    ("dt = 0.05\nn = 8", "dt = 0.05\nn = 0.5"),
+    ("dt = 0.05\nn = 8", "dt = 0.05\nn = 8.0"),
+    ("eps_list = 0.5", "eps_list = nan"),
+], ids=["dt-nan", "t_end-inf", "lambda_int-nan", "k-inf", "n-fraction",
+        "n-float", "eps_list-nan"])
+def test_config_rejects_nonfinite_and_fractional(tmp_path, patch, message):
+    bad = TINY_INI.replace(patch, message)
+    assert bad != TINY_INI
     p = tmp_path / "bad.ini"
     p.write_text(bad)
     with pytest.raises(ConfigInvalid):
@@ -230,6 +252,28 @@ def test_cli_bad_config_exits_2(tmp_path):
     p = tmp_path / "bad.ini"
     p.write_text(TINY_INI.replace("kind = Layered2D", "kind = Wedge"))
     assert _run(["mesh", "--config", str(p)]) == 2
+
+
+@pytest.mark.parametrize("patch, message, command", [
+    ("[kernel]\nt_end = 0.2\ndt = 0.05", "[kernel]\nt_end = 0.2\ndt = nan",
+     "cell"),
+    ("lambda_int = 1.0", "lambda_int = nan", "cell"),
+    ("dt = 0.05\nn = 8", "dt = 0.05\nn = 0.5", "macro"),
+], ids=["dt-nan", "lambda_int-nan", "n-fraction"])
+def test_cli_bad_value_exits_2_without_traceback(tmp_path, patch, message,
+                                                 command):
+    p = tmp_path / "bad.ini"
+    p.write_text(TINY_INI.replace(patch, message))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
+    env.pop("BH_OUTPUT_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bh.cli", command, "--config", str(p),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:")
 
 
 def test_cli_missing_artifact_exits_3(tiny_cfg, tmp_path):

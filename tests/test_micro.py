@@ -44,7 +44,8 @@ def test_micro_periodic_mode_equals_cell_relaxation(disk):
     mmesh = geometry.MicroMesh(vertices=disk.mesh.vertices,
                                simplices=disk.mesh.simplices,
                                phase=disk.mesh.phase, eps=1.0,
-                               boundary_vertices=np.zeros(0, dtype=np.int64))
+                               boundary_vertices=np.zeros(0, dtype=np.int64),
+                               interface=disk.surf)
     init = disk.funcs.v[0]
     run = micro.MicroRun(mesh=mmesh, coeffs=disk.coeffs, k=1.0, grid=grid,
                          u0_bar=lambda pts: init[sys.vdof],
