@@ -34,9 +34,9 @@ def main():
     spec = geometry.GeometrySpec("Disk2D", {"r0": args.r0}, h=args.h)
     mesh, surf = geometry.build_unit_cell(spec)
     kernel = TimeGrid(args.t_end, args.kernel_dt)
-    funcs = cell.solve_cell_functions(mesh, surf, coeffs, kernel)
-    tens = tensors.compute_all(cell.CellSystem(mesh, surf, coeffs), funcs,
-                               "cd")
+    sysm = cell.CellSystem(mesh, surf, coeffs)
+    funcs = cell.solve_cell_functions(sysm, kernel)
+    tens = tensors.compute_all(sysm, funcs, "cd")
 
     u0 = preset_function("sin-product", 2)
     mm = macro.build_macro_mesh(args.n, 2)

@@ -41,8 +41,7 @@ def main():
         spec = geometry.GeometrySpec(kind, params, h=h)
         mesh, surf = geometry.build_unit_cell(spec)
         sys = cell.CellSystem(mesh, surf, coeffs)
-        funcs = cell.solve_cell_functions(mesh, surf, coeffs, grid,
-                                          with_chi0_tilde=True)
+        funcs = cell.solve_cell_functions(sys, grid, with_chi0_tilde=True)
         tens = tensors.compute_all(sys, funcs, topology)
 
         A_inst = tens.lambda0 * np.eye(mesh.dim) + tens.A0

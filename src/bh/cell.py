@@ -19,7 +19,7 @@ residual, which makes the compatibility identities hold to solver
 precision instead of O(h).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,10 +79,12 @@ class CellSystem:
         lam = fem.phase_coefficient(mesh.phase, {PHASE_INT: coeffs.lam_int,
                                                  PHASE_OUT: coeffs.lam_out})
         self.lam_elem = lam
-        self.K = fem.assemble_stiffness(V, S, lam, self.vdof, self.nd)
+        self.grads, self.vols = fem.element_gradients(V, S)
+        geom = (self.grads, self.vols)
+        self.K = fem.assemble_stiffness(geom, S, lam, self.vdof, self.nd)
         self.S1 = fem.assemble_surface_stiffness(V, surf.facets, 1.0,
                                                  self.vdof, self.nd)
-        self.vol_w = fem.volume_dof_weights(V, S, self.vdof, self.nd)
+        self.vol_w = fem.volume_dof_weights(self.vols, S, self.vdof, self.nd)
 
         self.gamma_dofs = np.unique(self.vdof[surf.facets])
         self.surf_w = fem.surface_dof_weights(V, surf.facets, self.vdof, self.nd)
@@ -110,7 +112,7 @@ class CellSystem:
 
         # directional loads over the whole cell
         self.b_dir = [fem.assemble_gradient_load(
-            V, S, lam, np.tile(np.eye(self.dim)[j], (len(S), 1)),
+            geom, S, lam, np.tile(np.eye(self.dim)[j], (len(S), 1)),
             self.vdof, self.nd) for j in range(self.dim)]
 
         self._trace_factors = None
@@ -157,11 +159,11 @@ class _PhaseSub:
         glob_to_sub[dofs] = np.arange(len(dofs))
         self.glob_to_sub = glob_to_sub
         sdof = glob_to_sub[sys.vdof]
-        self.K = fem.assemble_stiffness(mesh.vertices, sub,
-                                        np.full(len(els), lam_val),
+        geom = (sys.grads[els], sys.vols[els])
+        self.K = fem.assemble_stiffness(geom, sub, np.full(len(els), lam_val),
                                         sdof, len(dofs))
         self.b_dir = [fem.assemble_gradient_load(
-            mesh.vertices, sub, np.full(len(els), lam_val),
+            geom, sub, np.full(len(els), lam_val),
             np.tile(np.eye(sys.dim)[j], (len(els), 1)), sdof, len(dofs))
             for j in range(sys.dim)]
         self.gamma_sub = [glob_to_sub[d] for d in sys.comp_dofs]
@@ -287,7 +289,7 @@ def _chi0_residual(sys: CellSystem, x_out_sub, j):
 # v: initial surface data from the chi0 flux jump
 # ---------------------------------------------------------------------------
 
-def solve_v_init(system: CellSystem, chi0: np.ndarray, return_means=False):
+def solve_v_init(system: CellSystem, chi0: np.ndarray):
     """Surface Poisson solves -alpha lap_B v_j = [lam grad(y_j + chi0^j).nu].
 
     The right hand side is the full-stiffness residual of chi0 on the
@@ -298,14 +300,12 @@ def solve_v_init(system: CellSystem, chi0: np.ndarray, return_means=False):
     sys = system
     N, nd = sys.dim, sys.nd
     v = np.zeros((N, nd))
-    means = np.zeros((sys.m, N))
     for j in range(N):
         L = -(sys.K @ chi0[j] + sys.b_dir[j])
         for c in range(sys.m):
             dofs = sys.comp_dofs[c]
             Lc = L[dofs].copy()
             total = Lc.sum()
-            means[c, j] = total
             if not sys.wrapping[c] and abs(total) > 1e-8 * sys.comp_area[c]:
                 raise CompatibilityViolated(
                     f"surface data on closed component {c} has mean "
@@ -314,8 +314,6 @@ def solve_v_init(system: CellSystem, chi0: np.ndarray, return_means=False):
             Lc -= total * wc / wc.sum()
             vc = sys.trace_factor(c).solve(Lc / sys.coeffs.alpha)
             v[j, dofs] = vc
-    if return_means:
-        return v, means
     return v
 
 
@@ -356,12 +354,6 @@ def evolve_surface_coupled(system: CellSystem, surface_init: np.ndarray,
     return X, energy
 
 
-def factor_W(omega: np.ndarray, grad_u0: np.ndarray) -> np.ndarray:
-    """Recombine the per-direction histories with a macroscopic gradient:
-    W(t) = sum_j omega^j(t) (grad u0)_j."""
-    return np.einsum("jtn,j->tn", omega, grad_u0)
-
-
 # ---------------------------------------------------------------------------
 # classical corrector for k > 1
 # ---------------------------------------------------------------------------
@@ -380,10 +372,10 @@ def solve_chi0_tilde(system: CellSystem) -> np.ndarray:
 # orchestration
 # ---------------------------------------------------------------------------
 
-def solve_cell_functions(mesh, surf, coeffs: CellCoefficients,
-                         grid: TimeGrid, with_chi0_tilde=False) -> CellFunctionSet:
+def solve_cell_functions(system: CellSystem, grid: TimeGrid,
+                         with_chi0_tilde=False) -> CellFunctionSet:
     """Run the full corrector pipeline on one unit cell."""
-    sys = CellSystem(mesh, surf, coeffs)
+    sys = system
     chi0, residuals = solve_chi0(sys, return_diagnostics=True)
     v = solve_v_init(sys, chi0)
     N = sys.dim

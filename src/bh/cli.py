@@ -88,7 +88,7 @@ def cmd_cell(cfg, out, vtk):
     paths = _paths(out)
     mesh, surf = _load_cell_mesh(cfg, paths)
     sysm = cell.CellSystem(mesh, surf, cfg.coeffs)
-    funcs = cell.solve_cell_functions(mesh, surf, cfg.coeffs, cfg.kernel_grid,
+    funcs = cell.solve_cell_functions(sysm, cfg.kernel_grid,
                                       with_chi0_tilde=True)
     fields = []
     N = mesh.dim
@@ -121,8 +121,7 @@ def cmd_cell(cfg, out, vtk):
         for j in range(N):
             formats.write_vtk(os.path.join(out, f"chi0_{j + 1}.vtk"),
                               mesh.vertices, mesh.simplices,
-                              funcs.chi0[j][fem.periodic_dof_map(
-                                  len(mesh.vertices), mesh.periodic_pairs)])
+                              funcs.chi0[j][sysm.vdof])
     return [paths["cell"], paths["compat"]]
 
 
@@ -210,10 +209,11 @@ def cmd_macro(cfg, out, vtk):
         A_inst = prob.A_elliptic if prob.A_elliptic is not None else A_inst
     mats = macro._component_stiffness(mesh)
     K_A = macro._tensor_stiffness(mats, A_inst)
+    vols = geometry.simplex_volumes(mesh.vertices, mesh.simplices)
     lines = ["t, L2_norm, energy_norm"]
     for n, t in enumerate(cfg.macro_grid.times):
         u = fld.levels[n]
-        l2 = np.sqrt(fem.mass_quadratic(mesh.vertices, mesh.simplices, u))
+        l2 = np.sqrt(fem.mass_quadratic(vols, mesh.simplices, u))
         en = np.sqrt(max(float(u @ (K_A @ u)), 0.0))
         lines.append(", ".join(_F % v for v in (t, l2, en)))
     with open(paths["macro_csv"], "w") as fh:
@@ -273,10 +273,9 @@ def cmd_converge(cfg, out, vtk):
                                       topology=cfg.topology)
             fld = macro.solve_homogenized_elliptic(prob)
         else:
-            funcs = cell.solve_cell_functions(mesh, surf, cfg.coeffs,
-                                              cfg.kernel_grid)
+            funcs = cell.solve_cell_functions(sysm, cfg.kernel_grid)
             tens = tensors.compute_all(sysm, funcs, cfg.topology,
-                                       with_klt1=False, with_kgt1=False)
+                                       with_klt1=False)
             mmesh, prob = _macro_problem(cfg, {
                 "lambda0": tens.lambda0, "A0": tens.A0, "C0": tens.C0,
                 "B0": tens.B0, "Phi": tens.F_coeffs,
@@ -331,8 +330,7 @@ def _verify_checks(cfg):
 
     sysm = cell.CellSystem(mesh, surf, coeffs)
     grid = cfg.kernel_grid
-    funcs = cell.solve_cell_functions(mesh, surf, coeffs, grid,
-                                      with_chi0_tilde=True)
+    funcs = cell.solve_cell_functions(sysm, grid, with_chi0_tilde=True)
 
     worst = 0.0
     ok_comp = True

@@ -35,10 +35,6 @@ class SingularSystem(BHError):
     """A constrained linear solve did not reach the required residual."""
 
 
-class MissingAdjacency(BHError):
-    """An interface facet lacks a bulk element on one of its sides."""
-
-
 class ComponentSingular(BHError):
     """A per-component surface solve is not solvable (incompatible data)."""
 

@@ -17,11 +17,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (DegenerateFacet, MissingAdjacency, NonpositiveCoefficient,
-                     SingularSystem, SolverFailure)
-from .geometry import facet_measures, periodic_classes
-
-_FACT = {1: 1.0, 2: 2.0, 3: 6.0}
+from .errors import (DegenerateFacet, NonpositiveCoefficient, SingularSystem,
+                     SolverFailure)
+from .geometry import facet_measures, periodic_classes, simplex_volumes
 
 
 # ---------------------------------------------------------------------------
@@ -50,12 +48,12 @@ def element_gradients(vertices: np.ndarray, simplices: np.ndarray):
     """Gradients of the barycentric basis and signed volumes.
 
     Returns (grads, vols) with grads[e, i] the constant gradient of the
-    basis function of local vertex i on element e.
+    basis function of local vertex i on element e.  A mesh's owner calls
+    this once and passes the pair (its geometry) to the kernels below.
     """
-    dim = vertices.shape[1]
     p0 = vertices[simplices[:, 0]]
     E = vertices[simplices[:, 1:]] - p0[:, None, :]   # (ne, dim, dim)
-    vols = np.linalg.det(E) / _FACT[dim]
+    vols = simplex_volumes(vertices, simplices)
     Einv = np.linalg.inv(E)                            # rows of Einv.T are grads
     g = np.transpose(Einv, (0, 2, 1))                  # (ne, dim, dim)
     g0 = -g.sum(axis=1, keepdims=True)
@@ -75,19 +73,15 @@ def phase_coefficient(phase: np.ndarray, values: dict) -> np.ndarray:
     return coeff
 
 
-def assemble_stiffness(vertices, simplices, coeff, vdof, ndof,
-                       allow_zero=False, element_geometry=None) -> sp.csr_matrix:
+def assemble_stiffness(geom, simplices, coeff, vdof, ndof,
+                       allow_zero=False) -> sp.csr_matrix:
     """Bulk stiffness sum_K coeff_K int_K grad phi_p . grad phi_q.
 
-    element_geometry is the (grads, vols) pair of element_gradients for
-    these vertices and simplices, for callers assembling several
-    coefficients on one mesh; it is computed here when not given.
+    geom is the (grads, vols) pair of element_gradients for these simplices.
     """
     coeff = np.asarray(coeff, dtype=float)
     _check_coeff(coeff, allow_zero)
-    if element_geometry is None:
-        element_geometry = element_gradients(vertices, simplices)
-    grads, vols = element_geometry
+    grads, vols = geom
     w = np.abs(vols) * coeff
     kloc = np.einsum("e,eik,ejk->eij", w, grads, grads)
     dofs = vdof[simplices]
@@ -98,13 +92,13 @@ def assemble_stiffness(vertices, simplices, coeff, vdof, ndof,
     return K.tocsr()
 
 
-def assemble_gradient_load(vertices, simplices, coeff, vecs, vdof, ndof) -> np.ndarray:
+def assemble_gradient_load(geom, simplices, coeff, vecs, vdof, ndof) -> np.ndarray:
     """Load b_p = sum_K coeff_K |K| vec_K . grad phi_p.
 
     With vec_K = e_j this is the weak divergence of the coefficient field
     against the direction j, the right hand side of every corrector solve.
     """
-    grads, vols = element_gradients(vertices, simplices)
+    grads, vols = geom
     w = np.abs(vols) * np.asarray(coeff, dtype=float)
     contrib = np.einsum("e,eik,ek->ei", w, grads, np.asarray(vecs, dtype=float))
     b = np.zeros(ndof)
@@ -117,9 +111,8 @@ def lumped_weights(vols, npv) -> np.ndarray:
     return np.abs(vols)[:, None] / npv
 
 
-def volume_dof_weights(vertices, simplices, vdof, ndof) -> np.ndarray:
+def volume_dof_weights(vols, simplices, vdof, ndof) -> np.ndarray:
     """w_p = int phi_p over the whole mesh (exact for P1)."""
-    _, vols = element_gradients(vertices, simplices)
     npv = simplices.shape[1]
     w = np.zeros(ndof)
     contrib = np.repeat(lumped_weights(vols, npv), npv, axis=1)
@@ -136,9 +129,8 @@ def lumped_load(weights, simplices, node_values, vdof, ndof) -> np.ndarray:
     return b
 
 
-def mass_quadratic(vertices, simplices, node_values) -> float:
+def mass_quadratic(vols, simplices, node_values) -> float:
     """Exact int u^2 for the P1 field with the given vertex values."""
-    _, vols = element_gradients(vertices, simplices)
     u = node_values[simplices]
     npv = simplices.shape[1]
     s = u.sum(axis=1)
@@ -146,9 +138,8 @@ def mass_quadratic(vertices, simplices, node_values) -> float:
     return float((np.abs(vols) * q).sum())
 
 
-def element_field_gradients(vertices, simplices, node_values) -> np.ndarray:
+def element_field_gradients(grads, simplices, node_values) -> np.ndarray:
     """Constant per-element gradient of a P1 field (vertex values)."""
-    grads, _ = element_gradients(vertices, simplices)
     return np.einsum("eik,ei->ek", grads, node_values[simplices])
 
 
@@ -258,28 +249,6 @@ def facet_field_gradients(vertices, facets, node_values) -> np.ndarray:
     return np.einsum("fik,fi->fk", grads, node_values[facets])
 
 
-def facet_mean_values(node_values, facets) -> np.ndarray:
-    return node_values[facets].mean(axis=1)
-
-
-def surface_flux_jump(vertices, simplices, surf, node_values, coeff) -> np.ndarray:
-    """Facet-wise jump [coeff grad u . nu] from the adjacent bulk gradients.
-
-    The jump convention is (outer value) - (inner value) with nu pointing
-    from the inner phase into the outer one.
-    """
-    if np.any(surf.adjacency < 0):
-        raise MissingAdjacency("surface facet without bulk adjacency")
-    grads, _ = element_gradients(vertices, simplices)
-    coeff = np.asarray(coeff, dtype=float)
-
-    def side_flux(elems):
-        ge = np.einsum("eik,ei->ek", grads[elems], node_values[simplices[elems]])
-        return coeff[elems] * np.einsum("fk,fk->f", ge, surf.normals)
-
-    return side_flux(surf.adjacency[:, 1]) - side_flux(surf.adjacency[:, 0])
-
-
 # ---------------------------------------------------------------------------
 # constrained solvers
 # ---------------------------------------------------------------------------
@@ -352,16 +321,6 @@ class DirichletFactor:
         if float(np.linalg.norm(r)) / scale > 1e-10:
             raise SingularSystem("Dirichlet solve residual above 1e-10")
         return x
-
-
-def solve_constrained(K, b, constraint="mean", weights=None, fixed=None,
-                      fixed_values=None):
-    """One-shot constrained solve; see MeanZeroFactor / DirichletFactor."""
-    if constraint == "mean":
-        return MeanZeroFactor(K, weights).solve(b)
-    if constraint == "dirichlet":
-        return DirichletFactor(K, fixed).solve(b, fixed_values)
-    raise ValueError(f"unknown constraint {constraint!r}")
 
 
 class CGSolver:

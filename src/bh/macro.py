@@ -26,11 +26,10 @@ import scipy.sparse.linalg as spla
 
 from . import fem
 from .errors import SingularStep, WrongGeometryClass
+from .geometry import _KUHN_PERMS
 from .timegrid import TimeGrid
 
 REGIMES = ("k1_connected_connected", "k1_connected_disconnected", "klt1", "kgt1")
-
-_KUHN_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +53,7 @@ class MacroMesh:
 def build_macro_mesh(n: int, dim: int = 2) -> MacroMesh:
     """Uniform simplicial grid on the unit square or cube.
 
-    2D cells are split along the same diagonal everywhere, which keeps
-    point location analytic.
+    2D cells are split along the same diagonal everywhere.
     """
     lin = np.arange(n + 1) / n
     lin[-1] = 1.0
@@ -97,29 +95,6 @@ def build_macro_mesh(n: int, dim: int = 2) -> MacroMesh:
     boundary = np.where(np.any((vertices == 0.0) | (vertices == 1.0), axis=1))[0]
     return MacroMesh(vertices=vertices, simplices=simplices, boundary=boundary,
                      n=n, dim=dim)
-
-
-def evaluate_macro(mesh: MacroMesh, nodal: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """P1 evaluation at arbitrary interior points of the structured mesh."""
-    n = mesh.n
-    if mesh.dim != 2:
-        raise NotImplementedError("analytic point location is 2D only")
-    x = np.clip(points[:, 0], 0.0, 1.0 - 1e-15)
-    y = np.clip(points[:, 1], 0.0, 1.0 - 1e-15)
-    i = np.minimum((x * n).astype(int), n - 1)
-    j = np.minimum((y * n).astype(int), n - 1)
-    xi = x * n - i
-    eta = y * n - j
-    vid = lambda a, b: b * (n + 1) + a
-    v00 = nodal[vid(i, j)]
-    v10 = nodal[vid(i + 1, j)]
-    v01 = nodal[vid(i, j + 1)]
-    v11 = nodal[vid(i + 1, j + 1)]
-    lower = eta <= xi
-    out = np.where(lower,
-                   v00 * (1 - xi) + v10 * (xi - eta) + v11 * eta,
-                   v00 * (1 - eta) + v11 * xi + v01 * (eta - xi))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,13 @@ eta and report L2(0,T; Omega) error sequences with a monotone-decrease
 verdict.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from . import fem, geometry, macro
+from . import fem, geometry
 from .cell import CellCoefficients
 from .errors import SolverFailure, WrongGeometryClass
 from .geometry import (PHASE_INT, PHASE_MEMBRANE, PHASE_OUT, MicroMesh,
@@ -90,11 +89,10 @@ def solve_micro(run: MicroRun) -> TransientField:
 
     lam = fem.phase_coefficient(phase, {PHASE_INT: coeffs.lam_int,
                                         PHASE_OUT: coeffs.lam_out})
-    grads, vols = fem.element_gradients(V, S)
-    K = fem.assemble_stiffness(V, S, lam, vdof, nd,
-                               element_geometry=(grads, vols))
-    K_unit = fem.assemble_stiffness(V, S, np.ones(len(S)), vdof, nd,
-                                    element_geometry=(grads, vols))
+    geom = fem.element_gradients(V, S)
+    vols = geom[1]
+    K = fem.assemble_stiffness(geom, S, lam, vdof, nd)
+    K_unit = fem.assemble_stiffness(geom, S, np.ones(len(S)), vdof, nd)
     if np.all(phase == phase[0]):
         # boundary stripping can empty the geometry entirely; the march
         # degenerates to quasi-static diffusion with no surface memory
@@ -110,7 +108,7 @@ def solve_micro(run: MicroRun) -> TransientField:
 
     if periodic:
         fixed = np.empty(0, dtype=np.int64)
-        vol_w = fem.volume_dof_weights(V, S, vdof, nd)
+        vol_w = fem.volume_dof_weights(vols, S, vdof, nd)
     else:
         fixed = np.unique(vdof[mesh.boundary_vertices])
 
@@ -188,10 +186,8 @@ def solve_membrane(run: MembraneRun) -> TransientField:
     tilde = fem.phase_coefficient(phase, {PHASE_INT: 0.0, PHASE_OUT: 0.0,
                                           PHASE_MEMBRANE: coeffs.alpha / mesh.eta})
     geom = fem.element_gradients(V, S)
-    K_lam = fem.assemble_stiffness(V, S, lam, vdof, nv, allow_zero=True,
-                                   element_geometry=geom)
-    K_til = fem.assemble_stiffness(V, S, tilde, vdof, nv, allow_zero=True,
-                                   element_geometry=geom)
+    K_lam = fem.assemble_stiffness(geom, S, lam, vdof, nv, allow_zero=True)
+    K_til = fem.assemble_stiffness(geom, S, tilde, vdof, nv, allow_zero=True)
     boundary = np.unique(mesh.boundary_vertices)
 
     # initial state: nodal initial datum inside the band, lambda-harmonic
@@ -212,8 +208,7 @@ def solve_membrane(run: MembraneRun) -> TransientField:
     n_steps = grid.n_steps
     X = np.zeros((n_steps + 1, nv))
     X[0] = x0
-    K_unit = fem.assemble_stiffness(V, S, np.ones(len(S)), vdof, nv,
-                                    element_geometry=geom)
+    K_unit = fem.assemble_stiffness(geom, S, np.ones(len(S)), vdof, nv)
     band_energy = np.empty(n_steps + 1)
     band_energy[0] = float(x0 @ (K_til @ x0)) / coeffs.alpha
     bulk_l2t = 0.0
@@ -293,10 +288,10 @@ def l2_space_time(samples: np.ndarray, grid: TimeGrid) -> float:
 
 def l2_space_time_exact(fld: TransientField, mesh) -> float:
     """Rectangle rule in time with the exact P1 mass integral in space."""
+    vols = mesh.volumes()
     total = 0.0
     for n in range(1, fld.levels.shape[0]):
-        total += fld.grid.step * fem.mass_quadratic(mesh.vertices,
-                                                    mesh.simplices,
+        total += fld.grid.step * fem.mass_quadratic(vols, mesh.simplices,
                                                     fld.levels[n])
     return float(np.sqrt(total))
 
@@ -358,7 +353,6 @@ class StudyReport:
     errors: list
     energy_bulk: list
     energy_surface: list
-    runtime_s: list
     monotone_decrease: bool = field(init=False)
 
     def __post_init__(self):
@@ -366,9 +360,9 @@ class StudyReport:
         self.monotone_decrease = all(e[i] > e[i + 1] for i in range(len(e) - 1))
 
     def csv(self) -> str:
-        lines = [f"{self.param_name}, error_L2, energy_bulk, energy_surface, runtime_s"]
+        lines = [f"{self.param_name}, error_L2, energy_bulk, energy_surface"]
         for row in zip(self.params, self.errors, self.energy_bulk,
-                       self.energy_surface, self.runtime_s):
+                       self.energy_surface):
             lines.append(", ".join("%.17g" % v for v in row))
         lines.append("monotone_decrease: %s"
                      % ("true" if self.monotone_decrease else "false"))
@@ -397,9 +391,8 @@ def convergence_study(regime, eps_list, *, cell_mesh, surf, coeffs, k, grid,
             macro_field.levels, pts)
 
     eps_sorted = sorted(eps_list, reverse=True)
-    errors, e_bulk, e_surf, runtimes = [], [], [], []
+    errors, e_bulk, e_surf = [], [], []
     for eps in eps_sorted:
-        t0 = time.perf_counter()
         mmesh, _ = tile_micro_domain(cell_mesh, surf, eps,
                                      strip_boundary_inclusions=strip)
         fld = solve_micro(MicroRun(mesh=mmesh, coeffs=coeffs, k=k, grid=grid,
@@ -412,8 +405,7 @@ def convergence_study(regime, eps_list, *, cell_mesh, surf, coeffs, k, grid,
         errors.append(err)
         e_bulk.append(fld.diagnostics["energy_bulk"])
         e_surf.append(fld.diagnostics["energy_surface"])
-        runtimes.append(time.perf_counter() - t0)
-    return StudyReport("eps", eps_sorted, errors, e_bulk, e_surf, runtimes)
+    return StudyReport("eps", eps_sorted, errors, e_bulk, e_surf)
 
 
 def concentration_study(eta_list, *, spec, coeffs, grid, eps, u0_bar,
@@ -434,9 +426,8 @@ def concentration_study(eta_list, *, spec, coeffs, grid, eps, u0_bar,
         sharp.levels, pts)
 
     etas = sorted(eta_list, reverse=True)
-    errors, e_bulk, e_surf, runtimes = [], [], [], []
+    errors, e_bulk, e_surf = [], [], []
     for eta in etas:
-        t0 = time.perf_counter()
         band_cell, band_surf = geometry.build_membrane_cell(spec, eta)
         bmesh, _ = tile_micro_domain(band_cell, band_surf, eps,
                                      strip_boundary_inclusions=False)
@@ -447,5 +438,4 @@ def concentration_study(eta_list, *, spec, coeffs, grid, eps, u0_bar,
         errors.append(l2_space_time(vals - ref, grid))
         e_bulk.append(fld.diagnostics["energy_bulk"])
         e_surf.append(fld.diagnostics["energy_surface"])
-        runtimes.append(time.perf_counter() - t0)
-    return StudyReport("eta", etas, errors, e_bulk, e_surf, runtimes)
+    return StudyReport("eta", etas, errors, e_bulk, e_surf)

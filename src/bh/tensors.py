@@ -92,6 +92,19 @@ def _rel_gap(M1, M2, scale):
     return float(np.abs(M1 - M2).max()) / max(scale, 1e-300)
 
 
+def _gram(w, grads):
+    """Symmetric matrix sum_K w_K (e_j + grads[j]_K) . (e_h + grads[h]_K)
+    from per-element weights and per-direction element gradients."""
+    N = len(grads)
+    gram = np.zeros((N, N))
+    for j in range(N):
+        gj = np.eye(N)[j][None, :] + grads[j]
+        for h in range(j, N):
+            gh = np.eye(N)[h][None, :] + grads[h]
+            gram[j, h] = gram[h, j] = float((w * (gj * gh).sum(axis=1)).sum())
+    return gram
+
+
 # ---------------------------------------------------------------------------
 # individual tensors
 # ---------------------------------------------------------------------------
@@ -133,11 +146,11 @@ def compute_A0(sys: CellSystem, chi0: np.ndarray, v: np.ndarray,
     forms = forms or _SurfaceForms(sys)
     N = sys.dim
     mesh = sys.mesh
-    vols = np.abs(mesh.volumes())
+    vols = np.abs(sys.vols)
     lam = sys.lam_elem
     a = sys.coeffs.alpha
 
-    grad_chi0 = [fem.element_field_gradients(mesh.vertices, mesh.simplices,
+    grad_chi0 = [fem.element_field_gradients(sys.grads, mesh.simplices,
                                              chi0[j][sys.vdof]) for j in range(N)]
     surf_init = np.stack([a * forms.int_grad_components(v[j]) for j in range(N)])
 
@@ -147,12 +160,7 @@ def compute_A0(sys: CellSystem, chi0: np.ndarray, v: np.ndarray,
                        for j in range(N)]) + surf_init
 
     lam0 = compute_lambda0(mesh, sys.coeffs)
-    gram = np.zeros((N, N))
-    for j in range(N):
-        gj = np.eye(N)[j][None, :] + grad_chi0[j]
-        for h in range(j, N):
-            gh = np.eye(N)[h][None, :] + grad_chi0[h]
-            gram[j, h] = gram[h, j] = float((lam * vols * (gj * gh).sum(axis=1)).sum())
+    gram = _gram(lam * vols, grad_chi0)
 
     scale = max(lam0, float(np.abs(A_vol).max()), 1e-300)
     gap_forms = _rel_gap(A_vol, A_flux, scale)
@@ -174,7 +182,7 @@ def _kernel_pair(sys, snapshots, grid, forms):
     n = grid.n_steps
     dt = grid.step
     mesh = sys.mesh
-    vols = np.abs(mesh.volumes())
+    vols = np.abs(sys.vols)
     lam = sys.lam_elem
     a = sys.coeffs.alpha
     vol_route = np.zeros((n + 1, N, N))
@@ -185,7 +193,7 @@ def _kernel_pair(sys, snapshots, grid, forms):
             ref = max(lev, 1)
             dX = (X[ref] - X[ref - 1]) / dt
             tsurf = a * forms.int_grad_components(dX)
-            g = fem.element_field_gradients(mesh.vertices, mesh.simplices,
+            g = fem.element_field_gradients(sys.grads, mesh.simplices,
                                             X[lev][sys.vdof])
             vol_route[lev, j] = (lam * vols) @ g + tsurf
             flux_route[lev, j] = -sys.coeffs.jump * forms.int_field_normal(X[lev]) + tsurf
@@ -237,18 +245,14 @@ def compute_Ahom_klt1(sys: CellSystem, chi0: np.ndarray, topology: str):
     N = sys.dim
     mesh = sys.mesh
     out_els = mesh.phase == PHASE_OUT
-    vols = np.abs(mesh.volumes())[out_els]
+    vols = np.abs(sys.vols)[out_els]
     lam = sys.lam_elem[out_els]
     sub = sys.sub[PHASE_OUT]
 
-    grads = [fem.element_field_gradients(mesh.vertices, mesh.simplices[out_els],
+    grads = [fem.element_field_gradients(sys.grads[out_els],
+                                         mesh.simplices[out_els],
                                          chi0[j][sys.vdof]) for j in range(N)]
-    gram = np.zeros((N, N))
-    for j in range(N):
-        gj = np.eye(N)[j][None, :] + grads[j]
-        for h in range(j, N):
-            gh = np.eye(N)[h][None, :] + grads[h]
-            gram[j, h] = gram[h, j] = float((lam * vols * (gj * gh).sum(axis=1)).sum())
+    gram = _gram(lam * vols, grads)
 
     split = np.zeros((N, N))
     for j in range(N):
@@ -273,18 +277,13 @@ def compute_Ahom_kgt1(sys: CellSystem, chi0_tilde: np.ndarray):
     symmetric Gram route as cross-check."""
     N = sys.dim
     mesh = sys.mesh
-    vols = np.abs(mesh.volumes())
+    vols = np.abs(sys.vols)
     lam = sys.lam_elem
-    grads = [fem.element_field_gradients(mesh.vertices, mesh.simplices,
+    grads = [fem.element_field_gradients(sys.grads, mesh.simplices,
                                          chi0_tilde[j][sys.vdof]) for j in range(N)]
     direct = np.stack([(lam * vols) @ (np.eye(N)[j][None, :] + grads[j])
                        for j in range(N)])
-    gram = np.zeros((N, N))
-    for j in range(N):
-        gj = np.eye(N)[j][None, :] + grads[j]
-        for h in range(j, N):
-            gh = np.eye(N)[h][None, :] + grads[h]
-            gram[j, h] = gram[h, j] = float((lam * vols * (gj * gh).sum(axis=1)).sum())
+    gram = _gram(lam * vols, grads)
     scale = max(float(np.abs(gram).max()), 1e-300)
     gap = _rel_gap(direct, gram, scale)
     if gap > 1e-6:
@@ -297,8 +296,9 @@ def compute_Ahom_kgt1(sys: CellSystem, chi0_tilde: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def compute_all(sys: CellSystem, funcs: CellFunctionSet, topology: str,
-                with_klt1=None, with_kgt1=None) -> EffectiveTensors:
-    """Evaluate every tensor available from a solved cell function set."""
+                with_klt1=None) -> EffectiveTensors:
+    """Evaluate every tensor available from a solved cell function set; the
+    k > 1 tensor exactly when the set carries chi0_tilde."""
     forms = _SurfaceForms(sys)
     lam0 = compute_lambda0(sys.mesh, sys.coeffs)
     C0, C0_mixed, gap_c = compute_C0(sys, funcs.chi0, forms)
@@ -313,14 +313,8 @@ def compute_all(sys: CellSystem, funcs: CellFunctionSet, topology: str,
         klt1, _, gap_k = compute_Ahom_klt1(sys, funcs.chi0, topology)
     else:
         gap_k = None
-    if with_kgt1 is None:
-        with_kgt1 = funcs.chi0_tilde is not None
-    if with_kgt1:
-        ct = funcs.chi0_tilde
-        if ct is None:
-            from .cell import solve_chi0_tilde
-            ct = solve_chi0_tilde(sys)
-        kgt1, _, gap_kg = compute_Ahom_kgt1(sys, ct)
+    if funcs.chi0_tilde is not None:
+        kgt1, _, gap_kg = compute_Ahom_kgt1(sys, funcs.chi0_tilde)
     else:
         gap_kg = None
 

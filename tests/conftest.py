@@ -35,9 +35,8 @@ def _build(kind, params, h, grid, topology):
     spec = geometry.GeometrySpec(kind, params, h=h)
     mesh, surf = geometry.build_unit_cell(spec)
     coeffs = cell.CellCoefficients(1.0, 3.0, 1.0)
-    funcs = cell.solve_cell_functions(mesh, surf, coeffs, grid,
-                                      with_chi0_tilde=True)
     system = cell.CellSystem(mesh, surf, coeffs)
+    funcs = cell.solve_cell_functions(system, grid, with_chi0_tilde=True)
     tens = tensors.compute_all(system, funcs, topology)
     return Bundle(spec, mesh, surf, coeffs, grid, system, funcs, tens)
 

@@ -33,9 +33,8 @@ def _report(num, ok, detail):
 def _build_bundle(kind, params, h, grid, topology):
     spec = geometry.GeometrySpec(kind, params, h=h)
     mesh, surf = geometry.build_unit_cell(spec)
-    funcs = cell.solve_cell_functions(mesh, surf, COEFFS, grid,
-                                      with_chi0_tilde=True)
     system = cell.CellSystem(mesh, surf, COEFFS)
+    funcs = cell.solve_cell_functions(system, grid, with_chi0_tilde=True)
     tens = tensors.compute_all(system, funcs, topology)
     return Bundle(spec, mesh, surf, COEFFS, grid, system, funcs, tens)
 
@@ -275,7 +274,8 @@ def test_criterion_13_richardson_ratios(adisk):
             topology="cc")
         fld = macro.solve_homogenized_elliptic(prob)
         d = fld.levels[0] - sin_product(m.vertices)
-        errs.append(np.sqrt(fem.mass_quadratic(m.vertices, m.simplices, d)))
+        errs.append(np.sqrt(fem.mass_quadratic(
+            fem.element_gradients(m.vertices, m.simplices)[1], m.simplices, d)))
     ratios["elliptic h"] = errs[0] / errs[1]
     ratios["elliptic h 2"] = errs[1] / errs[2]
 

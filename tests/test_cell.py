@@ -120,14 +120,6 @@ def test_evolution_linearity(a, disk):
     assert np.abs(Xa - a * X1).max() <= 1e-9 * abs(a) * max(np.abs(X1).max(), 1.0)
 
 
-def test_factor_W_combines_histories(disk):
-    rng = np.random.default_rng(2)
-    g = rng.standard_normal(2)
-    W = cell.factor_W(disk.funcs.omega, g)
-    ref = g[0] * disk.funcs.omega[0] + g[1] * disk.funcs.omega[1]
-    assert np.abs(W - ref).max() <= 1e-14 * max(np.abs(ref).max(), 1.0)
-
-
 def test_chi0_tilde_is_periodic_two_phase_corrector(layered):
     # layered closed form: chi0_tilde is constant in x, piecewise linear in y
     ct = layered.funcs.chi0_tilde

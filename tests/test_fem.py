@@ -55,7 +55,8 @@ def test_interior_residual_of_affine_fields_vanishes(a, b, c):
     mesh = macro.build_macro_mesh(6, 2)
     nv = len(mesh.vertices)
     vdof = fem.identity_dof_map(nv)
-    K = fem.assemble_stiffness(mesh.vertices, mesh.simplices,
+    geom = fem.element_gradients(mesh.vertices, mesh.simplices)
+    K = fem.assemble_stiffness(geom, mesh.simplices,
                                np.ones(len(mesh.simplices)), vdof, nv)
     u = a + b * mesh.vertices[:, 0] + c * mesh.vertices[:, 1]
     r = K @ u
@@ -66,7 +67,8 @@ def test_interior_residual_of_affine_fields_vanishes(a, b, c):
 @given(a=coef, b=coef, c=coef)
 def test_mass_quadratic_matches_closed_form(a, b, c, square):
     u = a + b * square.vertices[:, 0] + c * square.vertices[:, 1]
-    got = fem.mass_quadratic(square.vertices, square.simplices, u)
+    _, vols = fem.element_gradients(square.vertices, square.simplices)
+    got = fem.mass_quadratic(vols, square.simplices, u)
     exact = (a ** 2 + (b ** 2 + c ** 2) / 3.0 + a * b + a * c + b * c / 2.0)
     assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
 
@@ -82,7 +84,7 @@ def test_lumped_load_total_mass(square):
 
 
 def test_volume_dof_weights_partition(disk):
-    w = fem.volume_dof_weights(disk.mesh.vertices, disk.mesh.simplices,
+    w = fem.volume_dof_weights(disk.system.vols, disk.mesh.simplices,
                                disk.system.vdof, disk.system.nd)
     assert abs(w.sum() - 1.0) <= 1e-12
     assert w.min() > 0.0
@@ -141,7 +143,8 @@ def test_surface_stiffness_symmetric_psd(disk):
 def _spd_system(square):
     nv = len(square.vertices)
     vdof = fem.identity_dof_map(nv)
-    K = fem.assemble_stiffness(square.vertices, square.simplices,
+    geom = fem.element_gradients(square.vertices, square.simplices)
+    K = fem.assemble_stiffness(geom, square.simplices,
                                np.ones(len(square.simplices)), vdof, nv)
     rng = np.random.default_rng(11)
     b = rng.standard_normal(nv)

@@ -207,14 +207,14 @@ def test_point_locator_reproduces_linear_fields(disk_tiled):
 
 def test_study_report_monotone_flag_and_csv():
     rep = micro.StudyReport("eps", [0.5, 0.25], [2.0, 1.0], [0.1, 0.1],
-                            [0.0, 0.0], [1.0, 1.0])
+                            [0.0, 0.0])
     assert rep.monotone_decrease
     text = rep.csv()
-    assert text.splitlines()[0].startswith("eps, error_L2")
+    assert text.splitlines()[0] == "eps, error_L2, energy_bulk, energy_surface"
     assert text.rstrip().endswith("monotone_decrease: true")
 
     rep2 = micro.StudyReport("eta", [0.2, 0.1], [1.0, 1.5], [0.1, 0.1],
-                             [0.0, 0.0], [1.0, 1.0])
+                             [0.0, 0.0])
     assert not rep2.monotone_decrease
     assert rep2.csv().rstrip().endswith("monotone_decrease: false")
 

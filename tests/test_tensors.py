@@ -22,7 +22,7 @@ regression; they are discrete values, not continuum limits):
 import numpy as np
 import pytest
 
-from bh import cell, tensors
+from bh import cell, fem, tensors
 from bh.errors import WrongGeometryClass
 from bh.timegrid import TimeGrid
 
@@ -154,3 +154,20 @@ def test_v_gauge_invariance(disk):
 def test_lambda0_is_volume_average(layered):
     got = tensors.compute_lambda0(layered.mesh, layered.coeffs)
     assert abs(got - 2.0) <= 1e-12
+
+
+def test_one_element_geometry_pass_per_cell(disk, monkeypatch):
+    """A cell solve and every tensor read one (grads, vols) of the system."""
+    calls = []
+    original = fem.element_gradients
+
+    def counting(vertices, simplices):
+        calls.append(len(simplices))
+        return original(vertices, simplices)
+
+    monkeypatch.setattr(fem, "element_gradients", counting)
+    sys = cell.CellSystem(disk.mesh, disk.surf, disk.coeffs)
+    funcs = cell.solve_cell_functions(sys, disk.grid, with_chi0_tilde=True)
+    tens = tensors.compute_all(sys, funcs, "cd")
+    assert calls == [len(disk.mesh.simplices)]
+    assert tens.A_hom_klt1 is not None and tens.A_hom_kgt1 is not None
