@@ -207,13 +207,11 @@ def cmd_macro(cfg, out, vtk):
         prob.A0 if prob.A0 is not None else 0.0)
     if not cfg.regime.startswith("k1"):
         A_inst = prob.A_elliptic if prob.A_elliptic is not None else A_inst
-    mats = macro._component_stiffness(mesh)
-    K_A = macro._tensor_stiffness(mats, A_inst)
-    vols = geometry.simplex_volumes(mesh.vertices, mesh.simplices)
+    K_A = macro._tensor_stiffness(mesh.mats, A_inst)
     lines = ["t, L2_norm, energy_norm"]
     for n, t in enumerate(cfg.macro_grid.times):
         u = fld.levels[n]
-        l2 = np.sqrt(fem.mass_quadratic(vols, mesh.simplices, u))
+        l2 = np.sqrt(fem.mass_quadratic(mesh.vols, mesh.simplices, u))
         en = np.sqrt(max(float(u @ (K_A @ u)), 0.0))
         lines.append(", ".join(_F % v for v in (t, l2, en)))
     with open(paths["macro_csv"], "w") as fh:

@@ -9,8 +9,8 @@ using intrinsic facet coordinates, and agree with the projected gradient
 Constrained solves come in two flavours: a single dense Lagrange row for
 mean-zero problems (volume weights for bulk, per-component surface weights
 on interfaces) and row elimination for Dirichlet conditions.  Direct
-factorizations (SuperLU) serve the small cell problems; micro sweeps use
-diagonally preconditioned conjugate gradients.
+factorizations (SuperLU) serve the cell problems and 2D micro marches; 3D
+micro marches use diagonally preconditioned conjugate gradients.
 """
 
 import numpy as np
@@ -297,10 +297,9 @@ class DirichletFactor:
         mask = np.ones(n, dtype=bool)
         mask[self.fixed] = False
         self.free = np.where(mask)[0]
-        Kc = K.tocsc()
-        self.K = K.tocsr()
-        self.Kff = Kc[self.free][:, self.free]
-        self.Kfc = Kc[self.free][:, self.fixed]
+        Kr = K.tocsc()[self.free]
+        self.Kff = Kr[:, self.free]
+        self.Kfc = Kr[:, self.fixed]
         if len(self.free):
             try:
                 self.lu = spla.splu(self.Kff.tocsc())
@@ -332,9 +331,9 @@ class CGSolver:
         mask = np.ones(n, dtype=bool)
         mask[self.fixed] = False
         self.free = np.where(mask)[0]
-        Kc = K.tocsc()
-        self.Kff = Kc[self.free][:, self.free].tocsr()
-        self.Kfc = Kc[self.free][:, self.fixed].tocsr()
+        Kr = K.tocsc()[self.free]
+        self.Kff = Kr[:, self.free].tocsr()
+        self.Kfc = Kr[:, self.fixed].tocsr()
         d = self.Kff.diagonal()
         if np.any(d <= 0):
             raise SingularSystem("nonpositive diagonal in CG system")

@@ -43,6 +43,9 @@ class MacroMesh:
     boundary: np.ndarray   # vertex ids on the outer boundary
     n: int
     dim: int
+    grads: np.ndarray      # element geometry from fem.element_gradients
+    vols: np.ndarray
+    mats: dict             # component stiffness matrices K_ab, see below
 
     def interior(self):
         mask = np.ones(len(self.vertices), dtype=bool)
@@ -53,7 +56,9 @@ class MacroMesh:
 def build_macro_mesh(n: int, dim: int = 2) -> MacroMesh:
     """Uniform simplicial grid on the unit square or cube.
 
-    2D cells are split along the same diagonal everywhere.
+    2D cells are split along the same diagonal everywhere.  The mesh
+    carries its element geometry and component stiffness matrices, so the
+    solvers and their callers never recompute them.
     """
     lin = np.arange(n + 1) / n
     lin[-1] = 1.0
@@ -93,8 +98,11 @@ def build_macro_mesh(n: int, dim: int = 2) -> MacroMesh:
         raise ValueError("macro mesh dimension must be 2 or 3")
 
     boundary = np.where(np.any((vertices == 0.0) | (vertices == 1.0), axis=1))[0]
+    grads, vols = fem.element_gradients(vertices, simplices)
     return MacroMesh(vertices=vertices, simplices=simplices, boundary=boundary,
-                     n=n, dim=dim)
+                     n=n, dim=dim, grads=grads, vols=vols,
+                     mats=_component_stiffness(grads, vols, simplices,
+                                               len(vertices)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,19 +141,16 @@ class TransientField:
 # assembly helpers
 # ---------------------------------------------------------------------------
 
-def _component_stiffness(mesh: MacroMesh):
+def _component_stiffness(grads, vols, simplices, nv):
     """K_ab with entries int d_a phi_p d_b phi_q, one matrix per (a, b).
 
     Any constant-tensor stiffness is then K_M = sum_ab M_ab K_ab, so the
     memory sum only needs matrix-vector products with N^2 fixed matrices.
     """
-    V, S = mesh.vertices, mesh.simplices
-    grads, vols = fem.element_gradients(V, S)
     w = np.abs(vols)
-    nv = len(V)
-    dim = mesh.dim
+    dim = grads.shape[2]
     npv = dim + 1
-    dofs = S
+    dofs = simplices
     rows = np.repeat(dofs, npv, axis=1).ravel()
     cols = np.tile(dofs, (1, npv)).ravel()
     mats = {}
@@ -219,7 +224,7 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
     nv = len(mesh.vertices)
     connected = problem.regime == "k1_connected_connected"
 
-    mats = _component_stiffness(mesh)
+    mats = mesh.mats
     A_inst = problem.lambda0 * np.eye(dim) + (
         problem.A0 if problem.A0 is not None else 0.0)
     K_A = _tensor_stiffness(mats, A_inst)
@@ -243,7 +248,7 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
     lu = _factor_spd(A_ff, "macro step matrix")
 
     V, S = mesh.vertices, mesh.simplices
-    grads, vols = fem.element_gradients(V, S)
+    grads, vols = mesh.grads, mesh.vols
     w_el = np.abs(vols)
     load_w = fem.lumped_weights(vols, S.shape[1])
     vdof = fem.identity_dof_map(nv)
@@ -318,8 +323,7 @@ def solve_homogenized_elliptic(problem: MacroProblem) -> TransientField:
     if problem.regime not in ("klt1", "kgt1"):
         raise WrongGeometryClass(f"elliptic solver got regime {problem.regime}")
 
-    mats = _component_stiffness(mesh)
-    K = _tensor_stiffness(mats, problem.A_elliptic)
+    K = _tensor_stiffness(mesh.mats, problem.A_elliptic)
     free = mesh.interior()
     K_ff = K.tocsc()[free][:, free]
     lu = _factor_spd(K_ff, "elliptic macro matrix")
@@ -327,8 +331,7 @@ def solve_homogenized_elliptic(problem: MacroProblem) -> TransientField:
     V, S = mesh.vertices, mesh.simplices
     U = np.zeros((M + 1, nv))
     if problem.source is not None:
-        _, vols = fem.element_gradients(V, S)
-        load_w = fem.lumped_weights(vols, S.shape[1])
+        load_w = fem.lumped_weights(mesh.vols, S.shape[1])
         vdof = fem.identity_dof_map(nv)
         for n in range(M + 1):
             fvals = problem.source(V, grid.times[n])

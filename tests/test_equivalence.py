@@ -1,4 +1,4 @@
-"""Array mesh bookkeeping against the loop implementations it replaced.
+"""Rewritten hot paths against the implementations they replaced.
 
 extract_interface, the canonical vertex map of tile_micro_domain and
 fem.periodic_dof_map were once per-facet and per-vertex Python loops with
@@ -6,16 +6,23 @@ union-find components.  Those loops survive here, unchanged in substance,
 as oracles: on small meshes of every geometry the array code must give
 bitwise identical facets, normals, components, measures, adjacency, tiled
 positions, connectivity and dof numbering.
+
+The micro and membrane marches pick their step solver by dimension (one
+SuperLU factor in 2D, warm-started Jacobi-CG in 3D).  On every geometry
+both solvers must give the same march up to the tolerance stated below.
 """
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from bh import fem, geometry
+from bh import fem, geometry, micro
 from bh.geometry import (PHASE_INT, PHASE_MEMBRANE, PHASE_OUT,
                          build_membrane_cell, extract_interface,
                          tile_micro_domain)
+from bh.timegrid import TimeGrid
+
+from conftest import sin_product
 
 _RANK = {PHASE_INT: 0, PHASE_MEMBRANE: 1, PHASE_OUT: 2}
 
@@ -268,3 +275,58 @@ def test_tiling_matches_loop(request, name, eps, strip):
     else:
         _assert_same_surface(micro_surf,
                              loop_extract_interface(vertices, simplices, phase))
+
+
+# ---------------------------------------------------------------------------
+# micro step solver: SuperLU factor against Jacobi-CG
+# ---------------------------------------------------------------------------
+
+# CG stops at a relative residual of 1e-12, so the two marches agree to
+# roundoff times conditioning, not bitwise.  The largest gaps measured were
+# 3.2e-12 (Disk2D, eps = 1/10) and 1.4e-12 (TubeLattice3D up to 24,457
+# dofs) relative to max|u|; 1e-10 leaves a thirtyfold margin over both.
+STEP_RTOL = 1e-10
+
+
+def _march_with(monkeypatch, solver, solve, run):
+    monkeypatch.setattr(micro, "_step_solver",
+                        lambda M, fixed, dim: solver(M, fixed))
+    return solve(run)
+
+
+def _assert_same_march(a, b):
+    scale = np.abs(b.levels).max()
+    assert scale > 0.0
+    assert np.abs(a.levels - b.levels).max() <= STEP_RTOL * scale
+    for key in ("energy_bulk", "energy_surface"):
+        ref = b.diagnostics[key]
+        assert ref > 0.0
+        assert abs(a.diagnostics[key] - ref) <= STEP_RTOL * ref
+
+
+def _source(pts, t):
+    return np.exp(-t) * sin_product(pts)
+
+
+@pytest.mark.parametrize("name", ["disk", "layered", "tube"])
+def test_micro_march_same_with_splu_and_cg(request, monkeypatch, name):
+    mesh, surf = _cell(request, name)
+    coeffs = request.getfixturevalue(name).coeffs
+    tiled, _ = tile_micro_domain(mesh, surf, 0.5,
+                                 strip_boundary_inclusions=False)
+    run = micro.MicroRun(mesh=tiled, coeffs=coeffs, k=1.0,
+                         grid=TimeGrid(0.2, 0.05), u0_bar=sin_product,
+                         source=_source)
+    splu, cg = (_march_with(monkeypatch, solver, micro.solve_micro, run)
+                for solver in (fem.DirichletFactor, fem.CGSolver))
+    _assert_same_march(splu, cg)
+
+
+def test_membrane_march_same_with_splu_and_cg(monkeypatch, disk, membrane):
+    tiled, _ = tile_micro_domain(*membrane, 0.5,
+                                 strip_boundary_inclusions=False)
+    run = micro.MembraneRun(mesh=tiled, coeffs=disk.coeffs,
+                            grid=TimeGrid(0.2, 0.05), u0_bar=sin_product)
+    splu, cg = (_march_with(monkeypatch, solver, micro.solve_membrane, run)
+                for solver in (fem.DirichletFactor, fem.CGSolver))
+    _assert_same_march(splu, cg)

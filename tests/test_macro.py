@@ -52,6 +52,24 @@ def test_macro_mesh_partitions():
         assert len(m.interior()) + len(m.boundary) == len(m.vertices)
 
 
+def test_one_element_geometry_pass_per_macro_mesh(monkeypatch):
+    """Both solvers read the geometry and stiffness the mesh carries."""
+    calls = []
+    original = fem.element_gradients
+
+    def counting(vertices, simplices):
+        calls.append(len(simplices))
+        return original(vertices, simplices)
+
+    monkeypatch.setattr(fem, "element_gradients", counting)
+    m = macro.build_macro_mesh(6, 2)
+    macro.solve_homogenized_memory(_memory_problem(m, 0.1, source=src))
+    macro.solve_homogenized_elliptic(macro.MacroProblem(
+        mesh=m, regime="kgt1", grid=TimeGrid(0.2, 0.1), A_elliptic=np.eye(2),
+        source=src, topology="cc"))
+    assert calls == [len(m.simplices)]
+
+
 # ---------------------------------------------------------------------------
 # memory march against the scalar oracle
 # ---------------------------------------------------------------------------

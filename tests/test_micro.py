@@ -5,10 +5,13 @@ boundary handling the micro march IS the cell relaxation, and the two code
 paths must agree bitwise.  Everything else is structural: exact Dirichlet
 rows, quasi-static collapse without interfaces, P1-exact cell averages.
 """
+import pathlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from bh import cell, geometry, micro
+from bh import cell, fem, geometry, micro
 from bh.errors import WrongGeometryClass
 from bh.geometry import PHASE_MEMBRANE, build_membrane_cell, tile_micro_domain
 from bh.timegrid import TimeGrid
@@ -59,11 +62,14 @@ def test_micro_dirichlet_rows_exact(disk_field, disk_tiled):
     assert np.all(disk_field.levels[:, mesh.boundary_vertices] == 0.0)
 
 
-def test_micro_surface_energy_dissipates(disk_field):
+def test_micro_surface_energy_dissipates(disk, disk_field):
     se = disk_field.diagnostics["surface_energy"]
     assert se[0] > 0.0
     assert cell.energy_nonincreasing(se)
     assert se[-1] < se[0]
+    # energy_surface is the peak over all levels, without the alpha weight
+    assert disk_field.diagnostics["energy_surface"] == pytest.approx(
+        se.max() / disk.coeffs.alpha, rel=1e-14)
 
 
 def test_micro_rejects_membrane_mesh(disk):
@@ -97,6 +103,61 @@ def test_micro_scaling_exponent_enters(disk_tiled, disk):
     f2 = micro.solve_micro(micro.MicroRun(mesh=mesh, coeffs=disk.coeffs,
                                           k=2.0, grid=grid, u0_bar=sin_product))
     assert np.abs(f0.levels[-1] - f2.levels[-1]).max() > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# step solver policy
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def built_solvers(monkeypatch):
+    """Names of the fem step solvers constructed, in order."""
+    built = []
+    for name in ("DirichletFactor", "CGSolver"):
+        def counting(*args, _cls=getattr(fem, name), _name=name):
+            built.append(_name)
+            return _cls(*args)
+        monkeypatch.setattr(fem, name, counting)
+    return built
+
+
+def test_micro_step_solver_follows_dimension(built_solvers, disk, disk_tiled,
+                                             tube):
+    # no initial datum, so no harmonic-extension factor: the one solver
+    # built is the step solver; the 3D tiling has 3,349 dofs
+    tube_tiled, _ = tile_micro_domain(tube.mesh, tube.surf, 0.5,
+                                      strip_boundary_inclusions=False)
+    cases = ((disk_tiled[0], disk.coeffs, "DirichletFactor"),
+             (tube_tiled, tube.coeffs, "CGSolver"))
+    for mesh, coeffs, expected in cases:
+        built_solvers.clear()
+        micro.solve_micro(micro.MicroRun(mesh=mesh, coeffs=coeffs, k=1.0,
+                                         grid=TimeGrid(0.1, 0.05)))
+        assert built_solvers == [expected]
+
+
+def test_membrane_step_solver_follows_dimension(built_solvers, disk):
+    bc, bs = build_membrane_cell(disk.spec, 0.2)
+    bm, _ = tile_micro_domain(bc, bs, 0.5, strip_boundary_inclusions=False)
+    micro.solve_membrane(micro.MembraneRun(mesh=bm, coeffs=disk.coeffs,
+                                           grid=TimeGrid(0.1, 0.05)))
+    assert built_solvers == ["DirichletFactor"]
+
+
+def test_step_solver_ignores_dof_count(built_solvers):
+    large = sp.identity(70001, format="csr")     # 70,000 free dofs
+    micro._step_solver(large, np.array([0]), 2)
+    small = sp.identity(10, format="csr")
+    micro._step_solver(small, np.array([0]), 3)
+    assert built_solvers == ["DirichletFactor", "CGSolver"]
+
+
+def test_no_dof_count_solver_limit_left():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    name = "_SPLU_" + "DOF_LIMIT"
+    for sub in ("src", "tests", "scripts"):
+        for path in (root / sub).rglob("*.py"):
+            assert name not in path.read_text(), path
 
 
 # ---------------------------------------------------------------------------
