@@ -17,9 +17,8 @@ import numpy as np
 from . import __version__, cell, fem, formats, geometry, macro, micro, tensors
 from .config import load_config
 from .errors import BHError, ConfigInvalid, MissingArtifact
+from .formats import _F
 from .timegrid import TimeGrid
-
-_F = "%.17g"
 
 
 def _paths(out):

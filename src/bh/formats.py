@@ -1,12 +1,20 @@
 """Versioned ASCII artifact formats.
 
-Every artifact starts with a one-token magic line (BHMESH 1, BHCELL 1,
-BHTENS 1, BHSOL 1, BHRUN 1), carries provenance comments (config and
+Every artifact starts with a one-token magic line (BHMESH 1, BHCELL 2,
+BHTENS 1, BHSOL 2, BHRUN 1), carries provenance comments (config and
 geometry hashes), and ends with a checksum line over the preceding bytes.
-Floats are printed with %.17g so write/read round-trips are exact; re-runs
-from the same config produce byte-identical bodies.
+A file whose magic names another version of the same artifact is refused
+with a message asking for the command that writes it to be re-run.
+
+The bulk arrays (every field of a cell archive, every level of a
+solution) are packed: one line per array holding the RFC 4648 base64 text
+of its little-endian float64 bytes.  The small, human-read artifacts
+(meshes, tensors, manifests, VTK) print floats with %.17g.  Both encodings
+round-trip doubles exactly, and re-runs from the same config produce
+byte-identical bodies.
 """
 
+import base64
 import hashlib
 import os
 
@@ -25,6 +33,24 @@ def _irow(vals):
     return " ".join(str(int(v)) for v in vals)
 
 
+def _pack(vals):
+    """One line of base64 text holding the little-endian float64 bytes."""
+    raw = np.ascontiguousarray(vals, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _unpack(line, n, path):
+    """Inverse of _pack; the line must hold exactly n doubles."""
+    try:
+        raw = base64.b64decode(line, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise MissingArtifact(f"{path}: packed block is not base64") from None
+    if len(raw) != 8 * n:
+        raise MissingArtifact(
+            f"{path}: packed block holds {len(raw)} bytes, expected {8 * n}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+
 # ---------------------------------------------------------------------------
 # artifact envelope
 # ---------------------------------------------------------------------------
@@ -34,30 +60,41 @@ def write_artifact(path, magic, header, body_lines):
     for key in sorted(header):
         lines.append(f"# {key} {header[key]}")
     lines.extend(body_lines)
-    body = "\n".join(lines) + "\n"
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    with open(path, "w") as fh:
+    body = ("\n".join(lines) + "\n").encode()
+    digest = hashlib.sha256(body).hexdigest()
+    with open(path, "wb") as fh:
         fh.write(body)
-        fh.write(f"checksum {digest}\n")
+        fh.write(f"checksum {digest}\n".encode())
 
 
 def read_artifact(path, magic):
     """Return (header dict, body lines) after integrity checks."""
     if not os.path.exists(path):
         raise MissingArtifact(f"missing artifact {path}")
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         raw = fh.read()
-    lines = raw.splitlines()
-    if not lines or lines[0] != magic:
-        raise MissingArtifact(f"{path} is not a {magic.split()[0]} artifact")
-    if not lines[-1].startswith("checksum "):
+    found = raw.partition(b"\n")[0].rstrip(b"\r")
+    if found != magic.encode():
+        kind, expected = magic.split()
+        old = found.decode(errors="replace").split()
+        if len(old) == 2 and old[0] == kind:
+            raise MissingArtifact(
+                f"{path} is a {kind} {old[1]} artifact, this version of bh "
+                f"reads {kind} {expected}: re-run the command that writes it")
+        raise MissingArtifact(f"{path} is not a {kind} artifact")
+    cut = raw.rfind(b"\n", 0, len(raw) - 1) + 1
+    trailer = raw[cut:].split()
+    if len(trailer) != 2 or trailer[0] != b"checksum":
         raise MissingArtifact(f"{path} has no checksum trailer")
-    recorded = lines[-1].split()[1]
-    body = "\n".join(lines[:-1]) + "\n"
-    if hashlib.sha256(body.encode()).hexdigest() != recorded:
+    body = raw[:cut]
+    if hashlib.sha256(body).hexdigest().encode() != trailer[1]:
         raise MissingArtifact(f"{path} failed its checksum (tampered or truncated)")
+    try:
+        lines = body.decode().splitlines()
+    except UnicodeDecodeError:
+        raise MissingArtifact(f"{path} is not UTF-8 text") from None
     header, content = {}, []
-    for ln in lines[1:-1]:
+    for ln in lines[1:]:
         if ln.startswith("# "):
             key, _, val = ln[2:].partition(" ")
             header[key] = val
@@ -134,22 +171,19 @@ def write_cell_archive(path, header, grid, fields):
             f"fields {len(fields)}"]
     for name, idx, vals in fields:
         body.append(f"field {name} {idx} {len(vals)}")
-        body.append(_row(vals))
-    write_artifact(path, "BHCELL 1", header, body)
+        body.append(_pack(vals))
+    write_artifact(path, "BHCELL 2", header, body)
 
 
 def read_cell_archive(path):
-    header, body = read_artifact(path, "BHCELL 1")
+    header, body = read_artifact(path, "BHCELL 2")
     it = iter(body)
     _, t_end, dt = next(it).split()
     nfields = int(next(it).split()[1])
     fields = []
     for _ in range(nfields):
         _, name, idx, n = next(it).split()
-        vals = np.array([float(t) for t in next(it).split()])
-        if len(vals) != int(n):
-            raise MissingArtifact(f"{path}: field {name} length mismatch")
-        fields.append((name, int(idx), vals))
+        fields.append((name, int(idx), _unpack(next(it), int(n), path)))
     return header, (float(t_end), float(dt)), fields
 
 
@@ -247,12 +281,12 @@ def write_solution(path, header, kind, grid, levels):
             f"nv {levels.shape[1]}"]
     for n, t in enumerate(grid.times):
         body.append(f"level {n} {_F % t}")
-        body.append(_row(levels[n]))
-    write_artifact(path, "BHSOL 1", header, body)
+        body.append(_pack(levels[n]))
+    write_artifact(path, "BHSOL 2", header, body)
 
 
 def read_solution(path):
-    header, body = read_artifact(path, "BHSOL 1")
+    header, body = read_artifact(path, "BHSOL 2")
     it = iter(body)
     kind = next(it).split()[1]
     _, t_end, dt = next(it).split()
@@ -263,10 +297,7 @@ def read_solution(path):
         if toks[0] != "level":
             raise MissingArtifact(f"{path}: malformed level block")
         times.append(float(toks[2]))
-        vals = np.array([float(t) for t in next(it).split()])
-        if len(vals) != nv:
-            raise MissingArtifact(f"{path}: level length mismatch")
-        levels.append(vals)
+        levels.append(_unpack(next(it), nv, path))
     return header, kind, (float(t_end), float(dt)), np.array(times), np.array(levels)
 
 

@@ -27,6 +27,7 @@ from scipy.spatial import cKDTree
 from . import fem, geometry
 from .cell import CellCoefficients
 from .errors import SolverFailure, WrongGeometryClass
+from .formats import _F
 from .geometry import (PHASE_INT, PHASE_MEMBRANE, PHASE_OUT, MicroMesh,
                        tile_micro_domain)
 from .macro import TransientField
@@ -366,7 +367,7 @@ class StudyReport:
         lines = [f"{self.param_name}, error_L2, energy_bulk, energy_surface"]
         for row in zip(self.params, self.errors, self.energy_bulk,
                        self.energy_surface):
-            lines.append(", ".join("%.17g" % v for v in row))
+            lines.append(", ".join(_F % v for v in row))
         lines.append("monotone_decrease: %s"
                      % ("true" if self.monotone_decrease else "false"))
         return "\n".join(lines) + "\n"

@@ -10,13 +10,19 @@ positions, connectivity and dof numbering.
 The micro and membrane marches pick their step solver by dimension (one
 SuperLU factor in 2D, warm-started Jacobi-CG in 3D).  On every geometry
 both solvers must give the same march up to the tolerance stated below.
+
+Cell archive fields and solution levels were once %.17g text rows parsed
+back with float(); they are now packed base64 float64 blocks.  The text
+row writer and reader survive as the oracle: the packed round trip must
+be bitwise equal to the text round trip on extreme values and on the real
+cell fields of every geometry, and a golden digest pins the byte layout.
 """
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from bh import fem, geometry, micro
+from bh import fem, formats, geometry, micro
 from bh.geometry import (PHASE_INT, PHASE_MEMBRANE, PHASE_OUT,
                          build_membrane_cell, extract_interface,
                          tile_micro_domain)
@@ -163,6 +169,14 @@ def loop_tiling(mesh, eps, strip, disconnected):
             ph[ph == PHASE_MEMBRANE] = PHASE_OUT
         phase[sl] = ph
     return np.array(positions), simplices, phase
+
+
+def text_row(vals):
+    return " ".join("%.17g" % v for v in vals)
+
+
+def text_parse(line):
+    return np.array([float(t) for t in line.split()])
 
 
 def loop_periodic_dof_map(n_vertices, periodic_pairs):
@@ -330,3 +344,61 @@ def test_membrane_march_same_with_splu_and_cg(monkeypatch, disk, membrane):
     splu, cg = (_march_with(monkeypatch, solver, micro.solve_membrane, run)
                 for solver in (fem.DirichletFactor, fem.CGSolver))
     _assert_same_march(splu, cg)
+
+
+# ---------------------------------------------------------------------------
+# packed float64 blocks against the %.17g text rows
+# ---------------------------------------------------------------------------
+
+def _assert_bitwise(a, b):
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_packed_block_matches_text_row_on_extreme_values():
+    rng = np.random.default_rng(5)
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.0, 0.1]
+    spread = (rng.choice([-1.0, 1.0], 2000)
+              * 10.0 ** rng.uniform(-320.0, 308.0, 2000))
+    vals = np.concatenate([extremes, spread, rng.standard_normal(500)])
+    packed = formats._unpack(formats._pack(vals), len(vals), "x")
+    _assert_bitwise(packed, text_parse(text_row(vals)))
+    _assert_bitwise(packed, vals)
+
+
+@pytest.mark.parametrize("name", ["disk", "layered", "tube"])
+def test_cell_archive_fields_match_text_rows(request, tmp_path, name):
+    b = request.getfixturevalue(name)
+    fields = [(f"chi0_{j + 1}", -1, b.funcs.chi0[j]) for j in range(b.mesh.dim)]
+    for j in range(b.mesh.dim):
+        for n in range(b.funcs.chi1.shape[1]):
+            fields.append((f"chi1_{j + 1}", n, b.funcs.chi1[j, n]))
+            fields.append((f"omega_{j + 1}", n, b.funcs.omega[j, n]))
+    path = str(tmp_path / "c.bhcell")
+    formats.write_cell_archive(path, {"config": "x"}, b.grid, fields)
+    _, _, got = formats.read_cell_archive(path)
+    assert len(got) == len(fields)
+    for (name_w, idx_w, vals), (name_r, idx_r, back) in zip(fields, got):
+        assert (name_w, idx_w) == (name_r, idx_r)
+        _assert_bitwise(back, text_parse(text_row(vals)))
+
+
+# sha256 of the BHSOL 2 file written below; it changes only if the text
+# around the blocks, the base64 alphabet or the byte order changes
+GOLDEN_SOLUTION_SHA256 = (
+    "c209c8728982624ff1242ef93b43250ccbb0a21e6cc910bc666eb89ba2aa33dc")
+
+
+def test_solution_layout_pinned(tmp_path):
+    # one double packs as its little-endian bytes: 1.0 is 00..00 f0 3f
+    assert formats._pack([1.0]) == "AAAAAAAA8D8="
+    path = str(tmp_path / "s.bhsol")
+    levels = np.array([[0.0, -0.0, 1.0, 5e-324],
+                       [0.1, -2.5, 1.7976931348623157e308, 1.0 / 3.0],
+                       [1e-300, -7.0, 2.0 ** 52, -1e300]])
+    formats.write_solution(path, {"config": "0" * 64}, "macro",
+                           TimeGrid(0.2, 0.1), levels)
+    assert formats.file_sha256(path) == GOLDEN_SOLUTION_SHA256
+    _, _, _, _, got = formats.read_solution(path)
+    _assert_bitwise(got, levels)

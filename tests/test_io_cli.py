@@ -1,9 +1,14 @@
 """File formats, configuration and the command pipeline.
 
-The format tests are strict round-trips at %.17g (lossless for doubles);
-the CLI tests drive main() in-process on a small layered configuration and
-check artifacts, hash guards and exit codes.
+The format tests are strict round-trips: %.17g text for meshes and tensors,
+packed base64 float64 blocks for cell fields and solution levels (both
+lossless for doubles); they also feed the readers malformed or outdated
+files that carry a valid checksum.  The CLI tests drive main() in-process
+on a small layered configuration and check artifacts, hash guards and exit
+codes.
 """
+import base64
+import hashlib
 import os
 import subprocess
 import sys
@@ -210,6 +215,95 @@ def test_checksum_tamper_detected(tmp_path):
         formats.read_solution(path)
 
 
+def _write_small(tmp_path, kind):
+    """A two-block BHCELL or BHSOL file; returns (path, reader)."""
+    rng = np.random.default_rng(2)
+    if kind == "cell":
+        path = str(tmp_path / "c.bhcell")
+        formats.write_cell_archive(
+            path, {"config": "x"}, TimeGrid(0.1, 0.05),
+            [("chi0_1", -1, rng.standard_normal(9)),
+             ("chi1_1", 0, rng.standard_normal(9))])
+        return path, formats.read_cell_archive
+    path = str(tmp_path / "s.bhsol")
+    formats.write_solution(path, {"config": "x"}, "macro",
+                           TimeGrid(0.1, 0.1), rng.standard_normal((2, 9)))
+    return path, formats.read_solution
+
+
+def _rewrite(path, edit):
+    """Apply edit to the body lines and write a valid checksum again."""
+    lines = open(path).read().splitlines()[:-1]
+    body = "\n".join(edit(lines)) + "\n"
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    with open(path, "w") as fh:
+        fh.write(body + f"checksum {digest}\n")
+
+
+def _first_block(lines):
+    """Index of the first packed line (the one after a field/level line)."""
+    return next(i for i, ln in enumerate(lines)
+                if ln.startswith(("field ", "level "))) + 1
+
+
+def _as_version_1(lines):
+    """The same body in the former text layout: %.17g rows, magic 1."""
+    out = [lines[0].replace(" 2", " 1")]
+    for prev, ln in zip(lines, lines[1:]):
+        if prev.startswith(("field ", "level ")):
+            ln = " ".join("%.17g" % v for v in np.frombuffer(
+                base64.b64decode(ln), dtype="<f8"))
+        out.append(ln)
+    return out
+
+
+def _truncate(lines):
+    # 9 doubles are 96 base64 characters with no padding; dropping whole
+    # 4-character groups leaves valid base64 that is 9 bytes short
+    i = _first_block(lines)
+    return lines[:i] + [lines[i][:-12]] + lines[i + 1:]
+
+
+def _non_base64(lines):
+    # an inserted character, which a lenient decoder would silently skip
+    i = _first_block(lines)
+    return lines[:i] + [lines[i][:8] + "*" + lines[i][8:]] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("kind, magic", [("cell", "BHCELL"),
+                                         ("sol", "BHSOL")])
+def test_version_1_refused_with_message(tmp_path, kind, magic):
+    path, read = _write_small(tmp_path, kind)
+    _rewrite(path, _as_version_1)
+    with pytest.raises(MissingArtifact) as exc:
+        read(path)
+    msg = str(exc.value)
+    assert f"{magic} 1" in msg and f"{magic} 2" in msg and "re-run" in msg
+
+
+@pytest.mark.parametrize("kind", ["cell", "sol"])
+@pytest.mark.parametrize("edit", [_truncate, _non_base64],
+                         ids=["truncated", "non-base64"])
+def test_malformed_block_detected(tmp_path, kind, edit):
+    path, read = _write_small(tmp_path, kind)
+    _rewrite(path, edit)
+    with pytest.raises(MissingArtifact, match="packed block"):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", ["cell", "sol"])
+def test_block_tamper_fails_checksum(tmp_path, kind):
+    path, read = _write_small(tmp_path, kind)
+    lines = open(path).read().splitlines(keepends=True)
+    i = _first_block([ln.rstrip("\n") for ln in lines])
+    flip = "B" if lines[i][10] == "A" else "A"
+    lines[i] = lines[i][:10] + flip + lines[i][11:]
+    open(path, "w").write("".join(lines))
+    assert lines[0].rstrip("\n").endswith(" 2")
+    with pytest.raises(MissingArtifact, match="checksum"):
+        read(path)
+
+
 def test_wrong_magic_detected(tmp_path):
     path = str(tmp_path / "s.bhsol")
     formats.write_solution(path, {"config": "x"}, "macro",
@@ -248,6 +342,15 @@ def test_cli_pipeline(tiny_cfg, tmp_path):
         assert os.path.exists(os.path.join(out, name)), name
 
 
+def _subprocess_bh(command, cfg, out):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
+    env.pop("BH_OUTPUT_DIR", None)
+    return subprocess.run(
+        [sys.executable, "-m", "bh.cli", command, "--config", cfg,
+         "--out", out], capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_cli_bad_config_exits_2(tmp_path):
     p = tmp_path / "bad.ini"
     p.write_text(TINY_INI.replace("kind = Layered2D", "kind = Wedge"))
@@ -264,16 +367,27 @@ def test_cli_bad_value_exits_2_without_traceback(tmp_path, patch, message,
                                                  command):
     p = tmp_path / "bad.ini"
     p.write_text(TINY_INI.replace(patch, message))
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
-    env.pop("BH_OUTPUT_DIR", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "bh.cli", command, "--config", str(p),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = _subprocess_bh(command, str(p), str(tmp_path / "out"))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:")
+
+
+@pytest.mark.parametrize("edit", [_as_version_1, _truncate, _non_base64],
+                         ids=["version-1", "truncated", "non-base64"])
+def test_cli_bad_cell_archive_exits_3_without_traceback(tiny_cfg, tmp_path,
+                                                        edit):
+    out = str(tmp_path / "run")
+    for cmd in ("mesh", "cell"):
+        assert _run([cmd, "--config", tiny_cfg, "--out", out]) == 0
+    _rewrite(os.path.join(out, "cell.bhcell"), edit)
+    proc = _subprocess_bh("tensors", tiny_cfg, out)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("artifact error:")
+    if edit is _as_version_1:
+        assert "BHCELL 1 artifact" in proc.stderr
+        assert "reads BHCELL 2: re-run" in proc.stderr
 
 
 def test_cli_missing_artifact_exits_3(tiny_cfg, tmp_path):
