@@ -11,6 +11,9 @@ Solves, in order:
 * chi1    surface-coupled relaxation started from v (implicit Euler).
 * omega   same evolution started from the negated chi0 trace; its flux
           history supplies the source coefficients of the macro problem.
+          The 2N relaxations of chi1 and omega share one step matrix and
+          march together: each step is one solve with a right-hand-side
+          block of 2N columns.
 * chi0t   classical periodic corrector for the high-contrast regime k > 1.
 
 Flux functionals are residual based: the discrete normal flux of a solved
@@ -58,10 +61,10 @@ class CellFunctionSet:
     chi1: np.ndarray               # (N, M+1, nd)
     omega: np.ndarray              # (N, M+1, nd)
     grid: TimeGrid
-    chi1_energy: np.ndarray        # (N, M+1) surface energies along chi1
-    omega_energy: np.ndarray       # (N, M+1)
     flux_residuals: np.ndarray     # (m, N) discrete int_(Gamma_i) (grad chi0)^out . nu
     chi0_tilde: np.ndarray = None  # (N, nd), only for the k > 1 regime
+    chi1_energy: np.ndarray = None   # (N, M+1) surface energies along chi1;
+    omega_energy: np.ndarray = None  # (N, M+1) None when read from an archive
 
 
 class CellSystem:
@@ -169,7 +172,15 @@ class _PhaseSub:
         self.gamma_sub = [glob_to_sub[d] for d in sys.comp_dofs]
         fixed = np.unique(np.concatenate([g[g >= 0] for g in self.gamma_sub]))
         self.fixed = fixed
-        self.factor = fem.DirichletFactor(self.K, fixed)
+        self._factor = None
+
+    @property
+    def factor(self):
+        """Dirichlet factor of this phase, built on first use: the tensor
+        routes read only K, b_dir, dofs and fixed."""
+        if self._factor is None:
+            self._factor = fem.DirichletFactor(self.K, self.fixed)
+        return self._factor
 
     def extend(self, trace_sub, j=None):
         """Harmonic extension of the interface trace; j adds the e_j load.
@@ -325,32 +336,44 @@ def evolve_surface_coupled(system: CellSystem, surface_init: np.ndarray,
                            grid: TimeGrid):
     """Implicit Euler for the quasi-static bulk / dynamic surface problem.
 
-    surface_init holds the initial trace on the interface dofs.  The state
-    at every level is the discrete-harmonic extension of its trace, and the
-    surface energy alpha * X^T S X never increases; each step dissipates
+    surface_init holds the initial trace on the interface dofs, either one
+    trace of length nd or k traces as the rows of a (k, nd) array; all of
+    them march together, one block solve per step.  The state at every
+    level is the discrete-harmonic extension of its trace, and the surface
+    energy alpha * X^T S X never increases; each step dissipates
     2 dt X K X + alpha d S d exactly.
 
-    Returns (X, energy): X has shape (n_steps + 1, nd).
+    Returns (X, energy): X has shape (n_steps + 1, nd) and energy
+    (n_steps + 1,) for one trace, (k, n_steps + 1, nd) and (k, n_steps + 1)
+    for k traces.
     """
     sys = system
     dt = grid.step
     n = grid.n_steps
-    X = np.zeros((n + 1, sys.nd))
-    x0 = sys.harmonic.solve(np.zeros(sys.nd), surface_init[sys.gamma_dofs])
-    x0 -= sys.vol_w @ x0
-    X[0] = x0
+    traces = np.atleast_2d(surface_init)
+    X = np.empty((len(traces), n + 1, sys.nd))
+    energy = np.empty((len(traces), n + 1))
+    # the state is an (nd, k) block, one column per trace
+    x = sys.harmonic.solve(np.zeros((sys.nd, len(traces))),
+                           traces[:, sys.gamma_dofs].T)
+    x -= sys.vol_w @ x
+
+    X[:, 0] = x.T
+    Sx = sys.S1 @ x
+    energy[:, 0] = sys.coeffs.alpha * np.einsum("ik,ik->k", x, Sx)
 
     A = sys.step_factor(dt)
-    Sc = sys.S1
     c = sys.coeffs.alpha / dt
-    energy = np.empty(n + 1)
-    energy[0] = sys.coeffs.alpha * float(x0 @ (Sc @ x0))
     for k in range(1, n + 1):
         try:
-            X[k] = A.solve(c * (Sc @ X[k - 1]))
+            x = A.solve(c * Sx)
         except Exception as exc:
             raise SolverFailure(f"surface evolution step {k} failed: {exc}") from exc
-        energy[k] = sys.coeffs.alpha * float(X[k] @ (Sc @ X[k]))
+        X[:, k] = x.T
+        Sx = sys.S1 @ x
+        energy[:, k] = sys.coeffs.alpha * np.einsum("ik,ik->k", x, Sx)
+    if np.ndim(surface_init) == 1:
+        return X[0], energy[0]
     return X, energy
 
 
@@ -379,18 +402,12 @@ def solve_cell_functions(system: CellSystem, grid: TimeGrid,
     chi0, residuals = solve_chi0(sys, return_diagnostics=True)
     v = solve_v_init(sys, chi0)
     N = sys.dim
-    n = grid.n_steps
-    chi1 = np.zeros((N, n + 1, sys.nd))
-    omega = np.zeros((N, n + 1, sys.nd))
-    e1 = np.zeros((N, n + 1))
-    e2 = np.zeros((N, n + 1))
-    for j in range(N):
-        chi1[j], e1[j] = evolve_surface_coupled(sys, v[j], grid)
-        omega[j], e2[j] = evolve_surface_coupled(sys, -chi0[j], grid)
+    # one march for all 2N correctors; chi1 and omega are views of its levels
+    X, energy = evolve_surface_coupled(sys, np.concatenate([v, -chi0]), grid)
     tilde = solve_chi0_tilde(sys) if with_chi0_tilde else None
-    return CellFunctionSet(chi0=chi0, v=v, chi1=chi1, omega=omega, grid=grid,
-                           chi1_energy=e1, omega_energy=e2,
-                           flux_residuals=residuals, chi0_tilde=tilde)
+    return CellFunctionSet(chi0=chi0, v=v, chi1=X[:N], omega=X[N:], grid=grid,
+                           flux_residuals=residuals, chi0_tilde=tilde,
+                           chi1_energy=energy[:N], omega_energy=energy[N:])
 
 
 def energy_nonincreasing(series, scale=1.0, rtol=1e-12, floor=1e-20):

@@ -124,23 +124,47 @@ def cmd_cell(cfg, out, vtk):
     return [paths["cell"], paths["compat"]]
 
 
-def _rebuild_funcs(cfg, mesh, fields, grid):
-    N = mesh.dim
+def _rebuild_funcs(fields, N, nd, grid, path):
+    """Stack the archive's fields after checking that every one is there.
+
+    A stationary field has the one index -1, chi1 and omega have the levels
+    0..n_steps, and every field holds nd values.
+    """
     by_name = {}
     for name, idx, vals in fields:
         by_name.setdefault(name, {})[idx] = vals
-    L = grid.n_steps
-    nd = len(next(iter(by_name["chi0_1"].values())))
-    chi0 = np.stack([by_name[f"chi0_{j + 1}"][-1] for j in range(N)])
-    v = np.stack([by_name[f"v_{j + 1}"][-1] for j in range(N)])
-    chi0_tilde = np.stack([by_name[f"chi0_tilde_{j + 1}"][-1] for j in range(N)])
-    chi1 = np.zeros((N, L + 1, nd))
-    omega = np.zeros((N, L + 1, nd))
+    levels = list(range(grid.n_steps + 1))
+    expected = {}
     for j in range(N):
-        for n in range(L + 1):
-            chi1[j, n] = by_name[f"chi1_{j + 1}"][n]
-            omega[j, n] = by_name[f"omega_{j + 1}"][n]
-    return chi0, v, chi0_tilde, chi1, omega
+        for stem in ("chi0", "v", "chi0_tilde"):
+            expected[f"{stem}_{j + 1}"] = [-1]
+        for stem in ("chi1", "omega"):
+            expected[f"{stem}_{j + 1}"] = levels
+    unknown = sorted(set(by_name) - set(expected))
+    if unknown:
+        raise MissingArtifact(f"{path} holds an unknown field {unknown[0]}; "
+                              "re-run bh cell")
+    for name, idxs in expected.items():
+        got = by_name.get(name, {})
+        if sorted(got) != idxs:
+            raise MissingArtifact(
+                f"{path}: field {name} has {len(got)} of its {len(idxs)} "
+                "levels; re-run bh cell")
+        for idx, vals in got.items():
+            if len(vals) != nd:
+                raise MissingArtifact(
+                    f"{path}: field {name} level {idx} holds {len(vals)} "
+                    f"values, the mesh has {nd} dofs; re-run bh cell")
+
+    def stack(stem):
+        return np.stack([by_name[f"{stem}_{j + 1}"][-1] for j in range(N)])
+
+    def history(stem):
+        return np.array([[by_name[f"{stem}_{j + 1}"][n] for n in levels]
+                         for j in range(N)])
+
+    return (stack("chi0"), stack("v"), stack("chi0_tilde"), history("chi1"),
+            history("omega"))
 
 
 def cmd_tensors(cfg, out, vtk):
@@ -149,18 +173,11 @@ def cmd_tensors(cfg, out, vtk):
     header, (t_end, dt), fields = formats.read_cell_archive(paths["cell"])
     _check_header(header, cfg, paths["cell"])
     grid = TimeGrid(t_end, dt)
-    chi0, v, chi0_tilde, chi1, omega = _rebuild_funcs(cfg, mesh, fields, grid)
-
     sysm = cell.CellSystem(mesh, surf, cfg.coeffs)
-    chi1_en = np.stack([[cfg.coeffs.alpha * float(chi1[j, n] @ (sysm.S1 @ chi1[j, n]))
-                         for n in range(grid.n_steps + 1)]
-                        for j in range(mesh.dim)])
-    om_en = np.stack([[cfg.coeffs.alpha * float(omega[j, n] @ (sysm.S1 @ omega[j, n]))
-                       for n in range(grid.n_steps + 1)]
-                      for j in range(mesh.dim)])
+    chi0, v, chi0_tilde, chi1, omega = _rebuild_funcs(
+        fields, mesh.dim, sysm.nd, grid, paths["cell"])
     funcs = cell.CellFunctionSet(chi0=chi0, v=v, chi1=chi1, omega=omega,
-                                 grid=grid, chi1_energy=chi1_en,
-                                 omega_energy=om_en,
+                                 grid=grid,
                                  flux_residuals=np.zeros((surf.n_components,
                                                           mesh.dim)),
                                  chi0_tilde=chi0_tilde)

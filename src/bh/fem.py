@@ -188,28 +188,6 @@ def surface_gradients(vertices, facets):
     return np.stack([g0, g1, g2], axis=1), area
 
 
-def projected_surface_gradients(vertices, facets):
-    """Tangential gradients through min-norm affine extensions.
-
-    Independent route kept as a cross-check of surface_gradients: for each
-    basis function solve the underdetermined system  (p_i - p_0) . g = d_i
-    with the pseudoinverse, which lands in the tangent plane automatically.
-    """
-    pts = vertices[facets]
-    nf, npf, dim = pts.shape
-    A = pts[:, 1:, :] - pts[:, 0:1, :]
-    pinv = np.linalg.pinv(A)
-    grads = np.empty((nf, npf, dim))
-    for i in range(npf):
-        d = np.zeros((nf, npf - 1))
-        if i == 0:
-            d[:, :] = -1.0
-        else:
-            d[:, i - 1] = 1.0
-        grads[:, i, :] = np.einsum("fkj,fj->fk", pinv, d)
-    return grads
-
-
 def assemble_surface_stiffness(vertices, facets, coeff, vdof, ndof) -> sp.csr_matrix:
     coeff = np.asarray(coeff, dtype=float) * np.ones(len(facets))
     grads, meas = surface_gradients(vertices, facets)
@@ -243,26 +221,27 @@ def surface_dof_weights(vertices, facets, vdof, ndof) -> np.ndarray:
     return w
 
 
-def facet_field_gradients(vertices, facets, node_values) -> np.ndarray:
-    """Tangential gradient of a P1 surface field, one vector per facet."""
-    grads, _ = surface_gradients(vertices, facets)
-    return np.einsum("fik,fi->fk", grads, node_values[facets])
-
-
 # ---------------------------------------------------------------------------
 # constrained solvers
 # ---------------------------------------------------------------------------
 
 def _residual_check(K, x, b, tol=1e-10):
+    """Relative residual of K x = b, per column when b is a block."""
     r = K @ x - b
-    scale = max(float(np.linalg.norm(b)), 1e-300)
-    rel = float(np.linalg.norm(r)) / scale
-    if not np.isfinite(rel) or (rel > tol and np.linalg.norm(b) > 0):
-        raise SingularSystem(f"relative residual {rel:.3e} exceeds {tol:.0e}")
+    bnorm = np.linalg.norm(b, axis=0)
+    rel = np.linalg.norm(r, axis=0) / np.maximum(bnorm, 1e-300)
+    bad = ~np.isfinite(rel) | ((rel > tol) & (bnorm > 0))
+    if np.any(bad):
+        worst = float(np.max(np.where(np.isfinite(rel), rel, np.inf)))
+        raise SingularSystem(f"relative residual {worst:.3e} exceeds {tol:.0e}")
 
 
 class MeanZeroFactor:
-    """Factorized bordered system [[K, w], [w^T, 0]] for repeated solves."""
+    """Factorized bordered system [[K, w], [w^T, 0]] for repeated solves.
+
+    solve takes one right-hand side of length n or a block (n, k) of them,
+    one per column; every check applies to each column.
+    """
 
     def __init__(self, K: sp.spmatrix, weights: np.ndarray):
         n = K.shape[0]
@@ -277,19 +256,25 @@ class MeanZeroFactor:
         self.n = n
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        rhs = np.concatenate([b, [0.0]])
+        rhs = np.concatenate([b, np.zeros((1,) + b.shape[1:])])
         xz = self.lu.solve(rhs)
         x = xz[:self.n]
         # K x + mu w = b, so the unconstrained residual is against b - mu w
-        _residual_check(self.K, x, b - xz[self.n] * self.w)
-        mean = abs(float(self.w @ x)) / max(float(np.abs(self.w).sum()), 1e-300)
-        if mean > 1e-12:
-            raise SingularSystem(f"mean-zero constraint violated by {mean:.3e}")
+        w = self.w.reshape((-1,) + (1,) * (b.ndim - 1))
+        _residual_check(self.K, x, b - xz[self.n] * w)
+        mean = np.abs(self.w @ x) / max(float(np.abs(self.w).sum()), 1e-300)
+        if np.max(mean) > 1e-12:
+            raise SingularSystem(
+                f"mean-zero constraint violated by {np.max(mean):.3e}")
         return x
 
 
 class DirichletFactor:
-    """Factorized reduced system for repeated solves with fixed dofs."""
+    """Factorized reduced system for repeated solves with fixed dofs.
+
+    solve takes one right-hand side of length n or a block (n, k), with
+    fixed values of matching shape; the residual check applies per column.
+    """
 
     def __init__(self, K: sp.spmatrix, fixed: np.ndarray):
         n = K.shape[0]
@@ -308,7 +293,7 @@ class DirichletFactor:
         self.n = n
 
     def solve(self, b: np.ndarray, fixed_values=None) -> np.ndarray:
-        x = np.zeros(self.n)
+        x = np.zeros((self.n,) + b.shape[1:])
         if fixed_values is not None:
             x[self.fixed] = fixed_values
         if not len(self.free):
@@ -316,8 +301,9 @@ class DirichletFactor:
         rhs = b[self.free] - (self.Kfc @ x[self.fixed])
         x[self.free] = self.lu.solve(rhs)
         r = self.Kff @ x[self.free] - rhs
-        scale = max(float(np.linalg.norm(rhs)), float(np.linalg.norm(b)), 1e-300)
-        if float(np.linalg.norm(r)) / scale > 1e-10:
+        scale = np.maximum(np.maximum(np.linalg.norm(rhs, axis=0),
+                                      np.linalg.norm(b, axis=0)), 1e-300)
+        if np.any(np.linalg.norm(r, axis=0) / scale > 1e-10):
             raise SingularSystem("Dirichlet solve residual above 1e-10")
         return x
 

@@ -15,6 +15,13 @@ The kernel samples are resampled onto the macro grid by linear
 interpolation.  For disconnected inclusions C0 = 0, u has no initial
 condition, and the march starts at n = 1 with an empty history.
 
+The history is one contraction over a buffer of the stored levels (level
+0 weighted 1/2): sum_m B0(t_n - t_m) u^m gives N^2 nodal vectors, one
+per tensor component, which meet the N^2 component stiffness matrices in
+N^2 matrix-vector products.  The source loads (the Phi term and f) are
+assembled once before the march and only recombined per step.  The work
+stays O(M^2) in the number of steps.
+
 The k != 1 limits are elliptic problems solved level by level.
 """
 
@@ -25,7 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .errors import SingularStep, WrongGeometryClass
+from .errors import ConfigInvalid, SingularStep, WrongGeometryClass
 from .geometry import _KUHN_PERMS
 from .timegrid import TimeGrid
 
@@ -95,7 +102,7 @@ def build_macro_mesh(n: int, dim: int = 2) -> MacroMesh:
                         tets.append([vid(*v) for v in vs])
         simplices = np.array(tets, dtype=np.int64)
     else:
-        raise ValueError("macro mesh dimension must be 2 or 3")
+        raise WrongGeometryClass("macro mesh dimension must be 2 or 3")
 
     boundary = np.where(np.any((vertices == 0.0) | (vertices == 1.0), axis=1))[0]
     grads, vols = fem.element_gradients(vertices, simplices)
@@ -201,7 +208,7 @@ def _resample_kernel(samples, kernel_grid: TimeGrid, lags: np.ndarray):
     """Linear interpolation of tensor samples at the requested lags."""
     tk = kernel_grid.times
     if lags.max() > tk[-1] + 1e-12:
-        raise ValueError(
+        raise ConfigInvalid(
             f"macro horizon {lags.max():.3f} exceeds kernel horizon {tk[-1]:.3f}")
     L1, N, _ = samples.shape
     out = np.empty((len(lags), N, N))
@@ -248,20 +255,26 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
     lu = _factor_spd(A_ff, "macro step matrix")
 
     V, S = mesh.vertices, mesh.simplices
-    grads, vols = mesh.grads, mesh.vols
-    w_el = np.abs(vols)
-    load_w = fem.lumped_weights(vols, S.shape[1])
+    geom = (mesh.grads, mesh.vols)
     vdof = fem.identity_dof_map(nv)
 
-    grad_u0 = None
+    # Phi term: the weak divergence of -Phi(t_n)^T grad u0, linear in the
+    # N^2 entries of Phi, so one load per entry (j, h) built here
+    phi_loads = None
     if Phi_res is not None and problem.u0_bar is not None:
-        grad_u0 = np.einsum("eik,ei->ek", grads, problem.u0_bar[S])
-
-    def weak_divergence_load(vec_el):
-        contrib = np.einsum("e,eik,ek->ei", w_el, grads, vec_el)
-        b = np.zeros(nv)
-        np.add.at(b, S.ravel(), contrib.ravel())
-        return b
+        grad_u0 = fem.element_field_gradients(mesh.grads, S, problem.u0_bar)
+        phi_loads = np.empty((dim * dim, nv))
+        for j in range(dim):
+            for h in range(dim):
+                vec = np.zeros((len(S), dim))
+                vec[:, h] = -grad_u0[:, j]
+                phi_loads[j * dim + h] = fem.assemble_gradient_load(
+                    geom, S, 1.0, vec, vdof, nv)
+    # the lumped load of nodal values f is the lumped vertex mass times f
+    mass = None
+    if problem.source is not None:
+        mass = fem.lumped_load(fem.lumped_weights(mesh.vols, S.shape[1]), S,
+                               np.ones(nv), vdof, nv)
 
     U = np.zeros((M + 1, nv))
     if connected:
@@ -269,35 +282,29 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
             raise SingularStep("connected regime requires initial data")
         U[0] = problem.u0_bar
         U[0, mesh.boundary] = 0.0
+    # trapezoidal history weights: level 0 dt/2, the levels after it dt
+    H = np.zeros((M + 1, nv))
+    H[0] = 0.5 * U[0]
 
     energy = np.empty(M + 1)
     energy[0] = float(U[0] @ (K_A @ U[0]))
     for n in range(1, M + 1):
         rhs = (K_C @ U[n - 1]) / dt
-        if problem.B0 is not None and n >= 1:
-            # trapezoidal history: interior levels weight dt, level 0 dt/2
-            acc = np.zeros((dim, dim, nv))
-            for m in range(1, n):
-                acc += B_res[n - m][:, :, None] * U[m][None, None, :]
-            hist = np.zeros(nv)
+        if problem.B0 is not None:
+            acc = np.einsum("mab,mv->abv", B_res[n:0:-1], H[:n])
             for a in range(dim):
                 for b in range(dim):
                     if np.any(acc[a, b]):
-                        hist += mats[(a, b)] @ (dt * acc[a, b])
-            if connected and np.any(U[0]):
-                KB = _tensor_stiffness(mats, B_res[n])
-                hist += (dt / 2.0) * (KB @ U[0])
-            rhs -= hist
-        if Phi_res is not None and grad_u0 is not None:
-            vec = -np.einsum("jh,ej->eh", Phi_res[n], grad_u0)
-            rhs += weak_divergence_load(vec)
-        if problem.source is not None:
-            fvals = problem.source(V, grid.times[n])
-            rhs += fem.lumped_load(load_w, S, fvals, vdof, nv)
+                        rhs -= mats[(a, b)] @ (dt * acc[a, b])
+        if phi_loads is not None:
+            rhs += Phi_res[n].ravel() @ phi_loads
+        if mass is not None:
+            rhs += mass * problem.source(V, grid.times[n])
         U[n, free] = lu.solve(rhs[free])
         r = A_ff @ U[n, free] - rhs[free]
         if np.linalg.norm(r) > 1e-8 * max(np.linalg.norm(rhs[free]), 1e-300):
             raise SingularStep(f"macro step {n} residual too large")
+        H[n] = U[n]
         energy[n] = float(U[n] @ (K_A @ U[n]))
 
     return TransientField(levels=U, grid=grid,

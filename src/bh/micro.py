@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 
 from . import fem, geometry
 from .cell import CellCoefficients
-from .errors import SolverFailure, WrongGeometryClass
+from .errors import MissingArtifact, SolverFailure, WrongGeometryClass
 from .formats import _F
 from .geometry import (PHASE_INT, PHASE_MEMBRANE, PHASE_OUT, MicroMesh,
                        tile_micro_domain)
@@ -385,7 +385,7 @@ def convergence_study(regime, eps_list, *, cell_mesh, surf, coeffs, k, grid,
     """
     norm_only = regime == "klt1"
     if not norm_only and (macro_mesh is None or macro_field is None):
-        raise ValueError("regime needs a macro reference field")
+        raise MissingArtifact(f"regime {regime} needs a macro reference field")
 
     if cell_mesh.dim == 3:
         probe = min(probe, 16)

@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigInvalid
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -18,7 +20,7 @@ class TimeGrid:
 
     def __post_init__(self):
         if self.t_end <= 0 or self.dt <= 0:
-            raise ValueError("time grid requires t_end > 0 and dt > 0")
+            raise ConfigInvalid("time grid requires t_end > 0 and dt > 0")
 
     @property
     def n_steps(self) -> int:

@@ -2,7 +2,8 @@
 
 The bundles use short kernel horizons so the unit tests stay fast; the
 acceptance module builds its own bundles at the parameters the criteria
-prescribe.
+prescribe.  The surface-gradient routes at the end are test oracles: the
+library computes tangential gradients only through fem.surface_gradients.
 """
 from dataclasses import dataclass
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from bh import cell, geometry, tensors
+from bh import cell, fem, geometry, tensors
 from bh.timegrid import TimeGrid
 
 settings.register_profile(
@@ -63,3 +64,32 @@ def sin_product(pts):
     for i in range(pts.shape[1]):
         out *= np.sin(np.pi * pts[:, i])
     return out
+
+
+def projected_surface_gradients(vertices, facets):
+    """Tangential gradients through min-norm affine extensions.
+
+    Independent route kept as a cross-check of fem.surface_gradients: for
+    each basis function solve the underdetermined system
+    (p_i - p_0) . g = d_i with the pseudoinverse, which lands in the
+    tangent plane automatically.
+    """
+    pts = vertices[facets]
+    nf, npf, dim = pts.shape
+    A = pts[:, 1:, :] - pts[:, 0:1, :]
+    pinv = np.linalg.pinv(A)
+    grads = np.empty((nf, npf, dim))
+    for i in range(npf):
+        d = np.zeros((nf, npf - 1))
+        if i == 0:
+            d[:, :] = -1.0
+        else:
+            d[:, i - 1] = 1.0
+        grads[:, i, :] = np.einsum("fkj,fj->fk", pinv, d)
+    return grads
+
+
+def facet_field_gradients(vertices, facets, node_values):
+    """Tangential gradient of a P1 surface field, one vector per facet."""
+    grads, _ = fem.surface_gradients(vertices, facets)
+    return np.einsum("fik,fi->fk", grads, node_values[facets])

@@ -14,6 +14,8 @@ from bh import cell, fem
 from bh.errors import NonpositiveCoefficient
 from bh.timegrid import TimeGrid
 
+from conftest import facet_field_gradients
+
 scalar = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
                    allow_infinity=False).filter(lambda a: abs(a) > 1e-3)
 
@@ -26,7 +28,7 @@ def test_chi0_locks_tangential_direction_on_disk(disk):
     V, F = disk.mesh.vertices, disk.surf.facets
     nrm = disk.surf.normals
     for j in range(2):
-        g = fem.facet_field_gradients(V, F, disk.funcs.chi0[j][disk.system.vdof])
+        g = facet_field_gradients(V, F, disk.funcs.chi0[j][disk.system.vdof])
         proj = np.eye(2)[j][None, :] - nrm * nrm[:, j:j + 1]
         assert np.abs(g + proj).max() <= 1e-10
 
@@ -77,6 +79,22 @@ def test_function_set_shapes(disk):
     assert f.chi1_energy.shape == (2, M + 1)
     assert f.flux_residuals.shape == (disk.surf.n_components, 2)
     assert f.chi0_tilde.shape == (2, nd)
+
+
+def test_one_step_solve_per_level(disk, monkeypatch):
+    """The 2N correctors march as one block: one step solve per level."""
+    sysm = cell.CellSystem(disk.mesh, disk.surf, disk.coeffs)
+    solved = []
+    original = fem.MeanZeroFactor.solve
+
+    def counting(self, b):
+        solved.append(self)
+        return original(self, b)
+
+    monkeypatch.setattr(fem.MeanZeroFactor, "solve", counting)
+    cell.solve_cell_functions(sysm, disk.grid)
+    step = sysm.step_factor(disk.grid.step)
+    assert sum(s is step for s in solved) == disk.grid.n_steps
 
 
 def test_evolution_preserves_initial_trace(disk):

@@ -11,7 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bh import fem, macro
-from bh.errors import NonpositiveCoefficient
+from bh.errors import NonpositiveCoefficient, SingularSystem
+
+from conftest import facet_field_gradients, projected_surface_gradients
 
 coef = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False,
                  allow_infinity=False)
@@ -109,7 +111,7 @@ def test_projected_vs_intrinsic_surface_gradients(disk, tube):
         rng = np.random.default_rng(7)
         u = rng.standard_normal(len(V))
         g_int, _ = fem.surface_gradients(V, F)
-        g_prj = fem.projected_surface_gradients(V, F)
+        g_prj = projected_surface_gradients(V, F)
         gi = np.einsum("fik,fi->fk", g_int, u[F])
         gp = np.einsum("fik,fi->fk", g_prj, u[F])
         assert np.abs(gi - gp).max() <= 1e-12 * max(np.abs(gi).max(), 1.0)
@@ -121,7 +123,7 @@ def test_tangential_gradient_of_linear_field(d0, d1, disk):
     # equal to the tangential projection of its constant ambient gradient
     V, F = disk.mesh.vertices, disk.surf.facets
     u = d0 * V[:, 0] + d1 * V[:, 1]
-    g = fem.facet_field_gradients(V, F, u)
+    g = facet_field_gradients(V, F, u)
     grad = np.array([d0, d1])
     proj = grad[None, :] - disk.surf.normals * (disk.surf.normals @ grad)[:, None]
     assert np.abs(g - proj).max() <= 1e-10 * max(1.0, np.abs(grad).max())
@@ -182,3 +184,22 @@ def test_mean_zero_factor(disk):
     fac = fem.MeanZeroFactor(sys.K, sys.vol_w)
     x = fac.solve(b)
     assert abs(sys.vol_w @ x) <= 1e-10 * max(np.abs(x).max(), 1.0)
+
+
+def test_block_solves_match_column_solves(disk):
+    # a (n, k) block solves column by column, each column checked on its own
+    sys = disk.system
+    B = np.random.default_rng(6).standard_normal((sys.nd, 3))
+    mean_zero = fem.MeanZeroFactor(sys.K, sys.vol_w)
+    dirichlet = fem.DirichletFactor(sys.K, sys.gamma_dofs)
+    for solve in (mean_zero.solve,
+                  lambda b: dirichlet.solve(b, b[sys.gamma_dofs])):
+        X = solve(B)
+        assert X.shape == B.shape
+        for j in range(B.shape[1]):
+            x = solve(B[:, j])
+            assert np.abs(X[:, j] - x).max() <= 1e-12 * np.abs(x).max()
+    bad = B.copy()
+    bad[:, 2] = np.nan
+    with pytest.raises(SingularSystem):
+        mean_zero.solve(bad)

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 import bh
-from bh import cli, formats
+from bh import cli, fem, formats, macro, micro
 from bh.config import load_config, preset_function
-from bh.errors import ConfigInvalid, MissingArtifact
+from bh.errors import (BHError, ConfigInvalid, MissingArtifact,
+                       WrongGeometryClass)
 from bh.timegrid import TimeGrid
 
 TINY_INI = """\
@@ -126,6 +127,24 @@ def test_config_rejects_nonfinite_and_fractional(tmp_path, patch, message):
 def test_config_missing_file():
     with pytest.raises(ConfigInvalid):
         load_config("/nonexistent/rc.ini")
+
+
+@pytest.mark.parametrize("call, cls", [
+    (lambda: TimeGrid(0.0, 0.1), ConfigInvalid),
+    (lambda: macro._resample_kernel(np.zeros((3, 2, 2)), TimeGrid(0.2, 0.1),
+                                    np.array([0.0, 0.5])), ConfigInvalid),
+    (lambda: macro.build_macro_mesh(4, 1), WrongGeometryClass),
+    (lambda: micro.convergence_study("kgt1", [0.5], cell_mesh=None, surf=None,
+                                     coeffs=None, k=2.0,
+                                     grid=TimeGrid(0.1, 0.05)),
+     MissingArtifact),
+], ids=["time-grid", "kernel-horizon", "macro-dimension", "macro-reference"])
+def test_bad_inputs_raise_bh_errors(call, cls):
+    # the CLI maps BHError subclasses to exit codes; a plain ValueError
+    # would end in a traceback
+    with pytest.raises(cls) as info:
+        call()
+    assert isinstance(info.value, BHError)
 
 
 def test_macro_horizon_checked(tmp_path):
@@ -388,6 +407,59 @@ def test_cli_bad_cell_archive_exits_3_without_traceback(tiny_cfg, tmp_path,
     if edit is _as_version_1:
         assert "BHCELL 1 artifact" in proc.stderr
         assert "reads BHCELL 2: re-run" in proc.stderr
+
+
+def _drop_last_omega_2(lines):
+    # the last omega_2 level (its field line and its block), and one field
+    # fewer in the count
+    i = max(k for k, ln in enumerate(lines) if ln.startswith("field omega_2 "))
+    out = lines[:i] + lines[i + 2:]
+    n = next(k for k, ln in enumerate(out) if ln.startswith("fields "))
+    out[n] = f"fields {int(out[n].split()[1]) - 1}"
+    return out
+
+
+def _short_chi0_1(lines):
+    # chi0_1 stored, consistently with its own field line, one value short
+    i = next(k for k, ln in enumerate(lines) if ln.startswith("field chi0_1 "))
+    vals = np.frombuffer(base64.b64decode(lines[i + 1]), dtype="<f8")[:-1]
+    return (lines[:i] + [f"field chi0_1 -1 {len(vals)}", formats._pack(vals)]
+            + lines[i + 2:])
+
+
+@pytest.mark.parametrize("edit, field", [(_drop_last_omega_2, "omega_2"),
+                                         (_short_chi0_1, "chi0_1")],
+                         ids=["missing-level", "short-field"])
+def test_cli_incomplete_cell_archive_exits_3_without_traceback(
+        tiny_cfg, tmp_path, edit, field):
+    out = str(tmp_path / "run")
+    for cmd in ("mesh", "cell"):
+        assert _run([cmd, "--config", tiny_cfg, "--out", out]) == 0
+    _rewrite(os.path.join(out, "cell.bhcell"), edit)
+    proc = _subprocess_bh("tensors", tiny_cfg, out)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("artifact error:")
+    assert f"field {field}" in proc.stderr
+    assert "re-run bh cell" in proc.stderr
+
+
+def test_cli_tensors_builds_no_dirichlet_factor(tiny_cfg, tmp_path,
+                                                monkeypatch):
+    # the tensor routes read the phase stiffness and loads, never a factor
+    out = str(tmp_path / "run")
+    for cmd in ("mesh", "cell"):
+        assert _run([cmd, "--config", tiny_cfg, "--out", out]) == 0
+    built = []
+    original = fem.DirichletFactor
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fem, "DirichletFactor", counting)
+    assert _run(["tensors", "--config", tiny_cfg, "--out", out]) == 0
+    assert built == []
 
 
 def test_cli_missing_artifact_exits_3(tiny_cfg, tmp_path):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from bh import fem, macro
-from bh.errors import SingularStep, WrongGeometryClass
+from bh.errors import ConfigInvalid, SingularStep, WrongGeometryClass
 from bh.timegrid import TimeGrid
 
 from conftest import sin_product
@@ -68,6 +68,50 @@ def test_one_element_geometry_pass_per_macro_mesh(monkeypatch):
         mesh=m, regime="kgt1", grid=TimeGrid(0.2, 0.1), A_elliptic=np.eye(2),
         source=src, topology="cc"))
     assert calls == [len(m.simplices)]
+
+
+class _CountingNumpy:
+    """Stands in for numpy in a module and counts its np.add.at calls."""
+
+    def __init__(self):
+        self.add_at_calls = 0
+        outer = self
+
+        class CountingAdd:
+            def __getattr__(self, name):
+                return getattr(np.add, name)
+
+            def __call__(self, *args, **kwargs):
+                return np.add(*args, **kwargs)
+
+            def at(self, *args):
+                outer.add_at_calls += 1
+                return np.add.at(*args)
+
+        self.add = CountingAdd()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_memory_march_assembles_no_load_per_step(monkeypatch):
+    """Phi and f loads are assembled before the march, so the number of
+    scatter-adds does not grow with the step count."""
+    m = macro.build_macro_mesh(6, 2)
+    kernel = TimeGrid(1.0, 0.1)
+    B = np.tile(2.0 * np.eye(2), (kernel.n_steps + 1, 1, 1))
+    Phi = np.exp(-kernel.times)[:, None, None] * np.array([[1.0, 0.5],
+                                                          [-0.5, 2.0]])
+    counts = []
+    for dt in (0.2, 0.1):
+        counting = _CountingNumpy()
+        for mod in (fem, macro):
+            monkeypatch.setattr(mod, "np", counting)
+        macro.solve_homogenized_memory(_memory_problem(
+            m, dt, B=B, Phi=Phi, kernel=kernel, source=src))
+        monkeypatch.undo()
+        counts.append(counting.add_at_calls)
+    assert counts[0] == counts[1] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +182,7 @@ def test_memory_boundary_rows_zero(mesh12):
 def test_macro_horizon_beyond_kernel_raises(mesh12):
     kernel = TimeGrid(0.5, 0.01)
     B = np.tile(2.0 * np.eye(2), (kernel.n_steps + 1, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigInvalid):
         macro.solve_homogenized_memory(
             _memory_problem(mesh12, 0.05, B=B, kernel=kernel))
 

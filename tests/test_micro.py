@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from bh import cell, fem, geometry, micro
-from bh.errors import WrongGeometryClass
+from bh.errors import MissingArtifact, WrongGeometryClass
 from bh.geometry import PHASE_MEMBRANE, build_membrane_cell, tile_micro_domain
 from bh.timegrid import TimeGrid
 
@@ -281,7 +281,7 @@ def test_study_report_monotone_flag_and_csv():
 
 
 def test_convergence_study_requires_reference(disk):
-    with pytest.raises(ValueError):
+    with pytest.raises(MissingArtifact):
         micro.convergence_study("k1_connected_disconnected", [0.5],
                                 cell_mesh=disk.mesh, surf=disk.surf,
                                 coeffs=disk.coeffs, k=1.0,
