@@ -1,6 +1,9 @@
 """Command-line pipeline: mesh -> cell -> tensors -> macro, plus micro and
 study sweeps and an invariant verification ledger.
 
+converge scores the solutions that macro and micro wrote and solves only
+the eta sweep; verify recomputes its checks in memory on purpose.
+
 Exit codes: 0 all good, 1 failed checks or solver errors, 2 bad config,
 3 missing/tampered artifacts.  Artifacts carry config and geometry hashes;
 downstream commands refuse inputs produced under a different config.
@@ -39,17 +42,18 @@ def _header(cfg):
     return {"config": cfg.config_hash, "geometry": cfg.geometry_hash}
 
 
-def _check_header(header, cfg, path):
+def _check_header(header, cfg, path, command):
     if header.get("config") != cfg.config_hash:
         raise MissingArtifact(
-            f"{path} was produced by a different config; re-run the upstream command")
+            f"{path} was produced by a different config; re-run bh {command}")
     if header.get("geometry") != cfg.geometry_hash:
-        raise MissingArtifact(f"{path} geometry hash does not match the config")
+        raise MissingArtifact(f"{path} geometry hash does not match the "
+                              f"config; re-run bh {command}")
 
 
 def _load_cell_mesh(cfg, paths):
     header, data = formats.read_mesh(paths["mesh"])
-    _check_header(header, cfg, paths["mesh"])
+    _check_header(header, cfg, paths["mesh"], "mesh")
     mesh = geometry.CellMesh(vertices=data["vertices"],
                              simplices=data["simplices"],
                              phase=data["phase"],
@@ -171,7 +175,7 @@ def cmd_tensors(cfg, out, vtk):
     paths = _paths(out)
     mesh, surf = _load_cell_mesh(cfg, paths)
     header, (t_end, dt), fields = formats.read_cell_archive(paths["cell"])
-    _check_header(header, cfg, paths["cell"])
+    _check_header(header, cfg, paths["cell"], "cell")
     grid = TimeGrid(t_end, dt)
     sysm = cell.CellSystem(mesh, surf, cfg.coeffs)
     chi0, v, chi0_tilde, chi1, omega = _rebuild_funcs(
@@ -205,7 +209,7 @@ def _macro_problem(cfg, tdata):
 def cmd_macro(cfg, out, vtk):
     paths = _paths(out)
     header, tdata = formats.read_tensors(paths["tensors"])
-    _check_header(header, cfg, paths["tensors"])
+    _check_header(header, cfg, paths["tensors"], "tensors")
     mesh, prob = _macro_problem(cfg, tdata)
     if cfg.regime.startswith("k1"):
         fld = macro.solve_homogenized_memory(prob)
@@ -239,8 +243,11 @@ def cmd_macro(cfg, out, vtk):
     return [paths["macro"], paths["macro_csv"]]
 
 
-def _eps_tag(eps):
-    return f"m{int(round(1.0 / eps))}"
+def _micro_path(out, eps, suffix=".bhsol"):
+    return os.path.join(out, f"micro_m{int(round(1.0 / eps))}{suffix}")
+
+
+_ENERGIES = ("energy_bulk", "energy_surface")
 
 
 def cmd_micro(cfg, out, vtk):
@@ -255,54 +262,65 @@ def cmd_micro(cfg, out, vtk):
                              grid=cfg.macro_grid, u0_bar=cfg.u0_function(),
                              source=cfg.source_function())
         fld = micro.solve_micro(run)
-        p = os.path.join(out, f"micro_{_eps_tag(eps)}.bhsol")
-        formats.write_solution(p, _header(cfg), "micro", cfg.macro_grid,
-                               fld.levels)
+        p = _micro_path(out, eps)
+        header = dict(_header(cfg), **{key: _F % fld.diagnostics[key]
+                                       for key in _ENERGIES})
+        formats.write_solution(p, header, "micro", cfg.macro_grid, fld.levels)
         written.append(p)
         if vtk:
-            formats.write_vtk(
-                os.path.join(out, f"micro_{_eps_tag(eps)}_final.vtk"),
-                mmesh.vertices, mmesh.simplices, fld.levels[-1])
+            formats.write_vtk(_micro_path(out, eps, "_final.vtk"),
+                              mmesh.vertices, mmesh.simplices, fld.levels[-1])
     return written
+
+
+def _read_field(cfg, path, kind, nv):
+    """The solution that bh <kind> wrote for this config, with nv values a
+    level on cfg.macro_grid (and, from micro, the two energies)."""
+    try:
+        header, got, grid, _, levels = formats.read_solution(path)
+    except MissingArtifact as exc:
+        raise MissingArtifact(f"{exc}; re-run bh {kind}") from None
+    _check_header(header, cfg, path, kind)
+    g = cfg.macro_grid
+    diagnostics, problem = {}, None
+    if got != kind:
+        problem = f"holds a {got} solution"
+    elif grid != (g.t_end, g.step):
+        problem = f"has the time grid {grid}, the config {(g.t_end, g.step)}"
+    elif levels.shape != (g.n_steps + 1, nv):
+        problem = (f"holds {levels.shape} (levels, values), the config and "
+                   f"mesh need {(g.n_steps + 1, nv)}")
+    elif kind == "micro":
+        try:
+            diagnostics = {key: float(header[key]) for key in _ENERGIES}
+        except (KeyError, ValueError):
+            problem = "lacks a well-formed energy_bulk or energy_surface line"
+    if problem is not None:
+        raise MissingArtifact(f"{path} {problem}; re-run bh {kind}")
+    return macro.TransientField(levels=levels, grid=g, diagnostics=diagnostics)
 
 
 def cmd_converge(cfg, out, vtk):
     paths = _paths(out)
     mesh, surf = _load_cell_mesh(cfg, paths)
-    written = []
-    if cfg.regime == "klt1":
-        rep = micro.convergence_study(
-            "klt1", cfg.eps_list, cell_mesh=mesh, surf=surf, coeffs=cfg.coeffs,
-            k=cfg.k, grid=cfg.macro_grid, u0_bar=cfg.u0_function(),
-            source=cfg.source_function(), strip=cfg.topology == "cd")
-    else:
-        sysm = cell.CellSystem(mesh, surf, cfg.coeffs)
-        if cfg.regime == "kgt1":
-            chi0t = cell.solve_chi0_tilde(sysm)
-            A_k, _, _ = tensors.compute_Ahom_kgt1(sysm, chi0t)
-            mmesh = macro.build_macro_mesh(cfg.macro_n, cfg.dim)
-            prob = macro.MacroProblem(mesh=mmesh, regime="kgt1",
-                                      grid=cfg.macro_grid, A_elliptic=A_k,
-                                      source=cfg.source_function(),
-                                      topology=cfg.topology)
-            fld = macro.solve_homogenized_elliptic(prob)
-        else:
-            funcs = cell.solve_cell_functions(sysm, cfg.kernel_grid)
-            tens = tensors.compute_all(sysm, funcs, cfg.topology,
-                                       with_klt1=False)
-            mmesh, prob = _macro_problem(cfg, {
-                "lambda0": tens.lambda0, "A0": tens.A0, "C0": tens.C0,
-                "B0": tens.B0, "Phi": tens.F_coeffs,
-                "kernel": (cfg.kernel_grid.t_end, cfg.kernel_grid.step)})
-            fld = macro.solve_homogenized_memory(prob)
-        rep = micro.convergence_study(
-            cfg.regime, cfg.eps_list, cell_mesh=mesh, surf=surf,
-            coeffs=cfg.coeffs, k=cfg.k, grid=cfg.macro_grid,
-            u0_bar=cfg.u0_function(), source=cfg.source_function(),
-            macro_mesh=mmesh, macro_field=fld, strip=cfg.topology == "cd")
+    mmesh = fld = None
+    if cfg.regime != "klt1":
+        mmesh = macro.build_macro_mesh(cfg.macro_n, cfg.dim)
+        fld = _read_field(cfg, paths["macro"], "macro", len(mmesh.vertices))
+    strip = cfg.topology == "cd"
+
+    def runs():
+        for eps in sorted(cfg.eps_list, reverse=True):
+            tiled, _ = geometry.tile_micro_domain(
+                mesh, surf, eps, strip_boundary_inclusions=strip)
+            yield eps, tiled, _read_field(cfg, _micro_path(out, eps), "micro",
+                                          len(tiled.vertices))
+
+    rep = micro.eps_report(cfg.regime, runs(), grid=cfg.macro_grid,
+                           macro_mesh=mmesh, macro_field=fld)
     with open(paths["study_eps"], "w") as fh:
         fh.write(rep.csv())
-    written.append(paths["study_eps"])
+    written = [paths["study_eps"]]
 
     if cfg.topology == "cd" and cfg.k == 1.0 and cfg.eta_list:
         u0f = cfg.u0_function()
@@ -508,7 +526,7 @@ _COMMANDS = {
     "tensors": (cmd_tensors, ["mesh", "cell"]),
     "macro": (cmd_macro, ["tensors"]),
     "micro": (cmd_micro, ["mesh"]),
-    "converge": (cmd_converge, ["mesh"]),
+    "converge": (cmd_converge, ["mesh", "macro"]),
     "verify": (cmd_verify, []),
 }
 

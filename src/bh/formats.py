@@ -295,18 +295,19 @@ def write_solution(path, header, kind, grid, levels):
 
 def read_solution(path):
     header, body = read_artifact(path, "BHSOL 2")
-    it = iter(body)
-    kind = next(it).split()[1]
-    _, t_end, dt = next(it).split()
-    nv = int(next(it).split()[1])
-    levels, times = [], []
-    for ln in it:
-        toks = ln.split()
-        if toks[0] != "level":
-            raise MissingArtifact(f"{path}: malformed level block")
-        times.append(float(toks[2]))
-        levels.append(_unpack(next(it), nv, path))
-    return header, kind, (float(t_end), float(dt)), np.array(times), np.array(levels)
+    try:  # a body off the written layout is refused like a failed checksum
+        (k1, kind), (k2, t_end, dt), (k3, nv) = (ln.split() for ln in body[:3])
+        marks = [ln.split() for ln in body[3::2]]
+        if ((k1, k2, k3) != ("kind", "grid", "nv") or len(body) % 2 == 0
+                or any(m[:2] != ["level", str(n)] or len(m) != 3
+                       for n, m in enumerate(marks))):
+            raise ValueError
+        grid, nv = (float(t_end), float(dt)), int(nv)
+        times = np.array([float(m[2]) for m in marks])
+    except ValueError:
+        raise MissingArtifact(f"{path}: malformed solution body") from None
+    levels = np.array([_unpack(block, nv, path) for block in body[4::2]])
+    return header, kind, grid, times, levels
 
 
 # ---------------------------------------------------------------------------

@@ -526,6 +526,19 @@ def _build_layered(spec: GeometrySpec):
 _KUHN_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
 
 
+def kuhn_tetrahedra(n: int) -> np.ndarray:
+    """The Kuhn tetrahedra of the n^3 cubes, cube by cube in i, j, k order,
+    as ids (i (n+1) + j) (n+1) + k of the lattice vertices: each walks from
+    the cube's lower corner one unit step per axis of a _KUHN_PERMS entry."""
+    steps = np.eye(3, dtype=np.int64)[_KUHN_PERMS]               # (6, 3, 3)
+    offsets = np.concatenate([np.zeros((6, 1, 3), dtype=np.int64),
+                              np.cumsum(steps, axis=1)], axis=1)  # (6, 4, 3)
+    corners = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"),
+                       axis=-1).reshape(-1, 1, 1, 3)
+    return ((corners + offsets) @ np.array([(n + 1) ** 2, n + 1, 1])
+            ).reshape(-1, 4)
+
+
 def _tube_level_set(pts: np.ndarray, rho: float) -> np.ndarray:
     """Signed distance-like function, negative inside the tube lattice."""
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -543,37 +556,21 @@ def _build_tube(spec: GeometrySpec):
     # grid vertices at integer lattice / n, coordinates exact at faces
     lin = np.arange(n + 1) / n
     lin[-1] = 1.0
-    I, J, K = np.meshgrid(np.arange(n + 1), np.arange(n + 1), np.arange(n + 1),
-                          indexing="ij")
-    gid = lambda i, j, k: (i * (n + 1) + j) * (n + 1) + k
-    pos = np.column_stack([lin[I.ravel()], lin[J.ravel()], lin[K.ravel()]])
+    coord_int = np.stack(np.meshgrid(*[np.arange(n + 1)] * 3, indexing="ij"),
+                         axis=-1).reshape(-1, 3)
+    pos = lin[coord_int]
     phi = _tube_level_set(pos, rho)
     phi[np.abs(phi) < 1e-14] = 0.0
 
-    # Kuhn tetrahedra of every grid cube
-    tets = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k])
-                for perm in _KUHN_PERMS:
-                    vs = [base.copy()]
-                    cur = base.copy()
-                    for ax in perm:
-                        cur = cur + np.eye(3, dtype=int)[ax]
-                        vs.append(cur.copy())
-                    tets.append([gid(*v) for v in vs])
-    tets = np.array(tets, dtype=np.int64)
+    tets = kuhn_tetrahedra(n)
 
-    # adjacency: undirected edges of the tet mesh
-    edge_set = set()
-    for t in tets:
-        for a in range(4):
-            for b in range(a + 1, 4):
-                e = (min(t[a], t[b]), max(t[a], t[b]))
-                edge_set.add(e)
+    # adjacency: the six (low, high) edges of each tet, and all undirected
+    # edges in sorted order
+    tet_edges = np.sort(tets[:, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3],
+                                 [2, 3]]], axis=2)
+    edges = np.unique(tet_edges.reshape(-1, 2), axis=0)
     incident = {}
-    for a, b in edge_set:
+    for a, b in edges.tolist():
         incident.setdefault(a, []).append(b)
         incident.setdefault(b, []).append(a)
 
@@ -581,7 +578,6 @@ def _build_tube(spec: GeometrySpec):
     # Face vertices only move within their faces, so decisions are mirrored
     # exactly on opposite faces (phi agrees there bitwise).
     locked = {}  # vertex -> new position
-    coord_int = np.column_stack([I.ravel(), J.ravel(), K.ravel()])
     for v in range(pos.shape[0]):
         if phi[v] == 0.0:
             continue
@@ -605,27 +601,17 @@ def _build_tube(spec: GeometrySpec):
         phi[v] = 0.0
 
     # cut vertices on edges with a strict sign change
-    cut_id = {}
-    cut_pos = []
-    next_id = pos.shape[0]
-    for a, b in sorted(edge_set):
-        if phi[a] * phi[b] < 0.0:
-            t = phi[a] / (phi[a] - phi[b])
-            cut_id[(a, b)] = next_id
-            cut_pos.append(pos[a] + t * (pos[b] - pos[a]))
-            next_id += 1
-    all_pos = np.vstack([pos, np.array(cut_pos).reshape(-1, 3)])
+    cut = edges[phi[edges[:, 0]] * phi[edges[:, 1]] < 0.0]
+    a, b = cut.T
+    t = (phi[a] / (phi[a] - phi[b]))[:, None]
+    all_pos = np.vstack([pos, pos[a] + t * (pos[b] - pos[a])])
+    cut_id = {e: len(pos) + i for i, e in enumerate(map(tuple, cut.tolist()))}
 
     sign = np.sign(phi)
     out_tets, out_phase = [], []
-    for t in tets:
+    for t, t_edges in zip(tets, tet_edges.tolist()):
         s = sign[t]
-        cuts = {}
-        for a in range(4):
-            for b in range(a + 1, 4):
-                e = (min(t[a], t[b]), max(t[a], t[b]))
-                if e in cut_id:
-                    cuts[e] = cut_id[e]
+        cuts = {e: cut_id[e] for e in map(tuple, t_edges) if e in cut_id}
         if not cuts:
             if np.any(s < 0):
                 ph = PHASE_INT

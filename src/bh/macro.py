@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from . import fem
 from .errors import ConfigInvalid, SingularStep, WrongGeometryClass
-from .geometry import _KUHN_PERMS
+from .geometry import kuhn_tetrahedra
 from .timegrid import TimeGrid
 
 REGIMES = ("k1_connected_connected", "k1_connected_disconnected", "klt1", "kgt1")
@@ -70,37 +70,16 @@ def build_macro_mesh(n: int, dim: int = 2) -> MacroMesh:
     lin = np.arange(n + 1) / n
     lin[-1] = 1.0
     if dim == 2:
-        vid = lambda i, j: j * (n + 1) + i
-        vertices = np.array([[lin[i], lin[j]]
-                             for j in range(n + 1) for i in range(n + 1)])
-        tris = []
-        for j in range(n):
-            for i in range(n):
-                v00, v10 = vid(i, j), vid(i + 1, j)
-                v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-                tris.append((v00, v10, v11))
-                tris.append((v00, v11, v01))
-        simplices = np.array(tris, dtype=np.int64)
+        # vertex (i, j) has id j (n+1) + i; cells in j, i order, each split
+        # into (v00, v10, v11) and (v00, v11, v01)
+        vertices = np.stack(np.meshgrid(lin, lin), axis=-1).reshape(-1, 2)
+        v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).reshape(-1, 1)
+        simplices = (v00 + np.array([0, 1, n + 2, 0, n + 2, n + 1])
+                     ).reshape(-1, 3)
     elif dim == 3:
-        vid = lambda i, j, k: (i * (n + 1) + j) * (n + 1) + k
-        vertices = np.array([[lin[i], lin[j], lin[k]]
-                             for i in range(n + 1)
-                             for j in range(n + 1)
-                             for k in range(n + 1)])
-        tets = []
-        eye = np.eye(3, dtype=int)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    base = np.array([i, j, k])
-                    for perm in _KUHN_PERMS:
-                        vs = [base.copy()]
-                        cur = base.copy()
-                        for ax in perm:
-                            cur = cur + eye[ax]
-                            vs.append(cur.copy())
-                        tets.append([vid(*v) for v in vs])
-        simplices = np.array(tets, dtype=np.int64)
+        vertices = np.stack(np.meshgrid(lin, lin, lin, indexing="ij"),
+                            axis=-1).reshape(-1, 3)
+        simplices = kuhn_tetrahedra(n)
     else:
         raise WrongGeometryClass("macro mesh dimension must be 2 or 3")
 

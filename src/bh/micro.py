@@ -373,43 +373,54 @@ class StudyReport:
         return "\n".join(lines) + "\n"
 
 
-def convergence_study(regime, eps_list, *, cell_mesh, surf, coeffs, k, grid,
-                      u0_bar=None, source=None, macro_mesh=None,
-                      macro_field=None, strip=True, probe=48) -> StudyReport:
-    """Sweep eps and compare micro solutions against the homogenized limit.
+def eps_report(regime, runs, *, grid, macro_mesh=None, macro_field=None,
+               probe=48) -> StudyReport:
+    """Score micro solutions, solved or read from disk, against the limit.
 
-    For the k < 1 regimes the error column is the plain L2(Omega_T) norm of
-    the micro solution (the limit is zero); otherwise it is the probe-grid
-    L2(Omega_T) distance between the local average of the micro solution
-    and the supplied macro field.
+    runs yields (eps, tiled mesh, TransientField with energy_bulk and
+    energy_surface diagnostics) in decreasing eps.  For the k < 1 regimes
+    the error is the L2(Omega_T) norm of the micro solution (the limit is
+    zero); otherwise the probe-grid L2(Omega_T) distance between its local
+    average and the macro field.
     """
     norm_only = regime == "klt1"
-    if not norm_only and (macro_mesh is None or macro_field is None):
-        raise MissingArtifact(f"regime {regime} needs a macro reference field")
-
-    if cell_mesh.dim == 3:
-        probe = min(probe, 16)
-    pts = probe_points(probe, cell_mesh.dim)
     if not norm_only:
+        if macro_mesh is None or macro_field is None:
+            raise MissingArtifact(
+                f"regime {regime} needs a macro reference field")
+        dim = macro_mesh.vertices.shape[1]
+        pts = probe_points(min(probe, 16) if dim == 3 else probe, dim)
         ref = PointLocator(macro_mesh.vertices, macro_mesh.simplices).evaluate(
             macro_field.levels, pts)
 
-    eps_sorted = sorted(eps_list, reverse=True)
-    errors, e_bulk, e_surf = [], [], []
-    for eps in eps_sorted:
-        mmesh, _ = tile_micro_domain(cell_mesh, surf, eps,
-                                     strip_boundary_inclusions=strip)
-        fld = solve_micro(MicroRun(mesh=mmesh, coeffs=coeffs, k=k, grid=grid,
-                                   u0_bar=u0_bar, source=source))
+    params, errors, e_bulk, e_surf = [], [], [], []
+    for eps, mmesh, fld in runs:
         if norm_only:
             err = l2_space_time_exact(fld, mmesh)
         else:
             avg = local_average(fld, mmesh)
             err = l2_space_time(avg.evaluate(pts) - ref, grid)
+        params.append(eps)
         errors.append(err)
         e_bulk.append(fld.diagnostics["energy_bulk"])
         e_surf.append(fld.diagnostics["energy_surface"])
-    return StudyReport("eps", eps_sorted, errors, e_bulk, e_surf)
+    return StudyReport("eps", params, errors, e_bulk, e_surf)
+
+
+def convergence_study(regime, eps_list, *, cell_mesh, surf, coeffs, k, grid,
+                      u0_bar=None, source=None, macro_mesh=None,
+                      macro_field=None, strip=True, probe=48) -> StudyReport:
+    """Solve the micro problem of each eps, one at a time, for eps_report."""
+    def runs():
+        for eps in sorted(eps_list, reverse=True):
+            mmesh, _ = tile_micro_domain(cell_mesh, surf, eps,
+                                         strip_boundary_inclusions=strip)
+            yield eps, mmesh, solve_micro(MicroRun(
+                mesh=mmesh, coeffs=coeffs, k=k, grid=grid, u0_bar=u0_bar,
+                source=source))
+
+    return eps_report(regime, runs(), grid=grid, macro_mesh=macro_mesh,
+                      macro_field=macro_field, probe=probe)
 
 
 def concentration_study(eta_list, *, spec, coeffs, grid, eps, u0_bar,

@@ -25,6 +25,13 @@ traces now march as one right-hand-side block.  The macro memory history
 was once a Python loop over the stored levels with the Phi and f loads
 scattered every step; it is now one contraction with loads built once.
 Both are pinned to their loops within the tolerances stated below.
+
+The tube cell and the 3D macro grid once each built their Kuhn tetrahedra
+in a nested loop over cubes and permutations; both now take them from one
+array routine.  The macro grids build their vertices and 2D triangles with
+arrays too.  All must match the loops bitwise, and the tube cell, whose
+edge and cut-vertex loops became array code as well, keeps the digest of
+its mesh file.
 """
 from collections import defaultdict
 
@@ -327,6 +334,43 @@ def loop_memory_march(problem):
             rhs += fem.lumped_load(load_w, S, fvals, vdof, nv)
         U[n, free] = lu.solve(rhs[free])
     return U
+
+
+def loop_kuhn_tetrahedra(n):
+    gid = lambda i, j, k: (i * (n + 1) + j) * (n + 1) + k
+    tets = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                base = np.array([i, j, k])
+                for perm in geometry._KUHN_PERMS:
+                    vs = [base.copy()]
+                    cur = base.copy()
+                    for ax in perm:
+                        cur = cur + np.eye(3, dtype=int)[ax]
+                        vs.append(cur.copy())
+                    tets.append([gid(*v) for v in vs])
+    return np.array(tets, dtype=np.int64)
+
+
+def loop_macro_grid(n, dim):
+    lin = np.arange(n + 1) / n
+    lin[-1] = 1.0
+    if dim == 3:
+        return np.array([[lin[i], lin[j], lin[k]] for i in range(n + 1)
+                         for j in range(n + 1) for k in range(n + 1)]), \
+            loop_kuhn_tetrahedra(n)
+    vid = lambda i, j: j * (n + 1) + i
+    vertices = np.array([[lin[i], lin[j]]
+                         for j in range(n + 1) for i in range(n + 1)])
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return vertices, np.array(tris, dtype=np.int64)
 
 
 def loop_periodic_dof_map(n_vertices, periodic_pairs):
@@ -643,3 +687,43 @@ def test_memory_history_contraction_matches_loop(regime, u0, phi, source):
     got = macro.solve_homogenized_memory(problem).levels
     ref = loop_memory_march(problem)
     assert np.abs(got - ref).max() <= MACRO_RTOL * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
+# structured grids: Kuhn tetrahedra and macro meshes against the cube loops
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_kuhn_tetrahedra_match_loop(n):
+    got = geometry.kuhn_tetrahedra(n)
+    ref = loop_kuhn_tetrahedra(n)
+    assert got.dtype == ref.dtype == np.int64
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_macro_grid_matches_loop(n, dim):
+    mesh = macro.build_macro_mesh(n, dim)
+    vertices, simplices = loop_macro_grid(n, dim)
+    _assert_bitwise(mesh.vertices, vertices)
+    assert mesh.simplices.dtype == np.int64
+    assert np.array_equal(mesh.simplices, simplices)
+
+
+# sha256 of the BHMESH files of two tube cells, as the former loops over
+# cubes, tet edges and cut edges built them (h = 0.1667 is tube_klt1's)
+GOLDEN_TUBE_MESH_SHA256 = {
+    0.25: "7aee30addd6b19b7468f28246b604cb629a9a95bcf240f9bfbf412a044f1b82e",
+    0.1667: "a3cb119d8878a90db7393981e3f903eb11cbfcc4f107738b412d1a6af77f49a1",
+}
+
+
+@pytest.mark.parametrize("h", sorted(GOLDEN_TUBE_MESH_SHA256))
+def test_tube_cell_mesh_pinned(tmp_path, h):
+    mesh, surf = geometry.build_unit_cell(
+        geometry.GeometrySpec("TubeLattice3D", {"rho": 0.25}, h=h))
+    path = str(tmp_path / "tube.bhmesh")
+    formats.write_mesh(path, {"config": "0" * 64}, mesh.vertices,
+                       mesh.simplices, mesh.phase, surf, mesh.periodic_pairs)
+    assert formats.file_sha256(path) == GOLDEN_TUBE_MESH_SHA256[h]

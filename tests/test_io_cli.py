@@ -10,6 +10,7 @@ codes.
 import base64
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import bh
-from bh import cli, fem, formats, macro, micro
+from bh import cell, cli, fem, formats, macro, micro, tensors
 from bh.config import load_config, preset_function
 from bh.errors import (BHError, ConfigInvalid, MissingArtifact,
                        WrongGeometryClass)
@@ -310,6 +311,33 @@ def test_malformed_block_detected(tmp_path, kind, edit):
         read(path)
 
 
+def _level_without_block(lines):
+    return lines[:-1]
+
+
+def _short_level_line(lines):
+    i = _first_block(lines) - 1
+    return lines[:i] + ["level 0"] + lines[i + 1:]
+
+
+def _empty_line(lines):
+    i = _first_block(lines) - 1
+    return lines[:i] + [""] + lines[i:]
+
+
+SOLUTION_BODY_EDITS = [_level_without_block, _short_level_line, _empty_line]
+SOLUTION_BODY_IDS = ["level-without-block", "short-level-line", "empty-line"]
+
+
+@pytest.mark.parametrize("edit", SOLUTION_BODY_EDITS, ids=SOLUTION_BODY_IDS)
+def test_malformed_solution_body_detected(tmp_path, edit):
+    # each of these once escaped the reader as StopIteration or IndexError
+    path, read = _write_small(tmp_path, "sol")
+    _rewrite(path, edit)
+    with pytest.raises(MissingArtifact, match="malformed solution body"):
+        read(path)
+
+
 @pytest.mark.parametrize("kind", ["cell", "sol"])
 def test_block_tamper_fails_checksum(tmp_path, kind):
     path, read = _write_small(tmp_path, kind)
@@ -507,3 +535,173 @@ def test_cli_vtk_flag(tiny_cfg, tmp_path):
     out = str(tmp_path / "run")
     assert _run(["mesh", "--config", tiny_cfg, "--out", out, "--vtk"]) == 0
     assert os.path.exists(os.path.join(out, "mesh.vtk"))
+
+
+# ---------------------------------------------------------------------------
+# converge scores the macro and micro artifacts
+# ---------------------------------------------------------------------------
+
+UPSTREAM = ("mesh", "cell", "tensors", "macro", "micro")
+
+
+@pytest.fixture(scope="module")
+def upstream(tmp_path_factory):
+    """upstream(k) -> (config path, run directory after UPSTREAM); every k
+    is run once per module and callers copy the directory."""
+    runs = {}
+
+    def get(k):
+        if k not in runs:
+            base = tmp_path_factory.mktemp(f"k{k}")
+            cfg = base / "tiny.ini"
+            # two eps, listed out of order, so the report's order counts
+            text = TINY_INI.replace("k = 2.0", f"k = {k}").replace(
+                "eps_list = 0.5", "eps_list = 0.25, 0.5")
+            if k == 1.0:  # the connected memory limit needs initial data
+                text = text.replace("u0 = zero", "u0 = sin-product")
+            cfg.write_text(text)
+            out = str(base / "run")
+            for cmd in UPSTREAM:
+                assert _run([cmd, "--config", str(cfg), "--out", out]) == 0
+            runs[k] = (str(cfg), out)
+        return runs[k]
+
+    return get
+
+
+def _copy_run(upstream, k, tmp_path):
+    cfg, out = upstream(k)
+    dst = str(tmp_path / "run")
+    shutil.copytree(out, dst)
+    return cfg, dst
+
+
+def _study_in_memory(cfg_path, out):
+    """The eps study solved from the config, as converge once computed it."""
+    cfg = load_config(cfg_path)
+    mesh, surf = cli._load_cell_mesh(cfg, cli._paths(out))
+    mmesh = fld = None
+    if cfg.regime == "kgt1":
+        sysm = cell.CellSystem(mesh, surf, cfg.coeffs)
+        A_k, _, _ = tensors.compute_Ahom_kgt1(sysm,
+                                              cell.solve_chi0_tilde(sysm))
+        mmesh = macro.build_macro_mesh(cfg.macro_n, cfg.dim)
+        fld = macro.solve_homogenized_elliptic(macro.MacroProblem(
+            mesh=mmesh, regime="kgt1", grid=cfg.macro_grid, A_elliptic=A_k,
+            source=cfg.source_function(), topology=cfg.topology))
+    elif cfg.regime != "klt1":
+        sysm = cell.CellSystem(mesh, surf, cfg.coeffs)
+        funcs = cell.solve_cell_functions(sysm, cfg.kernel_grid)
+        tens = tensors.compute_all(sysm, funcs, cfg.topology, with_klt1=False)
+        mmesh, prob = cli._macro_problem(cfg, {
+            "lambda0": tens.lambda0, "A0": tens.A0, "C0": tens.C0,
+            "B0": tens.B0, "Phi": tens.F_coeffs,
+            "kernel": (cfg.kernel_grid.t_end, cfg.kernel_grid.step)})
+        fld = macro.solve_homogenized_memory(prob)
+    return micro.convergence_study(
+        cfg.regime, cfg.eps_list, cell_mesh=mesh, surf=surf,
+        coeffs=cfg.coeffs, k=cfg.k, grid=cfg.macro_grid,
+        u0_bar=cfg.u0_function(), source=cfg.source_function(),
+        macro_mesh=mmesh, macro_field=fld, strip=cfg.topology == "cd").csv()
+
+
+@pytest.mark.parametrize("k, regime", [(2.0, "kgt1"),
+                                       (1.0, "k1_connected_connected"),
+                                       (0.5, "klt1")])
+def test_cli_converge_matches_in_memory_study(upstream, tmp_path, k, regime):
+    cfg, out = _copy_run(upstream, k, tmp_path)
+    assert load_config(cfg).regime == regime
+    assert _run(["converge", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "study_eps.csv")) as fh:
+        assert fh.read() == _study_in_memory(cfg, out)
+
+
+@pytest.mark.parametrize("k", [2.0, 1.0])
+def test_cli_converge_solves_nothing(upstream, tmp_path, monkeypatch, k):
+    cfg, out = _copy_run(upstream, k, tmp_path)
+    calls = []
+    for module, name in ((micro, "solve_micro"),
+                         (cell, "solve_cell_functions"),
+                         (cell, "solve_chi0_tilde"),
+                         (macro, "solve_homogenized_memory"),
+                         (macro, "solve_homogenized_elliptic")):
+        def counting(*args, _orig=getattr(module, name), **kw):
+            calls.append(_orig.__name__)
+            return _orig(*args, **kw)
+
+        monkeypatch.setattr(module, name, counting)
+    assert _run(["converge", "--config", cfg, "--out", out]) == 0
+    assert calls == []
+
+
+def test_cli_converge_without_micro_exits_3(tiny_cfg, tmp_path):
+    out = str(tmp_path / "run")
+    for cmd in UPSTREAM[:-1]:
+        assert _run([cmd, "--config", tiny_cfg, "--out", out]) == 0
+    proc = _subprocess_bh("converge", tiny_cfg, out)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "micro_m2.bhsol" in proc.stderr and "re-run bh micro" in proc.stderr
+
+
+@pytest.mark.parametrize("edit", SOLUTION_BODY_EDITS, ids=SOLUTION_BODY_IDS)
+def test_cli_malformed_micro_solution_exits_3_without_traceback(
+        upstream, tmp_path, edit):
+    cfg, out = _copy_run(upstream, 2.0, tmp_path)
+    _rewrite(os.path.join(out, "micro_m2.bhsol"), edit)
+    proc = _subprocess_bh("converge", cfg, out)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("artifact error:")
+    assert "re-run bh micro" in proc.stderr
+
+
+def _header_line(key, value):
+    def edit(lines):
+        return [f"{key} {value}" if ln.startswith(key + " ") else ln
+                for ln in lines]
+    return edit
+
+
+def _drop_last_level(lines):
+    return lines[:-2]
+
+
+def _one_value_short(lines):
+    # every level a value short, consistently with the nv line
+    out = []
+    for prev, ln in zip([""] + lines, lines):
+        if ln.startswith("nv "):
+            ln = f"nv {int(ln.split()[1]) - 1}"
+        elif prev.startswith("level "):
+            ln = formats._pack(np.frombuffer(base64.b64decode(ln),
+                                             dtype="<f8")[:-1])
+        out.append(ln)
+    return out
+
+
+def _drop_energy_surface(lines):
+    return [ln for ln in lines if not ln.startswith("# energy_surface ")]
+
+
+@pytest.mark.parametrize("name, edit, words", [
+    ("micro_m2.bhsol", _header_line("kind", "macro"), "holds a macro solution"),
+    ("micro_m2.bhsol", _header_line("grid", "0.2 0.1"), "time grid"),
+    ("micro_m2.bhsol", _drop_last_level, "holds (4, 399) (levels, values)"),
+    ("micro_m2.bhsol", _one_value_short, "holds (5, 398) (levels, values)"),
+    ("micro_m2.bhsol", _drop_energy_surface, "energy_surface"),
+    ("micro_m2.bhsol", _header_line("# config", "0" * 64), "different config"),
+    ("macro.bhsol", _drop_last_level, "holds (4, 81) (levels, values)"),
+], ids=["kind", "grid", "levels", "nv", "energy", "config", "macro-levels"])
+def test_cli_converge_checks_solution_against_config(upstream, tmp_path,
+                                                     capsys, name, edit,
+                                                     words):
+    cfg, out = _copy_run(upstream, 2.0, tmp_path)
+    path = os.path.join(out, name)
+    _rewrite(path, edit)
+    capsys.readouterr()
+    assert _run(["converge", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    command = name.split("_")[0].split(".")[0]
+    assert path in err and words in err, err
+    assert f"re-run bh {command}" in err, err
