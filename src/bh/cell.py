@@ -113,10 +113,10 @@ class CellSystem:
         for ph, val in ((PHASE_OUT, coeffs.lam_out), (PHASE_INT, coeffs.lam_int)):
             self.sub[ph] = _PhaseSub(self, ph, val)
 
-        # directional loads over the whole cell
-        self.b_dir = [fem.assemble_gradient_load(
+        # directional loads over the whole cell, one row per direction
+        self.b_dir = np.stack([fem.assemble_gradient_load(
             geom, S, lam, np.tile(np.eye(self.dim)[j], (len(S), 1)),
-            self.vdof, self.nd) for j in range(self.dim)]
+            self.vdof, self.nd) for j in range(self.dim)])
 
         self._trace_factors = None
         self._harmonic = None
@@ -165,10 +165,10 @@ class _PhaseSub:
         geom = (sys.grads[els], sys.vols[els])
         self.K = fem.assemble_stiffness(geom, sub, np.full(len(els), lam_val),
                                         sdof, len(dofs))
-        self.b_dir = [fem.assemble_gradient_load(
+        self.b_dir = np.stack([fem.assemble_gradient_load(
             geom, sub, np.full(len(els), lam_val),
             np.tile(np.eye(sys.dim)[j], (len(els), 1)), sdof, len(dofs))
-            for j in range(sys.dim)]
+            for j in range(sys.dim)])
         self.gamma_sub = [glob_to_sub[d] for d in sys.comp_dofs]
         fixed = np.unique(np.concatenate([g[g >= 0] for g in self.gamma_sub]))
         self.fixed = fixed

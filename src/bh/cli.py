@@ -84,7 +84,7 @@ def cmd_mesh(cfg, out, vtk):
         formats.write_vtk(os.path.join(out, "mesh.vtk"), mesh.vertices,
                           mesh.simplices, np.zeros(len(mesh.vertices)),
                           cell_values=mesh.phase, cell_name="phase")
-    return [paths["mesh"]]
+    return [], [paths["mesh"]]
 
 
 def cmd_cell(cfg, out, vtk):
@@ -125,7 +125,7 @@ def cmd_cell(cfg, out, vtk):
             formats.write_vtk(os.path.join(out, f"chi0_{j + 1}.vtk"),
                               mesh.vertices, mesh.simplices,
                               funcs.chi0[j][sysm.vdof])
-    return [paths["cell"], paths["compat"]]
+    return [paths["mesh"]], [paths["cell"], paths["compat"]]
 
 
 def _rebuild_funcs(fields, N, nd, grid, path):
@@ -187,7 +187,7 @@ def cmd_tensors(cfg, out, vtk):
                                  chi0_tilde=chi0_tilde)
     tens = tensors.compute_all(sysm, funcs, cfg.topology)
     formats.write_tensors(paths["tensors"], _header(cfg), tens, grid)
-    return [paths["tensors"]]
+    return [paths["mesh"], paths["cell"]], [paths["tensors"]]
 
 
 def _macro_problem(cfg, tdata):
@@ -240,7 +240,7 @@ def cmd_macro(cfg, out, vtk):
         for n in range(fld.levels.shape[0]):
             formats.write_vtk(os.path.join(out, f"macro_{n:04d}.vtk"),
                               mesh.vertices, mesh.simplices, fld.levels[n])
-    return [paths["macro"], paths["macro_csv"]]
+    return [paths["tensors"]], [paths["macro"], paths["macro_csv"]]
 
 
 def _micro_path(out, eps, suffix=".bhsol"):
@@ -270,7 +270,7 @@ def cmd_micro(cfg, out, vtk):
         if vtk:
             formats.write_vtk(_micro_path(out, eps, "_final.vtk"),
                               mmesh.vertices, mmesh.simplices, fld.levels[-1])
-    return written
+    return [paths["mesh"]], written
 
 
 def _read_field(cfg, path, kind, nv):
@@ -303,18 +303,22 @@ def _read_field(cfg, path, kind, nv):
 def cmd_converge(cfg, out, vtk):
     paths = _paths(out)
     mesh, surf = _load_cell_mesh(cfg, paths)
+    read = [paths["mesh"]]
     mmesh = fld = None
     if cfg.regime != "klt1":
         mmesh = macro.build_macro_mesh(cfg.macro_n, cfg.dim)
         fld = _read_field(cfg, paths["macro"], "macro", len(mmesh.vertices))
+        read.append(paths["macro"])
     strip = cfg.topology == "cd"
 
     def runs():
         for eps in sorted(cfg.eps_list, reverse=True):
             tiled, _ = geometry.tile_micro_domain(
                 mesh, surf, eps, strip_boundary_inclusions=strip)
-            yield eps, tiled, _read_field(cfg, _micro_path(out, eps), "micro",
-                                          len(tiled.vertices))
+            path = _micro_path(out, eps)
+            field = _read_field(cfg, path, "micro", len(tiled.vertices))
+            read.append(path)
+            yield eps, tiled, field
 
     rep = micro.eps_report(cfg.regime, runs(), grid=cfg.macro_grid,
                            macro_mesh=mmesh, macro_field=fld)
@@ -331,7 +335,7 @@ def cmd_converge(cfg, out, vtk):
             with open(paths["study_eta"], "w") as fh:
                 fh.write(eta_rep.csv())
             written.append(paths["study_eta"])
-    return written
+    return read, written
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +511,7 @@ def cmd_verify(cfg, out, vtk):
     sys.stdout.write(text)
     if failures:
         raise _VerifyFailed(failures, [paths["verify"]])
-    return [paths["verify"]]
+    return [], [paths["verify"]]
 
 
 class _VerifyFailed(Exception):
@@ -520,13 +524,15 @@ class _VerifyFailed(Exception):
 # entry point
 # ---------------------------------------------------------------------------
 
+# command -> (function, the commands whose outputs it needs); a function
+# returns (files read, files written), and both go into its manifest
 _COMMANDS = {
     "mesh": (cmd_mesh, []),
     "cell": (cmd_cell, ["mesh"]),
     "tensors": (cmd_tensors, ["mesh", "cell"]),
     "macro": (cmd_macro, ["tensors"]),
     "micro": (cmd_micro, ["mesh"]),
-    "converge": (cmd_converge, ["mesh", "macro"]),
+    "converge": (cmd_converge, ["mesh", "macro", "micro"]),
     "verify": (cmd_verify, []),
 }
 
@@ -537,8 +543,10 @@ def build_parser():
         description="Homogenization pipeline for conduction with dynamic "
                     "interface conditions")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        s = sub.add_parser(name)
+    for name, (_, deps) in _COMMANDS.items():
+        s = sub.add_parser(name, description="needs the outputs of "
+                           + ", ".join(f"bh {d}" for d in deps)
+                           if deps else None)
         s.add_argument("--config", required=True, help="INI config file")
         s.add_argument("--out", default=None, help="output directory")
         s.add_argument("--vtk", action="store_true",
@@ -554,10 +562,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out = args.out or cfg.out_dir
         os.makedirs(out, exist_ok=True)
-        paths = _paths(out)
-        fn, deps = _COMMANDS[args.command]
-        inputs = [args.config] + [paths[d] for d in deps]
-        outputs = fn(cfg, out, args.vtk)
+        read, outputs = _COMMANDS[args.command][0](cfg, out, args.vtk)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -572,7 +577,8 @@ def main(argv=None) -> int:
     except BHError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _manifest(out, args.command, cfg, started, t0, inputs, outputs)
+    _manifest(out, args.command, cfg, started, t0, [args.config] + read,
+              outputs)
     return 0
 
 

@@ -3,6 +3,10 @@
 Every output file records the sha256 hash of the canonicalized config so
 downstream commands can refuse artifacts produced under different settings.
 The only environment override honored anywhere is BH_OUTPUT_DIR.
+
+Sizes are refused before anything is allocated: either time grid may have
+at most MAX_STEPS steps (t_end / dt, rounded), and every eps must be the
+reciprocal of a positive integer with a finite reciprocal.
 """
 
 import configparser
@@ -19,6 +23,10 @@ from .geometry import GeometrySpec
 from .timegrid import TimeGrid
 
 PRESETS = ("zero", "sin-product", "gaussian-bump")
+
+# largest step count of the kernel or macro grid; the cell archive holds
+# 2N (MAX_STEPS + 1) fields, the macro march an O(MAX_STEPS^2) history
+MAX_STEPS = 10_000
 
 _GEOMETRY_PARAMS = {
     "Disk2D": ("r0",),
@@ -150,6 +158,16 @@ def _get_list(cp, section, key, default):
     return vals
 
 
+def _get_grid(cp, section, t_end, dt):
+    grid = TimeGrid(_get_float(cp, section, "t_end", t_end, positive=True),
+                    _get_float(cp, section, "dt", dt, positive=True))
+    steps = grid.t_end / grid.dt
+    if not math.isfinite(steps) or round(steps) > MAX_STEPS:
+        raise ConfigInvalid(f"[{section}] t_end / dt = {steps:.3g} steps, "
+                            f"more than the {MAX_STEPS} allowed")
+    return grid
+
+
 def load_config(path: str) -> RunConfig:
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -177,10 +195,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigInvalid(str(exc)) from exc
     k = _get_float(cp, "coefficients", "k", 1.0)
 
-    kernel_grid = TimeGrid(_get_float(cp, "kernel", "t_end", 2.0, positive=True),
-                           _get_float(cp, "kernel", "dt", 0.01, positive=True))
-    macro_grid = TimeGrid(_get_float(cp, "macro", "t_end", 1.0, positive=True),
-                          _get_float(cp, "macro", "dt", 0.05, positive=True))
+    kernel_grid = _get_grid(cp, "kernel", 2.0, 0.01)
+    macro_grid = _get_grid(cp, "macro", 1.0, 0.05)
     macro_n = _get_int(cp, "macro", "n", 32)
     if macro_grid.t_end > kernel_grid.t_end + 1e-12:
         raise ConfigInvalid("macro horizon exceeds kernel horizon")
@@ -193,7 +209,8 @@ def load_config(path: str) -> RunConfig:
 
     eps_list = _get_list(cp, "study", "eps_list", (0.5, 0.25, 0.125))
     for eps in eps_list:
-        if abs(round(1.0 / eps) - 1.0 / eps) > 1e-9:
+        m = 1.0 / eps
+        if not math.isfinite(m) or round(m) < 1 or abs(round(m) - m) > 1e-9:
             raise ConfigInvalid(f"eps={eps} is not a reciprocal integer")
     eta_list = _get_list(cp, "study", "eta_list", (0.2, 0.1, 0.05))
 

@@ -138,11 +138,6 @@ def mass_quadratic(vols, simplices, node_values) -> float:
     return float((np.abs(vols) * q).sum())
 
 
-def element_field_gradients(grads, simplices, node_values) -> np.ndarray:
-    """Constant per-element gradient of a P1 field (vertex values)."""
-    return np.einsum("eik,ei->ek", grads, node_values[simplices])
-
-
 # ---------------------------------------------------------------------------
 # surface P1 kernels (tangential calculus on the facet triangulation)
 # ---------------------------------------------------------------------------

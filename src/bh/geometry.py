@@ -804,8 +804,7 @@ def build_unit_cell(spec: GeometrySpec):
 
 
 def tile_micro_domain(mesh: CellMesh, surf: SurfaceMesh, eps: float,
-                      strip_boundary_inclusions: bool = True,
-                      inclusions_disconnected: bool = None):
+                      strip_boundary_inclusions: bool = True):
     """Tile a unit cell mesh eps-periodically over the unit domain.
 
     eps must be the reciprocal of an integer.  For disconnected inclusion
@@ -822,9 +821,9 @@ def tile_micro_domain(mesh: CellMesh, surf: SurfaceMesh, eps: float,
     dim = mesh.dim
     nv = mesh.vertices.shape[0]
 
-    if inclusions_disconnected is None:
-        # membranes only exist around disconnected inclusions
-        inclusions_disconnected = bool(np.any(mesh.phase == PHASE_MEMBRANE)) or _looks_disconnected(mesh, surf)
+    # membranes only exist around disconnected inclusions
+    inclusions_disconnected = (bool(np.any(mesh.phase == PHASE_MEMBRANE))
+                               or _looks_disconnected(mesh))
 
     # table of (axis, low) entries per high vertex, in periodic_pairs order
     pairs = np.asarray(mesh.periodic_pairs, dtype=np.int64).reshape(-1, 3)
@@ -893,7 +892,7 @@ def tile_micro_domain(mesh: CellMesh, surf: SurfaceMesh, eps: float,
     return micro, micro.interface
 
 
-def _looks_disconnected(mesh: CellMesh, surf: SurfaceMesh) -> bool:
+def _looks_disconnected(mesh: CellMesh) -> bool:
     """Inclusions are isolated particles iff the inner phase stays strictly
     inside the cell; a phase reaching the cell boundary continues into the
     neighboring copy and must never be stripped."""

@@ -18,8 +18,9 @@ condition, and the march starts at n = 1 with an empty history.
 The history is one contraction over a buffer of the stored levels (level
 0 weighted 1/2): sum_m B0(t_n - t_m) u^m gives N^2 nodal vectors, one
 per tensor component, which meet the N^2 component stiffness matrices in
-N^2 matrix-vector products.  The source loads (the Phi term and f) are
-assembled once before the march and only recombined per step.  The work
+N^2 matrix-vector products.  The source loads are built once before the
+march and only recombined per step: the Phi term of entry (j, h) is the
+component product -K_hj u0, the f term the lumped vertex mass.  The work
 stays O(M^2) in the number of steps.
 
 The k != 1 limits are elliptic problems solved level by level.
@@ -163,6 +164,14 @@ def _tensor_stiffness(mats, M):
     return K
 
 
+def _phi_loads(mesh, u0):
+    """Loads of the Phi term, the weak divergence of -Phi^T grad u0: it is
+    linear in the N^2 entries of Phi, and row j N + h, the load of entry
+    (j, h), is the component product -K_hj u0."""
+    return np.stack([-(mesh.mats[(h, j)] @ u0)
+                     for j in range(mesh.dim) for h in range(mesh.dim)])
+
+
 def _factor_spd(A_ff, label):
     """Factor a symmetric matrix, insisting on positive definiteness.
 
@@ -234,21 +243,11 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
     lu = _factor_spd(A_ff, "macro step matrix")
 
     V, S = mesh.vertices, mesh.simplices
-    geom = (mesh.grads, mesh.vols)
     vdof = fem.identity_dof_map(nv)
 
-    # Phi term: the weak divergence of -Phi(t_n)^T grad u0, linear in the
-    # N^2 entries of Phi, so one load per entry (j, h) built here
     phi_loads = None
     if Phi_res is not None and problem.u0_bar is not None:
-        grad_u0 = fem.element_field_gradients(mesh.grads, S, problem.u0_bar)
-        phi_loads = np.empty((dim * dim, nv))
-        for j in range(dim):
-            for h in range(dim):
-                vec = np.zeros((len(S), dim))
-                vec[:, h] = -grad_u0[:, j]
-                phi_loads[j * dim + h] = fem.assemble_gradient_load(
-                    geom, S, 1.0, vec, vdof, nv)
+        phi_loads = _phi_loads(mesh, problem.u0_bar)
     # the lumped load of nodal values f is the lumped vertex mass times f
     mass = None
     if problem.source is not None:

@@ -2,10 +2,25 @@
 
 Every tensor is evaluated along two independent discrete routes and the
 routes are compared; a disagreement beyond tolerance raises
-CrossCheckFailed.  The volume routes integrate corrector gradients over
-the cell, the surface routes trade bulk integrals for interface moments
-through the per-phase gradient theorem, which P1 elements reproduce to
-roundoff on fitted meshes.
+CrossCheckFailed.  The surface routes trade bulk integrals for interface
+moments through the per-phase gradient theorem, which P1 elements
+reproduce to roundoff on fitted meshes.
+
+The volume routes are products with operators the CellSystem already
+holds.  With B the (N, nd) stack of the directional loads b_dir and K the
+stiffness, the moment int lam grad X of fields X (one per row) is X B^T,
+and the Gram matrix int lam (e_j + grad X_j) . (e_h + grad X_h) is
+
+    lam_total I + X B^T + B X^T + X K X^T
+
+with lam_total = int lam; on the outer phase alone the same holds with
+that phase's K, b_dir and dofs.  Element gradients serve assembly only.
+
+C0 keeps its per-facet tangential Gram.  On disconnected inclusions C0
+vanishes: every facet contributes the square of a roundoff-sized vector
+(about 1e-16), so the sum stays near 1e-30.  Expanding the Gram through
+the surface stiffness S1 would cancel O(1) terms against each other and
+leave about 1e-15 where the tensor is zero.
 
 Tensor inventory (N = cell dimension, time-sampled ones on the kernel grid):
 
@@ -68,19 +83,20 @@ class _SurfaceForms:
             [np.eye(N)[j] - self.normals * self.normals[:, j:j + 1]
              for j in range(N)], axis=0)  # (N, nf, N)
 
-    def tangential_gradient(self, dof_field):
-        vals = dof_field[self.fdofs]
-        return np.einsum("fik,fi->fk", self.grads, vals)
+    def tangential_gradient(self, dof_fields):
+        vals = dof_fields[..., self.fdofs]
+        return np.einsum("fik,...fi->...fk", self.grads, vals)
 
-    def int_grad_components(self, dof_field):
-        """Vector with entries int_Gamma (grad_B field)_h dsigma."""
-        g = self.tangential_gradient(dof_field)
-        return (self.meas[:, None] * g).sum(axis=0)
+    def int_grad_components(self, dof_fields):
+        """Entries int_Gamma (grad_B field)_h dsigma, over the last axis
+        of dof_fields; leading axes are kept."""
+        g = self.tangential_gradient(dof_fields)
+        return (self.meas[:, None] * g).sum(axis=-2)
 
-    def int_field_normal(self, dof_field):
-        """Vector with entries int_Gamma field nu_h dsigma."""
-        mean = dof_field[self.fdofs].mean(axis=1)
-        return ((self.meas * mean)[:, None] * self.normals).sum(axis=0)
+    def int_field_normal(self, dof_fields):
+        """Entries int_Gamma field nu_h dsigma, leading axes kept."""
+        mean = dof_fields[..., self.fdofs].mean(axis=-1)
+        return ((self.meas * mean)[..., None] * self.normals).sum(axis=-2)
 
     def tangential_gram(self, fields_a, fields_b):
         """Matrix alpha-free Gram int_Gamma Ga_j . Gb_h with per-facet
@@ -92,17 +108,11 @@ def _rel_gap(M1, M2, scale):
     return float(np.abs(M1 - M2).max()) / max(scale, 1e-300)
 
 
-def _gram(w, grads):
-    """Symmetric matrix sum_K w_K (e_j + grads[j]_K) . (e_h + grads[h]_K)
-    from per-element weights and per-direction element gradients."""
-    N = len(grads)
-    gram = np.zeros((N, N))
-    for j in range(N):
-        gj = np.eye(N)[j][None, :] + grads[j]
-        for h in range(j, N):
-            gh = np.eye(N)[h][None, :] + grads[h]
-            gram[j, h] = gram[h, j] = float((w * (gj * gh).sum(axis=1)).sum())
-    return gram
+def _gram(K, B, lam_total, X):
+    """Symmetric matrix int lam (e_j + grad X_j) . (e_h + grad X_h) from the
+    stiffness K, the stacked directional loads B and int lam = lam_total."""
+    XB = X @ B.T
+    return lam_total * np.eye(len(X)) + XB + XB.T + X @ (K @ X.T)
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +155,12 @@ def compute_A0(sys: CellSystem, chi0: np.ndarray, v: np.ndarray,
     consistency value of lambda0 I + A0."""
     forms = forms or _SurfaceForms(sys)
     N = sys.dim
-    mesh = sys.mesh
-    vols = np.abs(sys.vols)
-    lam = sys.lam_elem
-    a = sys.coeffs.alpha
+    surf_init = sys.coeffs.alpha * forms.int_grad_components(v)
+    A_vol = chi0 @ sys.b_dir.T + surf_init
+    A_flux = -sys.coeffs.jump * forms.int_field_normal(chi0) + surf_init
 
-    grad_chi0 = [fem.element_field_gradients(sys.grads, mesh.simplices,
-                                             chi0[j][sys.vdof]) for j in range(N)]
-    surf_init = np.stack([a * forms.int_grad_components(v[j]) for j in range(N)])
-
-    A_vol = np.stack([(lam * vols)[:, None].T @ grad_chi0[j] for j in range(N)]
-                     ).reshape(N, N) + surf_init
-    A_flux = np.stack([-sys.coeffs.jump * forms.int_field_normal(chi0[j])
-                       for j in range(N)]) + surf_init
-
-    lam0 = compute_lambda0(mesh, sys.coeffs)
-    gram = _gram(lam * vols, grad_chi0)
+    lam0 = compute_lambda0(sys.mesh, sys.coeffs)
+    gram = _gram(sys.K, sys.b_dir, lam0, chi0)
 
     scale = max(lam0, float(np.abs(A_vol).max()), 1e-300)
     gap_forms = _rel_gap(A_vol, A_flux, scale)
@@ -173,31 +173,18 @@ def compute_A0(sys: CellSystem, chi0: np.ndarray, v: np.ndarray,
 
 
 def _kernel_pair(sys, snapshots, grid, forms):
-    """Shared evaluation for B0 and F_coeffs: per sample time,
+    """Shared evaluation for B0 and F_coeffs over the whole (N, M+1, nd)
+    history at once, per sample time
     volume route  int lam (grad X)_h + alpha int (grad_B dX/dt)_h
     flux route    -[lam] int X nu_h  + alpha int (grad_B dX/dt)_h
     with the backward difference of the stepping; the level-0 slot reuses
-    the first difference."""
-    N = sys.dim
-    n = grid.n_steps
-    dt = grid.step
-    mesh = sys.mesh
-    vols = np.abs(sys.vols)
-    lam = sys.lam_elem
-    a = sys.coeffs.alpha
-    vol_route = np.zeros((n + 1, N, N))
-    flux_route = np.zeros((n + 1, N, N))
-    for j in range(N):
-        X = snapshots[j]
-        for lev in range(n + 1):
-            ref = max(lev, 1)
-            dX = (X[ref] - X[ref - 1]) / dt
-            tsurf = a * forms.int_grad_components(dX)
-            g = fem.element_field_gradients(sys.grads, mesh.simplices,
-                                            X[lev][sys.vdof])
-            vol_route[lev, j] = (lam * vols) @ g + tsurf
-            flux_route[lev, j] = -sys.coeffs.jump * forms.int_field_normal(X[lev]) + tsurf
-    return vol_route, flux_route
+    the first difference.  Both return (M+1, N, N)."""
+    diff = np.diff(snapshots, axis=1) / grid.step
+    dX = np.concatenate([diff[:, :1], diff], axis=1)
+    tsurf = sys.coeffs.alpha * forms.int_grad_components(dX)
+    vol_route = snapshots @ sys.b_dir.T + tsurf
+    flux_route = -sys.coeffs.jump * forms.int_field_normal(snapshots) + tsurf
+    return vol_route.transpose(1, 0, 2), flux_route.transpose(1, 0, 2)
 
 
 def compute_B0(sys: CellSystem, chi1: np.ndarray, grid: TimeGrid,
@@ -233,37 +220,27 @@ def compute_Ahom_klt1(sys: CellSystem, chi0: np.ndarray, topology: str):
 
         A_jh = int_{E_out} lam grad(chi0^j + y_j) . grad(chi0^h + y_h)
 
-    split route: outer volume average plus the residual-based interface
-    moment against the corrector trace (the trace equals the centred
-    coordinate with reversed sign, so this is the y_M-centred flux term).
-    Both routes use only lam_out and chi0, hence the tensor cannot depend
-    on lam_int or alpha.
+    evaluated as the Gram form of the outer phase's stiffness and loads.
+    Split route: lam_out |E_out| I plus the outer volume moment, plus the
+    residual-based interface moment against the corrector trace (the trace
+    equals the centred coordinate with reversed sign, so this is the
+    y_M-centred flux term).  Both routes use only lam_out and chi0, hence
+    the tensor cannot depend on lam_int or alpha.
     """
     if topology != "cd":
         raise WrongGeometryClass(
             "k < 1 effective tensor requires disconnected inclusions")
-    N = sys.dim
-    mesh = sys.mesh
-    out_els = mesh.phase == PHASE_OUT
-    vols = np.abs(sys.vols)[out_els]
-    lam = sys.lam_elem[out_els]
     sub = sys.sub[PHASE_OUT]
+    X = chi0[:, sub.dofs]
+    lam_total = sub.lam * float(np.abs(sys.vols[sub.elements]).sum())
+    gram = _gram(sub.K, sub.b_dir, lam_total, X)
 
-    grads = [fem.element_field_gradients(sys.grads[out_els],
-                                         mesh.simplices[out_els],
-                                         chi0[j][sys.vdof]) for j in range(N)]
-    gram = _gram(lam * vols, grads)
-
-    split = np.zeros((N, N))
-    for j in range(N):
-        r = sub.K @ chi0[j][sub.dofs] + sub.b_dir[j]
-        # volume part: int_{E_out} lam (e_j + grad chi0^j) . e_h
-        split[j] = (lam * vols) @ (np.eye(N)[j][None, :] + grads[j])
-        # interface moment against the centred coordinate (residual route):
-        # the trace is chi0^h = -(y_h - c_h), so
-        # int_Gamma lam grad(chi0+y_j).nu (y_h - c_h) = +sum_p r_p chi0^h_p
-        for h in range(N):
-            split[j, h] += float(r[sub.fixed] @ chi0[h][sub.dofs][sub.fixed])
+    # interface moment against the centred coordinate (residual route):
+    # the trace is chi0^h = -(y_h - c_h), so
+    # int_Gamma lam grad(chi0+y_j).nu (y_h - c_h) = +sum_p r_p chi0^h_p
+    R = (sub.K @ X.T).T + sub.b_dir
+    split = (lam_total * np.eye(len(X)) + X @ sub.b_dir.T
+             + R[:, sub.fixed] @ X[:, sub.fixed].T)
 
     scale = max(float(np.abs(gram).max()), 1e-300)
     gap = _rel_gap(gram, split, scale)
@@ -275,15 +252,9 @@ def compute_Ahom_klt1(sys: CellSystem, chi0: np.ndarray, topology: str):
 def compute_Ahom_kgt1(sys: CellSystem, chi0_tilde: np.ndarray):
     """Classical two-phase tensor int lam (I + grad chi0_tilde), with the
     symmetric Gram route as cross-check."""
-    N = sys.dim
-    mesh = sys.mesh
-    vols = np.abs(sys.vols)
-    lam = sys.lam_elem
-    grads = [fem.element_field_gradients(sys.grads, mesh.simplices,
-                                         chi0_tilde[j][sys.vdof]) for j in range(N)]
-    direct = np.stack([(lam * vols) @ (np.eye(N)[j][None, :] + grads[j])
-                       for j in range(N)])
-    gram = _gram(lam * vols, grads)
+    lam0 = compute_lambda0(sys.mesh, sys.coeffs)
+    direct = lam0 * np.eye(sys.dim) + chi0_tilde @ sys.b_dir.T
+    gram = _gram(sys.K, sys.b_dir, lam0, chi0_tilde)
     scale = max(float(np.abs(gram).max()), 1e-300)
     gap = _rel_gap(direct, gram, scale)
     if gap > 1e-6:
@@ -295,9 +266,10 @@ def compute_Ahom_kgt1(sys: CellSystem, chi0_tilde: np.ndarray):
 # orchestration
 # ---------------------------------------------------------------------------
 
-def compute_all(sys: CellSystem, funcs: CellFunctionSet, topology: str,
-                with_klt1=None) -> EffectiveTensors:
+def compute_all(sys: CellSystem, funcs: CellFunctionSet,
+                topology: str) -> EffectiveTensors:
     """Evaluate every tensor available from a solved cell function set; the
+    k < 1 tensor exactly on disconnected inclusions (topology "cd"), the
     k > 1 tensor exactly when the set carries chi0_tilde."""
     forms = _SurfaceForms(sys)
     lam0 = compute_lambda0(sys.mesh, sys.coeffs)
@@ -306,17 +278,11 @@ def compute_all(sys: CellSystem, funcs: CellFunctionSet, topology: str,
     B0, B0_flux, gap_b = compute_B0(sys, funcs.chi1, funcs.grid, forms)
     Phi, Phi_vol, gap_f = compute_F_coeffs(sys, funcs.omega, funcs.grid, forms)
 
-    klt1 = kgt1 = None
-    if with_klt1 is None:
-        with_klt1 = topology == "cd"
-    if with_klt1:
+    klt1 = kgt1 = gap_k = gap_kg = None
+    if topology == "cd":
         klt1, _, gap_k = compute_Ahom_klt1(sys, funcs.chi0, topology)
-    else:
-        gap_k = None
     if funcs.chi0_tilde is not None:
         kgt1, _, gap_kg = compute_Ahom_kgt1(sys, funcs.chi0_tilde)
-    else:
-        gap_kg = None
 
     disc = {"C0": gap_c, "A0_forms": gap_a, "A0_gram": gap_g,
             "B0": gap_b, "F": gap_f, "A_klt1": gap_k, "A_kgt1": gap_kg}

@@ -32,13 +32,20 @@ array routine.  The macro grids build their vertices and 2D triangles with
 arrays too.  All must match the loops bitwise, and the tube cell, whose
 edge and cut-vertex loops became array code as well, keeps the digest of
 its mesh file.
+
+The tensor volume routes once contracted an element gradient of every
+corrector, and of every stored level of chi1 and omega, with lam |K|; the
+macro Phi loads scattered the element gradient of u0 into a gradient load
+per entry.  Both are now products with assembled operators (the stiffness,
+the directional loads, the component matrices).  The element-gradient
+routes survive here as oracles for every rewritten tensor and the loads.
 """
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from bh import cell, fem, formats, geometry, macro, micro
+from bh import cell, fem, formats, geometry, macro, micro, tensors
 from bh.geometry import (PHASE_INT, PHASE_MEMBRANE, PHASE_OUT,
                          build_membrane_cell, extract_interface,
                          tile_micro_domain)
@@ -334,6 +341,104 @@ def loop_memory_march(problem):
             rhs += fem.lumped_load(load_w, S, fvals, vdof, nv)
         U[n, free] = lu.solve(rhs[free])
     return U
+
+
+def element_field_gradients(grads, simplices, node_values):
+    """The former fem.element_field_gradients: per-element P1 gradient."""
+    return np.einsum("eik,ei->ek", grads, node_values[simplices])
+
+
+def element_gram(w, grads):
+    """The former tensors._gram: sum_K w_K (e_j + grads[j]_K) .
+    (e_h + grads[h]_K) from per-element weights and gradients."""
+    N = len(grads)
+    gram = np.zeros((N, N))
+    for j in range(N):
+        gj = np.eye(N)[j][None, :] + grads[j]
+        for h in range(j, N):
+            gh = np.eye(N)[h][None, :] + grads[h]
+            gram[j, h] = gram[h, j] = float((w * (gj * gh).sum(axis=1)).sum())
+    return gram
+
+
+def _corrector_gradients(sys, fields, els=slice(None)):
+    return [element_field_gradients(sys.grads[els], sys.mesh.simplices[els],
+                                    x[sys.vdof]) for x in fields]
+
+
+def element_A0(sys, chi0, v, forms):
+    """The former volume, flux and Gram routes of compute_A0."""
+    N, a = sys.dim, sys.coeffs.alpha
+    w = sys.lam_elem * np.abs(sys.vols)
+    grads = _corrector_gradients(sys, chi0)
+    surf_init = np.stack([a * forms.int_grad_components(v[j])
+                          for j in range(N)])
+    A_vol = np.stack([w @ grads[j] for j in range(N)]) + surf_init
+    A_flux = np.stack([-sys.coeffs.jump * forms.int_field_normal(chi0[j])
+                       for j in range(N)]) + surf_init
+    return A_vol, A_flux, element_gram(w, grads)
+
+
+def loop_kernel_pair(sys, snapshots, grid, forms):
+    """The former tensors._kernel_pair: one element gradient per level."""
+    N, n, dt = sys.dim, grid.n_steps, grid.step
+    w = sys.lam_elem * np.abs(sys.vols)
+    a = sys.coeffs.alpha
+    vol_route = np.zeros((n + 1, N, N))
+    flux_route = np.zeros((n + 1, N, N))
+    for j in range(N):
+        X = snapshots[j]
+        for lev in range(n + 1):
+            ref = max(lev, 1)
+            tsurf = a * forms.int_grad_components((X[ref] - X[ref - 1]) / dt)
+            g = element_field_gradients(sys.grads, sys.mesh.simplices,
+                                        X[lev][sys.vdof])
+            vol_route[lev, j] = w @ g + tsurf
+            flux_route[lev, j] = (-sys.coeffs.jump
+                                  * forms.int_field_normal(X[lev]) + tsurf)
+    return vol_route, flux_route
+
+
+def element_klt1(sys, chi0):
+    """The former Gram and split routes of compute_Ahom_klt1."""
+    N = sys.dim
+    out_els = sys.mesh.phase == PHASE_OUT
+    w = sys.lam_elem[out_els] * np.abs(sys.vols[out_els])
+    sub = sys.sub[PHASE_OUT]
+    grads = _corrector_gradients(sys, chi0, out_els)
+    split = np.zeros((N, N))
+    for j in range(N):
+        r = sub.K @ chi0[j][sub.dofs] + sub.b_dir[j]
+        split[j] = w @ (np.eye(N)[j][None, :] + grads[j])
+        for h in range(N):
+            split[j, h] += float(r[sub.fixed] @ chi0[h][sub.dofs][sub.fixed])
+    return element_gram(w, grads), split
+
+
+def element_kgt1(sys, chi0_tilde):
+    """The former direct and Gram routes of compute_Ahom_kgt1."""
+    N = sys.dim
+    w = sys.lam_elem * np.abs(sys.vols)
+    grads = _corrector_gradients(sys, chi0_tilde)
+    direct = np.stack([w @ (np.eye(N)[j][None, :] + grads[j])
+                       for j in range(N)])
+    return direct, element_gram(w, grads)
+
+
+def gradient_load_phi(mesh, u0):
+    """The former Phi loads: per entry (j, h), the gradient load of the
+    element field -(grad u0)_j e_h."""
+    nv, S, dim = len(mesh.vertices), mesh.simplices, mesh.dim
+    grad_u0 = element_field_gradients(mesh.grads, S, u0)
+    loads = np.empty((dim * dim, nv))
+    for j in range(dim):
+        for h in range(dim):
+            vec = np.zeros((len(S), dim))
+            vec[:, h] = -grad_u0[:, j]
+            loads[j * dim + h] = fem.assemble_gradient_load(
+                (mesh.grads, mesh.vols), S, 1.0, vec,
+                fem.identity_dof_map(nv), nv)
+    return loads
 
 
 def loop_kuhn_tetrahedra(n):
@@ -727,3 +832,83 @@ def test_tube_cell_mesh_pinned(tmp_path, h):
     formats.write_mesh(path, {"config": "0" * 64}, mesh.vertices,
                        mesh.simplices, mesh.phase, surf, mesh.periodic_pairs)
     assert formats.file_sha256(path) == GOLDEN_TUBE_MESH_SHA256[h]
+
+
+# ---------------------------------------------------------------------------
+# tensor volume routes and Phi loads: assembled operators against the
+# element-gradient routes
+# ---------------------------------------------------------------------------
+
+# The products with K, b_dir and the component matrices sum in another order
+# than the element contractions.  Gaps are measured against
+# max(max|old|, 1e-12), the floor compute_B0 uses.
+TENSOR_RTOL = 1e-12
+
+
+def _assert_close(got, ref, rtol=TENSOR_RTOL):
+    scale = max(float(np.abs(ref).max()), 1e-12)
+    assert np.abs(np.asarray(got) - ref).max() <= rtol * scale
+
+
+@pytest.mark.parametrize("name", ["disk", "layered", "tube"])
+def test_kernel_pair_matches_level_loop(request, name):
+    b = request.getfixturevalue(name)
+    forms = tensors._SurfaceForms(b.system)
+    for history in (b.funcs.chi1, b.funcs.omega):
+        got = tensors._kernel_pair(b.system, history, b.grid, forms)
+        ref = loop_kernel_pair(b.system, history, b.grid, forms)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape
+            _assert_close(g, r)
+
+
+@pytest.mark.parametrize("name", ["disk", "layered", "tube"])
+def test_tensor_volume_routes_match_element_gradients(request, name):
+    b = request.getfixturevalue(name)
+    sys, funcs, t = b.system, b.funcs, b.tens
+    forms = tensors._SurfaceForms(sys)
+    A_vol, A_flux, gram = element_A0(sys, funcs.chi0, funcs.v, forms)
+    B_vol, B_flux = loop_kernel_pair(sys, funcs.chi1, b.grid, forms)
+    P_vol, P_flux = loop_kernel_pair(sys, funcs.omega, b.grid, forms)
+    direct, _ = element_kgt1(sys, funcs.chi0_tilde)
+    pairs = [(t.A0, A_vol), (t.A0_flux_form, A_flux), (t.A0_gram, gram),
+             (t.B0, B_vol), (t.B0_flux_form, B_flux), (t.F_coeffs, P_flux),
+             (t.A_hom_kgt1, direct)]
+    if name == "disk":
+        klt1, _ = element_klt1(sys, funcs.chi0)
+        pairs.append((t.A_hom_klt1, klt1))
+    else:
+        assert t.A_hom_klt1 is None
+    for got, ref in pairs:
+        _assert_close(got, ref)
+
+
+@pytest.mark.parametrize("name", ["disk", "layered", "tube"])
+def test_second_routes_match_element_gradients(request, name):
+    b = request.getfixturevalue(name)
+    sys, funcs = b.system, b.funcs
+    _, _, gram, _ = tensors.compute_A0(sys, funcs.chi0, funcs.v)
+    _assert_close(gram, element_A0(sys, funcs.chi0, funcs.v,
+                                   tensors._SurfaceForms(sys))[2])
+    _, P_vol, _ = tensors.compute_F_coeffs(sys, funcs.omega, b.grid)
+    _assert_close(P_vol, loop_kernel_pair(sys, funcs.omega, b.grid,
+                                          tensors._SurfaceForms(sys))[0])
+    direct, gram, _ = tensors.compute_Ahom_kgt1(sys, funcs.chi0_tilde)
+    ref_direct, ref_gram = element_kgt1(sys, funcs.chi0_tilde)
+    _assert_close(direct, ref_direct)
+    _assert_close(gram, ref_gram)
+    if name == "disk":
+        gram, split, _ = tensors.compute_Ahom_klt1(sys, funcs.chi0, "cd")
+        ref_gram, ref_split = element_klt1(sys, funcs.chi0)
+        _assert_close(gram, ref_gram)
+        _assert_close(split, ref_split)
+
+
+@pytest.mark.parametrize("n, dim", [(10, 2), (4, 3)])
+def test_phi_loads_match_gradient_loads(n, dim):
+    mesh = macro.build_macro_mesh(n, dim)
+    u0 = sin_product(mesh.vertices)
+    got = macro._phi_loads(mesh, u0)
+    ref = gradient_load_phi(mesh, u0)
+    assert got.shape == ref.shape == (dim * dim, len(mesh.vertices))
+    _assert_close(got, ref)

@@ -13,13 +13,16 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bh
 from bh import cell, cli, fem, formats, macro, micro, tensors
-from bh.config import load_config, preset_function
+from bh.config import MAX_STEPS, load_config, preset_function
 from bh.errors import (BHError, ConfigInvalid, MissingArtifact,
                        WrongGeometryClass)
 from bh.timegrid import TimeGrid
@@ -154,6 +157,32 @@ def test_macro_horizon_checked(tmp_path):
     p.write_text(bad)
     with pytest.raises(ConfigInvalid):
         load_config(str(p))
+
+
+@pytest.mark.parametrize("patch, message", [
+    ("[kernel]\nt_end = 0.2\ndt = 0.05", "[kernel]\nt_end = 0.2\ndt = 1e-05"),
+    ("[macro]\nt_end = 0.2\ndt = 0.05", "[macro]\nt_end = 0.2\ndt = 1e-300"),
+    ("[kernel]\nt_end = 0.2\ndt = 0.05", "[kernel]\nt_end = 0.2\ndt = 1e-320"),
+    ("eps_list = 0.5", "eps_list = 1e-320"),
+    ("eps_list = 0.5", "eps_list = 1e300"),
+], ids=["kernel-steps", "macro-steps", "kernel-steps-inf", "eps-tiny",
+        "eps-huge"])
+def test_config_refuses_sizes_it_cannot_run(tmp_path, patch, message):
+    # load_config only: nothing is sized by the refused values
+    bad = TINY_INI.replace(patch, message)
+    assert bad != TINY_INI
+    p = tmp_path / "bad.ini"
+    p.write_text(bad)
+    with pytest.raises(ConfigInvalid):
+        load_config(str(p))
+
+
+def test_config_step_limit_is_inclusive(tmp_path):
+    dt = 0.2 / MAX_STEPS
+    p = tmp_path / "limit.ini"
+    p.write_text(TINY_INI.replace("dt = 0.05", f"dt = {dt!r}"))
+    cfg = load_config(str(p))
+    assert cfg.kernel_grid.n_steps == cfg.macro_grid.n_steps == MAX_STEPS
 
 
 def test_presets():
@@ -398,6 +427,32 @@ def _subprocess_bh(command, cfg, out):
          "--out", out], capture_output=True, text=True, env=env, timeout=120)
 
 
+_INI_LINES = TINY_INI.splitlines()
+# lines holding a number or a number list
+_NUMERIC_LINES = [i for i, ln in enumerate(_INI_LINES) if " = " in ln
+                  and ln.split(" = ")[0] not in ("kind", "u0", "f", "dir")]
+_EPS_LINE = _INI_LINES.index("eps_list = 0.5")
+_BAD_VALUES = ("nope", "nan", "inf", "-inf", "-1.5", "0", "2.5", "1e-320",
+               "1e300")
+
+
+@settings(max_examples=60)
+@example(line=_EPS_LINE, value="1e-320")
+@given(line=st.sampled_from(_NUMERIC_LINES),
+       value=st.one_of(st.sampled_from(_BAD_VALUES), st.floats().map(repr)))
+def test_cli_mutated_config_exits_cleanly(line, value):
+    # one value replaced; tensors then stops at config load (2) or at the
+    # missing mesh.bhmesh (3), so nothing is built
+    lines = list(_INI_LINES)
+    lines[line] = lines[line].split(" = ")[0] + " = " + value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "mutated.ini")
+        with open(cfg, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = os.path.join(tmp, "empty")
+        assert cli.main(["tensors", "--config", cfg, "--out", out]) in (2, 3)
+
+
 def test_cli_bad_config_exits_2(tmp_path):
     p = tmp_path / "bad.ini"
     p.write_text(TINY_INI.replace("kind = Layered2D", "kind = Wedge"))
@@ -409,7 +464,8 @@ def test_cli_bad_config_exits_2(tmp_path):
      "cell"),
     ("lambda_int = 1.0", "lambda_int = nan", "cell"),
     ("dt = 0.05\nn = 8", "dt = 0.05\nn = 0.5", "macro"),
-], ids=["dt-nan", "lambda_int-nan", "n-fraction"])
+    ("eps_list = 0.5", "eps_list = 1e-320", "tensors"),
+], ids=["dt-nan", "lambda_int-nan", "n-fraction", "eps-1e-320"])
 def test_cli_bad_value_exits_2_without_traceback(tmp_path, patch, message,
                                                  command):
     p = tmp_path / "bad.ini"
@@ -592,7 +648,7 @@ def _study_in_memory(cfg_path, out):
     elif cfg.regime != "klt1":
         sysm = cell.CellSystem(mesh, surf, cfg.coeffs)
         funcs = cell.solve_cell_functions(sysm, cfg.kernel_grid)
-        tens = tensors.compute_all(sysm, funcs, cfg.topology, with_klt1=False)
+        tens = tensors.compute_all(sysm, funcs, cfg.topology)
         mmesh, prob = cli._macro_problem(cfg, {
             "lambda0": tens.lambda0, "A0": tens.A0, "C0": tens.C0,
             "B0": tens.B0, "Phi": tens.F_coeffs,
@@ -632,6 +688,31 @@ def test_cli_converge_solves_nothing(upstream, tmp_path, monkeypatch, k):
         monkeypatch.setattr(module, name, counting)
     assert _run(["converge", "--config", cfg, "--out", out]) == 0
     assert calls == []
+
+
+def _manifest_inputs(out, command):
+    with open(os.path.join(out, f"{command}.bhrun")) as fh:
+        return [ln.split()[1:] for ln in fh if ln.startswith("input ")]
+
+
+@pytest.mark.parametrize("k", [1.0, 0.5])
+def test_cli_manifests_list_the_files_read(upstream, tmp_path, k):
+    cfg, out = _copy_run(upstream, k, tmp_path)
+    assert _run(["converge", "--config", cfg, "--out", out]) == 0
+    ini = os.path.basename(cfg)
+    expected = {"mesh": [ini], "cell": [ini, "mesh.bhmesh"],
+                "tensors": [ini, "mesh.bhmesh", "cell.bhcell"],
+                "macro": [ini, "tensors.bhtens"],
+                "micro": [ini, "mesh.bhmesh"],
+                "converge": [ini, "mesh.bhmesh"]
+                + (["macro.bhsol"] if k == 1.0 else [])
+                + ["micro_m2.bhsol", "micro_m4.bhsol"]}
+    for command, names in expected.items():
+        inputs = _manifest_inputs(out, command)
+        assert [name for name, _ in inputs] == names, command
+    for name, digest in _manifest_inputs(out, "converge"):
+        if name.startswith("micro_m"):
+            assert digest == formats.file_sha256(os.path.join(out, name))
 
 
 def test_cli_converge_without_micro_exits_3(tiny_cfg, tmp_path):
