@@ -6,7 +6,8 @@ The only environment override honored anywhere is BH_OUTPUT_DIR.
 
 Sizes are refused before anything is allocated: either time grid may have
 at most MAX_STEPS steps (t_end / dt, rounded), and every eps must be the
-reciprocal of a positive integer with a finite reciprocal.
+reciprocal of a positive integer with a finite reciprocal and tile the
+domain with at most MAX_TILES cells, (1/eps)^dim.
 """
 
 import configparser
@@ -27,6 +28,10 @@ PRESETS = ("zero", "sin-product", "gaussian-bump")
 # largest step count of the kernel or macro grid; the cell archive holds
 # 2N (MAX_STEPS + 1) fields, the macro march an O(MAX_STEPS^2) history
 MAX_STEPS = 10_000
+
+# largest tile count (1/eps)^dim of a micro domain, 64^2 in 2D or 16^3 in
+# 3D; every tile is a full copy of the cell mesh
+MAX_TILES = 4096
 
 _GEOMETRY_PARAMS = {
     "Disk2D": ("r0",),
@@ -212,6 +217,10 @@ def load_config(path: str) -> RunConfig:
         m = 1.0 / eps
         if not math.isfinite(m) or round(m) < 1 or abs(round(m) - m) > 1e-9:
             raise ConfigInvalid(f"eps={eps} is not a reciprocal integer")
+        if round(m) ** spec.dim > MAX_TILES:
+            raise ConfigInvalid(f"eps={eps} tiles the domain with (1/eps)^"
+                                f"{spec.dim} cells, more than the "
+                                f"{MAX_TILES} allowed")
     eta_list = _get_list(cp, "study", "eta_list", (0.2, 0.1, 0.05))
 
     out_dir = cp.get("output", "dir", fallback="out").strip()

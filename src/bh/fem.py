@@ -220,7 +220,7 @@ def surface_dof_weights(vertices, facets, vdof, ndof) -> np.ndarray:
 # constrained solvers
 # ---------------------------------------------------------------------------
 
-def _residual_check(K, x, b, tol=1e-10):
+def residual_check(K, x, b, tol=1e-10):
     """Relative residual of K x = b, per column when b is a block."""
     r = K @ x - b
     bnorm = np.linalg.norm(b, axis=0)
@@ -256,7 +256,7 @@ class MeanZeroFactor:
         x = xz[:self.n]
         # K x + mu w = b, so the unconstrained residual is against b - mu w
         w = self.w.reshape((-1,) + (1,) * (b.ndim - 1))
-        _residual_check(self.K, x, b - xz[self.n] * w)
+        residual_check(self.K, x, b - xz[self.n] * w)
         mean = np.abs(self.w @ x) / max(float(np.abs(self.w).sum()), 1e-300)
         if np.max(mean) > 1e-12:
             raise SingularSystem(

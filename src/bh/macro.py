@@ -51,8 +51,7 @@ class MacroMesh:
     boundary: np.ndarray   # vertex ids on the outer boundary
     n: int
     dim: int
-    grads: np.ndarray      # element geometry from fem.element_gradients
-    vols: np.ndarray
+    vols: np.ndarray       # signed element volumes
     mats: dict             # component stiffness matrices K_ab, see below
 
     def interior(self):
@@ -65,7 +64,7 @@ def build_macro_mesh(n: int, dim: int = 2) -> MacroMesh:
     """Uniform simplicial grid on the unit square or cube.
 
     2D cells are split along the same diagonal everywhere.  The mesh
-    carries its element geometry and component stiffness matrices, so the
+    carries its element volumes and component stiffness matrices, so the
     solvers and their callers never recompute them.
     """
     lin = np.arange(n + 1) / n
@@ -87,7 +86,7 @@ def build_macro_mesh(n: int, dim: int = 2) -> MacroMesh:
     boundary = np.where(np.any((vertices == 0.0) | (vertices == 1.0), axis=1))[0]
     grads, vols = fem.element_gradients(vertices, simplices)
     return MacroMesh(vertices=vertices, simplices=simplices, boundary=boundary,
-                     n=n, dim=dim, grads=grads, vols=vols,
+                     n=n, dim=dim, vols=vols,
                      mats=_component_stiffness(grads, vols, simplices,
                                                len(vertices)))
 

@@ -20,10 +20,13 @@ cell fields of every geometry, and a golden digest pins the byte layout.
 The BHMESH reader and writer once converted one token or one numpy scalar
 at a time; they now parse whole blocks with numpy and format .tolist()
 rows with one template.  Files must stay byte-identical and arrays bitwise
-equal.  The cell correctors once marched one trace at a time; the 2N
-traces now march as one right-hand-side block.  The macro memory history
-was once a Python loop over the stored levels with the Phi and f loads
-scattered every step; it is now one contraction with loads built once.
+equal.  The cell correctors once marched one trace at a time, with a bulk
+harmonic extension and one bordered bulk solve per step; the 2N traces
+now march as one block on the interface dofs and are extended once.  The
+march and the kernels B0 and Phi read from it are pinned to the old march.
+The macro memory history was once a Python loop over the stored levels
+with the Phi and f loads scattered every step; it is now one contraction
+with loads built once.
 Both are pinned to their loops within the tolerances stated below.
 
 The tube cell and the 3D macro grid once each built their Kuhn tetrahedra
@@ -256,14 +259,16 @@ def loop_read_mesh(path):
 
 
 def column_march(sys, trace, grid):
-    """The former evolve_surface_coupled: one trace, one solve per step."""
+    """The former evolve_surface_coupled: one trace, a bulk harmonic
+    extension, then one bordered bulk solve per step."""
     dt, n = grid.step, grid.n_steps
     X = np.zeros((n + 1, sys.nd))
-    x0 = sys.harmonic.solve(np.zeros(sys.nd), trace[sys.gamma_dofs])
+    x0 = fem.DirichletFactor(sys.K, sys.gamma_dofs).solve(
+        np.zeros(sys.nd), trace[sys.gamma_dofs])
     x0 -= sys.vol_w @ x0
     X[0] = x0
-    A = sys.step_factor(dt)
     c = sys.coeffs.alpha / dt
+    A = fem.MeanZeroFactor(sys.K + c * sys.S1, sys.vol_w)
     energy = np.empty(n + 1)
     energy[0] = sys.coeffs.alpha * float(x0 @ (sys.S1 @ x0))
     for k in range(1, n + 1):
@@ -301,7 +306,7 @@ def loop_memory_march(problem):
     lu = macro._factor_spd(A_ff, "macro step matrix")
 
     V, S = mesh.vertices, mesh.simplices
-    grads, vols = mesh.grads, mesh.vols
+    grads, vols = fem.element_gradients(V, S)
     load_w = fem.lumped_weights(vols, S.shape[1])
     vdof = fem.identity_dof_map(nv)
     grad_u0 = None
@@ -429,14 +434,15 @@ def gradient_load_phi(mesh, u0):
     """The former Phi loads: per entry (j, h), the gradient load of the
     element field -(grad u0)_j e_h."""
     nv, S, dim = len(mesh.vertices), mesh.simplices, mesh.dim
-    grad_u0 = element_field_gradients(mesh.grads, S, u0)
+    geom = fem.element_gradients(mesh.vertices, S)
+    grad_u0 = element_field_gradients(geom[0], S, u0)
     loads = np.empty((dim * dim, nv))
     for j in range(dim):
         for h in range(dim):
             vec = np.zeros((len(S), dim))
             vec[:, h] = -grad_u0[:, j]
             loads[j * dim + h] = fem.assemble_gradient_load(
-                (mesh.grads, mesh.vols), S, 1.0, vec,
+                geom, S, 1.0, vec,
                 fem.identity_dof_map(nv), nv)
     return loads
 
@@ -730,13 +736,15 @@ def test_mesh_io_matches_token_loops(request, tmp_path, name):
 # cell correctors: one block march against one march per trace
 # ---------------------------------------------------------------------------
 
-# SuperLU's block solve sums in another order than its one-column solve,
-# so the marches agree to roundoff, not bitwise.  The largest gaps
-# measured, relative to max(max|X|, 1) (the correctors are O(1), and on
-# the layered cell they vanish, where a relative gap would compare roundoff
-# with roundoff), were 1.2e-14 on these fixtures (Disk2D) and 8.4e-14 on
-# the Disk2D h = 0.014 cell of the cell_pipeline benchmark (6,060 dofs,
-# 50 steps); energies agree to 1.3e-14 of max(energy, alpha |Gamma|).
+# The interface march solves the Steklov-Poincare system with a dense
+# inverse where the column march solved the bulk system with SuperLU, so
+# the two agree to roundoff, not bitwise.  The largest gaps measured,
+# relative to max(max|X|, 1) (the correctors are O(1), and on the layered
+# cell they vanish, where a relative gap would compare roundoff with
+# roundoff), were 4.5e-14 on these fixtures (Disk2D) and 1.5e-13 on the
+# Disk2D h = 0.014 cell of the cell_pipeline benchmark (6,060 dofs, 120
+# interface dofs, 50 steps); energies agree to 2.0e-14 and 1.7e-13 of
+# max(energy, alpha |Gamma|).
 MARCH_RTOL = 1e-12
 
 
@@ -754,6 +762,28 @@ def test_block_march_matches_column_march(request, name):
         for got, got_e in ((X[i], energy[i]), (X_one, e_one)):
             assert np.abs(got - X_ref).max() <= MARCH_RTOL * scale
             assert np.abs(got_e - e_ref).max() <= MARCH_RTOL * escale
+
+
+# B0 and Phi difference the levels in time, so they carry the march gap
+# over dt.  The largest gaps measured, relative to max(max|ref|, 1e-12) (the
+# floor of the library's own route cross-check; B0 and Phi are roundoff on
+# the layered cell), were 1.0e-13 on these fixtures (Phi, Disk2D) and
+# 1.0e-12 (B0) and 1.2e-12 (Phi) on the cell_pipeline cell.
+KERNEL_RTOL = 1e-11
+
+
+@pytest.mark.parametrize("name", ["disk", "layered", "tube"])
+def test_kernels_match_column_march_kernels(request, name):
+    b = request.getfixturevalue(name)
+    sys, N = b.system, b.system.dim
+    traces = np.concatenate([b.funcs.v, -b.funcs.chi0])
+    ref = np.stack([column_march(sys, t, b.grid)[0] for t in traces])
+    forms = tensors._SurfaceForms(sys)
+    B0 = tensors.compute_B0(sys, ref[:N], b.grid, forms)[0]
+    Phi = tensors.compute_F_coeffs(sys, ref[N:], b.grid, forms)[0]
+    for got, want in ((b.tens.B0, B0), (b.tens.F_coeffs, Phi)):
+        scale = max(np.abs(want).max(), 1e-12)
+        assert np.abs(got - want).max() <= KERNEL_RTOL * scale
 
 
 # ---------------------------------------------------------------------------

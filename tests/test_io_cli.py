@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import bh
 from bh import cell, cli, fem, formats, macro, micro, tensors
-from bh.config import MAX_STEPS, load_config, preset_function
+from bh.config import MAX_STEPS, MAX_TILES, load_config, preset_function
 from bh.errors import (BHError, ConfigInvalid, MissingArtifact,
                        WrongGeometryClass)
 from bh.timegrid import TimeGrid
@@ -183,6 +183,27 @@ def test_config_step_limit_is_inclusive(tmp_path):
     p.write_text(TINY_INI.replace("dt = 0.05", f"dt = {dt!r}"))
     cfg = load_config(str(p))
     assert cfg.kernel_grid.n_steps == cfg.macro_grid.n_steps == MAX_STEPS
+
+
+def test_config_tile_limit_is_inclusive(tmp_path):
+    # load_config only: a refused eps is never tiled
+    side = round(MAX_TILES ** 0.5)              # the layered cell is 2D
+    p = tmp_path / "limit.ini"
+    p.write_text(TINY_INI.replace("eps_list = 0.5", f"eps_list = {1 / side!r}"))
+    assert load_config(str(p)).eps_list == (1 / side,)
+    for eps in (1 / (side + 1), 1e-300):
+        p.write_text(TINY_INI.replace("eps_list = 0.5", f"eps_list = {eps!r}"))
+        with pytest.raises(ConfigInvalid, match="tiles the domain"):
+            load_config(str(p))
+
+
+def test_cli_eps_past_tile_limit_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.ini"
+    p.write_text(TINY_INI.replace("eps_list = 0.5", "eps_list = 1e-300"))
+    out = tmp_path / "out"
+    assert cli.main(["micro", "--config", str(p), "--out", str(out)]) == 2
+    assert "tiles the domain" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_presets():
