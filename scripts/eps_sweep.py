@@ -49,7 +49,7 @@ def main():
     field = macro.solve_homogenized_memory(prob)
 
     rep = micro.convergence_study(
-        "k1_connected_disconnected", args.eps, cell_mesh=mesh, surf=surf,
+        "k1_connected_disconnected", args.eps, cell_mesh=mesh,
         coeffs=coeffs, k=1.0, grid=grid, u0_bar=u0, macro_mesh=mm,
         macro_field=field, strip=not args.keep_boundary)
 

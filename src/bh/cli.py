@@ -252,11 +252,11 @@ _ENERGIES = ("energy_bulk", "energy_surface")
 
 def cmd_micro(cfg, out, vtk):
     paths = _paths(out)
-    mesh, surf = _load_cell_mesh(cfg, paths)
+    mesh, _ = _load_cell_mesh(cfg, paths)
     strip = cfg.topology == "cd"
     written = []
     for eps in cfg.eps_list:
-        mmesh, _ = geometry.tile_micro_domain(mesh, surf, eps,
+        mmesh, _ = geometry.tile_micro_domain(mesh, eps,
                                               strip_boundary_inclusions=strip)
         run = micro.MicroRun(mesh=mmesh, coeffs=cfg.coeffs, k=cfg.k,
                              grid=cfg.macro_grid, u0_bar=cfg.u0_function(),
@@ -302,7 +302,7 @@ def _read_field(cfg, path, kind, nv):
 
 def cmd_converge(cfg, out, vtk):
     paths = _paths(out)
-    mesh, surf = _load_cell_mesh(cfg, paths)
+    mesh, _ = _load_cell_mesh(cfg, paths)
     read = [paths["mesh"]]
     mmesh = fld = None
     if cfg.regime != "klt1":
@@ -314,7 +314,7 @@ def cmd_converge(cfg, out, vtk):
     def runs():
         for eps in sorted(cfg.eps_list, reverse=True):
             tiled, _ = geometry.tile_micro_domain(
-                mesh, surf, eps, strip_boundary_inclusions=strip)
+                mesh, eps, strip_boundary_inclusions=strip)
             path = _micro_path(out, eps)
             field = _read_field(cfg, path, "micro", len(tiled.vertices))
             read.append(path)
@@ -449,7 +449,7 @@ def _verify_checks(cfg):
         "trivial solution reproduced"
 
     eps0 = max(cfg.eps_list)
-    mmesh, _ = geometry.tile_micro_domain(mesh, surf, eps0,
+    mmesh, _ = geometry.tile_micro_domain(mesh, eps0,
                                           strip_boundary_inclusions=False)
     u0f = cfg.u0_function() or (lambda pts: np.sin(np.pi * pts[:, 0])
                                 * np.prod([np.sin(np.pi * pts[:, i])
@@ -465,9 +465,9 @@ def _verify_checks(cfg):
     yield "micro_dirichlet_exact", okb, "boundary rows exactly zero"
 
     if cfg.geometry.kind == "Disk2D":
-        bc, bs = geometry.build_membrane_cell(cfg.geometry,
-                                              min(cfg.eta_list or (0.1,)))
-        bm, _ = geometry.tile_micro_domain(bc, bs, eps0,
+        bc, _ = geometry.build_membrane_cell(cfg.geometry,
+                                             min(cfg.eta_list or (0.1,)))
+        bm, _ = geometry.tile_micro_domain(bc, eps0,
                                            strip_boundary_inclusions=False)
         bf = micro.solve_membrane(micro.MembraneRun(mesh=bm, coeffs=coeffs,
                                                     grid=cfg.macro_grid,

@@ -803,7 +803,7 @@ def build_unit_cell(spec: GeometrySpec):
     return mesh, surf
 
 
-def tile_micro_domain(mesh: CellMesh, surf: SurfaceMesh, eps: float,
+def tile_micro_domain(mesh: CellMesh, eps: float,
                       strip_boundary_inclusions: bool = True):
     """Tile a unit cell mesh eps-periodically over the unit domain.
 

@@ -1,16 +1,23 @@
 """Direct solvers on the eps-periodic microstructure.
 
-solve_micro marches the dynamic-interface problem for any surface scaling
-exponent k: the bulk diffusion operator is coupled to a Laplace-Beltrami
-stiffness on the inclusion boundaries weighted by eps^k alpha, assembled on
-the interface facets the tiled MicroMesh carries.  The initial
-state extends the scaled initial datum harmonically from the interface, the
-same initialization the cell evolutions use, so with eps = 1 and periodic
-data the two operators coincide.
+Both solvers take the same implicit Euler step,
+
+    (K + c Q) x_n = c Q x_(n-1) + f_n,   x_n = 0 on the outer boundary,
+
+and share one march (_march) that starts from the K-harmonic extension of
+the initial datum from a support set and records x_n . Q x_n per level.
+
+solve_micro is the dynamic-interface problem for any surface scaling
+exponent k: K is the bulk diffusion stiffness, Q the Laplace-Beltrami
+stiffness S1 on the interface facets the tiled MicroMesh carries, and
+c = eps^k alpha / dt.  The march starts from the harmonic extension of the
+scaled initial datum from the interface, the initialization the cell
+evolutions use.
 
 solve_membrane replaces the sharp interface by a thick band of relative
-width eta carrying a pseudo-parabolic bulk coefficient alpha/eta; as eta
-shrinks the band concentrates onto the interface condition above.
+width eta carrying a pseudo-parabolic bulk coefficient alpha/eta: Q is the
+band stiffness and c = 1/dt.  As eta shrinks the band concentrates onto
+the interface condition above.
 
 local_average is the per-cell volume average used as the computable
 surrogate for two-scale convergence, and the study drivers sweep eps or
@@ -46,7 +53,6 @@ class MicroRun:
     grid: TimeGrid
     u0_bar: object = None          # callable points -> values, or None
     source: object = None          # callable (points, t) -> values, or None
-    periodic_pairs: np.ndarray = None  # switch to periodic/mean-zero mode
 
 
 @dataclass
@@ -58,7 +64,7 @@ class MembraneRun:
 
 
 # ---------------------------------------------------------------------------
-# dynamic-interface micro solver
+# the pseudo-parabolic march
 # ---------------------------------------------------------------------------
 
 def _step_solver(M, fixed, dim):
@@ -73,105 +79,93 @@ def _step_solver(M, fixed, dim):
     return fem.CGSolver(M, fixed)
 
 
+def _march(K, Q, c, boundary, support, u0, grid, dim, K_unit, load=None):
+    """Implicit Euler march of (K + c Q) x_n = c Q x_(n-1) + load(t_n).
+
+    x_0 is the K-harmonic extension of the nodal values u0 from
+    support + boundary, zero on the boundary (zero everywhere when u0 is
+    None or the support is empty); every level is zero on the boundary.
+    Returns the levels, x_n . Q x_n per level and the bulk energy
+    sum_n dt x_n . K_unit x_n.
+    """
+    nd = K.shape[0]
+    x0 = np.zeros(nd)
+    if u0 is not None and len(support):
+        fixed0 = np.union1d(support, boundary)
+        fv = u0[fixed0]
+        fv[np.isin(fixed0, boundary)] = 0.0
+        x0 = fem.DirichletFactor(K, fixed0).solve(np.zeros(nd), fv)
+
+    fac = _step_solver((K + c * Q).tocsr(), boundary, dim)
+    zeros_fixed = np.zeros(len(boundary))
+    dt = grid.step
+    n_steps = grid.n_steps
+    X = np.zeros((n_steps + 1, nd))
+    X[0] = x0
+    quad = np.empty(n_steps + 1)
+    quad[0] = float(x0 @ (Q @ x0))
+    bulk = 0.0
+    for n in range(1, n_steps + 1):
+        rhs = c * (Q @ X[n - 1])
+        if load is not None:
+            rhs = rhs + load(grid.times[n])
+        try:
+            X[n] = fac.solve(rhs, zeros_fixed)
+        except Exception as exc:
+            raise SolverFailure(f"march step {n} failed: {exc}") from exc
+        quad[n] = float(X[n] @ (Q @ X[n]))
+        bulk += dt * float(X[n] @ (K_unit @ X[n]))
+    return X, quad, bulk
+
+
 def solve_micro(run: MicroRun) -> TransientField:
     mesh = run.mesh
     V, S, phase = mesh.vertices, mesh.simplices, mesh.phase
     if np.any(phase == PHASE_MEMBRANE):
         raise WrongGeometryClass("solve_micro expects a sharp two-phase mesh")
     coeffs = run.coeffs
-    grid = run.grid
-    dt = grid.step
     eps = mesh.eps
     surf_scale = eps ** run.k * coeffs.alpha
-    init_scale = eps ** ((1.0 - run.k) / 2.0)
-
-    periodic = run.periodic_pairs is not None
-    if periodic:
-        vdof = fem.periodic_dof_map(len(V), run.periodic_pairs)
-    else:
-        vdof = fem.identity_dof_map(len(V))
-    nd = fem.n_dofs(vdof)
+    nv = len(V)
+    vdof = fem.identity_dof_map(nv)
 
     lam = fem.phase_coefficient(phase, {PHASE_INT: coeffs.lam_int,
                                         PHASE_OUT: coeffs.lam_out})
     geom = fem.element_gradients(V, S)
-    vols = geom[1]
-    K = fem.assemble_stiffness(geom, S, lam, vdof, nd)
-    K_unit = fem.assemble_stiffness(geom, S, np.ones(len(S)), vdof, nd)
+    K = fem.assemble_stiffness(geom, S, lam, vdof, nv)
+    K_unit = fem.assemble_stiffness(geom, S, np.ones(len(S)), vdof, nv)
     if np.all(phase == phase[0]):
         # boundary stripping can empty the geometry entirely; the march
         # degenerates to quasi-static diffusion with no surface memory
-        S1 = sp.csr_matrix((nd, nd))
+        S1 = sp.csr_matrix((nv, nv))
         gamma = np.empty(0, dtype=np.int64)
     else:
-        # the facets are those of the tiling's interface whether or not
-        # periodic pairs identify its vertices
         facets = mesh.interface.facets
         S1 = fem.assemble_surface_stiffness(V, facets, np.ones(len(facets)),
-                                            vdof, nd)
-        gamma = np.unique(vdof[facets])
+                                            vdof, nv)
+        gamma = np.unique(facets)
 
-    if periodic:
-        fixed = np.empty(0, dtype=np.int64)
-        vol_w = fem.volume_dof_weights(vols, S, vdof, nd)
-    else:
-        fixed = np.unique(vdof[mesh.boundary_vertices])
+    u0 = None
+    if run.u0_bar is not None:
+        u0 = eps ** ((1.0 - run.k) / 2.0) * np.asarray(run.u0_bar(V),
+                                                        dtype=float)
+    load = None
+    if run.source is not None:
+        load_w = fem.lumped_weights(geom[1], S.shape[1])
+        load = lambda t: fem.lumped_load(
+            load_w, S, np.asarray(run.source(V, t), dtype=float), vdof, nv)
 
-    # initial state: harmonic extension of the scaled interface trace
-    x0 = np.zeros(nd)
-    if run.u0_bar is not None and len(gamma):
-        vals = np.asarray(run.u0_bar(V), dtype=float)
-        trace = np.zeros(nd)
-        trace[vdof] = vals
-        fixed0 = np.union1d(gamma, fixed)
-        fv = init_scale * trace[fixed0]
-        fv[np.isin(fixed0, fixed)] = 0.0
-        x0 = fem.DirichletFactor(K, fixed0).solve(np.zeros(nd), fv)
-        if periodic:
-            x0 -= vol_w @ x0
-
-    c = surf_scale / dt
-    M = (K + c * S1).tocsr()
-    if periodic:
-        stepper = fem.MeanZeroFactor(M, vol_w)
-        solve = lambda rhs: stepper.solve(rhs)
-    else:
-        fac = _step_solver(M, fixed, mesh.dim)
-        zeros_fixed = np.zeros(len(fixed))
-        solve = lambda rhs: fac.solve(rhs, zeros_fixed)
-
-    n_steps = grid.n_steps
-    X = np.zeros((n_steps + 1, nd))
-    X[0] = x0
-    load_w = fem.lumped_weights(vols, S.shape[1])
-    surf_quad = np.empty(n_steps + 1)           # X[n] . S1 X[n] per level
-    surf_quad[0] = float(x0 @ (S1 @ x0))
-    bulk_l2t = 0.0
-    for n in range(1, n_steps + 1):
-        rhs = c * (S1 @ X[n - 1])
-        if run.source is not None:
-            fvals = np.asarray(run.source(V, grid.times[n]), dtype=float)
-            rhs = rhs + fem.lumped_load(load_w, S, fvals, vdof, nd)
-        try:
-            X[n] = solve(rhs)
-        except Exception as exc:
-            raise SolverFailure(f"micro step {n} failed: {exc}") from exc
-        surf_quad[n] = float(X[n] @ (S1 @ X[n]))
-        bulk_l2t += dt * float(X[n] @ (K_unit @ X[n]))
-
-    levels = X[:, vdof]
+    X, surf_quad, bulk = _march(K, S1, surf_scale / run.grid.step,
+                                np.unique(mesh.boundary_vertices), gamma, u0,
+                                run.grid, mesh.dim, K_unit, load)
     return TransientField(
-        levels=levels, grid=grid,
+        levels=X, grid=run.grid,
         diagnostics={
             "surface_energy": surf_scale * surf_quad,
-            "energy_bulk": bulk_l2t,
+            "energy_bulk": bulk,
             "energy_surface": (eps ** run.k) * float(np.max(surf_quad)),
         })
 
-
-# ---------------------------------------------------------------------------
-# thick-membrane solver
-# ---------------------------------------------------------------------------
 
 def solve_membrane(run: MembraneRun) -> TransientField:
     mesh = run.mesh
@@ -179,8 +173,6 @@ def solve_membrane(run: MembraneRun) -> TransientField:
         raise WrongGeometryClass("solve_membrane expects a tiled membrane mesh")
     V, S, phase = mesh.vertices, mesh.simplices, mesh.phase
     coeffs = run.coeffs
-    grid = run.grid
-    dt = grid.step
     nv = len(V)
     vdof = fem.identity_dof_map(nv)
 
@@ -192,44 +184,21 @@ def solve_membrane(run: MembraneRun) -> TransientField:
     geom = fem.element_gradients(V, S)
     K_lam = fem.assemble_stiffness(geom, S, lam, vdof, nv, allow_zero=True)
     K_til = fem.assemble_stiffness(geom, S, tilde, vdof, nv, allow_zero=True)
-    boundary = np.unique(mesh.boundary_vertices)
-
-    # initial state: nodal initial datum inside the band, lambda-harmonic
-    # extension outside, so the membrane gradient matches grad u0_bar
-    x0 = np.zeros(nv)
-    band_verts = np.unique(S[phase == PHASE_MEMBRANE])
-    if run.u0_bar is not None and len(band_verts):
-        vals = np.asarray(run.u0_bar(V), dtype=float)
-        fixed0 = np.union1d(band_verts, boundary)
-        fv = vals[fixed0]
-        fv[np.isin(fixed0, boundary)] = 0.0
-        x0 = fem.DirichletFactor(K_lam, fixed0).solve(np.zeros(nv), fv)
-
-    M = (K_lam + K_til / dt).tocsr()
-    fac = _step_solver(M, boundary, mesh.dim)
-    zeros_fixed = np.zeros(len(boundary))
-
-    n_steps = grid.n_steps
-    X = np.zeros((n_steps + 1, nv))
-    X[0] = x0
     K_unit = fem.assemble_stiffness(geom, S, np.ones(len(S)), vdof, nv)
-    band_energy = np.empty(n_steps + 1)
-    band_energy[0] = float(x0 @ (K_til @ x0)) / coeffs.alpha
-    bulk_l2t = 0.0
-    for n in range(1, n_steps + 1):
-        rhs = (K_til @ X[n - 1]) / dt
-        try:
-            X[n] = fac.solve(rhs, zeros_fixed)
-        except Exception as exc:
-            raise SolverFailure(f"membrane step {n} failed: {exc}") from exc
-        band_energy[n] = float(X[n] @ (K_til @ X[n])) / coeffs.alpha
-        bulk_l2t += dt * float(X[n] @ (K_unit @ X[n]))
 
+    # the initial datum is nodal inside the band and lambda-harmonic outside,
+    # so the membrane gradient matches grad u0_bar
+    u0 = None if run.u0_bar is None else np.asarray(run.u0_bar(V), dtype=float)
+    X, band_quad, bulk = _march(K_lam, K_til, 1.0 / run.grid.step,
+                                np.unique(mesh.boundary_vertices),
+                                np.unique(S[phase == PHASE_MEMBRANE]), u0,
+                                run.grid, mesh.dim, K_unit)
+    band_energy = band_quad / coeffs.alpha
     return TransientField(
-        levels=X, grid=grid,
+        levels=X, grid=run.grid,
         diagnostics={
             "membrane_energy": band_energy,
-            "energy_bulk": bulk_l2t,
+            "energy_bulk": bulk,
             "energy_surface": float(band_energy.max()) * mesh.eta,
         })
 
@@ -272,8 +241,7 @@ def local_average(fld: TransientField, mesh: MicroMesh) -> CellAverages:
     np.add.at(cellvol, flat, vols)
     elem_mean = fld.levels[:, S].mean(axis=2)           # (levels, ne)
     num = np.zeros((fld.levels.shape[0], ncell))
-    for l in range(num.shape[0]):
-        np.add.at(num[l], flat, vols * elem_mean[l])
+    np.add.at(num, (slice(None), flat), vols * elem_mean)
     return CellAverages(values=num / cellvol, m=m, dim=dim, grid=fld.grid)
 
 
@@ -407,13 +375,13 @@ def eps_report(regime, runs, *, grid, macro_mesh=None, macro_field=None,
     return StudyReport("eps", params, errors, e_bulk, e_surf)
 
 
-def convergence_study(regime, eps_list, *, cell_mesh, surf, coeffs, k, grid,
+def convergence_study(regime, eps_list, *, cell_mesh, coeffs, k, grid,
                       u0_bar=None, source=None, macro_mesh=None,
                       macro_field=None, strip=True, probe=48) -> StudyReport:
     """Solve the micro problem of each eps, one at a time, for eps_report."""
     def runs():
         for eps in sorted(eps_list, reverse=True):
-            mmesh, _ = tile_micro_domain(cell_mesh, surf, eps,
+            mmesh, _ = tile_micro_domain(cell_mesh, eps,
                                          strip_boundary_inclusions=strip)
             yield eps, mmesh, solve_micro(MicroRun(
                 mesh=mmesh, coeffs=coeffs, k=k, grid=grid, u0_bar=u0_bar,
@@ -431,8 +399,8 @@ def concentration_study(eta_list, *, spec, coeffs, grid, eps, u0_bar,
     a fixed-domain statement and at eps = 1/2 stripping would empty the
     geometry entirely.
     """
-    cell_mesh, surf = geometry.build_unit_cell(spec)
-    sharp_mesh, _ = tile_micro_domain(cell_mesh, surf, eps,
+    cell_mesh, _ = geometry.build_unit_cell(spec)
+    sharp_mesh, _ = tile_micro_domain(cell_mesh, eps,
                                       strip_boundary_inclusions=False)
     sharp = solve_micro(MicroRun(mesh=sharp_mesh, coeffs=coeffs, k=1.0,
                                  grid=grid, u0_bar=u0_bar))
@@ -443,8 +411,8 @@ def concentration_study(eta_list, *, spec, coeffs, grid, eps, u0_bar,
     etas = sorted(eta_list, reverse=True)
     errors, e_bulk, e_surf = [], [], []
     for eta in etas:
-        band_cell, band_surf = geometry.build_membrane_cell(spec, eta)
-        bmesh, _ = tile_micro_domain(band_cell, band_surf, eps,
+        band_cell, _ = geometry.build_membrane_cell(spec, eta)
+        bmesh, _ = tile_micro_domain(band_cell, eps,
                                      strip_boundary_inclusions=False)
         fld = solve_membrane(MembraneRun(mesh=bmesh, coeffs=coeffs, grid=grid,
                                          u0_bar=u0_bar))

@@ -145,7 +145,7 @@ def test_criterion_07_energy_dissipation(adisk, alayered, atube):
             for j in range(b.mesh.dim):
                 ok = ok and cell.energy_nonincreasing(series[j], scale=scale)
 
-    mmesh, _ = geometry.tile_micro_domain(adisk.mesh, adisk.surf, 0.5,
+    mmesh, _ = geometry.tile_micro_domain(adisk.mesh, 0.5,
                                           strip_boundary_inclusions=False)
     mf = micro.solve_micro(micro.MicroRun(mesh=mmesh, coeffs=COEFFS, k=1.0,
                                           grid=TimeGrid(0.3, 0.05),
@@ -153,7 +153,7 @@ def test_criterion_07_energy_dissipation(adisk, alayered, atube):
     ok = ok and cell.energy_nonincreasing(mf.diagnostics["surface_energy"])
 
     bc, bs = geometry.build_membrane_cell(adisk.spec, 0.2)
-    bm, _ = geometry.tile_micro_domain(bc, bs, 0.5,
+    bm, _ = geometry.tile_micro_domain(bc, 0.5,
                                        strip_boundary_inclusions=False)
     bf = micro.solve_membrane(micro.MembraneRun(mesh=bm, coeffs=COEFFS,
                                                 grid=TimeGrid(0.3, 0.05),
@@ -188,7 +188,7 @@ def test_criterion_09_insulation_collapse(atube):
         return sin_product(p)
 
     rep = micro.convergence_study("klt1", [0.5, 1.0 / 3.0],
-                                  cell_mesh=atube.mesh, surf=atube.surf,
+                                  cell_mesh=atube.mesh,
                                   coeffs=COEFFS, k=0.0,
                                   grid=TimeGrid(0.5, 0.05), source=src,
                                   strip=False)
@@ -224,7 +224,7 @@ def test_criterion_11_homogenization_trend(adisk):
     field = macro.solve_homogenized_memory(prob)
     rep = micro.convergence_study(
         "k1_connected_disconnected", [0.5, 0.25, 0.125],
-        cell_mesh=adisk.mesh, surf=adisk.surf, coeffs=COEFFS, k=1.0,
+        cell_mesh=adisk.mesh, coeffs=COEFFS, k=1.0,
         grid=grid, u0_bar=sin_product, macro_mesh=mm, macro_field=field,
         strip=True)
     _report(11, rep.monotone_decrease,
@@ -291,7 +291,7 @@ def test_criterion_13_richardson_ratios(adisk):
     ratios["cell h"] = (vals[0] - vals[1]) / (vals[1] - vals[2])
 
     # micro, membrane and cell marches in dt (Richardson on the final level)
-    mmesh, _ = geometry.tile_micro_domain(adisk.mesh, adisk.surf, 0.5,
+    mmesh, _ = geometry.tile_micro_domain(adisk.mesh, 0.5,
                                           strip_boundary_inclusions=False)
     fin = [micro.solve_micro(micro.MicroRun(mesh=mmesh, coeffs=COEFFS, k=1.0,
                                             grid=TimeGrid(0.2, dt),
@@ -301,7 +301,7 @@ def test_criterion_13_richardson_ratios(adisk):
                           / np.linalg.norm(fin[1] - fin[2]))
 
     bc, bs = geometry.build_membrane_cell(adisk.spec, 0.2)
-    bm, _ = geometry.tile_micro_domain(bc, bs, 0.5,
+    bm, _ = geometry.tile_micro_domain(bc, 0.5,
                                        strip_boundary_inclusions=False)
     fin = [micro.solve_membrane(micro.MembraneRun(mesh=bm, coeffs=COEFFS,
                                                   grid=TimeGrid(0.2, dt),

@@ -131,7 +131,7 @@ def test_topology_labels():
 
 @pytest.mark.parametrize("eps", [0.5, 1.0 / 3.0])
 def test_tiling_partitions_domain(disk, eps):
-    mmesh, _ = tile_micro_domain(disk.mesh, disk.surf, eps,
+    mmesh, _ = tile_micro_domain(disk.mesh, eps,
                                  strip_boundary_inclusions=False)
     total = np.abs(simplex_volumes(mmesh.vertices, mmesh.simplices)).sum()
     assert abs(total - 1.0) <= 1e-10
@@ -140,15 +140,15 @@ def test_tiling_partitions_domain(disk, eps):
 
 def test_tiling_rejects_non_reciprocal(disk):
     with pytest.raises(NonIntegerTiling):
-        tile_micro_domain(disk.mesh, disk.surf, 0.3)
+        tile_micro_domain(disk.mesh, 0.3)
 
 
 def test_strip_removes_boundary_inclusions(disk):
     # at eps = 1/2 every inclusion touches a boundary cell, so the stripped
     # tiling is single-phase while the unstripped one keeps all four disks
-    stripped, ssurf = tile_micro_domain(disk.mesh, disk.surf, 0.5,
+    stripped, ssurf = tile_micro_domain(disk.mesh, 0.5,
                                         strip_boundary_inclusions=True)
-    kept, ksurf = tile_micro_domain(disk.mesh, disk.surf, 0.5,
+    kept, ksurf = tile_micro_domain(disk.mesh, 0.5,
                                     strip_boundary_inclusions=False)
     assert np.all(stripped.phase == PHASE_OUT)
     assert len(ssurf.facets) == 0
@@ -157,7 +157,7 @@ def test_strip_removes_boundary_inclusions(disk):
 
 
 def test_interior_inclusions_survive_strip(disk):
-    mmesh, surf = tile_micro_domain(disk.mesh, disk.surf, 0.25,
+    mmesh, surf = tile_micro_domain(disk.mesh, 0.25,
                                     strip_boundary_inclusions=True)
     # 4x4 cells, the inner 2x2 block is untouched
     assert surf.n_components == 4
@@ -165,7 +165,7 @@ def test_interior_inclusions_survive_strip(disk):
 
 
 def test_boundary_vertices_on_boundary(disk):
-    mmesh, _ = tile_micro_domain(disk.mesh, disk.surf, 0.5,
+    mmesh, _ = tile_micro_domain(disk.mesh, 0.5,
                                  strip_boundary_inclusions=False)
     pts = mmesh.vertices[mmesh.boundary_vertices]
     on_face = np.any((np.abs(pts) <= 1e-12) | (np.abs(pts - 1.0) <= 1e-12),
@@ -178,7 +178,7 @@ def test_boundary_vertices_on_boundary(disk):
 
 
 def test_tube_tiling_keeps_connected_lattice(tube):
-    mmesh, surf = tile_micro_domain(tube.mesh, tube.surf, 0.5,
+    mmesh, surf = tile_micro_domain(tube.mesh, 0.5,
                                     strip_boundary_inclusions=True)
     # the connected lattice is never stripped, interfaces meet the boundary
     assert (mmesh.phase == PHASE_INT).sum() > 0

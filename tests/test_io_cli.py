@@ -138,7 +138,7 @@ def test_config_missing_file():
     (lambda: macro._resample_kernel(np.zeros((3, 2, 2)), TimeGrid(0.2, 0.1),
                                     np.array([0.0, 0.5])), ConfigInvalid),
     (lambda: macro.build_macro_mesh(4, 1), WrongGeometryClass),
-    (lambda: micro.convergence_study("kgt1", [0.5], cell_mesh=None, surf=None,
+    (lambda: micro.convergence_study("kgt1", [0.5], cell_mesh=None,
                                      coeffs=None, k=2.0,
                                      grid=TimeGrid(0.1, 0.05)),
      MissingArtifact),
@@ -676,7 +676,7 @@ def _study_in_memory(cfg_path, out):
             "kernel": (cfg.kernel_grid.t_end, cfg.kernel_grid.step)})
         fld = macro.solve_homogenized_memory(prob)
     return micro.convergence_study(
-        cfg.regime, cfg.eps_list, cell_mesh=mesh, surf=surf,
+        cfg.regime, cfg.eps_list, cell_mesh=mesh,
         coeffs=cfg.coeffs, k=cfg.k, grid=cfg.macro_grid,
         u0_bar=cfg.u0_function(), source=cfg.source_function(),
         macro_mesh=mmesh, macro_field=fld, strip=cfg.topology == "cd").csv()

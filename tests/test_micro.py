@@ -1,10 +1,10 @@
 """Micro and membrane solvers, local averaging, study drivers.
 
-The sharpest oracle is operator equivalence: at eps = 1 with periodic
-boundary handling the micro march IS the cell relaxation, and it must agree
-bitwise with the bulk march the cell correctors once used.  Everything else
-is structural: exact Dirichlet rows, quasi-static collapse without
-interfaces, P1-exact cell averages.
+The tests here are structural: exact Dirichlet rows, dissipated surface
+and band energies, the pinned membrane band, quasi-static collapse without
+interfaces, the step solver chosen by dimension, P1-exact cell averages.
+The one march both solvers share is pinned to the former solve_micro and
+solve_membrane in tests/test_equivalence.py.
 """
 import pathlib
 
@@ -12,18 +12,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bh import cell, fem, geometry, micro
+from bh import cell, fem, micro
 from bh.errors import MissingArtifact, WrongGeometryClass
 from bh.geometry import PHASE_MEMBRANE, build_membrane_cell, tile_micro_domain
 from bh.timegrid import TimeGrid
 
 from conftest import sin_product
-from test_equivalence import MARCH_RTOL, column_march
 
 
 @pytest.fixture(scope="module")
 def disk_tiled(disk):
-    mesh, surf = tile_micro_domain(disk.mesh, disk.surf, 0.5,
+    mesh, surf = tile_micro_domain(disk.mesh, 0.5,
                                    strip_boundary_inclusions=False)
     return mesh, surf
 
@@ -39,32 +38,6 @@ def disk_field(disk, disk_tiled):
 # ---------------------------------------------------------------------------
 # micro marches
 # ---------------------------------------------------------------------------
-
-def test_micro_periodic_mode_equals_cell_relaxation(disk):
-    """eps = 1 + periodic pairs: same operator as the cell evolution.
-
-    The micro march solves the bulk system every step, like the former cell
-    march kept as column_march, and matches it bitwise; the cell correctors
-    now march on the interface and agree to MARCH_RTOL.
-    """
-    sys = disk.system
-    grid = TimeGrid(0.1, 0.02)
-    ref, _ = column_march(sys, disk.funcs.v[0], grid)
-    got, _ = cell.evolve_surface_coupled(sys, disk.funcs.v[0], grid)
-    assert np.abs(got - ref).max() <= MARCH_RTOL * max(np.abs(ref).max(), 1.0)
-
-    mmesh = geometry.MicroMesh(vertices=disk.mesh.vertices,
-                               simplices=disk.mesh.simplices,
-                               phase=disk.mesh.phase, eps=1.0,
-                               boundary_vertices=np.zeros(0, dtype=np.int64),
-                               interface=disk.surf)
-    init = disk.funcs.v[0]
-    run = micro.MicroRun(mesh=mmesh, coeffs=disk.coeffs, k=1.0, grid=grid,
-                         u0_bar=lambda pts: init[sys.vdof],
-                         periodic_pairs=disk.mesh.periodic_pairs)
-    fld = micro.solve_micro(run)
-    assert np.abs(fld.levels - ref[:, sys.vdof]).max() == 0.0
-
 
 def test_micro_dirichlet_rows_exact(disk_field, disk_tiled):
     mesh, _ = disk_tiled
@@ -83,7 +56,7 @@ def test_micro_surface_energy_dissipates(disk, disk_field):
 
 def test_micro_rejects_membrane_mesh(disk):
     bc, bs = build_membrane_cell(disk.spec, 0.2)
-    bm, _ = tile_micro_domain(bc, bs, 0.5, strip_boundary_inclusions=False)
+    bm, _ = tile_micro_domain(bc, 0.5, strip_boundary_inclusions=False)
     run = micro.MicroRun(mesh=bm, coeffs=disk.coeffs, k=1.0,
                          grid=TimeGrid(0.1, 0.05), u0_bar=sin_product)
     with pytest.raises(WrongGeometryClass):
@@ -94,7 +67,7 @@ def test_interface_free_mesh_is_quasi_static(disk):
     # stripping at eps = 1/2 removes every inclusion; the initial datum
     # enters only through its interface trace, so the whole march is the
     # trivial steady state of the source-free conduction problem
-    mesh, _ = tile_micro_domain(disk.mesh, disk.surf, 0.5,
+    mesh, _ = tile_micro_domain(disk.mesh, 0.5,
                                 strip_boundary_inclusions=True)
     run = micro.MicroRun(mesh=mesh, coeffs=disk.coeffs, k=0.0,
                          grid=TimeGrid(0.1, 0.05), u0_bar=sin_product)
@@ -134,7 +107,7 @@ def test_micro_step_solver_follows_dimension(built_solvers, disk, disk_tiled,
                                              tube):
     # no initial datum, so no harmonic-extension factor: the one solver
     # built is the step solver; the 3D tiling has 3,349 dofs
-    tube_tiled, _ = tile_micro_domain(tube.mesh, tube.surf, 0.5,
+    tube_tiled, _ = tile_micro_domain(tube.mesh, 0.5,
                                       strip_boundary_inclusions=False)
     cases = ((disk_tiled[0], disk.coeffs, "DirichletFactor"),
              (tube_tiled, tube.coeffs, "CGSolver"))
@@ -147,7 +120,7 @@ def test_micro_step_solver_follows_dimension(built_solvers, disk, disk_tiled,
 
 def test_membrane_step_solver_follows_dimension(built_solvers, disk):
     bc, bs = build_membrane_cell(disk.spec, 0.2)
-    bm, _ = tile_micro_domain(bc, bs, 0.5, strip_boundary_inclusions=False)
+    bm, _ = tile_micro_domain(bc, 0.5, strip_boundary_inclusions=False)
     micro.solve_membrane(micro.MembraneRun(mesh=bm, coeffs=disk.coeffs,
                                            grid=TimeGrid(0.1, 0.05)))
     assert built_solvers == ["DirichletFactor"]
@@ -175,7 +148,7 @@ def test_no_dof_count_solver_limit_left():
 
 def test_membrane_march_dissipates(disk):
     bc, bs = build_membrane_cell(disk.spec, 0.2)
-    bm, _ = tile_micro_domain(bc, bs, 0.5, strip_boundary_inclusions=False)
+    bm, _ = tile_micro_domain(bc, 0.5, strip_boundary_inclusions=False)
     fld = micro.solve_membrane(micro.MembraneRun(mesh=bm, coeffs=disk.coeffs,
                                                  grid=TimeGrid(0.2, 0.02),
                                                  u0_bar=sin_product))
@@ -187,7 +160,7 @@ def test_membrane_march_dissipates(disk):
 
 def test_membrane_initial_state_pins_band(disk):
     bc, bs = build_membrane_cell(disk.spec, 0.2)
-    bm, _ = tile_micro_domain(bc, bs, 0.5, strip_boundary_inclusions=False)
+    bm, _ = tile_micro_domain(bc, 0.5, strip_boundary_inclusions=False)
     fld = micro.solve_membrane(micro.MembraneRun(mesh=bm, coeffs=disk.coeffs,
                                                  grid=TimeGrid(0.1, 0.05),
                                                  u0_bar=sin_product))
@@ -292,6 +265,6 @@ def test_study_report_monotone_flag_and_csv():
 def test_convergence_study_requires_reference(disk):
     with pytest.raises(MissingArtifact):
         micro.convergence_study("k1_connected_disconnected", [0.5],
-                                cell_mesh=disk.mesh, surf=disk.surf,
+                                cell_mesh=disk.mesh,
                                 coeffs=disk.coeffs, k=1.0,
                                 grid=TimeGrid(0.1, 0.05))
