@@ -130,9 +130,9 @@ class CellSystem:
         if self._trace_factors is None:
             self._trace_factors = [None] * self.m
         if self._trace_factors[c] is None:
-            self._trace_factors[c] = fem.MeanZeroFactor(
+            self._trace_factors[c] = fem.DirichletFactor(
                 _restrict(self.S1, self.comp_dofs[c]),
-                self.comp_w[c][self.comp_dofs[c]])
+                weights=self.comp_w[c][self.comp_dofs[c]])
         return self._trace_factors[c]
 
     @property
@@ -315,7 +315,7 @@ def solve_v_init(system: CellSystem, chi0: np.ndarray):
     The right hand side is the full-stiffness residual of chi0 on the
     interface dofs.  On closed (non-wrapping) components its mean must
     vanish to 1e-8 * |Gamma_i|; wrapping components of layered cells carry
-    a structural imbalance that is removed by per-component projection.
+    a structural imbalance, which the weighted trace factor projects out.
     """
     sys = system
     N, nd = sys.dim, sys.nd
@@ -324,16 +324,13 @@ def solve_v_init(system: CellSystem, chi0: np.ndarray):
         L = -(sys.K @ chi0[j] + sys.b_dir[j])
         for c in range(sys.m):
             dofs = sys.comp_dofs[c]
-            Lc = L[dofs].copy()
+            Lc = L[dofs]
             total = Lc.sum()
             if not sys.wrapping[c] and abs(total) > 1e-8 * sys.comp_area[c]:
                 raise CompatibilityViolated(
                     f"surface data on closed component {c} has mean "
                     f"{total:.3e} > 1e-8 * |Gamma_{c}|")
-            wc = sys.comp_w[c][dofs]
-            Lc -= total * wc / wc.sum()
-            vc = sys.trace_factor(c).solve(Lc / sys.coeffs.alpha)
-            v[j, dofs] = vc
+            v[j, dofs] = sys.trace_factor(c).solve(Lc / sys.coeffs.alpha)
     return v
 
 
@@ -421,7 +418,7 @@ def evolve_surface_coupled(system: CellSystem, surface_init: np.ndarray,
 def solve_chi0_tilde(system: CellSystem) -> np.ndarray:
     """Periodic correctors of plain two-phase diffusion (no interface law)."""
     sys = system
-    fac = fem.MeanZeroFactor(sys.K, sys.vol_w)
+    fac = fem.DirichletFactor(sys.K, weights=sys.vol_w)
     out = np.zeros((sys.dim, sys.nd))
     for j in range(sys.dim):
         out[j] = fac.solve(-sys.b_dir[j])

@@ -56,7 +56,9 @@ class WrongGeometryClass(BHError):
 
 
 class SingularStep(BHError):
-    """The macroscopic time stepping matrix is singular."""
+    """A macroscopic system cannot be solved: its tensor (the step tensor
+    C0/dt + A + dt/2 B0(0), or the elliptic tensor) is not symmetric
+    positive definite, or its factorization or a solve failed."""
 
 
 class ConfigInvalid(BHError):

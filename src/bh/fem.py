@@ -6,11 +6,13 @@ discretize the tangential (interface) gradient on the facet triangulation,
 using intrinsic facet coordinates, and agree with the projected gradient
 (I - nu nu^T) grad up to roundoff.
 
-Constrained solves come in two flavours: a single dense Lagrange row for
-mean-zero problems (volume weights for bulk, per-component surface weights
-on interfaces) and row elimination for Dirichlet conditions.  Direct
-factorizations (SuperLU) serve the cell problems and 2D micro marches; 3D
-micro marches use diagonally preconditioned conjugate gradients.
+Every direct solve goes through one SuperLU factor, DirichletFactor.  It
+eliminates the rows of Dirichlet dofs; for the periodic and surface
+operators, whose kernel is the constants, it pins one dof, projects the
+load and restores a zero weighted mean (volume weights for bulk,
+per-component surface weights on interfaces).  It serves the cell
+problems, the 2D micro marches and the macro limits; 3D micro marches use
+diagonally preconditioned conjugate gradients.
 """
 
 import numpy as np
@@ -231,63 +233,54 @@ def residual_check(K, x, b, tol=1e-10):
         raise SingularSystem(f"relative residual {worst:.3e} exceeds {tol:.0e}")
 
 
-class MeanZeroFactor:
-    """Factorized bordered system [[K, w], [w^T, 0]] for repeated solves.
-
-    solve takes one right-hand side of length n or a block (n, k) of them,
-    one per column; every check applies to each column.
-    """
-
-    def __init__(self, K: sp.spmatrix, weights: np.ndarray):
-        n = K.shape[0]
-        w = sp.csc_matrix(weights.reshape(-1, 1))
-        A = sp.bmat([[K.tocsc(), w], [w.T, None]], format="csc")
-        try:
-            self.lu = spla.splu(A)
-        except RuntimeError as exc:
-            raise SingularSystem(f"bordered factorization failed: {exc}") from exc
-        self.K = K.tocsr()
-        self.w = weights
-        self.n = n
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        rhs = np.concatenate([b, np.zeros((1,) + b.shape[1:])])
-        xz = self.lu.solve(rhs)
-        x = xz[:self.n]
-        # K x + mu w = b, so the unconstrained residual is against b - mu w
-        w = self.w.reshape((-1,) + (1,) * (b.ndim - 1))
-        residual_check(self.K, x, b - xz[self.n] * w)
-        mean = np.abs(self.w @ x) / max(float(np.abs(self.w).sum()), 1e-300)
-        if np.max(mean) > 1e-12:
-            raise SingularSystem(
-                f"mean-zero constraint violated by {np.max(mean):.3e}")
-        return x
+def _split(K, fixed):
+    """Fixed and free dofs, and the free rows of K (CSC) split into their
+    free and fixed columns."""
+    fixed = np.asarray(fixed, dtype=np.int64)
+    mask = np.ones(K.shape[0], dtype=bool)
+    mask[fixed] = False
+    free = np.where(mask)[0]
+    Kr = K.tocsc()[free]
+    return fixed, free, Kr[:, free], Kr[:, fixed]
 
 
 class DirichletFactor:
-    """Factorized reduced system for repeated solves with fixed dofs.
+    """SuperLU factor of K on its free dofs, for repeated solves.
 
-    solve takes one right-hand side of length n or a block (n, k), with
-    fixed values of matching shape; the residual check applies per column.
+    With fixed dofs, solve eliminates their rows and columns and takes the
+    fixed values given (zero by default).  With weights w, K must be
+    singular with the constants as its kernel: the factor pins one dof
+    (the largest weight) in place of fixed, and solve returns the x with
+    w^T x = 0 that solves K x = b - (sum b / sum w) w, the solution of the
+    bordered system [[K, w], [w^T, 0]] [x; mu] = [b; 0].  solve takes one
+    right-hand side of length n or a block (n, k), with fixed values of
+    matching shape; every check applies per column: the residual of the
+    reduced system (of the whole K with weights, which rejects a K whose
+    kernel is not the constants) to 1e-10 of the right-hand side, and with
+    weights the mean w^T x to 1e-12 of sum |w|.
     """
 
-    def __init__(self, K: sp.spmatrix, fixed: np.ndarray):
-        n = K.shape[0]
-        self.fixed = np.asarray(fixed, dtype=np.int64)
-        mask = np.ones(n, dtype=bool)
-        mask[self.fixed] = False
-        self.free = np.where(mask)[0]
-        Kr = K.tocsc()[self.free]
-        self.Kff = Kr[:, self.free]
-        self.Kfc = Kr[:, self.fixed]
+    def __init__(self, K: sp.spmatrix, fixed=(), weights=None):
+        self.w = weights
+        self.K = None
+        if weights is not None:
+            fixed = [int(np.argmax(weights))]
+            self.K = K.tocsr()
+        self.n = K.shape[0]
+        self.fixed, self.free, self.Kff, self.Kfc = _split(K, fixed)
         if len(self.free):
             try:
                 self.lu = spla.splu(self.Kff.tocsc())
             except RuntimeError as exc:
-                raise SingularSystem(f"reduced factorization failed: {exc}") from exc
-        self.n = n
+                raise SingularSystem(f"factorization failed: {exc}") from exc
 
     def solve(self, b: np.ndarray, fixed_values=None) -> np.ndarray:
+        if self.w is not None:
+            b = b - np.multiply.outer(self.w, b.sum(axis=0) / self.w.sum())
+            # the pinned row is left out of the solve: let it take the
+            # rounding of the projection, so sum b = 0 holds to roundoff of
+            # the projected load even when that load is itself roundoff
+            b[self.fixed] -= b.sum(axis=0)
         x = np.zeros((self.n,) + b.shape[1:])
         if fixed_values is not None:
             x[self.fixed] = fixed_values
@@ -295,11 +288,15 @@ class DirichletFactor:
             return x
         rhs = b[self.free] - (self.Kfc @ x[self.fixed])
         x[self.free] = self.lu.solve(rhs)
-        r = self.Kff @ x[self.free] - rhs
-        scale = np.maximum(np.maximum(np.linalg.norm(rhs, axis=0),
-                                      np.linalg.norm(b, axis=0)), 1e-300)
-        if np.any(np.linalg.norm(r, axis=0) / scale > 1e-10):
-            raise SingularSystem("Dirichlet solve residual above 1e-10")
+        if self.w is None:
+            residual_check(self.Kff, x[self.free], rhs)
+            return x
+        x -= (self.w @ x) / self.w.sum()
+        residual_check(self.K, x, b)
+        mean = np.abs(self.w @ x) / max(float(np.abs(self.w).sum()), 1e-300)
+        if np.max(mean) > 1e-12:
+            raise SingularSystem(
+                f"mean-zero constraint violated by {np.max(mean):.3e}")
         return x
 
 
@@ -307,19 +304,13 @@ class CGSolver:
     """Diagonally preconditioned CG on a fixed SPD reduced system."""
 
     def __init__(self, K: sp.spmatrix, fixed: np.ndarray):
-        n = K.shape[0]
-        self.fixed = np.asarray(fixed, dtype=np.int64)
-        mask = np.ones(n, dtype=bool)
-        mask[self.fixed] = False
-        self.free = np.where(mask)[0]
-        Kr = K.tocsc()[self.free]
-        self.Kff = Kr[:, self.free].tocsr()
-        self.Kfc = Kr[:, self.fixed].tocsr()
+        self.fixed, self.free, Kff, Kfc = _split(K, fixed)
+        self.Kff, self.Kfc = Kff.tocsr(), Kfc.tocsr()
         d = self.Kff.diagonal()
         if np.any(d <= 0):
             raise SingularSystem("nonpositive diagonal in CG system")
         self.M = sp.diags(1.0 / d)
-        self.n = n
+        self.n = K.shape[0]
         self._warm = None
 
     def solve(self, b, fixed_values=None) -> np.ndarray:
@@ -332,9 +323,7 @@ class CGSolver:
                             maxiter=50 * max(1, len(self.free)), M=self.M)
         if info != 0:
             raise SolverFailure(f"CG failed to converge (info={info})")
-        r = self.Kff @ sol - rhs
-        if np.linalg.norm(r) > 1e-10 * max(np.linalg.norm(rhs), 1e-300):
-            raise SolverFailure("CG residual above 1e-10")
+        residual_check(self.Kff, sol, rhs)
         self._warm = sol.copy()
         x[self.free] = sol
         return x

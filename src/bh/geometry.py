@@ -143,7 +143,8 @@ class MicroMesh:
     phase: np.ndarray
     eps: float
     boundary_vertices: np.ndarray  # indices of vertices on the outer boundary
-    interface: SurfaceMesh         # facets between the phases of this tiling
+    interface: SurfaceMesh         # facets between the phases of this tiling;
+                                   # None for membrane tilings
     eta: float = 0.0               # nonzero for tiled membrane cells
 
     @property
@@ -813,7 +814,8 @@ def tile_micro_domain(mesh: CellMesh, eps: float,
     the boundary; pass strip_boundary_inclusions=False to keep them.
 
     Returns (micro, micro.interface): the tiled mesh carries its interface,
-    extracted once here without periodic pairs.
+    extracted once here without periodic pairs.  A membrane cell's tiling
+    carries None: solve_membrane reads the band, never an interface.
     """
     m = int(round(1.0 / eps))
     if m < 1 or abs(m * eps - 1.0) > 1e-12:
@@ -822,8 +824,8 @@ def tile_micro_domain(mesh: CellMesh, eps: float,
     nv = mesh.vertices.shape[0]
 
     # membranes only exist around disconnected inclusions
-    inclusions_disconnected = (bool(np.any(mesh.phase == PHASE_MEMBRANE))
-                               or _looks_disconnected(mesh))
+    membrane = bool(np.any(mesh.phase == PHASE_MEMBRANE))
+    inclusions_disconnected = membrane or _looks_disconnected(mesh)
 
     # table of (axis, low) entries per high vertex, in periodic_pairs order
     pairs = np.asarray(mesh.periodic_pairs, dtype=np.int64).reshape(-1, 3)
@@ -872,7 +874,9 @@ def tile_micro_domain(mesh: CellMesh, eps: float,
         phase[np.repeat(on_boundary, ne)
               & ((phase == PHASE_INT) | (phase == PHASE_MEMBRANE))] = PHASE_OUT
 
-    if np.all(phase == PHASE_OUT):
+    if membrane:
+        micro_surf = None
+    elif np.all(phase == PHASE_OUT):
         micro_surf = SurfaceMesh(facets=np.zeros((0, dim), dtype=np.int64),
                                  normals=np.zeros((0, dim)),
                                  component=np.zeros(0, dtype=np.int64),

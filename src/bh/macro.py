@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fem
-from .errors import ConfigInvalid, SingularStep, WrongGeometryClass
+from .errors import (ConfigInvalid, SingularStep, SingularSystem,
+                     WrongGeometryClass)
 from .geometry import kuhn_tetrahedra
 from .timegrid import TimeGrid
 
@@ -53,11 +53,6 @@ class MacroMesh:
     dim: int
     vols: np.ndarray       # signed element volumes
     mats: dict             # component stiffness matrices K_ab, see below
-
-    def interior(self):
-        mask = np.ones(len(self.vertices), dtype=bool)
-        mask[self.boundary] = False
-        return np.where(mask)[0]
 
 
 def build_macro_mesh(n: int, dim: int = 2) -> MacroMesh:
@@ -171,24 +166,23 @@ def _phi_loads(mesh, u0):
                      for j in range(mesh.dim) for h in range(mesh.dim)])
 
 
-def _factor_spd(A_ff, label):
-    """Factor a symmetric matrix, insisting on positive definiteness.
+def _tensor_factor(mesh, M, label):
+    """Factor K_M on the interior dofs, insisting on an SPD tensor M.
 
-    With diagonal pivoting disabled the U diagonal of the LU factorization
-    carries the LDL^T pivots, so any nonpositive entry exposes an
-    indefinite or singular step matrix.
+    x^T K_M x is the integral of grad(u)^T M grad(u) for the P1 field u
+    with nodal values x, so K_M is positive definite on the interior dofs
+    of any mesh when M is, and an indefinite K_M implies an indefinite M:
+    checking the N x N tensor suffices.
     """
-    asym = abs(A_ff - A_ff.T).max() if A_ff.nnz else 0.0
-    if asym > 1e-10 * max(abs(A_ff).max(), 1e-300):
-        raise SingularStep(f"{label} lost symmetry")
+    if not abs(M - M.T).max() <= 1e-10 * max(abs(M).max(), 1e-300):
+        raise SingularStep(f"{label} tensor is not finite and symmetric")
+    if np.linalg.eigvalsh(M).min() <= 0.0:
+        raise SingularStep(f"{label} tensor is not positive definite")
     try:
-        lu = spla.splu(A_ff.tocsc(), diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SingularStep(f"{label} is singular: {exc}") from exc
-    if lu.U.diagonal().min() <= 0.0:
-        raise SingularStep(f"{label} is not positive definite")
-    return lu
+        return fem.DirichletFactor(_tensor_stiffness(mesh.mats, M),
+                                   mesh.boundary)
+    except SingularSystem as exc:
+        raise SingularStep(f"{label}: {exc}") from exc
 
 
 def _resample_kernel(samples, kernel_grid: TimeGrid, lags: np.ndarray):
@@ -236,10 +230,8 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
     else:
         Phi_res = None
 
-    free = mesh.interior()
-    step_mat = (K_C / dt + K_A + (dt / 2.0) * _tensor_stiffness(mats, B_res[0]))
-    A_ff = step_mat.tocsc()[free][:, free]
-    lu = _factor_spd(A_ff, "macro step matrix")
+    fac = _tensor_factor(mesh, C0 / dt + A_inst + (dt / 2.0) * B_res[0],
+                         "macro step")
 
     V, S = mesh.vertices, mesh.simplices
     vdof = fem.identity_dof_map(nv)
@@ -277,10 +269,10 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
             rhs += Phi_res[n].ravel() @ phi_loads
         if mass is not None:
             rhs += mass * problem.source(V, grid.times[n])
-        U[n, free] = lu.solve(rhs[free])
-        r = A_ff @ U[n, free] - rhs[free]
-        if np.linalg.norm(r) > 1e-8 * max(np.linalg.norm(rhs[free]), 1e-300):
-            raise SingularStep(f"macro step {n} residual too large")
+        try:
+            U[n] = fac.solve(rhs)
+        except SingularSystem as exc:
+            raise SingularStep(f"macro step {n}: {exc}") from exc
         H[n] = U[n]
         energy[n] = float(U[n] @ (K_A @ U[n]))
 
@@ -307,10 +299,7 @@ def solve_homogenized_elliptic(problem: MacroProblem) -> TransientField:
     if problem.regime not in ("klt1", "kgt1"):
         raise WrongGeometryClass(f"elliptic solver got regime {problem.regime}")
 
-    K = _tensor_stiffness(mesh.mats, problem.A_elliptic)
-    free = mesh.interior()
-    K_ff = K.tocsc()[free][:, free]
-    lu = _factor_spd(K_ff, "elliptic macro matrix")
+    fac = _tensor_factor(mesh, problem.A_elliptic, "elliptic macro")
 
     V, S = mesh.vertices, mesh.simplices
     U = np.zeros((M + 1, nv))
@@ -320,6 +309,9 @@ def solve_homogenized_elliptic(problem: MacroProblem) -> TransientField:
         for n in range(M + 1):
             fvals = problem.source(V, grid.times[n])
             b = fem.lumped_load(load_w, S, fvals, vdof, nv)
-            U[n, free] = lu.solve(b[free])
+            try:
+                U[n] = fac.solve(b)
+            except SingularSystem as exc:
+                raise SingularStep(f"elliptic level {n}: {exc}") from exc
     return TransientField(levels=U, grid=grid,
                           diagnostics={"degenerate_zero_limit": False})

@@ -33,7 +33,8 @@ from scipy.spatial import cKDTree
 
 from . import fem, geometry
 from .cell import CellCoefficients
-from .errors import MissingArtifact, SolverFailure, WrongGeometryClass
+from .errors import (BHError, MissingArtifact, SolverFailure,
+                     WrongGeometryClass)
 from .formats import _F
 from .geometry import (PHASE_INT, PHASE_MEMBRANE, PHASE_OUT, MicroMesh,
                        tile_micro_domain)
@@ -111,7 +112,7 @@ def _march(K, Q, c, boundary, support, u0, grid, dim, K_unit, load=None):
             rhs = rhs + load(grid.times[n])
         try:
             X[n] = fac.solve(rhs, zeros_fixed)
-        except Exception as exc:
+        except BHError as exc:
             raise SolverFailure(f"march step {n} failed: {exc}") from exc
         quad[n] = float(X[n] @ (Q @ X[n]))
         bulk += dt * float(X[n] @ (K_unit @ X[n]))

@@ -33,6 +33,17 @@ with the Phi and f loads scattered every step; it is now one contraction
 with loads built once.
 Both are pinned to their loops within the tolerances stated below.
 
+The mean-zero cell solves once factored the bordered system
+[[K, w], [w^T, 0]]; fem.DirichletFactor now pins one dof, projects the
+load and restores the mean.  The bordered factor survives as the oracle,
+and also drives the former column march: on every geometry the pinned
+solves must match it within the tolerance stated below.  The macro step
+matrix was once factored in SuperLU's symmetric mode without pivoting; the
+level loop oracle keeps that factor.
+
+Membrane tilings once extracted an interface that solve_membrane never
+read; they now carry none, and the membrane levels stay bitwise equal.
+
 The tube cell and the 3D macro grid once each built their Kuhn tetrahedra
 in a nested loop over cubes and permutations; both now take them from one
 array routine.  The macro grids build their vertices and 2D triangles with
@@ -47,11 +58,13 @@ per entry.  Both are now products with assembled operators (the stiffness,
 the directional loads, the component matrices).  The element-gradient
 routes survive here as oracles for every rewritten tensor and the loads.
 """
+import dataclasses
 from collections import defaultdict
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bh import cell, fem, formats, geometry, macro, micro, tensors
 from bh.geometry import (PHASE_INT, PHASE_MEMBRANE, PHASE_OUT,
@@ -263,6 +276,21 @@ def loop_read_mesh(path):
     }
 
 
+class BorderedFactor:
+    """The former fem.MeanZeroFactor: one SuperLU factor of the bordered
+    system [[K, w], [w^T, 0]]; solve returns x of [x; mu]."""
+
+    def __init__(self, K, weights):
+        w = sp.csc_matrix(weights.reshape(-1, 1))
+        self.lu = spla.splu(sp.bmat([[K.tocsc(), w], [w.T, None]],
+                                    format="csc"))
+        self.n = K.shape[0]
+
+    def solve(self, b):
+        return self.lu.solve(
+            np.concatenate([b, np.zeros((1,) + b.shape[1:])]))[:self.n]
+
+
 def column_march(sys, trace, grid):
     """The former evolve_surface_coupled: one trace, a bulk harmonic
     extension, then one bordered bulk solve per step."""
@@ -273,7 +301,7 @@ def column_march(sys, trace, grid):
     x0 -= sys.vol_w @ x0
     X[0] = x0
     c = sys.coeffs.alpha / dt
-    A = fem.MeanZeroFactor(sys.K + c * sys.S1, sys.vol_w)
+    A = BorderedFactor(sys.K + c * sys.S1, sys.vol_w)
     energy = np.empty(n + 1)
     energy[0] = sys.coeffs.alpha * float(x0 @ (sys.S1 @ x0))
     for k in range(1, n + 1):
@@ -284,7 +312,8 @@ def column_march(sys, trace, grid):
 
 def loop_memory_march(problem):
     """The former solve_homogenized_memory: a Python loop over the stored
-    levels for the history, and the Phi and f loads scattered every step."""
+    levels for the history, the Phi and f loads scattered every step, and
+    the step matrix factored in SuperLU's symmetric mode without pivoting."""
     mesh, grid = problem.mesh, problem.grid
     dim, dt, M = mesh.dim, problem.grid.step, problem.grid.n_steps
     nv = len(mesh.vertices)
@@ -304,11 +333,12 @@ def loop_memory_march(problem):
     if problem.F_coeffs is not None:
         Phi_res = macro._resample_kernel(problem.F_coeffs, problem.kernel_grid,
                                          lags)
-    free = mesh.interior()
+    free = np.setdiff1d(np.arange(nv), mesh.boundary)
     step_mat = (K_C / dt + K_A
                 + (dt / 2.0) * macro._tensor_stiffness(mats, B_res[0]))
     A_ff = step_mat.tocsc()[free][:, free]
-    lu = macro._factor_spd(A_ff, "macro step matrix")
+    lu = spla.splu(A_ff, diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
 
     V, S = mesh.vertices, mesh.simplices
     grads, vols = fem.element_gradients(V, S)
@@ -707,7 +737,9 @@ def test_tiling_matches_loop(request, name, eps, strip):
     _assert_same(micro.simplices, simplices)
     _assert_same(micro.phase, phase)
     assert micro_surf is micro.interface
-    if np.all(phase == PHASE_OUT):
+    if name == "membrane":
+        assert micro_surf is None
+    elif np.all(phase == PHASE_OUT):
         assert len(micro_surf.facets) == 0
     else:
         _assert_same_surface(micro_surf,
@@ -839,6 +871,34 @@ def test_membrane_march_matches_former_solve_membrane(disk, eta, eps, strip):
         got = np.asarray(fld.diagnostics[key])
         assert np.all(ref > 0.0)
         assert np.all(np.abs(got - ref) <= MEMBRANE_RTOL * ref), key
+
+
+def test_membrane_tiling_extracts_no_interface(monkeypatch, disk, membrane):
+    # solve_membrane reads the band, never an interface, so membrane tilings
+    # carry none; the levels match those of the tiling with its interface
+    calls = []
+    original = geometry.extract_interface
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "extract_interface", counting)
+    for eps, strip in ((0.5, False), (1.0 / 3.0, True)):
+        tiled, surf = tile_micro_domain(membrane[0], eps,
+                                        strip_boundary_inclusions=strip)
+        assert surf is None and tiled.interface is None
+        assert calls == []
+        run = micro.MembraneRun(mesh=tiled, coeffs=disk.coeffs,
+                                grid=TimeGrid(0.2, 0.05), u0_bar=sin_product)
+        with_surf = dataclasses.replace(tiled, interface=original(
+            tiled.vertices, tiled.simplices, tiled.phase, None))
+        got = micro.solve_membrane(run)
+        ref = micro.solve_membrane(dataclasses.replace(run, mesh=with_surf))
+        _assert_bitwise(got.levels, ref.levels)
+        for key in ("membrane_energy", "energy_bulk", "energy_surface"):
+            _assert_bitwise(np.atleast_1d(got.diagnostics[key]),
+                            np.atleast_1d(ref.diagnostics[key]))
 
 
 # ---------------------------------------------------------------------------
@@ -977,13 +1037,46 @@ def test_kernels_match_column_march_kernels(request, name):
 
 
 # ---------------------------------------------------------------------------
+# mean-zero solves: one pinned dof against the bordered system
+# ---------------------------------------------------------------------------
+
+# The pinned factor solves another (smaller) sparse system than the bordered
+# one and restores the mean afterwards, so the two agree to roundoff, not
+# bitwise.  The largest gap measured on these cases was 2.8e-14 of max|x|
+# (the whole tube cell K); on the components' S1 it was at most 4.7e-15.
+WEIGHTED_RTOL = 1e-12
+
+
+def _weighted_systems(sys):
+    yield sys.K, sys.vol_w, -sys.b_dir.T
+    for dofs, w in zip(sys.comp_dofs, sys.comp_w):
+        yield cell._restrict(sys.S1, dofs), w[dofs], None
+
+
+@pytest.mark.parametrize("name", ["disk", "layered", "tube"])
+def test_weighted_factor_matches_bordered_system(request, name):
+    sys = request.getfixturevalue(name).system
+    rng = np.random.default_rng(3)
+    for K, w, loads in _weighted_systems(sys):
+        B = rng.standard_normal((K.shape[0], 3))
+        B -= np.outer(w, B.sum(axis=0) / w.sum())   # compatible loads
+        if loads is not None:
+            B = np.hstack([B, loads])
+        got = fem.DirichletFactor(K, weights=w).solve(B)
+        ref = BorderedFactor(K, w).solve(B)
+        assert np.abs(got - ref).max() <= WEIGHTED_RTOL * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
 # macro memory march: one history contraction against the level loop
 # ---------------------------------------------------------------------------
 
 # The contraction and the recombined loads sum in another order than the
-# loop and the per-step scatter, so the levels agree to roundoff.  The
-# largest gap measured over these cases was 4.4e-16 of max|U|; where the
-# data are all zero both marches give exact zeros.
+# loop and the per-step scatter, and the step matrix is K_M of the combined
+# step tensor, factored with COLAMD and partial pivoting, so the levels agree
+# to roundoff.  The largest gap measured over these cases was 8.8e-15 of
+# max|U| (4.4e-16 while both sides used the symmetric-mode factor); where
+# the data are all zero both marches give exact zeros.
 MACRO_RTOL = 1e-12
 
 

@@ -7,6 +7,7 @@ form reproduces closed-form integrals of affine fields.
 """
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -63,7 +64,8 @@ def test_interior_residual_of_affine_fields_vanishes(a, b, c):
     u = a + b * mesh.vertices[:, 0] + c * mesh.vertices[:, 1]
     r = K @ u
     scale = max(abs(a) + abs(b) + abs(c), 1.0)
-    assert np.abs(r[mesh.interior()]).max() <= 1e-12 * scale
+    interior = np.setdiff1d(np.arange(nv), mesh.boundary)
+    assert np.abs(r[interior]).max() <= 1e-12 * scale
 
 
 @given(a=coef, b=coef, c=coef)
@@ -181,16 +183,40 @@ def test_mean_zero_factor(disk):
     rng = np.random.default_rng(5)
     b = rng.standard_normal(sys.nd)
     b -= sys.vol_w * (b.sum() / sys.vol_w.sum())  # compatible right side
-    fac = fem.MeanZeroFactor(sys.K, sys.vol_w)
+    fac = fem.DirichletFactor(sys.K, weights=sys.vol_w)
     x = fac.solve(b)
     assert abs(sys.vol_w @ x) <= 1e-10 * max(np.abs(x).max(), 1.0)
+
+
+def test_weighted_factor_solves_a_load_along_the_weights(disk):
+    # b = c w projects to roundoff, and the bordered system gives x = 0
+    # (mu = c); the wrapping layers of the layered cell load their trace
+    # problems this way
+    sys = disk.system
+    for K, w in ((sys.K, sys.vol_w),
+                 (sys.S1[sys.comp_dofs[0]][:, sys.comp_dofs[0]],
+                  sys.comp_w[0][sys.comp_dofs[0]])):
+        x = fem.DirichletFactor(K, weights=w).solve(np.pi * w)
+        assert np.abs(x).max() <= 1e-12
+
+
+def test_weighted_factor_rejects_a_nonsingular_matrix():
+    # with weights the factor pins one dof, which is exact only when the
+    # constants span the kernel of K; the full-K residual check catches the
+    # row the pin left unsolved (relative residual 0.62 here)
+    n = 6
+    K = sp.diags([-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)],
+                 [-1, 0, 1], format="csr")
+    fac = fem.DirichletFactor(K, weights=np.ones(n))
+    with pytest.raises(SingularSystem, match="relative residual"):
+        fac.solve(np.arange(n, dtype=float))
 
 
 def test_block_solves_match_column_solves(disk):
     # a (n, k) block solves column by column, each column checked on its own
     sys = disk.system
     B = np.random.default_rng(6).standard_normal((sys.nd, 3))
-    mean_zero = fem.MeanZeroFactor(sys.K, sys.vol_w)
+    mean_zero = fem.DirichletFactor(sys.K, weights=sys.vol_w)
     dirichlet = fem.DirichletFactor(sys.K, sys.gamma_dofs)
     for solve in (mean_zero.solve,
                   lambda b: dirichlet.solve(b, b[sys.gamma_dofs])):

@@ -567,6 +567,24 @@ def test_cli_tensors_builds_no_dirichlet_factor(tiny_cfg, tmp_path,
     assert built == []
 
 
+def _negative_definite_A0(lines):
+    return [("A0 " + formats._row(-1e3 * np.eye(2).ravel())
+             if ln.startswith("A0 ") else ln) for ln in lines]
+
+
+def test_cli_macro_indefinite_step_exits_1_without_traceback(upstream,
+                                                             tmp_path):
+    # k = 1: the step tensor C0/dt + lambda0 I + A0 + dt/2 B0(0) turns
+    # negative definite, and the macro solver refuses it before factoring
+    cfg, out = _copy_run(upstream, 1.0, tmp_path)
+    _rewrite(os.path.join(out, "tensors.bhtens"), _negative_definite_A0)
+    proc = _subprocess_bh("macro", cfg, out)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "not positive definite" in proc.stderr
+
+
 def test_cli_missing_artifact_exits_3(tiny_cfg, tmp_path):
     out = str(tmp_path / "empty")
     assert _run(["tensors", "--config", tiny_cfg, "--out", out]) == 3

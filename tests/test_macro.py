@@ -48,8 +48,8 @@ def test_macro_mesh_partitions():
         m = macro.build_macro_mesh(n, dim)
         total = np.abs(simplex_volumes(m.vertices, m.simplices)).sum()
         assert abs(total - 1.0) <= 1e-12
-        assert len(np.intersect1d(m.interior(), m.boundary)) == 0
-        assert len(m.interior()) + len(m.boundary) == len(m.vertices)
+        assert len(np.unique(m.boundary)) == len(m.boundary)
+        assert len(m.boundary) == (n + 1) ** dim - (n - 1) ** dim
 
 
 def test_one_element_geometry_pass_per_macro_mesh(monkeypatch):
@@ -199,6 +199,24 @@ def test_indefinite_step_matrix_rejected(mesh12):
         macro.solve_homogenized_memory(prob)
 
 
+# x^T K_M x integrates grad(u)^T M grad(u), so both solvers check the N x N
+# tensor: a nonsymmetric, indefinite or non-finite one is refused before
+# anything is factored
+BAD_TENSORS = {"nonsymmetric": np.array([[1.0, 1.0], [0.0, 1.0]]),
+               "indefinite": np.diag([2.0, -0.5]),
+               "nan": np.array([[np.nan, 0.0], [0.0, 1.0]])}
+
+
+@pytest.mark.parametrize("name", list(BAD_TENSORS))
+def test_memory_rejects_bad_step_tensor(mesh12, name):
+    # disconnected and without B0, the step tensor is lambda0 I + A0
+    prob = macro.MacroProblem(mesh=mesh12, regime="k1_connected_disconnected",
+                              grid=TimeGrid(0.2, 0.05), lambda0=1.0,
+                              A0=BAD_TENSORS[name] - np.eye(2), topology="cd")
+    with pytest.raises(SingularStep, match="macro step tensor"):
+        macro.solve_homogenized_memory(prob)
+
+
 def test_bad_regime_rejected(mesh12):
     with pytest.raises(WrongGeometryClass):
         macro.MacroProblem(mesh=mesh12, regime="k9", grid=TimeGrid(1.0, 0.5))
@@ -243,4 +261,14 @@ def test_elliptic_rejects_indefinite_tensor(mesh12):
                               A_elliptic=np.diag([-5.0, 0.0]), source=src,
                               topology="cd")
     with pytest.raises(SingularStep):
+        macro.solve_homogenized_elliptic(prob)
+
+
+@pytest.mark.parametrize("name", list(BAD_TENSORS))
+def test_elliptic_rejects_bad_tensor(mesh12, name):
+    prob = macro.MacroProblem(mesh=mesh12, regime="kgt1",
+                              grid=TimeGrid(0.2, 0.1),
+                              A_elliptic=BAD_TENSORS[name], source=src,
+                              topology="cd")
+    with pytest.raises(SingularStep, match="elliptic macro tensor"):
         macro.solve_homogenized_elliptic(prob)
