@@ -50,8 +50,8 @@ def main():
 
     rep = micro.convergence_study(
         "k1_connected_disconnected", args.eps, cell_mesh=mesh,
-        coeffs=coeffs, k=1.0, grid=grid, u0_bar=u0, macro_mesh=mm,
-        macro_field=field, strip=not args.keep_boundary)
+        cell_facets=surf.facets, coeffs=coeffs, k=1.0, grid=grid, u0_bar=u0,
+        macro_mesh=mm, macro_field=field, strip=not args.keep_boundary)
 
     text = rep.csv()
     if args.out:

@@ -58,6 +58,10 @@ def _load_cell_mesh(cfg, paths):
                              simplices=data["simplices"],
                              phase=data["phase"],
                              periodic_pairs=data["pairs"])
+    vols = mesh.volumes()
+    if np.any(vols <= 0.0) or abs(vols.sum() - 1.0) > 1e-12:
+        raise MissingArtifact(f"{paths['mesh']} does not tile the unit cell "
+                              "with positive elements; re-run bh mesh")
     surf = geometry.extract_interface(mesh.vertices, mesh.simplices,
                                       mesh.phase, mesh.periodic_pairs)
     return mesh, surf
@@ -176,6 +180,11 @@ def cmd_tensors(cfg, out, vtk):
     mesh, surf = _load_cell_mesh(cfg, paths)
     header, (t_end, dt), fields = formats.read_cell_archive(paths["cell"])
     _check_header(header, cfg, paths["cell"], "cell")
+    g = cfg.kernel_grid
+    if (t_end, dt) != (g.t_end, g.step):
+        raise MissingArtifact(f"{paths['cell']} has the time grid "
+                              f"{(t_end, dt)}, the config {(g.t_end, g.step)}"
+                              "; re-run bh cell")
     grid = TimeGrid(t_end, dt)
     sysm = cell.CellSystem(mesh, surf, cfg.coeffs)
     chi0, v, chi0_tilde, chi1, omega = _rebuild_funcs(
@@ -210,6 +219,12 @@ def cmd_macro(cfg, out, vtk):
     paths = _paths(out)
     header, tdata = formats.read_tensors(paths["tensors"])
     _check_header(header, cfg, paths["tensors"], "tensors")
+    g = cfg.kernel_grid
+    if (tdata["kernel"] != (g.t_end, g.step)
+            or len(tdata["B0"]) != g.n_steps + 1):
+        raise MissingArtifact(f"{paths['tensors']} does not sample the "
+                              f"kernel grid {(g.t_end, g.step)} of the "
+                              "config; re-run bh tensors")
     mesh, prob = _macro_problem(cfg, tdata)
     if cfg.regime.startswith("k1"):
         fld = macro.solve_homogenized_memory(prob)
@@ -252,12 +267,11 @@ _ENERGIES = ("energy_bulk", "energy_surface")
 
 def cmd_micro(cfg, out, vtk):
     paths = _paths(out)
-    mesh, _ = _load_cell_mesh(cfg, paths)
+    mesh, surf = _load_cell_mesh(cfg, paths)
     strip = cfg.topology == "cd"
     written = []
     for eps in cfg.eps_list:
-        mmesh, _ = geometry.tile_micro_domain(mesh, eps,
-                                              strip_boundary_inclusions=strip)
+        mmesh, _ = geometry.tile_micro_domain(mesh, surf.facets, eps, strip)
         run = micro.MicroRun(mesh=mmesh, coeffs=cfg.coeffs, k=cfg.k,
                              grid=cfg.macro_grid, u0_bar=cfg.u0_function(),
                              source=cfg.source_function())
@@ -302,7 +316,7 @@ def _read_field(cfg, path, kind, nv):
 
 def cmd_converge(cfg, out, vtk):
     paths = _paths(out)
-    mesh, _ = _load_cell_mesh(cfg, paths)
+    mesh, surf = _load_cell_mesh(cfg, paths)
     read = [paths["mesh"]]
     mmesh = fld = None
     if cfg.regime != "klt1":
@@ -313,8 +327,8 @@ def cmd_converge(cfg, out, vtk):
 
     def runs():
         for eps in sorted(cfg.eps_list, reverse=True):
-            tiled, _ = geometry.tile_micro_domain(
-                mesh, eps, strip_boundary_inclusions=strip)
+            tiled, _ = geometry.tile_micro_domain(mesh, surf.facets, eps,
+                                                  strip)
             path = _micro_path(out, eps)
             field = _read_field(cfg, path, "micro", len(tiled.vertices))
             read.append(path)
@@ -449,8 +463,7 @@ def _verify_checks(cfg):
         "trivial solution reproduced"
 
     eps0 = max(cfg.eps_list)
-    mmesh, _ = geometry.tile_micro_domain(mesh, eps0,
-                                          strip_boundary_inclusions=False)
+    mmesh, _ = geometry.tile_micro_domain(mesh, surf.facets, eps0, False)
     u0f = cfg.u0_function() or (lambda pts: np.sin(np.pi * pts[:, 0])
                                 * np.prod([np.sin(np.pi * pts[:, i])
                                            for i in range(1, N)], axis=0))
@@ -465,10 +478,9 @@ def _verify_checks(cfg):
     yield "micro_dirichlet_exact", okb, "boundary rows exactly zero"
 
     if cfg.geometry.kind == "Disk2D":
-        bc, _ = geometry.build_membrane_cell(cfg.geometry,
-                                             min(cfg.eta_list or (0.1,)))
-        bm, _ = geometry.tile_micro_domain(bc, eps0,
-                                           strip_boundary_inclusions=False)
+        bc, band_surf = geometry.build_membrane_cell(
+            cfg.geometry, min(cfg.eta_list or (0.1,)))
+        bm, _ = geometry.tile_micro_domain(bc, band_surf.facets, eps0, False)
         bf = micro.solve_membrane(micro.MembraneRun(mesh=bm, coeffs=coeffs,
                                                     grid=cfg.macro_grid,
                                                     u0_bar=u0f))

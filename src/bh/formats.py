@@ -143,30 +143,50 @@ def write_mesh(path, header, vertices, simplices, phase, surf=None, pairs=None):
 
 
 def read_mesh(path):
+    """A body off the written layout, or with a vertex id outside the
+    vertex table or an unknown phase, is refused like a failed checksum."""
     header, body = read_artifact(path, "BHMESH 1")
     it = iter(body)
-    dim = int(next(it).split()[1])
 
-    def block(dtype, ncols):
+    def block(name, dtype, ncols):
         # a "<name> <count>" line, then count rows of ncols numbers each,
         # parsed in one call (numpy and float() round decimal text alike)
-        n = int(next(it).split()[1])
+        key, n = next(it).split()
+        if key != name:
+            raise ValueError
+        n = int(n)
         tokens = " ".join(islice(it, n)).split()
         return np.array(tokens, dtype=dtype).reshape(n, ncols)
 
-    vertices = block(np.float64, dim)
-    elements = block(np.int64, dim + 2)
-    facet_rows = block(str, 2 * dim + 1)
-    pairs = block(np.int64, 3)
-    return header, {
-        "vertices": vertices,
-        "simplices": np.ascontiguousarray(elements[:, :-1]),
-        "phase": np.ascontiguousarray(elements[:, -1]),
-        "facets": facet_rows[:, :dim].astype(np.int64),
-        "component": facet_rows[:, dim].astype(np.int64),
-        "normals": facet_rows[:, dim + 1:].astype(np.float64),
-        "pairs": pairs,
-    }
+    try:
+        key, dim = next(it).split()
+        dim = int(dim)
+        if key != "dim" or dim not in (2, 3):
+            raise ValueError
+        vertices = block("vertices", np.float64, dim)
+        elements = block("elements", np.int64, dim + 2)
+        facet_rows = block("facets", str, 2 * dim + 1)
+        pairs = block("pairs", np.int64, 3)
+        facets = facet_rows[:, :dim].astype(np.int64)
+        data = {
+            "vertices": vertices,
+            "simplices": np.ascontiguousarray(elements[:, :-1]),
+            "phase": np.ascontiguousarray(elements[:, -1]),
+            "facets": facets,
+            "component": facet_rows[:, dim].astype(np.int64),
+            "normals": facet_rows[:, dim + 1:].astype(np.float64),
+            "pairs": pairs,
+        }
+        ids = np.concatenate([elements[:, :-1].ravel(), facets.ravel(),
+                              pairs[:, :2].ravel()])
+        if (next(it, None) is not None or not np.all(np.isfinite(vertices))
+                or np.any((ids < 0) | (ids >= len(vertices)))
+                or np.any((data["phase"] < 0) | (data["phase"] > 2))
+                or np.any((pairs[:, 2] < 0) | (pairs[:, 2] >= dim))):
+            raise ValueError
+    except (ValueError, StopIteration):
+        raise MissingArtifact(f"{path}: malformed mesh body") from None
+    return header, data
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +205,20 @@ def write_cell_archive(path, header, grid, fields):
 
 def read_cell_archive(path):
     header, body = read_artifact(path, "BHCELL 2")
-    it = iter(body)
-    _, t_end, dt = next(it).split()
-    nfields = int(next(it).split()[1])
-    fields = []
-    for _ in range(nfields):
-        _, name, idx, n = next(it).split()
-        fields.append((name, int(idx), _unpack(next(it), int(n), path)))
-    return header, (float(t_end), float(dt)), fields
+    try:  # a body off the written layout is refused like a failed checksum
+        (k1, t_end, dt), (k2, nfields) = (ln.split() for ln in body[:2])
+        marks = [ln.split() for ln in body[2::2]]
+        if ((k1, k2) != ("grid", "fields") or len(body) % 2
+                or len(marks) != int(nfields)
+                or any(len(m) != 4 or m[0] != "field" for m in marks)):
+            raise ValueError
+        grid = (float(t_end), float(dt))
+        heads = [(name, int(idx), int(n)) for _, name, idx, n in marks]
+    except ValueError:
+        raise MissingArtifact(f"{path}: malformed cell archive body") from None
+    fields = [(name, idx, _unpack(block, n, path))
+              for (name, idx, n), block in zip(heads, body[3::2])]
+    return header, grid, fields
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +229,10 @@ def _mat_line(key, M):
     return f"{key} " + _row(np.asarray(M).ravel())
 
 
-def _parse_mat(tokens, dim):
-    return np.array([float(t) for t in tokens]).reshape(dim, dim)
+def _floats(tokens, n):
+    if len(tokens) != n:
+        raise ValueError
+    return np.array([float(t) for t in tokens])
 
 
 def write_tensors(path, header, tens, kernel_grid):
@@ -243,39 +271,58 @@ def write_tensors(path, header, tens, kernel_grid):
     write_artifact(path, "BHTENS 1", header, body)
 
 
+_TENSOR_MATS = ("A0", "A0_flux", "C0", "C0_mixed", "A_hom_klt1", "A_hom_kgt1")
+_TENSOR_REQUIRED = {"lambda0", "A0", "A0_flux", "A0_gap", "C0", "C0_mixed",
+                    "C0_gap", "A_inst_eig", "C0_eig", "kernel", "B0", "Phi"}
+
+
 def read_tensors(path):
+    """A body off the written layout is refused like a failed checksum."""
     header, body = read_artifact(path, "BHTENS 1")
     it = iter(body)
-    out = {}
-    dim = int(next(it).split()[1])
-    out["dim"] = dim
-    for ln in it:
-        toks = ln.split()
-        key = toks[0]
-        if key in ("lambda0", "A0_gap", "C0_gap"):
-            out[key] = float(toks[1])
-        elif key in ("A0", "A0_flux", "C0", "C0_mixed",
-                     "A_hom_klt1", "A_hom_kgt1"):
-            out[key] = _parse_mat(toks[1:], dim)
-        elif key in ("A_inst_eig", "C0_eig"):
-            out[key] = np.array([float(t) for t in toks[1:]])
-        elif key == "kernel":
-            out["kernel"] = (float(toks[1]), float(toks[2]))
-        elif key in ("B0_csv", "Phi_csv"):
-            next(it)  # column header
-            rows = []
-            for sub in it:
-                if sub == "end_csv":
-                    break
-                rows.append([float(t) for t in sub.split(", ")])
-            rows = np.array(rows)
-            mats = rows[:, 1:1 + dim * dim].reshape(-1, dim, dim)
-            out["kernel_times" if key == "B0_csv" else "phi_times"] = rows[:, 0]
-            if key == "B0_csv":
-                out["B0"] = mats
-                out["B0_row_gap"] = rows[:, -1]
+    try:
+        key, dim = next(it).split()
+        dim = int(dim)
+        if key != "dim" or dim not in (2, 3):
+            raise ValueError
+        out = {"dim": dim}
+        for ln in it:
+            key, *toks = ln.split()
+            if key in _TENSOR_MATS:
+                out[key] = _floats(toks, dim * dim).reshape(dim, dim)
+            elif key in ("A_inst_eig", "C0_eig"):
+                out[key] = _floats(toks, dim)
+            elif key in ("lambda0", "A0_gap", "C0_gap"):
+                out[key] = float(_floats(toks, 1)[0])
+            elif key == "kernel":
+                out[key] = tuple(_floats(toks, 2).tolist())
+            elif key in ("B0_csv", "Phi_csv") and not toks:
+                # a column header, rows of t, the dim^2 entries (and the
+                # B0 discrepancy), then end_csv
+                ncols = 1 + dim * dim + (key == "B0_csv")
+                if not next(it).startswith("t, "):
+                    raise ValueError
+                rows = []
+                for sub in it:
+                    if sub == "end_csv":
+                        break
+                    rows.append(_floats(sub.split(", "), ncols))
+                else:
+                    raise ValueError
+                rows = np.array(rows).reshape(-1, ncols)
+                mats = rows[:, 1:1 + dim * dim].reshape(-1, dim, dim)
+                if key == "B0_csv":
+                    out["kernel_times"], out["B0"] = rows[:, 0], mats
+                    out["B0_row_gap"] = rows[:, -1]
+                else:
+                    out["phi_times"], out["Phi"] = rows[:, 0], mats
             else:
-                out["Phi"] = mats
+                raise ValueError
+        if (not _TENSOR_REQUIRED <= set(out)
+                or not np.array_equal(out["kernel_times"], out["phi_times"])):
+            raise ValueError
+    except (ValueError, StopIteration):
+        raise MissingArtifact(f"{path}: malformed tensor body") from None
     return header, out
 
 

@@ -143,8 +143,7 @@ class MicroMesh:
     phase: np.ndarray
     eps: float
     boundary_vertices: np.ndarray  # indices of vertices on the outer boundary
-    interface: SurfaceMesh         # facets between the phases of this tiling;
-                                   # None for membrane tilings
+    interface: np.ndarray          # (nf, N) int facets between the phases
     eta: float = 0.0               # nonzero for tiled membrane cells
 
     @property
@@ -202,15 +201,15 @@ def periodic_classes(n_vertices: int, periodic_pairs: np.ndarray) -> np.ndarray:
     return _components(n_vertices, pairs[:, 0], pairs[:, 1])
 
 
-def extract_interface(vertices, simplices, phase, periodic_pairs=None):
+def extract_interface(vertices, simplices, phase, periodic_pairs):
     """Build the SurfaceMesh separating distinct phases of a fitted mesh.
 
     Facets are oriented from the lower-rank phase into the higher-rank one
     (int -> membrane -> out) and listed in lexicographic order of their
     sorted vertex ids.  Components are labelled by facet connectivity
-    through shared ridges, in order of their first facet; when periodic
-    pairs are given, ridges are matched modulo the periodic identification
-    so that wrapping interfaces come out as single components.
+    through shared ridges, in order of their first facet; ridges are
+    matched modulo the periodic identification so that wrapping interfaces
+    come out as single components.
     """
     simplices = np.asarray(simplices, dtype=np.int64)
     ne, npv = simplices.shape
@@ -252,11 +251,7 @@ def extract_interface(vertices, simplices, phase, periodic_pairs=None):
     # component labelling: facets joined through shared ridges, with ridge
     # vertices compared modulo periodicity (a facet-ridge incidence graph)
     nv = vertices.shape[0]
-    if periodic_pairs is not None and len(periodic_pairs):
-        canon = periodic_classes(nv, periodic_pairs)
-    else:
-        canon = np.arange(nv, dtype=np.int64)
-    cf = np.sort(canon[facets], axis=1)
+    cf = np.sort(periodic_classes(nv, periodic_pairs)[facets], axis=1)
     if nfv == 2:
         ridges = cf
     else:
@@ -287,70 +282,57 @@ def _facet_normals(vertices, facets):
 # Disk2D and membrane cells: polar O-grid
 # ---------------------------------------------------------------------------
 
-def _sym_directions(n_theta: int) -> np.ndarray:
-    """Unit directions of an n_theta fan, exactly invariant under the
-    dihedral symmetries of the square (n_theta must be a multiple of 8)."""
+# the square's eight symmetries, octant by octant counterclockwise from the
+# positive x axis: whether the octant walks the base table backwards,
+# whether it swaps the two coordinates, and the signs of x and y
+_OCTANTS = np.array([(0, 0, 1, 1), (1, 1, 1, 1), (0, 1, -1, 1), (1, 0, -1, 1),
+                     (0, 0, -1, -1), (1, 1, -1, -1), (0, 1, 1, -1),
+                     (1, 0, 1, -1)])
+
+
+def _octant_images(base, n_theta):
+    """The n_theta images of a first-octant table base, (q + 1, 2) points
+    for q = n_theta / 8, under the dihedral symmetries of the square: entry
+    r of octant o is base[r] (or base[q - r]) swapped and signed as
+    _OCTANTS says, so every image is an exact copy of a base value."""
     q = n_theta // 8
-    base = [(np.cos(2.0 * np.pi * r / n_theta), np.sin(2.0 * np.pi * r / n_theta))
-            for r in range(q + 1)]
-    base[0] = (1.0, 0.0)
-    s2 = np.sqrt(0.5)
-    base[q] = (s2, s2)
-    out = np.empty((n_theta, 2))
-    for i in range(n_theta):
-        o, r = divmod(i, q)
-        if o == 0:
-            x, y = base[r]
-        elif o == 1:
-            x, y = base[q - r][1], base[q - r][0]
-        elif o == 2:
-            x, y = -base[r][1], base[r][0]
-        elif o == 3:
-            x, y = -base[q - r][0], base[q - r][1]
-        elif o == 4:
-            x, y = -base[r][0], -base[r][1]
-        elif o == 5:
-            x, y = -base[q - r][1], -base[q - r][0]
-        elif o == 6:
-            x, y = base[r][1], -base[r][0]
-        else:
-            x, y = base[q - r][0], -base[q - r][1]
-        out[i] = (x, y)
-    return out
+    backwards, swap = _OCTANTS[:, :2].T == 1
+    r = np.arange(q)
+    pts = base[np.where(backwards[:, None], q - r, r)]      # (8, q, 2)
+    pts = np.where(swap[:, None, None], pts[..., ::-1], pts)
+    return (pts * _OCTANTS[:, None, 2:].astype(float)).reshape(n_theta, 2)
 
 
-def _square_boundary_points(n_theta: int) -> np.ndarray:
-    """Points where the n_theta rays from the cell centre hit the unit
-    square boundary.  Built per octant from one table of tangent offsets so
-    opposite edges carry bitwise identical coordinates."""
+def _rays(n_theta):
+    """Unit directions of an n_theta fan (n_theta a multiple of 8) and the
+    points where the rays from the cell centre hit the unit square.  Both
+    are images of one first-octant table, so they are exactly invariant
+    under the square's symmetries and opposite edges carry bitwise
+    identical coordinates."""
     q = n_theta // 8
-    d = np.array([0.5 * np.tan(2.0 * np.pi * r / n_theta) for r in range(q + 1)])
-    d[0] = 0.0
-    d[q] = 0.5
-    out = np.empty((n_theta, 2))
-    for i in range(n_theta):
-        o, r = divmod(i, q)
-        if o == 0:
-            p = (1.0, 0.5 + d[r])
-        elif o == 1:
-            p = (0.5 + d[q - r], 1.0)
-        elif o == 2:
-            p = (0.5 - d[r], 1.0)
-        elif o == 3:
-            p = (0.0, 0.5 + d[q - r])
-        elif o == 4:
-            p = (0.0, 0.5 - d[r])
-        elif o == 5:
-            p = (0.5 - d[q - r], 0.0)
-        elif o == 6:
-            p = (0.5 + d[r], 0.0)
-        else:
-            p = (1.0, 0.5 - d[q - r])
-        out[i] = p
-    return out
+    angles = 2.0 * np.pi * np.arange(q + 1) / n_theta
+    fan = np.column_stack([np.cos(angles), np.sin(angles)])
+    fan[0] = (1.0, 0.0)
+    fan[q] = np.sqrt(0.5)
+    offsets = 0.5 * np.tan(angles)
+    offsets[0], offsets[q] = 0.0, 0.5
+    hits = np.column_stack([np.full(q + 1, 0.5), offsets])
+    return _octant_images(fan, n_theta), 0.5 + _octant_images(hits, n_theta)
 
 
-def _polar_cell_mesh(radii, zone_phase, h, n_theta=None):
+def _split_quads(a, b, c, d, diagonal_ad):
+    """Two triangles per quad with corners a, b, d, c in cyclic order, cut
+    along a-d where diagonal_ad holds and along b-c elsewhere; rows run
+    quad by quad."""
+    cut = diagonal_ad[..., None]
+    first = np.where(cut, np.stack([a, b, d], axis=-1),
+                     np.stack([a, b, c], axis=-1))
+    second = np.where(cut, np.stack([a, d, c], axis=-1),
+                      np.stack([b, d, c], axis=-1))
+    return np.stack([first, second], axis=-2).reshape(-1, 3)
+
+
+def _polar_cell_mesh(radii, zone_phase, h):
     """O-grid mesh of the unit cell around concentric circles.
 
     radii: increasing interior ring radii (first zone is the centre fan),
@@ -358,10 +340,8 @@ def _polar_cell_mesh(radii, zone_phase, h, n_theta=None):
     plus one more for everything outside radii[-1].
     """
     r_out = radii[-1]
-    if n_theta is None:
-        n_theta = 8 * max(2, int(np.ceil(2.0 * np.pi * r_out / (8.0 * h))))
-    dirs = _sym_directions(n_theta)
-    bpts = _square_boundary_points(n_theta)
+    n_theta = 8 * max(2, int(np.ceil(2.0 * np.pi * r_out / (8.0 * h))))
+    dirs, bpts = _rays(n_theta)
 
     ring_radii = []
     ring_phase = []   # phase of the zone between ring k-1 and ring k
@@ -377,73 +357,63 @@ def _polar_cell_mesh(radii, zone_phase, h, n_theta=None):
 
     # outer shells: interpolate between the outermost circle and the square
     n_shell = max(2, int(np.ceil((0.5 * np.sqrt(2.0) - r_out) / h)))
+    ring_phase += [zone_phase[-1]] * n_shell
 
-    nv_ring = len(ring_radii)
     verts = [np.array([[0.5, 0.5]])]
     for r in ring_radii:
         verts.append(np.array([0.5, 0.5]) + r * dirs)
     circle = verts[-1]
-    for s in range(1, n_shell + 1):
-        t = s / n_shell
-        if s == n_shell:
-            verts.append(bpts.copy())
-        else:
-            verts.append(circle + t * (bpts - circle))
+    for s in range(1, n_shell):
+        verts.append(circle + s / n_shell * (bpts - circle))
+    verts.append(bpts)
     vertices = np.vstack(verts)
 
-    n_rings_total = nv_ring + n_shell
-    def rid(k, i):  # ring index k = 1..n_rings_total
-        return 1 + (k - 1) * n_theta + (i % n_theta)
-
-    tris, phases = [], []
-    ph0 = ring_phase[0]
-    for i in range(n_theta):
-        tris.append((0, rid(1, i), rid(1, i + 1)))
-        phases.append(ph0)
-    for k in range(1, n_rings_total):
-        ph = ring_phase[k] if k < nv_ring else zone_phase[-1]
-        for i in range(n_theta):
-            a, b = rid(k, i), rid(k, i + 1)
-            c, d = rid(k + 1, i), rid(k + 1, i + 1)
-            if i % 2 == 0:
-                tris.append((a, b, d)); tris.append((a, d, c))
-            else:
-                tris.append((a, b, c)); tris.append((b, d, c))
-            phases.append(ph); phases.append(ph)
-
-    simplices = _fix_orientation(vertices, np.array(tris, dtype=np.int64))
-    phase = np.array(phases, dtype=np.int64)
-
-    # periodic pairs from the boundary ring (built octant-symmetric above)
-    pairs = _match_boundary_pairs(vertices, first=1 + (n_rings_total - 1) * n_theta,
-                                  count=n_theta)
+    # ring k (k >= 1) holds vertices 1 + (k - 1) n_theta + i; a centre fan,
+    # then two triangles per cell between consecutive rings
+    i = np.arange(n_theta)
+    step = (i + 1) % n_theta
+    ring = 1 + n_theta * np.arange(len(ring_phase))[:, None]
+    fan_tris = np.column_stack([np.zeros(n_theta, dtype=np.int64), 1 + i,
+                                1 + step])
+    quad_tris = _split_quads(ring[:-1] + i, ring[:-1] + step, ring[1:] + i,
+                             ring[1:] + step, i % 2 == 0)
+    simplices = _fix_orientation(vertices, np.vstack([fan_tris, quad_tris]))
+    phase = np.concatenate([np.full(n_theta, ring_phase[0]),
+                            np.repeat(ring_phase[1:], 2 * n_theta)]
+                           ).astype(np.int64)
     return CellMesh(vertices=vertices, simplices=simplices, phase=phase,
-                    periodic_pairs=pairs)
+                    periodic_pairs=_match_boundary_pairs(vertices))
 
 
-def _match_boundary_pairs(vertices, first=None, count=None):
-    """Pair boundary vertices across opposite faces by exact coordinates."""
-    nv = vertices.shape[0]
-    dim = vertices.shape[1]
-    if first is None:
-        idx = np.arange(nv)
-    else:
-        idx = np.arange(first, first + count)
+def _match_boundary_pairs(vertices):
+    """Periodic pairs (low, high, axis), sorted: every vertex on a high face
+    x_axis = 1 pairs with the last vertex of the low face x_axis = 0 whose
+    other coordinates equal its own exactly."""
     pairs = []
-    for axis in range(dim):
-        lows = {}
-        for v in idx:
-            if vertices[v, axis] == 0.0:
-                key = tuple(np.delete(vertices[v], axis))
-                lows[key] = v
-        for v in idx:
-            if vertices[v, axis] == 1.0:
-                key = tuple(np.delete(vertices[v], axis))
-                if key not in lows:
-                    raise MeshFailure(
-                        f"unpaired periodic vertex {v} on axis {axis} face")
-                pairs.append((lows[key], v, axis))
-    return np.array(sorted(pairs), dtype=np.int64)
+    for axis in range(vertices.shape[1]):
+        low = np.flatnonzero(vertices[:, axis] == 0.0)
+        high = np.flatnonzero(vertices[:, axis] == 1.0)
+        ids = np.concatenate([low, high])
+        rest = np.delete(vertices[ids], axis, axis=1)
+        # stable sort on the other coordinates: equal points sit together,
+        # the low face first, each face in vertex order
+        order = np.lexsort(rest.T[::-1])
+        rest, ids = rest[order], ids[order]
+        group = np.cumsum(np.concatenate(
+            ([True], np.any(rest[1:] != rest[:-1], axis=1))))
+        is_low = order < len(low)
+        last_low = np.maximum.accumulate(
+            np.where(is_low, np.arange(len(ids)), -1))
+        hi = np.flatnonzero(~is_low)
+        partner = last_low[hi]
+        lost = (partner < 0) | (group[np.maximum(partner, 0)] != group[hi])
+        if np.any(lost):
+            raise MeshFailure(f"unpaired periodic vertex {ids[hi][lost].min()} "
+                              f"on axis {axis} face")
+        pairs.append(np.column_stack([ids[partner], ids[hi],
+                                      np.full(len(hi), axis)]))
+    pairs = np.vstack(pairs)
+    return pairs[np.lexsort(pairs.T[::-1])]
 
 
 def _build_disk(spec: GeometrySpec):
@@ -495,24 +465,18 @@ def _build_layered(spec: GeometrySpec):
     ys = np.concatenate(ys)
     ny = len(ys) - 1
 
-    vid = lambda i, j: j * (nx + 1) + i
-    vertices = np.array([[xs[i], ys[j]] for j in range(ny + 1) for i in range(nx + 1)])
+    vertices = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
 
-    tris, phases = [], []
-    for j in range(ny):
-        ymid = 0.5 * (ys[j] + ys[j + 1])
-        ph = PHASE_INT if a < ymid < b else PHASE_OUT
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                tris.append((v00, v10, v11)); tris.append((v00, v11, v01))
-            else:
-                tris.append((v00, v10, v01)); tris.append((v10, v11, v01))
-            phases.append(ph); phases.append(ph)
-
-    simplices = _fix_orientation(vertices, np.array(tris, dtype=np.int64))
-    phase = np.array(phases, dtype=np.int64)
+    # two triangles per grid square, the diagonal alternating like a
+    # checkerboard; vertex (i, j) has id j (nx + 1) + i
+    j, i = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
+    v00 = j * (nx + 1) + i
+    tris = _split_quads(v00, v00 + 1, v00 + nx + 1, v00 + nx + 2,
+                        (i + j) % 2 == 0)
+    simplices = _fix_orientation(vertices, tris)
+    ymid = 0.5 * (ys[:-1] + ys[1:])
+    phase = np.repeat(np.where((a < ymid) & (ymid < b), PHASE_INT, PHASE_OUT),
+                      2 * nx)
     pairs = _match_boundary_pairs(vertices)
     mesh = CellMesh(vertices=vertices, simplices=simplices, phase=phase,
                     periodic_pairs=pairs)
@@ -649,7 +613,7 @@ def _build_tube(spec: GeometrySpec):
     if abs(total - 1.0) > 1e-10:
         raise MeshFailure(f"tube mesh volume defect {total - 1.0:.3e}")
 
-    pairs = _tube_periodic_pairs(vertices, remap, coord_int, n, cut_id, pos)
+    pairs = _match_boundary_pairs(vertices)
     mesh = CellMesh(vertices=vertices, simplices=simplices, phase=phase,
                     periodic_pairs=pairs)
     surf = extract_interface(vertices, simplices, phase, pairs)
@@ -730,58 +694,6 @@ def _order_planar(ids, all_pos):
     return [ids[i] for i in order]
 
 
-def _tube_periodic_pairs(vertices, remap, coord_int, n, cut_id, grid_pos):
-    """Periodic pairs of the cut tube mesh.
-
-    Grid vertices pair by lattice coordinates.  Cut vertices on in-face
-    edges pair through the paired endpoints of their edges: phi agrees on
-    opposite faces bitwise, so both cuts exist and line up exactly.
-    """
-    n1 = n + 1
-    gid = lambda i, j, k: (i * n1 + j) * n1 + k
-    pairs = set()
-
-    for axis in range(3):
-        for u in range(n1):
-            for w in range(n1):
-                if axis == 0:
-                    lo, hi = gid(0, u, w), gid(n, u, w)
-                elif axis == 1:
-                    lo, hi = gid(u, 0, w), gid(u, n, w)
-                else:
-                    lo, hi = gid(u, w, 0), gid(u, w, n)
-                a, b = remap[lo], remap[hi]
-                if a >= 0 and b >= 0:
-                    pairs.add((a, b, axis))
-
-    # cut vertices on face edges
-    def face_partner(v, axis):
-        i, j, k = coord_int[v]
-        c = [i, j, k]
-        c[axis] = n
-        return gid(*c)
-
-    for (a, b), cid in cut_id.items():
-        for axis in range(3):
-            if coord_int[a, axis] == 0 and coord_int[b, axis] == 0:
-                pa, pb = face_partner(a, axis), face_partner(b, axis)
-                e = (min(pa, pb), max(pa, pb))
-                if e not in cut_id:
-                    raise MeshFailure("periodic partner edge lost its crossing")
-                lo, hi = remap[cid], remap[cut_id[e]]
-                if lo >= 0 and hi >= 0:
-                    pairs.add((lo, hi, axis))
-
-    out = np.array(sorted(pairs), dtype=np.int64)
-    # exactness audit: high coordinates must equal low + e_axis bitwise
-    for p, q, axis in out:
-        dv = vertices[q] - vertices[p]
-        want = np.zeros(3); want[axis] = 1.0
-        if not np.array_equal(dv, want):
-            raise MeshFailure(f"inexact periodic pair ({p},{q},axis {axis})")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public builders
 # ---------------------------------------------------------------------------
@@ -804,18 +716,20 @@ def build_unit_cell(spec: GeometrySpec):
     return mesh, surf
 
 
-def tile_micro_domain(mesh: CellMesh, eps: float,
-                      strip_boundary_inclusions: bool = True):
+def tile_micro_domain(mesh: CellMesh, facets: np.ndarray, eps: float,
+                      strip_boundary_inclusions: bool):
     """Tile a unit cell mesh eps-periodically over the unit domain.
 
     eps must be the reciprocal of an integer.  For disconnected inclusion
     geometries the inclusions of cells touching the outer boundary are
-    re-labelled as matrix material (stripped) so that no inclusion meets
-    the boundary; pass strip_boundary_inclusions=False to keep them.
+    re-labelled as matrix material (stripped) when
+    strip_boundary_inclusions is set, so that no inclusion meets the
+    boundary.
 
-    Returns (micro, micro.interface): the tiled mesh carries its interface,
-    extracted once here without periodic pairs.  A membrane cell's tiling
-    carries None: solve_membrane reads the band, never an interface.
+    facets are the cell's interface facets.  Returns (micro,
+    micro.interface): the interface of the tiling is the union of their
+    copies in the tiles that kept their inclusions, each row sorted and the
+    rows in lexicographic order, as extract_interface lists them.
     """
     m = int(round(1.0 / eps))
     if m < 1 or abs(m * eps - 1.0) > 1e-12:
@@ -824,8 +738,8 @@ def tile_micro_domain(mesh: CellMesh, eps: float,
     nv = mesh.vertices.shape[0]
 
     # membranes only exist around disconnected inclusions
-    membrane = bool(np.any(mesh.phase == PHASE_MEMBRANE))
-    inclusions_disconnected = membrane or _looks_disconnected(mesh)
+    inclusions_disconnected = (bool(np.any(mesh.phase == PHASE_MEMBRANE))
+                               or _looks_disconnected(mesh))
 
     # table of (axis, low) entries per high vertex, in periodic_pairs order
     pairs = np.asarray(mesh.periodic_pairs, dtype=np.int64).reshape(-1, 3)
@@ -869,26 +783,17 @@ def tile_micro_domain(mesh: CellMesh, eps: float,
     ne = mesh.simplices.shape[0]
     simplices = local_global[:, mesh.simplices].reshape(n_cells * ne, dim + 1)
     phase = np.tile(np.asarray(mesh.phase, dtype=np.int64), n_cells)
+    stripped = np.zeros(n_cells, dtype=bool)
     if strip_boundary_inclusions and inclusions_disconnected:
-        on_boundary = np.any((cells == 0) | (cells == m - 1), axis=1)
-        phase[np.repeat(on_boundary, ne)
-              & ((phase == PHASE_INT) | (phase == PHASE_MEMBRANE))] = PHASE_OUT
-
-    if membrane:
-        micro_surf = None
-    elif np.all(phase == PHASE_OUT):
-        micro_surf = SurfaceMesh(facets=np.zeros((0, dim), dtype=np.int64),
-                                 normals=np.zeros((0, dim)),
-                                 component=np.zeros(0, dtype=np.int64),
-                                 measures=np.zeros(0),
-                                 adjacency=np.zeros((0, 2), dtype=np.int64))
-    else:
-        micro_surf = extract_interface(vertices, simplices, phase, None)
+        stripped = np.any((cells == 0) | (cells == m - 1), axis=1)
+        phase[np.repeat(stripped, ne)] = PHASE_OUT
+    tiled = np.sort(local_global[~stripped][:, facets], axis=2).reshape(-1, dim)
 
     boundary = np.where(np.any((vertices == 0.0) | (vertices == 1.0), axis=1))[0]
     micro = MicroMesh(vertices=vertices, simplices=simplices, phase=phase,
                       eps=eps, boundary_vertices=boundary,
-                      interface=micro_surf, eta=getattr(mesh, "eta", 0.0))
+                      interface=tiled[np.lexsort(tiled.T[::-1])],
+                      eta=getattr(mesh, "eta", 0.0))
 
     vol = micro.volumes().sum()
     if abs(vol - 1.0) > 1e-12:

@@ -28,7 +28,6 @@ verdict.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from . import fem, geometry
@@ -135,16 +134,12 @@ def solve_micro(run: MicroRun) -> TransientField:
     geom = fem.element_gradients(V, S)
     K = fem.assemble_stiffness(geom, S, lam, vdof, nv)
     K_unit = fem.assemble_stiffness(geom, S, np.ones(len(S)), vdof, nv)
-    if np.all(phase == phase[0]):
-        # boundary stripping can empty the geometry entirely; the march
-        # degenerates to quasi-static diffusion with no surface memory
-        S1 = sp.csr_matrix((nv, nv))
-        gamma = np.empty(0, dtype=np.int64)
-    else:
-        facets = mesh.interface.facets
-        S1 = fem.assemble_surface_stiffness(V, facets, np.ones(len(facets)),
-                                            vdof, nv)
-        gamma = np.unique(facets)
+    # boundary stripping can empty the interface entirely; the march then
+    # degenerates to quasi-static diffusion with no surface memory
+    facets = mesh.interface
+    S1 = fem.assemble_surface_stiffness(V, facets, np.ones(len(facets)),
+                                        vdof, nv)
+    gamma = np.unique(facets)
 
     u0 = None
     if run.u0_bar is not None:
@@ -376,14 +371,14 @@ def eps_report(regime, runs, *, grid, macro_mesh=None, macro_field=None,
     return StudyReport("eps", params, errors, e_bulk, e_surf)
 
 
-def convergence_study(regime, eps_list, *, cell_mesh, coeffs, k, grid,
-                      u0_bar=None, source=None, macro_mesh=None,
+def convergence_study(regime, eps_list, *, cell_mesh, cell_facets, coeffs,
+                      k, grid, u0_bar=None, source=None, macro_mesh=None,
                       macro_field=None, strip=True, probe=48) -> StudyReport:
-    """Solve the micro problem of each eps, one at a time, for eps_report."""
+    """Solve the micro problem of each eps, one at a time, for eps_report;
+    cell_facets are the interface facets of cell_mesh."""
     def runs():
         for eps in sorted(eps_list, reverse=True):
-            mmesh, _ = tile_micro_domain(cell_mesh, eps,
-                                         strip_boundary_inclusions=strip)
+            mmesh, _ = tile_micro_domain(cell_mesh, cell_facets, eps, strip)
             yield eps, mmesh, solve_micro(MicroRun(
                 mesh=mmesh, coeffs=coeffs, k=k, grid=grid, u0_bar=u0_bar,
                 source=source))
@@ -400,9 +395,8 @@ def concentration_study(eta_list, *, spec, coeffs, grid, eps, u0_bar,
     a fixed-domain statement and at eps = 1/2 stripping would empty the
     geometry entirely.
     """
-    cell_mesh, _ = geometry.build_unit_cell(spec)
-    sharp_mesh, _ = tile_micro_domain(cell_mesh, eps,
-                                      strip_boundary_inclusions=False)
+    cell_mesh, surf = geometry.build_unit_cell(spec)
+    sharp_mesh, _ = tile_micro_domain(cell_mesh, surf.facets, eps, False)
     sharp = solve_micro(MicroRun(mesh=sharp_mesh, coeffs=coeffs, k=1.0,
                                  grid=grid, u0_bar=u0_bar))
     pts = probe_points(probe, cell_mesh.dim)
@@ -412,9 +406,8 @@ def concentration_study(eta_list, *, spec, coeffs, grid, eps, u0_bar,
     etas = sorted(eta_list, reverse=True)
     errors, e_bulk, e_surf = [], [], []
     for eta in etas:
-        band_cell, _ = geometry.build_membrane_cell(spec, eta)
-        bmesh, _ = tile_micro_domain(band_cell, eps,
-                                     strip_boundary_inclusions=False)
+        band_cell, band_surf = geometry.build_membrane_cell(spec, eta)
+        bmesh, _ = tile_micro_domain(band_cell, band_surf.facets, eps, False)
         fld = solve_membrane(MembraneRun(mesh=bmesh, coeffs=coeffs, grid=grid,
                                          u0_bar=u0_bar))
         vals = PointLocator(bmesh.vertices, bmesh.simplices).evaluate(

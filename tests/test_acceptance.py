@@ -145,16 +145,15 @@ def test_criterion_07_energy_dissipation(adisk, alayered, atube):
             for j in range(b.mesh.dim):
                 ok = ok and cell.energy_nonincreasing(series[j], scale=scale)
 
-    mmesh, _ = geometry.tile_micro_domain(adisk.mesh, 0.5,
-                                          strip_boundary_inclusions=False)
+    mmesh, _ = geometry.tile_micro_domain(adisk.mesh, adisk.surf.facets,
+                                          0.5, False)
     mf = micro.solve_micro(micro.MicroRun(mesh=mmesh, coeffs=COEFFS, k=1.0,
                                           grid=TimeGrid(0.3, 0.05),
                                           u0_bar=sin_product))
     ok = ok and cell.energy_nonincreasing(mf.diagnostics["surface_energy"])
 
     bc, bs = geometry.build_membrane_cell(adisk.spec, 0.2)
-    bm, _ = geometry.tile_micro_domain(bc, 0.5,
-                                       strip_boundary_inclusions=False)
+    bm, _ = geometry.tile_micro_domain(bc, bs.facets, 0.5, False)
     bf = micro.solve_membrane(micro.MembraneRun(mesh=bm, coeffs=COEFFS,
                                                 grid=TimeGrid(0.3, 0.05),
                                                 u0_bar=sin_product))
@@ -189,6 +188,7 @@ def test_criterion_09_insulation_collapse(atube):
 
     rep = micro.convergence_study("klt1", [0.5, 1.0 / 3.0],
                                   cell_mesh=atube.mesh,
+                                  cell_facets=atube.surf.facets,
                                   coeffs=COEFFS, k=0.0,
                                   grid=TimeGrid(0.5, 0.05), source=src,
                                   strip=False)
@@ -224,9 +224,9 @@ def test_criterion_11_homogenization_trend(adisk):
     field = macro.solve_homogenized_memory(prob)
     rep = micro.convergence_study(
         "k1_connected_disconnected", [0.5, 0.25, 0.125],
-        cell_mesh=adisk.mesh, coeffs=COEFFS, k=1.0,
-        grid=grid, u0_bar=sin_product, macro_mesh=mm, macro_field=field,
-        strip=True)
+        cell_mesh=adisk.mesh, cell_facets=adisk.surf.facets, coeffs=COEFFS,
+        k=1.0, grid=grid, u0_bar=sin_product, macro_mesh=mm,
+        macro_field=field, strip=True)
     _report(11, rep.monotone_decrease,
             "||M_eps(u_eps) - u|| = %.4f / %.4f / %.4f" % tuple(rep.errors))
 
@@ -291,8 +291,8 @@ def test_criterion_13_richardson_ratios(adisk):
     ratios["cell h"] = (vals[0] - vals[1]) / (vals[1] - vals[2])
 
     # micro, membrane and cell marches in dt (Richardson on the final level)
-    mmesh, _ = geometry.tile_micro_domain(adisk.mesh, 0.5,
-                                          strip_boundary_inclusions=False)
+    mmesh, _ = geometry.tile_micro_domain(adisk.mesh, adisk.surf.facets,
+                                          0.5, False)
     fin = [micro.solve_micro(micro.MicroRun(mesh=mmesh, coeffs=COEFFS, k=1.0,
                                             grid=TimeGrid(0.2, dt),
                                             u0_bar=sin_product)).levels[-1]
@@ -301,8 +301,7 @@ def test_criterion_13_richardson_ratios(adisk):
                           / np.linalg.norm(fin[1] - fin[2]))
 
     bc, bs = geometry.build_membrane_cell(adisk.spec, 0.2)
-    bm, _ = geometry.tile_micro_domain(bc, 0.5,
-                                       strip_boundary_inclusions=False)
+    bm, _ = geometry.tile_micro_domain(bc, bs.facets, 0.5, False)
     fin = [micro.solve_membrane(micro.MembraneRun(mesh=bm, coeffs=COEFFS,
                                                   grid=TimeGrid(0.2, dt),
                                                   u0_bar=sin_product)).levels[-1]

@@ -41,8 +41,20 @@ solves must match it within the tolerance stated below.  The macro step
 matrix was once factored in SuperLU's symmetric mode without pivoting; the
 level loop oracle keeps that factor.
 
-Membrane tilings once extracted an interface that solve_membrane never
-read; they now carry none, and the membrane levels stay bitwise equal.
+Tilings once extracted their interface again from the whole tiled mesh;
+they now gather the cell's interface facets tile by tile, membrane tilings
+included, and extract nothing.  extract_interface on the tiled mesh is the
+oracle: the gathered facets must equal its facets bitwise on every
+geometry, with stripping on and off.  solve_membrane never reads the
+facets, so the membrane levels stay bitwise equal without them.
+
+The disk cells once took their fan directions and square boundary points
+from two eight-way branch tables and their periodic pairs from a dict
+matcher over the outer ring; the tube cell paired its vertices through
+lattice coordinates and cut edges.  One octant table and one array matcher
+over all vertices now serve every cell.  The former tables and pairings
+survive as oracles, and golden digests pin the 2D cell meshes, whose
+triangles are now built as index arrays.
 
 The tube cell and the 3D macro grid once each built their Kuhn tetrahedra
 in a nested loop over cubes and permutations; both now take them from one
@@ -59,6 +71,7 @@ the directional loads, the component matrices).  The element-gradient
 routes survive here as oracles for every rewritten tensor and the loads.
 """
 import dataclasses
+import sys
 from collections import defaultdict
 
 import numpy as np
@@ -213,6 +226,121 @@ def loop_tiling(mesh, eps, strip, disconnected):
             ph[ph == PHASE_MEMBRANE] = PHASE_OUT
         phase[sl] = ph
     return np.array(positions), simplices, phase
+
+
+def loop_sym_directions(n_theta):
+    """The former octant-by-octant table of fan directions."""
+    q = n_theta // 8
+    base = [(np.cos(2.0 * np.pi * r / n_theta), np.sin(2.0 * np.pi * r / n_theta))
+            for r in range(q + 1)]
+    base[0] = (1.0, 0.0)
+    s2 = np.sqrt(0.5)
+    base[q] = (s2, s2)
+    out = np.empty((n_theta, 2))
+    for i in range(n_theta):
+        o, r = divmod(i, q)
+        if o == 0:
+            x, y = base[r]
+        elif o == 1:
+            x, y = base[q - r][1], base[q - r][0]
+        elif o == 2:
+            x, y = -base[r][1], base[r][0]
+        elif o == 3:
+            x, y = -base[q - r][0], base[q - r][1]
+        elif o == 4:
+            x, y = -base[r][0], -base[r][1]
+        elif o == 5:
+            x, y = -base[q - r][1], -base[q - r][0]
+        elif o == 6:
+            x, y = base[r][1], -base[r][0]
+        else:
+            x, y = base[q - r][0], -base[q - r][1]
+        out[i] = (x, y)
+    return out
+
+
+def loop_square_boundary_points(n_theta):
+    """The former octant-by-octant table of ray hits on the square."""
+    q = n_theta // 8
+    d = np.array([0.5 * np.tan(2.0 * np.pi * r / n_theta) for r in range(q + 1)])
+    d[0] = 0.0
+    d[q] = 0.5
+    out = np.empty((n_theta, 2))
+    for i in range(n_theta):
+        o, r = divmod(i, q)
+        if o == 0:
+            p = (1.0, 0.5 + d[r])
+        elif o == 1:
+            p = (0.5 + d[q - r], 1.0)
+        elif o == 2:
+            p = (0.5 - d[r], 1.0)
+        elif o == 3:
+            p = (0.0, 0.5 + d[q - r])
+        elif o == 4:
+            p = (0.0, 0.5 - d[r])
+        elif o == 5:
+            p = (0.5 - d[q - r], 0.0)
+        elif o == 6:
+            p = (0.5 + d[r], 0.0)
+        else:
+            p = (1.0, 0.5 - d[q - r])
+        out[i] = p
+    return out
+
+
+def loop_match_boundary_pairs(vertices, first=None, count=None):
+    """The former dict matcher, over all vertices or one index range."""
+    dim = vertices.shape[1]
+    idx = np.arange(len(vertices)) if first is None else np.arange(first,
+                                                                   first + count)
+    pairs = []
+    for axis in range(dim):
+        lows = {}
+        for v in idx:
+            if vertices[v, axis] == 0.0:
+                lows[tuple(np.delete(vertices[v], axis))] = v
+        for v in idx:
+            if vertices[v, axis] == 1.0:
+                pairs.append((lows[tuple(np.delete(vertices[v], axis))], v,
+                              axis))
+    return np.array(sorted(pairs), dtype=np.int64)
+
+
+def loop_tube_periodic_pairs(vertices, remap, coord_int, n, cut_id):
+    """The former tube pairing: grid vertices by lattice coordinates, cut
+    vertices through the paired endpoints of their face edges."""
+    n1 = n + 1
+    gid = lambda i, j, k: (i * n1 + j) * n1 + k
+    pairs = set()
+    for axis in range(3):
+        for u in range(n1):
+            for w in range(n1):
+                if axis == 0:
+                    lo, hi = gid(0, u, w), gid(n, u, w)
+                elif axis == 1:
+                    lo, hi = gid(u, 0, w), gid(u, n, w)
+                else:
+                    lo, hi = gid(u, w, 0), gid(u, w, n)
+                a, b = remap[lo], remap[hi]
+                if a >= 0 and b >= 0:
+                    pairs.add((a, b, axis))
+
+    def face_partner(v, axis):
+        c = list(coord_int[v])
+        c[axis] = n
+        return gid(*c)
+
+    for (a, b), cid in cut_id.items():
+        for axis in range(3):
+            if coord_int[a, axis] == 0 and coord_int[b, axis] == 0:
+                pa, pb = face_partner(a, axis), face_partner(b, axis)
+                lo, hi = remap[cid], remap[cut_id[(min(pa, pb), max(pa, pb))]]
+                if lo >= 0 and hi >= 0:
+                    pairs.add((lo, hi, axis))
+    out = np.array(sorted(pairs), dtype=np.int64)
+    for p, q, axis in out:
+        assert np.array_equal(vertices[q] - vertices[p], np.eye(3)[axis])
+    return out
 
 
 def text_row(vals):
@@ -559,7 +687,7 @@ def loop_solve_micro(run):
         S1 = sp.csr_matrix((nd, nd))
         gamma = np.empty(0, dtype=np.int64)
     else:
-        facets = mesh.interface.facets
+        facets = mesh.interface
         S1 = fem.assemble_surface_stiffness(V, facets, np.ones(len(facets)),
                                             vdof, nd)
         gamma = np.unique(vdof[facets])
@@ -677,13 +805,14 @@ def _assert_same_surface(new, old):
 
 
 CELLS = ["disk", "layered", "tube", "membrane"]
+NO_PAIRS = np.zeros((0, 3), dtype=np.int64)
 
 
 @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "plain"])
 @pytest.mark.parametrize("name", CELLS)
 def test_extract_interface_matches_loop(request, name, periodic):
     mesh, _ = _cell(request, name)
-    pairs = mesh.periodic_pairs if periodic else None
+    pairs = mesh.periodic_pairs if periodic else NO_PAIRS
     new = extract_interface(mesh.vertices, mesh.simplices, mesh.phase, pairs)
     old = loop_extract_interface(mesh.vertices, mesh.simplices, mesh.phase,
                                  pairs)
@@ -697,7 +826,7 @@ def test_periodic_ridge_matching_joins_corner_pieces(layered):
     cent = mesh.vertices[mesh.simplices].mean(axis=1)
     outside = (np.abs(cent - 0.5) < 0.25).any(axis=1)
     phase = np.where(outside, PHASE_OUT, PHASE_INT)
-    for pairs, n_components in ((mesh.periodic_pairs, 1), (None, 4)):
+    for pairs, n_components in ((mesh.periodic_pairs, 1), (NO_PAIRS, 4)):
         new = extract_interface(mesh.vertices, mesh.simplices, phase, pairs)
         old = loop_extract_interface(mesh.vertices, mesh.simplices, phase,
                                      pairs)
@@ -729,21 +858,83 @@ def test_periodic_dof_map_matches_union_find_on_chains():
 ])
 def test_tiling_matches_loop(request, name, eps, strip):
     mesh, surf = _cell(request, name)
-    micro, micro_surf = tile_micro_domain(mesh, eps,
-                                          strip_boundary_inclusions=strip)
+    micro, facets = tile_micro_domain(mesh, surf.facets, eps, strip)
     disconnected = name in ("disk", "membrane")
     vertices, simplices, phase = loop_tiling(mesh, eps, strip, disconnected)
     _assert_same(micro.vertices, vertices)
     _assert_same(micro.simplices, simplices)
     _assert_same(micro.phase, phase)
-    assert micro_surf is micro.interface
-    if name == "membrane":
-        assert micro_surf is None
-    elif np.all(phase == PHASE_OUT):
-        assert len(micro_surf.facets) == 0
+    assert facets is micro.interface
+    if np.all(phase == PHASE_OUT):
+        _assert_same(facets, np.zeros((0, mesh.dim), dtype=np.int64))
     else:
-        _assert_same_surface(micro_surf,
-                             loop_extract_interface(vertices, simplices, phase))
+        _assert_same(facets,
+                     loop_extract_interface(vertices, simplices, phase).facets)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+@pytest.mark.parametrize("strip", [True, False], ids=["strip", "keep"])
+@pytest.mark.parametrize("name", CELLS)
+def test_tiled_interface_gathers_cell_facets(request, name, strip, eps):
+    # the tiles' copies of the cell facets are the facets extract_interface
+    # once found on the whole tiled mesh, in the same order
+    mesh, surf = _cell(request, name)
+    tiled, facets = tile_micro_domain(mesh, surf.facets, eps, strip)
+    if np.all(tiled.phase == PHASE_OUT):
+        _assert_same(facets, np.zeros((0, mesh.dim), dtype=np.int64))
+    else:
+        _assert_same(facets, extract_interface(
+            tiled.vertices, tiled.simplices, tiled.phase, NO_PAIRS).facets)
+
+
+def test_rays_match_octant_loops():
+    for n_theta in range(8, 480, 8):
+        dirs, hits = geometry._rays(n_theta)
+        _assert_bitwise(dirs, loop_sym_directions(n_theta))
+        _assert_bitwise(hits, loop_square_boundary_points(n_theta))
+
+
+@pytest.mark.parametrize("kind, params, eta", [
+    ("Disk2D", {"r0": 0.1}, None), ("Disk2D", {"r0": 0.25}, None),
+    ("Disk2D", {"r0": 0.45}, None), ("Disk2D", {"r0": 0.25}, 0.1),
+    ("Disk2D", {"r0": 0.25}, 0.2), ("Layered2D", {"a": 0.25, "b": 0.75}, None),
+    ("Layered2D", {"a": 0.1, "b": 0.5}, None),
+])
+@pytest.mark.parametrize("h", [0.1, 0.04])
+def test_pair_matcher_matches_former_2d_matcher(kind, params, eta, h):
+    # disk and membrane cells were matched on their outer ring only, the
+    # layered cell on all its vertices
+    spec = geometry.GeometrySpec(kind, params, h=h)
+    mesh, _ = (geometry.build_unit_cell(spec) if eta is None
+               else build_membrane_cell(spec, eta))
+    V = mesh.vertices
+    first = count = None
+    if kind == "Disk2D":
+        count = int(np.any((V == 0.0) | (V == 1.0), axis=1).sum())
+        first = len(V) - count
+    _assert_same(mesh.periodic_pairs, loop_match_boundary_pairs(V, first, count))
+
+
+@pytest.mark.parametrize("rho", [0.15, 0.3, 0.45])
+@pytest.mark.parametrize("h", [0.25, 1.0 / 6.0])
+def test_pair_matcher_matches_former_tube_pairing(monkeypatch, rho, h):
+    # the former pairing read the tube builder's lattice coordinates, cut
+    # edges and vertex compaction; they are taken from the builder's frame
+    # when it calls the matcher
+    matcher, former = geometry._match_boundary_pairs, []
+
+    def spy(vertices):
+        state = sys._getframe(1).f_locals
+        former.append(loop_tube_periodic_pairs(
+            vertices, state["remap"], state["coord_int"], state["n"],
+            state["cut_id"]))
+        return matcher(vertices)
+
+    monkeypatch.setattr(geometry, "_match_boundary_pairs", spy)
+    mesh, _ = geometry.build_unit_cell(
+        geometry.GeometrySpec("TubeLattice3D", {"rho": rho}, h=h))
+    assert len(former) == 1
+    _assert_same(mesh.periodic_pairs, former[0])
 
 
 # ---------------------------------------------------------------------------
@@ -781,8 +972,7 @@ def _source(pts, t):
 def test_micro_march_same_with_splu_and_cg(request, monkeypatch, name):
     mesh, surf = _cell(request, name)
     coeffs = request.getfixturevalue(name).coeffs
-    tiled, _ = tile_micro_domain(mesh, 0.5,
-                                 strip_boundary_inclusions=False)
+    tiled, _ = tile_micro_domain(mesh, surf.facets, 0.5, False)
     run = micro.MicroRun(mesh=tiled, coeffs=coeffs, k=1.0,
                          grid=TimeGrid(0.2, 0.05), u0_bar=sin_product,
                          source=_source)
@@ -792,8 +982,7 @@ def test_micro_march_same_with_splu_and_cg(request, monkeypatch, name):
 
 
 def test_membrane_march_same_with_splu_and_cg(monkeypatch, disk, membrane):
-    tiled, _ = tile_micro_domain(membrane[0], 0.5,
-                                 strip_boundary_inclusions=False)
+    tiled, _ = tile_micro_domain(membrane[0], membrane[1].facets, 0.5, False)
     run = micro.MembraneRun(mesh=tiled, coeffs=disk.coeffs,
                             grid=TimeGrid(0.2, 0.05), u0_bar=sin_product)
     splu, cg = (_march_with(monkeypatch, solver, micro.solve_membrane, run)
@@ -809,8 +998,8 @@ _MICRO_KEYS = ("surface_energy", "energy_bulk", "energy_surface")
 
 
 def _micro_run(request, name, strip, k, source=_source):
-    mesh, _ = _cell(request, name)
-    tiled, _ = tile_micro_domain(mesh, 0.5, strip_boundary_inclusions=strip)
+    mesh, surf = _cell(request, name)
+    tiled, _ = tile_micro_domain(mesh, surf.facets, 0.5, strip)
     run = micro.MicroRun(mesh=tiled, coeffs=request.getfixturevalue(name).coeffs,
                          k=k, grid=TimeGrid(0.2, 0.05), u0_bar=sin_product,
                          source=source)
@@ -841,7 +1030,7 @@ def test_interface_free_micro_march_matches_former(request, source):
     # stripping at eps = 1/2 removes every disk inclusion: no surface term,
     # and the initial datum has no interface to start from
     tiled, run = _micro_run(request, "disk", True, 1.0, source=source)
-    assert np.all(tiled.phase == PHASE_OUT) and len(tiled.interface.facets) == 0
+    assert np.all(tiled.phase == PHASE_OUT) and len(tiled.interface) == 0
     fld = _assert_same_micro(run)
     assert (np.abs(fld.levels).max() > 0.0) == (source is not None)
 
@@ -857,8 +1046,8 @@ MEMBRANE_RTOL = 1e-12
 @pytest.mark.parametrize("eps, strip", [(0.5, False), (1.0 / 3.0, True)])
 @pytest.mark.parametrize("eta", [0.2, 0.1])
 def test_membrane_march_matches_former_solve_membrane(disk, eta, eps, strip):
-    bc, _ = build_membrane_cell(disk.spec, eta)
-    tiled, _ = tile_micro_domain(bc, eps, strip_boundary_inclusions=strip)
+    bc, bs = build_membrane_cell(disk.spec, eta)
+    tiled, _ = tile_micro_domain(bc, bs.facets, eps, strip)
     run = micro.MembraneRun(mesh=tiled, coeffs=disk.coeffs,
                             grid=TimeGrid(0.2, 0.05), u0_bar=sin_product)
     fld = micro.solve_membrane(run)
@@ -874,8 +1063,9 @@ def test_membrane_march_matches_former_solve_membrane(disk, eta, eps, strip):
 
 
 def test_membrane_tiling_extracts_no_interface(monkeypatch, disk, membrane):
-    # solve_membrane reads the band, never an interface, so membrane tilings
-    # carry none; the levels match those of the tiling with its interface
+    # tiling gathers the cell facets and extracts nothing; solve_membrane
+    # reads the band, never the interface, so the levels match those of the
+    # same tiling without facets
     calls = []
     original = geometry.extract_interface
 
@@ -885,16 +1075,14 @@ def test_membrane_tiling_extracts_no_interface(monkeypatch, disk, membrane):
 
     monkeypatch.setattr(geometry, "extract_interface", counting)
     for eps, strip in ((0.5, False), (1.0 / 3.0, True)):
-        tiled, surf = tile_micro_domain(membrane[0], eps,
-                                        strip_boundary_inclusions=strip)
-        assert surf is None and tiled.interface is None
+        tiled, _ = tile_micro_domain(membrane[0], membrane[1].facets, eps,
+                                     strip)
         assert calls == []
         run = micro.MembraneRun(mesh=tiled, coeffs=disk.coeffs,
                                 grid=TimeGrid(0.2, 0.05), u0_bar=sin_product)
-        with_surf = dataclasses.replace(tiled, interface=original(
-            tiled.vertices, tiled.simplices, tiled.phase, None))
+        bare = dataclasses.replace(tiled, interface=tiled.interface[:0])
         got = micro.solve_membrane(run)
-        ref = micro.solve_membrane(dataclasses.replace(run, mesh=with_surf))
+        ref = micro.solve_membrane(dataclasses.replace(run, mesh=bare))
         _assert_bitwise(got.levels, ref.levels)
         for key in ("membrane_energy", "energy_bulk", "energy_surface"):
             _assert_bitwise(np.atleast_1d(got.diagnostics[key]),
@@ -1137,14 +1325,44 @@ GOLDEN_TUBE_MESH_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("h", sorted(GOLDEN_TUBE_MESH_SHA256))
-def test_tube_cell_mesh_pinned(tmp_path, h):
-    mesh, surf = geometry.build_unit_cell(
-        geometry.GeometrySpec("TubeLattice3D", {"rho": 0.25}, h=h))
-    path = str(tmp_path / "tube.bhmesh")
+# sha256 of the BHMESH files of 2D cells, as the former octant tables,
+# per-triangle loops and dict matcher built them: disk_default's cell
+# (h = 0.04), cell_pipeline's (h = 0.014), a membrane cell (eta = 0.1) and
+# layered_kgt1's cell
+GOLDEN_2D_MESH_SHA256 = {
+    ("Disk2D", 0.04, None):
+        "d96423a6a1b7dddd0c726e78c2606051df4cb8f3247de81d4c1b942c87519ed4",
+    ("Disk2D", 0.014, None):
+        "77e5e16e7a605717f141617f1f566872877db2e47614bd9ea82c8522b4720dc1",
+    ("Disk2D", 0.04, 0.1):
+        "deb58b7b16d769d2faf2f2fe7bc352c27e31e440efbfa7aa89a96dce45d38c39",
+    ("Layered2D", 0.05, None):
+        "fa78e73f400604cb819a0ef7e383571d2e4d2b56fbc5838e2dc8ce3ecc9acdda",
+}
+_GOLDEN_PARAMS = {"Disk2D": {"r0": 0.25}, "Layered2D": {"a": 0.25, "b": 0.75},
+                  "TubeLattice3D": {"rho": 0.25}}
+
+
+def _cell_mesh_sha256(tmp_path, kind, h, eta=None):
+    spec = geometry.GeometrySpec(kind, _GOLDEN_PARAMS[kind], h=h)
+    mesh, surf = (geometry.build_unit_cell(spec) if eta is None
+                  else build_membrane_cell(spec, eta))
+    path = str(tmp_path / "cell.bhmesh")
     formats.write_mesh(path, {"config": "0" * 64}, mesh.vertices,
                        mesh.simplices, mesh.phase, surf, mesh.periodic_pairs)
-    assert formats.file_sha256(path) == GOLDEN_TUBE_MESH_SHA256[h]
+    return formats.file_sha256(path)
+
+
+@pytest.mark.parametrize("h", sorted(GOLDEN_TUBE_MESH_SHA256))
+def test_tube_cell_mesh_pinned(tmp_path, h):
+    assert (_cell_mesh_sha256(tmp_path, "TubeLattice3D", h)
+            == GOLDEN_TUBE_MESH_SHA256[h])
+
+
+@pytest.mark.parametrize("kind, h, eta", list(GOLDEN_2D_MESH_SHA256))
+def test_2d_cell_mesh_pinned(tmp_path, kind, h, eta):
+    assert (_cell_mesh_sha256(tmp_path, kind, h, eta)
+            == GOLDEN_2D_MESH_SHA256[kind, h, eta])
 
 
 # ---------------------------------------------------------------------------

@@ -131,8 +131,7 @@ def test_topology_labels():
 
 @pytest.mark.parametrize("eps", [0.5, 1.0 / 3.0])
 def test_tiling_partitions_domain(disk, eps):
-    mmesh, _ = tile_micro_domain(disk.mesh, eps,
-                                 strip_boundary_inclusions=False)
+    mmesh, _ = tile_micro_domain(disk.mesh, disk.surf.facets, eps, False)
     total = np.abs(simplex_volumes(mmesh.vertices, mmesh.simplices)).sum()
     assert abs(total - 1.0) <= 1e-10
     assert mmesh.eps == eps
@@ -140,33 +139,30 @@ def test_tiling_partitions_domain(disk, eps):
 
 def test_tiling_rejects_non_reciprocal(disk):
     with pytest.raises(NonIntegerTiling):
-        tile_micro_domain(disk.mesh, 0.3)
+        tile_micro_domain(disk.mesh, disk.surf.facets, 0.3, True)
 
 
 def test_strip_removes_boundary_inclusions(disk):
     # at eps = 1/2 every inclusion touches a boundary cell, so the stripped
     # tiling is single-phase while the unstripped one keeps all four disks
-    stripped, ssurf = tile_micro_domain(disk.mesh, 0.5,
-                                        strip_boundary_inclusions=True)
-    kept, ksurf = tile_micro_domain(disk.mesh, 0.5,
-                                    strip_boundary_inclusions=False)
+    facets = disk.surf.facets
+    stripped, sfacets = tile_micro_domain(disk.mesh, facets, 0.5, True)
+    kept, kfacets = tile_micro_domain(disk.mesh, facets, 0.5, False)
     assert np.all(stripped.phase == PHASE_OUT)
-    assert len(ssurf.facets) == 0
+    assert len(sfacets) == 0
     assert (kept.phase == PHASE_INT).sum() > 0
-    assert ksurf.n_components == 4
+    assert len(kfacets) == 4 * len(facets)
 
 
 def test_interior_inclusions_survive_strip(disk):
-    mmesh, surf = tile_micro_domain(disk.mesh, 0.25,
-                                    strip_boundary_inclusions=True)
+    mmesh, facets = tile_micro_domain(disk.mesh, disk.surf.facets, 0.25, True)
     # 4x4 cells, the inner 2x2 block is untouched
-    assert surf.n_components == 4
+    assert len(facets) == 4 * len(disk.surf.facets)
     assert (mmesh.phase == PHASE_INT).sum() > 0
 
 
 def test_boundary_vertices_on_boundary(disk):
-    mmesh, _ = tile_micro_domain(disk.mesh, 0.5,
-                                 strip_boundary_inclusions=False)
+    mmesh, _ = tile_micro_domain(disk.mesh, disk.surf.facets, 0.5, False)
     pts = mmesh.vertices[mmesh.boundary_vertices]
     on_face = np.any((np.abs(pts) <= 1e-12) | (np.abs(pts - 1.0) <= 1e-12),
                      axis=1)
@@ -178,11 +174,10 @@ def test_boundary_vertices_on_boundary(disk):
 
 
 def test_tube_tiling_keeps_connected_lattice(tube):
-    mmesh, surf = tile_micro_domain(tube.mesh, 0.5,
-                                    strip_boundary_inclusions=True)
+    mmesh, facets = tile_micro_domain(tube.mesh, tube.surf.facets, 0.5, True)
     # the connected lattice is never stripped, interfaces meet the boundary
     assert (mmesh.phase == PHASE_INT).sum() > 0
-    assert len(surf.facets) > 0
+    assert len(facets) == 8 * len(tube.surf.facets)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_config_missing_file():
                                     np.array([0.0, 0.5])), ConfigInvalid),
     (lambda: macro.build_macro_mesh(4, 1), WrongGeometryClass),
     (lambda: micro.convergence_study("kgt1", [0.5], cell_mesh=None,
-                                     coeffs=None, k=2.0,
+                                     cell_facets=None, coeffs=None, k=2.0,
                                      grid=TimeGrid(0.1, 0.05)),
      MissingArtifact),
 ], ids=["time-grid", "kernel-horizon", "macro-dimension", "macro-reference"])
@@ -279,9 +279,10 @@ def test_checksum_tamper_detected(tmp_path):
     path = str(tmp_path / "s.bhsol")
     formats.write_solution(path, {"config": "x"}, "macro",
                            TimeGrid(0.2, 0.1), np.ones((3, 3)))
-    text = open(path).read().replace("1", "2", 1)
-    open(path, "w").write(text)
-    with pytest.raises(MissingArtifact):
+    text = open(path).read()
+    assert "\nkind macro\n" in text
+    open(path, "w").write(text.replace("\nkind macro\n", "\nkind macrp\n"))
+    with pytest.raises(MissingArtifact, match="failed its checksum"):
         formats.read_solution(path)
 
 
@@ -694,7 +695,7 @@ def _study_in_memory(cfg_path, out):
             "kernel": (cfg.kernel_grid.t_end, cfg.kernel_grid.step)})
         fld = macro.solve_homogenized_memory(prob)
     return micro.convergence_study(
-        cfg.regime, cfg.eps_list, cell_mesh=mesh,
+        cfg.regime, cfg.eps_list, cell_mesh=mesh, cell_facets=surf.facets,
         coeffs=cfg.coeffs, k=cfg.k, grid=cfg.macro_grid,
         u0_bar=cfg.u0_function(), source=cfg.source_function(),
         macro_mesh=mmesh, macro_field=fld, strip=cfg.topology == "cd").csv()
@@ -752,6 +753,90 @@ def test_cli_manifests_list_the_files_read(upstream, tmp_path, k):
     for name, digest in _manifest_inputs(out, "converge"):
         if name.startswith("micro_m"):
             assert digest == formats.file_sha256(os.path.join(out, name))
+
+
+# each artifact and the command that reads it
+_BODY_READERS = {"mesh.bhmesh": "cell", "cell.bhcell": "tensors",
+                 "tensors.bhtens": "macro", "micro_m2.bhsol": "converge"}
+_TOKENS = ("", "x", "nan", "-inf", "-1", "0", "1", "2", "3", "0.5", "999999",
+           "1e300")
+
+
+def _edit_line(prefix, change, offset):
+    """Replace the line offset lines after the first line that starts with
+    prefix by the lines change returns for it."""
+    def edit(lines):
+        i = offset + next(k for k, ln in enumerate(lines)
+                          if ln.startswith(prefix))
+        return lines[:i] + change(lines[i]) + lines[i + 1:]
+    return edit
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("mesh.bhmesh", _edit_line("dim ", lambda ln: ["dim x"], 0)),
+    ("mesh.bhmesh", _edit_line("vertices ", lambda ln: [], 1)),
+    ("mesh.bhmesh", _edit_line(
+        "elements ", lambda ln: ["999999 " + ln.split(" ", 1)[1]], 1)),
+    ("tensors.bhtens", _edit_line(
+        "A0 ", lambda ln: [ln.rsplit(" ", 1)[0]], 0)),
+    ("tensors.bhtens", _edit_line("lambda0 ", lambda ln: ["lambda0 abc"], 0)),
+    ("tensors.bhtens", _edit_line(
+        "t, B11", lambda ln: [ln.rsplit(", ", 1)[0]], 1)),
+    ("cell.bhcell", _edit_line("grid ", lambda ln: ["grid 1"], 0)),
+    ("cell.bhcell", _edit_line("fields ", lambda ln: ["fields 9999"], 0)),
+], ids=["mesh-dim-x", "mesh-vertex-row-dropped", "mesh-vertex-id-999999",
+        "tensors-short-A0", "tensors-lambda0-abc", "tensors-short-B0-row",
+        "cell-grid-1", "cell-fields-9999"])
+def test_cli_malformed_body_exits_3_without_traceback(upstream, tmp_path,
+                                                      name, edit):
+    # each of these once ended in a ValueError, IndexError or StopIteration
+    cfg, out = _copy_run(upstream, 1.0, tmp_path)
+    _rewrite(os.path.join(out, name), edit)
+    proc = _subprocess_bh(_BODY_READERS[name], cfg, out)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("artifact error:")
+    assert "malformed" in proc.stderr
+
+
+def _edit_body_line(how, pick, token):
+    """Delete, duplicate or truncate one body line (neither the magic nor a
+    header comment), or replace one of its space-separated tokens."""
+    def edit(lines):
+        body = [i for i, ln in enumerate(lines)
+                if i > 0 and not ln.startswith("# ")]
+        i = body[pick % len(body)]
+        line = lines[i]
+        if how == "delete":
+            new = []
+        elif how == "duplicate":
+            new = [line, line]
+        elif how == "truncate":
+            new = [line[:pick % max(len(line), 1)]]
+        else:
+            tokens = line.split(" ")
+            tokens[pick % len(tokens)] = token
+            new = [" ".join(tokens)]
+        return lines[:i] + new + lines[i + 1:]
+    return edit
+
+
+@settings(max_examples=120)
+@given(name=st.sampled_from(sorted(_BODY_READERS)),
+       how=st.sampled_from(["delete", "duplicate", "truncate", "retoken"]),
+       pick=st.integers(min_value=0, max_value=10 ** 6),
+       token=st.sampled_from(_TOKENS))
+def test_cli_mutated_artifact_body_exits_cleanly(upstream, name, how, pick,
+                                                 token):
+    # one body line edited under a valid checksum; the command reading the
+    # file ends with an exit code, never an exception
+    cfg, out = upstream(1.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        run = os.path.join(tmp, "run")
+        shutil.copytree(out, run)
+        _rewrite(os.path.join(run, name), _edit_body_line(how, pick, token))
+        code = cli.main([_BODY_READERS[name], "--config", cfg, "--out", run])
+    assert code in (0, 1, 2, 3)
 
 
 def test_cli_converge_without_micro_exits_3(tiny_cfg, tmp_path):

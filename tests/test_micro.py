@@ -22,9 +22,7 @@ from conftest import sin_product
 
 @pytest.fixture(scope="module")
 def disk_tiled(disk):
-    mesh, surf = tile_micro_domain(disk.mesh, 0.5,
-                                   strip_boundary_inclusions=False)
-    return mesh, surf
+    return tile_micro_domain(disk.mesh, disk.surf.facets, 0.5, False)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +54,7 @@ def test_micro_surface_energy_dissipates(disk, disk_field):
 
 def test_micro_rejects_membrane_mesh(disk):
     bc, bs = build_membrane_cell(disk.spec, 0.2)
-    bm, _ = tile_micro_domain(bc, 0.5, strip_boundary_inclusions=False)
+    bm, _ = tile_micro_domain(bc, bs.facets, 0.5, False)
     run = micro.MicroRun(mesh=bm, coeffs=disk.coeffs, k=1.0,
                          grid=TimeGrid(0.1, 0.05), u0_bar=sin_product)
     with pytest.raises(WrongGeometryClass):
@@ -67,8 +65,7 @@ def test_interface_free_mesh_is_quasi_static(disk):
     # stripping at eps = 1/2 removes every inclusion; the initial datum
     # enters only through its interface trace, so the whole march is the
     # trivial steady state of the source-free conduction problem
-    mesh, _ = tile_micro_domain(disk.mesh, 0.5,
-                                strip_boundary_inclusions=True)
+    mesh, _ = tile_micro_domain(disk.mesh, disk.surf.facets, 0.5, True)
     run = micro.MicroRun(mesh=mesh, coeffs=disk.coeffs, k=0.0,
                          grid=TimeGrid(0.1, 0.05), u0_bar=sin_product)
     fld = micro.solve_micro(run)
@@ -107,8 +104,8 @@ def test_micro_step_solver_follows_dimension(built_solvers, disk, disk_tiled,
                                              tube):
     # no initial datum, so no harmonic-extension factor: the one solver
     # built is the step solver; the 3D tiling has 3,349 dofs
-    tube_tiled, _ = tile_micro_domain(tube.mesh, 0.5,
-                                      strip_boundary_inclusions=False)
+    tube_tiled, _ = tile_micro_domain(tube.mesh, tube.surf.facets, 0.5,
+                                      False)
     cases = ((disk_tiled[0], disk.coeffs, "DirichletFactor"),
              (tube_tiled, tube.coeffs, "CGSolver"))
     for mesh, coeffs, expected in cases:
@@ -120,7 +117,7 @@ def test_micro_step_solver_follows_dimension(built_solvers, disk, disk_tiled,
 
 def test_membrane_step_solver_follows_dimension(built_solvers, disk):
     bc, bs = build_membrane_cell(disk.spec, 0.2)
-    bm, _ = tile_micro_domain(bc, 0.5, strip_boundary_inclusions=False)
+    bm, _ = tile_micro_domain(bc, bs.facets, 0.5, False)
     micro.solve_membrane(micro.MembraneRun(mesh=bm, coeffs=disk.coeffs,
                                            grid=TimeGrid(0.1, 0.05)))
     assert built_solvers == ["DirichletFactor"]
@@ -148,7 +145,7 @@ def test_no_dof_count_solver_limit_left():
 
 def test_membrane_march_dissipates(disk):
     bc, bs = build_membrane_cell(disk.spec, 0.2)
-    bm, _ = tile_micro_domain(bc, 0.5, strip_boundary_inclusions=False)
+    bm, _ = tile_micro_domain(bc, bs.facets, 0.5, False)
     fld = micro.solve_membrane(micro.MembraneRun(mesh=bm, coeffs=disk.coeffs,
                                                  grid=TimeGrid(0.2, 0.02),
                                                  u0_bar=sin_product))
@@ -160,7 +157,7 @@ def test_membrane_march_dissipates(disk):
 
 def test_membrane_initial_state_pins_band(disk):
     bc, bs = build_membrane_cell(disk.spec, 0.2)
-    bm, _ = tile_micro_domain(bc, 0.5, strip_boundary_inclusions=False)
+    bm, _ = tile_micro_domain(bc, bs.facets, 0.5, False)
     fld = micro.solve_membrane(micro.MembraneRun(mesh=bm, coeffs=disk.coeffs,
                                                  grid=TimeGrid(0.1, 0.05),
                                                  u0_bar=sin_product))
@@ -266,5 +263,6 @@ def test_convergence_study_requires_reference(disk):
     with pytest.raises(MissingArtifact):
         micro.convergence_study("k1_connected_disconnected", [0.5],
                                 cell_mesh=disk.mesh,
+                                cell_facets=disk.surf.facets,
                                 coeffs=disk.coeffs, k=1.0,
                                 grid=TimeGrid(0.1, 0.05))
