@@ -11,8 +11,10 @@ eliminates the rows of Dirichlet dofs; for the periodic and surface
 operators, whose kernel is the constants, it pins one dof, projects the
 load and restores a zero weighted mean (volume weights for bulk,
 per-component surface weights on interfaces).  It serves the cell
-problems, the 2D micro marches and the macro limits; 3D micro marches use
-diagonally preconditioned conjugate gradients.
+problems and the macro limits.  The 2D micro marches solve on their
+eps-tiles with SubstructuredFactor, built from DirichletFactors of the tile
+interiors and of the skeleton; 3D micro marches use diagonally
+preconditioned conjugate gradients.
 """
 
 import numpy as np
@@ -233,13 +235,18 @@ def residual_check(K, x, b, tol=1e-10):
         raise SingularSystem(f"relative residual {worst:.3e} exceeds {tol:.0e}")
 
 
+def _free_dofs(n, fixed):
+    """The fixed dofs as an int array, and the other dofs of n."""
+    fixed = np.asarray(fixed, dtype=np.int64)
+    mask = np.ones(n, dtype=bool)
+    mask[fixed] = False
+    return fixed, np.flatnonzero(mask)
+
+
 def _split(K, fixed):
     """Fixed and free dofs, and the free rows of K (CSC) split into their
     free and fixed columns."""
-    fixed = np.asarray(fixed, dtype=np.int64)
-    mask = np.ones(K.shape[0], dtype=bool)
-    mask[fixed] = False
-    free = np.where(mask)[0]
+    fixed, free = _free_dofs(K.shape[0], fixed)
     Kr = K.tocsc()[free]
     return fixed, free, Kr[:, free], Kr[:, fixed]
 
@@ -297,6 +304,127 @@ class DirichletFactor:
         if np.max(mean) > 1e-12:
             raise SingularSystem(
                 f"mean-zero constraint violated by {np.max(mean):.3e}")
+        return x
+
+
+def _row_types(rows):
+    """Indices of the first of each distinct row of an int array, and the
+    label of every row.  Each row is compared as one byte string:
+    np.unique(rows, axis=0) took 30 ms on 100 tiles of 1,352 elements."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    _, first, label = np.unique(keys.ravel(), return_index=True,
+                                return_inverse=True)
+    return first, label.ravel()
+
+
+# A SuperLU solve of many columns calls threaded BLAS, which on a 2-vCPU
+# host stalled now and then for 30-80 ms; eight columns at a time never did
+# (README, "Solvers").
+_SOLVE_COLUMNS = 8
+
+
+def _solve_in_slices(fac, B):
+    """fac.solve(B) for a block B, _SOLVE_COLUMNS columns at a time."""
+    if B.shape[1] <= _SOLVE_COLUMNS:
+        return fac.solve(B)
+    return np.hstack([fac.solve(B[:, j:j + _SOLVE_COLUMNS])
+                      for j in range(0, B.shape[1], _SOLVE_COLUMNS)])
+
+
+class SubstructuredFactor:
+    """Direct solves of K x = b on an eps-periodic tiling, by substructuring
+    (Przemieniecki, AIAA J. 1 (1963) 138-147).
+
+    tiles[t] maps the cell vertices to the dofs of tile t; tiles whose rows
+    of patterns agree carry the same coefficients.  A cell vertex whose dof
+    no other tile shares, in every tile, is interior; all other dofs form
+    the skeleton.  Tiles with the same pattern and the same fixed interior
+    dofs form a type and share their blocks: one representative's interior
+    block A_II is factored and T = A_II^{-1} A_IB kept dense.  The skeleton
+    Schur complement A_BB - sum_t A_BI T, scattered through the tile maps,
+    is factored with the fixed skeleton dofs as its fixed set.  solve takes
+    the arguments of DirichletFactor.solve; it condenses the tiles of each
+    type with one block solve (in slices of _SOLVE_COLUMNS columns), solves
+    on the skeleton and back-substitutes
+    with one T x_B product per type.  Every solve checks the residual of
+    the whole reduced system per column to 1e-10 of its right-hand side, so
+    a tile whose blocks differ from its type's fails.
+    """
+
+    def __init__(self, K: sp.spmatrix, fixed, tiles: np.ndarray,
+                 patterns: np.ndarray):
+        K = K.tocsr()
+        self.n = K.shape[0]
+        self.fixed, self.free = _free_dofs(self.n, fixed)
+        self.K_free = K[self.free]
+        is_fixed = np.zeros(self.n, dtype=bool)
+        is_fixed[self.fixed] = True
+        shared = np.bincount(tiles.ravel(), minlength=self.n)[tiles] > 1
+        loc_i = np.flatnonzero(~shared.any(axis=0))
+        loc_b = np.flatnonzero(shared.any(axis=0))
+        self.skeleton, bpos = np.unique(tiles[:, loc_b], return_inverse=True)
+        bpos = bpos.reshape(len(tiles), len(loc_b))
+        nb = len(loc_b)
+
+        reps, label = _row_types(np.column_stack(
+            [patterns, is_fixed[tiles[:, loc_i]]]))
+        self.types = []
+        rows, cols, vals = [], [], []
+        for ty, rep in enumerate(reps):
+            members = np.flatnonzero(label == ty)
+            li = loc_i[~is_fixed[tiles[rep, loc_i]]]
+            gi, gb = tiles[rep, li], tiles[rep, loc_b]
+            K_i = K[gi]
+            fac = DirichletFactor(K_i[:, gi])
+            T = _solve_in_slices(fac, K_i[:, gb].toarray())
+            A_bi = K[gb][:, gi]
+            bp = bpos[members]
+            rows.append(np.repeat(bp, nb, axis=1).ravel())
+            cols.append(np.tile(bp, nb).ravel())
+            vals.append(np.tile((A_bi @ T).ravel(), len(members)))
+            self.types.append((fac, T, A_bi, tiles[members][:, li], bp))
+        ns = len(self.skeleton)
+        condensed = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows),
+                                    np.concatenate(cols))), shape=(ns, ns))
+        schur = K[self.skeleton][:, self.skeleton] - condensed.tocsr()
+        self.skeleton_factor = DirichletFactor(
+            schur, np.flatnonzero(is_fixed[self.skeleton]))
+
+    def solve(self, b: np.ndarray, fixed_values=None) -> np.ndarray:
+        x = np.zeros((self.n,) + b.shape[1:])
+        if fixed_values is not None:
+            x[self.fixed] = fixed_values
+        if not len(self.free):
+            return x
+        # the reduced system on all n dofs, with zero load and value on the
+        # fixed ones; x is zero off them
+        rhs = b[self.free] - self.K_free @ x
+        r = np.zeros((self.n, rhs.size // len(self.free)))
+        r[self.free] = rhs.reshape(len(self.free), -1)
+        nc = r.shape[1]
+        g = r[self.skeleton]
+        condensed = []
+        for fac, _, A_bi, gi, bp in self.types:
+            k, ni = gi.shape
+            Y = _solve_in_slices(
+                fac, r[gi].transpose(1, 0, 2).reshape(ni, k * nc))
+            flux = (A_bi @ Y).reshape(-1, k, nc).transpose(1, 0, 2)
+            np.subtract.at(g, bp, flux)
+            condensed.append(Y)
+        xs = self.skeleton_factor.solve(g)
+        y = np.zeros_like(r)
+        y[self.skeleton] = xs
+        for (_, T, _, gi, bp), Y in zip(self.types, condensed):
+            k, ni = gi.shape
+            xb = xs[bp].transpose(1, 0, 2).reshape(-1, k * nc)
+            # einsum keeps this product out of the BLAS thread pool (README,
+            # "Solvers")
+            xi = Y - np.einsum("ib,bk->ik", T, xb)
+            y[gi] = xi.reshape(ni, k, nc).transpose(1, 0, 2)
+        residual_check(self.K_free, y, r[self.free])
+        x[self.free] = y[self.free].reshape(rhs.shape)
         return x
 
 

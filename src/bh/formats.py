@@ -143,8 +143,9 @@ def write_mesh(path, header, vertices, simplices, phase, surf=None, pairs=None):
 
 
 def read_mesh(path):
-    """A body off the written layout, or with a vertex id outside the
-    vertex table or an unknown phase, is refused like a failed checksum."""
+    """A body off the written layout, with a vertex id outside the vertex
+    table, an unknown phase or a vertex or normal that is not finite, is
+    refused like a failed checksum."""
     header, body = read_artifact(path, "BHMESH 1")
     it = iter(body)
 
@@ -180,6 +181,7 @@ def read_mesh(path):
         ids = np.concatenate([elements[:, :-1].ravel(), facets.ravel(),
                               pairs[:, :2].ravel()])
         if (next(it, None) is not None or not np.all(np.isfinite(vertices))
+                or not np.all(np.isfinite(data["normals"]))
                 or np.any((ids < 0) | (ids >= len(vertices)))
                 or np.any((data["phase"] < 0) | (data["phase"] > 2))
                 or np.any((pairs[:, 2] < 0) | (pairs[:, 2] >= dim))):
@@ -230,9 +232,11 @@ def _mat_line(key, M):
 
 
 def _floats(tokens, n):
-    if len(tokens) != n:
+    """n finite floats, else ValueError."""
+    vals = np.array([float(t) for t in tokens])
+    if len(vals) != n or not np.all(np.isfinite(vals)):
         raise ValueError
-    return np.array([float(t) for t in tokens])
+    return vals
 
 
 def write_tensors(path, header, tens, kernel_grid):
@@ -277,7 +281,9 @@ _TENSOR_REQUIRED = {"lambda0", "A0", "A0_flux", "A0_gap", "C0", "C0_mixed",
 
 
 def read_tensors(path):
-    """A body off the written layout is refused like a failed checksum."""
+    """A body off the written layout, or with a value that is not finite,
+    is refused like a failed checksum.  B0 and Phi are (levels, dim, dim)
+    arrays on the kernel grid, whose times both tables must list alike."""
     header, body = read_artifact(path, "BHTENS 1")
     it = iter(body)
     try:
@@ -285,7 +291,7 @@ def read_tensors(path):
         dim = int(dim)
         if key != "dim" or dim not in (2, 3):
             raise ValueError
-        out = {"dim": dim}
+        out, times = {"dim": dim}, {}
         for ln in it:
             key, *toks = ln.split()
             if key in _TENSOR_MATS:
@@ -310,16 +316,13 @@ def read_tensors(path):
                 else:
                     raise ValueError
                 rows = np.array(rows).reshape(-1, ncols)
-                mats = rows[:, 1:1 + dim * dim].reshape(-1, dim, dim)
-                if key == "B0_csv":
-                    out["kernel_times"], out["B0"] = rows[:, 0], mats
-                    out["B0_row_gap"] = rows[:, -1]
-                else:
-                    out["phi_times"], out["Phi"] = rows[:, 0], mats
+                name = key.removesuffix("_csv")
+                times[name] = rows[:, 0]
+                out[name] = rows[:, 1:1 + dim * dim].reshape(-1, dim, dim)
             else:
                 raise ValueError
         if (not _TENSOR_REQUIRED <= set(out)
-                or not np.array_equal(out["kernel_times"], out["phi_times"])):
+                or not np.array_equal(times["B0"], times["Phi"])):
             raise ValueError
     except (ValueError, StopIteration):
         raise MissingArtifact(f"{path}: malformed tensor body") from None

@@ -136,7 +136,9 @@ class SurfaceMesh:
 @dataclass
 class MicroMesh:
     """eps-periodic tiling of a unit cell mesh over the fixed domain (0,1)^N,
-    carrying the interface between its phases."""
+    carrying the interface between its phases and the map of every tile's
+    cell vertices to the tiling's vertices; the simplices are listed tile
+    by tile, each tile's in cell order."""
 
     vertices: np.ndarray
     simplices: np.ndarray
@@ -144,6 +146,7 @@ class MicroMesh:
     eps: float
     boundary_vertices: np.ndarray  # indices of vertices on the outer boundary
     interface: np.ndarray          # (nf, N) int facets between the phases
+    local_global: np.ndarray       # (tiles, cell vertices) int vertex ids
     eta: float = 0.0               # nonzero for tiled membrane cells
 
     @property
@@ -793,6 +796,7 @@ def tile_micro_domain(mesh: CellMesh, facets: np.ndarray, eps: float,
     micro = MicroMesh(vertices=vertices, simplices=simplices, phase=phase,
                       eps=eps, boundary_vertices=boundary,
                       interface=tiled[np.lexsort(tiled.T[::-1])],
+                      local_global=local_global,
                       eta=getattr(mesh, "eta", 0.0))
 
     vol = micro.volumes().sum()

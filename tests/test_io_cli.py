@@ -784,12 +784,18 @@ def _edit_line(prefix, change, offset):
         "t, B11", lambda ln: [ln.rsplit(", ", 1)[0]], 1)),
     ("cell.bhcell", _edit_line("grid ", lambda ln: ["grid 1"], 0)),
     ("cell.bhcell", _edit_line("fields ", lambda ln: ["fields 9999"], 0)),
+    ("mesh.bhmesh", _edit_line(
+        "facets ", lambda ln: [ln.rsplit(" ", 1)[0] + " inf"], 1)),
+    ("tensors.bhtens", _edit_line(
+        "A0 ", lambda ln: ["A0 nan " + ln.split(" ", 2)[2]], 0)),
 ], ids=["mesh-dim-x", "mesh-vertex-row-dropped", "mesh-vertex-id-999999",
         "tensors-short-A0", "tensors-lambda0-abc", "tensors-short-B0-row",
-        "cell-grid-1", "cell-fields-9999"])
+        "cell-grid-1", "cell-fields-9999", "mesh-normal-inf",
+        "tensors-A0-nan"])
 def test_cli_malformed_body_exits_3_without_traceback(upstream, tmp_path,
                                                       name, edit):
-    # each of these once ended in a ValueError, IndexError or StopIteration
+    # each of these once ended in a ValueError, IndexError or StopIteration,
+    # or (a value that is not finite) reached the solvers
     cfg, out = _copy_run(upstream, 1.0, tmp_path)
     _rewrite(os.path.join(out, name), edit)
     proc = _subprocess_bh(_BODY_READERS[name], cfg, out)

@@ -7,17 +7,47 @@ The one march both solvers share is pinned to the former solve_micro and
 solve_membrane in tests/test_equivalence.py.
 """
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bh import cell, fem, micro
-from bh.errors import MissingArtifact, WrongGeometryClass
+from bh import cell, cli, fem, micro
+from bh.errors import (MissingArtifact, SingularSystem, SolverFailure,
+                       WrongGeometryClass)
 from bh.geometry import PHASE_MEMBRANE, build_membrane_cell, tile_micro_domain
 from bh.timegrid import TimeGrid
 
 from conftest import sin_product
+
+DISK_INI = """[geometry]
+kind = Disk2D
+r0 = 0.25
+h = 0.04
+
+[coefficients]
+lambda_int = 1.0
+lambda_out = 3.0
+alpha = 1.0
+k = 1.0
+
+[kernel]
+t_end = 0.2
+dt = 0.05
+
+[macro]
+t_end = 0.2
+dt = 0.05
+n = 8
+
+[data]
+u0 = sin-product
+f = sin-product
+
+[study]
+eps_list = 0.5, 0.25
+"""
 
 
 @pytest.fixture(scope="module")
@@ -90,9 +120,10 @@ def test_micro_scaling_exponent_enters(disk_tiled, disk):
 
 @pytest.fixture
 def built_solvers(monkeypatch):
-    """Names of the fem step solvers constructed, in order."""
+    """Names of the fem solvers constructed, in order; a substructured
+    factor is listed before the factors it builds."""
     built = []
-    for name in ("DirichletFactor", "CGSolver"):
+    for name in ("DirichletFactor", "CGSolver", "SubstructuredFactor"):
         def counting(*args, _cls=getattr(fem, name), _name=name):
             built.append(_name)
             return _cls(*args)
@@ -100,19 +131,24 @@ def built_solvers(monkeypatch):
     return built
 
 
+# one tile type at eps = 1/2 without stripping: its interior factor, then
+# the skeleton factor
+SUBSTRUCTURED = ["SubstructuredFactor", "DirichletFactor", "DirichletFactor"]
+
+
 def test_micro_step_solver_follows_dimension(built_solvers, disk, disk_tiled,
                                              tube):
-    # no initial datum, so no harmonic-extension factor: the one solver
-    # built is the step solver; the 3D tiling has 3,349 dofs
+    # no initial datum, so no harmonic-extension factor: the solvers built
+    # are the step solver's; the 3D tiling has 3,349 dofs
     tube_tiled, _ = tile_micro_domain(tube.mesh, tube.surf.facets, 0.5,
                                       False)
-    cases = ((disk_tiled[0], disk.coeffs, "DirichletFactor"),
-             (tube_tiled, tube.coeffs, "CGSolver"))
+    cases = ((disk_tiled[0], disk.coeffs, SUBSTRUCTURED),
+             (tube_tiled, tube.coeffs, ["CGSolver"]))
     for mesh, coeffs, expected in cases:
         built_solvers.clear()
         micro.solve_micro(micro.MicroRun(mesh=mesh, coeffs=coeffs, k=1.0,
                                          grid=TimeGrid(0.1, 0.05)))
-        assert built_solvers == [expected]
+        assert built_solvers == expected
 
 
 def test_membrane_step_solver_follows_dimension(built_solvers, disk):
@@ -120,15 +156,81 @@ def test_membrane_step_solver_follows_dimension(built_solvers, disk):
     bm, _ = tile_micro_domain(bc, bs.facets, 0.5, False)
     micro.solve_membrane(micro.MembraneRun(mesh=bm, coeffs=disk.coeffs,
                                            grid=TimeGrid(0.1, 0.05)))
-    assert built_solvers == ["DirichletFactor"]
+    assert built_solvers == SUBSTRUCTURED
 
 
 def test_step_solver_ignores_dof_count(built_solvers):
-    large = sp.identity(70001, format="csr")     # 70,000 free dofs
-    micro._step_solver(large, np.array([0]), 2)
+    # 100 tiles of 700 dofs that no tile shares (70,000 free dofs) are
+    # substructured in 2D; a 10-dof system runs CG in 3D
+    large = sp.identity(70001, format="csr")
+    tiling = SimpleNamespace(dim=2, phase=np.zeros(100, dtype=np.int64),
+                             local_global=np.arange(1, 70001).reshape(100, 700))
+    micro._step_solver(large, np.array([0]), tiling)
     small = sp.identity(10, format="csr")
-    micro._step_solver(small, np.array([0]), 3)
-    assert built_solvers == ["DirichletFactor", "CGSolver"]
+    micro._step_solver(small, np.array([0]), SimpleNamespace(dim=3))
+    assert built_solvers == SUBSTRUCTURED + ["CGSolver"]
+
+
+def test_micro_stage_builds_no_whole_domain_factor(monkeypatch, tmp_path,
+                                                   disk):
+    # every factor bh micro builds on a 2D tiling is a tile interior or a
+    # skeleton, never the whole domain
+    free = []
+    original = fem.DirichletFactor
+
+    def recording(*args, **kwargs):
+        fac = original(*args, **kwargs)
+        free.append(len(fac.free))
+        return fac
+
+    monkeypatch.setattr(fem, "DirichletFactor", recording)
+    cfg = tmp_path / "disk.ini"
+    cfg.write_text(DISK_INI)
+    out = str(tmp_path / "run")
+    assert cli.main(["mesh", "--config", str(cfg), "--out", out]) == 0
+    assert cli.main(["micro", "--config", str(cfg), "--out", out]) == 0
+
+    V = disk.mesh.vertices
+    interior = int(np.all((V > 0.0) & (V < 1.0), axis=1).sum())
+    skeleton = whole = 0
+    for eps in (0.5, 0.25):
+        tiled, _ = tile_micro_domain(disk.mesh, disk.surf.facets, eps, True)
+        m = round(1.0 / eps)
+        W = tiled.vertices * m
+        on_grid = np.any(np.abs(W - np.round(W)) < 1e-9, axis=1)
+        n_boundary = len(tiled.boundary_vertices)
+        skeleton = max(skeleton, int(on_grid.sum()) - n_boundary)
+        whole = max(whole, len(tiled.vertices) - n_boundary)
+    assert free and max(free) <= max(interior, skeleton)
+    assert max(interior, skeleton) < whole / 10
+
+
+def test_tile_off_its_type_fails_the_march(disk):
+    # the last tile's interior block no longer equals that of its type's
+    # representative, the first tile: the residual check of the whole
+    # reduced system rejects the solve, and the march reports its step
+    tiled, _ = tile_micro_domain(disk.mesh, disk.surf.facets, 0.25, False)
+    n = len(tiled.vertices)
+    K = fem.assemble_stiffness(
+        fem.element_gradients(tiled.vertices, tiled.simplices),
+        tiled.simplices, np.ones(len(tiled.simplices)),
+        fem.identity_dof_map(n), n)
+    tiles = tiled.local_global
+    shared = np.bincount(tiles.ravel())[tiles] > 1
+    dof = tiles[-1, np.flatnonzero(~shared.any(axis=0))[0]]
+    bump = sp.csr_matrix(([1.0], ([dof], [dof])), shape=K.shape)
+    boundary = np.unique(tiled.boundary_vertices)
+    zeros = np.zeros(len(boundary))
+
+    exact = micro._factor(K, boundary, tiled).solve(np.ones(n), zeros)
+    assert np.abs(exact).max() > 0.0
+    with pytest.raises(SingularSystem, match="relative residual"):
+        micro._factor(K + bump, boundary, tiled).solve(np.ones(n), zeros)
+    with pytest.raises(SolverFailure,
+                       match="march step 1 failed: relative residual"):
+        micro._march(K, bump, 1.0, boundary, np.empty(0, dtype=np.int64),
+                     None, TimeGrid(0.1, 0.05), tiled, K,
+                     load=lambda t: np.ones(n))
 
 
 def test_no_dof_count_solver_limit_left():
