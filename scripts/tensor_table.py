@@ -41,7 +41,7 @@ def main():
         spec = geometry.GeometrySpec(kind, params, h=h)
         mesh, surf = geometry.build_unit_cell(spec)
         sys = cell.CellSystem(mesh, surf, coeffs)
-        funcs = cell.solve_cell_functions(sys, grid, with_chi0_tilde=True)
+        funcs = cell.solve_cell_functions(sys, grid)
         tens = tensors.compute_all(sys, funcs, topology)
 
         A_inst = tens.lambda0 * np.eye(mesh.dim) + tens.A0
@@ -61,10 +61,9 @@ def main():
             print(f"  eig(A_hom, k < 1)   = "
                   + np.array2string(np.linalg.eigvalsh(tens.A_hom_klt1),
                                     precision=6))
-        if tens.A_hom_kgt1 is not None:
-            print(f"  eig(A_hom, k > 1)   = "
-                  + np.array2string(np.linalg.eigvalsh(tens.A_hom_kgt1),
-                                    precision=6))
+        print(f"  eig(A_hom, k > 1)   = "
+              + np.array2string(np.linalg.eigvalsh(tens.A_hom_kgt1),
+                                precision=6))
         worst = max(g for g in tens.discrepancies.values() if g is not None)
         print(f"  worst dual-route gap = {worst:.3e}")
         print(f"  worst flux residual  = "

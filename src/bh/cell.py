@@ -1,23 +1,25 @@
 """Cell problems on the periodic unit cell.
 
-Solves, in order:
+Every corrector has one form, P + E y.  P is the response of each phase
+to the directional loads with a zero interface trace, and E (nd x g) the
+discrete-harmonic extension of a trace y on the g interface dofs; one
+block solve per phase factor gives both.  The bulk is quasi-static; only
+the trace carries the structure.  Solves, in order:
 
-* chi0    stationary corrector with a perfectly conducting interface:
-          per-component surface trace problem, harmonic extension into the
-          outer phase with an m x m constant-fixing flux system, harmonic
-          extension into the inclusions, global mean zero.
+* chi0    stationary corrector with a perfectly conducting interface: y
+          from per-component surface trace problems, their constants from
+          an m x m flux system, then global mean zero.
 * v       initial surface data: surface Poisson problem per component,
           driven by the conductive flux jump of chi0 + y_j.
 * chi1    surface-coupled relaxation started from v (implicit Euler).
 * omega   same evolution started from the negated chi0 trace; its flux
           history supplies the source coefficients of the macro problem.
-          The bulk is quasi-static, so the 2N relaxations of chi1 and omega
-          march together on the g interface dofs alone: the Steklov-Poincare
-          reduction of the step matrix is a dense (g+1) x (g+1) system,
-          inverted once, and one product with the harmonic extension
-          operator E (nd x g, from the two phase factors chi0 builds)
+          The 2N relaxations of chi1 and omega march together on y alone:
+          the Steklov-Poincare reduction of the step matrix is a dense
+          (g+1) x (g+1) system, inverted once, and one product with E
           extends every level into the bulk.
-* chi0t   classical periodic corrector for the high-contrast regime k > 1.
+* chi0t   classical periodic corrector for the high-contrast regime k > 1:
+          y from the same reduced system at zero time step weight.
 
 Flux functionals are residual based: the discrete normal flux of a solved
 field against a surface test function is read off from the bulk stiffness
@@ -26,6 +28,7 @@ precision instead of O(h).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +68,7 @@ class CellFunctionSet:
     omega: np.ndarray              # (N, M+1, nd)
     grid: TimeGrid
     flux_residuals: np.ndarray     # (m, N) discrete int_(Gamma_i) (grad chi0)^out . nu
-    chi0_tilde: np.ndarray = None  # (N, nd), only for the k > 1 regime
+    chi0_tilde: np.ndarray         # (N, nd), the corrector of the k > 1 regime
     chi1_energy: np.ndarray = None   # (N, M+1) surface energies along chi1;
     omega_energy: np.ndarray = None  # (N, M+1) None when read from an archive
 
@@ -93,7 +96,6 @@ class CellSystem:
         self.vol_w = fem.volume_dof_weights(self.vols, S, self.vdof, self.nd)
 
         self.gamma_dofs = np.unique(self.vdof[surf.facets])
-        self.surf_w = fem.surface_dof_weights(V, surf.facets, self.vdof, self.nd)
 
         self.m = surf.n_components
         self.comp_dofs, self.comp_w, self.comp_area, self.net_normal = [], [], [], []
@@ -122,9 +124,8 @@ class CellSystem:
             self.vdof, self.nd) for j in range(self.dim)])
 
         self._trace_factors = None
-        self._extension = None
 
-    # -- factorizations, built lazily and reused -------------------------
+    # -- factorizations and phase solves, built lazily and reused --------
 
     def trace_factor(self, c):
         if self._trace_factors is None:
@@ -135,25 +136,28 @@ class CellSystem:
                 weights=self.comp_w[c][self.comp_dofs[c]])
         return self._trace_factors[c]
 
-    @property
-    def extension(self):
-        """E (nd x g): the discrete-harmonic extensions of the unit traces on
-        gamma_dofs, column i for gamma_dofs[i], so E[gamma_dofs] = I.
+    @cached_property
+    def phase_solves(self):
+        """(E, P), from one block solve per phase factor; the interface
+        separates the phases, so each phase solves for its own dofs.
 
-        Built once from the two phase factors; the interface separates the
-        phases, so each phase extends its own part of every trace.
+        E (nd x g) holds the discrete-harmonic extensions of the unit traces
+        on gamma_dofs, column i for gamma_dofs[i], so E[gamma_dofs] = I.  Row
+        j of P (N x nd) is the response to the -b_dir_j load with a zero
+        interface trace.  Every corrector is P + Y E^T for its traces Y
+        (without P for the load-free relaxations).
         """
-        if self._extension is None:
-            g = len(self.gamma_dofs)
-            E = np.zeros((self.nd, g))
-            for sub in self.sub.values():
-                unit = np.zeros((len(sub.fixed), g))
-                cols = np.searchsorted(self.gamma_dofs, sub.dofs[sub.fixed])
-                unit[np.arange(len(sub.fixed)), cols] = 1.0
-                E[sub.dofs] = sub.factor.solve(
-                    np.zeros((len(sub.dofs), g)), unit)
-            self._extension = E
-        return self._extension
+        g, N = len(self.gamma_dofs), self.dim
+        E, P = np.zeros((self.nd, g)), np.zeros((N, self.nd))
+        for sub in self.sub.values():
+            nf = len(sub.fixed)
+            unit = np.zeros((nf, g + N))
+            unit[np.arange(nf), np.searchsorted(self.gamma_dofs,
+                                                sub.dofs[sub.fixed])] = 1.0
+            b = np.hstack([np.zeros((len(sub.dofs), g)), -sub.b_dir.T])
+            x = sub.factor.solve(b, unit)
+            E[sub.dofs], P[:, sub.dofs] = x[:, :g], x[:, g:].T
+        return E, P
 
 
 class _PhaseSub:
@@ -169,7 +173,6 @@ class _PhaseSub:
         self.lam = lam_val
         glob_to_sub = -np.ones(sys.nd, dtype=np.int64)
         glob_to_sub[dofs] = np.arange(len(dofs))
-        self.glob_to_sub = glob_to_sub
         sdof = glob_to_sub[sys.vdof]
         geom = (sys.grads[els], sys.vols[els])
         self.K = fem.assemble_stiffness(geom, sub, np.full(len(els), lam_val),
@@ -178,9 +181,10 @@ class _PhaseSub:
             geom, sub, np.full(len(els), lam_val),
             np.tile(np.eye(sys.dim)[j], (len(els), 1)), sdof, len(dofs))
             for j in range(sys.dim)])
-        self.gamma_sub = [glob_to_sub[d] for d in sys.comp_dofs]
-        fixed = np.unique(np.concatenate([g[g >= 0] for g in self.gamma_sub]))
-        self.fixed = fixed
+        # each component's dofs in this phase, and all of them
+        comp = [glob_to_sub[d] for d in sys.comp_dofs]
+        self.gamma_sub = [g[g >= 0] for g in comp]
+        self.fixed = np.unique(np.concatenate(self.gamma_sub))
         self._factor = None
 
     @property
@@ -191,28 +195,13 @@ class _PhaseSub:
             self._factor = fem.DirichletFactor(self.K, self.fixed)
         return self._factor
 
-    def extend(self, trace_sub, j=None):
-        """Harmonic extension of the interface trace; j adds the e_j load.
-
-        trace_sub is indexed by this phase's sub dofs.
-        """
-        b = np.zeros(self.K.shape[0]) if j is None else -self.b_dir[j]
-        return self.factor.solve(b, trace_sub[self.fixed])
-
-    def flux(self, x_sub, j=None):
-        """Weak normal fluxes of lam grad(x + y_j) per component.
-
-        Reads the stiffness residual against the component indicator, which
-        equals the flux through Gamma_i against this phase's outward normal
-        (that is -nu for the outer phase, +nu for the inclusions).
-        """
-        r = self.K @ x_sub
-        if j is not None:
-            r = r + self.b_dir[j]
-        out = np.empty(len(self.gamma_sub))
-        for i, g in enumerate(self.gamma_sub):
-            out[i] = r[g[g >= 0]].sum()
-        return out
+    def flux(self, x_sub, load=0.0):
+        """Weak normal fluxes per component and column of x_sub: with load
+        b_dir_j, the residual K x + load summed over Gamma_i is the flux of
+        lam grad(x + y_j) against this phase's outward normal (that is -nu
+        for the outer phase, +nu for the inclusions)."""
+        r = self.K @ x_sub + load
+        return np.array([r[g].sum(axis=0) for g in self.gamma_sub])
 
 
 def _restrict(M, dofs):
@@ -224,85 +213,63 @@ def _restrict(M, dofs):
 # ---------------------------------------------------------------------------
 
 def solve_chi0(system: CellSystem, return_diagnostics=False):
-    """Stationary correctors chi0^j, j = 1..N, and their flux residuals."""
+    """Stationary correctors chi0^j, j = 1..N, and their flux residuals.
+
+    chi0^j = P_j + E y_j.  The per-component surface problems give the
+    trace y_j up to one constant per component; with m > 1 components the
+    m x m flux system of the lifts E 1_c fixes the constants so that no net
+    flux crosses any component.  The field is then shifted to volume mean
+    zero.  The residuals are (m, N).
+    """
     sys = system
-    N, nd = sys.dim, sys.nd
-    surf, mesh = sys.surf, sys.mesh
-    chi0 = np.zeros((N, nd))
-    residuals = np.zeros((sys.m, N))
+    N, nd, g = sys.dim, sys.nd, len(sys.gamma_dofs)
+    surf, V = sys.surf, sys.mesh.vertices
+    E, P = sys.phase_solves
+    Y = np.zeros((g, N))
+    ind = np.zeros((g, sys.m))          # component indicators on gamma_dofs
+    for c in range(sys.m):
+        pos = np.searchsorted(sys.gamma_dofs, sys.comp_dofs[c])
+        ind[pos, c] = 1.0
+        # tangential projections of the coordinate directions, per facet
+        fc = surf.component == c
+        nrm = surf.normals[fc]
+        rhs = np.stack([-fem.surface_gradient_load(
+            V, surf.facets[fc], 1.0, np.eye(N)[j] - nrm * nrm[:, j:j + 1],
+            sys.vdof, nd)[sys.comp_dofs[c]] for j in range(N)], axis=1)
+        total = rhs.sum(axis=0)
+        bad = np.abs(total) > 1e-9 * np.maximum(1.0, np.abs(rhs).sum(axis=0))
+        if bad.any():
+            raise ComponentSingular(
+                f"trace problem on component {c} has incompatible data "
+                f"(sum {total[bad][0]:.3e})")
+        Y[pos] = sys.trace_factor(c).solve(rhs)
 
-    # tangential projections of the coordinate directions, per facet
-    nrm = surf.normals
-    for j in range(N):
-        ej = np.eye(N)[j]
-        trace = np.zeros(nd)
-        for c in range(sys.m):
-            fc = surf.component == c
-            vecs = ej - nrm[fc] * nrm[fc][:, j:j + 1]
-            rhs = -fem.surface_gradient_load(mesh.vertices, surf.facets[fc],
-                                             1.0, vecs, sys.vdof, nd)
-            rc = rhs[sys.comp_dofs[c]]
-            total = abs(rc.sum())
-            if total > 1e-9 * max(1.0, np.abs(rc).sum()) and total > 1e-12:
-                raise ComponentSingular(
-                    f"trace problem on component {c} has incompatible data "
-                    f"(sum {rc.sum():.3e})")
-            tc = sys.trace_factor(c).solve(rc)
-            trace[sys.comp_dofs[c]] = tc
-
-        # outer extension with the constant-fixing flux system
-        out = sys.sub[PHASE_OUT]
-        x_out = out.extend(trace[out.dofs], j=j)
-        if sys.m > 1:
-            lifts, M = [], np.zeros((sys.m, sys.m))
-            for c in range(sys.m):
-                tr = np.zeros(len(out.dofs))
-                g = out.gamma_sub[c]
-                tr[g[g >= 0]] = 1.0
-                lift = out.factor.solve(np.zeros(len(out.dofs)), tr[out.fixed])
-                lifts.append(lift)
-                M[:, c] = -out.flux(lift) / sys.coeffs.lam_out
-            r0 = _chi0_residual(sys, x_out, j)
-            # rows and columns of M sum to zero; fix the constant gauge
-            A = M + np.ones((sys.m, sys.m)) / sys.m
-            consts = np.linalg.solve(A, -r0)
-            for c in range(sys.m):
-                x_out = x_out + consts[c] * lifts[c]
-                trace[sys.comp_dofs[c]] += consts[c]
-
-        chi = np.zeros(nd)
-        chi[out.dofs] = x_out
-        chi[sys.gamma_dofs] = trace[sys.gamma_dofs]
-
-        # inner extension (components decouple through the fixed trace)
-        inn = sys.sub[PHASE_INT]
-        x_int = inn.extend(trace[inn.dofs], j=j)
-        only_int = np.setdiff1d(inn.dofs, sys.gamma_dofs, assume_unique=False)
-        sub_ids = inn.glob_to_sub[only_int]
-        chi[only_int] = x_int[sub_ids]
-
-        chi -= sys.vol_w @ chi  # total volume is 1
-        chi0[j] = chi
-        residuals[:, j] = _chi0_residual(sys, chi[out.dofs], j)
-
+    X = P.T + E @ Y
+    out = sys.sub[PHASE_OUT]
+    if sys.m > 1:
+        M = -out.flux(E[out.dofs] @ ind) / sys.coeffs.lam_out
+        # rows and columns of M sum to zero; fix the constant gauge
+        consts = np.linalg.solve(M + 1.0 / sys.m,
+                                 -_chi0_residual(sys, X[out.dofs]))
+        X += E @ (ind @ consts)
+    X -= sys.vol_w @ X  # total volume is 1
+    chi0 = np.ascontiguousarray(X.T)
     if return_diagnostics:
-        return chi0, residuals
+        return chi0, _chi0_residual(sys, X[out.dofs])
     return chi0
 
 
-def _chi0_residual(sys: CellSystem, x_out_sub, j):
-    """Discrete int_(Gamma_i) (grad chi0)^out . nu per component.
+def _chi0_residual(sys: CellSystem, X_out):
+    """Discrete int_(Gamma_i) (grad chi0^j)^out . nu, (m, N), from the
+    outer-phase columns X_out (n_out, N).
 
     The outer-phase stiffness residual against the component indicator is
     the weak flux of lam_out grad(chi0 + y_j); peeling off the y_j part
     leaves the quantity the corrector construction must annihilate.
     """
     out = sys.sub[PHASE_OUT]
-    flux = out.flux(x_out_sub, j=j)     # int lam_out grad(chi+y_j).(-nu) weakly
-    res = np.empty(sys.m)
-    for i in range(sys.m):
-        res[i] = -flux[i] / sys.coeffs.lam_out - sys.net_normal[i][j]
-    return res
+    flux = out.flux(X_out, out.b_dir.T)  # int lam_out grad(chi+y_j).(-nu)
+    return -flux / sys.coeffs.lam_out - np.array(sys.net_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +312,8 @@ def evolve_surface_coupled(system: CellSystem, surface_init: np.ndarray,
     surface_init holds the initial trace on the interface dofs, either one
     trace of length nd or k traces as the rows of a (k, nd) array; all of
     them march together.  Only the surface law carries time, so the state
-    at every level is E y, the discrete-harmonic extension
-    (CellSystem.extension, nd x g) of its trace y on the g interface dofs,
+    at every level is E y, the discrete-harmonic extension (E of
+    CellSystem.phase_solves, nd x g) of its trace y on the g interface dofs,
     and the march runs on y alone.  Testing the bordered step
     (K + alpha/dt S1) x + mu w = alpha/dt S1 x_prev, w^T x = 0 against E
     gives the Steklov-Poincare system
@@ -371,17 +338,10 @@ def evolve_surface_coupled(system: CellSystem, surface_init: np.ndarray,
     n, c = grid.n_steps, sys.coeffs.alpha / grid.step
     gam = sys.gamma_dofs
     g = len(gam)
-    E = sys.extension
+    E = sys.phase_solves[0]
     S = _restrict(sys.S1, gam).toarray()
-    Ew = E.T @ sys.vol_w
-    A = sys.K[gam] @ E + c * S
-    B = np.block([[A, Ew[:, None]], [Ew[None, :], np.zeros((1, 1))]])
-    # np.linalg.inv, not scipy.linalg: scipy loads its own BLAS thread pool,
-    # and on small hosts the two pools contend between the numpy products
-    try:
-        B_inv = np.linalg.inv(B)[:, :g]     # the constraint row's rhs is 0
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"interface step system: {exc}") from exc
+    A, Ew, B_inv = _interface_system(sys, c * S)
+    B_inv = B_inv[:, :g]                    # the constraint row's rhs is 0
 
     traces = np.atleast_2d(surface_init)[:, gam].T
     Y = np.empty((n + 1,) + traces.shape)   # (level, interface dof, trace)
@@ -416,21 +376,58 @@ def evolve_surface_coupled(system: CellSystem, surface_init: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def solve_chi0_tilde(system: CellSystem) -> np.ndarray:
-    """Periodic correctors of plain two-phase diffusion (no interface law)."""
+    """Periodic correctors of plain two-phase diffusion (no interface law):
+    K x_j = -b_dir_j with volume mean zero.
+
+    x_j = P_j + E y_j satisfies every row off the interface by construction;
+    the interface rows and the mean give the bordered system of the march
+    at c = 0, [[Sigma, E^T w], [w^T E, 0]] [y_j; mu_j] =
+    [-(b_dir_j + K P_j)[Gamma]; -w^T P_j].  mu_j takes the roundoff of
+    sum b_dir_j.  Each column checks the whole-K residual of this bordered
+    system to 1e-10 and its volume mean to 1e-12; a failure raises
+    SingularSystem.
+    """
     sys = system
-    fac = fem.DirichletFactor(sys.K, weights=sys.vol_w)
-    out = np.zeros((sys.dim, sys.nd))
-    for j in range(sys.dim):
-        out[j] = fac.solve(-sys.b_dir[j])
-    return out
+    gam, g = sys.gamma_dofs, len(sys.gamma_dofs)
+    E, P = sys.phase_solves
+    _, Ew, B_inv = _interface_system(sys, 0.0)
+    sol = B_inv @ np.vstack([-(sys.b_dir[:, gam].T + sys.K[gam] @ P.T),
+                             -(P @ sys.vol_w)[None, :]])
+    X = P.T + E @ sol[:g]
+    load = -sys.b_dir.T
+    load[gam] -= np.outer(Ew, sol[g])
+    fem.residual_check(sys.K, X, load)
+    mean = np.abs(sys.vol_w @ X) / float(np.abs(sys.vol_w).sum())
+    if mean.max() > 1e-12:
+        raise SingularSystem(
+            f"mean-zero constraint violated by {mean.max():.3e}")
+    return np.ascontiguousarray(X.T)
+
+
+def _interface_system(sys: CellSystem, cS):
+    """The Steklov-Poincare reduction of K + cS on the interface dofs.
+
+    Returns A = Sigma + cS with Sigma = (K E)[Gamma], Ew = E^T w and the
+    inverse of the bordered [[A, Ew], [Ew^T, 0]] ((g+1) x (g+1)); raises
+    SolverFailure when it is singular.
+    """
+    E = sys.phase_solves[0]
+    Ew = E.T @ sys.vol_w
+    A = sys.K[sys.gamma_dofs] @ E + cS
+    B = np.block([[A, Ew[:, None]], [Ew[None, :], np.zeros((1, 1))]])
+    # np.linalg.inv, not scipy.linalg: scipy loads its own BLAS thread pool,
+    # and on small hosts the two pools contend between the numpy products
+    try:
+        return A, Ew, np.linalg.inv(B)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"interface system: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # orchestration
 # ---------------------------------------------------------------------------
 
-def solve_cell_functions(system: CellSystem, grid: TimeGrid,
-                         with_chi0_tilde=False) -> CellFunctionSet:
+def solve_cell_functions(system: CellSystem, grid: TimeGrid) -> CellFunctionSet:
     """Run the full corrector pipeline on one unit cell."""
     sys = system
     chi0, residuals = solve_chi0(sys, return_diagnostics=True)
@@ -438,9 +435,9 @@ def solve_cell_functions(system: CellSystem, grid: TimeGrid,
     N = sys.dim
     # one march for all 2N correctors; chi1 and omega are views of its levels
     X, energy = evolve_surface_coupled(sys, np.concatenate([v, -chi0]), grid)
-    tilde = solve_chi0_tilde(sys) if with_chi0_tilde else None
     return CellFunctionSet(chi0=chi0, v=v, chi1=X[:N], omega=X[N:], grid=grid,
-                           flux_residuals=residuals, chi0_tilde=tilde,
+                           flux_residuals=residuals,
+                           chi0_tilde=solve_chi0_tilde(sys),
                            chi1_energy=energy[:N], omega_energy=energy[N:])
 
 

@@ -95,8 +95,7 @@ def cmd_cell(cfg, out, vtk):
     paths = _paths(out)
     mesh, surf = _load_cell_mesh(cfg, paths)
     sysm = cell.CellSystem(mesh, surf, cfg.coeffs)
-    funcs = cell.solve_cell_functions(sysm, cfg.kernel_grid,
-                                      with_chi0_tilde=True)
+    funcs = cell.solve_cell_functions(sysm, cfg.kernel_grid)
     fields = []
     N = mesh.dim
     for j in range(N):
@@ -291,7 +290,7 @@ def _read_field(cfg, path, kind, nv):
     """The solution that bh <kind> wrote for this config, with nv values a
     level on cfg.macro_grid (and, from micro, the two energies)."""
     try:
-        header, got, grid, _, levels = formats.read_solution(path)
+        header, got, grid, levels = formats.read_solution(path)
     except MissingArtifact as exc:
         raise MissingArtifact(f"{exc}; re-run bh {kind}") from None
     _check_header(header, cfg, path, kind)
@@ -380,7 +379,7 @@ def _verify_checks(cfg):
 
     sysm = cell.CellSystem(mesh, surf, coeffs)
     grid = cfg.kernel_grid
-    funcs = cell.solve_cell_functions(sysm, grid, with_chi0_tilde=True)
+    funcs = cell.solve_cell_functions(sysm, grid)
 
     worst = 0.0
     ok_comp = True
@@ -429,13 +428,11 @@ def _verify_checks(cfg):
             detail = f"eig ratio={ce.min() / ce.max():.4f}"
         yield "C0_class_property", bool(ok_c), detail
 
-    if tens.A_hom_kgt1 is not None:
-        uni = cell.CellCoefficients(coeffs.lam_out, coeffs.lam_out,
-                                    coeffs.alpha)
-        sys_u = cell.CellSystem(mesh, surf, uni)
-        A_u, _, _ = tensors.compute_Ahom_kgt1(sys_u, cell.solve_chi0_tilde(sys_u))
-        gap = np.abs(A_u - coeffs.lam_out * np.eye(N)).max()
-        yield "kgt1_uniform_identity", gap <= 1e-10, f"|A-lam I|={gap:.3e}"
+    uni = cell.CellCoefficients(coeffs.lam_out, coeffs.lam_out, coeffs.alpha)
+    sys_u = cell.CellSystem(mesh, surf, uni)
+    A_u, _, _ = tensors.compute_Ahom_kgt1(sys_u, cell.solve_chi0_tilde(sys_u))
+    gap = np.abs(A_u - coeffs.lam_out * np.eye(N)).max()
+    yield "kgt1_uniform_identity", gap <= 1e-10, f"|A-lam I|={gap:.3e}"
 
     if cfg.topology == "cd" and tens.A_hom_klt1 is not None:
         dbl = cell.CellCoefficients(2 * coeffs.lam_int, coeffs.lam_out,

@@ -21,7 +21,8 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import MissingArtifact
+from .errors import ConfigInvalid, MissingArtifact
+from .timegrid import TimeGrid
 
 _F = "%.17g"
 
@@ -253,8 +254,7 @@ def write_tensors(path, header, tens, kernel_grid):
             "C0_eig " + _row(np.linalg.eigvalsh((tens.C0 + tens.C0.T) / 2))]
     if tens.A_hom_klt1 is not None:
         body.append(_mat_line("A_hom_klt1", tens.A_hom_klt1))
-    if tens.A_hom_kgt1 is not None:
-        body.append(_mat_line("A_hom_kgt1", tens.A_hom_kgt1))
+    body.append(_mat_line("A_hom_kgt1", tens.A_hom_kgt1))
     body.append(f"kernel {_F % kernel_grid.t_end} {_F % kernel_grid.step}")
 
     names = [f"B{a + 1}{b + 1}" for a in range(N) for b in range(N)]
@@ -344,6 +344,11 @@ def write_solution(path, header, kind, grid, levels):
 
 
 def read_solution(path):
+    """(header, kind, grid, levels) of a BHSOL file, grid = (t_end, dt).
+
+    The %.17g level times round-trip, so a body holding as many levels as
+    its grid must list exactly that grid's times; a count off the grid is
+    left to the caller, which checks the levels against its config."""
     header, body = read_artifact(path, "BHSOL 2")
     try:  # a body off the written layout is refused like a failed checksum
         (k1, kind), (k2, t_end, dt), (k3, nv) = (ln.split() for ln in body[:3])
@@ -353,11 +358,14 @@ def read_solution(path):
                        for n, m in enumerate(marks))):
             raise ValueError
         grid, nv = (float(t_end), float(dt)), int(nv)
-        times = np.array([float(m[2]) for m in marks])
-    except ValueError:
+        times = [float(m[2]) for m in marks]
+        tg = TimeGrid(*grid)
+        if len(times) == tg.n_steps + 1 and times != tg.times.tolist():
+            raise ValueError
+    except (ValueError, OverflowError, ConfigInvalid):
         raise MissingArtifact(f"{path}: malformed solution body") from None
     levels = np.array([_unpack(block, nv, path) for block in body[4::2]])
-    return header, kind, grid, times, levels
+    return header, kind, grid, levels
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Direct solvers on the eps-periodic microstructure.
+"""Solvers on the eps-periodic microstructure.
 
 Both solvers take the same implicit Euler step,
 
@@ -9,8 +9,8 @@ the initial datum from a support set and records x_n . Q x_n per level.
 On 2D tilings both the start and the steps solve by substructuring on the
 eps-tiles (fem.SubstructuredFactor): every tile is a translated copy of the
 unit cell, so one small factor per tile type and one factor of the skeleton
-Schur complement replace a factor of the whole domain.  3D tilings factor
-the start whole and march with Jacobi-CG.
+Schur complement replace a factor of the whole domain.  3D tilings start
+and march with Jacobi-CG.
 
 solve_micro is the dynamic-interface problem for any surface scaling
 exponent k: K is the bulk diffusion stiffness, Q the Laplace-Beltrami
@@ -33,7 +33,6 @@ verdict.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import fem, geometry
 from .cell import CellCoefficients
@@ -72,33 +71,23 @@ class MembraneRun:
 # the pseudo-parabolic march
 # ---------------------------------------------------------------------------
 
-def _factor(M, fixed, mesh):
-    """Direct factor of M on its free dofs.
+def _solver(M, fixed, mesh):
+    """Solver of M on its free dofs, for the harmonic start and the steps.
 
     On a 2D tiling it is substructured, with the tiles' element phases as
     their coefficient patterns: one small factor per tile type and one of
     the skeleton Schur complement.  One SuperLU factor of the whole domain
     (COLAMD ordering) took 5.4M fill at eps = 1/10, the skeleton's 0.37M.
-    3D tilings keep the whole-domain factor.
+    On a 3D tiling the skeleton is large (tube, eps = 1/4: 9,545 dofs,
+    fixed ones included, against 20,231 free dofs) and whole-domain fill
+    grows fast (19.6M at 24,457 dofs), so Jacobi-CG, warm started from the
+    previous solve, wins instead.
     """
     if mesh.dim == 3:
-        return fem.DirichletFactor(M, fixed)
+        return fem.CGSolver(M, fixed)
     return fem.SubstructuredFactor(
         M, fixed, mesh.local_global,
         mesh.phase.reshape(len(mesh.local_global), -1))
-
-
-def _step_solver(M, fixed, mesh):
-    """Solver for the fixed SPD step matrix of a march, chosen by dimension.
-
-    On 2D tilings the substructured factor, reused every step.  On 3D
-    tilings the skeleton holds a quarter of the free dofs (5,319 of 20,231
-    on the tube at eps = 1/4) and whole-domain fill grows fast (19.6M at
-    24,457 dofs), so warm-started Jacobi-CG wins instead.
-    """
-    if mesh.dim == 2:
-        return _factor(M, fixed, mesh)
-    return fem.CGSolver(M, fixed)
 
 
 def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
@@ -117,9 +106,9 @@ def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
         fixed0 = np.union1d(support, boundary)
         fv = u0[fixed0]
         fv[np.isin(fixed0, boundary)] = 0.0
-        x0 = _factor(K, fixed0, mesh).solve(np.zeros(nd), fv)
+        x0 = _solver(K, fixed0, mesh).solve(np.zeros(nd), fv)
 
-    fac = _step_solver((K + c * Q).tocsr(), boundary, mesh)
+    fac = _solver((K + c * Q).tocsr(), boundary, mesh)
     zeros_fixed = np.zeros(len(boundary))
     dt = grid.step
     n_steps = grid.n_steps
@@ -265,7 +254,7 @@ def local_average(fld: TransientField, mesh: MicroMesh) -> CellAverages:
 
 
 def probe_points(p: int, dim: int) -> np.ndarray:
-    """Midpoints of a p^dim lattice, never on cell or element boundaries."""
+    """Midpoints of a p^dim lattice."""
     axis = (np.arange(p) + 0.5) / p
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
@@ -298,6 +287,7 @@ class PointLocator:
     def __init__(self, vertices, simplices):
         self.V = vertices
         self.S = simplices
+        from scipy.spatial import cKDTree  # 0.1 s; only the sweeps locate
         cent = vertices[simplices].mean(axis=1)
         self.tree = cKDTree(cent)
         v0 = vertices[simplices[:, 0]]

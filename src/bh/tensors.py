@@ -58,8 +58,8 @@ class EffectiveTensors:
     B0_flux_form: np.ndarray
     F_coeffs: np.ndarray           # (n_steps+1, N, N)
     grid: TimeGrid
+    A_hom_kgt1: np.ndarray
     A_hom_klt1: np.ndarray = None
-    A_hom_kgt1: np.ndarray = None
     discrepancies: dict = None
 
 
@@ -268,9 +268,8 @@ def compute_Ahom_kgt1(sys: CellSystem, chi0_tilde: np.ndarray):
 
 def compute_all(sys: CellSystem, funcs: CellFunctionSet,
                 topology: str) -> EffectiveTensors:
-    """Evaluate every tensor available from a solved cell function set; the
-    k < 1 tensor exactly on disconnected inclusions (topology "cd"), the
-    k > 1 tensor exactly when the set carries chi0_tilde."""
+    """Evaluate every tensor of a solved cell function set; the k < 1 tensor
+    only on disconnected inclusions (topology "cd")."""
     forms = _SurfaceForms(sys)
     lam0 = compute_lambda0(sys.mesh, sys.coeffs)
     C0, C0_mixed, gap_c = compute_C0(sys, funcs.chi0, forms)
@@ -278,11 +277,10 @@ def compute_all(sys: CellSystem, funcs: CellFunctionSet,
     B0, B0_flux, gap_b = compute_B0(sys, funcs.chi1, funcs.grid, forms)
     Phi, Phi_vol, gap_f = compute_F_coeffs(sys, funcs.omega, funcs.grid, forms)
 
-    klt1 = kgt1 = gap_k = gap_kg = None
+    klt1 = gap_k = None
     if topology == "cd":
         klt1, _, gap_k = compute_Ahom_klt1(sys, funcs.chi0, topology)
-    if funcs.chi0_tilde is not None:
-        kgt1, _, gap_kg = compute_Ahom_kgt1(sys, funcs.chi0_tilde)
+    kgt1, _, gap_kg = compute_Ahom_kgt1(sys, funcs.chi0_tilde)
 
     disc = {"C0": gap_c, "A0_forms": gap_a, "A0_gram": gap_g,
             "B0": gap_b, "F": gap_f, "A_klt1": gap_k, "A_kgt1": gap_kg}

@@ -37,7 +37,7 @@ def _build(kind, params, h, grid, topology):
     mesh, surf = geometry.build_unit_cell(spec)
     coeffs = cell.CellCoefficients(1.0, 3.0, 1.0)
     system = cell.CellSystem(mesh, surf, coeffs)
-    funcs = cell.solve_cell_functions(system, grid, with_chi0_tilde=True)
+    funcs = cell.solve_cell_functions(system, grid)
     tens = tensors.compute_all(system, funcs, topology)
     return Bundle(spec, mesh, surf, coeffs, grid, system, funcs, tens)
 

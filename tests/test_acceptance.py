@@ -34,7 +34,7 @@ def _build_bundle(kind, params, h, grid, topology):
     spec = geometry.GeometrySpec(kind, params, h=h)
     mesh, surf = geometry.build_unit_cell(spec)
     system = cell.CellSystem(mesh, surf, COEFFS)
-    funcs = cell.solve_cell_functions(system, grid, with_chi0_tilde=True)
+    funcs = cell.solve_cell_functions(system, grid)
     tens = tensors.compute_all(system, funcs, topology)
     return Bundle(spec, mesh, surf, COEFFS, grid, system, funcs, tens)
 

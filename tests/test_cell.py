@@ -99,6 +99,28 @@ def test_march_builds_no_sparse_factor(disk, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("name", ["disk", "layered", "tube"])
+def test_cell_solve_factors_no_whole_cell(request, name, monkeypatch):
+    """Every corrector, chi0_tilde included, is P + E y: the cell solve
+    factors the m surface trace blocks and the two phases, never the
+    whole-cell K."""
+    b = request.getfixturevalue(name)
+    sysm = cell.CellSystem(b.mesh, b.surf, b.coeffs)
+    sizes = []
+    original = fem.DirichletFactor.__init__
+
+    def counting(self, K, *args, **kwargs):
+        sizes.append(K.shape[0])
+        original(self, K, *args, **kwargs)
+
+    monkeypatch.setattr(fem.DirichletFactor, "__init__", counting)
+    cell.solve_cell_functions(sysm, b.grid)
+    assert len(sizes) == sysm.m + 2
+    assert sorted(sizes) == sorted([len(d) for d in sysm.comp_dofs]
+                                   + [len(s.dofs) for s in sysm.sub.values()])
+    assert max(sizes) < sysm.nd
+
+
 def test_evolution_preserves_initial_trace(disk):
     sys = disk.system
     X, _ = cell.evolve_surface_coupled(sys, disk.funcs.v[0], TimeGrid(0.05, 0.025))

@@ -268,10 +268,9 @@ def test_solution_roundtrip(tmp_path):
     levels = rng.standard_normal((3, 11))
     formats.write_solution(path, {"config": "x"}, "macro",
                            TimeGrid(0.2, 0.1), levels)
-    _, kind, grid, times, got = formats.read_solution(path)
+    _, kind, grid, got = formats.read_solution(path)
     assert kind == "macro"
     assert grid == (0.2, 0.1)
-    assert np.array_equal(times, [0.0, 0.1, 0.2])
     assert np.array_equal(got, levels)
 
 
@@ -376,8 +375,17 @@ def _empty_line(lines):
     return lines[:i] + [""] + lines[i:]
 
 
-SOLUTION_BODY_EDITS = [_level_without_block, _short_level_line, _empty_line]
-SOLUTION_BODY_IDS = ["level-without-block", "short-level-line", "empty-line"]
+def _retimed_level(lines):
+    # the last level's time halved, off the grid the body states
+    i = max(i for i, ln in enumerate(lines) if ln.startswith("level "))
+    level, n, t = lines[i].split()
+    return lines[:i] + [f"{level} {n} {float(t) / 2!r}"] + lines[i + 1:]
+
+
+SOLUTION_BODY_EDITS = [_level_without_block, _short_level_line, _empty_line,
+                       _retimed_level]
+SOLUTION_BODY_IDS = ["level-without-block", "short-level-line", "empty-line",
+                     "retimed-level"]
 
 
 @pytest.mark.parametrize("edit", SOLUTION_BODY_EDITS, ids=SOLUTION_BODY_IDS)
@@ -447,6 +455,20 @@ def _subprocess_bh(command, cfg, out):
     return subprocess.run(
         [sys.executable, "-m", "bh.cli", command, "--config", cfg,
          "--out", out], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # every command pays for what bh.cli imports; only the sweeps locate
+    # points, so PointLocator imports the k-d tree itself
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bh.cli; print(sorted(m for m in sys.modules"
+         " if m.startswith('scipy.spatial')))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 _INI_LINES = TINY_INI.splitlines()

@@ -2,7 +2,7 @@
 
 The tests here are structural: exact Dirichlet rows, dissipated surface
 and band energies, the pinned membrane band, quasi-static collapse without
-interfaces, the step solver chosen by dimension, P1-exact cell averages.
+interfaces, the solver chosen by dimension, P1-exact cell averages.
 The one march both solvers share is pinned to the former solve_micro and
 solve_membrane in tests/test_equivalence.py.
 """
@@ -138,17 +138,20 @@ SUBSTRUCTURED = ["SubstructuredFactor", "DirichletFactor", "DirichletFactor"]
 
 def test_micro_step_solver_follows_dimension(built_solvers, disk, disk_tiled,
                                              tube):
-    # no initial datum, so no harmonic-extension factor: the solvers built
-    # are the step solver's; the 3D tiling has 3,349 dofs
+    # without an initial datum the solvers built are the step solver's; with
+    # one the harmonic start builds one more of the same kind, so the 3D
+    # tiling (3,349 dofs) builds no factor at all
     tube_tiled, _ = tile_micro_domain(tube.mesh, tube.surf.facets, 0.5,
                                       False)
     cases = ((disk_tiled[0], disk.coeffs, SUBSTRUCTURED),
              (tube_tiled, tube.coeffs, ["CGSolver"]))
     for mesh, coeffs, expected in cases:
-        built_solvers.clear()
-        micro.solve_micro(micro.MicroRun(mesh=mesh, coeffs=coeffs, k=1.0,
-                                         grid=TimeGrid(0.1, 0.05)))
-        assert built_solvers == expected
+        for u0, n in ((None, 1), (sin_product, 2)):
+            built_solvers.clear()
+            micro.solve_micro(micro.MicroRun(
+                mesh=mesh, coeffs=coeffs, k=1.0, grid=TimeGrid(0.1, 0.05),
+                u0_bar=u0))
+            assert built_solvers == n * expected
 
 
 def test_membrane_step_solver_follows_dimension(built_solvers, disk):
@@ -165,9 +168,9 @@ def test_step_solver_ignores_dof_count(built_solvers):
     large = sp.identity(70001, format="csr")
     tiling = SimpleNamespace(dim=2, phase=np.zeros(100, dtype=np.int64),
                              local_global=np.arange(1, 70001).reshape(100, 700))
-    micro._step_solver(large, np.array([0]), tiling)
+    micro._solver(large, np.array([0]), tiling)
     small = sp.identity(10, format="csr")
-    micro._step_solver(small, np.array([0]), SimpleNamespace(dim=3))
+    micro._solver(small, np.array([0]), SimpleNamespace(dim=3))
     assert built_solvers == SUBSTRUCTURED + ["CGSolver"]
 
 
@@ -222,10 +225,10 @@ def test_tile_off_its_type_fails_the_march(disk):
     boundary = np.unique(tiled.boundary_vertices)
     zeros = np.zeros(len(boundary))
 
-    exact = micro._factor(K, boundary, tiled).solve(np.ones(n), zeros)
+    exact = micro._solver(K, boundary, tiled).solve(np.ones(n), zeros)
     assert np.abs(exact).max() > 0.0
     with pytest.raises(SingularSystem, match="relative residual"):
-        micro._factor(K + bump, boundary, tiled).solve(np.ones(n), zeros)
+        micro._solver(K + bump, boundary, tiled).solve(np.ones(n), zeros)
     with pytest.raises(SolverFailure,
                        match="march step 1 failed: relative residual"):
         micro._march(K, bump, 1.0, boundary, np.empty(0, dtype=np.int64),

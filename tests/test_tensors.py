@@ -167,7 +167,7 @@ def test_one_element_geometry_pass_per_cell(disk, monkeypatch):
 
     monkeypatch.setattr(fem, "element_gradients", counting)
     sys = cell.CellSystem(disk.mesh, disk.surf, disk.coeffs)
-    funcs = cell.solve_cell_functions(sys, disk.grid, with_chi0_tilde=True)
+    funcs = cell.solve_cell_functions(sys, disk.grid)
     tens = tensors.compute_all(sys, funcs, "cd")
     assert calls == [len(disk.mesh.simplices)]
     assert tens.A_hom_klt1 is not None and tens.A_hom_kgt1 is not None
