@@ -16,10 +16,14 @@ the trace carries the structure.  Solves, in order:
           history supplies the source coefficients of the macro problem.
           The 2N relaxations of chi1 and omega march together on y alone:
           the Steklov-Poincare reduction of the step matrix is a dense
-          (g+1) x (g+1) system, inverted once, and one product with E
-          extends every level into the bulk.
+          (g+1) x (g+1) system, inverted once.
 * chi0t   classical periodic corrector for the high-contrast regime k > 1:
           y from the same reduced system at zero time step weight.
+
+chi0 and chi0_tilde are kept in the bulk, since their tensors need the
+stiffness.  v, chi1 and omega are kept as their traces: every tensor read
+from them needs the facet values and the directional moments W = b_dir E
+(N x g) alone, and a level's bulk field E y is never formed.
 
 Flux functionals are residual based: the discrete normal flux of a solved
 field against a surface test function is read off from the bulk stiffness
@@ -63,9 +67,10 @@ class CellFunctionSet:
     """All correctors of one unit cell, sampled on the kernel time grid."""
 
     chi0: np.ndarray               # (N, nd)
-    v: np.ndarray                  # (N, nd), supported on interface dofs
-    chi1: np.ndarray               # (N, M+1, nd)
-    omega: np.ndarray              # (N, M+1, nd)
+    v: np.ndarray                  # (N, g), traces on gamma_dofs
+    chi1: np.ndarray               # (N, M+1, g), traces on gamma_dofs
+    omega: np.ndarray              # (N, M+1, g), traces on gamma_dofs
+    W: np.ndarray                  # (N, g) = b_dir E: int lam grad(E y) = W y
     grid: TimeGrid
     flux_residuals: np.ndarray     # (m, N) discrete int_(Gamma_i) (grad chi0)^out . nu
     chi0_tilde: np.ndarray         # (N, nd), the corrector of the k > 1 regime
@@ -112,6 +117,9 @@ class CellSystem:
             self.net_normal.append(net)
         self.wrapping = [np.linalg.norm(n) > 1e-8 * a
                          for n, a in zip(self.net_normal, self.comp_area)]
+        # each component's positions in gamma_dofs, where traces live
+        self.comp_pos = [np.searchsorted(self.gamma_dofs, d)
+                         for d in self.comp_dofs]
 
         # per-phase subsystems for Dirichlet extensions and flux readout
         self.sub = {}
@@ -228,7 +236,7 @@ def solve_chi0(system: CellSystem, return_diagnostics=False):
     Y = np.zeros((g, N))
     ind = np.zeros((g, sys.m))          # component indicators on gamma_dofs
     for c in range(sys.m):
-        pos = np.searchsorted(sys.gamma_dofs, sys.comp_dofs[c])
+        pos = sys.comp_pos[c]
         ind[pos, c] = 1.0
         # tangential projections of the coordinate directions, per facet
         fc = surf.component == c
@@ -283,10 +291,11 @@ def solve_v_init(system: CellSystem, chi0: np.ndarray):
     interface dofs.  On closed (non-wrapping) components its mean must
     vanish to 1e-8 * |Gamma_i|; wrapping components of layered cells carry
     a structural imbalance, which the weighted trace factor projects out.
+    Returns the traces on gamma_dofs, (N, g).
     """
     sys = system
-    N, nd = sys.dim, sys.nd
-    v = np.zeros((N, nd))
+    N = sys.dim
+    v = np.zeros((N, len(sys.gamma_dofs)))
     for j in range(N):
         L = -(sys.K @ chi0[j] + sys.b_dir[j])
         for c in range(sys.m):
@@ -297,7 +306,8 @@ def solve_v_init(system: CellSystem, chi0: np.ndarray):
                 raise CompatibilityViolated(
                     f"surface data on closed component {c} has mean "
                     f"{total:.3e} > 1e-8 * |Gamma_{c}|")
-            v[j, dofs] = sys.trace_factor(c).solve(Lc / sys.coeffs.alpha)
+            v[j, sys.comp_pos[c]] = sys.trace_factor(c).solve(
+                Lc / sys.coeffs.alpha)
     return v
 
 
@@ -305,16 +315,15 @@ def solve_v_init(system: CellSystem, chi0: np.ndarray):
 # coupled bulk-surface relaxation
 # ---------------------------------------------------------------------------
 
-def evolve_surface_coupled(system: CellSystem, surface_init: np.ndarray,
+def evolve_surface_coupled(system: CellSystem, traces: np.ndarray,
                            grid: TimeGrid):
     """Implicit Euler for the quasi-static bulk / dynamic surface problem.
 
-    surface_init holds the initial trace on the interface dofs, either one
-    trace of length nd or k traces as the rows of a (k, nd) array; all of
-    them march together.  Only the surface law carries time, so the state
-    at every level is E y, the discrete-harmonic extension (E of
-    CellSystem.phase_solves, nd x g) of its trace y on the g interface dofs,
-    and the march runs on y alone.  Testing the bordered step
+    traces holds k initial traces on the g interface dofs as the rows of a
+    (k, g) array; all of them march together.  Only the surface law carries
+    time, so the state at every level is E y, the discrete-harmonic
+    extension (E of CellSystem.phase_solves, nd x g) of its trace y, and
+    the march runs on y alone.  Testing the bordered step
     (K + alpha/dt S1) x + mu w = alpha/dt S1 x_prev, w^T x = 0 against E
     gives the Steklov-Poincare system
 
@@ -322,28 +331,26 @@ def evolve_surface_coupled(system: CellSystem, surface_init: np.ndarray,
 
     with Sigma = (K E)[Gamma] and S = S1[Gamma, Gamma].  It is inverted
     once, in numpy, and the inverse is applied to each step's right-hand
-    side; one product E Y then extends every level.  Each step checks its
-    residual per column to 1e-10 of the right-hand side and each level its
-    volume mean to 1e-12; a failure raises SolverFailure naming the step or
-    the level.  The surface energy alpha y^T S y never increases; each step
-    dissipates 2 dt X K X + alpha d S1 d exactly.  The levels agree with a
-    bulk march (one bordered sparse solve per step) to 1.5e-13 relative on
-    a 6,060-dof cell with g = 120.
+    side.  Each step checks its residual per column to 1e-10 of the
+    right-hand side and each level the volume mean w^T E y = y . E^T w to
+    1e-12; a failure raises SolverFailure naming the step or the level.
+    The surface energy alpha y^T S y never increases; each step dissipates
+    2 dt X K X + alpha d S1 d exactly, with X = E y.  The levels, extended
+    by E, agree with a bulk march (one bordered sparse solve per step) to
+    1.5e-13 relative on a 6,060-dof cell with g = 120.
 
-    Returns (X, energy): X has shape (n_steps + 1, nd) and energy
-    (n_steps + 1,) for one trace, (k, n_steps + 1, nd) and (k, n_steps + 1)
-    for k traces.
+    Returns (Y, energy) of shapes (k, n_steps + 1, g) and (k, n_steps + 1).
     """
     sys = system
     n, c = grid.n_steps, sys.coeffs.alpha / grid.step
-    gam = sys.gamma_dofs
-    g = len(gam)
-    E = sys.phase_solves[0]
-    S = _restrict(sys.S1, gam).toarray()
+    g = len(sys.gamma_dofs)
+    S = _restrict(sys.S1, sys.gamma_dofs).toarray()
     A, Ew, B_inv = _interface_system(sys, c * S)
     B_inv = B_inv[:, :g]                    # the constraint row's rhs is 0
 
-    traces = np.atleast_2d(surface_init)[:, gam].T
+    # (interface dof, trace), C-ordered, so that the BLAS products, and
+    # with them the levels' last bits, do not depend on the caller's layout
+    traces = np.ascontiguousarray(np.asarray(traces).T)
     Y = np.empty((n + 1,) + traces.shape)   # (level, interface dof, trace)
     SY = np.empty_like(Y)
     Y[0] = traces - Ew @ traces             # E 1 = 1 and the volume is 1
@@ -359,16 +366,13 @@ def evolve_surface_coupled(system: CellSystem, surface_init: np.ndarray,
         SY[k] = S @ Y[k]
     energy = sys.coeffs.alpha * np.einsum("ngk,ngk->kn", Y, SY)
 
-    X = (Y.transpose(2, 0, 1).reshape(-1, g) @ E.T).reshape(
-        traces.shape[1], n + 1, sys.nd)
-    mean = np.abs(X @ sys.vol_w) / max(float(np.abs(sys.vol_w).sum()), 1e-300)
+    Y = np.ascontiguousarray(Y.transpose(2, 0, 1))
+    mean = np.abs(Y @ Ew) / max(float(np.abs(sys.vol_w).sum()), 1e-300)
     bad = np.nonzero(~(mean <= 1e-12).all(axis=0))[0]
     if len(bad):
         raise SolverFailure(f"surface evolution level {bad[0]}: mean-zero "
                             f"constraint violated by {mean[:, bad[0]].max():.3e}")
-    if np.ndim(surface_init) == 1:
-        return X[0], energy[0]
-    return X, energy
+    return Y, energy
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +438,10 @@ def solve_cell_functions(system: CellSystem, grid: TimeGrid) -> CellFunctionSet:
     v = solve_v_init(sys, chi0)
     N = sys.dim
     # one march for all 2N correctors; chi1 and omega are views of its levels
-    X, energy = evolve_surface_coupled(sys, np.concatenate([v, -chi0]), grid)
-    return CellFunctionSet(chi0=chi0, v=v, chi1=X[:N], omega=X[N:], grid=grid,
+    Y, energy = evolve_surface_coupled(
+        sys, np.concatenate([v, -chi0[:, sys.gamma_dofs]]), grid)
+    return CellFunctionSet(chi0=chi0, v=v, chi1=Y[:N], omega=Y[N:],
+                           W=sys.b_dir @ sys.phase_solves[0], grid=grid,
                            flux_residuals=residuals,
                            chi0_tilde=solve_chi0_tilde(sys),
                            chi1_energy=energy[:N], omega_energy=energy[N:])

@@ -96,17 +96,10 @@ def cmd_cell(cfg, out, vtk):
     mesh, surf = _load_cell_mesh(cfg, paths)
     sysm = cell.CellSystem(mesh, surf, cfg.coeffs)
     funcs = cell.solve_cell_functions(sysm, cfg.kernel_grid)
-    fields = []
     N = mesh.dim
-    for j in range(N):
-        fields.append((f"chi0_{j + 1}", -1, funcs.chi0[j]))
-        fields.append((f"v_{j + 1}", -1, funcs.v[j]))
-        fields.append((f"chi0_tilde_{j + 1}", -1, funcs.chi0_tilde[j]))
-        for n in range(funcs.chi1.shape[1]):
-            fields.append((f"chi1_{j + 1}", n, funcs.chi1[j, n]))
-            fields.append((f"omega_{j + 1}", n, funcs.omega[j, n]))
-    formats.write_cell_archive(paths["cell"], _header(cfg), cfg.kernel_grid,
-                               fields)
+    formats.write_cell_archive(
+        paths["cell"], _header(cfg), cfg.kernel_grid,
+        [(name, getattr(funcs, name)) for name in _CELL_ARRAYS])
 
     lines = ["component, direction, residual, tolerance, status"]
     ok = True
@@ -131,53 +124,32 @@ def cmd_cell(cfg, out, vtk):
     return [paths["mesh"]], [paths["cell"], paths["compat"]]
 
 
-def _rebuild_funcs(fields, N, nd, grid, path):
-    """Stack the archive's fields after checking that every one is there.
+# the arrays of a cell archive, in order: the bulk chi0 and chi0_tilde
+# (N, nd), the traces v (N, g), chi1 and omega (N, M+1, g), and W (N, g)
+_CELL_ARRAYS = ("chi0", "v", "chi0_tilde", "chi1", "omega", "W")
 
-    A stationary field has the one index -1, chi1 and omega have the levels
-    0..n_steps, and every field holds nd values.
-    """
-    by_name = {}
-    for name, idx, vals in fields:
-        by_name.setdefault(name, {})[idx] = vals
-    levels = list(range(grid.n_steps + 1))
-    expected = {}
-    for j in range(N):
-        for stem in ("chi0", "v", "chi0_tilde"):
-            expected[f"{stem}_{j + 1}"] = [-1]
-        for stem in ("chi1", "omega"):
-            expected[f"{stem}_{j + 1}"] = levels
-    unknown = sorted(set(by_name) - set(expected))
-    if unknown:
-        raise MissingArtifact(f"{path} holds an unknown field {unknown[0]}; "
-                              "re-run bh cell")
-    for name, idxs in expected.items():
-        got = by_name.get(name, {})
-        if sorted(got) != idxs:
-            raise MissingArtifact(
-                f"{path}: field {name} has {len(got)} of its {len(idxs)} "
-                "levels; re-run bh cell")
-        for idx, vals in got.items():
-            if len(vals) != nd:
-                raise MissingArtifact(
-                    f"{path}: field {name} level {idx} holds {len(vals)} "
-                    f"values, the mesh has {nd} dofs; re-run bh cell")
 
-    def stack(stem):
-        return np.stack([by_name[f"{stem}_{j + 1}"][-1] for j in range(N)])
-
-    def history(stem):
-        return np.array([[by_name[f"{stem}_{j + 1}"][n] for n in levels]
-                         for j in range(N)])
-
-    return (stack("chi0"), stack("v"), stack("chi0_tilde"), history("chi1"),
-            history("omega"))
+def _check_cell_arrays(arrays, N, nd, g, levels, path):
+    """The archive's (name, array) pairs as a dict, after checking that they
+    are the six arrays of _CELL_ARRAYS, in order, with the shapes that the
+    dimension N, the nd dofs, the g interface dofs and the levels give."""
+    shapes = {"chi0": (N, nd), "v": (N, g), "chi0_tilde": (N, nd),
+              "chi1": (N, levels, g), "omega": (N, levels, g), "W": (N, g)}
+    got = [(name, vals.shape) for name, vals in arrays]
+    want = [(name, shapes[name]) for name in _CELL_ARRAYS]
+    if got != want:
+        def listed(pairs):
+            return ", ".join(f"{name} {shape}" for name, shape in pairs)
+        raise MissingArtifact(
+            f"{path} holds the arrays {listed(got)}, this mesh and config "
+            f"need {listed(want)}; re-run bh cell")
+    return dict(arrays)
 
 
 def cmd_tensors(cfg, out, vtk):
     paths = _paths(out)
     mesh, surf = _load_cell_mesh(cfg, paths)
-    header, (t_end, dt), fields = formats.read_cell_archive(paths["cell"])
+    header, (t_end, dt), arrays = formats.read_cell_archive(paths["cell"])
     _check_header(header, cfg, paths["cell"], "cell")
     g = cfg.kernel_grid
     if (t_end, dt) != (g.t_end, g.step):
@@ -186,13 +158,12 @@ def cmd_tensors(cfg, out, vtk):
                               "; re-run bh cell")
     grid = TimeGrid(t_end, dt)
     sysm = cell.CellSystem(mesh, surf, cfg.coeffs)
-    chi0, v, chi0_tilde, chi1, omega = _rebuild_funcs(
-        fields, mesh.dim, sysm.nd, grid, paths["cell"])
-    funcs = cell.CellFunctionSet(chi0=chi0, v=v, chi1=chi1, omega=omega,
-                                 grid=grid,
+    arrays = _check_cell_arrays(arrays, mesh.dim, sysm.nd,
+                                len(sysm.gamma_dofs), grid.n_steps + 1,
+                                paths["cell"])
+    funcs = cell.CellFunctionSet(**arrays, grid=grid,
                                  flux_residuals=np.zeros((surf.n_components,
-                                                          mesh.dim)),
-                                 chi0_tilde=chi0_tilde)
+                                                          mesh.dim)))
     tens = tensors.compute_all(sysm, funcs, cfg.topology)
     formats.write_tensors(paths["tensors"], _header(cfg), tens, grid)
     return [paths["mesh"], paths["cell"]], [paths["tensors"]]
@@ -210,7 +181,7 @@ def _macro_problem(cfg, tdata):
         B0=tdata["B0"], kernel_grid=kernel, F_coeffs=tdata["Phi"],
         u0_bar=u0, source=src, topology=cfg.topology,
         A_elliptic=tdata.get("A_hom_klt1") if cfg.k < 1.0
-        else tdata.get("A_hom_kgt1"))
+        else tdata["A_hom_kgt1"])
     return mesh, prob
 
 
@@ -228,8 +199,6 @@ def cmd_macro(cfg, out, vtk):
     if cfg.regime.startswith("k1"):
         fld = macro.solve_homogenized_memory(prob)
     else:
-        if cfg.regime == "kgt1" and prob.A_elliptic is None:
-            raise MissingArtifact("tensor file lacks the k>1 tensor")
         if (cfg.regime == "klt1" and prob.A_elliptic is None
                 and cfg.topology == "cd"):
             raise MissingArtifact("tensor file lacks the k<1 tensor")

@@ -1,21 +1,22 @@
 """Versioned ASCII artifact formats.
 
-Every artifact starts with a one-token magic line (BHMESH 1, BHCELL 2,
+Every artifact starts with a one-token magic line (BHMESH 1, BHCELL 3,
 BHTENS 1, BHSOL 2, BHRUN 1), carries provenance comments (config and
 geometry hashes), and ends with a checksum line over the preceding bytes.
 A file whose magic names another version of the same artifact is refused
 with a message asking for the command that writes it to be re-run.
 
-The bulk arrays (every field of a cell archive, every level of a
+The bulk arrays (the six arrays of a cell archive, every level of a
 solution) are packed: one line per array holding the RFC 4648 base64 text
-of its little-endian float64 bytes.  The small, human-read artifacts
-(meshes, tensors, manifests, VTK) print floats with %.17g.  Both encodings
-round-trip doubles exactly, and re-runs from the same config produce
-byte-identical bodies.
+of its little-endian float64 bytes, which must all be finite.  The small,
+human-read artifacts (meshes, tensors, manifests, VTK) print floats with
+%.17g.  Both encodings round-trip doubles exactly, and re-runs from the
+same config produce byte-identical bodies.
 """
 
 import base64
 import hashlib
+import math
 import os
 from itertools import islice
 
@@ -48,7 +49,7 @@ def _pack(vals):
 
 
 def _unpack(line, n, path):
-    """Inverse of _pack; the line must hold exactly n doubles."""
+    """Inverse of _pack; the line must hold exactly n finite doubles."""
     try:
         raw = base64.b64decode(line, validate=True)
     except ValueError:  # binascii.Error, or a non-ASCII character
@@ -56,7 +57,11 @@ def _unpack(line, n, path):
     if len(raw) != 8 * n:
         raise MissingArtifact(
             f"{path}: packed block holds {len(raw)} bytes, expected {8 * n}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    vals = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(vals)):
+        raise MissingArtifact(f"{path}: malformed body, a packed block holds "
+                              "a value that is not finite")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -196,32 +201,35 @@ def read_mesh(path):
 # BHCELL
 # ---------------------------------------------------------------------------
 
-def write_cell_archive(path, header, grid, fields):
-    """fields: list of (name, time_index, values); index -1 for stationary."""
-    body = [f"grid {_F % grid.t_end} {_F % grid.step}",
-            f"fields {len(fields)}"]
-    for name, idx, vals in fields:
-        body.append(f"field {name} {idx} {len(vals)}")
+def write_cell_archive(path, header, grid, arrays):
+    """arrays: (name, array) pairs, each written as an "array <name>
+    <shape...>" line and one packed line."""
+    body = [f"grid {_F % grid.t_end} {_F % grid.step}"]
+    for name, vals in arrays:
+        body.append(" ".join(["array", name] + [str(n) for n in vals.shape]))
         body.append(_pack(vals))
-    write_artifact(path, "BHCELL 2", header, body)
+    write_artifact(path, "BHCELL 3", header, body)
 
 
 def read_cell_archive(path):
-    header, body = read_artifact(path, "BHCELL 2")
+    """(header, grid, arrays) with grid = (t_end, dt) and arrays the
+    (name, array) pairs in the order written."""
+    header, body = read_artifact(path, "BHCELL 3")
     try:  # a body off the written layout is refused like a failed checksum
-        (k1, t_end, dt), (k2, nfields) = (ln.split() for ln in body[:2])
-        marks = [ln.split() for ln in body[2::2]]
-        if ((k1, k2) != ("grid", "fields") or len(body) % 2
-                or len(marks) != int(nfields)
-                or any(len(m) != 4 or m[0] != "field" for m in marks)):
+        k1, t_end, dt = body[0].split()
+        marks = [ln.split() for ln in body[1::2]]
+        if (k1 != "grid" or len(body) % 2 == 0
+                or any(len(m) < 2 or m[0] != "array" for m in marks)):
             raise ValueError
         grid = (float(t_end), float(dt))
-        heads = [(name, int(idx), int(n)) for _, name, idx, n in marks]
-    except ValueError:
+        heads = [(m[1], tuple(int(n) for n in m[2:])) for m in marks]
+        if any(n < 0 for _, shape in heads for n in shape):
+            raise ValueError
+    except (ValueError, IndexError):
         raise MissingArtifact(f"{path}: malformed cell archive body") from None
-    fields = [(name, idx, _unpack(block, n, path))
-              for (name, idx, n), block in zip(heads, body[3::2])]
-    return header, grid, fields
+    arrays = [(name, _unpack(block, math.prod(shape), path).reshape(shape))
+              for (name, shape), block in zip(heads, body[2::2])]
+    return header, grid, arrays
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +285,8 @@ def write_tensors(path, header, tens, kernel_grid):
 
 _TENSOR_MATS = ("A0", "A0_flux", "C0", "C0_mixed", "A_hom_klt1", "A_hom_kgt1")
 _TENSOR_REQUIRED = {"lambda0", "A0", "A0_flux", "A0_gap", "C0", "C0_mixed",
-                    "C0_gap", "A_inst_eig", "C0_eig", "kernel", "B0", "Phi"}
+                    "C0_gap", "A_inst_eig", "C0_eig", "A_hom_kgt1", "kernel",
+                    "B0", "Phi"}
 
 
 def read_tensors(path):

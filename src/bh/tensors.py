@@ -16,6 +16,11 @@ and the Gram matrix int lam (e_j + grad X_j) . (e_h + grad X_h) is
 with lam_total = int lam; on the outer phase alone the same holds with
 that phase's K, b_dir and dofs.  Element gradients serve assembly only.
 
+v, chi1 and omega are traces Y on the interface dofs (cell.py).  Their
+volume moment is Y W^T with W = b_dir E, which equals X b_dir^T of the
+bulk field X = E Y; every surface route reads the facet values, and those
+are the trace.
+
 C0 keeps its per-facet tangential Gram.  On disconnected inclusions C0
 vanishes: every facet contributes the square of a roundoff-sized vector
 (about 1e-16), so the sum stays near 1e-30.  Expanding the Gram through
@@ -72,10 +77,11 @@ class _SurfaceForms:
 
     def __init__(self, sys: CellSystem):
         surf, mesh = sys.surf, sys.mesh
-        self.sys = sys
         self.meas = surf.measures
         self.normals = surf.normals
-        self.fdofs = sys.vdof[surf.facets]
+        # each facet's vertices as positions in gamma_dofs: every surface
+        # route reads traces, (..., g)
+        self.fpos = np.searchsorted(sys.gamma_dofs, sys.vdof[surf.facets])
         self.grads, _ = fem.surface_gradients(mesh.vertices, surf.facets)
         N = sys.dim
         # tangential projections of the unit directions, per facet
@@ -83,19 +89,19 @@ class _SurfaceForms:
             [np.eye(N)[j] - self.normals * self.normals[:, j:j + 1]
              for j in range(N)], axis=0)  # (N, nf, N)
 
-    def tangential_gradient(self, dof_fields):
-        vals = dof_fields[..., self.fdofs]
+    def tangential_gradient(self, traces):
+        vals = traces[..., self.fpos]
         return np.einsum("fik,...fi->...fk", self.grads, vals)
 
-    def int_grad_components(self, dof_fields):
+    def int_grad_components(self, traces):
         """Entries int_Gamma (grad_B field)_h dsigma, over the last axis
-        of dof_fields; leading axes are kept."""
-        g = self.tangential_gradient(dof_fields)
+        of traces; leading axes are kept."""
+        g = self.tangential_gradient(traces)
         return (self.meas[:, None] * g).sum(axis=-2)
 
-    def int_field_normal(self, dof_fields):
+    def int_field_normal(self, traces):
         """Entries int_Gamma field nu_h dsigma, leading axes kept."""
-        mean = dof_fields[..., self.fdofs].mean(axis=-1)
+        mean = traces[..., self.fpos].mean(axis=-1)
         return ((self.meas * mean)[..., None] * self.normals).sum(axis=-2)
 
     def tangential_gram(self, fields_a, fields_b):
@@ -136,9 +142,9 @@ def compute_C0(sys: CellSystem, chi0: np.ndarray, forms: _SurfaceForms = None):
     solver precision.
     """
     forms = forms or _SurfaceForms(sys)
-    N = sys.dim
-    G = np.stack([forms.proj_dirs[j] + forms.tangential_gradient(chi0[j])
-                  for j in range(N)])
+    trace = chi0[:, sys.gamma_dofs]
+    G = np.stack([forms.proj_dirs[j] + forms.tangential_gradient(trace[j])
+                  for j in range(sys.dim)])
     a = sys.coeffs.alpha
     C_gram = a * forms.tangential_gram(G, G)
     C_mixed = a * forms.tangential_gram(G, forms.proj_dirs)
@@ -152,12 +158,13 @@ def compute_C0(sys: CellSystem, chi0: np.ndarray, forms: _SurfaceForms = None):
 def compute_A0(sys: CellSystem, chi0: np.ndarray, v: np.ndarray,
                forms: _SurfaceForms = None):
     """Stationary correction tensor, volume and flux routes, plus the Gram
-    consistency value of lambda0 I + A0."""
+    consistency value of lambda0 I + A0; v holds traces."""
     forms = forms or _SurfaceForms(sys)
     N = sys.dim
     surf_init = sys.coeffs.alpha * forms.int_grad_components(v)
     A_vol = chi0 @ sys.b_dir.T + surf_init
-    A_flux = -sys.coeffs.jump * forms.int_field_normal(chi0) + surf_init
+    A_flux = (-sys.coeffs.jump
+              * forms.int_field_normal(chi0[:, sys.gamma_dofs]) + surf_init)
 
     lam0 = compute_lambda0(sys.mesh, sys.coeffs)
     gram = _gram(sys.K, sys.b_dir, lam0, chi0)
@@ -172,26 +179,28 @@ def compute_A0(sys: CellSystem, chi0: np.ndarray, v: np.ndarray,
     return A_vol, A_flux, gram, (gap_forms, gap_gram)
 
 
-def _kernel_pair(sys, snapshots, grid, forms):
-    """Shared evaluation for B0 and F_coeffs over the whole (N, M+1, nd)
-    history at once, per sample time
+def _kernel_pair(sys, Y, W, grid, forms):
+    """Shared evaluation for B0 and F_coeffs over the whole (N, M+1, g)
+    trace history Y at once, per sample time, with X = E Y
     volume route  int lam (grad X)_h + alpha int (grad_B dX/dt)_h
     flux route    -[lam] int X nu_h  + alpha int (grad_B dX/dt)_h
     with the backward difference of the stepping; the level-0 slot reuses
-    the first difference.  Both return (M+1, N, N)."""
-    diff = np.diff(snapshots, axis=1) / grid.step
-    dX = np.concatenate([diff[:, :1], diff], axis=1)
-    tsurf = sys.coeffs.alpha * forms.int_grad_components(dX)
-    vol_route = snapshots @ sys.b_dir.T + tsurf
-    flux_route = -sys.coeffs.jump * forms.int_field_normal(snapshots) + tsurf
+    the first difference.  The volume moment of X is Y W^T.  Both return
+    (M+1, N, N)."""
+    diff = np.diff(Y, axis=1) / grid.step
+    dY = np.concatenate([diff[:, :1], diff], axis=1)
+    tsurf = sys.coeffs.alpha * forms.int_grad_components(dY)
+    vol_route = Y @ W.T + tsurf
+    flux_route = -sys.coeffs.jump * forms.int_field_normal(Y) + tsurf
     return vol_route.transpose(1, 0, 2), flux_route.transpose(1, 0, 2)
 
 
-def compute_B0(sys: CellSystem, chi1: np.ndarray, grid: TimeGrid,
-               forms: _SurfaceForms = None):
-    """Memory kernel samples B0(t_n) along the chi1 relaxation."""
+def compute_B0(sys: CellSystem, chi1: np.ndarray, W: np.ndarray,
+               grid: TimeGrid, forms: _SurfaceForms = None):
+    """Memory kernel samples B0(t_n) along the chi1 relaxation, from its
+    traces and W = b_dir E."""
     forms = forms or _SurfaceForms(sys)
-    B_vol, B_flux = _kernel_pair(sys, chi1, grid, forms)
+    B_vol, B_flux = _kernel_pair(sys, chi1, W, grid, forms)
     # absolute floor in the denominator: for degenerate geometries the
     # kernel is pure roundoff and a raw ratio would compare noise to noise
     scale = max(float(np.abs(B_vol).max()), 1e-12)
@@ -201,11 +210,12 @@ def compute_B0(sys: CellSystem, chi1: np.ndarray, grid: TimeGrid,
     return B_vol, B_flux, gap
 
 
-def compute_F_coeffs(sys: CellSystem, omega: np.ndarray, grid: TimeGrid,
-                     forms: _SurfaceForms = None):
-    """Source coefficients Phi(t_n) along the omega relaxation."""
+def compute_F_coeffs(sys: CellSystem, omega: np.ndarray, W: np.ndarray,
+                     grid: TimeGrid, forms: _SurfaceForms = None):
+    """Source coefficients Phi(t_n) along the omega relaxation, from its
+    traces and W = b_dir E."""
     forms = forms or _SurfaceForms(sys)
-    P_vol, P_flux = _kernel_pair(sys, omega, grid, forms)
+    P_vol, P_flux = _kernel_pair(sys, omega, W, grid, forms)
     scale = max(float(np.abs(P_vol).max()), 1e-12)
     gap = _rel_gap(P_vol, P_flux, scale)
     if gap > 1e-5:
@@ -274,8 +284,10 @@ def compute_all(sys: CellSystem, funcs: CellFunctionSet,
     lam0 = compute_lambda0(sys.mesh, sys.coeffs)
     C0, C0_mixed, gap_c = compute_C0(sys, funcs.chi0, forms)
     A0, A0_flux, gram, (gap_a, gap_g) = compute_A0(sys, funcs.chi0, funcs.v, forms)
-    B0, B0_flux, gap_b = compute_B0(sys, funcs.chi1, funcs.grid, forms)
-    Phi, Phi_vol, gap_f = compute_F_coeffs(sys, funcs.omega, funcs.grid, forms)
+    B0, B0_flux, gap_b = compute_B0(sys, funcs.chi1, funcs.W, funcs.grid,
+                                    forms)
+    Phi, Phi_vol, gap_f = compute_F_coeffs(sys, funcs.omega, funcs.W,
+                                           funcs.grid, forms)
 
     klt1 = gap_k = None
     if topology == "cd":

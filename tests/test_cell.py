@@ -54,7 +54,7 @@ def test_flux_residuals_within_compat_tolerance(disk, layered, tube):
 def test_v_mean_free_on_closed_components(disk):
     sys = disk.system
     for j in range(2):
-        w = sys.comp_w[0]
+        w = sys.comp_w[0][sys.gamma_dofs]
         assert abs(w @ disk.funcs.v[j]) <= 1e-10
 
 
@@ -73,9 +73,12 @@ def test_coefficients_validation():
 def test_function_set_shapes(disk):
     f = disk.funcs
     M = disk.grid.n_steps
-    nd = disk.system.nd
-    assert f.chi1.shape == (2, M + 1, nd)
-    assert f.omega.shape == (2, M + 1, nd)
+    nd, g = disk.system.nd, len(disk.system.gamma_dofs)
+    assert f.chi0.shape == (2, nd)
+    assert f.v.shape == (2, g)
+    assert f.chi1.shape == (2, M + 1, g)
+    assert f.omega.shape == (2, M + 1, g)
+    assert f.W.shape == (2, g)
     assert f.chi1_energy.shape == (2, M + 1)
     assert f.flux_residuals.shape == (disk.surf.n_components, 2)
     assert f.chi0_tilde.shape == (2, nd)
@@ -94,8 +97,9 @@ def test_march_builds_no_sparse_factor(disk, monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(fem.DirichletFactor, "__init__", counting)
-    X, _ = cell.evolve_surface_coupled(sysm, -chi0, disk.grid)
-    assert X.shape == (2, disk.grid.n_steps + 1, sysm.nd)
+    Y, _ = cell.evolve_surface_coupled(sysm, -chi0[:, sysm.gamma_dofs],
+                                       disk.grid)
+    assert Y.shape == (2, disk.grid.n_steps + 1, len(sysm.gamma_dofs))
     assert built == []
 
 
@@ -122,10 +126,11 @@ def test_cell_solve_factors_no_whole_cell(request, name, monkeypatch):
 
 
 def test_evolution_preserves_initial_trace(disk):
-    sys = disk.system
-    X, _ = cell.evolve_surface_coupled(sys, disk.funcs.v[0], TimeGrid(0.05, 0.025))
-    d = X[0][sys.gamma_dofs] - disk.funcs.v[0][sys.gamma_dofs]
-    assert d.max() - d.min() <= 1e-10  # trace kept up to the volume gauge
+    Y, _ = cell.evolve_surface_coupled(disk.system, disk.funcs.v,
+                                       TimeGrid(0.05, 0.025))
+    d = Y[:, 0] - disk.funcs.v
+    # trace kept up to the volume gauge, one constant per trace
+    assert (d.max(axis=1) - d.min(axis=1)).max() <= 1e-10
 
 
 def test_energy_dissipates_strictly_on_disk(disk):
@@ -164,7 +169,8 @@ BALANCE_RTOL = 1e-12
 def test_energy_balance_is_exact(request, name):
     b = request.getfixturevalue(name)
     sys = b.system
-    X = np.concatenate([b.funcs.chi1, b.funcs.omega])
+    # the bulk levels E y of the stored traces
+    X = np.concatenate([b.funcs.chi1, b.funcs.omega]) @ sys.phase_solves[0].T
     energy = np.concatenate([b.funcs.chi1_energy, b.funcs.omega_energy])
     d = np.diff(X, axis=1)
     dissipated = (2.0 * b.grid.step * _quad(sys.K, X[:, 1:])
@@ -185,8 +191,8 @@ def test_energy_nonincreasing_helper():
 def test_evolution_linearity(a, disk):
     sys = disk.system
     grid = TimeGrid(0.04, 0.02)
-    X1, _ = cell.evolve_surface_coupled(sys, disk.funcs.v[0], grid)
-    Xa, _ = cell.evolve_surface_coupled(sys, a * disk.funcs.v[0], grid)
+    X1, _ = cell.evolve_surface_coupled(sys, disk.funcs.v[:1], grid)
+    Xa, _ = cell.evolve_surface_coupled(sys, a * disk.funcs.v[:1], grid)
     assert np.abs(Xa - a * X1).max() <= 1e-9 * abs(a) * max(np.abs(X1).max(), 1.0)
 
 

@@ -77,6 +77,15 @@ macro Phi loads scattered the element gradient of u0 into a gradient load
 per entry.  Both are now products with assembled operators (the stiffness,
 the directional loads, the component matrices).  The element-gradient
 routes survive here as oracles for every rewritten tensor and the loads.
+
+v, chi1 and omega were once stored as bulk fields: every level of chi1
+and omega was extended as E y before the tensors read it, and the surface
+routes gathered the facet values from the bulk.  They are now traces on
+the interface dofs, and the volume moments of chi1 and omega are Y W^T
+with W = b_dir E.  The bulk path survives as the oracle: the levels E Y,
+the column march, the former vectorised kernel routes and the surface
+forms that read bulk fields.  The flux routes must stay bitwise equal, the
+volume routes and every tensor within the tolerances stated below.
 """
 import dataclasses
 import sys
@@ -87,7 +96,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bh import cell, fem, formats, geometry, macro, micro, tensors
+from bh import cell, cli, fem, formats, geometry, macro, micro, tensors
 from bh.geometry import (PHASE_INT, PHASE_MEMBRANE, PHASE_OUT,
                          build_membrane_cell, extract_interface,
                          tile_micro_domain)
@@ -428,12 +437,13 @@ class BorderedFactor:
 
 
 def column_march(sys, trace, grid):
-    """The former evolve_surface_coupled: one trace, a bulk harmonic
-    extension, then one bordered bulk solve per step."""
+    """The former evolve_surface_coupled: one trace on the interface dofs,
+    a bulk harmonic extension, then one bordered bulk solve per step; the
+    levels are bulk fields."""
     dt, n = grid.step, grid.n_steps
     X = np.zeros((n + 1, sys.nd))
     x0 = fem.DirichletFactor(sys.K, sys.gamma_dofs).solve(
-        np.zeros(sys.nd), trace[sys.gamma_dofs])
+        np.zeros(sys.nd), trace)
     x0 -= sys.vol_w @ x0
     X[0] = x0
     c = sys.coeffs.alpha / dt
@@ -612,6 +622,45 @@ def element_A0(sys, chi0, v, forms):
     A_flux = np.stack([-sys.coeffs.jump * forms.int_field_normal(chi0[j])
                        for j in range(N)]) + surf_init
     return A_vol, A_flux, element_gram(w, grads)
+
+
+def bulk_forms(sys):
+    """The former _SurfaceForms, which read facet values from bulk fields."""
+    forms = tensors._SurfaceForms(sys)
+    forms.fpos = sys.vdof[sys.surf.facets]
+    return forms
+
+
+def bulk_levels(sys, Y):
+    """The former bulk levels of chi1 and omega: every trace extended by E."""
+    return Y @ sys.phase_solves[0].T
+
+
+def bulk_v(sys, v):
+    """The former bulk v: the traces on the interface dofs, zero elsewhere."""
+    out = np.zeros(v.shape[:-1] + (sys.nd,))
+    out[..., sys.gamma_dofs] = v
+    return out
+
+
+def bulk_kernel_pair(sys, snapshots, grid, forms):
+    """The former vectorised tensors._kernel_pair on an (N, M+1, nd) bulk
+    history, with bulk_forms."""
+    diff = np.diff(snapshots, axis=1) / grid.step
+    dX = np.concatenate([diff[:, :1], diff], axis=1)
+    tsurf = sys.coeffs.alpha * forms.int_grad_components(dX)
+    vol_route = snapshots @ sys.b_dir.T + tsurf
+    flux_route = -sys.coeffs.jump * forms.int_field_normal(snapshots) + tsurf
+    return vol_route.transpose(1, 0, 2), flux_route.transpose(1, 0, 2)
+
+
+def bulk_C0(sys, chi0, forms):
+    """The former Gram and mixed routes of compute_C0, with bulk_forms."""
+    G = np.stack([forms.proj_dirs[j] + forms.tangential_gradient(chi0[j])
+                  for j in range(sys.dim)])
+    a = sys.coeffs.alpha
+    return (a * forms.tangential_gram(G, G),
+            a * forms.tangential_gram(G, forms.proj_dirs))
 
 
 def loop_kernel_pair(sys, snapshots, grid, forms):
@@ -1271,18 +1320,15 @@ def test_packed_block_matches_text_row_on_extreme_values():
 @pytest.mark.parametrize("name", ["disk", "layered", "tube"])
 def test_cell_archive_fields_match_text_rows(request, tmp_path, name):
     b = request.getfixturevalue(name)
-    fields = [(f"chi0_{j + 1}", -1, b.funcs.chi0[j]) for j in range(b.mesh.dim)]
-    for j in range(b.mesh.dim):
-        for n in range(b.funcs.chi1.shape[1]):
-            fields.append((f"chi1_{j + 1}", n, b.funcs.chi1[j, n]))
-            fields.append((f"omega_{j + 1}", n, b.funcs.omega[j, n]))
+    arrays = [(key, getattr(b.funcs, key)) for key in cli._CELL_ARRAYS]
     path = str(tmp_path / "c.bhcell")
-    formats.write_cell_archive(path, {"config": "x"}, b.grid, fields)
+    formats.write_cell_archive(path, {"config": "x"}, b.grid, arrays)
     _, _, got = formats.read_cell_archive(path)
-    assert len(got) == len(fields)
-    for (name_w, idx_w, vals), (name_r, idx_r, back) in zip(fields, got):
-        assert (name_w, idx_w) == (name_r, idx_r)
-        _assert_bitwise(back, text_parse(text_row(vals)))
+    assert len(got) == len(arrays)
+    for (name_w, vals), (name_r, back) in zip(arrays, got):
+        assert name_w == name_r
+        _assert_bitwise(back, text_parse(text_row(vals.ravel())).reshape(
+            vals.shape))
 
 
 # sha256 of the BHSOL 2 file written below; it changes only if the text
@@ -1347,15 +1393,21 @@ MARCH_RTOL = 1e-12
 @pytest.mark.parametrize("name", ["disk", "layered", "tube"])
 def test_block_march_matches_column_march(request, name):
     b = request.getfixturevalue(name)
-    traces = np.concatenate([b.funcs.v, -b.funcs.chi0])
-    X, energy = cell.evolve_surface_coupled(b.system, traces, b.grid)
-    assert X.shape == (len(traces), b.grid.n_steps + 1, b.system.nd)
+    sys = b.system
+    traces = np.concatenate([b.funcs.v, -b.funcs.chi0[:, sys.gamma_dofs]])
+    Y, energy = cell.evolve_surface_coupled(sys, traces, b.grid)
+    assert Y.shape == (len(traces), b.grid.n_steps + 1, len(sys.gamma_dofs))
+    X = bulk_levels(sys, Y)
+    # E is the identity on the interface dofs, so the bulk levels hold the
+    # traces bit for bit there
+    assert np.array_equal(X[..., sys.gamma_dofs], Y)
     for i, trace in enumerate(traces):
-        X_ref, e_ref = column_march(b.system, trace, b.grid)
-        X_one, e_one = cell.evolve_surface_coupled(b.system, trace, b.grid)
+        X_ref, e_ref = column_march(sys, trace, b.grid)
+        Y_one, e_one = cell.evolve_surface_coupled(sys, trace[None], b.grid)
         scale = max(np.abs(X_ref).max(), 1.0)
         escale = max(e_ref.max(), b.coeffs.alpha * b.surf.area())
-        for got, got_e in ((X[i], energy[i]), (X_one, e_one)):
+        for got, got_e in ((X[i], energy[i]),
+                           (bulk_levels(sys, Y_one[0]), e_one[0])):
             assert np.abs(got - X_ref).max() <= MARCH_RTOL * scale
             assert np.abs(got_e - e_ref).max() <= MARCH_RTOL * escale
 
@@ -1372,11 +1424,11 @@ KERNEL_RTOL = 1e-11
 def test_kernels_match_column_march_kernels(request, name):
     b = request.getfixturevalue(name)
     sys, N = b.system, b.system.dim
-    traces = np.concatenate([b.funcs.v, -b.funcs.chi0])
+    traces = np.concatenate([b.funcs.v, -b.funcs.chi0[:, sys.gamma_dofs]])
     ref = np.stack([column_march(sys, t, b.grid)[0] for t in traces])
-    forms = tensors._SurfaceForms(sys)
-    B0 = tensors.compute_B0(sys, ref[:N], b.grid, forms)[0]
-    Phi = tensors.compute_F_coeffs(sys, ref[N:], b.grid, forms)[0]
+    forms = bulk_forms(sys)
+    B0 = bulk_kernel_pair(sys, ref[:N], b.grid, forms)[0]
+    Phi = bulk_kernel_pair(sys, ref[N:], b.grid, forms)[1]
     for got, want in ((b.tens.B0, B0), (b.tens.F_coeffs, Phi)):
         scale = max(np.abs(want).max(), 1e-12)
         assert np.abs(got - want).max() <= KERNEL_RTOL * scale
@@ -1413,10 +1465,10 @@ def former(request):
     chi0, residuals = former_solve_chi0(sys)
     tilde = former_solve_chi0_tilde(sys)
     v = cell.solve_v_init(sys, chi0)
-    X, energy = cell.evolve_surface_coupled(
-        sys, np.concatenate([v, -chi0]), b.grid)
+    Y, energy = cell.evolve_surface_coupled(
+        sys, np.concatenate([v, -chi0[:, sys.gamma_dofs]]), b.grid)
     funcs = cell.CellFunctionSet(
-        chi0=chi0, v=v, chi1=X[:N], omega=X[N:], grid=b.grid,
+        chi0=chi0, v=v, chi1=Y[:N], omega=Y[N:], W=b.funcs.W, grid=b.grid,
         flux_residuals=residuals, chi0_tilde=tilde,
         chi1_energy=energy[:N], omega_energy=energy[N:])
     return b, chi0, residuals, tilde, tensors.compute_all(
@@ -1608,13 +1660,73 @@ def _assert_close(got, ref, rtol=TENSOR_RTOL):
 @pytest.mark.parametrize("name", ["disk", "layered", "tube"])
 def test_kernel_pair_matches_level_loop(request, name):
     b = request.getfixturevalue(name)
-    forms = tensors._SurfaceForms(b.system)
+    sys = b.system
+    forms, bulk = tensors._SurfaceForms(sys), bulk_forms(sys)
     for history in (b.funcs.chi1, b.funcs.omega):
-        got = tensors._kernel_pair(b.system, history, b.grid, forms)
-        ref = loop_kernel_pair(b.system, history, b.grid, forms)
+        got = tensors._kernel_pair(sys, history, b.funcs.W, b.grid, forms)
+        ref = loop_kernel_pair(sys, bulk_levels(sys, history), b.grid, bulk)
         for g, r in zip(got, ref):
             assert g.shape == r.shape
             _assert_close(g, r)
+
+
+# The trace routes read the same facet values as the bulk routes did, so
+# the flux routes are bitwise equal.  The volume route Y W^T sums in another
+# order than X b_dir^T; the largest gap measured, relative to
+# max(max|ref|, 1e-12), was 1.6e-16 on these fixtures and 1.9e-16 on the
+# cell_pipeline benchmark cell (Disk2D h = 0.014, seed 11 coefficients).
+TRACE_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("name", ["disk", "layered", "tube"])
+def test_kernel_routes_match_bulk_routes(request, name):
+    b = request.getfixturevalue(name)
+    sys = b.system
+    forms, bulk = tensors._SurfaceForms(sys), bulk_forms(sys)
+    for history in (b.funcs.chi1, b.funcs.omega):
+        vol, flux = tensors._kernel_pair(sys, history, b.funcs.W, b.grid,
+                                         forms)
+        ref_vol, ref_flux = bulk_kernel_pair(sys, bulk_levels(sys, history),
+                                             b.grid, bulk)
+        _assert_bitwise(flux, ref_flux)
+        _assert_close(vol, ref_vol, TRACE_RTOL)
+
+
+def bulk_tensors(sys, funcs, grid, topology):
+    """Every field of compute_all along the former bulk path: v scattered
+    onto the interface dofs, chi1 and omega extended as E Y, the surface
+    forms reading bulk fields and the element-gradient volume routes."""
+    forms = bulk_forms(sys)
+    A0, A0_flux, A0_gram = element_A0(sys, funcs.chi0, bulk_v(sys, funcs.v),
+                                      forms)
+    C0, C0_mixed = bulk_C0(sys, funcs.chi0, forms)
+    B0, B0_flux = bulk_kernel_pair(sys, bulk_levels(sys, funcs.chi1), grid,
+                                   forms)
+    Phi = bulk_kernel_pair(sys, bulk_levels(sys, funcs.omega), grid, forms)[1]
+    klt1 = element_klt1(sys, funcs.chi0)[0] if topology == "cd" else None
+    return {"lambda0": tensors.compute_lambda0(sys.mesh, sys.coeffs),
+            "A0": A0, "A0_flux_form": A0_flux, "A0_gram": A0_gram, "C0": C0,
+            "C0_mixed_form": C0_mixed, "B0": B0, "B0_flux_form": B0_flux,
+            "F_coeffs": Phi, "A_hom_kgt1": element_kgt1(sys, funcs.chi0_tilde)[0],
+            "A_hom_klt1": klt1}
+
+
+# Every tensor, relative to max(max|T|, 1): the largest gap measured was
+# 3.7e-15 on these fixtures and 6.8e-15 on the cell_pipeline cell, both in
+# A_hom_kgt1, whose element-gradient oracle sums in another order.
+@pytest.mark.parametrize("name", ["disk", "layered", "tube"])
+def test_trace_tensors_match_bulk_path(request, name):
+    b = request.getfixturevalue(name)
+    ref = bulk_tensors(b.system, b.funcs, b.grid, _TOPOLOGY[name])
+    fields = {f.name for f in dataclasses.fields(b.tens)}
+    assert fields - set(ref) == {"grid", "discrepancies"}
+    for key, want in ref.items():
+        got = getattr(b.tens, key)
+        if want is None:
+            assert got is None, key
+            continue
+        scale = max(float(np.abs(want).max()), 1.0)
+        assert np.abs(np.asarray(got) - want).max() <= TRACE_RTOL * scale, key
 
 
 @pytest.mark.parametrize("name", ["disk", "layered", "tube"])
@@ -1622,9 +1734,13 @@ def test_tensor_volume_routes_match_element_gradients(request, name):
     b = request.getfixturevalue(name)
     sys, funcs, t = b.system, b.funcs, b.tens
     forms = tensors._SurfaceForms(sys)
-    A_vol, A_flux, gram = element_A0(sys, funcs.chi0, funcs.v, forms)
-    B_vol, B_flux = loop_kernel_pair(sys, funcs.chi1, b.grid, forms)
-    P_vol, P_flux = loop_kernel_pair(sys, funcs.omega, b.grid, forms)
+    bulk = bulk_forms(sys)
+    A_vol, A_flux, gram = element_A0(sys, funcs.chi0, bulk_v(sys, funcs.v),
+                                     bulk)
+    B_vol, B_flux = loop_kernel_pair(sys, bulk_levels(sys, funcs.chi1),
+                                     b.grid, bulk)
+    P_vol, P_flux = loop_kernel_pair(sys, bulk_levels(sys, funcs.omega),
+                                     b.grid, bulk)
     direct, _ = element_kgt1(sys, funcs.chi0_tilde)
     pairs = [(t.A0, A_vol), (t.A0_flux_form, A_flux), (t.A0_gram, gram),
              (t.B0, B_vol), (t.B0_flux_form, B_flux), (t.F_coeffs, P_flux),
@@ -1642,12 +1758,13 @@ def test_tensor_volume_routes_match_element_gradients(request, name):
 def test_second_routes_match_element_gradients(request, name):
     b = request.getfixturevalue(name)
     sys, funcs = b.system, b.funcs
+    bulk = bulk_forms(sys)
     _, _, gram, _ = tensors.compute_A0(sys, funcs.chi0, funcs.v)
-    _assert_close(gram, element_A0(sys, funcs.chi0, funcs.v,
-                                   tensors._SurfaceForms(sys))[2])
-    _, P_vol, _ = tensors.compute_F_coeffs(sys, funcs.omega, b.grid)
-    _assert_close(P_vol, loop_kernel_pair(sys, funcs.omega, b.grid,
-                                          tensors._SurfaceForms(sys))[0])
+    _assert_close(gram, element_A0(sys, funcs.chi0, bulk_v(sys, funcs.v),
+                                   bulk)[2])
+    _, P_vol, _ = tensors.compute_F_coeffs(sys, funcs.omega, funcs.W, b.grid)
+    _assert_close(P_vol, loop_kernel_pair(sys, bulk_levels(sys, funcs.omega),
+                                          b.grid, bulk)[0])
     direct, gram, _ = tensors.compute_Ahom_kgt1(sys, funcs.chi0_tilde)
     ref_direct, ref_gram = element_kgt1(sys, funcs.chi0_tilde)
     _assert_close(direct, ref_direct)

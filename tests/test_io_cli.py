@@ -238,14 +238,40 @@ def test_cell_archive_roundtrip(tmp_path):
     path = str(tmp_path / "c.bhcell")
     rng = np.random.default_rng(0)
     grid = TimeGrid(0.1, 0.05)
-    fields = [("chi0_1", -1, rng.standard_normal(7)),
-              ("chi1_1", 2, rng.standard_normal(7))]
-    formats.write_cell_archive(path, {"config": "x"}, grid, fields)
+    arrays = [("chi0", rng.standard_normal((2, 7))),
+              ("chi1", rng.standard_normal((2, 3, 5)))]
+    formats.write_cell_archive(path, {"config": "x"}, grid, arrays)
     _, got_grid, got = formats.read_cell_archive(path)
     assert got_grid == (0.1, 0.05)
-    for (n1, i1, v1), (n2, i2, v2) in zip(fields, got):
-        assert (n1, i1) == (n2, i2)
-        assert np.array_equal(v1, v2)
+    assert len(got) == len(arrays)
+    for (n1, v1), (n2, v2) in zip(arrays, got):
+        assert n1 == n2
+        assert v1.shape == v2.shape and np.array_equal(v1, v2)
+
+
+def test_cell_archive_layout_pinned(tmp_path, layered):
+    """bh cell writes the grid line, then one shape line and one packed line
+    for each of six arrays: the bulk chi0 and chi0_tilde, the interface
+    traces v, chi1 and omega, and W = b_dir E."""
+    path = str(tmp_path / "c.bhcell")
+    funcs = layered.funcs
+    N, nd = layered.mesh.dim, layered.system.nd
+    g, levels = len(layered.system.gamma_dofs), layered.grid.n_steps + 1
+    formats.write_cell_archive(
+        path, {"config": "x"}, layered.grid,
+        [(name, getattr(funcs, name)) for name in cli._CELL_ARRAYS])
+    lines = open(path).read().splitlines()
+    assert lines[0] == "BHCELL 3"
+    body = [ln for ln in lines[1:-1] if not ln.startswith("# ")]
+    assert body[0] == "grid 0.20000000000000001 0.02"
+    assert body[1::2] == [f"array chi0 {N} {nd}", f"array v {N} {g}",
+                          f"array chi0_tilde {N} {nd}",
+                          f"array chi1 {N} {levels} {g}",
+                          f"array omega {N} {levels} {g}",
+                          f"array W {N} {g}"]
+    _, _, got = formats.read_cell_archive(path)
+    for name, vals in got:
+        assert np.array_equal(vals, getattr(funcs, name))
 
 
 def test_tensor_roundtrip(tmp_path, disk):
@@ -292,8 +318,8 @@ def _write_small(tmp_path, kind):
         path = str(tmp_path / "c.bhcell")
         formats.write_cell_archive(
             path, {"config": "x"}, TimeGrid(0.1, 0.05),
-            [("chi0_1", -1, rng.standard_normal(9)),
-             ("chi1_1", 0, rng.standard_normal(9))])
+            [("chi0", rng.standard_normal((1, 9))),
+             ("chi1", rng.standard_normal((1, 1, 9)))])
         return path, formats.read_cell_archive
     path = str(tmp_path / "s.bhsol")
     formats.write_solution(path, {"config": "x"}, "macro",
@@ -311,20 +337,25 @@ def _rewrite(path, edit):
 
 
 def _first_block(lines):
-    """Index of the first packed line (the one after a field/level line)."""
+    """Index of the first packed line (the one after an array/level line)."""
     return next(i for i, ln in enumerate(lines)
-                if ln.startswith(("field ", "level "))) + 1
+                if ln.startswith(("array ", "level "))) + 1
 
 
 def _as_version_1(lines):
     """The same body in the former text layout: %.17g rows, magic 1."""
-    out = [lines[0].replace(" 2", " 1")]
+    out = [lines[0].split()[0] + " 1"]
     for prev, ln in zip(lines, lines[1:]):
-        if prev.startswith(("field ", "level ")):
+        if prev.startswith(("array ", "level ")):
             ln = " ".join("%.17g" % v for v in np.frombuffer(
                 base64.b64decode(ln), dtype="<f8"))
         out.append(ln)
     return out
+
+
+def _as_bhcell_2(lines):
+    """The same body under the magic of the former per-level cell archive."""
+    return ["BHCELL 2"] + lines[1:]
 
 
 def _truncate(lines):
@@ -348,7 +379,9 @@ def test_version_1_refused_with_message(tmp_path, kind, magic):
     with pytest.raises(MissingArtifact) as exc:
         read(path)
     msg = str(exc.value)
-    assert f"{magic} 1" in msg and f"{magic} 2" in msg and "re-run" in msg
+    current = {"BHCELL": 3, "BHSOL": 2}[magic]
+    assert f"{magic} 1" in msg and f"{magic} {current}" in msg
+    assert "re-run" in msg
 
 
 @pytest.mark.parametrize("kind", ["cell", "sol"])
@@ -405,7 +438,7 @@ def test_block_tamper_fails_checksum(tmp_path, kind):
     flip = "B" if lines[i][10] == "A" else "A"
     lines[i] = lines[i][:10] + flip + lines[i][11:]
     open(path, "w").write("".join(lines))
-    assert lines[0].rstrip("\n").endswith(" 2")
+    assert lines[0].rstrip("\n") in ("BHCELL 3", "BHSOL 2")
     with pytest.raises(MissingArtifact, match="checksum"):
         read(path)
 
@@ -520,8 +553,10 @@ def test_cli_bad_value_exits_2_without_traceback(tmp_path, patch, message,
     assert proc.stderr.startswith("config error:")
 
 
-@pytest.mark.parametrize("edit", [_as_version_1, _truncate, _non_base64],
-                         ids=["version-1", "truncated", "non-base64"])
+@pytest.mark.parametrize("edit", [_as_version_1, _as_bhcell_2, _truncate,
+                                  _non_base64],
+                         ids=["version-1", "version-2", "truncated",
+                              "non-base64"])
 def test_cli_bad_cell_archive_exits_3_without_traceback(tiny_cfg, tmp_path,
                                                         edit):
     out = str(tmp_path / "run")
@@ -532,43 +567,46 @@ def test_cli_bad_cell_archive_exits_3_without_traceback(tiny_cfg, tmp_path,
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("artifact error:")
-    if edit is _as_version_1:
-        assert "BHCELL 1 artifact" in proc.stderr
-        assert "reads BHCELL 2: re-run" in proc.stderr
+    if edit in (_as_version_1, _as_bhcell_2):
+        old = 1 if edit is _as_version_1 else 2
+        assert f"BHCELL {old} artifact" in proc.stderr
+        assert "reads BHCELL 3: re-run" in proc.stderr
 
 
-def _drop_last_omega_2(lines):
-    # the last omega_2 level (its field line and its block), and one field
-    # fewer in the count
-    i = max(k for k, ln in enumerate(lines) if ln.startswith("field omega_2 "))
-    out = lines[:i] + lines[i + 2:]
-    n = next(k for k, ln in enumerate(out) if ln.startswith("fields "))
-    out[n] = f"fields {int(out[n].split()[1]) - 1}"
-    return out
+def _reshaped(name, change):
+    """Store the array name, consistently with its own array line, as
+    change makes it."""
+    def edit(lines):
+        i = next(k for k, ln in enumerate(lines)
+                 if ln.startswith(f"array {name} "))
+        shape = [int(n) for n in lines[i].split()[2:]]
+        vals = change(np.frombuffer(base64.b64decode(lines[i + 1]),
+                                    dtype="<f8").reshape(shape))
+        head = " ".join(["array", name] + [str(n) for n in vals.shape])
+        return lines[:i] + [head, formats._pack(vals)] + lines[i + 2:]
+    return edit
 
 
-def _short_chi0_1(lines):
-    # chi0_1 stored, consistently with its own field line, one value short
-    i = next(k for k, ln in enumerate(lines) if ln.startswith("field chi0_1 "))
-    vals = np.frombuffer(base64.b64decode(lines[i + 1]), dtype="<f8")[:-1]
-    return (lines[:i] + [f"field chi0_1 -1 {len(vals)}", formats._pack(vals)]
-            + lines[i + 2:])
-
-
-@pytest.mark.parametrize("edit, field", [(_drop_last_omega_2, "omega_2"),
-                                         (_short_chi0_1, "chi0_1")],
-                         ids=["missing-level", "short-field"])
+@pytest.mark.parametrize("edit", [
+    _reshaped("omega", lambda vals: vals[:, :-1]),
+    _reshaped("chi0", lambda vals: vals[:, :-1]),
+    lambda lines: lines[:-2]], ids=["missing-level", "short-field",
+                                    "missing-array"])
 def test_cli_incomplete_cell_archive_exits_3_without_traceback(
-        tiny_cfg, tmp_path, edit, field):
+        tiny_cfg, tmp_path, edit):
     out = str(tmp_path / "run")
     for cmd in ("mesh", "cell"):
         assert _run([cmd, "--config", tiny_cfg, "--out", out]) == 0
-    _rewrite(os.path.join(out, "cell.bhcell"), edit)
+    path = os.path.join(out, "cell.bhcell")
+    _rewrite(path, edit)
     proc = _subprocess_bh("tensors", tiny_cfg, out)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("artifact error:")
-    assert f"field {field}" in proc.stderr
+    # the message lists the arrays the file holds, with their shapes
+    held = ", ".join(f"{t[1]} ({', '.join(t[2:])})" for t in (
+        ln.split() for ln in open(path) if ln.startswith("array ")))
+    assert f"holds the arrays {held}," in proc.stderr
     assert "re-run bh cell" in proc.stderr
 
 
@@ -714,6 +752,7 @@ def _study_in_memory(cfg_path, out):
         mmesh, prob = cli._macro_problem(cfg, {
             "lambda0": tens.lambda0, "A0": tens.A0, "C0": tens.C0,
             "B0": tens.B0, "Phi": tens.F_coeffs,
+            "A_hom_kgt1": tens.A_hom_kgt1,
             "kernel": (cfg.kernel_grid.t_end, cfg.kernel_grid.step)})
         fld = macro.solve_homogenized_memory(prob)
     return micro.convergence_study(
@@ -784,6 +823,16 @@ _TOKENS = ("", "x", "nan", "-inf", "-1", "0", "1", "2", "3", "0.5", "999999",
            "1e300")
 
 
+def _first_value(value):
+    """A change for _edit_line: the packed line with its first double set to
+    value, which a valid checksum then covers."""
+    def change(line):
+        vals = np.frombuffer(base64.b64decode(line), dtype="<f8").copy()
+        vals[0] = value
+        return [formats._pack(vals)]
+    return change
+
+
 def _edit_line(prefix, change, offset):
     """Replace the line offset lines after the first line that starts with
     prefix by the lines change returns for it."""
@@ -805,19 +854,24 @@ def _edit_line(prefix, change, offset):
     ("tensors.bhtens", _edit_line(
         "t, B11", lambda ln: [ln.rsplit(", ", 1)[0]], 1)),
     ("cell.bhcell", _edit_line("grid ", lambda ln: ["grid 1"], 0)),
-    ("cell.bhcell", _edit_line("fields ", lambda ln: ["fields 9999"], 0)),
+    # a count line of the former layout in place of an array line
+    ("cell.bhcell", _edit_line("array ", lambda ln: ["fields 9999"], 0)),
     ("mesh.bhmesh", _edit_line(
         "facets ", lambda ln: [ln.rsplit(" ", 1)[0] + " inf"], 1)),
     ("tensors.bhtens", _edit_line(
         "A0 ", lambda ln: ["A0 nan " + ln.split(" ", 2)[2]], 0)),
+    ("cell.bhcell", _edit_line("array chi1 ", _first_value(np.nan), 1)),
+    ("micro_m2.bhsol", _edit_line("level ", _first_value(np.inf), 1)),
+    ("tensors.bhtens", _edit_line("A_hom_kgt1 ", lambda ln: [], 0)),
 ], ids=["mesh-dim-x", "mesh-vertex-row-dropped", "mesh-vertex-id-999999",
         "tensors-short-A0", "tensors-lambda0-abc", "tensors-short-B0-row",
         "cell-grid-1", "cell-fields-9999", "mesh-normal-inf",
-        "tensors-A0-nan"])
+        "tensors-A0-nan", "cell-nan", "solution-inf", "tensors-no-kgt1"])
 def test_cli_malformed_body_exits_3_without_traceback(upstream, tmp_path,
                                                       name, edit):
     # each of these once ended in a ValueError, IndexError or StopIteration,
-    # or (a value that is not finite) reached the solvers
+    # or (a value that is not finite, a missing k > 1 tensor) reached the
+    # solvers or the tensor routes
     cfg, out = _copy_run(upstream, 1.0, tmp_path)
     _rewrite(os.path.join(out, name), edit)
     proc = _subprocess_bh(_BODY_READERS[name], cfg, out)
