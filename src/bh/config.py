@@ -7,7 +7,8 @@ The only environment override honored anywhere is BH_OUTPUT_DIR.
 Sizes are refused before anything is allocated: either time grid may have
 at most MAX_STEPS steps (t_end / dt, rounded), and every eps must be the
 reciprocal of a positive integer with a finite reciprocal and tile the
-domain with at most MAX_TILES cells, (1/eps)^dim.
+domain with at most MAX_TILES cells, (1/eps)^dim.  No eps_list tiling and
+no eta_list value may repeat: each gives one micro file or one study row.
 """
 
 import configparser
@@ -213,7 +214,7 @@ def load_config(path: str) -> RunConfig:
             raise ConfigInvalid(f"unknown preset {name!r}, choose from {PRESETS}")
 
     eps_list = _get_list(cp, "study", "eps_list", (0.5, 0.25, 0.125))
-    for eps in eps_list:
+    for i, eps in enumerate(eps_list):
         m = 1.0 / eps
         if not math.isfinite(m) or round(m) < 1 or abs(round(m) - m) > 1e-9:
             raise ConfigInvalid(f"eps={eps} is not a reciprocal integer")
@@ -221,7 +222,13 @@ def load_config(path: str) -> RunConfig:
             raise ConfigInvalid(f"eps={eps} tiles the domain with (1/eps)^"
                                 f"{spec.dim} cells, more than the "
                                 f"{MAX_TILES} allowed")
+        if round(m) in [round(1.0 / e) for e in eps_list[:i]]:
+            raise ConfigInvalid(f"[study] eps_list repeats eps={eps} "
+                                f"(1/eps = {round(m)})")
     eta_list = _get_list(cp, "study", "eta_list", (0.2, 0.1, 0.05))
+    for i, eta in enumerate(eta_list):
+        if eta in eta_list[:i]:
+            raise ConfigInvalid(f"[study] eta_list repeats eta={eta}")
 
     out_dir = cp.get("output", "dir", fallback="out").strip()
     out_dir = os.environ.get("BH_OUTPUT_DIR", out_dir)

@@ -110,27 +110,13 @@ def assemble_gradient_load(geom, simplices, coeff, vecs, vdof, ndof) -> np.ndarr
     return b
 
 
-def lumped_weights(vols, npv) -> np.ndarray:
-    """(ne, 1) share |K| / npv of each element vertex in the lumped mass."""
-    return np.abs(vols)[:, None] / npv
-
-
 def volume_dof_weights(vols, simplices, vdof, ndof) -> np.ndarray:
-    """w_p = int phi_p over the whole mesh (exact for P1)."""
+    """w_p = int phi_p over the whole mesh (exact for P1), the lumped mass."""
     npv = simplices.shape[1]
     w = np.zeros(ndof)
-    contrib = np.repeat(lumped_weights(vols, npv), npv, axis=1)
+    contrib = np.repeat(np.abs(vols)[:, None] / npv, npv, axis=1)
     np.add.at(w, vdof[simplices].ravel(), contrib.ravel())
     return w
-
-
-def lumped_load(weights, simplices, node_values, vdof, ndof) -> np.ndarray:
-    """Vertex-lumped right hand side int f phi_p with f given at vertices;
-    weights comes from lumped_weights once per mesh."""
-    contrib = weights * node_values[simplices]
-    b = np.zeros(ndof)
-    np.add.at(b, vdof[simplices].ravel(), contrib.ravel())
-    return b
 
 
 def mass_quadratic(vols, simplices, node_values) -> float:

@@ -136,9 +136,10 @@ class SurfaceMesh:
 @dataclass
 class MicroMesh:
     """eps-periodic tiling of a unit cell mesh over the fixed domain (0,1)^N,
-    carrying the interface between its phases and the map of every tile's
-    cell vertices to the tiling's vertices; the simplices are listed tile
-    by tile, each tile's in cell order."""
+    carrying the interface between its phases.  Tile t, the eps-cell
+    unravel(t), is a copy of cell scaled by eps (its element geometry is the
+    cell's) with vertices local_global[t]; the simplices are listed tile by
+    tile, each in cell order.  A stripped tile's inclusion is matrix."""
 
     vertices: np.ndarray
     simplices: np.ndarray
@@ -147,14 +148,20 @@ class MicroMesh:
     boundary_vertices: np.ndarray  # indices of vertices on the outer boundary
     interface: np.ndarray          # (nf, N) int facets between the phases
     local_global: np.ndarray       # (tiles, cell vertices) int vertex ids
-    eta: float = 0.0               # nonzero for tiled membrane cells
+    cell: CellMesh                 # the tiled unit cell
+    stripped: np.ndarray           # (tiles,) bool
 
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
 
+    @property
+    def eta(self) -> float:   # nonzero for tiled membrane cells
+        return getattr(self.cell, "eta", 0.0)
+
     def volumes(self) -> np.ndarray:
-        return simplex_volumes(self.vertices, self.simplices)
+        return np.tile(self.cell.volumes(), len(self.local_global)) \
+            * self.eps ** self.dim
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +730,7 @@ def tile_micro_domain(mesh: CellMesh, facets: np.ndarray, eps: float,
                       strip_boundary_inclusions: bool):
     """Tile a unit cell mesh eps-periodically over the unit domain.
 
-    eps must be the reciprocal of an integer.  For disconnected inclusion
+    eps must be the reciprocal of an integer m.  For disconnected inclusion
     geometries the inclusions of cells touching the outer boundary are
     re-labelled as matrix material (stripped) when
     strip_boundary_inclusions is set, so that no inclusion meets the
@@ -732,7 +739,9 @@ def tile_micro_domain(mesh: CellMesh, facets: np.ndarray, eps: float,
     facets are the cell's interface facets.  Returns (micro,
     micro.interface): the interface of the tiling is the union of their
     copies in the tiles that kept their inclusions, each row sorted and the
-    rows in lexicographic order, as extract_interface lists them.
+    rows in lexicographic order, as extract_interface lists them.  Every
+    tile's vertices must sit at (cell vertices + offset) / m to 1e-12, else
+    MeshFailure: the tiling's element geometry is the cell's.
     """
     m = int(round(1.0 / eps))
     if m < 1 or abs(m * eps - 1.0) > 1e-12:
@@ -782,6 +791,7 @@ def tile_micro_domain(mesh: CellMesh, facets: np.ndarray, eps: float,
     first = np.sort(first)
     vertices = (np.asarray(mesh.vertices, dtype=float)[vert[first]]
                 + cell[first]) / m
+    _check_tile_positions(vertices, local_global, mesh.vertices, cells, m)
 
     ne = mesh.simplices.shape[0]
     simplices = local_global[:, mesh.simplices].reshape(n_cells * ne, dim + 1)
@@ -796,13 +806,15 @@ def tile_micro_domain(mesh: CellMesh, facets: np.ndarray, eps: float,
     micro = MicroMesh(vertices=vertices, simplices=simplices, phase=phase,
                       eps=eps, boundary_vertices=boundary,
                       interface=tiled[np.lexsort(tiled.T[::-1])],
-                      local_global=local_global,
-                      eta=getattr(mesh, "eta", 0.0))
-
-    vol = micro.volumes().sum()
-    if abs(vol - 1.0) > 1e-12:
-        raise MeshFailure(f"tiled domain volume sums to {vol!r}, not 1")
+                      local_global=local_global, cell=mesh, stripped=stripped)
     return micro, micro.interface
+
+
+def _check_tile_positions(vertices, local_global, cell_vertices, cells, m):
+    """MeshFailure unless tile t sits at (cell_vertices + cells[t]) / m."""
+    gap = np.abs(vertices[local_global] - (cell_vertices + cells[:, None]) / m)
+    if not gap.max() <= 1e-12:
+        raise MeshFailure(f"a tiled vertex is {gap.max():.1e} off its cell copy")
 
 
 def _looks_disconnected(mesh: CellMesh) -> bool:

@@ -52,6 +52,7 @@ class MacroMesh:
     n: int
     dim: int
     vols: np.ndarray       # signed element volumes
+    mass: np.ndarray       # lumped vertex mass: a nodal f loads mass * f
     mats: dict             # component stiffness matrices K_ab, see below
 
 
@@ -59,8 +60,8 @@ def build_macro_mesh(n: int, dim: int = 2) -> MacroMesh:
     """Uniform simplicial grid on the unit square or cube.
 
     2D cells are split along the same diagonal everywhere.  The mesh
-    carries its element volumes and component stiffness matrices, so the
-    solvers and their callers never recompute them.
+    carries its element volumes, vertex mass and component stiffness
+    matrices, so the solvers and their callers never recompute them.
     """
     lin = np.arange(n + 1) / n
     lin[-1] = 1.0
@@ -80,10 +81,11 @@ def build_macro_mesh(n: int, dim: int = 2) -> MacroMesh:
 
     boundary = np.where(np.any((vertices == 0.0) | (vertices == 1.0), axis=1))[0]
     grads, vols = fem.element_gradients(vertices, simplices)
+    nv = len(vertices)
     return MacroMesh(vertices=vertices, simplices=simplices, boundary=boundary,
-                     n=n, dim=dim, vols=vols,
-                     mats=_component_stiffness(grads, vols, simplices,
-                                               len(vertices)))
+                     n=n, dim=dim, vols=vols, mass=fem.volume_dof_weights(
+                         vols, simplices, fem.identity_dof_map(nv), nv),
+                     mats=_component_stiffness(grads, vols, simplices, nv))
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +235,9 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
     fac = _tensor_factor(mesh, C0 / dt + A_inst + (dt / 2.0) * B_res[0],
                          "macro step")
 
-    V, S = mesh.vertices, mesh.simplices
-    vdof = fem.identity_dof_map(nv)
-
     phi_loads = None
     if Phi_res is not None and problem.u0_bar is not None:
         phi_loads = _phi_loads(mesh, problem.u0_bar)
-    # the lumped load of nodal values f is the lumped vertex mass times f
-    mass = None
-    if problem.source is not None:
-        mass = fem.lumped_load(fem.lumped_weights(mesh.vols, S.shape[1]), S,
-                               np.ones(nv), vdof, nv)
 
     U = np.zeros((M + 1, nv))
     if connected:
@@ -267,8 +261,8 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
                         rhs -= mats[(a, b)] @ (dt * acc[a, b])
         if phi_loads is not None:
             rhs += Phi_res[n].ravel() @ phi_loads
-        if mass is not None:
-            rhs += mass * problem.source(V, grid.times[n])
+        if problem.source is not None:
+            rhs += mesh.mass * problem.source(mesh.vertices, grid.times[n])
         try:
             U[n] = fac.solve(rhs)
         except SingularSystem as exc:
@@ -301,16 +295,12 @@ def solve_homogenized_elliptic(problem: MacroProblem) -> TransientField:
 
     fac = _tensor_factor(mesh, problem.A_elliptic, "elliptic macro")
 
-    V, S = mesh.vertices, mesh.simplices
     U = np.zeros((M + 1, nv))
     if problem.source is not None:
-        load_w = fem.lumped_weights(mesh.vols, S.shape[1])
-        vdof = fem.identity_dof_map(nv)
         for n in range(M + 1):
-            fvals = problem.source(V, grid.times[n])
-            b = fem.lumped_load(load_w, S, fvals, vdof, nv)
+            f = problem.source(mesh.vertices, grid.times[n])
             try:
-                U[n] = fac.solve(b)
+                U[n] = fac.solve(mesh.mass * f)
             except SingularSystem as exc:
                 raise SingularStep(f"elliptic level {n}: {exc}") from exc
     return TransientField(levels=U, grid=grid,

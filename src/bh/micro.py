@@ -6,11 +6,14 @@ Both solvers take the same implicit Euler step,
 
 and share one march (_march) that starts from the K-harmonic extension of
 the initial datum from a support set and records x_n . Q x_n per level.
-On 2D tilings both the start and the steps solve by substructuring on the
-eps-tiles (fem.SubstructuredFactor): every tile is a translated copy of the
-unit cell, so one small factor per tile type and one factor of the skeleton
-Schur complement replace a factor of the whole domain.  3D tilings start
-and march with Jacobi-CG.
+Every tile is a scaled, translated copy of the unit cell, so the bulk
+operators are the cell's phase stiffness matrices scattered tile by tile
+(_tiled_stiffness), and volumes and the vertex mass are the cell's times
+eps^N: nothing computes the element geometry of a tiling.  On 2D tilings
+the start and the steps solve by substructuring on the eps-tiles
+(fem.SubstructuredFactor): one small factor per tile type and one of the
+skeleton Schur complement replace a factor of the whole domain.  3D
+tilings start and march with Jacobi-CG.
 
 solve_micro is the dynamic-interface problem for any surface scaling
 exponent k: K is the bulk diffusion stiffness, Q the Laplace-Beltrami
@@ -33,6 +36,7 @@ verdict.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem, geometry
 from .cell import CellCoefficients
@@ -90,6 +94,29 @@ def _solver(M, fixed, mesh):
         mesh.phase.reshape(len(mesh.local_global), -1))
 
 
+def _tiled_stiffness(mesh, *tables):
+    """Bulk stiffness of the tiling for each phase -> coefficient table.
+
+    The unit stiffness A_p of each cell phase p, zero off p so that all
+    share the cell's pattern, is assembled once on the cell and scaled by
+    eps^(N-2) to a tile's.  Tile t adds sum_p c(t, p) A_p through
+    local_global[t]; c(t, p) is the table's value of the phase p has in t,
+    the matrix phase for every p of a stripped tile."""
+    V, S, phase = mesh.cell.vertices, mesh.cell.simplices, mesh.cell.phase
+    geom, nv = fem.element_gradients(V, S), len(V)
+    phases = np.arange(3)          # PHASE_INT, PHASE_OUT, PHASE_MEMBRANE
+    A = [fem.assemble_stiffness(geom, S, phase == ph, fem.identity_dof_map(nv),
+                                nv, allow_zero=True) for ph in phases]
+    unit = np.stack([a.data for a in A]) * mesh.eps ** (mesh.dim - 2)
+    lg, A = mesh.local_global, A[0].tocoo()
+    ij = (lg[:, A.row].ravel(), lg[:, A.col].ravel())
+    tile_phase = np.where(mesh.stripped[:, None], PHASE_OUT, phases)
+    coeff = np.array([[t.get(ph, 0.0) for ph in phases] for t in tables])
+    vals = np.einsum("btp,pk->btk", coeff[:, tile_phase], unit)
+    shape = (len(mesh.vertices),) * 2
+    return [sp.coo_matrix((v.ravel(), ij), shape=shape).tocsr() for v in vals]
+
+
 def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
     """Implicit Euler march of (K + c Q) x_n = c Q x_(n-1) + load(t_n).
 
@@ -98,7 +125,8 @@ def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
     everywhere when u0 is None or the support is empty); every level is
     zero on the boundary.
     Returns the levels, x_n . Q x_n per level and the bulk energy
-    sum_n dt x_n . K_unit x_n.
+    sum_n dt x_n . K_unit x_n, both taken after the march with one einsum
+    each: per-level dots stall in threaded BLAS (README, "Solvers").
     """
     nd = K.shape[0]
     x0 = np.zeros(nd)
@@ -111,13 +139,9 @@ def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
     fac = _solver((K + c * Q).tocsr(), boundary, mesh)
     zeros_fixed = np.zeros(len(boundary))
     dt = grid.step
-    n_steps = grid.n_steps
-    X = np.zeros((n_steps + 1, nd))
+    X = np.zeros((grid.n_steps + 1, nd))
     X[0] = x0
-    quad = np.empty(n_steps + 1)
-    quad[0] = float(x0 @ (Q @ x0))
-    bulk = 0.0
-    for n in range(1, n_steps + 1):
+    for n in range(1, grid.n_steps + 1):
         rhs = c * (Q @ X[n - 1])
         if load is not None:
             rhs = rhs + load(grid.times[n])
@@ -125,9 +149,9 @@ def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
             X[n] = fac.solve(rhs, zeros_fixed)
         except BHError as exc:
             raise SolverFailure(f"march step {n} failed: {exc}") from exc
-        quad[n] = float(X[n] @ (Q @ X[n]))
-        bulk += dt * float(X[n] @ (K_unit @ X[n]))
-    return X, quad, bulk
+    quad = np.einsum("ni,in->n", X, Q @ X.T)
+    bulk = np.einsum("ni,in->n", X[1:], K_unit @ X[1:].T)
+    return X, quad, float(np.sum(dt * bulk))
 
 
 def solve_micro(run: MicroRun) -> TransientField:
@@ -141,16 +165,13 @@ def solve_micro(run: MicroRun) -> TransientField:
     nv = len(V)
     vdof = fem.identity_dof_map(nv)
 
-    lam = fem.phase_coefficient(phase, {PHASE_INT: coeffs.lam_int,
-                                        PHASE_OUT: coeffs.lam_out})
-    geom = fem.element_gradients(V, S)
-    K = fem.assemble_stiffness(geom, S, lam, vdof, nv)
-    K_unit = fem.assemble_stiffness(geom, S, np.ones(len(S)), vdof, nv)
+    K, K_unit = _tiled_stiffness(
+        mesh, {PHASE_INT: coeffs.lam_int, PHASE_OUT: coeffs.lam_out},
+        {PHASE_INT: 1.0, PHASE_OUT: 1.0})
     # boundary stripping can empty the interface entirely; the march then
     # degenerates to quasi-static diffusion with no surface memory
     facets = mesh.interface
-    S1 = fem.assemble_surface_stiffness(V, facets, np.ones(len(facets)),
-                                        vdof, nv)
+    S1 = fem.assemble_surface_stiffness(V, facets, 1.0, vdof, nv)
     gamma = np.unique(facets)
 
     u0 = None
@@ -159,9 +180,8 @@ def solve_micro(run: MicroRun) -> TransientField:
                                                         dtype=float)
     load = None
     if run.source is not None:
-        load_w = fem.lumped_weights(geom[1], S.shape[1])
-        load = lambda t: fem.lumped_load(
-            load_w, S, np.asarray(run.source(V, t), dtype=float), vdof, nv)
+        mass = fem.volume_dof_weights(mesh.volumes(), S, vdof, nv)
+        load = lambda t: mass * np.asarray(run.source(V, t), dtype=float)
 
     X, surf_quad, bulk = _march(K, S1, surf_scale / run.grid.step,
                                 np.unique(mesh.boundary_vertices), gamma, u0,
@@ -181,18 +201,11 @@ def solve_membrane(run: MembraneRun) -> TransientField:
         raise WrongGeometryClass("solve_membrane expects a tiled membrane mesh")
     V, S, phase = mesh.vertices, mesh.simplices, mesh.phase
     coeffs = run.coeffs
-    nv = len(V)
-    vdof = fem.identity_dof_map(nv)
 
-    lam = fem.phase_coefficient(phase, {PHASE_INT: coeffs.lam_int,
-                                        PHASE_OUT: coeffs.lam_out,
-                                        PHASE_MEMBRANE: 0.0})
-    tilde = fem.phase_coefficient(phase, {PHASE_INT: 0.0, PHASE_OUT: 0.0,
-                                          PHASE_MEMBRANE: coeffs.alpha / mesh.eta})
-    geom = fem.element_gradients(V, S)
-    K_lam = fem.assemble_stiffness(geom, S, lam, vdof, nv, allow_zero=True)
-    K_til = fem.assemble_stiffness(geom, S, tilde, vdof, nv, allow_zero=True)
-    K_unit = fem.assemble_stiffness(geom, S, np.ones(len(S)), vdof, nv)
+    K_lam, K_til, K_unit = _tiled_stiffness(
+        mesh, {PHASE_INT: coeffs.lam_int, PHASE_OUT: coeffs.lam_out},
+        {PHASE_MEMBRANE: coeffs.alpha / mesh.eta},
+        {PHASE_INT: 1.0, PHASE_OUT: 1.0, PHASE_MEMBRANE: 1.0})
 
     # the initial datum is nodal inside the band and lambda-harmonic outside,
     # so the membrane gradient matches grad u0_bar
@@ -233,24 +246,16 @@ class CellAverages:
 def local_average(fld: TransientField, mesh: MicroMesh) -> CellAverages:
     """Exact per-cell volume averages of a P1 field, one value per eps-cell.
 
-    With 1/eps integer every cell lies inside the domain, so the average
-    is defined (and nonzero) on the full cell grid.
+    Each eps-cell is one tile, so an average weighs the tile's element
+    means with the cell's element volumes.  With 1/eps integer every cell
+    lies inside the domain, so the average is defined on the full grid.
     """
-    m = int(round(1.0 / mesh.eps))
-    dim = mesh.dim
-    V, S = mesh.vertices, mesh.simplices
-    vols = np.abs(geometry.simplex_volumes(V, S))
-    cent = V[S].mean(axis=1)
-    idx = np.minimum((cent * m).astype(int), m - 1)
-    flat = np.ravel_multi_index(tuple(idx.T), (m,) * dim)
-
-    ncell = m ** dim
-    cellvol = np.zeros(ncell)
-    np.add.at(cellvol, flat, vols)
-    elem_mean = fld.levels[:, S].mean(axis=2)           # (levels, ne)
-    num = np.zeros((fld.levels.shape[0], ncell))
-    np.add.at(num, (slice(None), flat), vols * elem_mean)
-    return CellAverages(values=num / cellvol, m=m, dim=dim, grid=fld.grid)
+    vols = mesh.cell.volumes()
+    elem_mean = fld.levels[:, mesh.simplices].mean(axis=2)   # (levels, ne)
+    tiles = elem_mean.reshape(len(elem_mean), len(mesh.local_global), -1)
+    return CellAverages(values=np.einsum("ltk,k->lt", tiles, vols) / vols.sum(),
+                        m=int(round(1.0 / mesh.eps)), dim=mesh.dim,
+                        grid=fld.grid)
 
 
 def probe_points(p: int, dim: int) -> np.ndarray:

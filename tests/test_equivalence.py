@@ -86,6 +86,16 @@ with W = b_dir E.  The bulk path survives as the oracle: the levels E Y,
 the column march, the former vectorised kernel routes and the surface
 forms that read bulk fields.  The flux routes must stay bitwise equal, the
 volume routes and every tensor within the tolerances stated below.
+
+The micro operators were once assembled from the element geometry of
+every tiled simplex; they are now the cell's phase stiffness matrices
+scattered tile by tile, and the volumes, the vertex mass and the local
+averages are the cell's scaled by eps.  The tiled assembly and the former
+centroid averages survive as oracles, to the tolerances stated below and
+on identical sparsity patterns.  The former solve_micro oracle marches
+the operators that solve_micro builds, so that it pins the march alone.
+The march takes its quadratic forms after the last step, one einsum per
+form; they are pinned to the former per-level dots.
 """
 import dataclasses
 import sys
@@ -547,7 +557,7 @@ def loop_memory_march(problem):
 
     V, S = mesh.vertices, mesh.simplices
     grads, vols = fem.element_gradients(V, S)
-    load_w = fem.lumped_weights(vols, S.shape[1])
+    load_w = lumped_weights(vols, S.shape[1])
     vdof = fem.identity_dof_map(nv)
     grad_u0 = None
     if Phi_res is not None and problem.u0_bar is not None:
@@ -583,9 +593,24 @@ def loop_memory_march(problem):
             rhs += weak_divergence_load(vec)
         if problem.source is not None:
             fvals = problem.source(V, grid.times[n])
-            rhs += fem.lumped_load(load_w, S, fvals, vdof, nv)
+            rhs += lumped_load(load_w, S, fvals, vdof, nv)
         U[n, free] = lu.solve(rhs[free])
     return U
+
+
+def lumped_weights(vols, npv):
+    """The former fem.lumped_weights: the (ne, 1) share |K| / npv of each
+    element vertex in the lumped mass."""
+    return np.abs(vols)[:, None] / npv
+
+
+def lumped_load(weights, simplices, node_values, vdof, ndof):
+    """The former fem.lumped_load: the vertex-lumped load int f phi_p of
+    nodal values f, scattered element by element."""
+    contrib = weights * node_values[simplices]
+    b = np.zeros(ndof)
+    np.add.at(b, vdof[simplices].ravel(), contrib.ravel())
+    return b
 
 
 def element_field_gradients(grads, simplices, node_values):
@@ -788,11 +813,73 @@ def former_step_solver(M, fixed, dim):
     return fem.CGSolver(M, fixed)
 
 
+def tiled_stiffness(mesh, table):
+    """The former micro assembly: the element geometry of every tiled
+    simplex, then one stiffness with the coefficient table by element
+    phase (zero for a phase the table leaves out)."""
+    V, S, n = mesh.vertices, mesh.simplices, len(mesh.vertices)
+    return fem.assemble_stiffness(
+        fem.element_gradients(V, S), S,
+        fem.phase_coefficient(mesh.phase, table), fem.identity_dof_map(n), n,
+        allow_zero=True)
+
+
+def tiled_vertex_mass(mesh):
+    """The former micro vertex mass: the lumped load of the unit function,
+    from the volumes of every tiled simplex."""
+    V, S, n = mesh.vertices, mesh.simplices, len(mesh.vertices)
+    vols = geometry.simplex_volumes(V, S)
+    return lumped_load(lumped_weights(vols, S.shape[1]), S, np.ones(n),
+                       fem.identity_dof_map(n), n)
+
+
+def centroid_local_average(fld, mesh):
+    """The former micro.local_average: the eps-cell of each tiled element
+    from its centroid, weighted with the element's own volume."""
+    m, dim = int(round(1.0 / mesh.eps)), mesh.dim
+    V, S = mesh.vertices, mesh.simplices
+    vols = np.abs(geometry.simplex_volumes(V, S))
+    idx = np.minimum((V[S].mean(axis=1) * m).astype(int), m - 1)
+    flat = np.ravel_multi_index(tuple(idx.T), (m,) * dim)
+    cellvol = np.zeros(m ** dim)
+    np.add.at(cellvol, flat, vols)
+    num = np.zeros((fld.levels.shape[0], m ** dim))
+    np.add.at(num, (slice(None), flat), vols * fld.levels[:, S].mean(axis=2))
+    return num / cellvol
+
+
+class _Captured(Exception):
+    pass
+
+
+def march_operators(solve, run):
+    """The bulk operator K, the memory operator Q, K_unit and the load
+    callable (or None) that solve hands to micro._march for run."""
+    got = []
+
+    def capture(K, Q, c, boundary, support, u0, grid, mesh, K_unit,
+                load=None):
+        got.append((K, Q, K_unit, load))
+        raise _Captured
+
+    original = micro._march
+    micro._march = capture
+    try:
+        with pytest.raises(_Captured):
+            solve(run)
+    finally:
+        micro._march = original
+    return got[0]
+
+
 def loop_solve_micro(run):
     """The former solve_micro (its Dirichlet path): own harmonic start, own
-    step loop and energy bookkeeping."""
+    step loop and per-level energy dots.  It marches the bulk operators and
+    the load that solve_micro builds, which
+    test_cell_built_operators_match_tiled_assembly pins to the former tiled
+    assembly, so this pins the march."""
     mesh = run.mesh
-    V, S, phase = mesh.vertices, mesh.simplices, mesh.phase
+    V, phase = mesh.vertices, mesh.phase
     coeffs, grid = run.coeffs, run.grid
     dt = grid.step
     eps = mesh.eps
@@ -801,12 +888,7 @@ def loop_solve_micro(run):
     vdof = fem.identity_dof_map(len(V))
     nd = fem.n_dofs(vdof)
 
-    lam = fem.phase_coefficient(phase, {PHASE_INT: coeffs.lam_int,
-                                        PHASE_OUT: coeffs.lam_out})
-    geom = fem.element_gradients(V, S)
-    vols = geom[1]
-    K = fem.assemble_stiffness(geom, S, lam, vdof, nd)
-    K_unit = fem.assemble_stiffness(geom, S, np.ones(len(S)), vdof, nd)
+    K, _, K_unit, load = march_operators(micro.solve_micro, run)
     if np.all(phase == phase[0]):
         S1 = sp.csr_matrix((nd, nd))
         gamma = np.empty(0, dtype=np.int64)
@@ -833,15 +915,13 @@ def loop_solve_micro(run):
     n_steps = grid.n_steps
     X = np.zeros((n_steps + 1, nd))
     X[0] = x0
-    load_w = fem.lumped_weights(vols, S.shape[1])
     surf_quad = np.empty(n_steps + 1)
     surf_quad[0] = float(x0 @ (S1 @ x0))
     bulk_l2t = 0.0
     for n in range(1, n_steps + 1):
         rhs = c * (S1 @ X[n - 1])
-        if run.source is not None:
-            fvals = np.asarray(run.source(V, grid.times[n]), dtype=float)
-            rhs = rhs + fem.lumped_load(load_w, S, fvals, vdof, nd)
+        if load is not None:
+            rhs = rhs + load(grid.times[n])
         X[n] = fac.solve(rhs, zeros_fixed)
         surf_quad[n] = float(X[n] @ (S1 @ X[n]))
         bulk_l2t += dt * float(X[n] @ (K_unit @ X[n]))
@@ -854,22 +934,16 @@ def loop_solve_micro(run):
 
 def loop_solve_membrane(run):
     """The former solve_membrane: its own copy of the same march, with the
-    band terms divided by dt."""
+    band terms divided by dt, on the former tiled assembly."""
     mesh = run.mesh
     V, S, phase = mesh.vertices, mesh.simplices, mesh.phase
     coeffs, grid = run.coeffs, run.grid
     dt = grid.step
     nv = len(V)
-    vdof = fem.identity_dof_map(nv)
 
-    lam = fem.phase_coefficient(phase, {PHASE_INT: coeffs.lam_int,
-                                        PHASE_OUT: coeffs.lam_out,
-                                        PHASE_MEMBRANE: 0.0})
-    tilde = fem.phase_coefficient(phase, {PHASE_INT: 0.0, PHASE_OUT: 0.0,
-                                          PHASE_MEMBRANE: coeffs.alpha / mesh.eta})
-    geom = fem.element_gradients(V, S)
-    K_lam = fem.assemble_stiffness(geom, S, lam, vdof, nv, allow_zero=True)
-    K_til = fem.assemble_stiffness(geom, S, tilde, vdof, nv, allow_zero=True)
+    K_lam = tiled_stiffness(mesh, {PHASE_INT: coeffs.lam_int,
+                                   PHASE_OUT: coeffs.lam_out})
+    K_til = tiled_stiffness(mesh, {PHASE_MEMBRANE: coeffs.alpha / mesh.eta})
     boundary = np.unique(mesh.boundary_vertices)
 
     x0 = np.zeros(nv)
@@ -886,7 +960,8 @@ def loop_solve_membrane(run):
     n_steps = grid.n_steps
     X = np.zeros((n_steps + 1, nv))
     X[0] = x0
-    K_unit = fem.assemble_stiffness(geom, S, np.ones(len(S)), vdof, nv)
+    K_unit = tiled_stiffness(mesh, {PHASE_INT: 1.0, PHASE_OUT: 1.0,
+                                    PHASE_MEMBRANE: 1.0})
     band_energy = np.empty(n_steps + 1)
     band_energy[0] = float(x0 @ (K_til @ x0)) / coeffs.alpha
     bulk_l2t = 0.0
@@ -1164,15 +1239,19 @@ _MICRO_KEYS = ("surface_energy", "energy_bulk", "energy_surface")
 # The 2D march now solves with fem.SubstructuredFactor, whose elimination
 # order differs from the whole-domain factor of the former march, so the two
 # agree to roundoff, not bitwise.  The largest gaps measured over the 2D
-# cases below were 5.6e-13 of max|u| (levels, disk at eps = 1/4) and 7.4e-13
-# of each energy (layered at eps = 1/4); at eps = 1/10 with stripping 2.7e-13
-# and 1.3e-13.  At eps = 1 the one tile holds every dof and the gap is zero.
+# cases below were 8.8e-13 of max|u| (levels, disk at eps = 1/4) and 6.7e-13
+# of each energy (layered at eps = 1/4); at eps = 1/10 with stripping 1.4e-13
+# and 4.6e-14.  At eps = 1 the one tile holds every dof and the levels agree
+# bitwise.
 # The 3D march now starts with Jacobi-CG where the former one factored the
 # whole domain, so its level 0 is held to STEP_RTOL, the tolerance of the
 # CG/SuperLU pin (the largest gap measured on the tube was 9.1e-13 of
 # max|u|).  The steps read the start only through S1, which is supported on
-# the interface values that both starts fix exactly, so the later levels and
-# every energy stay bitwise.
+# the interface values that both starts fix exactly, so the later levels
+# stay bitwise.  The march takes its quadratic forms after the last step,
+# one einsum per form, where the former loop took a BLAS dot per level, so
+# the energies agree to roundoff; they are held to SUBSTRUCTURED_RTOL in 3D
+# too (the largest gap measured on the tube was 4.4e-15 of each energy).
 SUBSTRUCTURED_RTOL = 1e-12
 
 
@@ -1192,11 +1271,8 @@ def _assert_same_micro(run):
     if run.mesh.dim == 3:
         assert np.abs(fld.levels[0] - levels[0]).max() <= STEP_RTOL * scale
         _assert_bitwise(fld.levels[1:], levels[1:])
-        for key in _MICRO_KEYS:
-            _assert_bitwise(np.atleast_1d(fld.diagnostics[key]),
-                            np.atleast_1d(diagnostics[key]))
-        return fld
-    assert np.abs(fld.levels - levels).max() <= SUBSTRUCTURED_RTOL * scale
+    else:
+        assert np.abs(fld.levels - levels).max() <= SUBSTRUCTURED_RTOL * scale
     for key in _MICRO_KEYS:
         ref = np.atleast_1d(diagnostics[key])
         got = np.atleast_1d(fld.diagnostics[key])
@@ -1294,6 +1370,117 @@ def test_membrane_tiling_extracts_no_interface(monkeypatch, disk, membrane):
         for key in ("membrane_energy", "energy_bulk", "energy_surface"):
             _assert_bitwise(np.atleast_1d(got.diagnostics[key]),
                             np.atleast_1d(ref.diagnostics[key]))
+
+
+# ---------------------------------------------------------------------------
+# cell-built micro operators against the tiled assembly
+# ---------------------------------------------------------------------------
+
+# The stiffness matrices are sums of the cell's per-phase matrices, scaled
+# by eps^(N-2), where the former assembly summed the element matrices of
+# every tiled simplex, and the vertex mass takes the cell volumes times
+# eps^N: the entries agree to roundoff, on identical sparsity patterns.
+# The largest gap measured over these cases was 3.8e-14 of max|entry|
+# (membrane at eps = 1/4).  It grows with 1/eps, to 8.3e-14 on the disk and
+# 1.8e-13 on the membrane at eps = 1/10, because the tiled element edges are
+# differences of coordinates of order 1.
+OPERATOR_RTOL = 1e-12
+
+
+def _assert_same_operator(got, ref):
+    got, ref = got.tocsr(), ref.tocsr()
+    assert got.shape == ref.shape
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    scale = np.abs(ref.data).max()
+    assert scale > 0.0
+    assert np.abs(got.data - ref.data).max() <= OPERATOR_RTOL * scale
+
+
+# stripping the membrane tiling at eps = 1/2 leaves no band, and
+# solve_membrane refuses a tiling without one
+@pytest.mark.parametrize("name, strip, eps", [
+    (name, strip, eps) for name in CELLS for strip in (True, False)
+    for eps in (0.5, 0.25) if (name, strip, eps) != ("membrane", True, 0.5)])
+def test_cell_built_operators_match_tiled_assembly(request, name, strip, eps):
+    mesh, surf = _cell(request, name)
+    tiled, _ = tile_micro_domain(mesh, surf.facets, eps, strip)
+    coeffs = request.getfixturevalue("disk" if name == "membrane"
+                                     else name).coeffs
+    lam = {PHASE_INT: coeffs.lam_int, PHASE_OUT: coeffs.lam_out}
+    unit = {PHASE_INT: 1.0, PHASE_OUT: 1.0, PHASE_MEMBRANE: 1.0}
+    grid = TimeGrid(0.2, 0.05)
+    if name == "membrane":
+        run = micro.MembraneRun(mesh=tiled, coeffs=coeffs, grid=grid)
+        K, Q, K_unit, _ = march_operators(micro.solve_membrane, run)
+        _assert_same_operator(Q, tiled_stiffness(
+            tiled, {PHASE_MEMBRANE: coeffs.alpha / tiled.eta}))
+    else:
+        run = micro.MicroRun(mesh=tiled, coeffs=coeffs, k=1.0, grid=grid,
+                             source=lambda pts, t: np.ones(len(pts)))
+        K, Q, K_unit, load = march_operators(micro.solve_micro, run)
+        n = len(tiled.vertices)
+        if len(tiled.interface):
+            _assert_same_operator(Q, fem.assemble_surface_stiffness(
+                tiled.vertices, tiled.interface, 1.0,
+                fem.identity_dof_map(n), n))
+        mass, ref = load(0.1), tiled_vertex_mass(tiled)
+        assert np.abs(mass - ref).max() <= OPERATOR_RTOL * ref.max()
+    _assert_same_operator(K, tiled_stiffness(tiled, lam))
+    _assert_same_operator(K_unit, tiled_stiffness(tiled, unit))
+
+
+@pytest.mark.parametrize("name", ["disk", "layered", "tube", "membrane"])
+def test_march_quadratic_forms_match_former_dots(request, monkeypatch, name):
+    # the march takes x_n . Q x_n and sum_n dt x_n . K_unit x_n after its
+    # last step, where the former march took two dots per level
+    mesh, surf = _cell(request, name)
+    tiled, _ = tile_micro_domain(mesh, surf.facets, 0.5, False)
+    coeffs = request.getfixturevalue("disk" if name == "membrane"
+                                     else name).coeffs
+    grid = TimeGrid(0.2, 0.05)
+    if name == "membrane":
+        solve, run = micro.solve_membrane, micro.MembraneRun(
+            mesh=tiled, coeffs=coeffs, grid=grid, u0_bar=sin_product)
+    else:
+        solve, run = micro.solve_micro, micro.MicroRun(
+            mesh=tiled, coeffs=coeffs, k=1.0, grid=grid, u0_bar=sin_product,
+            source=_source)
+    seen = []
+    original = micro._march
+
+    def recording(K, Q, c, boundary, support, u0, grid, mesh, K_unit,
+                  load=None):
+        out = original(K, Q, c, boundary, support, u0, grid, mesh, K_unit,
+                       load)
+        seen.append((Q, K_unit, out))
+        return out
+
+    monkeypatch.setattr(micro, "_march", recording)
+    solve(run)
+    (Q, K_unit, (X, quad, bulk)), = seen
+    dots = np.array([float(x @ (Q @ x)) for x in X])
+    former_bulk = 0.0
+    for x in X[1:]:
+        former_bulk += grid.step * float(x @ (K_unit @ x))
+    assert np.all(dots > 0.0) and former_bulk > 0.0
+    assert np.all(np.abs(quad - dots) <= 1e-12 * dots)
+    assert abs(bulk - former_bulk) <= 1e-12 * former_bulk
+
+
+@pytest.mark.parametrize("name, eps", [("disk", 0.25), ("layered", 0.5),
+                                       ("tube", 0.5), ("membrane", 1.0 / 3.0)])
+def test_local_average_matches_centroid_average(request, name, eps):
+    # each eps-cell is one tile now, weighted with the cell's volumes; the
+    # largest gap measured over these cases was 2.5e-16 of max|u|
+    mesh, surf = _cell(request, name)
+    tiled, _ = tile_micro_domain(mesh, surf.facets, eps, True)
+    levels = np.random.default_rng(3).standard_normal((3, len(tiled.vertices)))
+    fld = macro.TransientField(levels=levels, grid=TimeGrid(0.1, 0.05))
+    got = micro.local_average(fld, tiled).values
+    ref = centroid_local_average(fld, tiled)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(levels).max()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Assembly and solver kernels.
 
 The P1 exactness properties double as oracles: stiffness annihilates
-constants, interior residuals of linear fields vanish, the lumped load of
-the unit function integrates the domain volume, and the quadratic mass
-form reproduces closed-form integrals of affine fields.
+constants, interior residuals of linear fields vanish, the lumped vertex
+mass integrates the domain volume, and the quadratic mass form reproduces
+closed-form integrals of affine fields.
 """
 import numpy as np
 import pytest
@@ -77,14 +77,12 @@ def test_mass_quadratic_matches_closed_form(a, b, c, square):
     assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
-def test_lumped_load_total_mass(square):
+def test_volume_dof_weights_total_mass(square):
     nv = len(square.vertices)
-    _, vols = fem.element_gradients(square.vertices, square.simplices)
-    w = fem.lumped_weights(vols, square.simplices.shape[1])
-    b = fem.lumped_load(w, square.simplices, np.ones(nv),
-                        fem.identity_dof_map(nv), nv)
-    assert abs(b.sum() - 1.0) <= 1e-12
-    assert b.min() > 0.0
+    w = fem.volume_dof_weights(square.vols, square.simplices,
+                               fem.identity_dof_map(nv), nv)
+    assert abs(w.sum() - 1.0) <= 1e-12
+    assert w.min() > 0.0
 
 
 def test_volume_dof_weights_partition(disk):

@@ -7,11 +7,13 @@ Closed-form geometric measures used as oracles:
                         |E_int| = 3 pi rho^2 - 16 rho^3 + 8 (2 - sqrt 2) rho^3
                         |Gamma| = 6 pi rho - 24 sqrt(2) rho^2
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bh import geometry
-from bh.errors import InvalidGeometry, NonIntegerTiling
+from bh.errors import InvalidGeometry, MeshFailure, NonIntegerTiling
 from bh.geometry import (PHASE_INT, PHASE_MEMBRANE, PHASE_OUT, GeometrySpec,
                          build_membrane_cell, build_unit_cell,
                          extract_interface, simplex_volumes,
@@ -135,6 +137,40 @@ def test_tiling_partitions_domain(disk, eps):
     total = np.abs(simplex_volumes(mmesh.vertices, mmesh.simplices)).sum()
     assert abs(total - 1.0) <= 1e-10
     assert mmesh.eps == eps
+
+
+@pytest.mark.parametrize("name, eps", [("disk", 0.25), ("tube", 0.5)])
+def test_tiled_volumes_are_scaled_cell_volumes(request, name, eps):
+    b = request.getfixturevalue(name)
+    mmesh, _ = tile_micro_domain(b.mesh, b.surf.facets, eps, False)
+    ref = simplex_volumes(mmesh.vertices, mmesh.simplices)
+    assert np.abs(mmesh.volumes() - ref).max() <= 1e-12 * ref.max()
+
+
+def test_tiling_rejects_a_vertex_off_its_cell_copy(disk):
+    # the tiling takes its element geometry from the cell, so tile t's
+    # vertices must sit at (cell vertices + offset of t) / m
+    m = 4
+    mmesh, _ = tile_micro_domain(disk.mesh, disk.surf.facets, 1.0 / m, False)
+    cells = np.stack(np.unravel_index(np.arange(m * m), (m, m)), axis=1)
+    check = lambda V: geometry._check_tile_positions(
+        V, mmesh.local_global, disk.mesh.vertices, cells, m)
+    check(mmesh.vertices)
+    moved = mmesh.vertices.copy()
+    moved[mmesh.local_global[5, 0], 1] += 1e-6
+    with pytest.raises(MeshFailure, match="off its cell copy"):
+        check(moved)
+
+
+def test_tiling_rejects_an_inexact_periodic_partner(disk):
+    # a high-face vertex 1e-6 off its partner's copy: the tile across the
+    # face would meet the cell at a vertex that is not the cell's
+    V = disk.mesh.vertices.copy()
+    high = disk.mesh.periodic_pairs[0, 1]
+    V[high, 1 - disk.mesh.periodic_pairs[0, 2]] += 1e-6
+    mesh = dataclasses.replace(disk.mesh, vertices=V)
+    with pytest.raises(MeshFailure, match="off its cell copy"):
+        tile_micro_domain(mesh, disk.surf.facets, 0.5, False)
 
 
 def test_tiling_rejects_non_reciprocal(disk):

@@ -206,6 +206,25 @@ def test_cli_eps_past_tile_limit_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("patch, message", [
+    ("eps_list = 0.5", "eps_list = 0.5, 0.5"),
+    ("eps_list = 0.5", "eps_list = 0.5, 0.25, 0.5000000001"),
+    ("eta_list = 0.2", "eta_list = 0.2, 0.1, 0.2"),
+], ids=["eps", "eps-same-tiling", "eta"])
+def test_cli_repeated_study_value_exits_2(tmp_path, capsys, patch, message):
+    # a repeated eps would solve and write one tiling twice, a repeated eta
+    # one band twice, and either would add a study row that breaks the
+    # strict monotone verdict
+    p = tmp_path / "bad.ini"
+    p.write_text(TINY_INI.replace(patch, message))
+    out = tmp_path / "out"
+    assert cli.main(["mesh", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "repeats" in err
+    assert message.split(", ")[-1] in err
+    assert not out.exists()
+
+
 def test_presets():
     pts = np.array([[0.5, 0.5], [0.0, 0.3]])
     assert np.all(preset_function("zero", 2)(pts) == 0.0)

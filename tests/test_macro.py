@@ -95,9 +95,9 @@ class _CountingNumpy:
 
 
 def test_memory_march_assembles_no_load_per_step(monkeypatch):
-    """Phi and f loads are assembled before the march, so the number of
-    scatter-adds does not grow with the step count."""
-    m = macro.build_macro_mesh(6, 2)
+    """Phi and f loads are assembled before the march (the vertex mass with
+    the mesh), so the number of scatter-adds does not grow with the step
+    count."""
     kernel = TimeGrid(1.0, 0.1)
     B = np.tile(2.0 * np.eye(2), (kernel.n_steps + 1, 1, 1))
     Phi = np.exp(-kernel.times)[:, None, None] * np.array([[1.0, 0.5],
@@ -107,6 +107,7 @@ def test_memory_march_assembles_no_load_per_step(monkeypatch):
         counting = _CountingNumpy()
         for mod in (fem, macro):
             monkeypatch.setattr(mod, "np", counting)
+        m = macro.build_macro_mesh(6, 2)
         macro.solve_homogenized_memory(_memory_problem(
             m, dt, B=B, Phi=Phi, kernel=kernel, source=src))
         monkeypatch.undo()

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bh import cell, cli, fem, micro
+from bh import cell, cli, fem, geometry, micro
+from bh.config import load_config
 from bh.errors import (MissingArtifact, SingularSystem, SolverFailure,
                        WrongGeometryClass)
-from bh.geometry import PHASE_MEMBRANE, build_membrane_cell, tile_micro_domain
+from bh.geometry import (PHASE_MEMBRANE, build_membrane_cell, build_unit_cell,
+                         tile_micro_domain)
 from bh.timegrid import TimeGrid
 
 from conftest import sin_product
@@ -206,6 +208,42 @@ def test_micro_stage_builds_no_whole_domain_factor(monkeypatch, tmp_path,
         whole = max(whole, len(tiled.vertices) - n_boundary)
     assert free and max(free) <= max(interior, skeleton)
     assert max(interior, skeleton) < whole / 10
+
+
+def test_cli_micro_and_converge_take_element_geometry_from_the_cell(
+        tmp_path, monkeypatch):
+    # every element gradient and simplex volume that micro and converge
+    # compute is one of a cell mesh, plain or membrane, or of the macro grid
+    # (8 x 8 squares here, fewer elements than the cell), never of a tiling
+    cfg = tmp_path / "disk.ini"
+    cfg.write_text(DISK_INI)
+    out = str(tmp_path / "run")
+    for command in ("mesh", "cell", "tensors", "macro"):
+        assert cli.main([command, "--config", str(cfg), "--out", out]) == 0
+    rows = []
+
+    def recording(fn):
+        def wrapped(vertices, simplices, *args, **kwargs):
+            rows.append(len(simplices))
+            return fn(vertices, simplices, *args, **kwargs)
+        return wrapped
+
+    volumes = recording(geometry.simplex_volumes)
+    monkeypatch.setattr(geometry, "simplex_volumes", volumes)
+    monkeypatch.setattr(fem, "simplex_volumes", volumes)
+    monkeypatch.setattr(fem, "element_gradients",
+                        recording(fem.element_gradients))
+    for command in ("micro", "converge"):
+        assert cli.main([command, "--config", str(cfg), "--out", out]) == 0
+    monkeypatch.undo()
+
+    config = load_config(str(cfg))
+    cells = [build_unit_cell(config.geometry)[0]] + [
+        build_membrane_cell(config.geometry, eta)[0]
+        for eta in config.eta_list]
+    largest = max(len(c.simplices) for c in cells)
+    assert rows and max(rows) <= largest
+    assert 4 * len(cells[0].simplices) > largest     # a tiling is larger
 
 
 def test_tile_off_its_type_fails_the_march(disk):
