@@ -67,7 +67,7 @@ def main():
         worst = max(g for g in tens.discrepancies.values() if g is not None)
         print(f"  worst dual-route gap = {worst:.3e}")
         print(f"  worst flux residual  = "
-              f"{np.abs(funcs.flux_residuals).max():.3e}")
+              f"{np.abs(cell.flux_residuals(sys, funcs.chi0)).max():.3e}")
 
 
 if __name__ == "__main__":

@@ -64,18 +64,17 @@ class CellCoefficients:
 
 @dataclass
 class CellFunctionSet:
-    """All correctors of one unit cell, sampled on the kernel time grid."""
+    """All correctors of one unit cell, sampled on the kernel time grid:
+    the six arrays of a cell archive and their grid, whether solved or read
+    back.  flux_residuals and surface_energy derive the diagnostics."""
 
     chi0: np.ndarray               # (N, nd)
     v: np.ndarray                  # (N, g), traces on gamma_dofs
+    chi0_tilde: np.ndarray         # (N, nd), the corrector of the k > 1 regime
     chi1: np.ndarray               # (N, M+1, g), traces on gamma_dofs
     omega: np.ndarray              # (N, M+1, g), traces on gamma_dofs
     W: np.ndarray                  # (N, g) = b_dir E: int lam grad(E y) = W y
     grid: TimeGrid
-    flux_residuals: np.ndarray     # (m, N) discrete int_(Gamma_i) (grad chi0)^out . nu
-    chi0_tilde: np.ndarray         # (N, nd), the corrector of the k > 1 regime
-    chi1_energy: np.ndarray = None   # (N, M+1) surface energies along chi1;
-    omega_energy: np.ndarray = None  # (N, M+1) None when read from an archive
 
 
 class CellSystem:
@@ -103,18 +102,13 @@ class CellSystem:
         self.gamma_dofs = np.unique(self.vdof[surf.facets])
 
         self.m = surf.n_components
-        self.comp_dofs, self.comp_w, self.comp_area, self.net_normal = [], [], [], []
-        for c in range(self.m):
-            fc = surf.facets[surf.component == c]
-            dofs = np.unique(self.vdof[fc])
-            w = fem.surface_dof_weights(V, fc, self.vdof, self.nd)
-            self.comp_dofs.append(dofs)
-            self.comp_w.append(w)
-            area = float(surf.measures[surf.component == c].sum())
-            self.comp_area.append(area)
-            net = (surf.normals[surf.component == c]
-                   * surf.measures[surf.component == c, None]).sum(axis=0)
-            self.net_normal.append(net)
+        on = [surf.component == c for c in range(self.m)]
+        self.comp_dofs = [np.unique(self.vdof[surf.facets[f]]) for f in on]
+        self.comp_w = [fem.surface_dof_weights(V, surf.facets[f], self.vdof,
+                                               self.nd) for f in on]
+        self.comp_area = [float(surf.measures[f].sum()) for f in on]
+        self.net_normal = [(surf.normals[f] * surf.measures[f, None]).sum(0)
+                           for f in on]
         self.wrapping = [np.linalg.norm(n) > 1e-8 * a
                          for n, a in zip(self.net_normal, self.comp_area)]
         # each component's positions in gamma_dofs, where traces live
@@ -220,14 +214,14 @@ def _restrict(M, dofs):
 # chi0: staged stationary corrector
 # ---------------------------------------------------------------------------
 
-def solve_chi0(system: CellSystem, return_diagnostics=False):
-    """Stationary correctors chi0^j, j = 1..N, and their flux residuals.
+def solve_chi0(system: CellSystem):
+    """Stationary correctors chi0^j, j = 1..N, as an (N, nd) array.
 
     chi0^j = P_j + E y_j.  The per-component surface problems give the
     trace y_j up to one constant per component; with m > 1 components the
     m x m flux system of the lifts E 1_c fixes the constants so that no net
     flux crosses any component.  The field is then shifted to volume mean
-    zero.  The residuals are (m, N).
+    zero.
     """
     sys = system
     N, nd, g = sys.dim, sys.nd, len(sys.gamma_dofs)
@@ -258,26 +252,24 @@ def solve_chi0(system: CellSystem, return_diagnostics=False):
         M = -out.flux(E[out.dofs] @ ind) / sys.coeffs.lam_out
         # rows and columns of M sum to zero; fix the constant gauge
         consts = np.linalg.solve(M + 1.0 / sys.m,
-                                 -_chi0_residual(sys, X[out.dofs]))
+                                 -flux_residuals(sys, X.T))
         X += E @ (ind @ consts)
     X -= sys.vol_w @ X  # total volume is 1
-    chi0 = np.ascontiguousarray(X.T)
-    if return_diagnostics:
-        return chi0, _chi0_residual(sys, X[out.dofs])
-    return chi0
+    return np.ascontiguousarray(X.T)
 
 
-def _chi0_residual(sys: CellSystem, X_out):
-    """Discrete int_(Gamma_i) (grad chi0^j)^out . nu, (m, N), from the
-    outer-phase columns X_out (n_out, N).
+def flux_residuals(system: CellSystem, chi0: np.ndarray):
+    """Discrete int_(Gamma_i) (grad chi0^j)^out . nu, (m, N), of the (N, nd)
+    fields chi0.
 
     The outer-phase stiffness residual against the component indicator is
     the weak flux of lam_out grad(chi0 + y_j); peeling off the y_j part
     leaves the quantity the corrector construction must annihilate.
     """
-    out = sys.sub[PHASE_OUT]
+    out = system.sub[PHASE_OUT]
+    X_out = np.ascontiguousarray(chi0[:, out.dofs].T)
     flux = out.flux(X_out, out.b_dir.T)  # int lam_out grad(chi+y_j).(-nu)
-    return -flux / sys.coeffs.lam_out - np.array(sys.net_normal)
+    return -flux / system.coeffs.lam_out - np.array(system.net_normal)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +326,12 @@ def evolve_surface_coupled(system: CellSystem, traces: np.ndarray,
     side.  Each step checks its residual per column to 1e-10 of the
     right-hand side and each level the volume mean w^T E y = y . E^T w to
     1e-12; a failure raises SolverFailure naming the step or the level.
-    The surface energy alpha y^T S y never increases; each step dissipates
-    2 dt X K X + alpha d S1 d exactly, with X = E y.  The levels, extended
-    by E, agree with a bulk march (one bordered sparse solve per step) to
-    1.5e-13 relative on a 6,060-dof cell with g = 120.
+    The surface energy alpha y^T S y (surface_energy) never increases;
+    each step dissipates 2 dt X K X + alpha d S1 d exactly, with X = E y.
+    The levels, extended by E, agree with a bulk march (one bordered sparse
+    solve per step) to 1.5e-13 relative on a 6,060-dof cell with g = 120.
 
-    Returns (Y, energy) of shapes (k, n_steps + 1, g) and (k, n_steps + 1).
+    Returns the levels Y, (k, n_steps + 1, g).
     """
     sys = system
     n, c = grid.n_steps, sys.coeffs.alpha / grid.step
@@ -352,19 +344,15 @@ def evolve_surface_coupled(system: CellSystem, traces: np.ndarray,
     # with them the levels' last bits, do not depend on the caller's layout
     traces = np.ascontiguousarray(np.asarray(traces).T)
     Y = np.empty((n + 1,) + traces.shape)   # (level, interface dof, trace)
-    SY = np.empty_like(Y)
     Y[0] = traces - Ew @ traces             # E 1 = 1 and the volume is 1
-    SY[0] = S @ Y[0]
     for k in range(1, n + 1):
-        rhs = c * SY[k - 1]
+        rhs = c * (S @ Y[k - 1])
         sol = B_inv @ rhs
         Y[k] = sol[:g]
         try:
             fem.residual_check(A, Y[k], rhs - np.outer(Ew, sol[g]))
         except SingularSystem as exc:
             raise SolverFailure(f"surface evolution step {k} failed: {exc}") from exc
-        SY[k] = S @ Y[k]
-    energy = sys.coeffs.alpha * np.einsum("ngk,ngk->kn", Y, SY)
 
     Y = np.ascontiguousarray(Y.transpose(2, 0, 1))
     mean = np.abs(Y @ Ew) / max(float(np.abs(sys.vol_w).sum()), 1e-300)
@@ -372,7 +360,14 @@ def evolve_surface_coupled(system: CellSystem, traces: np.ndarray,
     if len(bad):
         raise SolverFailure(f"surface evolution level {bad[0]}: mean-zero "
                             f"constraint violated by {mean[:, bad[0]].max():.3e}")
-    return Y, energy
+    return Y
+
+
+def surface_energy(system: CellSystem, Y: np.ndarray):
+    """alpha y^T S1 y of every trace y on gamma_dofs, the rows of Y (any
+    leading shape, g last)."""
+    S = _restrict(system.S1, system.gamma_dofs).toarray()
+    return system.coeffs.alpha * np.einsum("...g,...g->...", Y, Y @ S)
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +429,15 @@ def _interface_system(sys: CellSystem, cS):
 def solve_cell_functions(system: CellSystem, grid: TimeGrid) -> CellFunctionSet:
     """Run the full corrector pipeline on one unit cell."""
     sys = system
-    chi0, residuals = solve_chi0(sys, return_diagnostics=True)
+    chi0 = solve_chi0(sys)
     v = solve_v_init(sys, chi0)
     N = sys.dim
     # one march for all 2N correctors; chi1 and omega are views of its levels
-    Y, energy = evolve_surface_coupled(
+    Y = evolve_surface_coupled(
         sys, np.concatenate([v, -chi0[:, sys.gamma_dofs]]), grid)
-    return CellFunctionSet(chi0=chi0, v=v, chi1=Y[:N], omega=Y[N:],
-                           W=sys.b_dir @ sys.phase_solves[0], grid=grid,
-                           flux_residuals=residuals,
-                           chi0_tilde=solve_chi0_tilde(sys),
-                           chi1_energy=energy[:N], omega_energy=energy[N:])
+    return CellFunctionSet(chi0=chi0, v=v, chi0_tilde=solve_chi0_tilde(sys),
+                           chi1=Y[:N], omega=Y[N:],
+                           W=sys.b_dir @ sys.phase_solves[0], grid=grid)
 
 
 def energy_nonincreasing(series, scale=1.0, rtol=1e-12, floor=1e-20):

@@ -249,6 +249,11 @@ def _floats(tokens, n):
 
 
 def write_tensors(path, header, tens, kernel_grid):
+    write_artifact(path, "BHTENS 1", header, tensor_body(tens, kernel_grid))
+
+
+def tensor_body(tens, kernel_grid):
+    """The body lines of a tensor file, as read_artifact returns them."""
     N = tens.A0.shape[0]
     A_inst = tens.lambda0 * np.eye(N) + tens.A0
     body = [f"dim {N}", f"lambda0 {_F % tens.lambda0}",
@@ -280,7 +285,7 @@ def write_tensors(path, header, tens, kernel_grid):
         body.append(", ".join([_F % t]
                               + [_F % v for v in tens.F_coeffs[l].ravel()]))
     body.append("end_csv")
-    write_artifact(path, "BHTENS 1", header, body)
+    return body
 
 
 _TENSOR_MATS = ("A0", "A0_flux", "C0", "C0_mixed", "A_hom_klt1", "A_hom_kgt1")

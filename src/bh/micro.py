@@ -20,7 +20,7 @@ exponent k: K is the bulk diffusion stiffness, Q the Laplace-Beltrami
 stiffness S1 on the interface facets the tiled MicroMesh carries, and
 c = eps^k alpha / dt.  The march starts from the harmonic extension of the
 scaled initial datum from the interface, the initialization the cell
-evolutions use.
+evolutions use; step_gaps checks stored levels against its steps.
 
 solve_membrane replaces the sharp interface by a thick band of relative
 width eta carrying a pseudo-parabolic bulk coefficient alpha/eta: Q is the
@@ -154,45 +154,61 @@ def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
     return X, quad, float(np.sum(dt * bulk))
 
 
-def solve_micro(run: MicroRun) -> TransientField:
-    mesh = run.mesh
-    V, S, phase = mesh.vertices, mesh.simplices, mesh.phase
-    if np.any(phase == PHASE_MEMBRANE):
+def _micro_operators(run: MicroRun):
+    """The arguments of solve_micro's _march, in order: K, Q = S1, c, the
+    boundary, the interface dofs that support the scaled initial datum, the
+    datum, grid, mesh, the unit-coefficient stiffness and the load."""
+    mesh, coeffs, eps = run.mesh, run.coeffs, run.mesh.eps
+    V, S = mesh.vertices, mesh.simplices
+    if np.any(mesh.phase == PHASE_MEMBRANE):
         raise WrongGeometryClass("solve_micro expects a sharp two-phase mesh")
-    coeffs = run.coeffs
-    eps = mesh.eps
-    surf_scale = eps ** run.k * coeffs.alpha
     nv = len(V)
     vdof = fem.identity_dof_map(nv)
-
     K, K_unit = _tiled_stiffness(
         mesh, {PHASE_INT: coeffs.lam_int, PHASE_OUT: coeffs.lam_out},
         {PHASE_INT: 1.0, PHASE_OUT: 1.0})
     # boundary stripping can empty the interface entirely; the march then
     # degenerates to quasi-static diffusion with no surface memory
-    facets = mesh.interface
-    S1 = fem.assemble_surface_stiffness(V, facets, 1.0, vdof, nv)
-    gamma = np.unique(facets)
-
-    u0 = None
+    S1 = fem.assemble_surface_stiffness(V, mesh.interface, 1.0, vdof, nv)
+    u0 = load = None
     if run.u0_bar is not None:
         u0 = eps ** ((1.0 - run.k) / 2.0) * np.asarray(run.u0_bar(V),
                                                         dtype=float)
-    load = None
     if run.source is not None:
         mass = fem.volume_dof_weights(mesh.volumes(), S, vdof, nv)
         load = lambda t: mass * np.asarray(run.source(V, t), dtype=float)
+    return (K, S1, eps ** run.k * coeffs.alpha / run.grid.step,
+            np.unique(mesh.boundary_vertices), np.unique(mesh.interface), u0,
+            run.grid, mesh, K_unit, load)
 
-    X, surf_quad, bulk = _march(K, S1, surf_scale / run.grid.step,
-                                np.unique(mesh.boundary_vertices), gamma, u0,
-                                run.grid, mesh, K_unit, load)
+
+def solve_micro(run: MicroRun) -> TransientField:
+    X, surf_quad, bulk = _march(*_micro_operators(run))
+    scale = run.mesh.eps ** run.k
     return TransientField(
         levels=X, grid=run.grid,
         diagnostics={
-            "surface_energy": surf_scale * surf_quad,
+            "surface_energy": scale * run.coeffs.alpha * surf_quad,
             "energy_bulk": bulk,
-            "energy_surface": (eps ** run.k) * float(np.max(surf_quad)),
+            "energy_surface": scale * float(np.max(surf_quad)),
         })
+
+
+def step_gaps(run: MicroRun, levels) -> np.ndarray:
+    """|x_n . ((K + c Q) x_n - b_n)| / (|x_n| |b_n|), b_n = c Q x_(n-1) + f_n,
+    for each step n >= 1 of solve_micro's march on levels (0 where the
+    denominator is 0).  Its vanishing is the step's energy identity
+    x_n.K x_n + c x_n.Q x_n = c x_n.Q x_(n-1) + x_n.f_n: the surface energy
+    dissipates, up to the work of the source."""
+    K, Q, c, *_, load = _micro_operators(run)
+    X = np.asarray(levels, dtype=float).T      # one column per level
+    b = c * (Q @ X[:, :-1])
+    if load is not None:
+        b += np.stack([load(t) for t in run.grid.times[1:]], axis=1)
+    x = X[:, 1:]
+    num = np.abs(np.einsum("in,in->n", x, (K + c * Q) @ x - b))
+    den = np.linalg.norm(x, axis=0) * np.linalg.norm(b, axis=0)
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
 def solve_membrane(run: MembraneRun) -> TransientField:

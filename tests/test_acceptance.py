@@ -125,9 +125,9 @@ def test_criterion_05_dual_formula_agreement(adisk, alayered, atube):
 def test_criterion_06_compatibility_integrals(adisk, alayered, atube):
     ok, worst = True, 0.0
     for b in (adisk, alayered, atube):
+        res = cell.flux_residuals(b.system, b.funcs.chi0)
         for i in range(b.surf.n_components):
-            ratio = np.abs(b.funcs.flux_residuals[i]).max() / (
-                1e-8 * b.surf.area(i))
+            ratio = np.abs(res[i]).max() / (1e-8 * b.surf.area(i))
             worst = max(worst, ratio)
             ok = ok and ratio <= 1.0
     _report(6, ok, "worst residual / tolerance = %.2e" % worst)
@@ -141,7 +141,8 @@ def test_criterion_07_energy_dissipation(adisk, alayered, atube):
     ok = True
     for b in (adisk, alayered, atube):
         scale = COEFFS.alpha * b.surf.area()
-        for series in (b.funcs.chi1_energy, b.funcs.omega_energy):
+        for Y in (b.funcs.chi1, b.funcs.omega):
+            series = cell.surface_energy(b.system, Y)
             for j in range(b.mesh.dim):
                 ok = ok and cell.energy_nonincreasing(series[j], scale=scale)
 
@@ -311,7 +312,7 @@ def test_criterion_13_richardson_ratios(adisk):
 
     E = adisk.system.phase_solves[0]
     fin = [E @ cell.evolve_surface_coupled(adisk.system, adisk.funcs.v[:1],
-                                           TimeGrid(0.2, dt))[0][0, -1]
+                                           TimeGrid(0.2, dt))[0, -1]
            for dt in (0.02, 0.01, 0.005)]
     ratios["cell dt"] = (np.linalg.norm(fin[0] - fin[1])
                          / np.linalg.norm(fin[1] - fin[2]))
@@ -367,6 +368,9 @@ def test_criterion_14_verify_determinism(tmp_path, monkeypatch, capsys):
     reports = []
     for tag in ("a", "b"):
         out = str(tmp_path / tag)
+        # verify checks what the pipeline wrote
+        for cmd in ("mesh", "cell", "tensors", "micro"):
+            assert cli.main([cmd, "--config", str(cfgp), "--out", out]) == 0
         code = cli.main(["verify", "--config", str(cfgp), "--out", out])
         assert code == 0
         reports.append(open(os.path.join(out, "verify_report.txt"), "rb").read())

@@ -48,7 +48,8 @@ def test_flux_residuals_within_compat_tolerance(disk, layered, tube):
     for b in (disk, layered, tube):
         for i in range(b.surf.n_components):
             tol = 1e-8 * b.surf.area(i)
-            assert np.abs(b.funcs.flux_residuals[i]).max() <= tol
+            res = cell.flux_residuals(b.system, b.funcs.chi0)
+            assert np.abs(res[i]).max() <= tol
 
 
 def test_v_mean_free_on_closed_components(disk):
@@ -79,8 +80,9 @@ def test_function_set_shapes(disk):
     assert f.chi1.shape == (2, M + 1, g)
     assert f.omega.shape == (2, M + 1, g)
     assert f.W.shape == (2, g)
-    assert f.chi1_energy.shape == (2, M + 1)
-    assert f.flux_residuals.shape == (disk.surf.n_components, 2)
+    assert cell.surface_energy(disk.system, f.chi1).shape == (2, M + 1)
+    assert (cell.flux_residuals(disk.system, f.chi0).shape
+            == (disk.surf.n_components, 2))
     assert f.chi0_tilde.shape == (2, nd)
 
 
@@ -97,8 +99,8 @@ def test_march_builds_no_sparse_factor(disk, monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(fem.DirichletFactor, "__init__", counting)
-    Y, _ = cell.evolve_surface_coupled(sysm, -chi0[:, sysm.gamma_dofs],
-                                       disk.grid)
+    Y = cell.evolve_surface_coupled(sysm, -chi0[:, sysm.gamma_dofs],
+                                    disk.grid)
     assert Y.shape == (2, disk.grid.n_steps + 1, len(sysm.gamma_dofs))
     assert built == []
 
@@ -126,17 +128,16 @@ def test_cell_solve_factors_no_whole_cell(request, name, monkeypatch):
 
 
 def test_evolution_preserves_initial_trace(disk):
-    Y, _ = cell.evolve_surface_coupled(disk.system, disk.funcs.v,
-                                       TimeGrid(0.05, 0.025))
+    Y = cell.evolve_surface_coupled(disk.system, disk.funcs.v,
+                                    TimeGrid(0.05, 0.025))
     d = Y[:, 0] - disk.funcs.v
     # trace kept up to the volume gauge, one constant per trace
     assert (d.max(axis=1) - d.min(axis=1)).max() <= 1e-10
 
 
 def test_energy_dissipates_strictly_on_disk(disk):
-    for series in (disk.funcs.chi1_energy, disk.funcs.omega_energy):
-        for j in range(2):
-            e = series[j]
+    for Y in (disk.funcs.chi1, disk.funcs.omega):
+        for e in cell.surface_energy(disk.system, Y):
             assert e[0] > 0.0
             assert np.all(np.diff(e) <= 1e-12 * e[0])
             assert e[-1] < 0.99 * e[0]
@@ -144,10 +145,10 @@ def test_energy_dissipates_strictly_on_disk(disk):
 
 def test_energy_noise_floor_on_layered(layered):
     scale = layered.coeffs.alpha * layered.surf.area()
-    for series in (layered.funcs.chi1_energy, layered.funcs.omega_energy):
-        for j in range(2):
-            assert np.abs(series[j]).max() <= 1e-20 * scale
-            assert cell.energy_nonincreasing(series[j], scale=scale)
+    for Y in (layered.funcs.chi1, layered.funcs.omega):
+        for e in cell.surface_energy(layered.system, Y):
+            assert np.abs(e).max() <= 1e-20 * scale
+            assert cell.energy_nonincreasing(e, scale=scale)
 
 
 def _quad(M, Y):
@@ -171,7 +172,8 @@ def test_energy_balance_is_exact(request, name):
     sys = b.system
     # the bulk levels E y of the stored traces
     X = np.concatenate([b.funcs.chi1, b.funcs.omega]) @ sys.phase_solves[0].T
-    energy = np.concatenate([b.funcs.chi1_energy, b.funcs.omega_energy])
+    energy = cell.surface_energy(sys, np.concatenate([b.funcs.chi1,
+                                                      b.funcs.omega]))
     d = np.diff(X, axis=1)
     dissipated = (2.0 * b.grid.step * _quad(sys.K, X[:, 1:])
                   + b.coeffs.alpha * _quad(sys.S1, d))
@@ -191,8 +193,8 @@ def test_energy_nonincreasing_helper():
 def test_evolution_linearity(a, disk):
     sys = disk.system
     grid = TimeGrid(0.04, 0.02)
-    X1, _ = cell.evolve_surface_coupled(sys, disk.funcs.v[:1], grid)
-    Xa, _ = cell.evolve_surface_coupled(sys, a * disk.funcs.v[:1], grid)
+    X1 = cell.evolve_surface_coupled(sys, disk.funcs.v[:1], grid)
+    Xa = cell.evolve_surface_coupled(sys, a * disk.funcs.v[:1], grid)
     assert np.abs(Xa - a * X1).max() <= 1e-9 * abs(a) * max(np.abs(X1).max(), 1.0)
 
 

@@ -4,8 +4,8 @@ The format tests are strict round-trips: %.17g text for meshes and tensors,
 packed base64 float64 blocks for cell fields and solution levels (both
 lossless for doubles); they also feed the readers malformed or outdated
 files that carry a valid checksum.  The CLI tests drive main() in-process
-on a small layered configuration and check artifacts, hash guards and exit
-codes.
+on a small layered configuration, a coarse disk at k = 0.5 and the three
+configs/ files, and check artifacts, hash guards and exit codes.
 """
 import base64
 import hashlib
@@ -754,7 +754,7 @@ def _copy_run(upstream, k, tmp_path):
 def _study_in_memory(cfg_path, out):
     """The eps study solved from the config, as converge once computed it."""
     cfg = load_config(cfg_path)
-    mesh, surf = cli._load_cell_mesh(cfg, cli._paths(out))
+    mesh, surf, _ = cli._load_cell_mesh(cfg, cli._paths(out))
     mmesh = fld = None
     if cfg.regime == "kgt1":
         sysm = cell.CellSystem(mesh, surf, cfg.coeffs)
@@ -772,7 +772,8 @@ def _study_in_memory(cfg_path, out):
             "lambda0": tens.lambda0, "A0": tens.A0, "C0": tens.C0,
             "B0": tens.B0, "Phi": tens.F_coeffs,
             "A_hom_kgt1": tens.A_hom_kgt1,
-            "kernel": (cfg.kernel_grid.t_end, cfg.kernel_grid.step)})
+            "kernel": (cfg.kernel_grid.t_end, cfg.kernel_grid.step)},
+            "in memory")
         fld = macro.solve_homogenized_memory(prob)
     return micro.convergence_study(
         cfg.regime, cfg.eps_list, cell_mesh=mesh, cell_facets=surf.facets,
@@ -1011,3 +1012,203 @@ def test_cli_converge_checks_solution_against_config(upstream, tmp_path,
     command = name.split("_")[0].split(".")[0]
     assert path in err and words in err, err
     assert f"re-run bh {command}" in err, err
+
+
+# ---------------------------------------------------------------------------
+# verify reads the artifacts
+# ---------------------------------------------------------------------------
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
+
+_COMMON_CHECKS = ["mesh_volume_partition", "periodic_pairs_exact",
+                  "interface_normal_orientation", "compatibility_residuals",
+                  "cell_energy_dissipation", "dual_formula_agreement",
+                  "instantaneous_tensor_coercive"]
+_MICRO_CHECKS = ["macro_zero_data_zero_solution", "micro_energy_dissipation",
+                 "micro_dirichlet_exact"]
+# each config's checks, in the order verify reports them
+_CONFIG_CHECKS = {
+    "disk_default": _COMMON_CHECKS + [
+        "C0_vanishes_disconnected", "kgt1_uniform_identity",
+        "klt1_coefficient_independence"] + _MICRO_CHECKS + [
+        "membrane_energy_dissipation", "tensor_serialization_deterministic"],
+    "layered_kgt1": _COMMON_CHECKS + [
+        "C0_class_property", "kgt1_uniform_identity"] + _MICRO_CHECKS + [
+        "tensor_serialization_deterministic"],
+    "tube_klt1": _COMMON_CHECKS + [
+        "C0_class_property", "kgt1_uniform_identity"] + _MICRO_CHECKS + [
+        "tensor_serialization_deterministic"],
+}
+_VERIFY_INPUTS = ["mesh.bhmesh", "cell.bhcell", "tensors.bhtens",
+                  "micro_m2.bhsol", "micro_m4.bhsol"]
+
+
+def _report_lines(out):
+    with open(os.path.join(out, "verify_report.txt")) as fh:
+        return fh.read().splitlines()
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIG_CHECKS))
+def test_cli_configs_run_end_to_end(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("BH_OUTPUT_DIR", raising=False)
+    cfg, out = os.path.join(CONFIGS, name + ".ini"), str(tmp_path / "run")
+    for cmd in UPSTREAM + ("converge", "verify"):
+        assert _run([cmd, "--config", cfg, "--out", out]) == 0, cmd
+    capsys.readouterr()
+    lines = _report_lines(out)
+    assert lines[-1] == "result: all checks passed"
+    assert [ln.split(":")[0] for ln in lines[:-1]] == [
+        "PASS " + check for check in _CONFIG_CHECKS[name]]
+
+
+def test_cli_verify_lists_the_files_read(upstream, tmp_path, capsys):
+    cfg, out = _copy_run(upstream, 2.0, tmp_path)
+    assert _run(["verify", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    assert [name for name, _ in _manifest_inputs(out, "verify")] == [
+        os.path.basename(cfg)] + _VERIFY_INPUTS
+
+
+def _negate_level(line):
+    return [formats._pack(-np.frombuffer(base64.b64decode(line), dtype="<f8"))]
+
+
+def _change_first_entry(line):
+    t, first, rest = line.split(", ", 2)
+    return [", ".join([t, formats._F % (1.5 * float(first) + 1e-3), rest])]
+
+
+def _negate_normal(line):
+    tokens = line.split()
+    return [" ".join(tokens[:3] + [formats._F % -float(v)
+                                   for v in tokens[3:]])]
+
+
+@pytest.mark.parametrize("name, edit, check", [
+    ("micro_m2.bhsol", _edit_line("level 2 ", _negate_level, 1),
+     "micro_energy_dissipation"),
+    ("tensors.bhtens", _edit_line("t, B11", _change_first_entry, 2),
+     "tensor_serialization_deterministic"),
+    ("mesh.bhmesh", _edit_line("facets ", _negate_normal, 1),
+     "interface_normal_orientation"),
+], ids=["micro-level-negated", "tensors-B0-entry", "mesh-normal-negated"])
+def test_cli_verify_catches_tampered_artifact(upstream, tmp_path, capsys,
+                                              name, edit, check):
+    # each edit carries a valid checksum, so only the check that reads the
+    # edited values can notice it
+    cfg, out = _copy_run(upstream, 2.0, tmp_path)
+    _rewrite(os.path.join(out, name), edit)
+    assert _run(["verify", "--config", cfg, "--out", out]) == 1
+    capsys.readouterr()
+    failed = [ln for ln in _report_lines(out) if ln.startswith("FAIL ")]
+    assert [ln.split(":")[0] for ln in failed] == ["FAIL " + check]
+    assert [name for name, _ in _manifest_inputs(out, "verify")] == [
+        os.path.basename(cfg)] + _VERIFY_INPUTS
+    if name == "mesh.bhmesh":  # the stored normals feed no solve
+        assert _run(["cell", "--config", cfg, "--out", out]) == 0
+
+
+def test_cli_verify_without_micro_exits_3(tiny_cfg, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    for cmd in ("mesh", "cell", "tensors"):
+        assert _run([cmd, "--config", tiny_cfg, "--out", out]) == 0
+    capsys.readouterr()
+    assert _run(["verify", "--config", tiny_cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "micro_m2.bhsol" in err and "re-run bh micro" in err, err
+
+
+def test_cli_verify_solves_no_pipeline_stage(upstream, tmp_path,
+                                             monkeypatch, capsys):
+    cfg, out = _copy_run(upstream, 2.0, tmp_path)
+    calls = []
+    for module, name in ((micro, "solve_micro"),
+                         (cell, "solve_cell_functions"),
+                         (cell, "evolve_surface_coupled")):
+        def counting(*args, _orig=getattr(module, name), **kw):
+            calls.append(_orig.__name__)
+            return _orig(*args, **kw)
+
+        monkeypatch.setattr(module, name, counting)
+    assert _run(["verify", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+DISK_KLT1_INI = """\
+[geometry]
+kind = Disk2D
+r0 = 0.25
+h = 0.1
+
+[coefficients]
+lambda_int = 1.0
+lambda_out = 3.0
+alpha = 1.0
+k = 0.5
+
+[kernel]
+t_end = 0.2
+dt = 0.05
+
+[macro]
+t_end = 0.2
+dt = 0.05
+n = 8
+
+[data]
+u0 = zero
+f = sin-product
+
+[study]
+eps_list = 0.5
+eta_list = 0.2
+
+[output]
+dir = out
+"""
+
+
+@pytest.fixture(scope="module")
+def disk_klt1(tmp_path_factory):
+    """(config path, run directory) of a coarse disk cell at k = 0.5 after
+    mesh, cell, tensors and micro; callers copy the directory."""
+    base = tmp_path_factory.mktemp("disk_klt1")
+    cfg = base / "disk.ini"
+    cfg.write_text(DISK_KLT1_INI)
+    out = str(base / "run")
+    for cmd in ("mesh", "cell", "tensors", "micro"):
+        assert _run([cmd, "--config", str(cfg), "--out", out]) == 0
+    return str(cfg), out
+
+
+def test_cli_verify_macro_check_uses_the_stored_klt1_tensor(
+        disk_klt1, tmp_path, monkeypatch, capsys):
+    cfg, out = disk_klt1[0], str(tmp_path / "run")
+    shutil.copytree(disk_klt1[1], out)
+    got = []
+    original = macro.solve_homogenized_elliptic
+
+    def recording(prob):
+        got.append(prob.A_elliptic)
+        return original(prob)
+
+    monkeypatch.setattr(macro, "solve_homogenized_elliptic", recording)
+    assert _run(["verify", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    _, tdata = formats.read_tensors(os.path.join(out, "tensors.bhtens"))
+    assert len(got) == 1 and np.array_equal(got[0], tdata["A_hom_klt1"])
+
+
+@pytest.mark.parametrize("command", ["macro", "verify"])
+def test_cli_missing_klt1_tensor_exits_3(disk_klt1, tmp_path, capsys,
+                                         command):
+    cfg, out = disk_klt1[0], str(tmp_path / "run")
+    shutil.copytree(disk_klt1[1], out)
+    path = os.path.join(out, "tensors.bhtens")
+    _rewrite(path, _edit_line("A_hom_klt1 ", lambda ln: [], 0))
+    capsys.readouterr()
+    assert _run([command, "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("artifact error:") and "Traceback" not in err
+    assert path in err and "re-run bh tensors" in err, err

@@ -142,8 +142,8 @@ def test_v_gauge_invariance(disk):
     A_alt, _, _, _ = tensors.compute_A0(sys, disk.funcs.chi0, v_shift)
     assert np.abs(A_alt - A_ref).max() <= 1e-10 * np.abs(A_ref).max()
 
-    chi_ref = cell.evolve_surface_coupled(sys, v, grid)[0]
-    chi_alt = cell.evolve_surface_coupled(sys, v_shift, grid)[0]
+    chi_ref = cell.evolve_surface_coupled(sys, v, grid)
+    chi_alt = cell.evolve_surface_coupled(sys, v_shift, grid)
     B_ref, _, _ = tensors.compute_B0(sys, chi_ref, W, grid)
     B_alt, _, _ = tensors.compute_B0(sys, chi_alt, W, grid)
     assert np.abs(B_alt - B_ref).max() <= 1e-8 * np.abs(B_ref).max()
