@@ -39,7 +39,7 @@ import numpy as np
 from . import fem
 from .errors import (CompatibilityViolated, ComponentSingular,
                      NonpositiveCoefficient, SingularSystem, SolverFailure)
-from .geometry import PHASE_INT, PHASE_OUT
+from .geometry import PHASE_INT, PHASE_OUT, periodic_classes
 from .timegrid import TimeGrid
 
 
@@ -85,18 +85,20 @@ class CellSystem:
         self.surf = surf
         self.coeffs = coeffs
         V, S = mesh.vertices, mesh.simplices
-        self.vdof = fem.periodic_dof_map(len(V), mesh.periodic_pairs)
+        self.vdof = periodic_classes(len(V), mesh.periodic_pairs)
         self.nd = fem.n_dofs(self.vdof)
         self.dim = mesh.dim
 
         lam = fem.phase_coefficient(mesh.phase, {PHASE_INT: coeffs.lam_int,
                                                  PHASE_OUT: coeffs.lam_out})
-        self.lam_elem = lam
         self.grads, self.vols = fem.element_gradients(V, S)
         geom = (self.grads, self.vols)
         self.K = fem.assemble_stiffness(geom, S, lam, self.vdof, self.nd)
-        self.S1 = fem.assemble_surface_stiffness(V, surf.facets, 1.0,
-                                                 self.vdof, self.nd)
+        # the facet geometry: S1, the component weights, the chi0 trace
+        # loads and the surface tensor routes all read it
+        self.facet_geom = fem.surface_gradients(V, surf.facets)
+        self.S1 = fem.assemble_stiffness(self.facet_geom, surf.facets, 1.0,
+                                         self.vdof, self.nd)
         self.vol_w = fem.volume_dof_weights(self.vols, S, self.vdof, self.nd)
 
         self.gamma_dofs = np.unique(self.vdof[surf.facets])
@@ -104,8 +106,9 @@ class CellSystem:
         self.m = surf.n_components
         on = [surf.component == c for c in range(self.m)]
         self.comp_dofs = [np.unique(self.vdof[surf.facets[f]]) for f in on]
-        self.comp_w = [fem.surface_dof_weights(V, surf.facets[f], self.vdof,
-                                               self.nd) for f in on]
+        self.comp_w = [fem.volume_dof_weights(
+            self.facet_geom[1][f], surf.facets[f], self.vdof, self.nd)
+            for f in on]
         self.comp_area = [float(surf.measures[f].sum()) for f in on]
         self.net_normal = [(surf.normals[f] * surf.measures[f, None]).sum(0)
                            for f in on]
@@ -225,7 +228,7 @@ def solve_chi0(system: CellSystem):
     """
     sys = system
     N, nd, g = sys.dim, sys.nd, len(sys.gamma_dofs)
-    surf, V = sys.surf, sys.mesh.vertices
+    surf, (fgrads, fmeas) = sys.surf, sys.facet_geom
     E, P = sys.phase_solves
     Y = np.zeros((g, N))
     ind = np.zeros((g, sys.m))          # component indicators on gamma_dofs
@@ -234,9 +237,9 @@ def solve_chi0(system: CellSystem):
         ind[pos, c] = 1.0
         # tangential projections of the coordinate directions, per facet
         fc = surf.component == c
-        nrm = surf.normals[fc]
-        rhs = np.stack([-fem.surface_gradient_load(
-            V, surf.facets[fc], 1.0, np.eye(N)[j] - nrm * nrm[:, j:j + 1],
+        nrm, geom = surf.normals[fc], (fgrads[fc], fmeas[fc])
+        rhs = np.stack([-fem.assemble_gradient_load(
+            geom, surf.facets[fc], 1.0, np.eye(N)[j] - nrm * nrm[:, j:j + 1],
             sys.vdof, nd)[sys.comp_dofs[c]] for j in range(N)], axis=1)
         total = rhs.sum(axis=0)
         bad = np.abs(total) > 1e-9 * np.maximum(1.0, np.abs(rhs).sum(axis=0))

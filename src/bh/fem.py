@@ -1,10 +1,14 @@
 """P1 finite element kernels on fitted simplicial meshes.
 
-Bulk operators live on periodic or plain vertex degrees of freedom; a dof
-map folds paired periodic vertices onto shared unknowns.  Surface operators
-discretize the tangential (interface) gradient on the facet triangulation,
-using intrinsic facet coordinates, and agree with the projected gradient
-(I - nu nu^T) grad up to roundoff.
+Operators live on periodic or plain vertex degrees of freedom; a dof map
+(geometry.periodic_classes) folds paired periodic vertices onto shared
+unknowns.  One kernel set serves the bulk and the interface: the
+stiffness, the gradient load and the dof weights take a (grads, measures)
+geometry, element_gradients for the simplices or surface_gradients for
+the interface facets.  On facets the gradients are tangential, in
+intrinsic facet coordinates, and agree with the projected gradient
+(I - nu nu^T) grad up to roundoff, so the stiffness is the P1
+Laplace-Beltrami operator (Dziuk and Elliott, Acta Numer. 22 (2013)).
 
 Every direct solve goes through one SuperLU factor, DirichletFactor.  It
 eliminates the rows of Dirichlet dofs; for the periodic and surface
@@ -23,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (DegenerateFacet, NonpositiveCoefficient, SingularSystem,
                      SolverFailure)
-from .geometry import facet_measures, periodic_classes, simplex_volumes
+from .geometry import simplex_volumes
 
 
 # ---------------------------------------------------------------------------
@@ -34,18 +38,12 @@ def identity_dof_map(n_vertices: int) -> np.ndarray:
     return np.arange(n_vertices, dtype=np.int64)
 
 
-def periodic_dof_map(n_vertices: int, periodic_pairs: np.ndarray) -> np.ndarray:
-    """Vertex -> dof map identifying periodic partners, dofs numbered by the
-    smallest vertex of each periodic class."""
-    return periodic_classes(n_vertices, periodic_pairs)
-
-
 def n_dofs(vdof: np.ndarray) -> int:
     return int(vdof.max()) + 1 if len(vdof) else 0
 
 
 # ---------------------------------------------------------------------------
-# bulk P1 kernels
+# P1 kernels on simplices or facets
 # ---------------------------------------------------------------------------
 
 def element_gradients(vertices: np.ndarray, simplices: np.ndarray):
@@ -79,9 +77,11 @@ def phase_coefficient(phase: np.ndarray, values: dict) -> np.ndarray:
 
 def assemble_stiffness(geom, simplices, coeff, vdof, ndof,
                        allow_zero=False) -> sp.csr_matrix:
-    """Bulk stiffness sum_K coeff_K int_K grad phi_p . grad phi_q.
+    """Stiffness sum_K coeff_K int_K grad phi_p . grad phi_q.
 
-    geom is the (grads, vols) pair of element_gradients for these simplices.
+    geom is the (grads, measures) pair of element_gradients for these
+    simplices, or of surface_gradients for facets (the Laplace-Beltrami
+    stiffness).
     """
     coeff = np.asarray(coeff, dtype=float)
     _check_coeff(coeff, allow_zero)
@@ -97,7 +97,8 @@ def assemble_stiffness(geom, simplices, coeff, vdof, ndof,
 
 
 def assemble_gradient_load(geom, simplices, coeff, vecs, vdof, ndof) -> np.ndarray:
-    """Load b_p = sum_K coeff_K |K| vec_K . grad phi_p.
+    """Load b_p = sum_K coeff_K |K| vec_K . grad phi_p, on simplices or
+    facets as for assemble_stiffness.
 
     With vec_K = e_j this is the weak divergence of the coefficient field
     against the direction j, the right hand side of every corrector solve.
@@ -111,7 +112,8 @@ def assemble_gradient_load(geom, simplices, coeff, vecs, vdof, ndof) -> np.ndarr
 
 
 def volume_dof_weights(vols, simplices, vdof, ndof) -> np.ndarray:
-    """w_p = int phi_p over the whole mesh (exact for P1), the lumped mass."""
+    """w_p = int phi_p over the simplices or facets of the given measures
+    (exact for P1), the lumped mass."""
     npv = simplices.shape[1]
     w = np.zeros(ndof)
     contrib = np.repeat(np.abs(vols)[:, None] / npv, npv, axis=1)
@@ -129,7 +131,7 @@ def mass_quadratic(vols, simplices, node_values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# surface P1 kernels (tangential calculus on the facet triangulation)
+# facet geometry (tangential calculus on the facet triangulation)
 # ---------------------------------------------------------------------------
 
 def surface_gradients(vertices, facets):
@@ -171,39 +173,6 @@ def surface_gradients(vertices, facets):
     g2 = lift(g2p)
     g0 = -(g1 + g2)
     return np.stack([g0, g1, g2], axis=1), area
-
-
-def assemble_surface_stiffness(vertices, facets, coeff, vdof, ndof) -> sp.csr_matrix:
-    coeff = np.asarray(coeff, dtype=float) * np.ones(len(facets))
-    grads, meas = surface_gradients(vertices, facets)
-    w = meas * coeff
-    sloc = np.einsum("f,fik,fjk->fij", w, grads, grads)
-    dofs = vdof[facets]
-    npf = facets.shape[1]
-    rows = np.repeat(dofs, npf, axis=1).ravel()
-    cols = np.tile(dofs, (1, npf)).ravel()
-    S = sp.coo_matrix((sloc.ravel(), (rows, cols)), shape=(ndof, ndof))
-    return S.tocsr()
-
-
-def surface_gradient_load(vertices, facets, coeff, vecs, vdof, ndof) -> np.ndarray:
-    """Load L_p = sum_f coeff_f |f| vec_f . grad_B phi_p."""
-    grads, meas = surface_gradients(vertices, facets)
-    w = meas * (np.asarray(coeff, dtype=float) * np.ones(len(facets)))
-    contrib = np.einsum("f,fik,fk->fi", w, grads, np.asarray(vecs, dtype=float))
-    L = np.zeros(ndof)
-    np.add.at(L, vdof[facets].ravel(), contrib.ravel())
-    return L
-
-
-def surface_dof_weights(vertices, facets, vdof, ndof) -> np.ndarray:
-    """w_p = int_Gamma phi_p over the given facets."""
-    meas = facet_measures(vertices, facets)
-    npf = facets.shape[1]
-    contrib = np.repeat(meas[:, None] / npf, npf, axis=1)
-    w = np.zeros(ndof)
-    np.add.at(w, vdof[facets].ravel(), contrib.ravel())
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -739,9 +739,13 @@ def tile_micro_domain(mesh: CellMesh, facets: np.ndarray, eps: float,
     facets are the cell's interface facets.  Returns (micro,
     micro.interface): the interface of the tiling is the union of their
     copies in the tiles that kept their inclusions, each row sorted and the
-    rows in lexicographic order, as extract_interface lists them.  Every
-    tile's vertices must sit at (cell vertices + offset) / m to 1e-12, else
-    MeshFailure: the tiling's element geometry is the cell's.
+    rows in lexicographic order, as extract_interface lists them.
+
+    A tiled vertex is a periodic class of cell vertices at one lattice
+    corner; the vertices are numbered by first appearance, tile by tile,
+    and placed at their first copy.  The tiling's element geometry is the
+    cell's, so a periodic pair more than 1e-12 off e_axis raises
+    MeshFailure.
     """
     m = int(round(1.0 / eps))
     if m < 1 or abs(m * eps - 1.0) > 1e-12:
@@ -753,45 +757,29 @@ def tile_micro_domain(mesh: CellMesh, facets: np.ndarray, eps: float,
     inclusions_disconnected = (bool(np.any(mesh.phase == PHASE_MEMBRANE))
                                or _looks_disconnected(mesh))
 
-    # table of (axis, low) entries per high vertex, in periodic_pairs order
-    pairs = np.asarray(mesh.periodic_pairs, dtype=np.int64).reshape(-1, 3)
-    lows, highs, axes = pairs[np.argsort(pairs[:, 1], kind="stable")].T
-    slot = np.arange(len(highs)) - np.searchsorted(highs, highs)
-    degree = np.bincount(highs, minlength=nv)
-    pair_axis = np.full((nv, max(1, degree.max(initial=0))), -1, dtype=np.int64)
-    pair_low = np.zeros_like(pair_axis)
-    pair_axis[highs, slot] = axes
-    pair_low[highs, slot] = lows
+    V = np.asarray(mesh.vertices, dtype=float)
+    low, high, axis = np.asarray(mesh.periodic_pairs,
+                                 dtype=np.int64).reshape(-1, 3).T
+    gap = np.abs(V[high] - V[low] - np.eye(dim)[axis])
+    if not gap.max(initial=0.0) <= 1e-12:
+        raise MeshFailure(f"a periodic partner is {gap.max():.1e} off its "
+                          "cell copy")
 
-    # canonicalization of (cell, local vertex) across cell boundaries: a
-    # vertex on a high face moves to its low partner in the next cell along
-    # the first axis that can still advance, until nothing moves
+    # key: periodic class, then the lattice corner (the tile offset plus one
+    # along each axis whose high face the cell vertex is on)
     n_cells = m ** dim
     cells = np.stack(np.unravel_index(np.arange(n_cells), (m,) * dim), axis=1)
-    cell = np.repeat(cells, nv, axis=0)
-    vert = np.tile(np.arange(nv), n_cells)
-    active = np.flatnonzero(degree[vert] > 0)
-    while len(active):
-        v = vert[active]
-        ax = pair_axis[v]
-        can = (ax >= 0) & (cell[active[:, None], np.maximum(ax, 0)] + 1 < m)
-        moves = can.any(axis=1)
-        active, v, ax, can = active[moves], v[moves], ax[moves], can[moves]
-        j = can.argmax(axis=1)
-        cell[active, ax[np.arange(len(j)), j]] += 1
-        vert[active] = pair_low[v, j]
-        active = active[degree[vert[active]] > 0]
-
-    # global vertices numbered by first appearance, cell by cell
-    key = np.ravel_multi_index(tuple(cell.T), (m,) * dim) * nv + vert
+    on_high = np.zeros((nv, dim), dtype=np.int64)
+    on_high[high, axis] = 1
+    stride = (m + 1) ** np.arange(dim - 1, -1, -1)   # corners in (m+1)^dim
+    key = ((periodic_classes(nv, mesh.periodic_pairs) * (m + 1) ** dim
+            + on_high @ stride) + (cells @ stride)[:, None]).ravel()
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
     local_global = rank[inverse].reshape(n_cells, nv)
     first = np.sort(first)
-    vertices = (np.asarray(mesh.vertices, dtype=float)[vert[first]]
-                + cell[first]) / m
-    _check_tile_positions(vertices, local_global, mesh.vertices, cells, m)
+    vertices = (V[first % nv] + cells[first // nv]) / m
 
     ne = mesh.simplices.shape[0]
     simplices = local_global[:, mesh.simplices].reshape(n_cells * ne, dim + 1)
@@ -808,13 +796,6 @@ def tile_micro_domain(mesh: CellMesh, facets: np.ndarray, eps: float,
                       interface=tiled[np.lexsort(tiled.T[::-1])],
                       local_global=local_global, cell=mesh, stripped=stripped)
     return micro, micro.interface
-
-
-def _check_tile_positions(vertices, local_global, cell_vertices, cells, m):
-    """MeshFailure unless tile t sits at (cell_vertices + cells[t]) / m."""
-    gap = np.abs(vertices[local_global] - (cell_vertices + cells[:, None]) / m)
-    if not gap.max() <= 1e-12:
-        raise MeshFailure(f"a tiled vertex is {gap.max():.1e} off its cell copy")
 
 
 def _looks_disconnected(mesh: CellMesh) -> bool:

@@ -169,7 +169,8 @@ def _micro_operators(run: MicroRun):
         {PHASE_INT: 1.0, PHASE_OUT: 1.0})
     # boundary stripping can empty the interface entirely; the march then
     # degenerates to quasi-static diffusion with no surface memory
-    S1 = fem.assemble_surface_stiffness(V, mesh.interface, 1.0, vdof, nv)
+    S1 = fem.assemble_stiffness(fem.surface_gradients(V, mesh.interface),
+                                mesh.interface, 1.0, vdof, nv)
     u0 = load = None
     if run.u0_bar is not None:
         u0 = eps ** ((1.0 - run.k) / 2.0) * np.asarray(run.u0_bar(V),
@@ -306,7 +307,6 @@ class PointLocator:
     """
 
     def __init__(self, vertices, simplices):
-        self.V = vertices
         self.S = simplices
         from scipy.spatial import cKDTree  # 0.1 s; only the sweeps locate
         cent = vertices[simplices].mean(axis=1)

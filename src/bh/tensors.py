@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem
 from .cell import CellFunctionSet, CellSystem
 from .errors import CrossCheckFailed, WrongGeometryClass
 from .geometry import PHASE_OUT
@@ -76,13 +75,13 @@ class _SurfaceForms:
     """Per-facet data reused by every surface-route tensor."""
 
     def __init__(self, sys: CellSystem):
-        surf, mesh = sys.surf, sys.mesh
+        surf = sys.surf
         self.meas = surf.measures
         self.normals = surf.normals
         # each facet's vertices as positions in gamma_dofs: every surface
         # route reads traces, (..., g)
         self.fpos = np.searchsorted(sys.gamma_dofs, sys.vdof[surf.facets])
-        self.grads, _ = fem.surface_gradients(mesh.vertices, surf.facets)
+        self.grads = sys.facet_geom[0]
         N = sys.dim
         # tangential projections of the unit directions, per facet
         self.proj_dirs = np.stack(

@@ -5,12 +5,23 @@ referenced in the code of src/ or scripts/ outside its own body: as a name,
 an attribute or an imported name.  Words in docstrings and comments do not
 count, nor does a definition calling itself.  A name only tests use is an
 oracle and belongs in the tests.
+
+Every attribute assigned on self and every annotated class field in src/bh
+must be read in src/ or scripts/: loaded as an attribute, or named by a
+string constant (cli reads the cell arrays with getattr).  A value stored
+and never read is a result computed and thrown away.
 """
 import ast
 import pathlib
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _trees():
+    return {path: ast.parse(path.read_text())
+            for sub in ("src", "scripts")
+            for path in sorted((ROOT / sub).rglob("*.py"))}
 
 
 def _references(tree):
@@ -27,9 +38,7 @@ def _references(tree):
 
 
 def test_every_definition_is_used_outside_the_tests():
-    trees = {path: ast.parse(path.read_text())
-             for sub in ("src", "scripts")
-             for path in sorted((ROOT / sub).rglob("*.py"))}
+    trees = _trees()
     refs = sum((_references(tree) for tree in trees.values()), Counter())
     unused = []
     for path in sorted((ROOT / "src" / "bh").glob("*.py")):
@@ -43,3 +52,38 @@ def test_every_definition_is_used_outside_the_tests():
             if refs[name] - _references(node)[name] <= 0:
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, unused
+
+
+def _stored(tree):
+    """(line, name) of the attributes assigned on self and of the annotated
+    class fields in a syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    yield item.lineno, item.target.id
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield node.lineno, node.attr
+
+
+def _reads(tree):
+    """Counter of the attribute loads and string constants of a tree."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads[node.value] += 1
+    return reads
+
+
+def test_every_stored_attribute_is_read_outside_the_tests():
+    trees = _trees()
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    unread = [f"{path.name}:{line} {name}"
+              for path in sorted((ROOT / "src" / "bh").glob("*.py"))
+              for line, name in _stored(trees[path]) if not reads[name]]
+    assert not unread, unread

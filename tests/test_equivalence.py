@@ -1,7 +1,7 @@
 """Rewritten hot paths against the implementations they replaced.
 
 extract_interface, the canonical vertex map of tile_micro_domain and
-fem.periodic_dof_map were once per-facet and per-vertex Python loops with
+the periodic dof map were once per-facet and per-vertex Python loops with
 union-find components.  Those loops survive here, unchanged in substance,
 as oracles: on small meshes of every geometry the array code must give
 bitwise identical facets, normals, components, measures, adjacency, tiled
@@ -86,6 +86,14 @@ with W = b_dir E.  The bulk path survives as the oracle: the levels E Y,
 the column march, the former vectorised kernel routes and the surface
 forms that read bulk fields.  The flux routes must stay bitwise equal, the
 volume routes and every tensor within the tolerances stated below.
+
+The interface operators once had their own kernels, copies of the bulk
+stiffness, gradient load and dof weights on the facets; the bulk kernels
+now take the facet geometry of fem.surface_gradients.  tile_micro_domain
+once chased every (tile, cell vertex) through the periodic pairs to a
+canonical copy; it now keys each copy by its periodic class and lattice
+corner.  The former kernels and the pair-chasing numbering survive as
+oracles, and both must match bitwise on every geometry.
 
 The micro operators were once assembled from the element geometry of
 every tiled simplex; they are now the cell's phase stiffness matrices
@@ -253,6 +261,54 @@ def loop_tiling(mesh, eps, strip, disconnected):
             ph[ph == PHASE_MEMBRANE] = PHASE_OUT
         phase[sl] = ph
     return np.array(positions), simplices, phase
+
+
+def pair_chasing_numbering(mesh, m):
+    """The former numbering of tile_micro_domain: (local_global, vertices)
+    from chasing every (tile, cell vertex) through the periodic pairs to its
+    canonical copy, then numbering the copies by first appearance."""
+    dim = mesh.dim
+    nv = mesh.vertices.shape[0]
+
+    # table of (axis, low) entries per high vertex, in periodic_pairs order
+    pairs = np.asarray(mesh.periodic_pairs, dtype=np.int64).reshape(-1, 3)
+    lows, highs, axes = pairs[np.argsort(pairs[:, 1], kind="stable")].T
+    slot = np.arange(len(highs)) - np.searchsorted(highs, highs)
+    degree = np.bincount(highs, minlength=nv)
+    pair_axis = np.full((nv, max(1, degree.max(initial=0))), -1, dtype=np.int64)
+    pair_low = np.zeros_like(pair_axis)
+    pair_axis[highs, slot] = axes
+    pair_low[highs, slot] = lows
+
+    # canonicalization of (cell, local vertex) across cell boundaries: a
+    # vertex on a high face moves to its low partner in the next cell along
+    # the first axis that can still advance, until nothing moves
+    n_cells = m ** dim
+    cells = np.stack(np.unravel_index(np.arange(n_cells), (m,) * dim), axis=1)
+    cell = np.repeat(cells, nv, axis=0)
+    vert = np.tile(np.arange(nv), n_cells)
+    active = np.flatnonzero(degree[vert] > 0)
+    while len(active):
+        v = vert[active]
+        ax = pair_axis[v]
+        can = (ax >= 0) & (cell[active[:, None], np.maximum(ax, 0)] + 1 < m)
+        moves = can.any(axis=1)
+        active, v, ax, can = active[moves], v[moves], ax[moves], can[moves]
+        j = can.argmax(axis=1)
+        cell[active, ax[np.arange(len(j)), j]] += 1
+        vert[active] = pair_low[v, j]
+        active = active[degree[vert[active]] > 0]
+
+    # global vertices numbered by first appearance, cell by cell
+    key = np.ravel_multi_index(tuple(cell.T), (m,) * dim) * nv + vert
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    local_global = rank[inverse].reshape(n_cells, nv)
+    first = np.sort(first)
+    vertices = (np.asarray(mesh.vertices, dtype=float)[vert[first]]
+                + cell[first]) / m
+    return local_global, vertices
 
 
 def loop_sym_directions(n_theta):
@@ -488,7 +544,7 @@ def former_solve_chi0(sys):
         for c in range(sys.m):
             fc = surf.component == c
             nrm = surf.normals[fc]
-            rhs = -fem.surface_gradient_load(
+            rhs = -former_surface_gradient_load(
                 sys.mesh.vertices, surf.facets[fc], 1.0,
                 np.eye(N)[j] - nrm * nrm[:, j:j + 1], sys.vdof, nd)
             trace[sys.comp_dofs[c]] = sys.trace_factor(c).solve(
@@ -631,6 +687,13 @@ def element_gram(w, grads):
     return gram
 
 
+def _lam_elem(sys):
+    """The per-element conductivity of the cell."""
+    return fem.phase_coefficient(sys.mesh.phase,
+                                 {PHASE_INT: sys.coeffs.lam_int,
+                                  PHASE_OUT: sys.coeffs.lam_out})
+
+
 def _corrector_gradients(sys, fields, els=slice(None)):
     return [element_field_gradients(sys.grads[els], sys.mesh.simplices[els],
                                     x[sys.vdof]) for x in fields]
@@ -639,7 +702,7 @@ def _corrector_gradients(sys, fields, els=slice(None)):
 def element_A0(sys, chi0, v, forms):
     """The former volume, flux and Gram routes of compute_A0."""
     N, a = sys.dim, sys.coeffs.alpha
-    w = sys.lam_elem * np.abs(sys.vols)
+    w = _lam_elem(sys) * np.abs(sys.vols)
     grads = _corrector_gradients(sys, chi0)
     surf_init = np.stack([a * forms.int_grad_components(v[j])
                           for j in range(N)])
@@ -691,7 +754,7 @@ def bulk_C0(sys, chi0, forms):
 def loop_kernel_pair(sys, snapshots, grid, forms):
     """The former tensors._kernel_pair: one element gradient per level."""
     N, n, dt = sys.dim, grid.n_steps, grid.step
-    w = sys.lam_elem * np.abs(sys.vols)
+    w = _lam_elem(sys) * np.abs(sys.vols)
     a = sys.coeffs.alpha
     vol_route = np.zeros((n + 1, N, N))
     flux_route = np.zeros((n + 1, N, N))
@@ -712,7 +775,7 @@ def element_klt1(sys, chi0):
     """The former Gram and split routes of compute_Ahom_klt1."""
     N = sys.dim
     out_els = sys.mesh.phase == PHASE_OUT
-    w = sys.lam_elem[out_els] * np.abs(sys.vols[out_els])
+    w = _lam_elem(sys)[out_els] * np.abs(sys.vols[out_els])
     sub = sys.sub[PHASE_OUT]
     grads = _corrector_gradients(sys, chi0, out_els)
     split = np.zeros((N, N))
@@ -727,7 +790,7 @@ def element_klt1(sys, chi0):
 def element_kgt1(sys, chi0_tilde):
     """The former direct and Gram routes of compute_Ahom_kgt1."""
     N = sys.dim
-    w = sys.lam_elem * np.abs(sys.vols)
+    w = _lam_elem(sys) * np.abs(sys.vols)
     grads = _corrector_gradients(sys, chi0_tilde)
     direct = np.stack([w @ (np.eye(N)[j][None, :] + grads[j])
                        for j in range(N)])
@@ -786,6 +849,42 @@ def loop_macro_grid(n, dim):
             tris.append((v00, v10, v11))
             tris.append((v00, v11, v01))
     return vertices, np.array(tris, dtype=np.int64)
+
+
+def former_assemble_surface_stiffness(vertices, facets, coeff, vdof, ndof):
+    """The former fem.assemble_surface_stiffness."""
+    coeff = np.asarray(coeff, dtype=float) * np.ones(len(facets))
+    grads, meas = fem.surface_gradients(vertices, facets)
+    w = meas * coeff
+    sloc = np.einsum("f,fik,fjk->fij", w, grads, grads)
+    dofs = vdof[facets]
+    npf = facets.shape[1]
+    rows = np.repeat(dofs, npf, axis=1).ravel()
+    cols = np.tile(dofs, (1, npf)).ravel()
+    S = sp.coo_matrix((sloc.ravel(), (rows, cols)), shape=(ndof, ndof))
+    return S.tocsr()
+
+
+def former_surface_gradient_load(vertices, facets, coeff, vecs, vdof, ndof):
+    """The former fem.surface_gradient_load: L_p = sum_f coeff_f |f| vec_f .
+    grad_B phi_p."""
+    grads, meas = fem.surface_gradients(vertices, facets)
+    w = meas * (np.asarray(coeff, dtype=float) * np.ones(len(facets)))
+    contrib = np.einsum("f,fik,fk->fi", w, grads, np.asarray(vecs, dtype=float))
+    L = np.zeros(ndof)
+    np.add.at(L, vdof[facets].ravel(), contrib.ravel())
+    return L
+
+
+def former_surface_dof_weights(vertices, facets, vdof, ndof):
+    """The former fem.surface_dof_weights: w_p = int_Gamma phi_p over the
+    given facets."""
+    meas = geometry.facet_measures(vertices, facets)
+    npf = facets.shape[1]
+    contrib = np.repeat(meas[:, None] / npf, npf, axis=1)
+    w = np.zeros(ndof)
+    np.add.at(w, vdof[facets].ravel(), contrib.ravel())
+    return w
 
 
 def loop_periodic_dof_map(n_vertices, periodic_pairs):
@@ -894,8 +993,8 @@ def loop_solve_micro(run):
         gamma = np.empty(0, dtype=np.int64)
     else:
         facets = mesh.interface
-        S1 = fem.assemble_surface_stiffness(V, facets, np.ones(len(facets)),
-                                            vdof, nd)
+        S1 = former_assemble_surface_stiffness(V, facets,
+                                               np.ones(len(facets)), vdof, nd)
         gamma = np.unique(vdof[facets])
     fixed = np.unique(vdof[mesh.boundary_vertices])
 
@@ -1037,16 +1136,18 @@ def test_periodic_ridge_matching_joins_corner_pieces(layered):
 def test_periodic_dof_map_matches_union_find(request, name):
     mesh, _ = _cell(request, name)
     nv = len(mesh.vertices)
-    _assert_same(fem.periodic_dof_map(nv, mesh.periodic_pairs),
+    _assert_same(geometry.periodic_classes(nv, mesh.periodic_pairs),
                  loop_periodic_dof_map(nv, mesh.periodic_pairs))
 
 
 def test_periodic_dof_map_matches_union_find_on_chains():
     # high-to-low chains and a pair listed against vertex order
     pairs = np.array([[4, 6, 0], [1, 4, 1], [6, 2, 0], [0, 7, 1]])
-    _assert_same(fem.periodic_dof_map(9, pairs), loop_periodic_dof_map(9, pairs))
+    _assert_same(geometry.periodic_classes(9, pairs),
+                 loop_periodic_dof_map(9, pairs))
     empty = np.zeros((0, 3), dtype=np.int64)
-    _assert_same(fem.periodic_dof_map(4, empty), loop_periodic_dof_map(4, empty))
+    _assert_same(geometry.periodic_classes(4, empty),
+                 loop_periodic_dof_map(4, empty))
 
 
 @pytest.mark.parametrize("name, eps, strip", [
@@ -1084,6 +1185,54 @@ def test_tiled_interface_gathers_cell_facets(request, name, strip, eps):
     else:
         _assert_same(facets, extract_interface(
             tiled.vertices, tiled.simplices, tiled.phase, NO_PAIRS).facets)
+
+
+@pytest.mark.parametrize("name, m", [(name, m) for name in CELLS
+                                     for m in (1, 2, 3, 4)]
+                         + [(name, 10) for name in ("disk", "layered",
+                                                    "membrane")])
+def test_tile_numbering_matches_pair_chasing(request, name, m):
+    # the tiler keys each tiled vertex by its periodic class and lattice
+    # corner, where it once chased the periodic pairs to a canonical copy
+    mesh, surf = _cell(request, name)
+    tiled, _ = tile_micro_domain(mesh, surf.facets, 1.0 / m, False)
+    local_global, vertices = pair_chasing_numbering(mesh, m)
+    _assert_same(tiled.local_global, local_global)
+    _assert_same(tiled.vertices, vertices)
+
+
+@pytest.mark.parametrize("name", CELLS)
+def test_facet_kernels_match_former_surface_kernels(request, name):
+    # the bulk kernels on facet geometry are the former surface copies:
+    # S1, each component's surface weights and the chi0 trace loads
+    mesh, surf = _cell(request, name)
+    V, F = mesh.vertices, surf.facets
+    vdof = geometry.periodic_classes(len(V), mesh.periodic_pairs)
+    nd = fem.n_dofs(vdof)
+    grads, meas = fem.surface_gradients(V, F)
+    S1 = fem.assemble_stiffness((grads, meas), F, 1.0, vdof, nd)
+    ref = former_assemble_surface_stiffness(V, F, 1.0, vdof, nd)
+    for attr in ("indptr", "indices", "data"):
+        _assert_same(getattr(S1, attr), getattr(ref, attr))
+    weights, loads = [], []
+    for c in range(surf.n_components):
+        fc = surf.component == c
+        nrm = surf.normals[fc]
+        weights.append(fem.volume_dof_weights(meas[fc], F[fc], vdof, nd))
+        _assert_same(weights[-1], former_surface_dof_weights(V, F[fc], vdof,
+                                                             nd))
+        for j in range(mesh.dim):
+            vec = np.eye(mesh.dim)[j] - nrm * nrm[:, j:j + 1]
+            loads.append(fem.assemble_gradient_load(
+                (grads[fc], meas[fc]), F[fc], 1.0, vec, vdof, nd))
+            _assert_same(loads[-1], former_surface_gradient_load(
+                V, F[fc], 1.0, vec, vdof, nd))
+    if name != "membrane":   # the cell system holds the same operators
+        sys = request.getfixturevalue(name).system
+        for attr in ("indptr", "indices", "data"):
+            _assert_same(getattr(sys.S1, attr), getattr(S1, attr))
+        for got, w in zip(sys.comp_w, weights):
+            _assert_same(got, w)
 
 
 def test_rays_match_octant_loops():
@@ -1421,7 +1570,7 @@ def test_cell_built_operators_match_tiled_assembly(request, name, strip, eps):
         K, Q, K_unit, load = march_operators(micro.solve_micro, run)
         n = len(tiled.vertices)
         if len(tiled.interface):
-            _assert_same_operator(Q, fem.assemble_surface_stiffness(
+            _assert_same_operator(Q, former_assemble_surface_stiffness(
                 tiled.vertices, tiled.interface, 1.0,
                 fem.identity_dof_map(n), n))
         mass, ref = load(0.1), tiled_vertex_mass(tiled)

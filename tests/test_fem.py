@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bh import fem, macro
+from bh import fem, geometry, macro
 from bh.errors import NonpositiveCoefficient, SingularSystem
 
 from conftest import facet_field_gradients, projected_surface_gradients
@@ -37,7 +37,7 @@ def test_identity_dof_map():
 
 def test_periodic_dof_map_chains():
     pairs = np.array([[0, 3, 0], [3, 4, 1]])
-    vdof = fem.periodic_dof_map(5, pairs)
+    vdof = geometry.periodic_classes(5, pairs)
     assert vdof[0] == vdof[3] == vdof[4]
     assert fem.n_dofs(vdof) == 3
 

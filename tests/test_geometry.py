@@ -12,7 +12,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bh import geometry
 from bh.errors import InvalidGeometry, MeshFailure, NonIntegerTiling
 from bh.geometry import (PHASE_INT, PHASE_MEMBRANE, PHASE_OUT, GeometrySpec,
                          build_membrane_cell, build_unit_cell,
@@ -147,19 +146,17 @@ def test_tiled_volumes_are_scaled_cell_volumes(request, name, eps):
     assert np.abs(mmesh.volumes() - ref).max() <= 1e-12 * ref.max()
 
 
-def test_tiling_rejects_a_vertex_off_its_cell_copy(disk):
+def test_tiles_sit_exactly_at_their_cell_copies(disk, layered, tube):
     # the tiling takes its element geometry from the cell, so tile t's
-    # vertices must sit at (cell vertices + offset of t) / m
-    m = 4
-    mmesh, _ = tile_micro_domain(disk.mesh, disk.surf.facets, 1.0 / m, False)
-    cells = np.stack(np.unravel_index(np.arange(m * m), (m, m)), axis=1)
-    check = lambda V: geometry._check_tile_positions(
-        V, mmesh.local_global, disk.mesh.vertices, cells, m)
-    check(mmesh.vertices)
-    moved = mmesh.vertices.copy()
-    moved[mmesh.local_global[5, 0], 1] += 1e-6
-    with pytest.raises(MeshFailure, match="off its cell copy"):
-        check(moved)
+    # vertices are (cell vertices + offset of t) / m, bitwise
+    for bundle, m in ((disk, 4), (layered, 3), (tube, 2)):
+        V = bundle.mesh.vertices
+        mmesh, _ = tile_micro_domain(bundle.mesh, bundle.surf.facets,
+                                     1.0 / m, False)
+        cells = np.stack(np.unravel_index(np.arange(m ** mmesh.dim),
+                                          (m,) * mmesh.dim), axis=1)
+        assert np.array_equal(mmesh.vertices[mmesh.local_global],
+                              (V + cells[:, None]) / m)
 
 
 def test_tiling_rejects_an_inexact_periodic_partner(disk):

@@ -8,7 +8,9 @@ on a small layered configuration, a coarse disk at k = 0.5 and the three
 configs/ files, and check artifacts, hash guards and exit codes.
 """
 import base64
+import glob
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -1048,17 +1050,121 @@ def _report_lines(out):
         return fh.read().splitlines()
 
 
+# tests/reference/<config>.json holds the numbers the configs' pipelines
+# produced when it was written, in groups.  Every number must come back to
+# REFERENCE_RTOL of max(|ref|, scale), with scale the magnitude of its
+# group: the largest |value| in it; the tensors, B0 and Phi share one (the
+# kernels are conductivities per unit time, on a unit horizon, and vanish
+# on layered cells), and the compatibility residual takes the interface
+# area (the report's tolerance over 1e-8), of which its flux is a part.
+# The mesh digest and the study verdicts must be equal.  Earlier
+# reorderings of the numerics moved these numbers by at most 5.3e-13; a
+# change that moves them on purpose edits the reference file.
+REFERENCE_DIR = os.path.join(os.path.dirname(__file__), "reference")
+REFERENCE_RTOL = 1e-10
+
+
+def _csv_columns(path):
+    """The columns of a CSV artifact by header name, as strings, and its
+    lines that are not rows (the study verdicts)."""
+    with open(path) as fh:
+        head, *lines = fh.read().splitlines()
+    rows = [ln.split(", ") for ln in lines if ", " in ln]
+    return ({col: [r[i] for r in rows]
+             for i, col in enumerate(head.split(", "))},
+            [ln for ln in lines if ", " not in ln])
+
+
+def _reference_numbers(out):
+    """The numbers a reference file pins, read from the run directory out:
+    the tensors, B0 and Phi at the first, second, middle and last kernel
+    levels, every CSV column, the micro energies, the largest
+    compatibility residual and the mesh digest."""
+    groups, verdicts = {}, {}
+
+    def group(name, values, scale=None):
+        values = {k: np.asarray(v, dtype=float) for k, v in values.items()}
+        if scale is None:
+            scale = max(float(np.abs(v).max()) for v in values.values())
+        groups[name] = {"scale": scale,
+                        "values": {k: v.tolist() for k, v in values.items()}}
+
+    _, tens = formats.read_tensors(os.path.join(out, "tensors.bhtens"))
+    last = len(tens["B0"]) - 1
+    tensor_groups = {"tensors": {k: tens[k] for k in (
+        "lambda0", "A0", "C0", "A_hom_klt1", "A_hom_kgt1") if k in tens}}
+    for key in ("B0", "Phi"):
+        tensor_groups[key] = {f"level {n}": tens[key][n]
+                              for n in sorted({0, 1, last // 2, last})}
+    scale = max(float(np.abs(v).max()) for vals in tensor_groups.values()
+                for v in vals.values())
+    for name, vals in tensor_groups.items():
+        group(name, vals, scale)
+    for name in ("macro_summary", "study_eps", "study_eta"):
+        path = os.path.join(out, name + ".csv")
+        if os.path.exists(path):
+            cols, verdicts[name] = _csv_columns(path)
+            for col, vals in cols.items():
+                group(f"{name} {col}", {col: [float(v) for v in vals]})
+    energies = {}
+    for path in sorted(glob.glob(os.path.join(out, "micro_m*.bhsol"))):
+        header, _ = formats.read_artifact(path, "BHSOL 2")
+        for key in cli._ENERGIES:
+            energies.setdefault(key, {})[os.path.basename(path)] = float(
+                header[key])
+    for key, vals in energies.items():
+        group(f"micro {key}", vals)
+    cols, _ = _csv_columns(os.path.join(out, "compat_report.csv"))
+    group("compat_report", {"residual_max": max(
+        abs(float(r)) for r in cols["residual"])},
+        scale=max(float(t) for t in cols["tolerance"]) / 1e-8)
+    return {"mesh_sha256": formats.file_sha256(os.path.join(out, "mesh.bhmesh")),
+            "verdicts": verdicts, "groups": groups}
+
+
+def _reference_mismatches(ref, got):
+    """The entries of got that miss the reference ref."""
+    bad = [key for key in ("mesh_sha256", "verdicts") if got[key] != ref[key]]
+    if set(got["groups"]) != set(ref["groups"]):
+        bad.append("group names")
+    for name, grp in ref["groups"].items():
+        new = got["groups"].get(name, {"values": {}})["values"]
+        for key, vals in grp["values"].items():
+            r = np.asarray(vals)
+            g = np.asarray(new.get(key, np.nan), dtype=float)
+            tol = REFERENCE_RTOL * np.maximum(np.abs(r), grp["scale"])
+            if g.shape != r.shape or not np.all(np.abs(g - r) <= tol):
+                bad.append(f"{name}: {key}")
+    return bad
+
+
 @pytest.mark.parametrize("name", sorted(_CONFIG_CHECKS))
 def test_cli_configs_run_end_to_end(name, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("BH_OUTPUT_DIR", raising=False)
     cfg, out = os.path.join(CONFIGS, name + ".ini"), str(tmp_path / "run")
+    # the facet geometry is computed once per cell system and once per
+    # micro tiling
+    calls, facet_geometry = [], fem.surface_gradients
+    monkeypatch.setattr(fem, "surface_gradients",
+                        lambda *a: calls.append(a) or facet_geometry(*a))
+    counts = {}
     for cmd in UPSTREAM + ("converge", "verify"):
+        before = len(calls)
         assert _run([cmd, "--config", cfg, "--out", out]) == 0, cmd
+        counts[cmd] = len(calls) - before
     capsys.readouterr()
+    assert counts["cell"] == counts["tensors"] == 1
+    assert counts["micro"] == len(load_config(cfg).eps_list)
     lines = _report_lines(out)
     assert lines[-1] == "result: all checks passed"
     assert [ln.split(":")[0] for ln in lines[:-1]] == [
         "PASS " + check for check in _CONFIG_CHECKS[name]]
+    with open(os.path.join(REFERENCE_DIR, name + ".json")) as fh:
+        ref = json.load(fh)
+    got = _reference_numbers(out)
+    bad = _reference_mismatches(ref, got)
+    assert not bad, (f"{name} misses its reference in {bad}; the new "
+                     f"values:\n{json.dumps(got, indent=1)}")
 
 
 def test_cli_verify_lists_the_files_read(upstream, tmp_path, capsys):
