@@ -1,5 +1,6 @@
 """Command-line pipeline: mesh -> cell -> tensors -> macro, plus micro and
-study sweeps and an invariant verification ledger.
+study sweeps and an invariant verification ledger.  One process runs a
+chain of commands in order, up to the first that fails; each writes a manifest.
 
 converge and verify read what the pipeline wrote: converge scores the
 macro and micro solutions and solves only the eta sweep; verify checks the
@@ -503,28 +504,41 @@ def build_parser():
     p = argparse.ArgumentParser(
         prog="bh",
         description="Homogenization pipeline for conduction with dynamic "
-                    "interface conditions")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, deps) in _COMMANDS.items():
-        s = sub.add_parser(name, description="needs the outputs of "
-                           + ", ".join(f"bh {d}" for d in deps)
-                           if deps else None)
-        s.add_argument("--config", required=True, help="INI config file")
-        s.add_argument("--out", default=None, help="output directory")
-        s.add_argument("--vtk", action="store_true",
-                       help="also write legacy VTK snapshots")
+                    "interface conditions",
+        epilog="commands, each with the commands whose outputs it needs:\n"
+               + "\n".join(f"  {name:<9} {', '.join(deps)}".rstrip()
+                           for name, (_, deps) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("commands", nargs="+", choices=_COMMANDS, metavar="command",
+                   help="run in the order given, up to the first that fails")
+    p.add_argument("--config", required=True, help="INI config file")
+    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--vtk", action="store_true",
+                   help="also write legacy VTK snapshots")
     return p
+
+
+def _run_command(command, cfg, config_path, out, vtk):
+    """Run one command and write its manifest, also when verify fails."""
+    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    t0 = time.perf_counter()
+    try:
+        read, outputs = _COMMANDS[command][0](cfg, out, vtk)
+    except _VerifyFailed as exc:
+        _manifest(out, command, cfg, started, t0, [config_path] + exc.inputs,
+                  exc.outputs)
+        raise
+    _manifest(out, command, cfg, started, t0, [config_path] + read, outputs)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    t0, code = time.perf_counter(), 0
     try:
         cfg = load_config(args.config)
         out = args.out or cfg.out_dir
         os.makedirs(out, exist_ok=True)
-        read, outputs = _COMMANDS[args.command][0](cfg, out, args.vtk)
+        for command in args.commands:
+            _run_command(command, cfg, args.config, out, args.vtk)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -533,13 +547,11 @@ def main(argv=None) -> int:
         return 3
     except _VerifyFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
-        code, read, outputs = 1, exc.inputs, exc.outputs
+        return 1
     except BHError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _manifest(out, args.command, cfg, started, t0, [args.config] + read,
-              outputs)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -275,6 +275,10 @@ def local_average(fld: TransientField, mesh: MicroMesh) -> CellAverages:
                         grid=fld.grid)
 
 
+# probe lattice points per axis of the study errors, by dimension
+_PROBES = {2: 48, 3: 16}
+
+
 def probe_points(p: int, dim: int) -> np.ndarray:
     """Midpoints of a p^dim lattice."""
     axis = (np.arange(p) + 0.5) / p
@@ -371,8 +375,8 @@ class StudyReport:
         return "\n".join(lines) + "\n"
 
 
-def eps_report(regime, runs, *, grid, macro_mesh=None, macro_field=None,
-               probe=48) -> StudyReport:
+def eps_report(regime, runs, *, grid, macro_mesh=None,
+               macro_field=None) -> StudyReport:
     """Score micro solutions, solved or read from disk, against the limit.
 
     runs yields (eps, tiled mesh, TransientField with energy_bulk and
@@ -387,7 +391,7 @@ def eps_report(regime, runs, *, grid, macro_mesh=None, macro_field=None,
             raise MissingArtifact(
                 f"regime {regime} needs a macro reference field")
         dim = macro_mesh.vertices.shape[1]
-        pts = probe_points(min(probe, 16) if dim == 3 else probe, dim)
+        pts = probe_points(_PROBES[dim], dim)
         ref = PointLocator(macro_mesh.vertices, macro_mesh.simplices).evaluate(
             macro_field.levels, pts)
 
@@ -405,24 +409,8 @@ def eps_report(regime, runs, *, grid, macro_mesh=None, macro_field=None,
     return StudyReport("eps", params, errors, e_bulk, e_surf)
 
 
-def convergence_study(regime, eps_list, *, cell_mesh, cell_facets, coeffs,
-                      k, grid, u0_bar=None, source=None, macro_mesh=None,
-                      macro_field=None, strip=True, probe=48) -> StudyReport:
-    """Solve the micro problem of each eps, one at a time, for eps_report;
-    cell_facets are the interface facets of cell_mesh."""
-    def runs():
-        for eps in sorted(eps_list, reverse=True):
-            mmesh, _ = tile_micro_domain(cell_mesh, cell_facets, eps, strip)
-            yield eps, mmesh, solve_micro(MicroRun(
-                mesh=mmesh, coeffs=coeffs, k=k, grid=grid, u0_bar=u0_bar,
-                source=source))
-
-    return eps_report(regime, runs(), grid=grid, macro_mesh=macro_mesh,
-                      macro_field=macro_field, probe=probe)
-
-
-def concentration_study(eta_list, *, spec, coeffs, grid, eps, u0_bar,
-                        probe=48) -> StudyReport:
+def concentration_study(eta_list, *, spec, coeffs, grid, eps,
+                        u0_bar) -> StudyReport:
     """Sweep the membrane thickness at fixed eps against the sharp solver.
 
     Boundary inclusions are kept on both sides: the concentration limit is
@@ -433,7 +421,7 @@ def concentration_study(eta_list, *, spec, coeffs, grid, eps, u0_bar,
     sharp_mesh, _ = tile_micro_domain(cell_mesh, surf.facets, eps, False)
     sharp = solve_micro(MicroRun(mesh=sharp_mesh, coeffs=coeffs, k=1.0,
                                  grid=grid, u0_bar=u0_bar))
-    pts = probe_points(probe, cell_mesh.dim)
+    pts = probe_points(_PROBES[cell_mesh.dim], cell_mesh.dim)
     ref = PointLocator(sharp_mesh.vertices, sharp_mesh.simplices).evaluate(
         sharp.levels, pts)
 

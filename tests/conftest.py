@@ -2,8 +2,10 @@
 
 The bundles use short kernel horizons so the unit tests stay fast; the
 acceptance module builds its own bundles at the parameters the criteria
-prescribe.  The surface-gradient routes at the end are test oracles: the
-library computes tangential gradients only through fem.surface_gradients.
+prescribe.  The surface-gradient routes and the in-memory eps study at the
+end are test oracles: the library computes tangential gradients only
+through fem.surface_gradients, and scores eps studies only in bh converge,
+from the micro solutions bh micro wrote.
 """
 from dataclasses import dataclass
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from bh import cell, fem, geometry, tensors
+from bh import cell, fem, geometry, micro, tensors
 from bh.timegrid import TimeGrid
 
 settings.register_profile(
@@ -93,3 +95,21 @@ def facet_field_gradients(vertices, facets, node_values):
     """Tangential gradient of a P1 surface field, one vector per facet."""
     grads, _ = fem.surface_gradients(vertices, facets)
     return np.einsum("fik,fi->fk", grads, node_values[facets])
+
+
+def convergence_study(regime, eps_list, *, cell_mesh, cell_facets, coeffs,
+                      k, grid, u0_bar=None, source=None, macro_mesh=None,
+                      macro_field=None, strip=True):
+    """Solve the micro problem of each eps in memory, one at a time, and
+    score the solutions with micro.eps_report; cell_facets are the
+    interface facets of cell_mesh."""
+    def runs():
+        for eps in sorted(eps_list, reverse=True):
+            mmesh, _ = geometry.tile_micro_domain(cell_mesh, cell_facets, eps,
+                                                  strip)
+            yield eps, mmesh, micro.solve_micro(micro.MicroRun(
+                mesh=mmesh, coeffs=coeffs, k=k, grid=grid, u0_bar=u0_bar,
+                source=source))
+
+    return micro.eps_report(regime, runs(), grid=grid, macro_mesh=macro_mesh,
+                            macro_field=macro_field)

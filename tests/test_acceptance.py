@@ -19,7 +19,7 @@ import pytest
 from bh import cell, cli, fem, geometry, macro, micro, tensors
 from bh.timegrid import TimeGrid
 
-from conftest import Bundle, sin_product
+from conftest import Bundle, convergence_study, sin_product
 
 COEFFS = cell.CellCoefficients(1.0, 3.0, 1.0)
 
@@ -187,12 +187,10 @@ def test_criterion_09_insulation_collapse(atube):
     def src(p, t):
         return sin_product(p)
 
-    rep = micro.convergence_study("klt1", [0.5, 1.0 / 3.0],
-                                  cell_mesh=atube.mesh,
-                                  cell_facets=atube.surf.facets,
-                                  coeffs=COEFFS, k=0.0,
-                                  grid=TimeGrid(0.5, 0.05), source=src,
-                                  strip=False)
+    rep = convergence_study("klt1", [0.5, 1.0 / 3.0], cell_mesh=atube.mesh,
+                            cell_facets=atube.surf.facets, coeffs=COEFFS,
+                            k=0.0, grid=TimeGrid(0.5, 0.05), source=src,
+                            strip=False)
     _report(9, rep.monotone_decrease,
             "||u_eps|| = %.3e -> %.3e" % tuple(rep.errors))
 
@@ -223,7 +221,7 @@ def test_criterion_11_homogenization_trend(adisk):
         F_coeffs=adisk.tens.F_coeffs, u0_bar=sin_product(mm.vertices),
         topology="cd")
     field = macro.solve_homogenized_memory(prob)
-    rep = micro.convergence_study(
+    rep = convergence_study(
         "k1_connected_disconnected", [0.5, 0.25, 0.125],
         cell_mesh=adisk.mesh, cell_facets=adisk.surf.facets, coeffs=COEFFS,
         k=1.0, grid=grid, u0_bar=sin_product, macro_mesh=mm,

@@ -26,8 +26,10 @@ import bh
 from bh import cell, cli, fem, formats, macro, micro, tensors
 from bh.config import MAX_STEPS, MAX_TILES, load_config, preset_function
 from bh.errors import (BHError, ConfigInvalid, MissingArtifact,
-                       WrongGeometryClass)
+                       SolverFailure, WrongGeometryClass)
 from bh.timegrid import TimeGrid
+
+from conftest import convergence_study
 
 TINY_INI = """\
 [geometry]
@@ -140,9 +142,7 @@ def test_config_missing_file():
     (lambda: macro._resample_kernel(np.zeros((3, 2, 2)), TimeGrid(0.2, 0.1),
                                     np.array([0.0, 0.5])), ConfigInvalid),
     (lambda: macro.build_macro_mesh(4, 1), WrongGeometryClass),
-    (lambda: micro.convergence_study("kgt1", [0.5], cell_mesh=None,
-                                     cell_facets=None, coeffs=None, k=2.0,
-                                     grid=TimeGrid(0.1, 0.05)),
+    (lambda: micro.eps_report("kgt1", iter(()), grid=TimeGrid(0.1, 0.05)),
      MissingArtifact),
 ], ids=["time-grid", "kernel-horizon", "macro-dimension", "macro-reference"])
 def test_bad_inputs_raise_bh_errors(call, cls):
@@ -502,13 +502,99 @@ def test_cli_pipeline(tiny_cfg, tmp_path):
         assert os.path.exists(os.path.join(out, name)), name
 
 
-def _subprocess_bh(command, cfg, out):
+CHAIN = ("mesh", "cell", "tensors", "macro", "micro", "converge", "verify")
+
+
+def _digests(out):
+    """sha256 of each file in out but the manifests."""
+    found = {}
+    for name in sorted(os.listdir(out)):
+        if not name.endswith(".bhrun"):
+            with open(os.path.join(out, name), "rb") as fh:
+                found[name] = hashlib.sha256(fh.read()).hexdigest()
+    return found
+
+
+def test_cli_chain_matches_one_command_a_call(tiny_cfg, tmp_path, capsys):
+    chained, single = str(tmp_path / "chained"), str(tmp_path / "single")
+    assert _run(list(CHAIN) + ["--config", tiny_cfg, "--out", chained]) == 0
+    for cmd in CHAIN:
+        assert _run([cmd, "--config", tiny_cfg, "--out", single]) == 0, cmd
+    capsys.readouterr()
+    got = _digests(chained)
+    assert {"study_eps.csv", "verify_report.txt"} <= set(got)
+    assert got == _digests(single)
+    for cmd in CHAIN:
+        assert os.path.exists(os.path.join(chained, f"{cmd}.bhrun")), cmd
+
+
+def test_cli_chain_stops_at_a_missing_artifact(tiny_cfg, tmp_path, capsys):
+    out = str(tmp_path / "empty")
+    assert _run(["tensors", "macro", "--config", tiny_cfg, "--out", out]) == 3
+    assert os.listdir(out) == []
+    assert capsys.readouterr().err.startswith("artifact error:")
+
+
+def test_cli_chain_stops_at_a_solver_failure(tiny_cfg, tmp_path, monkeypatch,
+                                             capsys):
+    def failing(cfg, out, vtk):
+        raise SolverFailure("cell solve failed")
+
+    monkeypatch.setitem(cli._COMMANDS, "cell", (failing, ["mesh"]))
+    out = str(tmp_path / "run")
+    assert _run(["mesh", "cell", "tensors", "--config", tiny_cfg,
+                 "--out", out]) == 1
+    assert sorted(os.listdir(out)) == ["mesh.bhmesh", "mesh.bhrun"]
+    assert capsys.readouterr().err == "error: cell solve failed\n"
+
+
+def test_cli_chain_with_bad_config_writes_nothing(tmp_path, capsys):
+    p = tmp_path / "bad.ini"
+    p.write_text(TINY_INI.replace("kind = Layered2D", "kind = Wedge"))
+    out = str(tmp_path / "run")
+    assert _run(["mesh", "cell", "--config", str(p), "--out", out]) == 2
+    assert os.listdir(tmp_path) == ["bad.ini"]
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_cli_unknown_command_exits_2_before_any_runs(tiny_cfg, tmp_path,
+                                                     monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(cli._COMMANDS, "mesh",
+                        (lambda *args: ran.append(args), []))
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as info:
+        _run(["mesh", "bogus", "--config", tiny_cfg, "--out", str(out)])
+    assert info.value.code == 2
+    assert ran == [] and not out.exists()
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_cli_help_lists_each_command_with_its_inputs():
+    rows = [ln.replace(",", "").split()
+            for ln in cli.build_parser().format_help().splitlines()]
+    for name, (_, deps) in cli._COMMANDS.items():
+        assert [name] + deps in rows, name
+    assert ["verify", "mesh", "cell", "tensors", "micro"] in rows
+
+
+def _subprocess_bh(commands, cfg, out):
+    """Run the space-separated commands as one bh process."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
     env.pop("BH_OUTPUT_DIR", None)
     return subprocess.run(
-        [sys.executable, "-m", "bh.cli", command, "--config", cfg,
+        [sys.executable, "-m", "bh.cli", *commands.split(), "--config", cfg,
          "--out", out], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_cli_chain_failing_midway_exits_without_traceback(tiny_cfg, tmp_path):
+    out = str(tmp_path / "run")
+    proc = _subprocess_bh("mesh tensors macro", tiny_cfg, out)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("artifact error:")
+    assert sorted(os.listdir(out)) == ["mesh.bhmesh", "mesh.bhrun"]
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():
@@ -777,7 +863,7 @@ def _study_in_memory(cfg_path, out):
             "kernel": (cfg.kernel_grid.t_end, cfg.kernel_grid.step)},
             "in memory")
         fld = macro.solve_homogenized_memory(prob)
-    return micro.convergence_study(
+    return convergence_study(
         cfg.regime, cfg.eps_list, cell_mesh=mesh, cell_facets=surf.facets,
         coeffs=cfg.coeffs, k=cfg.k, grid=cfg.macro_grid,
         u0_bar=cfg.u0_function(), source=cfg.source_function(),

@@ -402,10 +402,8 @@ def test_study_report_monotone_flag_and_csv():
     assert rep2.csv().rstrip().endswith("monotone_decrease: false")
 
 
-def test_convergence_study_requires_reference(disk):
-    with pytest.raises(MissingArtifact):
-        micro.convergence_study("k1_connected_disconnected", [0.5],
-                                cell_mesh=disk.mesh,
-                                cell_facets=disk.surf.facets,
-                                coeffs=disk.coeffs, k=1.0,
-                                grid=TimeGrid(0.1, 0.05))
+def test_convergence_study_requires_reference():
+    # refused before the runs are drawn: no micro problem is solved
+    with pytest.raises(MissingArtifact, match="needs a macro reference"):
+        micro.eps_report("k1_connected_disconnected", iter(()),
+                         grid=TimeGrid(0.1, 0.05))
