@@ -2,7 +2,8 @@
 
 Every output file records the sha256 hash of the canonicalized config so
 downstream commands can refuse artifacts produced under different settings.
-The only environment override honored anywhere is BH_OUTPUT_DIR.
+bh reads no environment variable: the output directory is [output] dir,
+or the --out option when it is given.
 
 Sizes are refused before anything is allocated: either time grid may have
 at most MAX_STEPS steps (t_end / dt, rounded), and every eps must be the
@@ -14,7 +15,6 @@ no eta_list value may repeat: each gives one micro file or one study row.
 import configparser
 import hashlib
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,7 +231,6 @@ def load_config(path: str) -> RunConfig:
             raise ConfigInvalid(f"[study] eta_list repeats eta={eta}")
 
     out_dir = cp.get("output", "dir", fallback="out").strip()
-    out_dir = os.environ.get("BH_OUTPUT_DIR", out_dir)
 
     text = _canonical_text(cp)
     geom_text = "\n".join(

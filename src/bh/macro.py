@@ -217,7 +217,6 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
     mats = mesh.mats
     A_inst = problem.lambda0 * np.eye(dim) + (
         problem.A0 if problem.A0 is not None else 0.0)
-    K_A = _tensor_stiffness(mats, A_inst)
     C0 = problem.C0 if (connected and problem.C0 is not None) else np.zeros((dim, dim))
     K_C = _tensor_stiffness(mats, C0)
 
@@ -249,8 +248,6 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
     H = np.zeros((M + 1, nv))
     H[0] = 0.5 * U[0]
 
-    energy = np.empty(M + 1)
-    energy[0] = float(U[0] @ (K_A @ U[0]))
     for n in range(1, M + 1):
         rhs = (K_C @ U[n - 1]) / dt
         if problem.B0 is not None:
@@ -268,10 +265,8 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
         except SingularSystem as exc:
             raise SingularStep(f"macro step {n}: {exc}") from exc
         H[n] = U[n]
-        energy[n] = float(U[n] @ (K_A @ U[n]))
 
-    return TransientField(levels=U, grid=grid,
-                          diagnostics={"energy": energy})
+    return TransientField(levels=U, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +282,7 @@ def solve_homogenized_elliptic(problem: MacroProblem) -> TransientField:
 
     if problem.regime == "klt1" and problem.topology == "cc":
         # slow surfaces on a connected inclusion phase freeze the limit
-        U = np.zeros((M + 1, nv))
-        return TransientField(levels=U, grid=grid,
-                              diagnostics={"degenerate_zero_limit": True})
+        return TransientField(levels=np.zeros((M + 1, nv)), grid=grid)
     if problem.regime not in ("klt1", "kgt1"):
         raise WrongGeometryClass(f"elliptic solver got regime {problem.regime}")
 
@@ -303,5 +296,4 @@ def solve_homogenized_elliptic(problem: MacroProblem) -> TransientField:
                 U[n] = fac.solve(mesh.mass * f)
             except SingularSystem as exc:
                 raise SingularStep(f"elliptic level {n}: {exc}") from exc
-    return TransientField(levels=U, grid=grid,
-                          diagnostics={"degenerate_zero_limit": False})
+    return TransientField(levels=U, grid=grid)

@@ -189,7 +189,6 @@ def solve_micro(run: MicroRun) -> TransientField:
     return TransientField(
         levels=X, grid=run.grid,
         diagnostics={
-            "surface_energy": scale * run.coeffs.alpha * surf_quad,
             "energy_bulk": bulk,
             "energy_surface": scale * float(np.max(surf_quad)),
         })

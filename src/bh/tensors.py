@@ -55,7 +55,6 @@ class EffectiveTensors:
     lambda0: float
     A0: np.ndarray
     A0_flux_form: np.ndarray
-    A0_gram: np.ndarray            # value of lambda0 I + A0 by the Gram route
     C0: np.ndarray
     C0_mixed_form: np.ndarray
     B0: np.ndarray                 # (n_steps+1, N, N)
@@ -282,7 +281,7 @@ def compute_all(sys: CellSystem, funcs: CellFunctionSet,
     forms = _SurfaceForms(sys)
     lam0 = compute_lambda0(sys.mesh, sys.coeffs)
     C0, C0_mixed, gap_c = compute_C0(sys, funcs.chi0, forms)
-    A0, A0_flux, gram, (gap_a, gap_g) = compute_A0(sys, funcs.chi0, funcs.v, forms)
+    A0, A0_flux, _, (gap_a, gap_g) = compute_A0(sys, funcs.chi0, funcs.v, forms)
     B0, B0_flux, gap_b = compute_B0(sys, funcs.chi1, funcs.W, funcs.grid,
                                     forms)
     Phi, Phi_vol, gap_f = compute_F_coeffs(sys, funcs.omega, funcs.W,
@@ -296,7 +295,7 @@ def compute_all(sys: CellSystem, funcs: CellFunctionSet,
     disc = {"C0": gap_c, "A0_forms": gap_a, "A0_gram": gap_g,
             "B0": gap_b, "F": gap_f, "A_klt1": gap_k, "A_kgt1": gap_kg}
     return EffectiveTensors(lambda0=lam0, A0=A0, A0_flux_form=A0_flux,
-                            A0_gram=gram, C0=C0, C0_mixed_form=C0_mixed,
+                            C0=C0, C0_mixed_form=C0_mixed,
                             B0=B0, B0_flux_form=B0_flux, F_coeffs=Phi,
                             grid=funcs.grid, A_hom_klt1=klt1,
                             A_hom_kgt1=kgt1, discrepancies=disc)

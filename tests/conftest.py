@@ -68,6 +68,14 @@ def sin_product(pts):
     return out
 
 
+def micro_surface_energy(run, levels):
+    """eps^k alpha x_n . S1 x_n of each level of a solve_micro march, the
+    per-level quadratic form taken as the march takes it."""
+    S1 = micro._micro_operators(run)[1]
+    quad = np.einsum("ni,in->n", levels, S1 @ levels.T)
+    return run.mesh.eps ** run.k * run.coeffs.alpha * quad
+
+
 def projected_surface_gradients(vertices, facets):
     """Tangential gradients through min-norm affine extensions.
 

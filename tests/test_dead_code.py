@@ -1,15 +1,17 @@
-"""No source that nothing in the package or its scripts reaches.
+"""No source that nothing in the package reaches.
 
 Every function, method and class defined in src/bh (dunders aside) must be
-referenced in the code of src/ or scripts/ outside its own body: as a name,
-an attribute or an imported name.  Words in docstrings and comments do not
+referenced in the code of src/ outside its own body: as a name, an
+attribute or an imported name.  Words in docstrings and comments do not
 count, nor does a definition calling itself.  A name only tests use is an
 oracle and belongs in the tests.
 
 Every attribute assigned on self and every annotated class field in src/bh
-must be read in src/ or scripts/: loaded as an attribute, or named by a
-string constant (cli reads the cell arrays with getattr).  A value stored
-and never read is a result computed and thrown away.
+must be read in src/: loaded as an attribute, or named by a string
+constant (cli reads the cell arrays with getattr).  A string used as a
+dict key is a value stored, not read.  Every key of a diagnostics= dict
+literal must be named by a string constant in src/ outside such keys.  A
+value stored and never read is a result computed and thrown away.
 """
 import ast
 import pathlib
@@ -20,8 +22,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 def _trees():
     return {path: ast.parse(path.read_text())
-            for sub in ("src", "scripts")
-            for path in sorted((ROOT / sub).rglob("*.py"))}
+            for path in sorted((ROOT / "src").rglob("*.py"))}
 
 
 def _references(tree):
@@ -69,14 +70,21 @@ def _stored(tree):
             yield node.lineno, node.attr
 
 
+def _strings(tree):
+    """Counter of the string constants of a tree, dict keys aside."""
+    keys = {id(key) for node in ast.walk(tree) if isinstance(node, ast.Dict)
+            for key in node.keys}
+    return Counter(node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant)
+                   and isinstance(node.value, str) and id(node) not in keys)
+
+
 def _reads(tree):
     """Counter of the attribute loads and string constants of a tree."""
-    reads = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            reads[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            reads[node.value] += 1
+    reads = _strings(tree)
+    reads.update(node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load))
     return reads
 
 
@@ -86,4 +94,23 @@ def test_every_stored_attribute_is_read_outside_the_tests():
     unread = [f"{path.name}:{line} {name}"
               for path in sorted((ROOT / "src" / "bh").glob("*.py"))
               for line, name in _stored(trees[path]) if not reads[name]]
+    assert not unread, unread
+
+
+def _diagnostic_keys(tree):
+    """(line, key) of the keys of the diagnostics= dict literals of a tree."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.keyword) and node.arg == "diagnostics"
+                and isinstance(node.value, ast.Dict)):
+            for key in node.value.keys:
+                yield key.lineno, key.value
+
+
+def test_every_diagnostic_is_read_outside_the_tests():
+    trees = _trees()
+    reads = sum((_strings(tree) for tree in trees.values()), Counter())
+    unread = [f"{path.name}:{line} {key}"
+              for path in sorted((ROOT / "src" / "bh").glob("*.py"))
+              for line, key in _diagnostic_keys(trees[path])
+              if not reads[key]]
     assert not unread, unread

@@ -120,7 +120,7 @@ from bh.geometry import (PHASE_INT, PHASE_MEMBRANE, PHASE_OUT,
                          tile_micro_domain)
 from bh.timegrid import TimeGrid
 
-from conftest import sin_product
+from conftest import micro_surface_energy, sin_product
 
 _RANK = {PHASE_INT: 0, PHASE_MEMBRANE: 1, PHASE_OUT: 2}
 
@@ -1422,9 +1422,11 @@ def _assert_same_micro(run):
         _assert_bitwise(fld.levels[1:], levels[1:])
     else:
         assert np.abs(fld.levels - levels).max() <= SUBSTRUCTURED_RTOL * scale
+    got_diagnostics = dict(fld.diagnostics,
+                           surface_energy=micro_surface_energy(run, fld.levels))
     for key in _MICRO_KEYS:
         ref = np.atleast_1d(diagnostics[key])
-        got = np.atleast_1d(fld.diagnostics[key])
+        got = np.atleast_1d(got_diagnostics[key])
         assert np.all(np.abs(got - ref) <= SUBSTRUCTURED_RTOL * ref), key
     return fld
 
@@ -2035,15 +2037,14 @@ def bulk_tensors(sys, funcs, grid, topology):
     onto the interface dofs, chi1 and omega extended as E Y, the surface
     forms reading bulk fields and the element-gradient volume routes."""
     forms = bulk_forms(sys)
-    A0, A0_flux, A0_gram = element_A0(sys, funcs.chi0, bulk_v(sys, funcs.v),
-                                      forms)
+    A0, A0_flux, _ = element_A0(sys, funcs.chi0, bulk_v(sys, funcs.v), forms)
     C0, C0_mixed = bulk_C0(sys, funcs.chi0, forms)
     B0, B0_flux = bulk_kernel_pair(sys, bulk_levels(sys, funcs.chi1), grid,
                                    forms)
     Phi = bulk_kernel_pair(sys, bulk_levels(sys, funcs.omega), grid, forms)[1]
     klt1 = element_klt1(sys, funcs.chi0)[0] if topology == "cd" else None
     return {"lambda0": tensors.compute_lambda0(sys.mesh, sys.coeffs),
-            "A0": A0, "A0_flux_form": A0_flux, "A0_gram": A0_gram, "C0": C0,
+            "A0": A0, "A0_flux_form": A0_flux, "C0": C0,
             "C0_mixed_form": C0_mixed, "B0": B0, "B0_flux_form": B0_flux,
             "F_coeffs": Phi, "A_hom_kgt1": element_kgt1(sys, funcs.chi0_tilde)[0],
             "A_hom_klt1": klt1}
@@ -2073,14 +2074,13 @@ def test_tensor_volume_routes_match_element_gradients(request, name):
     sys, funcs, t = b.system, b.funcs, b.tens
     forms = tensors._SurfaceForms(sys)
     bulk = bulk_forms(sys)
-    A_vol, A_flux, gram = element_A0(sys, funcs.chi0, bulk_v(sys, funcs.v),
-                                     bulk)
+    A_vol, A_flux, _ = element_A0(sys, funcs.chi0, bulk_v(sys, funcs.v), bulk)
     B_vol, B_flux = loop_kernel_pair(sys, bulk_levels(sys, funcs.chi1),
                                      b.grid, bulk)
     P_vol, P_flux = loop_kernel_pair(sys, bulk_levels(sys, funcs.omega),
                                      b.grid, bulk)
     direct, _ = element_kgt1(sys, funcs.chi0_tilde)
-    pairs = [(t.A0, A_vol), (t.A0_flux_form, A_flux), (t.A0_gram, gram),
+    pairs = [(t.A0, A_vol), (t.A0_flux_form, A_flux),
              (t.B0, B_vol), (t.B0_flux_form, B_flux), (t.F_coeffs, P_flux),
              (t.A_hom_kgt1, direct)]
     if name == "disk":

@@ -12,6 +12,7 @@ import glob
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -67,10 +68,9 @@ dir = out
 
 
 @pytest.fixture()
-def tiny_cfg(tmp_path, monkeypatch):
+def tiny_cfg(tmp_path):
     path = tmp_path / "tiny.ini"
     path.write_text(TINY_INI)
-    monkeypatch.delenv("BH_OUTPUT_DIR", raising=False)
     return str(path)
 
 
@@ -88,13 +88,18 @@ def test_config_loads_and_hashes_stable(tiny_cfg):
     assert c1.eps_list == (0.5,)
 
 
-def test_config_env_override(tiny_cfg, monkeypatch):
-    monkeypatch.setenv("BH_OUTPUT_DIR", "/tmp/elsewhere")
-    cfg = load_config(tiny_cfg)
-    assert cfg.out_dir == "/tmp/elsewhere"
-    # the hash ignores the environment: it covers the file contents only
-    monkeypatch.delenv("BH_OUTPUT_DIR")
-    assert load_config(tiny_cfg).config_hash == cfg.config_hash
+def test_config_output_dir_ignores_the_environment(tiny_cfg, tmp_path,
+                                                   monkeypatch):
+    # the output directory is [output] dir, or --out when it is given
+    monkeypatch.setenv("BH_OUTPUT_DIR", str(tmp_path / "elsewhere"))
+    assert load_config(tiny_cfg).out_dir == "out"
+
+
+def test_bh_reads_no_environment_variable():
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(bh.__file__),
+                                              "*.py"))):
+        with open(path) as fh:
+            assert not re.search(r"\benviron\b|\bgetenv\b", fh.read()), path
 
 
 @pytest.mark.parametrize("patch, message", [
@@ -582,7 +587,6 @@ def _subprocess_bh(commands, cfg, out):
     """Run the space-separated commands as one bh process."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
-    env.pop("BH_OUTPUT_DIR", None)
     return subprocess.run(
         [sys.executable, "-m", "bh.cli", *commands.split(), "--config", cfg,
          "--out", out], capture_output=True, text=True, env=env, timeout=120)
@@ -1226,7 +1230,6 @@ def _reference_mismatches(ref, got):
 
 @pytest.mark.parametrize("name", sorted(_CONFIG_CHECKS))
 def test_cli_configs_run_end_to_end(name, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("BH_OUTPUT_DIR", raising=False)
     cfg, out = os.path.join(CONFIGS, name + ".ini"), str(tmp_path / "run")
     # the facet geometry is computed once per cell system and once per
     # micro tiling

@@ -169,8 +169,11 @@ def test_memory_zero_data_zero_solution(mesh12):
 
 
 def test_memory_energy_decays(mesh12):
-    fld = macro.solve_homogenized_memory(_memory_problem(mesh12, 0.05))
-    e = fld.diagnostics["energy"]
+    prob = _memory_problem(mesh12, 0.05)
+    fld = macro.solve_homogenized_memory(prob)
+    K_A = macro._tensor_stiffness(mesh12.mats, prob.lambda0 * np.eye(2)
+                                  + prob.A0)
+    e = np.array([float(u @ (K_A @ u)) for u in fld.levels])
     assert e[0] > 0.0
     assert np.all(np.diff(e) <= 1e-12 * e[0])
 
@@ -253,7 +256,6 @@ def test_klt1_connected_degenerates_to_zero(mesh12):
                               topology="cc")
     fld = macro.solve_homogenized_elliptic(prob)
     assert np.all(fld.levels == 0.0)
-    assert fld.diagnostics["degenerate_zero_limit"] is True
 
 
 def test_elliptic_rejects_indefinite_tensor(mesh12):
