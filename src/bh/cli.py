@@ -1,6 +1,9 @@
 """Command-line pipeline: mesh -> cell -> tensors -> macro, plus micro and
 study sweeps and an invariant verification ledger.  One process runs a
 chain of commands in order, up to the first that fails; each writes a manifest.
+A process keeps the cell mesh it built or loaded last, under the real path
+and sha256 of mesh.bhmesh, and the cell system on it: later commands reuse
+them while the file is unchanged, with the same bytes and exit codes.
 
 converge and verify read what the pipeline wrote: converge scores the
 macro and micro solutions and solves only the eta sweep; verify checks the
@@ -62,8 +65,33 @@ def _read(reader, path, command):
         raise MissingArtifact(f"{exc}; re-run bh {command}") from None
 
 
+# the cell mesh and the cell system this process made last, one of each,
+# for later commands to reuse: "mesh" -> (key, (header, mesh, surf, data)),
+# key the real path and sha256 of the file, so that no command gets another
+# file's mesh, and "system" -> the CellSystem on that mesh
+_reused = {}
+
+
+def _mesh_key(path):
+    if os.path.exists(path):  # a missing file is refused by its reader
+        return os.path.realpath(path), formats.file_sha256(path)
+
+
+def _keep_mesh(key, header, mesh, surf, data):
+    """Keep the mesh of the file with key, its arrays read-only."""
+    for vals in (*vars(mesh).values(), *vars(surf).values(), *data.values()):
+        vals.flags.writeable = False
+    _reused["mesh"] = key, (header, mesh, surf, data)
+
+
 def _load_cell_mesh(cfg, paths):
-    """The stored cell mesh, its extracted interface and read_mesh's data."""
+    """The stored cell mesh, its extracted interface and read_mesh's data:
+    those kept for the file's path and bytes, when they match."""
+    key, held = _mesh_key(paths["mesh"]), _reused.get("mesh", (None,))
+    if key is not None and held[0] == key:
+        header, mesh, surf, data = held[1]
+        _check_header(header, cfg, paths["mesh"], "mesh")
+        return mesh, surf, data
     header, data = _read(formats.read_mesh, paths["mesh"], "mesh")
     _check_header(header, cfg, paths["mesh"], "mesh")
     mesh = geometry.CellMesh(vertices=data["vertices"],
@@ -76,7 +104,17 @@ def _load_cell_mesh(cfg, paths):
                               "with positive elements; re-run bh mesh")
     surf = geometry.extract_interface(mesh.vertices, mesh.simplices,
                                       mesh.phase, mesh.periodic_pairs)
+    _keep_mesh(key, header, mesh, surf, data)
     return mesh, surf, data
+
+
+def _cell_system(cfg, mesh, surf):
+    """The kept CellSystem if it was built on this mesh object (so the same
+    file bytes) and the config's coefficients, else a new one, kept."""
+    held = _reused.get("system")
+    if held is None or held.mesh is not mesh or held.coeffs != cfg.coeffs:
+        held = _reused["system"] = cell.CellSystem(mesh, surf, cfg.coeffs)
+    return held
 
 
 def _manifest(out, command, cfg, started, t0, inputs, outputs):
@@ -96,6 +134,11 @@ def cmd_mesh(cfg, out, vtk):
     mesh, surf = geometry.build_unit_cell(cfg.geometry)
     formats.write_mesh(paths["mesh"], _header(cfg), mesh.vertices,
                        mesh.simplices, mesh.phase, surf, mesh.periodic_pairs)
+    # read_mesh returns these arrays bitwise, and a load extracts this surf
+    _keep_mesh(_mesh_key(paths["mesh"]), _header(cfg), mesh, surf, dict(
+        vertices=mesh.vertices, simplices=mesh.simplices, phase=mesh.phase,
+        facets=surf.facets, component=surf.component, normals=surf.normals,
+        pairs=mesh.periodic_pairs))
     if vtk:
         formats.write_vtk(os.path.join(out, "mesh.vtk"), mesh.vertices,
                           mesh.simplices, np.zeros(len(mesh.vertices)),
@@ -106,7 +149,7 @@ def cmd_mesh(cfg, out, vtk):
 def cmd_cell(cfg, out, vtk):
     paths = _paths(out)
     mesh, surf, _ = _load_cell_mesh(cfg, paths)
-    sysm = cell.CellSystem(mesh, surf, cfg.coeffs)
+    sysm = _cell_system(cfg, mesh, surf)
     funcs = cell.solve_cell_functions(sysm, cfg.kernel_grid)
     formats.write_cell_archive(
         paths["cell"], _header(cfg), cfg.kernel_grid,
@@ -145,7 +188,7 @@ def _cell_tensors(cfg, paths, mesh, surf):
     if grid != (g.t_end, g.step):
         raise MissingArtifact(f"{path} has the time grid {grid}, the config "
                               f"{(g.t_end, g.step)}; re-run bh cell")
-    sysm = cell.CellSystem(mesh, surf, cfg.coeffs)
+    sysm = _cell_system(cfg, mesh, surf)
     N, nd, ng, L = mesh.dim, sysm.nd, len(sysm.gamma_dofs), g.n_steps + 1
     shapes = {"chi0": (N, nd), "v": (N, ng), "chi0_tilde": (N, nd),
               "chi1": (N, L, ng), "omega": (N, L, ng), "W": (N, ng)}

@@ -20,6 +20,7 @@ both sides).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,11 +100,17 @@ class CellMesh:
         return self.vertices.shape[1]
 
     def volumes(self) -> np.ndarray:
-        return simplex_volumes(self.vertices, self.simplices)
+        return self._volumes
+
+    @cached_property
+    def _volumes(self) -> np.ndarray:
+        # kept: no builder changes a mesh's vertices or simplices once made
+        vols = simplex_volumes(self.vertices, self.simplices)
+        vols.flags.writeable = False
+        return vols
 
     def phase_volume(self, phase: int) -> float:
-        v = self.volumes()
-        return float(v[self.phase == phase].sum())
+        return float(self.volumes()[self.phase == phase].sum())
 
 
 @dataclass

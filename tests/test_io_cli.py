@@ -8,6 +8,7 @@ on a small layered configuration, a coarse disk at k = 0.5 and the three
 configs/ files, and check artifacts, hash guards and exit codes.
 """
 import base64
+import dataclasses
 import glob
 import hashlib
 import json
@@ -955,8 +956,14 @@ def _edit_line(prefix, change, offset):
     return edit
 
 
+# the one case run as its own process, where an escaped exception would
+# print a traceback; the others run main in this process, where it would
+# fail the test
+_DIM_X = _edit_line("dim ", lambda ln: ["dim x"], 0)
+
+
 @pytest.mark.parametrize("name, edit", [
-    ("mesh.bhmesh", _edit_line("dim ", lambda ln: ["dim x"], 0)),
+    ("mesh.bhmesh", _DIM_X),
     ("mesh.bhmesh", _edit_line("vertices ", lambda ln: [], 1)),
     ("mesh.bhmesh", _edit_line(
         "elements ", lambda ln: ["999999 " + ln.split(" ", 1)[1]], 1)),
@@ -980,17 +987,23 @@ def _edit_line(prefix, change, offset):
         "cell-grid-1", "cell-fields-9999", "mesh-normal-inf",
         "tensors-A0-nan", "cell-nan", "solution-inf", "tensors-no-kgt1"])
 def test_cli_malformed_body_exits_3_without_traceback(upstream, tmp_path,
-                                                      name, edit):
+                                                      capsys, name, edit):
     # each of these once ended in a ValueError, IndexError or StopIteration,
     # or (a value that is not finite, a missing k > 1 tensor) reached the
     # solvers or the tensor routes
     cfg, out = _copy_run(upstream, 1.0, tmp_path)
     _rewrite(os.path.join(out, name), edit)
-    proc = _subprocess_bh(_BODY_READERS[name], cfg, out)
-    assert proc.returncode == 3, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("artifact error:")
-    assert "malformed" in proc.stderr
+    if edit is _DIM_X:
+        proc = _subprocess_bh(_BODY_READERS[name], cfg, out)
+        code, err = proc.returncode, proc.stderr
+    else:
+        capsys.readouterr()
+        code = cli.main([_BODY_READERS[name], "--config", cfg, "--out", out])
+        err = capsys.readouterr().err
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert err.startswith("artifact error:")
+    assert "malformed" in err
 
 
 def _edit_body_line(how, pick, token):
@@ -1232,7 +1245,7 @@ def _reference_mismatches(ref, got):
 def test_cli_configs_run_end_to_end(name, tmp_path, monkeypatch, capsys):
     cfg, out = os.path.join(CONFIGS, name + ".ini"), str(tmp_path / "run")
     # the facet geometry is computed once per cell system and once per
-    # micro tiling
+    # micro tiling; tensors reuses the cell system cell built in this process
     calls, facet_geometry = [], fem.surface_gradients
     monkeypatch.setattr(fem, "surface_gradients",
                         lambda *a: calls.append(a) or facet_geometry(*a))
@@ -1242,7 +1255,7 @@ def test_cli_configs_run_end_to_end(name, tmp_path, monkeypatch, capsys):
         assert _run([cmd, "--config", cfg, "--out", out]) == 0, cmd
         counts[cmd] = len(calls) - before
     capsys.readouterr()
-    assert counts["cell"] == counts["tensors"] == 1
+    assert counts["cell"] == 1 and counts["tensors"] == 0
     assert counts["micro"] == len(load_config(cfg).eps_list)
     lines = _report_lines(out)
     assert lines[-1] == "result: all checks passed"
@@ -1407,3 +1420,133 @@ def test_cli_missing_klt1_tensor_exits_3(disk_klt1, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("artifact error:") and "Traceback" not in err
     assert path in err and "re-run bh tensors" in err, err
+
+
+# ---------------------------------------------------------------------------
+# a process reuses the cell mesh and the cell system it made last
+# ---------------------------------------------------------------------------
+
+def _array_fields(obj):
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIG_CHECKS))
+def test_cli_mesh_keeps_what_a_load_derives(name, tmp_path):
+    # Disk2D, Layered2D and TubeLattice3D: the mesh and interface bh mesh
+    # built equal those a load of the written file derives
+    cfg, out = os.path.join(CONFIGS, name + ".ini"), str(tmp_path / "run")
+    assert _run(["mesh", "--config", cfg, "--out", out]) == 0
+    key, (header, mesh, surf, data) = cli._reused.pop("mesh")
+    loaded = cli._load_cell_mesh(load_config(cfg), cli._paths(out))
+    assert cli._reused["mesh"][0] == key
+    assert cli._reused["mesh"][1][0] == header
+    pairs = [(data, loaded[2]), (_array_fields(mesh), _array_fields(loaded[0])),
+             (_array_fields(surf), _array_fields(loaded[1])),
+             ({"volumes": mesh.volumes()}, {"volumes": loaded[0].volumes()})]
+    for kept, got in pairs:
+        assert kept.keys() == got.keys()
+        for field, vals in kept.items():
+            assert vals.dtype == got[field].dtype, field
+            assert vals.shape == got[field].shape, field
+            assert np.array_equal(vals, got[field]), field
+            assert not vals.flags.writeable and not got[field].flags.writeable
+
+
+def _move_vertex(lines):
+    """The first vertex with both coordinates in (0.05, 0.2), moved by 0.02
+    along x: inside the cell and off the interface of the tiny layers."""
+    i = lines.index(next(ln for ln in lines if ln.startswith("vertices ")))
+    for k, ln in enumerate(lines[i + 1:], start=i + 1):
+        x, y = map(float, ln.split())
+        if 0.05 < x < 0.2 and 0.05 < y < 0.2:
+            return lines[:k] + [formats._F % (x + 0.02) + " " + formats._F % y] \
+                + lines[k + 1:]
+    raise AssertionError("no vertex to move")
+
+
+def test_cli_rewritten_mesh_is_loaded_again(tiny_cfg, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    path, cell_path = (os.path.join(out, name)
+                       for name in ("mesh.bhmesh", "cell.bhcell"))
+    assert _run(["mesh", "cell", "--config", tiny_cfg, "--out", out]) == 0
+    before = formats.file_sha256(cell_path)
+    with open(path) as fh:
+        text = fh.read()
+    _rewrite(path, _edit_line("vertices ", lambda ln: [], 1))
+    capsys.readouterr()
+    assert _run(["cell", "--config", tiny_cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("artifact error:") and "malformed" in err, err
+
+    with open(path, "w") as fh:
+        fh.write(text)
+    _rewrite(path, _move_vertex)
+    assert _run(["cell", "--config", tiny_cfg, "--out", out]) == 0
+    # the same file in a process that holds nothing
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    shutil.copy(path, fresh)
+    cli._reused.clear()
+    assert _run(["cell", "--config", tiny_cfg, "--out", str(fresh)]) == 0
+    assert formats.file_sha256(cell_path) == formats.file_sha256(
+        str(fresh / "cell.bhcell")) != before
+
+
+def test_cli_deleted_mesh_is_missing(tiny_cfg, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert _run(["mesh", "cell", "--config", tiny_cfg, "--out", out]) == 0
+    os.remove(os.path.join(out, "mesh.bhmesh"))
+    capsys.readouterr()
+    assert _run(["tensors", "--config", tiny_cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("artifact error: missing artifact"), err
+    assert "re-run bh mesh" in err
+
+
+def test_cli_reuse_is_keyed_by_file_and_coefficients(tiny_cfg, tmp_path,
+                                                      monkeypatch, capsys):
+    first, second = str(tmp_path / "first"), tmp_path / "second"
+    assert _run(["mesh", "cell", "--config", tiny_cfg, "--out", first]) == 0
+    cfg = load_config(tiny_cfg)
+    mesh, surf, _ = cli._load_cell_mesh(cfg, cli._paths(first))
+    kept = cli._cell_system(cfg, mesh, surf)
+    assert kept is cli._cell_system(cfg, mesh, surf)
+    other_ini = tmp_path / "other.ini"
+    other_ini.write_text(TINY_INI.replace("lambda_int = 1.0",
+                                          "lambda_int = 2.0"))
+    other = load_config(str(other_ini))
+    built = cli._cell_system(other, mesh, surf)
+    assert built is not kept and built.coeffs == other.coeffs
+    assert cli._cell_system(cfg, mesh, surf) not in (kept, built)
+    # the kept mesh still carries its config in its header
+    capsys.readouterr()
+    assert _run(["cell", "--config", str(other_ini), "--out", first]) == 3
+    assert "different config" in capsys.readouterr().err
+
+    # the same bytes at another path are read again
+    reads, systems = [], []
+    read_mesh, system = formats.read_mesh, cell.CellSystem
+    monkeypatch.setattr(formats, "read_mesh",
+                        lambda *a: reads.append(a) or read_mesh(*a))
+    monkeypatch.setattr(cell, "CellSystem",
+                        lambda *a: systems.append(a) or system(*a))
+    second.mkdir()
+    shutil.copy(os.path.join(first, "mesh.bhmesh"), second)
+    assert _run(["cell", "--config", tiny_cfg, "--out", str(second)]) == 0
+    assert (len(reads), len(systems)) == (1, 1)
+    assert _run(["cell", "tensors", "--config", tiny_cfg,
+                 "--out", str(second)]) == 0
+    assert (len(reads), len(systems)) == (1, 1)
+
+
+def test_cli_chain_in_process_matches_a_process_per_command(tiny_cfg,
+                                                            tmp_path, capsys):
+    chained, fresh = str(tmp_path / "chained"), str(tmp_path / "fresh")
+    assert _run(list(CHAIN) + ["--config", tiny_cfg, "--out", chained]) == 0
+    for cmd in CHAIN:
+        proc = _subprocess_bh(cmd, tiny_cfg, fresh)
+        assert proc.returncode == 0, proc.stderr
+    capsys.readouterr()
+    got = _digests(chained)
+    assert {"study_eps.csv", "verify_report.txt"} <= set(got)
+    assert got == _digests(fresh)
