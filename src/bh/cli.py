@@ -389,9 +389,6 @@ def _verify_checks(cfg, out, read):
     read += [paths["mesh"], paths["cell"], paths["tensors"]]
     N = mesh.dim
 
-    gap = abs(mesh.volumes().sum() - 1.0)
-    yield "mesh_volume_partition", gap <= 1e-12, f"|sum(vol)-1|={gap:.3e}"
-
     pp = mesh.periodic_pairs
     d = mesh.vertices[pp[:, 1]] - mesh.vertices[pp[:, 0]]
     exact = bool(np.all(np.abs(d) == np.eye(N)[pp[:, 2]]))

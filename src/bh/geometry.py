@@ -504,14 +504,24 @@ def _build_layered(spec: GeometrySpec):
 # ---------------------------------------------------------------------------
 # TubeLattice3D: Kuhn background grid cut along a level set
 # ---------------------------------------------------------------------------
+# The level set is sampled on the Kuhn lattice.  Lattice vertices next to a
+# crossing are first snapped onto it (the warp step of isosurface stuffing,
+# Labelle and Shewchuk 2007); each cut tet is then split by a case table
+# over its corner signs, as in marching tetrahedra (Doi and Koide 1991).
+# Kuhn tets list their corners in increasing id order and cut vertices are
+# numbered in sorted edge order, so every id comparison of the cut is one
+# of local labels: the corners 0-3, then the cuts of _TET_EDGES as 4-9.
 
 _KUHN_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+_TET_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+_EDGE_LABEL = {(a, b): 4 + i for i, (a, b) in enumerate(_TET_EDGES.tolist())}
 
 
 def kuhn_tetrahedra(n: int) -> np.ndarray:
     """The Kuhn tetrahedra of the n^3 cubes, cube by cube in i, j, k order,
     as ids (i (n+1) + j) (n+1) + k of the lattice vertices: each walks from
-    the cube's lower corner one unit step per axis of a _KUHN_PERMS entry."""
+    the cube's lower corner one unit step per axis of a _KUHN_PERMS entry,
+    so its ids increase along the tet."""
     steps = np.eye(3, dtype=np.int64)[_KUHN_PERMS]               # (6, 3, 3)
     offsets = np.concatenate([np.zeros((6, 1, 3), dtype=np.int64),
                               np.cumsum(steps, axis=1)], axis=1)  # (6, 4, 3)
@@ -543,74 +553,84 @@ def _build_tube(spec: GeometrySpec):
     pos = lin[coord_int]
     phi = _tube_level_set(pos, rho)
     phi[np.abs(phi) < 1e-14] = 0.0
+    nv = len(pos)
 
+    # the undirected edges in sorted order, and the index of each tet edge
     tets = kuhn_tetrahedra(n)
+    codes, tet_edge = np.unique(
+        tets[:, _TET_EDGES[:, 0]] * nv + tets[:, _TET_EDGES[:, 1]],
+        return_inverse=True)
+    edges = np.column_stack(np.divmod(codes, nv))
 
-    # adjacency: the six (low, high) edges of each tet, and all undirected
-    # edges in sorted order
-    tet_edges = np.sort(tets[:, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3],
-                                 [2, 3]]], axis=2)
-    edges = np.unique(tet_edges.reshape(-1, 2), axis=0)
-    incident = {}
-    for a, b in edges.tolist():
-        incident.setdefault(a, []).append(b)
-        incident.setdefault(b, []).append(a)
+    # snap pass: a grid vertex moves onto the nearest crossing of its edges
+    # within snap_tol, ties to the smallest partner id, all computed from
+    # the unsnapped grid.  Face vertices only move within their faces, so decisions
+    # are mirrored exactly on opposite faces (phi agrees there bitwise).
+    v, w = np.vstack([edges, edges[:, ::-1]]).T
+    on_face = (coord_int == 0) | (coord_int == n)
+    keep = (phi[v] * phi[w] < 0.0) & np.all(
+        ~on_face[v] | (coord_int[w] == coord_int[v]), axis=1)
+    v, w = v[keep], w[keep]
+    t = phi[v] / (phi[v] - phi[w])
+    near = np.flatnonzero(t < snap_tol)
+    best = near[np.lexsort((w[near], t[near], v[near]))]
+    best = best[np.diff(v[best], prepend=-1) != 0]
+    v, w, t = v[best], w[best], t[best, None]
+    pos[v] = pos[v] + t * (pos[w] - pos[v])
+    phi[v] = 0.0
 
-    # snap pass: move grid vertices onto nearby level-set crossings.
-    # Face vertices only move within their faces, so decisions are mirrored
-    # exactly on opposite faces (phi agrees there bitwise).
-    locked = {}  # vertex -> new position
-    for v in range(pos.shape[0]):
-        if phi[v] == 0.0:
-            continue
-        fixed_axes = [(ax, coord_int[v, ax]) for ax in range(3)
-                      if coord_int[v, ax] in (0, n)]
-        best = None
-        for w in sorted(incident.get(v, [])):
-            if phi[w] == 0.0 or phi[v] * phi[w] > 0.0:
-                continue
-            ok = all(coord_int[w, ax] == c for ax, c in fixed_axes)
-            if not ok:
-                continue
-            t = phi[v] / (phi[v] - phi[w])
-            if t < snap_tol and (best is None or t < best[0]):
-                best = (t, w)
-        if best is not None:
-            t, w = best
-            locked[v] = pos[v] + t * (pos[w] - pos[v])
-    for v, p in locked.items():
-        pos[v] = p
-        phi[v] = 0.0
-
-    # cut vertices on edges with a strict sign change
-    cut = edges[phi[edges[:, 0]] * phi[edges[:, 1]] < 0.0]
-    a, b = cut.T
+    # cut vertices on edges with a strict sign change; local holds each
+    # tet's corners, then the cut vertex of each of its edges (-1 if none)
+    is_cut = phi[edges[:, 0]] * phi[edges[:, 1]] < 0.0
+    a, b = edges[is_cut].T
     t = (phi[a] / (phi[a] - phi[b]))[:, None]
     all_pos = np.vstack([pos, pos[a] + t * (pos[b] - pos[a])])
-    cut_id = {e: len(pos) + i for i, e in enumerate(map(tuple, cut.tolist()))}
+    cut_id = np.where(is_cut, nv + np.cumsum(is_cut) - 1, -1)
+    local = np.hstack([tets, cut_id[tet_edge].reshape(-1, 6)])
 
-    sign = np.sign(phi)
-    out_tets, out_phase = [], []
-    for t, t_edges in zip(tets, tet_edges.tolist()):
-        s = sign[t]
-        cuts = {e: cut_id[e] for e in map(tuple, t_edges) if e in cut_id}
-        if not cuts:
-            if np.any(s < 0):
-                ph = PHASE_INT
-            elif np.any(s > 0):
-                ph = PHASE_OUT
-            else:
-                c = all_pos[t].mean(axis=0)
-                ph = PHASE_INT if _tube_level_set(c[None, :], rho)[0] < 0 else PHASE_OUT
-            out_tets.append(list(t)); out_phase.append(ph)
-            continue
-        for side, ph in ((-1, PHASE_INT), (1, PHASE_OUT)):
-            sub = _clip_tet_to_side(t, s, cuts, all_pos, side)
-            for st in sub:
-                out_tets.append(st); out_phase.append(ph)
+    # uncut tets keep their phase; those with every corner on the surface
+    # take the phase of their centroid
+    s = np.sign(phi).astype(np.int64)[tets]
+    cut = np.any(s < 0, axis=1) & np.any(s > 0, axis=1)
+    whole = np.flatnonzero(~cut)
+    ph = np.where(np.any(s[whole] < 0, axis=1), PHASE_INT, PHASE_OUT)
+    flat = np.flatnonzero(np.all(s[whole] == 0, axis=1))
+    c = all_pos[tets[whole[flat]]].mean(axis=1)
+    ph[flat] = np.where(_tube_level_set(c, rho) < 0, PHASE_INT, PHASE_OUT)
+    parts = [(tets[whole], ph, whole)]
 
-    simplices = np.array(out_tets, dtype=np.int64)
-    phase = np.array(out_phase, dtype=np.int64)
+    # cut tets, one case of the table per sign pattern and cyclic order of
+    # the cut polygon cpts: by angle in the plane of its two largest
+    # singular directions, from its smallest id on.  The order fixes the
+    # vertex order of the sub-tets and cannot be read off the pattern.
+    code = (s + 1) @ np.array([27, 9, 3, 1])
+    for pattern in np.unique(code[cut]):
+        group = np.flatnonzero(cut & (code == pattern))
+        signs = s[group[0]]
+        cpts = np.flatnonzero(np.r_[signs == 0, local[group[0], 4:] >= 0])
+        d = all_pos[local[group][:, cpts]]
+        d -= d.mean(axis=1, keepdims=True)
+        vt = np.linalg.svd(d)[2]
+        ang = np.arctan2(d @ vt[:, 1, :, None], d @ vt[:, 0, :, None])[..., 0]
+        order = np.argsort(ang, axis=1, kind="stable")
+        for cycle in np.unique(order, axis=0):
+            tets_c = group[np.all(order == cycle, axis=1)]
+            cpoly = np.roll(cpts[cycle], -np.argmin(cycle)).tolist()
+            sub, sub_phase = map(np.array, zip(*[
+                (st, side_phase)
+                for side, side_phase in ((-1, PHASE_INT), (1, PHASE_OUT))
+                for st in _clip_case(signs, side, cpoly)]))
+            p = all_pos[local[tets_c][:, sub]]
+            # drop degenerate cones (apex coplanar with the face)
+            ti, si = np.nonzero(np.abs(np.linalg.det(
+                p[..., 1:, :] - p[..., :1, :]) / 6.0) > 1e-16)
+            parts.append((local[tets_c[ti, None], sub[si]], sub_phase[si],
+                          tets_c[ti]))
+
+    # tet by tet; a cut tet's rows are in case order, side -1 first
+    rows, phase, k = (np.concatenate(x) for x in zip(*parts))
+    order = np.argsort(k, kind="stable")
+    simplices, phase = rows[order], phase[order]
 
     vols = simplex_volumes(all_pos, simplices)
     if np.any(np.abs(vols) < 1e-6 * (1.0 / n) ** 3 / 6.0):
@@ -626,10 +646,6 @@ def _build_tube(spec: GeometrySpec):
     vertices = all_pos[used]
     simplices = remap[simplices]
 
-    total = simplex_volumes(vertices, simplices).sum()
-    if abs(total - 1.0) > 1e-10:
-        raise MeshFailure(f"tube mesh volume defect {total - 1.0:.3e}")
-
     pairs = _match_boundary_pairs(vertices)
     mesh = CellMesh(vertices=vertices, simplices=simplices, phase=phase,
                     periodic_pairs=pairs)
@@ -637,78 +653,30 @@ def _build_tube(spec: GeometrySpec):
     return mesh, surf
 
 
-def _clip_tet_to_side(t, s, cuts, all_pos, side):
-    """Sub-tetrahedra of the part of tet t on the given side of the cut.
-
-    The clipped region is convex, so it is coned from its smallest vertex
-    id.  Quad faces are split by the diagonal through their smallest vertex
-    id, which neighbouring tets reproduce independently.
-    """
-    keep = lambda sv: sv * side > 0 or sv == 0
-
-    # clip each of the four faces to the side
-    face_tris = []
+def _clip_case(signs, side, cpoly):
+    """Sub-tets, as local labels, of the part of a tet with corner signs on
+    the given side of the cut polygon cpoly (in cyclic order from its
+    smallest label).  The part is convex and holds a corner strictly on
+    its side, so its clipped faces are coned from its smallest label.
+    Quad faces are split by the diagonal through their smallest id, which
+    neighbouring tets reproduce independently."""
+    tris = []
     for drop in range(4):
-        tri = [t[k] for k in range(4) if k != drop]
-        tsg = [s[np.where(t == v)[0][0]] for v in tri]
+        tri = [k for k in range(4) if k != drop]
         poly = []
-        for i in range(3):
-            a, b = tri[i], tri[(i + 1) % 3]
-            sa, sb = tsg[i], tsg[(i + 1) % 3]
-            if keep(sa):
+        for a, b in zip(tri, tri[1:] + tri[:1]):
+            if signs[a] * side >= 0:
                 poly.append(a)
-            e = (min(a, b), max(a, b))
-            if e in cuts:
-                poly.append(cuts[e])
-        poly = [p for i, p in enumerate(poly) if p != poly[i - 1]] if poly else []
-        if len(poly) < 3:
-            continue
-        if len(poly) == 3:
-            face_tris.append(tuple(poly))
-        else:  # quad: diagonal through the global minimum id
-            m = poly.index(min(poly))
-            q = poly[m:] + poly[:m]
-            face_tris.append((q[0], q[1], q[2]))
-            face_tris.append((q[0], q[2], q[3]))
-
-    # the internal cut polygon: cut points plus on-surface corners
-    cpts = sorted(set(cuts.values()) | {t[k] for k in range(4) if s[k] == 0})
-    if len(cpts) >= 3:
-        cpoly = _order_planar(cpts, all_pos)
-        m = cpoly.index(min(cpoly))
-        q = cpoly[m:] + cpoly[:m]
-        for i in range(1, len(q) - 1):
-            face_tris.append((q[0], q[i], q[i + 1]))
-
-    verts = sorted({v for f in face_tris for v in f})
-    if len(verts) < 4:
-        return []
-    apex = verts[0]
-    subs = []
-    for f in face_tris:
-        if apex in f:
-            continue
-        subs.append([apex, f[0], f[1], f[2]])
-    # drop degenerate cones (apex coplanar with the face)
-    good = []
-    for st in subs:
-        p = all_pos[st]
-        vol = np.linalg.det(p[1:] - p[0]) / 6.0
-        if abs(vol) > 1e-16:
-            good.append(st)
-    return good
-
-
-def _order_planar(ids, all_pos):
-    """Order coplanar points into a convex polygon."""
-    pts = all_pos[ids]
-    c = pts.mean(axis=0)
-    # plane basis from the two largest spread directions
-    u, sv, vt = np.linalg.svd(pts - c)
-    e1, e2 = vt[0], vt[1]
-    ang = np.arctan2((pts - c) @ e2, (pts - c) @ e1)
-    order = np.argsort(ang, kind="stable")
-    return [ids[i] for i in order]
+            if signs[a] * signs[b] < 0:
+                poly.append(_EDGE_LABEL[min(a, b), max(a, b)])
+        if len(poly) == 4:  # quad: rotate to the smallest label and split
+            q = np.roll(poly, -poly.index(min(poly))).tolist()
+            tris += [q[:3], [q[0], q[2], q[3]]]
+        elif len(poly) == 3:
+            tris.append(poly)
+    tris += [[cpoly[0], a, b] for a, b in zip(cpoly[1:], cpoly[2:])]
+    apex = min(v for f in tris for v in f)
+    return [[apex, *f] for f in tris if apex not in f]
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +693,7 @@ def build_unit_cell(spec: GeometrySpec):
     else:
         mesh, surf = _build_tube(spec)
 
-    total = simplex_volumes(mesh.vertices, mesh.simplices).sum()
+    total = mesh.volumes().sum()
     if abs(total - 1.0) > 1e-12:
         raise MeshFailure(f"cell volume sums to {total!r}, not 1")
     if len(surf.facets) < 8 * surf.n_components:

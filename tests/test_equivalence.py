@@ -69,7 +69,11 @@ in a nested loop over cubes and permutations; both now take them from one
 array routine.  The macro grids build their vertices and 2D triangles with
 arrays too.  All must match the loops bitwise, and the tube cell, whose
 edge and cut-vertex loops became array code as well, keeps the digest of
-its mesh file.
+its mesh file.  The tube cell once snapped its lattice vertices one at a
+time and clipped each cut tet on its own, ordering every cut polygon with
+one SVD; it is now a case table over the tets' sign patterns, gathered
+through array index tables.  The former builder survives as the oracle:
+vertices, simplices, phases and periodic pairs must match it bitwise.
 
 The tensor volume routes once contracted an element gradient of every
 corrector, and of every stored level of chi1 and omega, with lam |K|; the
@@ -424,6 +428,161 @@ def loop_tube_periodic_pairs(vertices, remap, coord_int, n, cut_id):
     for p, q, axis in out:
         assert np.array_equal(vertices[q] - vertices[p], np.eye(3)[axis])
     return out
+
+
+def loop_build_tube(spec):
+    """The former tube builder: a snap loop over the lattice vertices
+    through a dict of incident edges, then one clip per cut tet and side,
+    its cut polygon ordered by one SVD.  It calls the pair matcher through
+    the geometry module, with its lattice coordinates, cut edges and vertex
+    compaction in the calling frame."""
+    rho = spec.params["rho"]
+    n = max(4, int(round(1.0 / spec.h)))
+    snap_tol = 0.15
+
+    lin = np.arange(n + 1) / n
+    lin[-1] = 1.0
+    coord_int = np.stack(np.meshgrid(*[np.arange(n + 1)] * 3, indexing="ij"),
+                         axis=-1).reshape(-1, 3)
+    pos = lin[coord_int]
+    phi = geometry._tube_level_set(pos, rho)
+    phi[np.abs(phi) < 1e-14] = 0.0
+
+    tets = geometry.kuhn_tetrahedra(n)
+    tet_edges = np.sort(tets[:, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3],
+                                 [2, 3]]], axis=2)
+    edges = np.unique(tet_edges.reshape(-1, 2), axis=0)
+    incident = {}
+    for a, b in edges.tolist():
+        incident.setdefault(a, []).append(b)
+        incident.setdefault(b, []).append(a)
+
+    locked = {}  # vertex -> new position
+    for v in range(pos.shape[0]):
+        if phi[v] == 0.0:
+            continue
+        fixed_axes = [(ax, coord_int[v, ax]) for ax in range(3)
+                      if coord_int[v, ax] in (0, n)]
+        best = None
+        for w in sorted(incident.get(v, [])):
+            if phi[w] == 0.0 or phi[v] * phi[w] > 0.0:
+                continue
+            ok = all(coord_int[w, ax] == c for ax, c in fixed_axes)
+            if not ok:
+                continue
+            t = phi[v] / (phi[v] - phi[w])
+            if t < snap_tol and (best is None or t < best[0]):
+                best = (t, w)
+        if best is not None:
+            t, w = best
+            locked[v] = pos[v] + t * (pos[w] - pos[v])
+    for v, p in locked.items():
+        pos[v] = p
+        phi[v] = 0.0
+
+    cut = edges[phi[edges[:, 0]] * phi[edges[:, 1]] < 0.0]
+    a, b = cut.T
+    t = (phi[a] / (phi[a] - phi[b]))[:, None]
+    all_pos = np.vstack([pos, pos[a] + t * (pos[b] - pos[a])])
+    cut_id = {e: len(pos) + i for i, e in enumerate(map(tuple, cut.tolist()))}
+
+    sign = np.sign(phi)
+    out_tets, out_phase = [], []
+    for t, t_edges in zip(tets, tet_edges.tolist()):
+        s = sign[t]
+        cuts = {e: cut_id[e] for e in map(tuple, t_edges) if e in cut_id}
+        if not cuts:
+            if np.any(s < 0):
+                ph = PHASE_INT
+            elif np.any(s > 0):
+                ph = PHASE_OUT
+            else:
+                c = all_pos[t].mean(axis=0)
+                ph = (PHASE_INT if geometry._tube_level_set(c[None, :], rho)[0]
+                      < 0 else PHASE_OUT)
+            out_tets.append(list(t)); out_phase.append(ph)
+            continue
+        for side, ph in ((-1, PHASE_INT), (1, PHASE_OUT)):
+            for st in loop_clip_tet_to_side(t, s, cuts, all_pos, side):
+                out_tets.append(st); out_phase.append(ph)
+
+    simplices = np.array(out_tets, dtype=np.int64)
+    phase = np.array(out_phase, dtype=np.int64)
+    vols = geometry.simplex_volumes(all_pos, simplices)
+    if np.any(np.abs(vols) < 1e-6 * (1.0 / n) ** 3 / 6.0):
+        keep = np.abs(vols) > 1e-12 * (1.0 / n) ** 3
+        simplices, phase = simplices[keep], phase[keep]
+    simplices = geometry._fix_orientation(all_pos, simplices)
+
+    used = np.unique(simplices)
+    remap = -np.ones(all_pos.shape[0], dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    vertices = all_pos[used]
+    simplices = remap[simplices]
+    return geometry.CellMesh(vertices=vertices, simplices=simplices,
+                             phase=phase,
+                             periodic_pairs=geometry._match_boundary_pairs(
+                                 vertices))
+
+
+def loop_clip_tet_to_side(t, s, cuts, all_pos, side):
+    """The former clip of tet t to one side of the cut, coned from its
+    smallest vertex id, quads split through their smallest id."""
+    keep = lambda sv: sv * side > 0 or sv == 0
+
+    face_tris = []
+    for drop in range(4):
+        tri = [t[k] for k in range(4) if k != drop]
+        tsg = [s[np.where(t == v)[0][0]] for v in tri]
+        poly = []
+        for i in range(3):
+            a, b = tri[i], tri[(i + 1) % 3]
+            if keep(tsg[i]):
+                poly.append(a)
+            e = (min(a, b), max(a, b))
+            if e in cuts:
+                poly.append(cuts[e])
+        poly = ([p for i, p in enumerate(poly) if p != poly[i - 1]]
+                if poly else [])
+        if len(poly) < 3:
+            continue
+        if len(poly) == 3:
+            face_tris.append(tuple(poly))
+        else:
+            m = poly.index(min(poly))
+            q = poly[m:] + poly[:m]
+            face_tris.append((q[0], q[1], q[2]))
+            face_tris.append((q[0], q[2], q[3]))
+
+    cpts = sorted(set(cuts.values()) | {t[k] for k in range(4) if s[k] == 0})
+    if len(cpts) >= 3:
+        cpoly = loop_order_planar(cpts, all_pos)
+        m = cpoly.index(min(cpoly))
+        q = cpoly[m:] + cpoly[:m]
+        for i in range(1, len(q) - 1):
+            face_tris.append((q[0], q[i], q[i + 1]))
+
+    verts = sorted({v for f in face_tris for v in f})
+    if len(verts) < 4:
+        return []
+    apex = verts[0]
+    subs = [[apex, f[0], f[1], f[2]] for f in face_tris if apex not in f]
+    good = []
+    for st in subs:
+        p = all_pos[st]
+        if abs(np.linalg.det(p[1:] - p[0]) / 6.0) > 1e-16:
+            good.append(st)
+    return good
+
+
+def loop_order_planar(ids, all_pos):
+    """The former ordering of coplanar points into a convex polygon: by
+    angle in the plane of the two largest singular directions."""
+    pts = all_pos[ids]
+    c = pts.mean(axis=0)
+    u, sv, vt = np.linalg.svd(pts - c)
+    ang = np.arctan2((pts - c) @ vt[1], (pts - c) @ vt[0])
+    return [ids[i] for i in np.argsort(ang, kind="stable")]
 
 
 def text_row(vals):
@@ -1266,9 +1425,11 @@ def test_pair_matcher_matches_former_2d_matcher(kind, params, eta, h):
 @pytest.mark.parametrize("rho", [0.15, 0.3, 0.45])
 @pytest.mark.parametrize("h", [0.25, 1.0 / 6.0])
 def test_pair_matcher_matches_former_tube_pairing(monkeypatch, rho, h):
-    # the former pairing read the tube builder's lattice coordinates, cut
-    # edges and vertex compaction; they are taken from the builder's frame
+    # the former pairing read the former builder's lattice coordinates, cut
+    # edges and vertex compaction; they are taken from the oracle's frame
     # when it calls the matcher
+    spec = geometry.GeometrySpec("TubeLattice3D", {"rho": rho}, h=h)
+    mesh, _ = geometry.build_unit_cell(spec)
     matcher, former = geometry._match_boundary_pairs, []
 
     def spy(vertices):
@@ -1279,10 +1440,21 @@ def test_pair_matcher_matches_former_tube_pairing(monkeypatch, rho, h):
         return matcher(vertices)
 
     monkeypatch.setattr(geometry, "_match_boundary_pairs", spy)
-    mesh, _ = geometry.build_unit_cell(
-        geometry.GeometrySpec("TubeLattice3D", {"rho": rho}, h=h))
+    oracle = loop_build_tube(spec)
     assert len(former) == 1
-    _assert_same(mesh.periodic_pairs, former[0])
+    _assert_same(oracle.periodic_pairs, former[0])
+    _assert_same(mesh.periodic_pairs, oracle.periodic_pairs)
+
+
+@pytest.mark.parametrize("rho", [0.2, 0.25])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_tube_cut_matches_former_builder(rho, n):
+    spec = geometry.GeometrySpec("TubeLattice3D", {"rho": rho}, h=1.0 / n)
+    mesh, _ = geometry.build_unit_cell(spec)
+    oracle = loop_build_tube(spec)
+    _assert_bitwise(mesh.vertices, oracle.vertices)
+    for name in ("simplices", "phase", "periodic_pairs"):
+        _assert_same(getattr(mesh, name), getattr(oracle, name))
 
 
 # ---------------------------------------------------------------------------
@@ -1921,6 +2093,12 @@ def test_kuhn_tetrahedra_match_loop(n):
     ref = loop_kuhn_tetrahedra(n)
     assert got.dtype == ref.dtype == np.int64
     assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_kuhn_tetrahedra_ids_increase_along_each_tet(n):
+    # the tube cut's case table compares ids by their local labels
+    assert np.all(np.diff(geometry.kuhn_tetrahedra(n), axis=1) > 0)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bh
-from bh import cell, cli, fem, formats, macro, micro, tensors
+from bh import cell, cli, fem, formats, geometry, macro, micro, tensors
 from bh.config import MAX_STEPS, MAX_TILES, load_config, preset_function
 from bh.errors import (BHError, ConfigInvalid, MissingArtifact,
                        SolverFailure, WrongGeometryClass)
@@ -593,6 +593,15 @@ def _subprocess_bh(commands, cfg, out):
          "--out", out], capture_output=True, text=True, env=env, timeout=120)
 
 
+def _bh_in_process(commands, cfg, out, capsys):
+    """Run the space-separated commands with main in this process; returns
+    (exit code, stderr).  An exception escaping main, which a process would
+    print as a traceback, fails the calling test."""
+    capsys.readouterr()
+    code = cli.main([*commands.split(), "--config", cfg, "--out", out])
+    return code, capsys.readouterr().err
+
+
 def test_cli_chain_failing_midway_exits_without_traceback(tiny_cfg, tmp_path):
     out = str(tmp_path / "run")
     proc = _subprocess_bh("mesh tensors macro", tiny_cfg, out)
@@ -648,21 +657,29 @@ def test_cli_bad_config_exits_2(tmp_path):
     assert _run(["mesh", "--config", str(p)]) == 2
 
 
+# the exit-2 case run as its own process; the others run main in process
+_DT_NAN = "[kernel]\nt_end = 0.2\ndt = nan"
+
+
 @pytest.mark.parametrize("patch, message, command", [
-    ("[kernel]\nt_end = 0.2\ndt = 0.05", "[kernel]\nt_end = 0.2\ndt = nan",
-     "cell"),
+    ("[kernel]\nt_end = 0.2\ndt = 0.05", _DT_NAN, "cell"),
     ("lambda_int = 1.0", "lambda_int = nan", "cell"),
     ("dt = 0.05\nn = 8", "dt = 0.05\nn = 0.5", "macro"),
     ("eps_list = 0.5", "eps_list = 1e-320", "tensors"),
 ], ids=["dt-nan", "lambda_int-nan", "n-fraction", "eps-1e-320"])
-def test_cli_bad_value_exits_2_without_traceback(tmp_path, patch, message,
-                                                 command):
+def test_cli_bad_value_exits_2_without_traceback(tmp_path, capsys, patch,
+                                                 message, command):
     p = tmp_path / "bad.ini"
     p.write_text(TINY_INI.replace(patch, message))
-    proc = _subprocess_bh(command, str(p), str(tmp_path / "out"))
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("config error:")
+    if message == _DT_NAN:
+        proc = _subprocess_bh(command, str(p), str(tmp_path / "out"))
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = _bh_in_process(command, str(p), str(tmp_path / "out"),
+                                   capsys)
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("config error:")
 
 
 @pytest.mark.parametrize("edit", [_as_version_1, _as_bhcell_2, _truncate,
@@ -670,19 +687,19 @@ def test_cli_bad_value_exits_2_without_traceback(tmp_path, patch, message,
                          ids=["version-1", "version-2", "truncated",
                               "non-base64"])
 def test_cli_bad_cell_archive_exits_3_without_traceback(tiny_cfg, tmp_path,
-                                                        edit):
+                                                        capsys, edit):
     out = str(tmp_path / "run")
     for cmd in ("mesh", "cell"):
         assert _run([cmd, "--config", tiny_cfg, "--out", out]) == 0
     _rewrite(os.path.join(out, "cell.bhcell"), edit)
-    proc = _subprocess_bh("tensors", tiny_cfg, out)
-    assert proc.returncode == 3, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("artifact error:")
+    code, err = _bh_in_process("tensors", tiny_cfg, out, capsys)
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert err.startswith("artifact error:")
     if edit in (_as_version_1, _as_bhcell_2):
         old = 1 if edit is _as_version_1 else 2
-        assert f"BHCELL {old} artifact" in proc.stderr
-        assert "reads BHCELL 3: re-run" in proc.stderr
+        assert f"BHCELL {old} artifact" in err
+        assert "reads BHCELL 3: re-run" in err
 
 
 def _reshaped(name, change):
@@ -705,21 +722,21 @@ def _reshaped(name, change):
     lambda lines: lines[:-2]], ids=["missing-level", "short-field",
                                     "missing-array"])
 def test_cli_incomplete_cell_archive_exits_3_without_traceback(
-        tiny_cfg, tmp_path, edit):
+        tiny_cfg, tmp_path, capsys, edit):
     out = str(tmp_path / "run")
     for cmd in ("mesh", "cell"):
         assert _run([cmd, "--config", tiny_cfg, "--out", out]) == 0
     path = os.path.join(out, "cell.bhcell")
     _rewrite(path, edit)
-    proc = _subprocess_bh("tensors", tiny_cfg, out)
-    assert proc.returncode == 3, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("artifact error:")
+    code, err = _bh_in_process("tensors", tiny_cfg, out, capsys)
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert err.startswith("artifact error:")
     # the message lists the arrays the file holds, with their shapes
     held = ", ".join(f"{t[1]} ({', '.join(t[2:])})" for t in (
         ln.split() for ln in open(path) if ln.startswith("array ")))
-    assert f"holds the arrays {held}," in proc.stderr
-    assert "re-run bh cell" in proc.stderr
+    assert f"holds the arrays {held}," in err
+    assert "re-run bh cell" in err
 
 
 def test_cli_tensors_builds_no_dirichlet_factor(tiny_cfg, tmp_path,
@@ -997,9 +1014,7 @@ def test_cli_malformed_body_exits_3_without_traceback(upstream, tmp_path,
         proc = _subprocess_bh(_BODY_READERS[name], cfg, out)
         code, err = proc.returncode, proc.stderr
     else:
-        capsys.readouterr()
-        code = cli.main([_BODY_READERS[name], "--config", cfg, "--out", out])
-        err = capsys.readouterr().err
+        code, err = _bh_in_process(_BODY_READERS[name], cfg, out, capsys)
     assert code == 3, err
     assert "Traceback" not in err
     assert err.startswith("artifact error:")
@@ -1058,14 +1073,14 @@ def test_cli_converge_without_micro_exits_3(tiny_cfg, tmp_path):
 
 @pytest.mark.parametrize("edit", SOLUTION_BODY_EDITS, ids=SOLUTION_BODY_IDS)
 def test_cli_malformed_micro_solution_exits_3_without_traceback(
-        upstream, tmp_path, edit):
+        upstream, tmp_path, capsys, edit):
     cfg, out = _copy_run(upstream, 2.0, tmp_path)
     _rewrite(os.path.join(out, "micro_m2.bhsol"), edit)
-    proc = _subprocess_bh("converge", cfg, out)
-    assert proc.returncode == 3, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("artifact error:")
-    assert "re-run bh micro" in proc.stderr
+    code, err = _bh_in_process("converge", cfg, out, capsys)
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert err.startswith("artifact error:")
+    assert "re-run bh micro" in err
 
 
 def _header_line(key, value):
@@ -1125,10 +1140,9 @@ def test_cli_converge_checks_solution_against_config(upstream, tmp_path,
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
 
-_COMMON_CHECKS = ["mesh_volume_partition", "periodic_pairs_exact",
-                  "interface_normal_orientation", "compatibility_residuals",
-                  "cell_energy_dissipation", "dual_formula_agreement",
-                  "instantaneous_tensor_coercive"]
+_COMMON_CHECKS = ["periodic_pairs_exact", "interface_normal_orientation",
+                  "compatibility_residuals", "cell_energy_dissipation",
+                  "dual_formula_agreement", "instantaneous_tensor_coercive"]
 _MICRO_CHECKS = ["macro_zero_data_zero_solution", "micro_energy_dissipation",
                  "micro_dirichlet_exact"]
 # each config's checks, in the order verify reports them
@@ -1490,6 +1504,47 @@ def test_cli_rewritten_mesh_is_loaded_again(tiny_cfg, tmp_path, capsys):
     assert _run(["cell", "--config", tiny_cfg, "--out", str(fresh)]) == 0
     assert formats.file_sha256(cell_path) == formats.file_sha256(
         str(fresh / "cell.bhcell")) != before
+
+
+def _flip_first_element(lines):
+    """The first element with its first two vertex ids swapped, which makes
+    its volume negative."""
+    i = lines.index(next(ln for ln in lines if ln.startswith("elements "))) + 1
+    a, b, rest = lines[i].split(" ", 2)
+    return lines[:i] + [f"{b} {a} {rest}"] + lines[i + 1:]
+
+
+def _stretch_high_x_face(lines):
+    """Every vertex on the face x = 1 moved out to x = 1 + 1e-9: the cell of
+    unit height grows by 1e-9 in area."""
+    i = lines.index(next(ln for ln in lines if ln.startswith("vertices ")))
+    n = int(lines[i].split()[1])
+    rows = [formats._F % (1.0 + 1e-9) + ln[ln.index(" "):]
+            if float(ln.split()[0]) == 1.0 else ln
+            for ln in lines[i + 1:i + 1 + n]]
+    return lines[:i + 1] + rows + lines[i + 1 + n:]
+
+
+@pytest.mark.parametrize("edit, negative, total", [
+    (_flip_first_element, True, None),
+    (_stretch_high_x_face, False, 1.0 + 1e-9)],
+    ids=["negative-element", "volume-1e-9-over"])
+def test_cli_mesh_that_does_not_tile_exits_3(tiny_cfg, tmp_path, capsys,
+                                             edit, negative, total):
+    # the one check of the stored cell's volumes is the refusal in
+    # _load_cell_mesh: every element positive, the sum 1 to 1e-12
+    out = str(tmp_path / "run")
+    path = os.path.join(out, "mesh.bhmesh")
+    assert _run(["mesh", "--config", tiny_cfg, "--out", out]) == 0
+    _rewrite(path, edit)
+    data = formats.read_mesh(path)[1]
+    vols = geometry.simplex_volumes(data["vertices"], data["simplices"])
+    assert (vols.min() < 0.0) == negative
+    assert total is None or abs(vols.sum() - total) < 1e-13
+    code, err = _bh_in_process("cell", tiny_cfg, out, capsys)
+    assert code == 3, err
+    assert err.startswith("artifact error:")
+    assert "does not tile the unit cell" in err
 
 
 def test_cli_deleted_mesh_is_missing(tiny_cfg, tmp_path, capsys):
