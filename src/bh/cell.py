@@ -91,9 +91,17 @@ class CellSystem:
 
         lam = fem.phase_coefficient(mesh.phase, {PHASE_INT: coeffs.lam_int,
                                                  PHASE_OUT: coeffs.lam_out})
-        self.grads, self.vols = fem.element_gradients(V, S)
-        geom = (self.grads, self.vols)
-        self.K = fem.assemble_stiffness(geom, S, lam, self.vdof, self.nd)
+        geom = fem.element_gradients(V, S, mesh.volumes())
+        self.vols = geom[1]
+        # the element matrices, and the element loads of the directions
+        # (direction, element, vertex); each phase takes its own rows of them
+        kloc = fem.stiffness_kernels(geom, lam)
+        loads = np.stack([fem.gradient_load_kernels(
+            geom, lam, np.tile(np.eye(self.dim)[j], (len(S), 1)))
+            for j in range(self.dim)])
+        self.K = fem.scatter_matrix(kloc, self.vdof[S], self.nd)
+        self.b_dir = np.stack([fem.scatter_vector(c, self.vdof[S], self.nd)
+                               for c in loads])
         # the facet geometry: S1, the component weights, the chi0 trace
         # loads and the surface tensor routes all read it
         self.facet_geom = fem.surface_gradients(V, surf.facets)
@@ -119,15 +127,8 @@ class CellSystem:
                          for d in self.comp_dofs]
 
         # per-phase subsystems for Dirichlet extensions and flux readout
-        self.sub = {}
-        for ph, val in ((PHASE_OUT, coeffs.lam_out), (PHASE_INT, coeffs.lam_int)):
-            self.sub[ph] = _PhaseSub(self, ph, val)
-
-        # directional loads over the whole cell, one row per direction
-        self.b_dir = np.stack([fem.assemble_gradient_load(
-            geom, S, lam, np.tile(np.eye(self.dim)[j], (len(S), 1)),
-            self.vdof, self.nd) for j in range(self.dim)])
-
+        self.sub = {ph: _PhaseSub(self, ph, val, kloc, loads) for ph, val in (
+            (PHASE_OUT, coeffs.lam_out), (PHASE_INT, coeffs.lam_int))}
         self._trace_factors = None
 
     # -- factorizations and phase solves, built lazily and reused --------
@@ -143,7 +144,7 @@ class CellSystem:
 
     @cached_property
     def phase_solves(self):
-        """(E, P), from one block solve per phase factor; the interface
+        """(E, P), from sliced solves of one factor per phase; the interface
         separates the phases, so each phase solves for its own dofs.
 
         E (nd x g) holds the discrete-harmonic extensions of the unit traces
@@ -160,15 +161,16 @@ class CellSystem:
             unit[np.arange(nf), np.searchsorted(self.gamma_dofs,
                                                 sub.dofs[sub.fixed])] = 1.0
             b = np.hstack([np.zeros((len(sub.dofs), g)), -sub.b_dir.T])
-            x = sub.factor.solve(b, unit)
+            x = fem.solve_in_slices(sub.factor, b, unit)
             E[sub.dofs], P[:, sub.dofs] = x[:, :g], x[:, g:].T
         return E, P
 
 
 class _PhaseSub:
-    """Stiffness of one phase on its own dof set, interface dofs fixed."""
+    """Stiffness of one phase on its own dof set, interface dofs fixed, from
+    its elements' rows of the cell's element matrices and loads."""
 
-    def __init__(self, sys: CellSystem, phase, lam_val):
+    def __init__(self, sys: CellSystem, phase, lam_val, kloc, loads):
         mesh = sys.mesh
         els = np.where(mesh.phase == phase)[0]
         self.elements = els
@@ -178,14 +180,10 @@ class _PhaseSub:
         self.lam = lam_val
         glob_to_sub = -np.ones(sys.nd, dtype=np.int64)
         glob_to_sub[dofs] = np.arange(len(dofs))
-        sdof = glob_to_sub[sys.vdof]
-        geom = (sys.grads[els], sys.vols[els])
-        self.K = fem.assemble_stiffness(geom, sub, np.full(len(els), lam_val),
-                                        sdof, len(dofs))
-        self.b_dir = np.stack([fem.assemble_gradient_load(
-            geom, sub, np.full(len(els), lam_val),
-            np.tile(np.eye(sys.dim)[j], (len(els), 1)), sdof, len(dofs))
-            for j in range(sys.dim)])
+        sdof = glob_to_sub[sys.vdof[sub]]
+        self.K = fem.scatter_matrix(kloc[els], sdof, len(dofs))
+        self.b_dir = np.stack([fem.scatter_vector(c[els], sdof, len(dofs))
+                               for c in loads])
         # each component's dofs in this phase, and all of them
         comp = [glob_to_sub[d] for d in sys.comp_dofs]
         self.gamma_sub = [g[g >= 0] for g in comp]

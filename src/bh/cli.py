@@ -263,13 +263,17 @@ def cmd_macro(cfg, out, vtk):
         prob.A0 if prob.A0 is not None else 0.0)
     if not cfg.regime.startswith("k1"):
         A_inst = prob.A_elliptic if prob.A_elliptic is not None else A_inst
-    K_A = macro._tensor_stiffness(mesh.mats, A_inst)
+    U = fld.levels
+    # 16 levels per gather, so that the element values stay a few MB
+    l2 = np.sqrt(np.concatenate([fem.mass_quadratic(
+        mesh.vols, mesh.simplices, U[i:i + 16]) for i in range(0, len(U), 16)]))
+    # one product for all levels; each contiguous row of KU equals K_A @ U[n]
+    KU = np.ascontiguousarray((macro._tensor_stiffness(mesh.mats, A_inst)
+                               @ U.T).T)
     lines = ["t, L2_norm, energy_norm"]
     for n, t in enumerate(cfg.macro_grid.times):
-        u = fld.levels[n]
-        l2 = np.sqrt(fem.mass_quadratic(mesh.vols, mesh.simplices, u))
-        en = np.sqrt(max(float(u @ (K_A @ u)), 0.0))
-        lines.append(", ".join(_F % v for v in (t, l2, en)))
+        en = np.sqrt(max(float(U[n] @ KU[n]), 0.0))
+        lines.append(", ".join(_F % v for v in (t, l2[n], en)))
     with open(paths["macro_csv"], "w") as fh:
         fh.write("\n".join(lines) + "\n")
     if vtk:

@@ -10,15 +10,16 @@ intrinsic facet coordinates, and agree with the projected gradient
 (I - nu nu^T) grad up to roundoff, so the stiffness is the P1
 Laplace-Beltrami operator (Dziuk and Elliott, Acta Numer. 22 (2013)).
 
-Every direct solve goes through one SuperLU factor, DirichletFactor.  It
-eliminates the rows of Dirichlet dofs; for the periodic and surface
-operators, whose kernel is the constants, it pins one dof, projects the
-load and restores a zero weighted mean (volume weights for bulk,
-per-component surface weights on interfaces).  It serves the cell
-problems and the macro limits.  The 2D micro marches solve on their
-eps-tiles with SubstructuredFactor, built from DirichletFactors of the tile
-interiors and of the skeleton; 3D micro marches use diagonally
-preconditioned conjugate gradients.
+Every direct solve goes through one SuperLU factor, DirichletFactor, of an
+SPD system ordered by minimum degree on the pattern of A + A^T (Liu, ACM
+TOMS 11 (1985) 141-153; README, "Solvers").  It eliminates the rows of
+Dirichlet dofs; for the periodic and surface operators, whose kernel is
+the constants, it pins one dof, projects the load and restores a zero
+weighted mean (volume weights for bulk, per-component surface weights on
+interfaces).  It serves the cell problems and the macro limits.  The 2D
+micro marches solve on their eps-tiles with SubstructuredFactor, built
+from DirichletFactors of the tile interiors and of the skeleton; 3D micro
+marches use diagonally preconditioned conjugate gradients.
 """
 
 import numpy as np
@@ -46,16 +47,17 @@ def n_dofs(vdof: np.ndarray) -> int:
 # P1 kernels on simplices or facets
 # ---------------------------------------------------------------------------
 
-def element_gradients(vertices: np.ndarray, simplices: np.ndarray):
+def element_gradients(vertices: np.ndarray, simplices: np.ndarray, vols=None):
     """Gradients of the barycentric basis and signed volumes.
 
     Returns (grads, vols) with grads[e, i] the constant gradient of the
-    basis function of local vertex i on element e.  A mesh's owner calls
+    basis function of local vertex i on element e; the volumes are the
+    ones given (a mesh's kept volumes) or computed.  A mesh's owner calls
     this once and passes the pair (its geometry) to the kernels below.
     """
     p0 = vertices[simplices[:, 0]]
     E = vertices[simplices[:, 1:]] - p0[:, None, :]   # (ne, dim, dim)
-    vols = simplex_volumes(vertices, simplices)
+    vols = simplex_volumes(vertices, simplices) if vols is None else vols
     Einv = np.linalg.inv(E)                            # rows of Einv.T are grads
     g = np.transpose(Einv, (0, 2, 1))                  # (ne, dim, dim)
     g0 = -g.sum(axis=1, keepdims=True)
@@ -75,59 +77,70 @@ def phase_coefficient(phase: np.ndarray, values: dict) -> np.ndarray:
     return coeff
 
 
-def assemble_stiffness(geom, simplices, coeff, vdof, ndof,
-                       allow_zero=False) -> sp.csr_matrix:
-    """Stiffness sum_K coeff_K int_K grad phi_p . grad phi_q.
-
-    geom is the (grads, measures) pair of element_gradients for these
-    simplices, or of surface_gradients for facets (the Laplace-Beltrami
-    stiffness).
-    """
+def stiffness_kernels(geom, coeff, allow_zero=False) -> np.ndarray:
+    """Element matrices coeff_K int_K grad phi_p . grad phi_q, (ne, npv, npv),
+    of the (grads, measures) geom of element_gradients for simplices or of
+    surface_gradients for facets (the Laplace-Beltrami stiffness)."""
     coeff = np.asarray(coeff, dtype=float)
     _check_coeff(coeff, allow_zero)
     grads, vols = geom
-    w = np.abs(vols) * coeff
-    kloc = np.einsum("e,eik,ejk->eij", w, grads, grads)
-    dofs = vdof[simplices]
-    npv = simplices.shape[1]
-    rows = np.repeat(dofs, npv, axis=1).ravel()
-    cols = np.tile(dofs, (1, npv)).ravel()
-    K = sp.coo_matrix((kloc.ravel(), (rows, cols)), shape=(ndof, ndof))
-    return K.tocsr()
+    return np.einsum("e,eik,ejk->eij", np.abs(vols) * coeff, grads, grads)
+
+
+def scatter_matrix(kloc, dofs, ndof) -> sp.csr_matrix:
+    """sum_K of the element matrices kloc on the element dofs (ne, npv)."""
+    npv = dofs.shape[1]
+    ij = (np.repeat(dofs, npv, axis=1).ravel(), np.tile(dofs, (1, npv)).ravel())
+    return sp.coo_matrix((kloc.ravel(), ij), shape=(ndof, ndof)).tocsr()
+
+
+def assemble_stiffness(geom, simplices, coeff, vdof, ndof,
+                       allow_zero=False) -> sp.csr_matrix:
+    """Stiffness sum_K coeff_K int_K grad phi_p . grad phi_q."""
+    return scatter_matrix(stiffness_kernels(geom, coeff, allow_zero),
+                          vdof[simplices], ndof)
+
+
+def gradient_load_kernels(geom, coeff, vecs) -> np.ndarray:
+    """Element loads coeff_K |K| vec_K . grad phi_p, (ne, npv), of a geom as
+    for stiffness_kernels.  With vec_K = e_j their sum is the weak divergence
+    of the coefficient field against the direction j, the right hand side of
+    every corrector solve."""
+    grads, vols = geom
+    w = np.abs(vols) * np.asarray(coeff, dtype=float)
+    return np.einsum("e,eik,ek->ei", w, grads, np.asarray(vecs, dtype=float))
+
+
+def scatter_vector(contrib, dofs, ndof) -> np.ndarray:
+    """sum_K of the element vectors contrib on the element dofs (ne, npv)."""
+    b = np.zeros(ndof)
+    np.add.at(b, dofs.ravel(), contrib.ravel())
+    return b
 
 
 def assemble_gradient_load(geom, simplices, coeff, vecs, vdof, ndof) -> np.ndarray:
-    """Load b_p = sum_K coeff_K |K| vec_K . grad phi_p, on simplices or
-    facets as for assemble_stiffness.
-
-    With vec_K = e_j this is the weak divergence of the coefficient field
-    against the direction j, the right hand side of every corrector solve.
-    """
-    grads, vols = geom
-    w = np.abs(vols) * np.asarray(coeff, dtype=float)
-    contrib = np.einsum("e,eik,ek->ei", w, grads, np.asarray(vecs, dtype=float))
-    b = np.zeros(ndof)
-    np.add.at(b, vdof[simplices].ravel(), contrib.ravel())
-    return b
+    """Load b_p = sum_K coeff_K |K| vec_K . grad phi_p."""
+    return scatter_vector(gradient_load_kernels(geom, coeff, vecs),
+                          vdof[simplices], ndof)
 
 
 def volume_dof_weights(vols, simplices, vdof, ndof) -> np.ndarray:
     """w_p = int phi_p over the simplices or facets of the given measures
     (exact for P1), the lumped mass."""
     npv = simplices.shape[1]
-    w = np.zeros(ndof)
-    contrib = np.repeat(np.abs(vols)[:, None] / npv, npv, axis=1)
-    np.add.at(w, vdof[simplices].ravel(), contrib.ravel())
-    return w
+    return scatter_vector(np.repeat(np.abs(vols)[:, None] / npv, npv, axis=1),
+                          vdof[simplices], ndof)
 
 
-def mass_quadratic(vols, simplices, node_values) -> float:
-    """Exact int u^2 for the P1 field with the given vertex values."""
-    u = node_values[simplices]
+def mass_quadratic(vols, simplices, node_values):
+    """Exact int u^2 for the P1 field with the given vertex values, or one
+    value per row of a block (k, nv) of fields, each its own sum: a sum over
+    axis 1 of the block rounds differently."""
+    u = node_values[..., simplices]
     npv = simplices.shape[1]
-    s = u.sum(axis=1)
-    q = (s ** 2 + (u ** 2).sum(axis=1)) / ((npv) * (npv + 1))
-    return float((np.abs(vols) * q).sum())
+    q = (u.sum(axis=-1) ** 2 + (u ** 2).sum(axis=-1)) / (npv * (npv + 1))
+    sums = [float((np.abs(vols) * qk).sum()) for qk in np.atleast_2d(q)]
+    return sums[0] if q.ndim == 1 else np.array(sums)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +245,8 @@ class DirichletFactor:
         self.fixed, self.free, self.Kff, self.Kfc = _split(K, fixed)
         if len(self.free):
             try:
-                self.lu = spla.splu(self.Kff.tocsc())
+                self.lu = spla.splu(self.Kff.tocsc(),
+                                    permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
                 raise SingularSystem(f"factorization failed: {exc}") from exc
 
@@ -279,12 +293,16 @@ def _row_types(rows):
 _SOLVE_COLUMNS = 8
 
 
-def _solve_in_slices(fac, B):
-    """fac.solve(B) for a block B, _SOLVE_COLUMNS columns at a time."""
+def solve_in_slices(fac, B, fixed_values=None):
+    """fac.solve(B, fixed_values) for a block B, _SOLVE_COLUMNS columns at a
+    time; fixed_values is None (zero) or a block of as many columns."""
     if B.shape[1] <= _SOLVE_COLUMNS:
-        return fac.solve(B)
-    return np.hstack([fac.solve(B[:, j:j + _SOLVE_COLUMNS])
-                      for j in range(0, B.shape[1], _SOLVE_COLUMNS)])
+        return fac.solve(B, fixed_values)
+    if fixed_values is None:
+        fixed_values = np.zeros((len(fac.fixed), B.shape[1]))
+    cols = [slice(j, j + _SOLVE_COLUMNS)
+            for j in range(0, B.shape[1], _SOLVE_COLUMNS)]
+    return np.hstack([fac.solve(B[:, c], fixed_values[:, c]) for c in cols])
 
 
 class SubstructuredFactor:
@@ -325,25 +343,22 @@ class SubstructuredFactor:
         reps, label = _row_types(np.column_stack(
             [patterns, is_fixed[tiles[:, loc_i]]]))
         self.types = []
-        rows, cols, vals = [], [], []
+        klocs, bps = [], []
         for ty, rep in enumerate(reps):
             members = np.flatnonzero(label == ty)
             li = loc_i[~is_fixed[tiles[rep, loc_i]]]
             gi, gb = tiles[rep, li], tiles[rep, loc_b]
             K_i = K[gi]
             fac = DirichletFactor(K_i[:, gi])
-            T = _solve_in_slices(fac, K_i[:, gb].toarray())
+            T = solve_in_slices(fac, K_i[:, gb].toarray())
             A_bi = K[gb][:, gi]
             bp = bpos[members]
-            rows.append(np.repeat(bp, nb, axis=1).ravel())
-            cols.append(np.tile(bp, nb).ravel())
-            vals.append(np.tile((A_bi @ T).ravel(), len(members)))
+            bps.append(bp)
+            klocs.append(np.broadcast_to(A_bi @ T, (len(members), nb, nb)))
             self.types.append((fac, T, A_bi, tiles[members][:, li], bp))
         ns = len(self.skeleton)
-        condensed = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows),
-                                    np.concatenate(cols))), shape=(ns, ns))
-        schur = K[self.skeleton][:, self.skeleton] - condensed.tocsr()
+        schur = K[self.skeleton][:, self.skeleton] - scatter_matrix(
+            np.concatenate(klocs), np.concatenate(bps), ns)
         self.skeleton_factor = DirichletFactor(
             schur, np.flatnonzero(is_fixed[self.skeleton]))
 
@@ -363,7 +378,7 @@ class SubstructuredFactor:
         condensed = []
         for fac, _, A_bi, gi, bp in self.types:
             k, ni = gi.shape
-            Y = _solve_in_slices(
+            Y = solve_in_slices(
                 fac, r[gi].transpose(1, 0, 2).reshape(ni, k * nc))
             flux = (A_bi @ Y).reshape(-1, k, nc).transpose(1, 0, 2)
             np.subtract.at(g, bp, flux)

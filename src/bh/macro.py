@@ -18,10 +18,11 @@ condition, and the march starts at n = 1 with an empty history.
 The history is one contraction over a buffer of the stored levels (level
 0 weighted 1/2): sum_m B0(t_n - t_m) u^m gives N^2 nodal vectors, one
 per tensor component, which meet the N^2 component stiffness matrices in
-N^2 matrix-vector products.  The source loads are built once before the
-march and only recombined per step: the Phi term of entry (j, h) is the
-component product -K_hj u0, the f term the lumped vertex mass.  The work
-stays O(M^2) in the number of steps.
+N^2 matrix-vector products.  The Phi loads are built once before the
+march and only recombined per step: the load of entry (j, h) is the
+component product -K_hj u0.  The f load, the lumped vertex mass times
+the source, is evaluated at every step, since f may depend on t.  The
+work stays O(M^2) in the number of steps.
 
 The k != 1 limits are elliptic problems solved level by level.
 """
@@ -130,19 +131,10 @@ def _component_stiffness(grads, vols, simplices, nv):
     Any constant-tensor stiffness is then K_M = sum_ab M_ab K_ab, so the
     memory sum only needs matrix-vector products with N^2 fixed matrices.
     """
-    w = np.abs(vols)
-    dim = grads.shape[2]
-    npv = dim + 1
-    dofs = simplices
-    rows = np.repeat(dofs, npv, axis=1).ravel()
-    cols = np.tile(dofs, (1, npv)).ravel()
-    mats = {}
-    for a in range(dim):
-        for b in range(dim):
-            kloc = np.einsum("e,ei,ej->eij", w, grads[:, :, a], grads[:, :, b])
-            mats[(a, b)] = sp.coo_matrix((kloc.ravel(), (rows, cols)),
-                                         shape=(nv, nv)).tocsr()
-    return mats
+    w, dim = np.abs(vols), grads.shape[2]
+    return {(a, b): fem.scatter_matrix(np.einsum(
+        "e,ei,ej->eij", w, grads[:, :, a], grads[:, :, b]), simplices, nv)
+        for a in range(dim) for b in range(dim)}
 
 
 def _tensor_stiffness(mats, M):

@@ -103,7 +103,7 @@ def _tiled_stiffness(mesh, *tables):
     local_global[t]; c(t, p) is the table's value of the phase p has in t,
     the matrix phase for every p of a stripped tile."""
     V, S, phase = mesh.cell.vertices, mesh.cell.simplices, mesh.cell.phase
-    geom, nv = fem.element_gradients(V, S), len(V)
+    geom, nv = fem.element_gradients(V, S, mesh.cell.volumes()), len(V)
     phases = np.arange(3)          # PHASE_INT, PHASE_OUT, PHASE_MEMBRANE
     A = [fem.assemble_stiffness(geom, S, phase == ph, fem.identity_dof_map(nv),
                                 nv, allow_zero=True) for ph in phases]

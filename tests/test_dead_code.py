@@ -6,6 +6,8 @@ attribute or an imported name.  Words in docstrings and comments do not
 count, nor does a definition calling itself.  A name only tests use is an
 oracle and belongs in the tests.
 
+There is one solver policy: src/bh calls SuperLU's splu at one site.
+
 Every attribute assigned on self and every annotated class field in src/bh
 must be read in src/: loaded as an attribute, or named by a string
 constant (cli reads the cell arrays with getattr).  A string used as a
@@ -114,3 +116,14 @@ def test_every_diagnostic_is_read_outside_the_tests():
               for line, key in _diagnostic_keys(trees[path])
               if not reads[key]]
     assert not unread, unread
+
+
+def test_one_splu_call_site():
+    """Every direct factor is a fem.DirichletFactor, so that one call sets
+    the ordering of all of them."""
+    sites = [f"{path.name}:{node.lineno}"
+             for path, tree in _trees().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             == "splu"]
+    assert len(sites) == 1 and sites[0].startswith("fem.py:"), sites

@@ -853,8 +853,13 @@ def _lam_elem(sys):
                                   PHASE_OUT: sys.coeffs.lam_out})
 
 
+def _grads(sys):
+    """The basis gradients of the cell's elements."""
+    return fem.element_gradients(sys.mesh.vertices, sys.mesh.simplices)[0]
+
+
 def _corrector_gradients(sys, fields, els=slice(None)):
-    return [element_field_gradients(sys.grads[els], sys.mesh.simplices[els],
+    return [element_field_gradients(_grads(sys)[els], sys.mesh.simplices[els],
                                     x[sys.vdof]) for x in fields]
 
 
@@ -914,6 +919,7 @@ def loop_kernel_pair(sys, snapshots, grid, forms):
     """The former tensors._kernel_pair: one element gradient per level."""
     N, n, dt = sys.dim, grid.n_steps, grid.step
     w = _lam_elem(sys) * np.abs(sys.vols)
+    grads = _grads(sys)
     a = sys.coeffs.alpha
     vol_route = np.zeros((n + 1, N, N))
     flux_route = np.zeros((n + 1, N, N))
@@ -922,7 +928,7 @@ def loop_kernel_pair(sys, snapshots, grid, forms):
         for lev in range(n + 1):
             ref = max(lev, 1)
             tsurf = a * forms.int_grad_components((X[ref] - X[ref - 1]) / dt)
-            g = element_field_gradients(sys.grads, sys.mesh.simplices,
+            g = element_field_gradients(grads, sys.mesh.simplices,
                                         X[lev][sys.vdof])
             vol_route[lev, j] = w @ g + tsurf
             flux_route[lev, j] = (-sys.coeffs.jump

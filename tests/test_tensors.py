@@ -159,9 +159,9 @@ def test_one_element_geometry_pass_per_cell(disk, monkeypatch):
     calls = []
     original = fem.element_gradients
 
-    def counting(vertices, simplices):
+    def counting(vertices, simplices, *args):
         calls.append(len(simplices))
-        return original(vertices, simplices)
+        return original(vertices, simplices, *args)
 
     monkeypatch.setattr(fem, "element_gradients", counting)
     sys = cell.CellSystem(disk.mesh, disk.surf, disk.coeffs)
