@@ -262,7 +262,9 @@ class DirichletFactor:
             x[self.fixed] = fixed_values
         if not len(self.free):
             return x
-        rhs = b[self.free] - (self.Kfc @ x[self.fixed])
+        rhs = b[self.free]
+        if fixed_values is not None:
+            rhs = rhs - (self.Kfc @ x[self.fixed])
         x[self.free] = self.lu.solve(rhs)
         if self.w is None:
             residual_check(self.Kff, x[self.free], rhs)
@@ -287,9 +289,10 @@ def _row_types(rows):
     return first, label.ravel()
 
 
-# A SuperLU solve of many columns calls threaded BLAS, which on a 2-vCPU
-# host stalled now and then for 30-80 ms; eight columns at a time never did
-# (README, "Solvers").
+# Solves of many columns, eight at a time: on a 2-vCPU host the slices were
+# bitwise equal to one block solve and no slower, but a BLAS thread-pool
+# stall of the block solve still hit them in 2 of 64 processes (README,
+# "Solvers").
 _SOLVE_COLUMNS = 8
 
 
@@ -298,11 +301,10 @@ def solve_in_slices(fac, B, fixed_values=None):
     time; fixed_values is None (zero) or a block of as many columns."""
     if B.shape[1] <= _SOLVE_COLUMNS:
         return fac.solve(B, fixed_values)
-    if fixed_values is None:
-        fixed_values = np.zeros((len(fac.fixed), B.shape[1]))
     cols = [slice(j, j + _SOLVE_COLUMNS)
             for j in range(0, B.shape[1], _SOLVE_COLUMNS)]
-    return np.hstack([fac.solve(B[:, c], fixed_values[:, c]) for c in cols])
+    return np.hstack([fac.solve(B[:, c], None if fixed_values is None
+                                else fixed_values[:, c]) for c in cols])
 
 
 class SubstructuredFactor:

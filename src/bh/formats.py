@@ -33,13 +33,17 @@ def _row(vals):
 
 
 def _rows(table, fmts):
-    """One text line per table row; fmts holds one %-format per column.
+    """One text line per row of a 2D array (per value of a 1D array, with
+    one format); fmts holds one %-format per column.
 
-    Formatting the Python values of .tolist() with one row template gives
-    the same text as formatting each numpy scalar, in a fraction of the time.
+    One template, the row template once per row, formats the flat Python
+    values of the whole array, the same text as formatting each numpy
+    scalar, with a few objects in place of a list per row.  '%d' % 3.0 is
+    '3', so the integer columns of a float array print as integers.
     """
-    template = " ".join(fmts)
-    return [template % tuple(r) for r in table]
+    n = len(table)
+    text = "\n".join([" ".join(fmts)] * n) % tuple(np.ravel(table).tolist())
+    return text.split("\n") if n else []
 
 
 def _pack(vals):
@@ -129,20 +133,19 @@ def write_mesh(path, header, vertices, simplices, phase, surf=None, pairs=None):
     nv, dim = vertices.shape
     npv = simplices.shape[1]
     body = [f"dim {dim}", f"vertices {nv}"]
-    body += _rows(vertices.tolist(), [_F] * dim)
+    body += _rows(vertices, [_F] * dim)
     body.append(f"elements {len(simplices)}")
-    body += _rows(np.column_stack([simplices, phase]).tolist(),
-                  ["%d"] * (npv + 1))
+    body += _rows(np.column_stack([simplices, phase]), ["%d"] * (npv + 1))
     if surf is not None:
         body.append(f"facets {len(surf.facets)}")
-        body += _rows([f + [c] + nu for f, c, nu in zip(
-            surf.facets.tolist(), surf.component.tolist(),
-            surf.normals.tolist())], ["%d"] * (dim + 1) + [_F] * dim)
+        body += _rows(np.column_stack([surf.facets, surf.component,
+                                       surf.normals]),
+                      ["%d"] * (dim + 1) + [_F] * dim)
     else:
         body.append("facets 0")
     if pairs is not None and len(pairs):
         body.append(f"pairs {len(pairs)}")
-        body += _rows(np.asarray(pairs).tolist(), ["%d"] * 3)
+        body += _rows(pairs, ["%d"] * 3)
     else:
         body.append("pairs 0")
     write_artifact(path, "BHMESH 1", header, body)
@@ -413,19 +416,19 @@ def write_vtk(path, vertices, simplices, values, name="u",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
     pts = np.zeros((nv, 3))
     pts[:, :dim] = vertices
-    lines += _rows(pts.tolist(), [_F] * 3)
+    lines += _rows(pts, [_F] * 3)
     lines.append(f"CELLS {len(simplices)} {len(simplices) * (npv + 1)}")
-    lines += _rows(simplices.tolist(), [str(npv)] + ["%d"] * npv)
+    lines += _rows(simplices, [str(npv)] + ["%d"] * npv)
     lines.append(f"CELL_TYPES {len(simplices)}")
     lines += [str(cell_type)] * len(simplices)
     lines.append(f"POINT_DATA {nv}")
     lines.append(f"SCALARS {name} double 1")
     lines.append("LOOKUP_TABLE default")
-    lines += [_F % v for v in values]
+    lines += _rows(values, [_F])
     if cell_values is not None:
         lines.append(f"CELL_DATA {len(simplices)}")
         lines.append(f"SCALARS {cell_name} int 1")
         lines.append("LOOKUP_TABLE default")
-        lines += [str(int(v)) for v in cell_values]
+        lines += _rows(cell_values, ["%d"])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -15,14 +15,14 @@ The kernel samples are resampled onto the macro grid by linear
 interpolation.  For disconnected inclusions C0 = 0, u has no initial
 condition, and the march starts at n = 1 with an empty history.
 
-The history is one contraction over a buffer of the stored levels (level
-0 weighted 1/2): sum_m B0(t_n - t_m) u^m gives N^2 nodal vectors, one
-per tensor component, which meet the N^2 component stiffness matrices in
-N^2 matrix-vector products.  The Phi loads are built once before the
-march and only recombined per step: the load of entry (j, h) is the
-component product -K_hj u0.  The f load, the lumped vertex mass times
-the source, is evaluated at every step, since f may depend on t.  The
-work stays O(M^2) in the number of steps.
+The history is one dense product over a buffer of the stored levels
+(level 0 weighted 1/2): sum_m B0(t_n - t_m) u^m gives N^2 nodal vectors,
+one per tensor component, which meet the N^2 component stiffness matrices,
+stacked side by side, in one sparse product.  The Phi loads are built
+once before the march and only recombined per step: the load of entry
+(j, h) is the component product -K_hj u0.  The f load, the lumped vertex
+mass times the source, is evaluated at every step, since f may depend on
+t.  The work stays O(M^2) in the number of steps.
 
 The k != 1 limits are elliptic problems solved level by level.
 """
@@ -239,19 +239,21 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
     # trapezoidal history weights: level 0 dt/2, the levels after it dt
     H = np.zeros((M + 1, nv))
     H[0] = 0.5 * U[0]
+    # entry a N + b of B_flat[l] is B(t_l)_ab; it meets block a N + b of K_cat
+    B_flat = B_res.reshape(M + 1, dim * dim)
+    K_cat = sp.hstack([mats[(a, b)] for a in range(dim)
+                       for b in range(dim)], format="csr")
 
+    times = grid.times
     for n in range(1, M + 1):
-        rhs = (K_C @ U[n - 1]) / dt
+        # K_C is empty in the disconnected regime: skip its zero product
+        rhs = (K_C @ U[n - 1]) / dt if K_C.nnz else np.zeros(nv)
         if problem.B0 is not None:
-            acc = np.einsum("mab,mv->abv", B_res[n:0:-1], H[:n])
-            for a in range(dim):
-                for b in range(dim):
-                    if np.any(acc[a, b]):
-                        rhs -= mats[(a, b)] @ (dt * acc[a, b])
+            rhs -= K_cat @ (dt * (B_flat[n:0:-1].T @ H[:n])).ravel()
         if phi_loads is not None:
             rhs += Phi_res[n].ravel() @ phi_loads
         if problem.source is not None:
-            rhs += mesh.mass * problem.source(mesh.vertices, grid.times[n])
+            rhs += mesh.mass * problem.source(mesh.vertices, times[n])
         try:
             U[n] = fac.solve(rhs)
         except SingularSystem as exc:
@@ -282,8 +284,8 @@ def solve_homogenized_elliptic(problem: MacroProblem) -> TransientField:
 
     U = np.zeros((M + 1, nv))
     if problem.source is not None:
-        for n in range(M + 1):
-            f = problem.source(mesh.vertices, grid.times[n])
+        for n, t in enumerate(grid.times):
+            f = problem.source(mesh.vertices, t)
             try:
                 U[n] = fac.solve(mesh.mass * f)
             except SingularSystem as exc:

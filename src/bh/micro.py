@@ -141,10 +141,11 @@ def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
     dt = grid.step
     X = np.zeros((grid.n_steps + 1, nd))
     X[0] = x0
+    times = grid.times
     for n in range(1, grid.n_steps + 1):
         rhs = c * (Q @ X[n - 1])
         if load is not None:
-            rhs = rhs + load(grid.times[n])
+            rhs = rhs + load(times[n])
         try:
             X[n] = fac.solve(rhs, zeros_fixed)
         except BHError as exc:

@@ -23,15 +23,17 @@ be bitwise equal to the text round trip on extreme values and on the real
 cell fields of every geometry, and a golden digest pins the byte layout.
 
 The BHMESH reader and writer once converted one token or one numpy scalar
-at a time; they now parse whole blocks with numpy and format .tolist()
-rows with one template.  Files must stay byte-identical and arrays bitwise
-equal.  The cell correctors once marched one trace at a time, with a bulk
-harmonic extension and one bordered bulk solve per step; the 2N traces
-now march as one block on the interface dofs and are extended once.  The
-march and the kernels B0 and Phi read from it are pinned to the old march.
+at a time; they now parse whole blocks with numpy and format the flat
+values of each block with one template, as the VTK writer does.  Files
+must stay byte-identical and arrays bitwise equal.  The cell correctors
+once marched one trace at a time, with a bulk harmonic extension and one
+bordered bulk solve per step; the 2N traces now march as one block on the
+interface dofs and are extended once.  The march and the kernels B0 and
+Phi read from it are pinned to the old march.
 The macro memory history was once a Python loop over the stored levels
-with the Phi and f loads scattered every step; it is now one contraction
-with loads built once.
+with the Phi and f loads scattered every step; it is now one dense
+product with the stored levels and one sparse product with the stacked
+component matrices per step, with the Phi loads built once.
 Both are pinned to their loops within the tolerances stated below.
 
 chi0 once extended its trace into each phase per direction, with one lift
@@ -614,6 +616,30 @@ def loop_write_mesh(path, header, vertices, simplices, phase, surf=None,
     else:
         body.append("pairs 0")
     formats.write_artifact(path, "BHMESH 1", header, body)
+
+
+def loop_write_vtk(path, vertices, simplices, values, name="u",
+                   cell_values=None, cell_name="phase"):
+    """The former VTK writer: one %.17g or str(int) per numpy scalar."""
+    nv, dim = vertices.shape
+    npv = simplices.shape[1]
+    lines = ["# vtk DataFile Version 3.0", "bh snapshot", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
+    lines += [text_row(list(v) + [0.0] * (3 - dim)) for v in vertices]
+    lines.append(f"CELLS {len(simplices)} {len(simplices) * (npv + 1)}")
+    lines += [" ".join([str(npv)] + [str(int(i)) for i in s])
+              for s in simplices]
+    lines.append(f"CELL_TYPES {len(simplices)}")
+    lines += [str({3: 5, 4: 10}[npv])] * len(simplices)
+    lines += [f"POINT_DATA {nv}", f"SCALARS {name} double 1",
+              "LOOKUP_TABLE default"]
+    lines += ["%.17g" % v for v in values]
+    if cell_values is not None:
+        lines += [f"CELL_DATA {len(simplices)}", f"SCALARS {cell_name} int 1",
+                  "LOOKUP_TABLE default"]
+        lines += [str(int(v)) for v in cell_values]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def loop_read_mesh(path):
@@ -1890,6 +1916,23 @@ def test_mesh_io_matches_token_loops(request, tmp_path, name):
             _assert_same(got[key], ref[key])
 
 
+@pytest.mark.parametrize("name", CELLS)
+def test_vtk_writer_matches_value_loop(request, tmp_path, name):
+    mesh, _ = _cell(request, name)
+    # negative zeros in the points and the values print as -0 on both sides
+    V = np.where(mesh.vertices == 0.0, -0.0, mesh.vertices)
+    rng = np.random.default_rng(7)
+    values = (rng.standard_normal(len(V))
+              * 10.0 ** rng.uniform(-300.0, 300.0, len(V)))
+    values[::5] = -0.0
+    values[1:3] = 5e-324, -1.7976931348623157e308
+    for tag, extra in (("phase", {"cell_values": mesh.phase}), ("bare", {})):
+        new, old = str(tmp_path / f"{tag}.new"), str(tmp_path / f"{tag}.old")
+        formats.write_vtk(new, V, mesh.simplices, values, **extra)
+        loop_write_vtk(old, V, mesh.simplices, values, **extra)
+        assert open(new, "rb").read() == open(old, "rb").read()
+
+
 # ---------------------------------------------------------------------------
 # cell correctors: one block march against one march per trace
 # ---------------------------------------------------------------------------
@@ -2050,25 +2093,26 @@ def test_weighted_factor_matches_bordered_system(request, name):
 
 
 # ---------------------------------------------------------------------------
-# macro memory march: one history contraction against the level loop
+# macro memory march: the history products against the level loop
 # ---------------------------------------------------------------------------
 
-# The contraction and the recombined loads sum in another order than the
-# loop and the per-step scatter, and the step matrix is K_M of the combined
-# step tensor, factored with COLAMD and partial pivoting, so the levels agree
-# to roundoff.  The largest gap measured over these cases was 8.8e-15 of
-# max|U| (4.4e-16 while both sides used the symmetric-mode factor); where
-# the data are all zero both marches give exact zeros.
+# The history products and the recombined loads sum in another order than
+# the loop and the per-step scatter, and the step matrix is K_M of the
+# combined step tensor, factored with a minimum-degree ordering and partial
+# pivoting, so the levels agree to roundoff.  The largest gap measured over
+# the n = 10 cases was 1.3e-14 of max|U| (4.4e-16 while both sides used the
+# symmetric-mode factor), and 1.4e-13 at the benchmark size; where the data
+# are all zero both marches give exact zeros.
 MACRO_RTOL = 1e-12
 
 
-def _macro_case(regime, u0, phi, source):
-    mesh = macro.build_macro_mesh(10, 2)
-    kernel = TimeGrid(1.0, 0.05)
+def _macro_case(regime, u0, phi, source, n=10, grid=TimeGrid(0.6, 0.02),
+                kernel=TimeGrid(1.0, 0.05)):
+    mesh = macro.build_macro_mesh(n, 2)
     decay = np.exp(-kernel.times)[:, None, None]
     w = sin_product(mesh.vertices)
     return macro.MacroProblem(
-        mesh=mesh, regime=regime, grid=TimeGrid(0.6, 0.02), lambda0=2.0,
+        mesh=mesh, regime=regime, grid=grid, lambda0=2.0,
         A0=np.array([[0.5, 0.1], [0.1, 0.4]]), C0=0.3 * np.eye(2),
         B0=decay * np.array([[2.0, 0.3], [0.3, 1.5]]), kernel_grid=kernel,
         F_coeffs=decay ** 2 * np.array([[1.0, 0.2], [-0.1, 0.7]]) if phi else None,
@@ -2084,6 +2128,19 @@ def _macro_case(regime, u0, phi, source):
 @pytest.mark.parametrize("source", [True, False], ids=["f", "no-f"])
 def test_memory_history_contraction_matches_loop(regime, u0, phi, source):
     problem = _macro_case(regime, u0, phi, source)
+    got = macro.solve_homogenized_memory(problem).levels
+    ref = loop_memory_march(problem)
+    assert np.abs(got - ref).max() <= MACRO_RTOL * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("regime", ["k1_connected_connected",
+                                    "k1_connected_disconnected"],
+                         ids=["cc", "cd"])
+def test_memory_march_matches_loop_at_benchmark_size(regime):
+    # the macro grid and kernel grid of the cell_pipeline benchmark: n = 48,
+    # 100 steps of 0.01, a full anisotropic B0 and Phi, u0 and f
+    problem = _macro_case(regime, True, True, True, n=48,
+                          grid=TimeGrid(1.0, 0.01), kernel=TimeGrid(1.0, 0.02))
     got = macro.solve_homogenized_memory(problem).levels
     ref = loop_memory_march(problem)
     assert np.abs(got - ref).max() <= MACRO_RTOL * np.abs(ref).max()

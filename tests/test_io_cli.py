@@ -9,6 +9,7 @@ configs/ files, and check artifacts, hash guards and exit codes.
 """
 import base64
 import dataclasses
+import gc
 import glob
 import hashlib
 import json
@@ -259,6 +260,27 @@ def test_mesh_roundtrip(tmp_path, disk):
     assert np.array_equal(data["simplices"], disk.mesh.simplices)
     assert np.array_equal(data["phase"], disk.mesh.phase)
     assert np.array_equal(data["pairs"], disk.mesh.periodic_pairs)
+
+
+def test_mesh_writer_runs_no_gc_collection(tmp_path):
+    # each block is formatted with one template over its flat values, so
+    # the writer makes a few GC-tracked objects, far below the 700 that
+    # trigger a gen-0 collection; a list per row ran collections here
+    mesh, surf = geometry.build_unit_cell(
+        geometry.GeometrySpec("Disk2D", {"r0": 0.25}, h=0.014))
+    path = str(tmp_path / "m.bhmesh")
+    runs = []
+    record = lambda phase, info: runs.append((phase, info["generation"]))
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        formats.write_mesh(path, {"config": "c" * 64}, mesh.vertices,
+                           mesh.simplices, mesh.phase, surf,
+                           mesh.periodic_pairs)
+    finally:
+        gc.callbacks.remove(record)
+    assert runs == []
 
 
 def test_cell_archive_roundtrip(tmp_path):
