@@ -57,12 +57,31 @@ def _check_header(header, cfg, path, command):
                               f"config; re-run bh {command}")
 
 
-def _read(reader, path, command):
-    """reader(path), naming the command to re-run when it refuses."""
+def _read(reader, path, command, *args):
+    """reader(path, *args), naming the command to re-run when it refuses."""
     try:
-        return reader(path)
+        return reader(path, *args)
     except MissingArtifact as exc:
         raise MissingArtifact(f"{exc}; re-run bh {command}") from None
+
+
+def _stored_arrays(cfg, path, magic, command, grid, want):
+    """The header and (name, array) pairs of the archive bh command wrote at
+    path, refused unless its hashes, grid and shapes are cfg's, grid, want."""
+    header, got_grid, arrays = _read(formats.read_arrays, path, command, magic)
+    _check_header(header, cfg, path, command)
+    want_grid = (grid.t_end, grid.step)
+    if got_grid != want_grid:
+        raise MissingArtifact(f"{path} has the time grid {got_grid}, the "
+                              f"config {want_grid}; re-run bh {command}")
+    got = [(name, vals.shape) for name, vals in arrays]
+    if got != want:
+        def listed(pairs):
+            return ", ".join(f"{name} {shape}" for name, shape in pairs)
+        raise MissingArtifact(
+            f"{path} holds the arrays {listed(got)}, this mesh and config "
+            f"need {listed(want)}; re-run bh {command}")
+    return header, arrays
 
 
 # the cell mesh and the cell system this process made last, one of each,
@@ -151,8 +170,8 @@ def cmd_cell(cfg, out, vtk):
     mesh, surf, _ = _load_cell_mesh(cfg, paths)
     sysm = _cell_system(cfg, mesh, surf)
     funcs = cell.solve_cell_functions(sysm, cfg.kernel_grid)
-    formats.write_cell_archive(
-        paths["cell"], _header(cfg), cfg.kernel_grid,
+    formats.write_arrays(
+        paths["cell"], formats.CELL_ARCHIVE, _header(cfg), cfg.kernel_grid,
         [(name, getattr(funcs, name)) for name in _CELL_ARRAYS])
 
     lines = ["component, direction, residual, tolerance, status"]
@@ -182,24 +201,13 @@ _CELL_ARRAYS = ("chi0", "v", "chi0_tilde", "chi1", "omega", "W")
 def _cell_tensors(cfg, paths, mesh, surf):
     """The cell system, the correctors bh cell archived (the arrays of
     _CELL_ARRAYS, in order, shaped for this mesh and config), their tensors."""
-    path, g = paths["cell"], cfg.kernel_grid
-    header, grid, arrays = _read(formats.read_cell_archive, path, "cell")
-    _check_header(header, cfg, path, "cell")
-    if grid != (g.t_end, g.step):
-        raise MissingArtifact(f"{path} has the time grid {grid}, the config "
-                              f"{(g.t_end, g.step)}; re-run bh cell")
-    sysm = _cell_system(cfg, mesh, surf)
+    g, sysm = cfg.kernel_grid, _cell_system(cfg, mesh, surf)
     N, nd, ng, L = mesh.dim, sysm.nd, len(sysm.gamma_dofs), g.n_steps + 1
     shapes = {"chi0": (N, nd), "v": (N, ng), "chi0_tilde": (N, nd),
               "chi1": (N, L, ng), "omega": (N, L, ng), "W": (N, ng)}
-    got = [(name, vals.shape) for name, vals in arrays]
-    want = [(name, shapes[name]) for name in _CELL_ARRAYS]
-    if got != want:
-        def listed(pairs):
-            return ", ".join(f"{name} {shape}" for name, shape in pairs)
-        raise MissingArtifact(
-            f"{path} holds the arrays {listed(got)}, this mesh and config "
-            f"need {listed(want)}; re-run bh cell")
+    _, arrays = _stored_arrays(cfg, paths["cell"], formats.CELL_ARCHIVE,
+                               "cell", g, [(name, shapes[name])
+                                           for name in _CELL_ARRAYS])
     funcs = cell.CellFunctionSet(**dict(arrays), grid=g)
     return sysm, funcs, tensors.compute_all(sysm, funcs, cfg.topology)
 
@@ -256,8 +264,8 @@ def cmd_macro(cfg, out, vtk):
     tdata = _stored_tensors(cfg, paths)
     mesh, prob = _macro_problem(cfg, tdata, paths["tensors"])
     fld = _solve_macro(prob)
-    formats.write_solution(paths["macro"], _header(cfg), "macro",
-                           cfg.macro_grid, fld.levels)
+    formats.write_arrays(paths["macro"], formats.SOLUTION, _header(cfg),
+                         cfg.macro_grid, [("macro", fld.levels)])
 
     A_inst = prob.lambda0 * np.eye(cfg.dim) + (
         prob.A0 if prob.A0 is not None else 0.0)
@@ -307,7 +315,8 @@ def cmd_micro(cfg, out, vtk):
         p = _micro_path(out, eps)
         header = dict(_header(cfg), **{key: _F % fld.diagnostics[key]
                                        for key in _ENERGIES})
-        formats.write_solution(p, header, "micro", cfg.macro_grid, fld.levels)
+        formats.write_arrays(p, formats.SOLUTION, header, cfg.macro_grid,
+                             [("micro", fld.levels)])
         written.append(p)
         if vtk:
             formats.write_vtk(_micro_path(out, eps, "_final.vtk"),
@@ -318,24 +327,17 @@ def cmd_micro(cfg, out, vtk):
 def _read_field(cfg, path, kind, nv):
     """The solution that bh <kind> wrote for this config, with nv values a
     level on cfg.macro_grid (and, from micro, the two energies)."""
-    header, got, grid, levels = _read(formats.read_solution, path, kind)
-    _check_header(header, cfg, path, kind)
     g = cfg.macro_grid
-    diagnostics, problem = {}, None
-    if got != kind:
-        problem = f"holds a {got} solution"
-    elif grid != (g.t_end, g.step):
-        problem = f"has the time grid {grid}, the config {(g.t_end, g.step)}"
-    elif levels.shape != (g.n_steps + 1, nv):
-        problem = (f"holds {levels.shape} (levels, values), the config and "
-                   f"mesh need {(g.n_steps + 1, nv)}")
-    elif kind == "micro":
+    header, [(_, levels)] = _stored_arrays(cfg, path, formats.SOLUTION, kind,
+                                           g, [(kind, (g.n_steps + 1, nv))])
+    diagnostics = {}
+    if kind == "micro":
         try:
             diagnostics = {key: float(header[key]) for key in _ENERGIES}
         except (KeyError, ValueError):
-            problem = "lacks a well-formed energy_bulk or energy_surface line"
-    if problem is not None:
-        raise MissingArtifact(f"{path} {problem}; re-run bh {kind}")
+            raise MissingArtifact(
+                f"{path} lacks a well-formed energy_bulk or energy_surface "
+                "line; re-run bh micro") from None
     return macro.TransientField(levels=levels, grid=g, diagnostics=diagnostics)
 
 

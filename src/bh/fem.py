@@ -372,7 +372,9 @@ class SubstructuredFactor:
             return x
         # the reduced system on all n dofs, with zero load and value on the
         # fixed ones; x is zero off them
-        rhs = b[self.free] - self.K_free @ x
+        rhs = b[self.free]
+        if fixed_values is not None:
+            rhs = rhs - self.K_free @ x
         r = np.zeros((self.n, rhs.size // len(self.free)))
         r[self.free] = rhs.reshape(len(self.free), -1)
         nc = r.shape[1]
@@ -417,9 +419,10 @@ class CGSolver:
         x = np.zeros(self.n)
         if fixed_values is not None:
             x[self.fixed] = fixed_values
-        rhs = b[self.free] - (self.Kfc @ x[self.fixed])
-        x0 = self._warm if self._warm is not None else None
-        sol, info = spla.cg(self.Kff, rhs, x0=x0, rtol=1e-12, atol=0.0,
+        rhs = b[self.free]
+        if fixed_values is not None:
+            rhs = rhs - (self.Kfc @ x[self.fixed])
+        sol, info = spla.cg(self.Kff, rhs, x0=self._warm, rtol=1e-12, atol=0.0,
                             maxiter=50 * max(1, len(self.free)), M=self.M)
         if info != 0:
             raise SolverFailure(f"CG failed to converge (info={info})")

@@ -1,17 +1,19 @@
 """Versioned ASCII artifact formats.
 
 Every artifact starts with a one-token magic line (BHMESH 1, BHCELL 3,
-BHTENS 1, BHSOL 2, BHRUN 1), carries provenance comments (config and
+BHTENS 1, BHSOL 3, BHRUN 1), carries provenance comments (config and
 geometry hashes), and ends with a checksum line over the preceding bytes.
 A file whose magic names another version of the same artifact is refused
 with a message asking for the command that writes it to be re-run.
 
-The bulk arrays (the six arrays of a cell archive, every level of a
-solution) are packed: one line per array holding the RFC 4648 base64 text
-of its little-endian float64 bytes, which must all be finite.  The small,
-human-read artifacts (meshes, tensors, manifests, VTK) print floats with
-%.17g.  Both encodings round-trip doubles exactly, and re-runs from the
-same config produce byte-identical bodies.
+The bulk arrays (the six arrays of a cell archive, the levels of a
+solution) are packed, in one archive layout that both magics share: a grid
+line, then per array a line with its name and shape over one line holding
+the RFC 4648 base64 text of its little-endian float64 bytes, which must
+all be finite.  The small, human-read artifacts (meshes, tensors,
+manifests, VTK) print floats with %.17g.  Both encodings round-trip
+doubles exactly, and re-runs from the same config produce byte-identical
+bodies.
 """
 
 import base64
@@ -22,8 +24,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ConfigInvalid, MissingArtifact
-from .timegrid import TimeGrid
+from .errors import MissingArtifact
 
 _F = "%.17g"
 
@@ -201,35 +202,38 @@ def read_mesh(path):
 
 
 # ---------------------------------------------------------------------------
-# BHCELL
+# packed archives: BHCELL (cell correctors) and BHSOL (solution levels)
 # ---------------------------------------------------------------------------
 
-def write_cell_archive(path, header, grid, arrays):
-    """arrays: (name, array) pairs, each written as an "array <name>
-    <shape...>" line and one packed line."""
+CELL_ARCHIVE = "BHCELL 3"
+SOLUTION = "BHSOL 3"
+
+
+def write_arrays(path, magic, header, grid, arrays):
+    """A "grid <t_end> <dt>" line, then each of the (name, array) pairs as
+    an "array <name> <shape...>" line and one packed line."""
     body = [f"grid {_F % grid.t_end} {_F % grid.step}"]
     for name, vals in arrays:
         body.append(" ".join(["array", name] + [str(n) for n in vals.shape]))
         body.append(_pack(vals))
-    write_artifact(path, "BHCELL 3", header, body)
+    write_artifact(path, magic, header, body)
 
 
-def read_cell_archive(path):
+def read_arrays(path, magic):
     """(header, grid, arrays) with grid = (t_end, dt) and arrays the
     (name, array) pairs in the order written."""
-    header, body = read_artifact(path, "BHCELL 3")
+    header, body = read_artifact(path, magic)
     try:  # a body off the written layout is refused like a failed checksum
         k1, t_end, dt = body[0].split()
         marks = [ln.split() for ln in body[1::2]]
+        heads = [(m[1], tuple(int(n) for n in m[2:])) for m in marks]
         if (k1 != "grid" or len(body) % 2 == 0
-                or any(len(m) < 2 or m[0] != "array" for m in marks)):
+                or any(m[0] != "array" for m in marks)
+                or any(n < 0 for _, shape in heads for n in shape)):
             raise ValueError
         grid = (float(t_end), float(dt))
-        heads = [(m[1], tuple(int(n) for n in m[2:])) for m in marks]
-        if any(n < 0 for _, shape in heads for n in shape):
-            raise ValueError
     except (ValueError, IndexError):
-        raise MissingArtifact(f"{path}: malformed cell archive body") from None
+        raise MissingArtifact(f"{path}: malformed archive body") from None
     arrays = [(name, _unpack(block, math.prod(shape), path).reshape(shape))
               for (name, shape), block in zip(heads, body[2::2])]
     return header, grid, arrays
@@ -344,45 +348,6 @@ def read_tensors(path):
     except (ValueError, StopIteration):
         raise MissingArtifact(f"{path}: malformed tensor body") from None
     return header, out
-
-
-# ---------------------------------------------------------------------------
-# BHSOL
-# ---------------------------------------------------------------------------
-
-def write_solution(path, header, kind, grid, levels):
-    body = [f"kind {kind}",
-            f"grid {_F % grid.t_end} {_F % grid.step}",
-            f"nv {levels.shape[1]}"]
-    for n, t in enumerate(grid.times):
-        body.append(f"level {n} {_F % t}")
-        body.append(_pack(levels[n]))
-    write_artifact(path, "BHSOL 2", header, body)
-
-
-def read_solution(path):
-    """(header, kind, grid, levels) of a BHSOL file, grid = (t_end, dt).
-
-    The %.17g level times round-trip, so a body holding as many levels as
-    its grid must list exactly that grid's times; a count off the grid is
-    left to the caller, which checks the levels against its config."""
-    header, body = read_artifact(path, "BHSOL 2")
-    try:  # a body off the written layout is refused like a failed checksum
-        (k1, kind), (k2, t_end, dt), (k3, nv) = (ln.split() for ln in body[:3])
-        marks = [ln.split() for ln in body[3::2]]
-        if ((k1, k2, k3) != ("kind", "grid", "nv") or len(body) % 2 == 0
-                or any(m[:2] != ["level", str(n)] or len(m) != 3
-                       for n, m in enumerate(marks))):
-            raise ValueError
-        grid, nv = (float(t_end), float(dt)), int(nv)
-        times = [float(m[2]) for m in marks]
-        tg = TimeGrid(*grid)
-        if len(times) == tg.n_steps + 1 and times != tg.times.tolist():
-            raise ValueError
-    except (ValueError, OverflowError, ConfigInvalid):
-        raise MissingArtifact(f"{path}: malformed solution body") from None
-    levels = np.array([_unpack(block, nv, path) for block in body[4::2]])
-    return header, kind, grid, levels
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,11 @@ def _solver(M, fixed, mesh):
     On a 2D tiling it is substructured, with the tiles' element phases as
     their coefficient patterns: one small factor per tile type and one of
     the skeleton Schur complement.  One SuperLU factor of the whole domain
-    (COLAMD ordering) took 5.4M fill at eps = 1/10, the skeleton's 0.37M.
+    (the MMD_AT_PLUS_A ordering of every factor) takes 3.7M fill (L+U nnz)
+    at eps = 1/10 (Disk2D h = 0.04, stripped), the skeleton's 0.30M.
     On a 3D tiling the skeleton is large (tube, eps = 1/4: 9,545 dofs,
     fixed ones included, against 20,231 free dofs) and whole-domain fill
-    grows fast (19.6M at 24,457 dofs), so Jacobi-CG, warm started from the
+    grows fast (8.2M at 24,457 dofs), so Jacobi-CG, warm started from the
     previous solve, wins instead.
     """
     if mesh.dim == 3:
@@ -137,7 +138,6 @@ def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
         x0 = _solver(K, fixed0, mesh).solve(np.zeros(nd), fv)
 
     fac = _solver((K + c * Q).tocsr(), boundary, mesh)
-    zeros_fixed = np.zeros(len(boundary))
     dt = grid.step
     X = np.zeros((grid.n_steps + 1, nd))
     X[0] = x0
@@ -147,7 +147,7 @@ def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
         if load is not None:
             rhs = rhs + load(times[n])
         try:
-            X[n] = fac.solve(rhs, zeros_fixed)
+            X[n] = fac.solve(rhs)
         except BHError as exc:
             raise SolverFailure(f"march step {n} failed: {exc}") from exc
     quad = np.einsum("ni,in->n", X, Q @ X.T)

@@ -7,6 +7,8 @@ count, nor does a definition calling itself.  A name only tests use is an
 oracle and belongs in the tests.
 
 There is one solver policy: src/bh calls SuperLU's splu at one site.
+There is one packed container: src/bh packs and unpacks arrays at one
+site each.
 
 Every attribute assigned on self and every annotated class field in src/bh
 must be read in src/: loaded as an attribute, or named by a string
@@ -118,12 +120,25 @@ def test_every_diagnostic_is_read_outside_the_tests():
     assert not unread, unread
 
 
+def _call_sites(name):
+    """file:line of every call in src/ of a function or method name."""
+    return [f"{path.name}:{node.lineno}"
+            for path, tree in _trees().items() for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            == name]
+
+
 def test_one_splu_call_site():
     """Every direct factor is a fem.DirichletFactor, so that one call sets
     the ordering of all of them."""
-    sites = [f"{path.name}:{node.lineno}"
-             for path, tree in _trees().items() for node in ast.walk(tree)
-             if isinstance(node, ast.Call)
-             and getattr(node.func, "attr", getattr(node.func, "id", None))
-             == "splu"]
+    sites = _call_sites("splu")
     assert len(sites) == 1 and sites[0].startswith("fem.py:"), sites
+
+
+def test_one_packed_container():
+    """Every packed array is written by formats.write_arrays and read by
+    formats.read_arrays, whichever archive holds it."""
+    for name in ("_pack", "_unpack"):
+        sites = _call_sites(name)
+        assert len(sites) == 1 and sites[0].startswith("formats.py:"), sites

@@ -1864,8 +1864,9 @@ def test_cell_archive_fields_match_text_rows(request, tmp_path, name):
     b = request.getfixturevalue(name)
     arrays = [(key, getattr(b.funcs, key)) for key in cli._CELL_ARRAYS]
     path = str(tmp_path / "c.bhcell")
-    formats.write_cell_archive(path, {"config": "x"}, b.grid, arrays)
-    _, _, got = formats.read_cell_archive(path)
+    formats.write_arrays(path, formats.CELL_ARCHIVE, {"config": "x"}, b.grid,
+                         arrays)
+    _, _, got = formats.read_arrays(path, formats.CELL_ARCHIVE)
     assert len(got) == len(arrays)
     for (name_w, vals), (name_r, back) in zip(arrays, got):
         assert name_w == name_r
@@ -1873,10 +1874,10 @@ def test_cell_archive_fields_match_text_rows(request, tmp_path, name):
             vals.shape))
 
 
-# sha256 of the BHSOL 2 file written below; it changes only if the text
-# around the blocks, the base64 alphabet or the byte order changes
+# sha256 of the BHSOL 3 file written below; it changes only if the text
+# around the block, the base64 alphabet or the byte order changes
 GOLDEN_SOLUTION_SHA256 = (
-    "c209c8728982624ff1242ef93b43250ccbb0a21e6cc910bc666eb89ba2aa33dc")
+    "99ebf71757e76118967fa35cb278dfe40288a47e9a73ca75770c3d0094118b02")
 
 
 def test_solution_layout_pinned(tmp_path):
@@ -1886,10 +1887,10 @@ def test_solution_layout_pinned(tmp_path):
     levels = np.array([[0.0, -0.0, 1.0, 5e-324],
                        [0.1, -2.5, 1.7976931348623157e308, 1.0 / 3.0],
                        [1e-300, -7.0, 2.0 ** 52, -1e300]])
-    formats.write_solution(path, {"config": "0" * 64}, "macro",
-                           TimeGrid(0.2, 0.1), levels)
+    formats.write_arrays(path, formats.SOLUTION, {"config": "0" * 64},
+                         TimeGrid(0.2, 0.1), [("macro", levels)])
     assert formats.file_sha256(path) == GOLDEN_SOLUTION_SHA256
-    _, _, _, got = formats.read_solution(path)
+    _, _, [(_, got)] = formats.read_arrays(path, formats.SOLUTION)
     _assert_bitwise(got, levels)
 
 

@@ -289,8 +289,9 @@ def test_cell_archive_roundtrip(tmp_path):
     grid = TimeGrid(0.1, 0.05)
     arrays = [("chi0", rng.standard_normal((2, 7))),
               ("chi1", rng.standard_normal((2, 3, 5)))]
-    formats.write_cell_archive(path, {"config": "x"}, grid, arrays)
-    _, got_grid, got = formats.read_cell_archive(path)
+    formats.write_arrays(path, formats.CELL_ARCHIVE, {"config": "x"}, grid,
+                         arrays)
+    _, got_grid, got = formats.read_arrays(path, formats.CELL_ARCHIVE)
     assert got_grid == (0.1, 0.05)
     assert len(got) == len(arrays)
     for (n1, v1), (n2, v2) in zip(arrays, got):
@@ -306,8 +307,8 @@ def test_cell_archive_layout_pinned(tmp_path, layered):
     funcs = layered.funcs
     N, nd = layered.mesh.dim, layered.system.nd
     g, levels = len(layered.system.gamma_dofs), layered.grid.n_steps + 1
-    formats.write_cell_archive(
-        path, {"config": "x"}, layered.grid,
+    formats.write_arrays(
+        path, formats.CELL_ARCHIVE, {"config": "x"}, layered.grid,
         [(name, getattr(funcs, name)) for name in cli._CELL_ARRAYS])
     lines = open(path).read().splitlines()
     assert lines[0] == "BHCELL 3"
@@ -318,7 +319,7 @@ def test_cell_archive_layout_pinned(tmp_path, layered):
                           f"array chi1 {N} {levels} {g}",
                           f"array omega {N} {levels} {g}",
                           f"array W {N} {g}"]
-    _, _, got = formats.read_cell_archive(path)
+    _, _, got = formats.read_arrays(path, formats.CELL_ARCHIVE)
     for name, vals in got:
         assert np.array_equal(vals, getattr(funcs, name))
 
@@ -337,13 +338,20 @@ def test_tensor_roundtrip(tmp_path, disk):
     assert np.array_equal(data["A_hom_klt1"], disk.tens.A_hom_klt1)
 
 
+def _write_solution(path, levels, grid=TimeGrid(0.2, 0.1)):
+    formats.write_arrays(path, formats.SOLUTION, {"config": "x"}, grid,
+                         [("macro", levels)])
+
+
 def test_solution_roundtrip(tmp_path):
     path = str(tmp_path / "s.bhsol")
     rng = np.random.default_rng(1)
     levels = rng.standard_normal((3, 11))
-    formats.write_solution(path, {"config": "x"}, "macro",
-                           TimeGrid(0.2, 0.1), levels)
-    _, kind, grid, got = formats.read_solution(path)
+    _write_solution(path, levels)
+    assert open(path).read().splitlines()[2:4] == ["grid 0.20000000000000001 "
+                                                   "0.10000000000000001",
+                                                   "array macro 3 11"]
+    _, grid, [(kind, got)] = formats.read_arrays(path, formats.SOLUTION)
     assert kind == "macro"
     assert grid == (0.2, 0.1)
     assert np.array_equal(got, levels)
@@ -351,29 +359,28 @@ def test_solution_roundtrip(tmp_path):
 
 def test_checksum_tamper_detected(tmp_path):
     path = str(tmp_path / "s.bhsol")
-    formats.write_solution(path, {"config": "x"}, "macro",
-                           TimeGrid(0.2, 0.1), np.ones((3, 3)))
+    _write_solution(path, np.ones((3, 3)))
     text = open(path).read()
-    assert "\nkind macro\n" in text
-    open(path, "w").write(text.replace("\nkind macro\n", "\nkind macrp\n"))
+    assert "\narray macro 3 3\n" in text
+    open(path, "w").write(text.replace("\narray macro ", "\narray macrp "))
     with pytest.raises(MissingArtifact, match="failed its checksum"):
-        formats.read_solution(path)
+        formats.read_arrays(path, formats.SOLUTION)
 
 
 def _write_small(tmp_path, kind):
-    """A two-block BHCELL or BHSOL file; returns (path, reader)."""
+    """A BHCELL file of two arrays or a BHSOL file of one; returns (path,
+    magic), for formats.read_arrays."""
     rng = np.random.default_rng(2)
     if kind == "cell":
         path = str(tmp_path / "c.bhcell")
-        formats.write_cell_archive(
-            path, {"config": "x"}, TimeGrid(0.1, 0.05),
+        formats.write_arrays(
+            path, formats.CELL_ARCHIVE, {"config": "x"}, TimeGrid(0.1, 0.05),
             [("chi0", rng.standard_normal((1, 9))),
              ("chi1", rng.standard_normal((1, 1, 9)))])
-        return path, formats.read_cell_archive
+        return path, formats.CELL_ARCHIVE
     path = str(tmp_path / "s.bhsol")
-    formats.write_solution(path, {"config": "x"}, "macro",
-                           TimeGrid(0.1, 0.1), rng.standard_normal((2, 9)))
-    return path, formats.read_solution
+    _write_solution(path, rng.standard_normal((2, 9)), TimeGrid(0.1, 0.1))
+    return path, formats.SOLUTION
 
 
 def _rewrite(path, edit):
@@ -386,16 +393,16 @@ def _rewrite(path, edit):
 
 
 def _first_block(lines):
-    """Index of the first packed line (the one after an array/level line)."""
+    """Index of the first packed line (the one after an array line)."""
     return next(i for i, ln in enumerate(lines)
-                if ln.startswith(("array ", "level "))) + 1
+                if ln.startswith("array ")) + 1
 
 
 def _as_version_1(lines):
     """The same body in the former text layout: %.17g rows, magic 1."""
     out = [lines[0].split()[0] + " 1"]
     for prev, ln in zip(lines, lines[1:]):
-        if prev.startswith(("array ", "level ")):
+        if prev.startswith("array "):
             ln = " ".join("%.17g" % v for v in np.frombuffer(
                 base64.b64decode(ln), dtype="<f8"))
         out.append(ln)
@@ -405,6 +412,11 @@ def _as_version_1(lines):
 def _as_bhcell_2(lines):
     """The same body under the magic of the former per-level cell archive."""
     return ["BHCELL 2"] + lines[1:]
+
+
+def _as_bhsol_2(lines):
+    """The same body under the magic of the former per-level solution."""
+    return ["BHSOL 2"] + lines[1:]
 
 
 def _truncate(lines):
@@ -423,13 +435,13 @@ def _non_base64(lines):
 @pytest.mark.parametrize("kind, magic", [("cell", "BHCELL"),
                                          ("sol", "BHSOL")])
 def test_version_1_refused_with_message(tmp_path, kind, magic):
-    path, read = _write_small(tmp_path, kind)
+    path, current = _write_small(tmp_path, kind)
     _rewrite(path, _as_version_1)
     with pytest.raises(MissingArtifact) as exc:
-        read(path)
+        formats.read_arrays(path, current)
     msg = str(exc.value)
-    current = {"BHCELL": 3, "BHSOL": 2}[magic]
-    assert f"{magic} 1" in msg and f"{magic} {current}" in msg
+    assert current == f"{magic} 3"
+    assert f"{magic} 1" in msg and current in msg
     assert "re-run" in msg
 
 
@@ -437,19 +449,19 @@ def test_version_1_refused_with_message(tmp_path, kind, magic):
 @pytest.mark.parametrize("edit", [_truncate, _non_base64],
                          ids=["truncated", "non-base64"])
 def test_malformed_block_detected(tmp_path, kind, edit):
-    path, read = _write_small(tmp_path, kind)
+    path, magic = _write_small(tmp_path, kind)
     _rewrite(path, edit)
     with pytest.raises(MissingArtifact, match="packed block"):
-        read(path)
+        formats.read_arrays(path, magic)
 
 
-def _level_without_block(lines):
+def _array_without_block(lines):
     return lines[:-1]
 
 
-def _short_level_line(lines):
+def _short_array_line(lines):
     i = _first_block(lines) - 1
-    return lines[:i] + ["level 0"] + lines[i + 1:]
+    return lines[:i] + ["array"] + lines[i + 1:]
 
 
 def _empty_line(lines):
@@ -457,45 +469,39 @@ def _empty_line(lines):
     return lines[:i] + [""] + lines[i:]
 
 
-def _retimed_level(lines):
-    # the last level's time halved, off the grid the body states
-    i = max(i for i, ln in enumerate(lines) if ln.startswith("level "))
-    level, n, t = lines[i].split()
-    return lines[:i] + [f"{level} {n} {float(t) / 2!r}"] + lines[i + 1:]
-
-
-SOLUTION_BODY_EDITS = [_level_without_block, _short_level_line, _empty_line,
-                       _retimed_level]
-SOLUTION_BODY_IDS = ["level-without-block", "short-level-line", "empty-line",
-                     "retimed-level"]
+# edits of the array lines of either archive; the ids name the level array
+# of a solution, the one array it holds
+SOLUTION_BODY_EDITS = [_array_without_block, _short_array_line, _empty_line]
+SOLUTION_BODY_IDS = ["level-without-block", "short-level-line", "empty-line"]
 
 
 @pytest.mark.parametrize("edit", SOLUTION_BODY_EDITS, ids=SOLUTION_BODY_IDS)
 def test_malformed_solution_body_detected(tmp_path, edit):
-    # each of these once escaped the reader as StopIteration or IndexError
-    path, read = _write_small(tmp_path, "sol")
-    _rewrite(path, edit)
-    with pytest.raises(MissingArtifact, match="malformed solution body"):
-        read(path)
+    # each of these once escaped the reader as StopIteration or IndexError;
+    # a cell archive, read by the same reader, is refused alike
+    for kind in ("sol", "cell"):
+        path, magic = _write_small(tmp_path, kind)
+        _rewrite(path, edit)
+        with pytest.raises(MissingArtifact, match="malformed archive body"):
+            formats.read_arrays(path, magic)
 
 
 @pytest.mark.parametrize("kind", ["cell", "sol"])
 def test_block_tamper_fails_checksum(tmp_path, kind):
-    path, read = _write_small(tmp_path, kind)
+    path, magic = _write_small(tmp_path, kind)
     lines = open(path).read().splitlines(keepends=True)
     i = _first_block([ln.rstrip("\n") for ln in lines])
     flip = "B" if lines[i][10] == "A" else "A"
     lines[i] = lines[i][:10] + flip + lines[i][11:]
     open(path, "w").write("".join(lines))
-    assert lines[0].rstrip("\n") in ("BHCELL 3", "BHSOL 2")
+    assert lines[0].rstrip("\n") == magic
     with pytest.raises(MissingArtifact, match="checksum"):
-        read(path)
+        formats.read_arrays(path, magic)
 
 
 def test_wrong_magic_detected(tmp_path):
     path = str(tmp_path / "s.bhsol")
-    formats.write_solution(path, {"config": "x"}, "macro",
-                           TimeGrid(0.2, 0.1), np.ones((3, 3)))
+    _write_solution(path, np.ones((3, 3)))
     with pytest.raises(MissingArtifact):
         formats.read_mesh(path)
 
@@ -722,6 +728,18 @@ def test_cli_bad_cell_archive_exits_3_without_traceback(tiny_cfg, tmp_path,
         old = 1 if edit is _as_version_1 else 2
         assert f"BHCELL {old} artifact" in err
         assert "reads BHCELL 3: re-run" in err
+
+
+def test_cli_former_solution_exits_3_without_traceback(upstream, tmp_path,
+                                                       capsys):
+    cfg, out = _copy_run(upstream, 2.0, tmp_path)
+    _rewrite(os.path.join(out, "micro_m2.bhsol"), _as_bhsol_2)
+    code, err = _bh_in_process("converge", cfg, out, capsys)
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert err.startswith("artifact error:")
+    assert "BHSOL 2 artifact" in err and "reads BHSOL 3: re-run" in err
+    assert "re-run bh micro" in err
 
 
 def _reshaped(name, change):
@@ -1019,7 +1037,7 @@ _DIM_X = _edit_line("dim ", lambda ln: ["dim x"], 0)
     ("tensors.bhtens", _edit_line(
         "A0 ", lambda ln: ["A0 nan " + ln.split(" ", 2)[2]], 0)),
     ("cell.bhcell", _edit_line("array chi1 ", _first_value(np.nan), 1)),
-    ("micro_m2.bhsol", _edit_line("level ", _first_value(np.inf), 1)),
+    ("micro_m2.bhsol", _edit_line("array ", _first_value(np.inf), 1)),
     ("tensors.bhtens", _edit_line("A_hom_kgt1 ", lambda ln: [], 0)),
 ], ids=["mesh-dim-x", "mesh-vertex-row-dropped", "mesh-vertex-id-999999",
         "tensors-short-A0", "tensors-lambda0-abc", "tensors-short-B0-row",
@@ -1112,21 +1130,12 @@ def _header_line(key, value):
     return edit
 
 
-def _drop_last_level(lines):
-    return lines[:-2]
-
-
-def _one_value_short(lines):
-    # every level a value short, consistently with the nv line
-    out = []
-    for prev, ln in zip([""] + lines, lines):
-        if ln.startswith("nv "):
-            ln = f"nv {int(ln.split()[1]) - 1}"
-        elif prev.startswith("level "):
-            ln = formats._pack(np.frombuffer(base64.b64decode(ln),
-                                             dtype="<f8")[:-1])
-        out.append(ln)
-    return out
+def _renamed(name, new):
+    """The array name stored under the name new, its values kept."""
+    def edit(lines):
+        return [f"array {new} " + ln.removeprefix(f"array {name} ")
+                if ln.startswith(f"array {name} ") else ln for ln in lines]
+    return edit
 
 
 def _drop_energy_surface(lines):
@@ -1134,13 +1143,18 @@ def _drop_energy_surface(lines):
 
 
 @pytest.mark.parametrize("name, edit, words", [
-    ("micro_m2.bhsol", _header_line("kind", "macro"), "holds a macro solution"),
+    ("micro_m2.bhsol", _renamed("micro", "macro"),
+     "holds the arrays macro (5, 399), this mesh and config need "
+     "micro (5, 399)"),
     ("micro_m2.bhsol", _header_line("grid", "0.2 0.1"), "time grid"),
-    ("micro_m2.bhsol", _drop_last_level, "holds (4, 399) (levels, values)"),
-    ("micro_m2.bhsol", _one_value_short, "holds (5, 398) (levels, values)"),
+    ("micro_m2.bhsol", _reshaped("micro", lambda vals: vals[:-1]),
+     "holds the arrays micro (4, 399)"),
+    ("micro_m2.bhsol", _reshaped("micro", lambda vals: vals[:, :-1]),
+     "holds the arrays micro (5, 398)"),
     ("micro_m2.bhsol", _drop_energy_surface, "energy_surface"),
     ("micro_m2.bhsol", _header_line("# config", "0" * 64), "different config"),
-    ("macro.bhsol", _drop_last_level, "holds (4, 81) (levels, values)"),
+    ("macro.bhsol", _reshaped("macro", lambda vals: vals[:-1]),
+     "holds the arrays macro (4, 81)"),
 ], ids=["kind", "grid", "levels", "nv", "energy", "config", "macro-levels"])
 def test_cli_converge_checks_solution_against_config(upstream, tmp_path,
                                                      capsys, name, edit,
@@ -1247,7 +1261,7 @@ def _reference_numbers(out):
                 group(f"{name} {col}", {col: [float(v) for v in vals]})
     energies = {}
     for path in sorted(glob.glob(os.path.join(out, "micro_m*.bhsol"))):
-        header, _ = formats.read_artifact(path, "BHSOL 2")
+        header, _ = formats.read_artifact(path, formats.SOLUTION)
         for key in cli._ENERGIES:
             energies.setdefault(key, {})[os.path.basename(path)] = float(
                 header[key])
@@ -1313,8 +1327,10 @@ def test_cli_verify_lists_the_files_read(upstream, tmp_path, capsys):
         os.path.basename(cfg)] + _VERIFY_INPUTS
 
 
-def _negate_level(line):
-    return [formats._pack(-np.frombuffer(base64.b64decode(line), dtype="<f8"))]
+def _negate_level_2(levels):
+    levels = levels.copy()
+    levels[2] = -levels[2]
+    return levels
 
 
 def _change_first_entry(line):
@@ -1329,7 +1345,7 @@ def _negate_normal(line):
 
 
 @pytest.mark.parametrize("name, edit, check", [
-    ("micro_m2.bhsol", _edit_line("level 2 ", _negate_level, 1),
+    ("micro_m2.bhsol", _reshaped("micro", _negate_level_2),
      "micro_energy_dissipation"),
     ("tensors.bhtens", _edit_line("t, B11", _change_first_entry, 2),
      "tensor_serialization_deterministic"),

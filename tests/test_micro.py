@@ -180,6 +180,33 @@ def test_step_solver_ignores_dof_count(built_solvers):
     assert built_solvers == SUBSTRUCTURED + ["CGSolver"]
 
 
+@pytest.mark.parametrize("solver", ["SubstructuredFactor", "CGSolver"])
+@pytest.mark.parametrize("name", ["disk", "tube"])
+def test_step_solve_without_fixed_values_matches_zero_values(request, name,
+                                                             solver):
+    # solve(b) leaves out the product with the fixed values that
+    # solve(b, zeros) forms; the two give the same bits.  Each solve gets a
+    # solver of its own, so that no CG solve is warm started by the other.
+    b = request.getfixturevalue(name)
+    tiled, _ = tile_micro_domain(b.mesh, b.surf.facets, 0.5, False)
+    K, S1, c, boundary = micro._micro_operators(micro.MicroRun(
+        mesh=tiled, coeffs=b.coeffs, k=1.0, grid=TimeGrid(0.1, 0.05)))[:4]
+    M = (K + c * S1).tocsr()
+
+    def build():
+        if solver == "CGSolver":
+            return fem.CGSolver(M, boundary)
+        return fem.SubstructuredFactor(
+            M, boundary, tiled.local_global,
+            tiled.phase.reshape(len(tiled.local_global), -1))
+
+    rhs = np.random.default_rng(3).standard_normal(len(tiled.vertices))
+    x = build().solve(rhs)
+    x_zeros = build().solve(rhs, np.zeros(len(boundary)))
+    assert np.abs(x).max() > 0.0
+    assert np.array_equal(x.view(np.int64), x_zeros.view(np.int64))
+
+
 def test_micro_stage_builds_no_whole_domain_factor(monkeypatch, tmp_path,
                                                    disk):
     # every factor bh micro builds on a 2D tiling is a tile interior or a
