@@ -144,7 +144,7 @@ class CellSystem:
 
     @cached_property
     def phase_solves(self):
-        """(E, P), from sliced solves of one factor per phase; the interface
+        """(E, P), from one block solve of one factor per phase; the interface
         separates the phases, so each phase solves for its own dofs.
 
         E (nd x g) holds the discrete-harmonic extensions of the unit traces
@@ -161,7 +161,7 @@ class CellSystem:
             unit[np.arange(nf), np.searchsorted(self.gamma_dofs,
                                                 sub.dofs[sub.fixed])] = 1.0
             b = np.hstack([np.zeros((len(sub.dofs), g)), -sub.b_dir.T])
-            x = fem.solve_in_slices(sub.factor, b, unit)
+            x = sub.factor.solve(b, unit)
             E[sub.dofs], P[:, sub.dofs] = x[:, :g], x[:, g:].T
         return E, P
 
@@ -415,8 +415,6 @@ def _interface_system(sys: CellSystem, cS):
     Ew = E.T @ sys.vol_w
     A = sys.K[sys.gamma_dofs] @ E + cS
     B = np.block([[A, Ew[:, None]], [Ew[None, :], np.zeros((1, 1))]])
-    # np.linalg.inv, not scipy.linalg: scipy loads its own BLAS thread pool,
-    # and on small hosts the two pools contend between the numpy products
     try:
         return A, Ew, np.linalg.inv(B)
     except np.linalg.LinAlgError as exc:

@@ -501,7 +501,7 @@ def _verify_checks(cfg, out, read):
             f"band energy {me[0]:.4e} -> {me[-1]:.4e}"
 
     same = (formats.tensor_body(tens, funcs.grid)
-            == formats.read_artifact(paths["tensors"], "BHTENS 1")[1])
+            == formats.read_artifact(paths["tensors"], formats.TENSORS)[1])
     yield "tensor_serialization_deterministic", same, \
         "body rebuilt from cell.bhcell " + (
             "equals tensors.bhtens" if same else "differs from tensors.bhtens")

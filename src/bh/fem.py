@@ -289,24 +289,6 @@ def _row_types(rows):
     return first, label.ravel()
 
 
-# Solves of many columns, eight at a time: on a 2-vCPU host the slices were
-# bitwise equal to one block solve and no slower, but a BLAS thread-pool
-# stall of the block solve still hit them in 2 of 64 processes (README,
-# "Solvers").
-_SOLVE_COLUMNS = 8
-
-
-def solve_in_slices(fac, B, fixed_values=None):
-    """fac.solve(B, fixed_values) for a block B, _SOLVE_COLUMNS columns at a
-    time; fixed_values is None (zero) or a block of as many columns."""
-    if B.shape[1] <= _SOLVE_COLUMNS:
-        return fac.solve(B, fixed_values)
-    cols = [slice(j, j + _SOLVE_COLUMNS)
-            for j in range(0, B.shape[1], _SOLVE_COLUMNS)]
-    return np.hstack([fac.solve(B[:, c], None if fixed_values is None
-                                else fixed_values[:, c]) for c in cols])
-
-
 class SubstructuredFactor:
     """Direct solves of K x = b on an eps-periodic tiling, by substructuring
     (Przemieniecki, AIAA J. 1 (1963) 138-147).
@@ -320,11 +302,10 @@ class SubstructuredFactor:
     Schur complement A_BB - sum_t A_BI T, scattered through the tile maps,
     is factored with the fixed skeleton dofs as its fixed set.  solve takes
     the arguments of DirichletFactor.solve; it condenses the tiles of each
-    type with one block solve (in slices of _SOLVE_COLUMNS columns), solves
-    on the skeleton and back-substitutes
-    with one T x_B product per type.  Every solve checks the residual of
-    the whole reduced system per column to 1e-10 of its right-hand side, so
-    a tile whose blocks differ from its type's fails.
+    type with one block solve, solves on the skeleton and back-substitutes
+    with one T x_B product per type.  Every solve checks the residual of the
+    whole reduced system per column to 1e-10 of its right-hand side, so a
+    tile whose blocks differ from its type's fails.
     """
 
     def __init__(self, K: sp.spmatrix, fixed, tiles: np.ndarray,
@@ -352,7 +333,7 @@ class SubstructuredFactor:
             gi, gb = tiles[rep, li], tiles[rep, loc_b]
             K_i = K[gi]
             fac = DirichletFactor(K_i[:, gi])
-            T = solve_in_slices(fac, K_i[:, gb].toarray())
+            T = fac.solve(K_i[:, gb].toarray())
             A_bi = K[gb][:, gi]
             bp = bpos[members]
             bps.append(bp)
@@ -382,8 +363,7 @@ class SubstructuredFactor:
         condensed = []
         for fac, _, A_bi, gi, bp in self.types:
             k, ni = gi.shape
-            Y = solve_in_slices(
-                fac, r[gi].transpose(1, 0, 2).reshape(ni, k * nc))
+            Y = fac.solve(r[gi].transpose(1, 0, 2).reshape(ni, k * nc))
             flux = (A_bi @ Y).reshape(-1, k, nc).transpose(1, 0, 2)
             np.subtract.at(g, bp, flux)
             condensed.append(Y)
@@ -393,9 +373,7 @@ class SubstructuredFactor:
         for (_, T, _, gi, bp), Y in zip(self.types, condensed):
             k, ni = gi.shape
             xb = xs[bp].transpose(1, 0, 2).reshape(-1, k * nc)
-            # einsum keeps this product out of the BLAS thread pool (README,
-            # "Solvers")
-            xi = Y - np.einsum("ib,bk->ik", T, xb)
+            xi = Y - T @ xb
             y[gi] = xi.reshape(ni, k, nc).transpose(1, 0, 2)
         residual_check(self.K_free, y, r[self.free])
         x[self.free] = y[self.free].reshape(rhs.shape)

@@ -24,6 +24,7 @@ from itertools import islice
 
 import numpy as np
 
+from . import blas_threads
 from .errors import MissingArtifact
 
 _F = "%.17g"
@@ -207,6 +208,7 @@ def read_mesh(path):
 
 CELL_ARCHIVE = "BHCELL 3"
 SOLUTION = "BHSOL 3"
+TENSORS = "BHTENS 1"        # the text tensor file, below
 
 
 def write_arrays(path, magic, header, grid, arrays):
@@ -256,7 +258,7 @@ def _floats(tokens, n):
 
 
 def write_tensors(path, header, tens, kernel_grid):
-    write_artifact(path, "BHTENS 1", header, tensor_body(tens, kernel_grid))
+    write_artifact(path, TENSORS, header, tensor_body(tens, kernel_grid))
 
 
 def tensor_body(tens, kernel_grid):
@@ -305,7 +307,7 @@ def read_tensors(path):
     """A body off the written layout, or with a value that is not finite,
     is refused like a failed checksum.  B0 and Phi are (levels, dim, dim)
     arrays on the kernel grid, whose times both tables must list alike."""
-    header, body = read_artifact(path, "BHTENS 1")
+    header, body = read_artifact(path, TENSORS)
     it = iter(body)
     try:
         key, dim = next(it).split()
@@ -360,7 +362,8 @@ def write_manifest(path, command, config_hash, tool_version, started_iso,
             f"config {config_hash}",
             f"tool_version {tool_version}",
             f"started {started_iso}",
-            f"wall_time_s {_F % wall_time_s}"]
+            f"wall_time_s {_F % wall_time_s}",
+            f"blas_threads {blas_threads() or 'unpinned'}"]
     for p in inputs:
         body.append(f"input {os.path.basename(p)} {file_sha256(p)}")
     for p in outputs:

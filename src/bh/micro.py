@@ -127,7 +127,7 @@ def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
     zero on the boundary.
     Returns the levels, x_n . Q x_n per level and the bulk energy
     sum_n dt x_n . K_unit x_n, both taken after the march with one einsum
-    each: per-level dots stall in threaded BLAS (README, "Solvers").
+    each.
     """
     nd = K.shape[0]
     x0 = np.zeros(nd)

@@ -8,7 +8,8 @@ oracle and belongs in the tests.
 
 There is one solver policy: src/bh calls SuperLU's splu at one site.
 There is one packed container: src/bh packs and unpacks arrays at one
-site each.
+site each.  Each artifact's version string ("BHTENS 1" and the like) is
+spelled in formats.py only.
 
 Every attribute assigned on self and every annotated class field in src/bh
 must be read in src/: loaded as an attribute, or named by a string
@@ -19,6 +20,7 @@ value stored and never read is a result computed and thrown away.
 """
 import ast
 import pathlib
+import re
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -142,3 +144,14 @@ def test_one_packed_container():
     for name in ("_pack", "_unpack"):
         sites = _call_sites(name)
         assert len(sites) == 1 and sites[0].startswith("formats.py:"), sites
+
+
+def test_version_strings_live_in_formats():
+    """A module outside formats.py names a version through formats'
+    constants, so that a version bump is one edit."""
+    found = [f"{path.name}:{node.lineno} {node.value}"
+             for path, tree in _trees().items() if path.name != "formats.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and re.fullmatch(r"BH[A-Z]+ \d+", node.value)]
+    assert not found, found

@@ -1592,10 +1592,11 @@ _MICRO_KEYS = ("surface_energy", "energy_bulk", "energy_surface")
 # The 2D march now solves with fem.SubstructuredFactor, whose elimination
 # order differs from the whole-domain factor of the former march, so the two
 # agree to roundoff, not bitwise.  The largest gaps measured over the 2D
-# cases below were 8.8e-13 of max|u| (levels, disk at eps = 1/4) and 6.7e-13
-# of each energy (layered at eps = 1/4); at eps = 1/10 with stripping 1.4e-13
-# and 4.6e-14.  At eps = 1 the one tile holds every dof and the levels agree
-# bitwise.
+# cases below, with the tile solves as one block solve each and the
+# back-substitution as one T @ x_B product, were 7.4e-13 of max|u| (levels,
+# disk at eps = 1/4) and 5.1e-13 of each energy (layered at eps = 1/4); at
+# eps = 1/10 with stripping 2.1e-13 and 1.3e-13.  At eps = 1 the one tile
+# holds every dof and the levels agree bitwise.
 # The 3D march now starts with Jacobi-CG where the former one factored the
 # whole domain, so its level 0 is held to STEP_RTOL, the tolerance of the
 # CG/SuperLU pin (the largest gap measured on the tube was 9.1e-13 of

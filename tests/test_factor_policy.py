@@ -12,9 +12,9 @@ micro levels (disk, eps = 1/8), so the tolerance leaves a margin of about
 
 The same module pins the pieces the policy change brought along: the
 fill it saves on the largest factors of the cell_pipeline benchmark
-workload, the sliced phase solves against one block solve, the cell
-operators read off the element kernels against the former per-phase
-assembly, and the macro report against its former per-level loop.
+workload, the cell operators read off the element kernels against the
+former per-phase assembly, and the macro report against its former
+per-level loop.
 """
 import os
 
@@ -30,10 +30,6 @@ from bh.geometry import PHASE_INT, PHASE_OUT
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
 CHAIN = ("mesh", "cell", "tensors", "macro", "micro")
 POLICY_RTOL = 1e-11
-# the sliced phase solves were bitwise equal to one block solve on the disk
-# cell below; a BLAS build that blocks the triangular solves by columns may
-# round them apart, so the bound allows roundoff
-SLICED_RTOL = 1e-13
 
 _SPLU = spla.splu
 
@@ -143,22 +139,6 @@ def test_policy_fills_at_most_four_fifths_of_colamd(pipeline_cell):
     factors = [sub.factor for sub in pipeline_cell.sub.values()] + [step]
     for fac in factors:
         assert _fill(fac.lu) <= 0.8 * _fill(_SPLU(fac.Kff.tocsc()))
-
-
-def test_sliced_phase_solves_match_one_block_solve(pipeline_cell):
-    sys = pipeline_cell
-    E, P = sys.phase_solves
-    g = len(sys.gamma_dofs)
-    assert g + sys.dim > fem._SOLVE_COLUMNS
-    for sub in sys.sub.values():
-        nf = len(sub.fixed)
-        unit = np.zeros((nf, g + sys.dim))
-        unit[np.arange(nf), np.searchsorted(sys.gamma_dofs,
-                                            sub.dofs[sub.fixed])] = 1.0
-        b = np.hstack([np.zeros((len(sub.dofs), g)), -sub.b_dir.T])
-        x = sub.factor.solve(b, unit)
-        got = np.hstack([E[sub.dofs], P[:, sub.dofs].T])
-        assert np.abs(got - x).max() <= SLICED_RTOL * np.abs(x).max()
 
 
 def _former_stiffness(geom, simplices, coeff, vdof, ndof):

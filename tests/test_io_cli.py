@@ -8,6 +8,7 @@ on a small layered configuration, a coarse disk at k = 0.5 and the three
 configs/ files, and check artifacts, hash guards and exit codes.
 """
 import base64
+import ctypes
 import dataclasses
 import gc
 import glob
@@ -559,7 +560,9 @@ def test_cli_chain_matches_one_command_a_call(tiny_cfg, tmp_path, capsys):
     assert {"study_eps.csv", "verify_report.txt"} <= set(got)
     assert got == _digests(single)
     for cmd in CHAIN:
-        assert os.path.exists(os.path.join(chained, f"{cmd}.bhrun")), cmd
+        with open(os.path.join(chained, f"{cmd}.bhrun")) as fh:
+            assert re.search(r"^blas_threads (1|unpinned)$", fh.read(),
+                             re.MULTILINE), cmd
 
 
 def test_cli_chain_stops_at_a_missing_artifact(tiny_cfg, tmp_path, capsys):
@@ -612,9 +615,10 @@ def test_cli_help_lists_each_command_with_its_inputs():
     assert ["verify", "mesh", "cell", "tensors", "micro"] in rows
 
 
-def _subprocess_bh(commands, cfg, out):
-    """Run the space-separated commands as one bh process."""
-    env = dict(os.environ,
+def _subprocess_bh(commands, cfg, out, **env_vars):
+    """Run the space-separated commands as one bh process, with env_vars
+    added to its environment."""
+    env = dict(os.environ, **env_vars,
                PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
     return subprocess.run(
         [sys.executable, "-m", "bh.cli", *commands.split(), "--config", cfg,
@@ -651,6 +655,42 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _numpy_openblas():
+    """numpy's bundled OpenBLAS, found among the files of numpy.libs that
+    this process has loaded, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            return ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+    return None
+
+
+def test_import_pins_numpy_blas_pool_to_one_thread():
+    # read back through the library's own getter, not through bh
+    lib = _numpy_openblas()
+    if lib is None:
+        pytest.skip("numpy bundles no scipy-openblas64 library here")
+    assert lib.scipy_openblas_get_num_threads64_() == 1
+    assert bh.blas_threads() == 1
+
+
+def test_tube_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # with numpy's pool pinned at import, OpenBLAS's own variable (bh reads
+    # none) no longer changes the tube cell's dense products
+    cfg = os.path.join(CONFIGS, "tube_klt1.ini")
+    found = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / threads)
+        proc = _subprocess_bh("mesh cell tensors", cfg, out,
+                              OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        found.append(_digests(out))
+    assert {"mesh.bhmesh", "cell.bhcell", "tensors.bhtens"} <= set(found[0])
+    assert found[0] == found[1]
 
 
 _INI_LINES = TINY_INI.splitlines()
