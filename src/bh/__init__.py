@@ -1,21 +1,25 @@
 """Numerical homogenization of two-phase conduction with dynamic
 Laplace-Beltrami interface conditions: cell correctors, effective tensors
 with memory kernels, macroscopic and microscale solvers, and the study
-harnesses comparing them.  Importing bh pins numpy's OpenBLAS to one
-thread, process-wide (README, "Solvers")."""
+harnesses comparing them.  Importing bh pins the OpenBLAS of numpy and the
+one of scipy to one thread each, process-wide (README, "Solvers")."""
 import ctypes
-
-import numpy as np
+import importlib
 
 __version__ = "0.1.0"
 
-try:    # numpy's bundled OpenBLAS, reached through the core module loading it
-    _BLAS = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    _BLAS.scipy_openblas_set_num_threads64_(1)
-except (AttributeError, OSError):
-    _BLAS = None
+
+def _pin(module, suffix):
+    """Pin the pool of the OpenBLAS that the named module loads to one
+    thread; its thread-count getter, or one returning None without it."""
+    try:
+        lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(1)
+        return getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+    except (AttributeError, ImportError, OSError):
+        return lambda: None
 
 
-def blas_threads():
-    """The size of numpy's OpenBLAS thread pool, or None when unpinned."""
-    return None if _BLAS is None else _BLAS.scipy_openblas_get_num_threads64_()
+# the pool sizes of numpy's OpenBLAS and of scipy's, which SuperLU calls
+blas_threads = _pin("numpy._core._multiarray_umath", "64_")
+scipy_blas_threads = _pin("scipy.sparse.linalg._dsolve._superlu", "")

@@ -141,7 +141,7 @@ def _manifest(out, command, cfg, started, t0, inputs, outputs):
         os.path.join(out, f"{command}.bhrun"), command, cfg.config_hash,
         __version__, started, time.perf_counter() - t0,
         [p for p in inputs if os.path.exists(p)],
-        [p for p in outputs if os.path.exists(p)])
+        {p: digest for p, digest in outputs.items() if os.path.exists(p)})
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +151,9 @@ def _manifest(out, command, cfg, started, t0, inputs, outputs):
 def cmd_mesh(cfg, out, vtk):
     paths = _paths(out)
     mesh, surf = geometry.build_unit_cell(cfg.geometry)
-    formats.write_mesh(paths["mesh"], _header(cfg), mesh.vertices,
-                       mesh.simplices, mesh.phase, surf, mesh.periodic_pairs)
+    sha = formats.write_mesh(paths["mesh"], _header(cfg), mesh.vertices,
+                             mesh.simplices, mesh.phase, surf,
+                             mesh.periodic_pairs)
     # read_mesh returns these arrays bitwise, and a load extracts this surf
     _keep_mesh(_mesh_key(paths["mesh"]), _header(cfg), mesh, surf, dict(
         vertices=mesh.vertices, simplices=mesh.simplices, phase=mesh.phase,
@@ -162,7 +163,7 @@ def cmd_mesh(cfg, out, vtk):
         formats.write_vtk(os.path.join(out, "mesh.vtk"), mesh.vertices,
                           mesh.simplices, np.zeros(len(mesh.vertices)),
                           cell_values=mesh.phase, cell_name="phase")
-    return [], [paths["mesh"]]
+    return [], {paths["mesh"]: sha}
 
 
 def cmd_cell(cfg, out, vtk):
@@ -170,7 +171,7 @@ def cmd_cell(cfg, out, vtk):
     mesh, surf, _ = _load_cell_mesh(cfg, paths)
     sysm = _cell_system(cfg, mesh, surf)
     funcs = cell.solve_cell_functions(sysm, cfg.kernel_grid)
-    formats.write_arrays(
+    sha = formats.write_arrays(
         paths["cell"], formats.CELL_ARCHIVE, _header(cfg), cfg.kernel_grid,
         [(name, getattr(funcs, name)) for name in _CELL_ARRAYS])
 
@@ -190,7 +191,7 @@ def cmd_cell(cfg, out, vtk):
             formats.write_vtk(os.path.join(out, f"chi0_{j + 1}.vtk"),
                               mesh.vertices, mesh.simplices,
                               funcs.chi0[j][sysm.vdof])
-    return [paths["mesh"]], [paths["cell"], paths["compat"]]
+    return [paths["mesh"]], {paths["cell"]: sha, paths["compat"]: None}
 
 
 # the arrays of a cell archive, in order: the bulk chi0 and chi0_tilde
@@ -216,8 +217,9 @@ def cmd_tensors(cfg, out, vtk):
     paths = _paths(out)
     mesh, surf, _ = _load_cell_mesh(cfg, paths)
     _, funcs, tens = _cell_tensors(cfg, paths, mesh, surf)
-    formats.write_tensors(paths["tensors"], _header(cfg), tens, funcs.grid)
-    return [paths["mesh"], paths["cell"]], [paths["tensors"]]
+    sha = formats.write_tensors(paths["tensors"], _header(cfg), tens,
+                                funcs.grid)
+    return [paths["mesh"], paths["cell"]], {paths["tensors"]: sha}
 
 
 def _stored_tensors(cfg, paths):
@@ -264,8 +266,8 @@ def cmd_macro(cfg, out, vtk):
     tdata = _stored_tensors(cfg, paths)
     mesh, prob = _macro_problem(cfg, tdata, paths["tensors"])
     fld = _solve_macro(prob)
-    formats.write_arrays(paths["macro"], formats.SOLUTION, _header(cfg),
-                         cfg.macro_grid, [("macro", fld.levels)])
+    sha = formats.write_arrays(paths["macro"], formats.SOLUTION, _header(cfg),
+                               cfg.macro_grid, [("macro", fld.levels)])
 
     A_inst = prob.lambda0 * np.eye(cfg.dim) + (
         prob.A0 if prob.A0 is not None else 0.0)
@@ -288,7 +290,7 @@ def cmd_macro(cfg, out, vtk):
         for n in range(fld.levels.shape[0]):
             formats.write_vtk(os.path.join(out, f"macro_{n:04d}.vtk"),
                               mesh.vertices, mesh.simplices, fld.levels[n])
-    return [paths["tensors"]], [paths["macro"], paths["macro_csv"]]
+    return [paths["tensors"]], {paths["macro"]: sha, paths["macro_csv"]: None}
 
 
 def _micro_path(out, eps, suffix=".bhsol"):
@@ -308,16 +310,16 @@ def cmd_micro(cfg, out, vtk):
     paths = _paths(out)
     mesh, surf, _ = _load_cell_mesh(cfg, paths)
     strip = cfg.topology == "cd"
-    written = []
+    written = {}
     for eps in cfg.eps_list:
         mmesh, _ = geometry.tile_micro_domain(mesh, surf.facets, eps, strip)
         fld = micro.solve_micro(_micro_run(cfg, mmesh))
         p = _micro_path(out, eps)
         header = dict(_header(cfg), **{key: _F % fld.diagnostics[key]
                                        for key in _ENERGIES})
-        formats.write_arrays(p, formats.SOLUTION, header, cfg.macro_grid,
-                             [("micro", fld.levels)])
-        written.append(p)
+        written[p] = formats.write_arrays(p, formats.SOLUTION, header,
+                                          cfg.macro_grid,
+                                          [("micro", fld.levels)])
         if vtk:
             formats.write_vtk(_micro_path(out, eps, "_final.vtk"),
                               mmesh.vertices, mmesh.simplices, fld.levels[-1])
@@ -367,7 +369,7 @@ def cmd_converge(cfg, out, vtk):
                            macro_mesh=mmesh, macro_field=fld)
     with open(paths["study_eps"], "w") as fh:
         fh.write(rep.csv())
-    written = [paths["study_eps"]]
+    written = {paths["study_eps"]: None}
 
     if cfg.topology == "cd" and cfg.k == 1.0 and cfg.eta_list:
         u0f = cfg.u0_function()
@@ -377,7 +379,7 @@ def cmd_converge(cfg, out, vtk):
                 grid=cfg.macro_grid, eps=max(cfg.eps_list), u0_bar=u0f)
             with open(paths["study_eta"], "w") as fh:
                 fh.write(eta_rep.csv())
-            written.append(paths["study_eta"])
+            written[paths["study_eta"]] = None
     return read, written
 
 
@@ -519,8 +521,8 @@ def cmd_verify(cfg, out, vtk):
         fh.write(text)
     sys.stdout.write(text)
     if failures:
-        raise _VerifyFailed(failures, read, [paths["verify"]])
-    return read, [paths["verify"]]
+        raise _VerifyFailed(failures, read, {paths["verify"]: None})
+    return read, {paths["verify"]: None}
 
 
 class _VerifyFailed(Exception):
@@ -534,7 +536,7 @@ class _VerifyFailed(Exception):
 # ---------------------------------------------------------------------------
 
 # command -> (function, the commands whose outputs it needs); a function
-# returns (files read, files written), and both go into its manifest
+# returns (files read, {file written: sha256 or None}) for its manifest
 _COMMANDS = {
     "mesh": (cmd_mesh, []),
     "cell": (cmd_cell, ["mesh"]),

@@ -97,15 +97,14 @@ class RunConfig:
         return "klt1" if self.k < 1.0 else "kgt1"
 
     def u0_function(self):
-        if self.u0_name == "zero":
-            return None
-        return preset_function(self.u0_name, self.dim)
+        return self._preset(self.u0_name)
 
     def source_function(self):
-        if self.f_name == "zero":
-            return None
-        g = preset_function(self.f_name, self.dim)
-        return lambda pts, t: g(pts)
+        """The source f(points), or None: position alone, no time."""
+        return self._preset(self.f_name)
+
+    def _preset(self, name):
+        return None if name == "zero" else preset_function(name, self.dim)
 
 
 def _canonical_text(cp: configparser.ConfigParser) -> str:

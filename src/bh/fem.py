@@ -12,14 +12,11 @@ Laplace-Beltrami operator (Dziuk and Elliott, Acta Numer. 22 (2013)).
 
 Every direct solve goes through one SuperLU factor, DirichletFactor, of an
 SPD system ordered by minimum degree on the pattern of A + A^T (Liu, ACM
-TOMS 11 (1985) 141-153; README, "Solvers").  It eliminates the rows of
-Dirichlet dofs; for the periodic and surface operators, whose kernel is
-the constants, it pins one dof, projects the load and restores a zero
-weighted mean (volume weights for bulk, per-component surface weights on
-interfaces).  It serves the cell problems and the macro limits.  The 2D
-micro marches solve on their eps-tiles with SubstructuredFactor, built
-from DirichletFactors of the tile interiors and of the skeleton; 3D micro
-marches use diagonally preconditioned conjugate gradients.
+TOMS 11 (1985) 141-153; README, "Solvers"), with fixed dofs or with the
+constants as its kernel, for the cell problems and the macro limits.  The
+2D micro marches solve with SubstructuredFactor, built from DirichletFactors
+of the tile interiors and of the skeleton; 3D micro marches use diagonally
+preconditioned conjugate gradients.
 """
 
 import numpy as np
@@ -192,11 +189,15 @@ def surface_gradients(vertices, facets):
 # constrained solvers
 # ---------------------------------------------------------------------------
 
-def residual_check(K, x, b, tol=1e-10):
-    """Relative residual of K x = b, per column when b is a block."""
-    r = K @ x - b
-    bnorm = np.linalg.norm(b, axis=0)
-    rel = np.linalg.norm(r, axis=0) / np.maximum(bnorm, 1e-300)
+def residual_check(K, x, b, tol=1e-10, rows=None):
+    """Relative residual of K x = b, per column when b is a block, over the
+    given rows (all by default), with no block of squares."""
+    r = K @ x
+    if rows is not None:
+        r, b = r[rows], b[rows]
+    r -= b
+    bnorm, rnorm = np.sqrt([np.einsum("i...,i...->...", v, v) for v in (b, r)])
+    rel = rnorm / np.maximum(bnorm, 1e-300)
     bad = ~np.isfinite(rel) | ((rel > tol) & (bnorm > 0))
     if np.any(bad):
         worst = float(np.max(np.where(np.isfinite(rel), rel, np.inf)))
@@ -265,9 +266,9 @@ class DirichletFactor:
         rhs = b[self.free]
         if fixed_values is not None:
             rhs = rhs - (self.Kfc @ x[self.fixed])
-        x[self.free] = self.lu.solve(rhs)
+        x[self.free] = sol = self.lu.solve(rhs)
         if self.w is None:
-            residual_check(self.Kff, x[self.free], rhs)
+            residual_check(self.Kff, sol, rhs)
             return x
         x -= (self.w @ x) / self.w.sum()
         residual_check(self.K, x, b)
@@ -278,53 +279,48 @@ class DirichletFactor:
         return x
 
 
-def _row_types(rows):
-    """Indices of the first of each distinct row of an int array, and the
-    label of every row.  Each row is compared as one byte string:
-    np.unique(rows, axis=0) took 30 ms on 100 tiles of 1,352 elements."""
-    rows = np.ascontiguousarray(rows)
+def _row_types(*blocks):
+    """The first of each distinct row of the int blocks side by side, in
+    np.unique's byte-string order, and each row's label: one comparison per
+    type, then a sort of those rows (np.unique over all took 2-3 ms)."""
+    label, first = np.full(len(blocks[0]), -1), []
+    while np.any(left := label < 0):
+        r = int(np.argmax(left))
+        same = [left] + [(blk == blk[r]).all(axis=1) for blk in blocks]
+        label[np.logical_and.reduce(same)] = len(first)
+        first.append(r)
+    rows = np.ascontiguousarray(np.column_stack([b[first] for b in blocks]))
     keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
-    _, first, label = np.unique(keys.ravel(), return_index=True,
-                                return_inverse=True)
-    return first, label.ravel()
+    rank = np.unique(keys.ravel(), return_inverse=True)[1].ravel()
+    return np.array(first)[np.argsort(rank)], rank[label]
 
 
 class SubstructuredFactor:
     """Direct solves of K x = b on an eps-periodic tiling, by substructuring
     (Przemieniecki, AIAA J. 1 (1963) 138-147).
 
-    tiles[t] maps the cell vertices to the dofs of tile t; tiles whose rows
-    of patterns agree carry the same coefficients.  A cell vertex whose dof
-    no other tile shares, in every tile, is interior; all other dofs form
-    the skeleton.  Tiles with the same pattern and the same fixed interior
-    dofs form a type and share their blocks: one representative's interior
-    block A_II is factored and T = A_II^{-1} A_IB kept dense.  The skeleton
-    Schur complement A_BB - sum_t A_BI T, scattered through the tile maps,
-    is factored with the fixed skeleton dofs as its fixed set.  solve takes
-    the arguments of DirichletFactor.solve; it condenses the tiles of each
-    type with one block solve, solves on the skeleton and back-substitutes
-    with one T x_B product per type.  Every solve checks the residual of the
-    whole reduced system per column to 1e-10 of its right-hand side, so a
-    tile whose blocks differ from its type's fails.
+    layout is the tiling's geometry.MicroMesh.substructure.  Tiles whose
+    rows of patterns agree carry the same coefficients; with the same fixed
+    interior dofs too they form a type and share their blocks: one
+    representative's interior block A_II is factored and T = A_II^{-1} A_IB
+    kept dense.  The skeleton Schur complement A_BB - sum_t A_BI T is
+    factored with the fixed skeleton dofs as its fixed set.  solve takes the
+    arguments of DirichletFactor.solve; it gathers the loads from b,
+    condenses the tiles of each type with one block solve, solves on the
+    skeleton and back-substitutes with one T x_B product per type.  Every
+    solve checks the residual of the free rows per column to 1e-10 of their
+    load, so a tile whose blocks differ from its type's fails.
     """
 
-    def __init__(self, K: sp.spmatrix, fixed, tiles: np.ndarray,
-                 patterns: np.ndarray):
-        K = K.tocsr()
+    def __init__(self, K: sp.spmatrix, fixed, layout, patterns: np.ndarray):
+        self.K = K = K.tocsr()
         self.n = K.shape[0]
         self.fixed, self.free = _free_dofs(self.n, fixed)
-        self.K_free = K[self.free]
+        tiles, loc_i, loc_b, self.skeleton, bpos = layout
         is_fixed = np.zeros(self.n, dtype=bool)
         is_fixed[self.fixed] = True
-        shared = np.bincount(tiles.ravel(), minlength=self.n)[tiles] > 1
-        loc_i = np.flatnonzero(~shared.any(axis=0))
-        loc_b = np.flatnonzero(shared.any(axis=0))
-        self.skeleton, bpos = np.unique(tiles[:, loc_b], return_inverse=True)
-        bpos = bpos.reshape(len(tiles), len(loc_b))
         nb = len(loc_b)
-
-        reps, label = _row_types(np.column_stack(
-            [patterns, is_fixed[tiles[:, loc_i]]]))
+        reps, label = _row_types(patterns, is_fixed[tiles[:, loc_i]])
         self.types = []
         klocs, bps = [], []
         for ty, rep in enumerate(reps):
@@ -339,9 +335,8 @@ class SubstructuredFactor:
             bps.append(bp)
             klocs.append(np.broadcast_to(A_bi @ T, (len(members), nb, nb)))
             self.types.append((fac, T, A_bi, tiles[members][:, li], bp))
-        ns = len(self.skeleton)
         schur = K[self.skeleton][:, self.skeleton] - scatter_matrix(
-            np.concatenate(klocs), np.concatenate(bps), ns)
+            np.concatenate(klocs), np.concatenate(bps), len(self.skeleton))
         self.skeleton_factor = DirichletFactor(
             schur, np.flatnonzero(is_fixed[self.skeleton]))
 
@@ -351,13 +346,11 @@ class SubstructuredFactor:
             x[self.fixed] = fixed_values
         if not len(self.free):
             return x
-        # the reduced system on all n dofs, with zero load and value on the
-        # fixed ones; x is zero off them
-        rhs = b[self.free]
-        if fixed_values is not None:
-            rhs = rhs - self.K_free @ x
-        r = np.zeros((self.n, rhs.size // len(self.free)))
-        r[self.free] = rhs.reshape(len(self.free), -1)
+        if fixed_values is not None:   # the fixed rows are never read
+            b = b - self.K @ x
+            x[self.fixed] = 0.0
+        # y is zero on the fixed dofs; the skeleton factor skips those of g
+        r, y = b.reshape(self.n, -1), x.reshape(self.n, -1)
         nc = r.shape[1]
         g = r[self.skeleton]
         condensed = []
@@ -368,15 +361,15 @@ class SubstructuredFactor:
             np.subtract.at(g, bp, flux)
             condensed.append(Y)
         xs = self.skeleton_factor.solve(g)
-        y = np.zeros_like(r)
         y[self.skeleton] = xs
         for (_, T, _, gi, bp), Y in zip(self.types, condensed):
             k, ni = gi.shape
             xb = xs[bp].transpose(1, 0, 2).reshape(-1, k * nc)
             xi = Y - T @ xb
             y[gi] = xi.reshape(ni, k, nc).transpose(1, 0, 2)
-        residual_check(self.K_free, y, r[self.free])
-        x[self.free] = y[self.free].reshape(rhs.shape)
+        residual_check(self.K, y, r, rows=self.free)
+        if fixed_values is not None:
+            x[self.fixed] = fixed_values
         return x
 
 

@@ -24,7 +24,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import blas_threads
+from . import blas_threads, scipy_blas_threads
 from .errors import MissingArtifact
 
 _F = "%.17g"
@@ -75,15 +75,19 @@ def _unpack(line, n, path):
 # ---------------------------------------------------------------------------
 
 def write_artifact(path, magic, header, body_lines):
+    """Write the artifact; returns the sha256 of the file."""
     lines = [magic]
     for key in sorted(header):
         lines.append(f"# {key} {header[key]}")
     lines.extend(body_lines)
     body = ("\n".join(lines) + "\n").encode()
-    digest = hashlib.sha256(body).hexdigest()
+    sha = hashlib.sha256(body)
+    trailer = f"checksum {sha.hexdigest()}\n".encode()
+    sha.update(trailer)
     with open(path, "wb") as fh:
         fh.write(body)
-        fh.write(f"checksum {digest}\n".encode())
+        fh.write(trailer)
+    return sha.hexdigest()
 
 
 def read_artifact(path, magic):
@@ -150,7 +154,7 @@ def write_mesh(path, header, vertices, simplices, phase, surf=None, pairs=None):
         body += _rows(pairs, ["%d"] * 3)
     else:
         body.append("pairs 0")
-    write_artifact(path, "BHMESH 1", header, body)
+    return write_artifact(path, "BHMESH 1", header, body)
 
 
 def read_mesh(path):
@@ -218,7 +222,7 @@ def write_arrays(path, magic, header, grid, arrays):
     for name, vals in arrays:
         body.append(" ".join(["array", name] + [str(n) for n in vals.shape]))
         body.append(_pack(vals))
-    write_artifact(path, magic, header, body)
+    return write_artifact(path, magic, header, body)
 
 
 def read_arrays(path, magic):
@@ -258,7 +262,7 @@ def _floats(tokens, n):
 
 
 def write_tensors(path, header, tens, kernel_grid):
-    write_artifact(path, TENSORS, header, tensor_body(tens, kernel_grid))
+    return write_artifact(path, TENSORS, header, tensor_body(tens, kernel_grid))
 
 
 def tensor_body(tens, kernel_grid):
@@ -358,16 +362,18 @@ def read_tensors(path):
 
 def write_manifest(path, command, config_hash, tool_version, started_iso,
                    wall_time_s, inputs, outputs):
+    """outputs maps each file to its writer's sha256, or None to hash it."""
     body = [f"command {command}",
             f"config {config_hash}",
             f"tool_version {tool_version}",
             f"started {started_iso}",
             f"wall_time_s {_F % wall_time_s}",
-            f"blas_threads {blas_threads() or 'unpinned'}"]
+            f"blas_threads {blas_threads() or 'unpinned'}",
+            f"scipy_blas_threads {scipy_blas_threads() or 'unpinned'}"]
     for p in inputs:
         body.append(f"input {os.path.basename(p)} {file_sha256(p)}")
-    for p in outputs:
-        body.append(f"output {os.path.basename(p)} {file_sha256(p)}")
+    for p, digest in outputs.items():
+        body.append(f"output {os.path.basename(p)} {digest or file_sha256(p)}")
     write_artifact(path, "BHRUN 1", {}, body)
 
 

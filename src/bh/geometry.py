@@ -112,6 +112,21 @@ class CellMesh:
     def phase_volume(self, phase: int) -> float:
         return float(self.volumes()[self.phase == phase].sum())
 
+    @cached_property
+    def phase_stiffness(self):
+        """(rows, cols, data): data[p] is the unit stiffness of phase p (0,
+        1, 2), zero off p, on the pattern that all three share."""
+        from . import fem   # fem imports this module
+        V, S, nv = self.vertices, self.simplices, len(self.vertices)
+        geom = fem.element_gradients(V, S, self.volumes())
+        A = [fem.assemble_stiffness(geom, S, self.phase == ph, np.arange(nv),
+                                    nv, allow_zero=True).tocoo()
+             for ph in range(3)]
+        out = A[0].row, A[0].col, np.stack([a.data for a in A])
+        for vals in out:
+            vals.flags.writeable = False
+        return out
+
 
 @dataclass
 class MembraneMesh(CellMesh):
@@ -169,6 +184,20 @@ class MicroMesh:
     def volumes(self) -> np.ndarray:
         return np.tile(self.cell.volumes(), len(self.local_global)) \
             * self.eps ** self.dim
+
+    @cached_property
+    def substructure(self):   # fem.SubstructuredFactor's, once per tiling
+        return _substructure(self.local_global)
+
+
+def _substructure(tiles):
+    """(tiles, interior and ring cell vertices, skeleton, ring positions):
+    an interior vertex's dof no other tile shares; the skeleton is sorted."""
+    shared = np.bincount(tiles.ravel())[tiles] > 1
+    ring = np.flatnonzero(shared.any(axis=0))
+    skeleton, pos = np.unique(tiles[:, ring], return_inverse=True)
+    return (tiles, np.flatnonzero(~shared.any(axis=0)), ring, skeleton,
+            pos.reshape(len(tiles), len(ring)))
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +786,8 @@ def tile_micro_domain(mesh: CellMesh, facets: np.ndarray, eps: float,
     vertices = (V[first % nv] + cells[first // nv]) / m
 
     ne = mesh.simplices.shape[0]
-    simplices = local_global[:, mesh.simplices].reshape(n_cells * ne, dim + 1)
+    # np.take gathers C-ordered, so the reshape does not copy
+    simplices = np.take(local_global, mesh.simplices, 1).reshape(-1, dim + 1)
     phase = np.tile(np.asarray(mesh.phase, dtype=np.int64), n_cells)
     stripped = np.zeros(n_cells, dtype=bool)
     if strip_boundary_inclusions and inclusions_disconnected:

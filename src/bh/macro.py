@@ -20,11 +20,11 @@ The history is one dense product over a buffer of the stored levels
 one per tensor component, which meet the N^2 component stiffness matrices,
 stacked side by side, in one sparse product.  The Phi loads are built
 once before the march and only recombined per step: the load of entry
-(j, h) is the component product -K_hj u0.  The f load, the lumped vertex
-mass times the source, is evaluated at every step, since f may depend on
-t.  The work stays O(M^2) in the number of steps.
+(j, h) is the component product -K_hj u0.  The source is a function of
+position alone, so its load, the lumped vertex mass times the source, is
+formed once too.  The work stays O(M^2) in the number of steps.
 
-The k != 1 limits are elliptic problems solved level by level.
+The k != 1 limits are elliptic problems whose one solve fills every level.
 """
 
 from dataclasses import dataclass, field
@@ -105,7 +105,7 @@ class MacroProblem:
     kernel_grid: TimeGrid = None
     F_coeffs: np.ndarray = None    # Phi samples (L+1, N, N)
     u0_bar: np.ndarray = None      # nodal initial macro state
-    source: object = None          # callable f(points, t) -> nodal values
+    source: object = None          # callable f(points) -> nodal values
     A_elliptic: np.ndarray = None  # tensor for the k != 1 regimes
     topology: str = "cd"
 
@@ -244,7 +244,7 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
     K_cat = sp.hstack([mats[(a, b)] for a in range(dim)
                        for b in range(dim)], format="csr")
 
-    times = grid.times
+    f_load = problem.source and mesh.mass * problem.source(mesh.vertices)
     for n in range(1, M + 1):
         # K_C is empty in the disconnected regime: skip its zero product
         rhs = (K_C @ U[n - 1]) / dt if K_C.nnz else np.zeros(nv)
@@ -252,8 +252,8 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
             rhs -= K_cat @ (dt * (B_flat[n:0:-1].T @ H[:n])).ravel()
         if phi_loads is not None:
             rhs += Phi_res[n].ravel() @ phi_loads
-        if problem.source is not None:
-            rhs += mesh.mass * problem.source(mesh.vertices, times[n])
+        if f_load is not None:
+            rhs += f_load
         try:
             U[n] = fac.solve(rhs)
         except SingularSystem as exc:
@@ -268,7 +268,7 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
 # ---------------------------------------------------------------------------
 
 def solve_homogenized_elliptic(problem: MacroProblem) -> TransientField:
-    """Stationary limit problems, one solve per requested time level."""
+    """Stationary limit problems: one solve, the same at every level."""
     mesh = problem.mesh
     grid = problem.grid
     nv = len(mesh.vertices)
@@ -284,10 +284,8 @@ def solve_homogenized_elliptic(problem: MacroProblem) -> TransientField:
 
     U = np.zeros((M + 1, nv))
     if problem.source is not None:
-        for n, t in enumerate(grid.times):
-            f = problem.source(mesh.vertices, t)
-            try:
-                U[n] = fac.solve(mesh.mass * f)
-            except SingularSystem as exc:
-                raise SingularStep(f"elliptic level {n}: {exc}") from exc
+        try:
+            U[:] = fac.solve(mesh.mass * problem.source(mesh.vertices))
+        except SingularSystem as exc:
+            raise SingularStep(f"elliptic solve: {exc}") from exc
     return TransientField(levels=U, grid=grid)

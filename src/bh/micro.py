@@ -2,18 +2,16 @@
 
 Both solvers take the same implicit Euler step,
 
-    (K + c Q) x_n = c Q x_(n-1) + f_n,   x_n = 0 on the outer boundary,
+    (K + c Q) x_n = c Q x_(n-1) + f,   x_n = 0 on the outer boundary,
 
+with f the load of a source of position alone, formed once per march,
 and share one march (_march) that starts from the K-harmonic extension of
 the initial datum from a support set and records x_n . Q x_n per level.
 Every tile is a scaled, translated copy of the unit cell, so the bulk
 operators are the cell's phase stiffness matrices scattered tile by tile
 (_tiled_stiffness), and volumes and the vertex mass are the cell's times
-eps^N: nothing computes the element geometry of a tiling.  On 2D tilings
-the start and the steps solve by substructuring on the eps-tiles
-(fem.SubstructuredFactor): one small factor per tile type and one of the
-skeleton Schur complement replace a factor of the whole domain.  3D
-tilings start and march with Jacobi-CG.
+eps^N: nothing computes the element geometry of a tiling.  2D tilings
+solve by substructuring (see _solver), 3D tilings with Jacobi-CG.
 
 solve_micro is the dynamic-interface problem for any surface scaling
 exponent k: K is the bulk diffusion stiffness, Q the Laplace-Beltrami
@@ -60,7 +58,7 @@ class MicroRun:
     k: float
     grid: TimeGrid
     u0_bar: object = None          # callable points -> values, or None
-    source: object = None          # callable (points, t) -> values, or None
+    source: object = None          # callable points -> values, or None
 
 
 @dataclass
@@ -78,48 +76,50 @@ class MembraneRun:
 def _solver(M, fixed, mesh):
     """Solver of M on its free dofs, for the harmonic start and the steps.
 
-    On a 2D tiling it is substructured, with the tiles' element phases as
-    their coefficient patterns: one small factor per tile type and one of
-    the skeleton Schur complement.  One SuperLU factor of the whole domain
-    (the MMD_AT_PLUS_A ordering of every factor) takes 3.7M fill (L+U nnz)
-    at eps = 1/10 (Disk2D h = 0.04, stripped), the skeleton's 0.30M.
-    On a 3D tiling the skeleton is large (tube, eps = 1/4: 9,545 dofs,
-    fixed ones included, against 20,231 free dofs) and whole-domain fill
-    grows fast (8.2M at 24,457 dofs), so Jacobi-CG, warm started from the
-    previous solve, wins instead.
+    On a 2D tiling it is substructured on the tiling's layout, computed
+    once, with the tiles' element phases as their coefficient patterns.  A
+    whole-domain factor takes 3.7M fill (L+U nnz) at eps = 1/10 (Disk2D
+    h = 0.04, stripped), the skeleton's 0.30M.  On a 3D tiling the skeleton
+    is large (tube, eps = 1/4: 9,545 dofs against 20,231 free ones) and
+    whole-domain fill grows fast (8.2M at 24,457 dofs), so warm-started
+    Jacobi-CG wins.
     """
     if mesh.dim == 3:
         return fem.CGSolver(M, fixed)
     return fem.SubstructuredFactor(
-        M, fixed, mesh.local_global,
+        M, fixed, mesh.substructure,
         mesh.phase.reshape(len(mesh.local_global), -1))
 
 
 def _tiled_stiffness(mesh, *tables):
     """Bulk stiffness of the tiling for each phase -> coefficient table.
 
-    The unit stiffness A_p of each cell phase p, zero off p so that all
-    share the cell's pattern, is assembled once on the cell and scaled by
-    eps^(N-2) to a tile's.  Tile t adds sum_p c(t, p) A_p through
-    local_global[t]; c(t, p) is the table's value of the phase p has in t,
-    the matrix phase for every p of a stripped tile."""
-    V, S, phase = mesh.cell.vertices, mesh.cell.simplices, mesh.cell.phase
-    geom, nv = fem.element_gradients(V, S, mesh.cell.volumes()), len(V)
+    The unit stiffness A_p of each cell phase p (mesh.cell.phase_stiffness,
+    assembled once per cell) is scaled by eps^(N-2) to a tile's.  Tile t
+    adds sum_p c(t, p) A_p through local_global[t]; c(t, p) is the table's
+    value of the phase p has in t, the matrix phase for every p of a
+    stripped tile.  One COO matrix takes each table's values in turn."""
+    rows, cols, unit = mesh.cell.phase_stiffness
+    unit = unit * mesh.eps ** (mesh.dim - 2)
     phases = np.arange(3)          # PHASE_INT, PHASE_OUT, PHASE_MEMBRANE
-    A = [fem.assemble_stiffness(geom, S, phase == ph, fem.identity_dof_map(nv),
-                                nv, allow_zero=True) for ph in phases]
-    unit = np.stack([a.data for a in A]) * mesh.eps ** (mesh.dim - 2)
-    lg, A = mesh.local_global, A[0].tocoo()
-    ij = (lg[:, A.row].ravel(), lg[:, A.col].ravel())
+    lg = mesh.local_global
     tile_phase = np.where(mesh.stripped[:, None], PHASE_OUT, phases)
     coeff = np.array([[t.get(ph, 0.0) for ph in phases] for t in tables])
-    vals = np.einsum("btp,pk->btk", coeff[:, tile_phase], unit)
-    shape = (len(mesh.vertices),) * 2
-    return [sp.coo_matrix((v.ravel(), ij), shape=shape).tocsr() for v in vals]
+    # np.take gathers C-ordered blocks, so no ravel below copies
+    vals = np.einsum("btp,pk->btk", np.take(coeff, tile_phase, 1), unit)
+    coo = sp.coo_matrix((vals[0].ravel(), (np.take(lg, rows, 1).ravel(),
+                                           np.take(lg, cols, 1).ravel())),
+                        shape=(len(mesh.vertices),) * 2)
+    out = []
+    for v in vals:
+        coo.data = v.ravel()
+        out.append(coo.tocsr())
+    return out
 
 
 def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
-    """Implicit Euler march of (K + c Q) x_n = c Q x_(n-1) + load(t_n).
+    """Implicit Euler march of (K + c Q) x_n = c Q x_(n-1) + load, the same
+    load vector (or None) at every step.
 
     mesh is the tiling K lives on.  x_0 is the K-harmonic extension of the
     nodal values u0 from support + boundary, zero on the boundary (zero
@@ -141,11 +141,10 @@ def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
     dt = grid.step
     X = np.zeros((grid.n_steps + 1, nd))
     X[0] = x0
-    times = grid.times
     for n in range(1, grid.n_steps + 1):
         rhs = c * (Q @ X[n - 1])
         if load is not None:
-            rhs = rhs + load(times[n])
+            rhs += load
         try:
             X[n] = fac.solve(rhs)
         except BHError as exc:
@@ -158,7 +157,8 @@ def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
 def _micro_operators(run: MicroRun):
     """The arguments of solve_micro's _march, in order: K, Q = S1, c, the
     boundary, the interface dofs that support the scaled initial datum, the
-    datum, grid, mesh, the unit-coefficient stiffness and the load."""
+    datum, grid, mesh, the unit-coefficient stiffness and the load vector
+    mass * f(V), or None without a source."""
     mesh, coeffs, eps = run.mesh, run.coeffs, run.mesh.eps
     V, S = mesh.vertices, mesh.simplices
     if np.any(mesh.phase == PHASE_MEMBRANE):
@@ -177,8 +177,8 @@ def _micro_operators(run: MicroRun):
         u0 = eps ** ((1.0 - run.k) / 2.0) * np.asarray(run.u0_bar(V),
                                                         dtype=float)
     if run.source is not None:
-        mass = fem.volume_dof_weights(mesh.volumes(), S, vdof, nv)
-        load = lambda t: mass * np.asarray(run.source(V, t), dtype=float)
+        load = fem.volume_dof_weights(mesh.volumes(), S, vdof, nv) \
+            * np.asarray(run.source(V), dtype=float)
     return (K, S1, eps ** run.k * coeffs.alpha / run.grid.step,
             np.unique(mesh.boundary_vertices), np.unique(mesh.interface), u0,
             run.grid, mesh, K_unit, load)
@@ -196,16 +196,16 @@ def solve_micro(run: MicroRun) -> TransientField:
 
 
 def step_gaps(run: MicroRun, levels) -> np.ndarray:
-    """|x_n . ((K + c Q) x_n - b_n)| / (|x_n| |b_n|), b_n = c Q x_(n-1) + f_n,
+    """|x_n . ((K + c Q) x_n - b_n)| / (|x_n| |b_n|), b_n = c Q x_(n-1) + f,
     for each step n >= 1 of solve_micro's march on levels (0 where the
     denominator is 0).  Its vanishing is the step's energy identity
-    x_n.K x_n + c x_n.Q x_n = c x_n.Q x_(n-1) + x_n.f_n: the surface energy
+    x_n.K x_n + c x_n.Q x_n = c x_n.Q x_(n-1) + x_n.f: the surface energy
     dissipates, up to the work of the source."""
     K, Q, c, *_, load = _micro_operators(run)
     X = np.asarray(levels, dtype=float).T      # one column per level
     b = c * (Q @ X[:, :-1])
     if load is not None:
-        b += np.stack([load(t) for t in run.grid.times[1:]], axis=1)
+        b += load[:, None]
     x = X[:, 1:]
     num = np.abs(np.einsum("in,in->n", x, (K + c * Q) @ x - b))
     den = np.linalg.norm(x, axis=0) * np.linalg.norm(b, axis=0)
@@ -294,12 +294,9 @@ def l2_space_time(samples: np.ndarray, grid: TimeGrid) -> float:
 
 def l2_space_time_exact(fld: TransientField, mesh) -> float:
     """Rectangle rule in time with the exact P1 mass integral in space."""
-    vols = mesh.volumes()
-    total = 0.0
-    for n in range(1, fld.levels.shape[0]):
-        total += fld.grid.step * fem.mass_quadratic(vols, mesh.simplices,
-                                                    fld.levels[n])
-    return float(np.sqrt(total))
+    vols, dt = mesh.volumes(), fld.grid.step
+    return float(np.sqrt(sum(dt * fem.mass_quadratic(vols, mesh.simplices, u)
+                             for u in fld.levels[1:])))
 
 
 class PointLocator:

@@ -185,13 +185,10 @@ def test_criterion_08_perfect_contact_limit(adisk, alayered):
 
 
 def test_criterion_09_insulation_collapse(atube):
-    def src(p, t):
-        return sin_product(p)
-
     rep = convergence_study("klt1", [0.5, 1.0 / 3.0], cell_mesh=atube.mesh,
                             cell_facets=atube.surf.facets, coeffs=COEFFS,
-                            k=0.0, grid=TimeGrid(0.5, 0.05), source=src,
-                            strip=False)
+                            k=0.0, grid=TimeGrid(0.5, 0.05),
+                            source=sin_product, strip=False)
     _report(9, rep.monotone_decrease,
             "||u_eps|| = %.3e -> %.3e" % tuple(rep.errors))
 
@@ -270,7 +267,7 @@ def test_criterion_13_richardson_ratios(adisk):
         prob = macro.MacroProblem(
             mesh=m, regime="kgt1", grid=TimeGrid(1.0, 1.0),
             A_elliptic=np.eye(2),
-            source=lambda p, t: 2.0 * np.pi ** 2 * sin_product(p),
+            source=lambda p: 2.0 * np.pi ** 2 * sin_product(p),
             topology="cc")
         fld = macro.solve_homogenized_elliptic(prob)
         d = fld.levels[0] - sin_product(m.vertices)

@@ -110,6 +110,16 @@ on identical sparsity patterns.  The former solve_micro oracle marches
 the operators that solve_micro builds, so that it pins the march alone.
 The march takes its quadratic forms after the last step, one einsum per
 form; they are pinned to the former per-level dots.
+
+SubstructuredFactor once analysed its tiling for each factor, copied the
+free rows of K, found its tile types with np.unique over every row and
+built full-size load and solution blocks in each solve; it now reads the
+tiling's one layout and gathers and scatters through index arrays.  The
+cell's phase stiffness was assembled on every call and one COO matrix
+built per table; it is now cached on the cell, one COO matrix taking each
+table's values.  The elliptic macro limits once solved once per level.
+The former factor, assembly and level loop survive as oracles, and all
+three must match bitwise.
 """
 import dataclasses
 import sys
@@ -833,7 +843,7 @@ def loop_memory_march(problem):
             vec = -np.einsum("jh,ej->eh", Phi_res[n], grad_u0)
             rhs += weak_divergence_load(vec)
         if problem.source is not None:
-            fvals = problem.source(V, grid.times[n])
+            fvals = problem.source(V)
             rhs += lumped_load(load_w, S, fvals, vdof, nv)
         U[n, free] = lu.solve(rhs[free])
     return U
@@ -1103,6 +1113,116 @@ def former_step_solver(M, fixed, dim):
     return fem.CGSolver(M, fixed)
 
 
+def former_row_types(rows):
+    """The former fem._row_types: np.unique over every row as one byte
+    string."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    _, first, label = np.unique(keys.ravel(), return_index=True,
+                                return_inverse=True)
+    return first, label.ravel()
+
+
+class FormerSubstructuredFactor:
+    """The former fem.SubstructuredFactor: its own tile and skeleton
+    analysis from the tile map, a copy of the free rows of K, type
+    detection by np.unique over every row, and full-size load and solution
+    blocks in each solve."""
+
+    def __init__(self, K, fixed, tiles, patterns):
+        K = K.tocsr()
+        self.n = K.shape[0]
+        self.fixed, self.free = fem._free_dofs(self.n, fixed)
+        self.K_free = K[self.free]
+        is_fixed = np.zeros(self.n, dtype=bool)
+        is_fixed[self.fixed] = True
+        shared = np.bincount(tiles.ravel(), minlength=self.n)[tiles] > 1
+        loc_i = np.flatnonzero(~shared.any(axis=0))
+        loc_b = np.flatnonzero(shared.any(axis=0))
+        self.skeleton, bpos = np.unique(tiles[:, loc_b], return_inverse=True)
+        bpos = bpos.reshape(len(tiles), len(loc_b))
+        nb = len(loc_b)
+        reps, label = former_row_types(np.column_stack(
+            [patterns, is_fixed[tiles[:, loc_i]]]))
+        self.types = []
+        klocs, bps = [], []
+        for ty, rep in enumerate(reps):
+            members = np.flatnonzero(label == ty)
+            li = loc_i[~is_fixed[tiles[rep, loc_i]]]
+            gi, gb = tiles[rep, li], tiles[rep, loc_b]
+            K_i = K[gi]
+            fac = fem.DirichletFactor(K_i[:, gi])
+            T = fac.solve(K_i[:, gb].toarray())
+            A_bi = K[gb][:, gi]
+            bp = bpos[members]
+            bps.append(bp)
+            klocs.append(np.broadcast_to(A_bi @ T, (len(members), nb, nb)))
+            self.types.append((fac, T, A_bi, tiles[members][:, li], bp))
+        ns = len(self.skeleton)
+        schur = K[self.skeleton][:, self.skeleton] - fem.scatter_matrix(
+            np.concatenate(klocs), np.concatenate(bps), ns)
+        self.skeleton_factor = fem.DirichletFactor(
+            schur, np.flatnonzero(is_fixed[self.skeleton]))
+
+    def solve(self, b, fixed_values=None):
+        x = np.zeros((self.n,) + b.shape[1:])
+        if fixed_values is not None:
+            x[self.fixed] = fixed_values
+        if not len(self.free):
+            return x
+        rhs = b[self.free]
+        if fixed_values is not None:
+            rhs = rhs - self.K_free @ x
+        r = np.zeros((self.n, rhs.size // len(self.free)))
+        r[self.free] = rhs.reshape(len(self.free), -1)
+        nc = r.shape[1]
+        g = r[self.skeleton]
+        condensed = []
+        for fac, _, A_bi, gi, bp in self.types:
+            k, ni = gi.shape
+            Y = fac.solve(r[gi].transpose(1, 0, 2).reshape(ni, k * nc))
+            flux = (A_bi @ Y).reshape(-1, k, nc).transpose(1, 0, 2)
+            np.subtract.at(g, bp, flux)
+            condensed.append(Y)
+        xs = self.skeleton_factor.solve(g)
+        y = np.zeros_like(r)
+        y[self.skeleton] = xs
+        for (_, T, _, gi, bp), Y in zip(self.types, condensed):
+            k, ni = gi.shape
+            xb = xs[bp].transpose(1, 0, 2).reshape(-1, k * nc)
+            y[gi] = (Y - T @ xb).reshape(ni, k, nc).transpose(1, 0, 2)
+        fem.residual_check(self.K_free, y, r[self.free])
+        x[self.free] = y[self.free].reshape(rhs.shape)
+        return x
+
+
+def former_tiled_stiffness(mesh, *tables):
+    """The former micro._tiled_stiffness: the cell's phase stiffness
+    assembled on every call, and one COO matrix built per table."""
+    V, S, phase = mesh.cell.vertices, mesh.cell.simplices, mesh.cell.phase
+    geom, nv = fem.element_gradients(V, S, mesh.cell.volumes()), len(V)
+    phases = np.arange(3)
+    A = [fem.assemble_stiffness(geom, S, phase == ph, fem.identity_dof_map(nv),
+                                nv, allow_zero=True) for ph in phases]
+    unit = np.stack([a.data for a in A]) * mesh.eps ** (mesh.dim - 2)
+    lg, A = mesh.local_global, A[0].tocoo()
+    ij = (lg[:, A.row].ravel(), lg[:, A.col].ravel())
+    tile_phase = np.where(mesh.stripped[:, None], PHASE_OUT, phases)
+    coeff = np.array([[t.get(ph, 0.0) for ph in phases] for t in tables])
+    vals = np.einsum("btp,pk->btk", coeff[:, tile_phase], unit)
+    shape = (len(mesh.vertices),) * 2
+    return [sp.coo_matrix((v.ravel(), ij), shape=shape).tocsr() for v in vals]
+
+
+def loop_elliptic(problem):
+    """The former solve_homogenized_elliptic's levels: one solve per time
+    level, with the source evaluated at each."""
+    mesh = problem.mesh
+    fac = macro._tensor_factor(mesh, problem.A_elliptic, "elliptic macro")
+    return np.stack([fac.solve(mesh.mass * problem.source(mesh.vertices))
+                     for _ in problem.grid.times])
+
+
 def tiled_stiffness(mesh, table):
     """The former micro assembly: the element geometry of every tiled
     simplex, then one stiffness with the coefficient table by element
@@ -1144,7 +1264,7 @@ class _Captured(Exception):
 
 def march_operators(solve, run):
     """The bulk operator K, the memory operator Q, K_unit and the load
-    callable (or None) that solve hands to micro._march for run."""
+    vector (or None) that solve hands to micro._march for run."""
     got = []
 
     def capture(K, Q, c, boundary, support, u0, grid, mesh, K_unit,
@@ -1211,7 +1331,7 @@ def loop_solve_micro(run):
     for n in range(1, n_steps + 1):
         rhs = c * (S1 @ X[n - 1])
         if load is not None:
-            rhs = rhs + load(grid.times[n])
+            rhs = rhs + load
         X[n] = fac.solve(rhs, zeros_fixed)
         surf_quad[n] = float(X[n] @ (S1 @ X[n]))
         bulk_l2t += dt * float(X[n] @ (K_unit @ X[n]))
@@ -1516,8 +1636,8 @@ def _assert_same_march(a, b):
         assert abs(a.diagnostics[key] - ref) <= STEP_RTOL * ref
 
 
-def _source(pts, t):
-    return np.exp(-t) * sin_product(pts)
+def _source(pts):
+    return np.exp(-pts[:, 0]) * sin_product(pts)
 
 
 @pytest.mark.parametrize("name", ["disk", "layered", "tube"])
@@ -1583,6 +1703,69 @@ def test_substructured_factor_matches_whole_domain_factor(request, name, eps,
                     <= FACTOR_RTOL * np.abs(x_ref).max())
 
 
+def test_row_types_match_former_unique_over_rows():
+    # types numbered in the byte-string order of their rows, each row's
+    # first occurrence as its representative, on rows with negative ints
+    rng = np.random.default_rng(11)
+    pool = rng.integers(-300, 300, (6, 40))
+    flags = rng.integers(0, 2, (6, 7)).astype(bool)
+    pick = rng.integers(0, 6, 90)
+    first, label = fem._row_types(pool[pick], flags[pick])
+    ref_first, ref_label = former_row_types(
+        np.column_stack([pool[pick], flags[pick]]))
+    _assert_same(first, ref_first)
+    _assert_same(label, ref_label)
+
+
+# The lean factor reads the tiling's one layout, slices no copy of the free
+# rows of K, gathers its loads from b and forms the fixed-value product as
+# (K x)[free]; its tile types and Schur scatter keep the former order, so
+# every solve is bitwise the former one.
+@pytest.mark.parametrize("eps", [0.5, 0.25])
+@pytest.mark.parametrize("strip", [True, False], ids=["strip", "keep"])
+@pytest.mark.parametrize("name", ["disk", "layered"])
+def test_substructured_factor_matches_former_bitwise(request, name, strip,
+                                                     eps):
+    mesh, surf = _cell(request, name)
+    tiled, _ = tile_micro_domain(mesh, surf.facets, eps, strip)
+    K, Q, c, boundary, support = micro._micro_operators(micro.MicroRun(
+        mesh=tiled, coeffs=request.getfixturevalue(name).coeffs, k=1.0,
+        grid=TimeGrid(0.2, 0.05)))[:5]
+    patterns = tiled.phase.reshape(len(tiled.local_global), -1)
+    n = len(tiled.vertices)
+    rng = np.random.default_rng(7)
+    # the harmonic start's system and fixed set, then the step's
+    for M, fixed in ((K, np.union1d(support, boundary)),
+                     ((K + c * Q).tocsr(), boundary)):
+        new = fem.SubstructuredFactor(M, fixed, tiled.substructure, patterns)
+        old = FormerSubstructuredFactor(M, fixed, tiled.local_global,
+                                        patterns)
+        for shape in ((n,), (n, 3)):
+            b = rng.standard_normal(shape)
+            fv = rng.standard_normal((len(fixed),) + shape[1:])
+            _assert_bitwise(new.solve(b), old.solve(b))
+            _assert_bitwise(new.solve(b, fv), old.solve(b, fv))
+
+
+# The cell's phase stiffness is assembled once per cell and one COO matrix
+# takes each table's values in turn; the matrices are bitwise the former
+# ones, built per call and per table.
+@pytest.mark.parametrize("name, strip, eps", [
+    ("disk", True, 0.25), ("disk", False, 0.5), ("layered", False, 0.25),
+    ("tube", False, 0.5), ("membrane", False, 1.0 / 3.0)])
+def test_tiled_stiffness_matches_former_bitwise(request, name, strip, eps):
+    mesh, surf = _cell(request, name)
+    tiled, _ = tile_micro_domain(mesh, surf.facets, eps, strip)
+    tables = ({PHASE_INT: 2.5, PHASE_OUT: 1.5},
+              {PHASE_MEMBRANE: 7.0},
+              {PHASE_INT: 1.0, PHASE_OUT: 1.0, PHASE_MEMBRANE: 1.0})
+    for got, ref in zip(micro._tiled_stiffness(tiled, *tables),
+                        former_tiled_stiffness(tiled, *tables), strict=True):
+        _assert_same(got.indptr, ref.indptr)
+        _assert_same(got.indices, ref.indices)
+        _assert_bitwise(got.data, ref.data)
+
+
 # ---------------------------------------------------------------------------
 # one pseudo-parabolic march against the two former step loops
 # ---------------------------------------------------------------------------
@@ -1592,11 +1775,12 @@ _MICRO_KEYS = ("surface_energy", "energy_bulk", "energy_surface")
 # The 2D march now solves with fem.SubstructuredFactor, whose elimination
 # order differs from the whole-domain factor of the former march, so the two
 # agree to roundoff, not bitwise.  The largest gaps measured over the 2D
-# cases below, with the tile solves as one block solve each and the
-# back-substitution as one T @ x_B product, were 7.4e-13 of max|u| (levels,
-# disk at eps = 1/4) and 5.1e-13 of each energy (layered at eps = 1/4); at
-# eps = 1/10 with stripping 2.1e-13 and 1.3e-13.  At eps = 1 the one tile
-# holds every dof and the levels agree bitwise.
+# cases below, with the tile solves as one block solve each, the
+# back-substitution as one T @ x_B product and the position-only _source,
+# were 7.4e-13 of max|u| (levels, disk at eps = 1/4) and 5.1e-13 of each
+# energy (layered at eps = 1/4); at eps = 1/10 with stripping 2.2e-13 and
+# 1.2e-13.  At eps = 1 the one tile holds every dof and the levels agree
+# bitwise.
 # The 3D march now starts with Jacobi-CG where the former one factored the
 # whole domain, so its level 0 is held to STEP_RTOL, the tolerance of the
 # CG/SuperLU pin (the largest gap measured on the tube was 9.1e-13 of
@@ -1773,14 +1957,14 @@ def test_cell_built_operators_match_tiled_assembly(request, name, strip, eps):
             tiled, {PHASE_MEMBRANE: coeffs.alpha / tiled.eta}))
     else:
         run = micro.MicroRun(mesh=tiled, coeffs=coeffs, k=1.0, grid=grid,
-                             source=lambda pts, t: np.ones(len(pts)))
+                             source=lambda pts: np.ones(len(pts)))
         K, Q, K_unit, load = march_operators(micro.solve_micro, run)
         n = len(tiled.vertices)
         if len(tiled.interface):
             _assert_same_operator(Q, former_assemble_surface_stiffness(
                 tiled.vertices, tiled.interface, 1.0,
                 fem.identity_dof_map(n), n))
-        mass, ref = load(0.1), tiled_vertex_mass(tiled)
+        mass, ref = load, tiled_vertex_mass(tiled)
         assert np.abs(mass - ref).max() <= OPERATOR_RTOL * ref.max()
     _assert_same_operator(K, tiled_stiffness(tiled, lam))
     _assert_same_operator(K_unit, tiled_stiffness(tiled, unit))
@@ -2146,6 +2330,18 @@ def test_memory_march_matches_loop_at_benchmark_size(regime):
     got = macro.solve_homogenized_memory(problem).levels
     ref = loop_memory_march(problem)
     assert np.abs(got - ref).max() <= MACRO_RTOL * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("regime", ["klt1", "kgt1"])
+def test_elliptic_one_solve_matches_level_loop(regime):
+    # the load is the same at every level, so one solve fills them all
+    m = macro.build_macro_mesh(10, 2)
+    problem = macro.MacroProblem(
+        mesh=m, regime=regime, grid=TimeGrid(0.6, 0.2), source=_source,
+        A_elliptic=np.array([[2.0, 0.3], [0.3, 1.0]]), topology="cd")
+    levels = macro.solve_homogenized_elliptic(problem).levels
+    assert np.abs(levels).max() > 0.0
+    _assert_bitwise(levels, loop_elliptic(problem))
 
 
 # ---------------------------------------------------------------------------

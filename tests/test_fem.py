@@ -227,3 +227,27 @@ def test_block_solves_match_column_solves(disk):
     bad[:, 2] = np.nan
     with pytest.raises(SingularSystem):
         mean_zero.solve(bad)
+
+
+@pytest.mark.parametrize("cols", [None, 3], ids=["vector", "block"])
+def test_residual_check_rejects_a_perturbed_or_nan_solution(cols):
+    # one product, subtracted in place, and column norms without a squared
+    # block: the pass/fail rule is the former one, per column
+    n = 40
+    K = sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)],
+                 [-1, 0, 1], format="csr")
+    shape = (n,) if cols is None else (n, cols)
+    x = np.random.default_rng(8).standard_normal(shape)
+    b = K @ x
+    fem.residual_check(K, x, b)
+    fem.residual_check(K, np.zeros(shape), np.zeros(shape))
+    for bad in (1e-6, np.nan):
+        y = x.copy()
+        y[(7,) if cols is None else (7, -1)] += bad    # one column off
+        with pytest.raises(SingularSystem, match="relative residual"):
+            fem.residual_check(K, y, b)
+        # rows restricts the check: row 7's neighbours are rows 6 to 8
+        fem.residual_check(K, y, b, rows=np.arange(10, n))
+        with pytest.raises(SingularSystem, match="relative residual"):
+            fem.residual_check(K, y, b, rows=np.arange(5, n))
+    assert np.array_equal(b, K @ x)     # the load is left as given

@@ -23,6 +23,7 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -561,8 +562,30 @@ def test_cli_chain_matches_one_command_a_call(tiny_cfg, tmp_path, capsys):
     assert got == _digests(single)
     for cmd in CHAIN:
         with open(os.path.join(chained, f"{cmd}.bhrun")) as fh:
-            assert re.search(r"^blas_threads (1|unpinned)$", fh.read(),
-                             re.MULTILINE), cmd
+            text = fh.read()
+        for pool in ("blas_threads", "scipy_blas_threads"):
+            assert re.search(rf"^{pool} (1|unpinned)$", text,
+                             re.MULTILINE), (cmd, pool)
+
+
+def test_cli_manifest_output_digests_are_the_files(tiny_cfg, tmp_path,
+                                                   capsys):
+    # the writers' digests of the artifacts, and those hashed from disk of
+    # the CSV files and reports, are the sha256 of the files written
+    out = str(tmp_path / "run")
+    assert _run(list(CHAIN) + ["--config", tiny_cfg, "--out", out]) == 0
+    capsys.readouterr()
+    seen = set()
+    for cmd in CHAIN:
+        with open(os.path.join(out, f"{cmd}.bhrun")) as fh:
+            rows = [ln.split()[1:] for ln in fh if ln.startswith("output ")]
+        for name, digest in rows:
+            assert digest == formats.file_sha256(os.path.join(out, name)), \
+                (cmd, name)
+            seen.add(name)
+    assert {"mesh.bhmesh", "cell.bhcell", "compat_report.csv",
+            "tensors.bhtens", "macro.bhsol", "macro_summary.csv",
+            "micro_m2.bhsol", "study_eps.csv", "verify_report.txt"} <= seen
 
 
 def test_cli_chain_stops_at_a_missing_artifact(tiny_cfg, tmp_path, capsys):
@@ -657,11 +680,12 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def _numpy_openblas():
-    """numpy's bundled OpenBLAS, found among the files of numpy.libs that
-    this process has loaded, or None."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+def _bundled_openblas(package, pattern):
+    """The OpenBLAS that package bundles, found among the files of
+    <package>.libs that this process has loaded, or None."""
+    libs = os.path.join(os.path.dirname(package.__file__), os.pardir,
+                        package.__name__ + ".libs")
+    for path in glob.glob(os.path.join(libs, pattern)):
         try:
             return ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
         except OSError:
@@ -671,11 +695,20 @@ def _numpy_openblas():
 
 def test_import_pins_numpy_blas_pool_to_one_thread():
     # read back through the library's own getter, not through bh
-    lib = _numpy_openblas()
+    lib = _bundled_openblas(np, "libscipy_openblas64_*.so")
     if lib is None:
         pytest.skip("numpy bundles no scipy-openblas64 library here")
     assert lib.scipy_openblas_get_num_threads64_() == 1
     assert bh.blas_threads() == 1
+
+
+def test_import_pins_scipy_blas_pool_to_one_thread():
+    # scipy's own OpenBLAS runs SuperLU's multi-column solves and factors
+    lib = _bundled_openblas(scipy, "libscipy_openblas-*.so")
+    if lib is None:
+        pytest.skip("scipy bundles no scipy-openblas library here")
+    assert lib.scipy_openblas_get_num_threads() == 1
+    assert bh.scipy_blas_threads() == 1
 
 
 def test_tube_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -230,7 +230,7 @@ def test_bad_regime_rejected(mesh12):
 # elliptic limits
 # ---------------------------------------------------------------------------
 
-def src(pts, t):
+def src(pts):
     return 2.0 * np.pi ** 2 * sin_product(pts)
 
 

@@ -6,6 +6,7 @@ interfaces, the solver chosen by dimension, P1-exact cell averages.
 The one march both solvers share is pinned to the former solve_micro and
 solve_membrane in tests/test_equivalence.py.
 """
+import dataclasses
 import pathlib
 from types import SimpleNamespace
 
@@ -168,12 +169,48 @@ def test_membrane_step_solver_follows_dimension(built_solvers, disk):
     assert built_solvers == SUBSTRUCTURED
 
 
+def test_march_computes_each_layout_and_phase_stiffness_once(monkeypatch,
+                                                            disk):
+    # the harmonic start and the steps share their tiling's substructure,
+    # and both tilings of a cell share its phase stiffness matrices
+    layouts, analysed, assembled = [], [], []
+    original = fem.SubstructuredFactor
+
+    def recording(K, fixed, layout, patterns):
+        layouts.append(layout)
+        return original(K, fixed, layout, patterns)
+
+    def counting(fn, calls):
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fem, "SubstructuredFactor", recording)
+    monkeypatch.setattr(geometry, "_substructure",
+                        counting(geometry._substructure, analysed))
+    monkeypatch.setattr(fem, "element_gradients",
+                        counting(fem.element_gradients, assembled))
+    cell_mesh = dataclasses.replace(disk.mesh)   # nothing cached on it yet
+    for eps in (0.5, 0.25):
+        tiled, _ = tile_micro_domain(cell_mesh, disk.surf.facets, eps, False)
+        micro.solve_micro(micro.MicroRun(
+            mesh=tiled, coeffs=disk.coeffs, k=1.0, grid=TimeGrid(0.1, 0.05),
+            u0_bar=sin_product))
+        assert len(layouts) == 2 and layouts[0] is layouts[1]
+        assert layouts[0] is tiled.substructure
+        layouts.clear()
+    assert len(analysed) == 2 and len(assembled) == 1
+
+
 def test_step_solver_ignores_dof_count(built_solvers):
     # 100 tiles of 700 dofs that no tile shares (70,000 free dofs) are
     # substructured in 2D; a 10-dof system runs CG in 3D
     large = sp.identity(70001, format="csr")
+    tiles = np.arange(1, 70001).reshape(100, 700)
     tiling = SimpleNamespace(dim=2, phase=np.zeros(100, dtype=np.int64),
-                             local_global=np.arange(1, 70001).reshape(100, 700))
+                             local_global=tiles,
+                             substructure=geometry._substructure(tiles))
     micro._solver(large, np.array([0]), tiling)
     small = sp.identity(10, format="csr")
     micro._solver(small, np.array([0]), SimpleNamespace(dim=3))
@@ -197,7 +234,7 @@ def test_step_solve_without_fixed_values_matches_zero_values(request, name,
         if solver == "CGSolver":
             return fem.CGSolver(M, boundary)
         return fem.SubstructuredFactor(
-            M, boundary, tiled.local_global,
+            M, boundary, tiled.substructure,
             tiled.phase.reshape(len(tiled.local_global), -1))
 
     rhs = np.random.default_rng(3).standard_normal(len(tiled.vertices))
@@ -302,7 +339,7 @@ def test_tile_off_its_type_fails_the_march(disk):
                        match="march step 1 failed: relative residual"):
         micro._march(K, bump, 1.0, boundary, np.empty(0, dtype=np.int64),
                      None, TimeGrid(0.1, 0.05), tiled, K,
-                     load=lambda t: np.ones(n))
+                     load=np.ones(n))
 
 
 def test_no_dof_count_solver_limit_left():
