@@ -162,7 +162,7 @@ def cmd_mesh(cfg, out, vtk):
     if vtk:
         formats.write_vtk(os.path.join(out, "mesh.vtk"), mesh.vertices,
                           mesh.simplices, np.zeros(len(mesh.vertices)),
-                          cell_values=mesh.phase, cell_name="phase")
+                          cell_values=mesh.phase)
     return [], {paths["mesh"]: sha}
 
 
@@ -294,7 +294,13 @@ def cmd_macro(cfg, out, vtk):
 
 
 def _micro_path(out, eps, suffix=".bhsol"):
-    return os.path.join(out, f"micro_m{int(round(1.0 / eps))}{suffix}")
+    return os.path.join(out, f"micro_m{geometry.tiles_per_axis(eps)}{suffix}")
+
+
+def _tiling(cfg, mesh, surf, eps):
+    """The eps-tiling of the cell, stripped for disconnected inclusions."""
+    return geometry.tile_micro_domain(mesh, surf.facets, eps,
+                                      cfg.topology == "cd")[0]
 
 
 _ENERGIES = ("energy_bulk", "energy_surface")
@@ -309,10 +315,9 @@ def _micro_run(cfg, mmesh):
 def cmd_micro(cfg, out, vtk):
     paths = _paths(out)
     mesh, surf, _ = _load_cell_mesh(cfg, paths)
-    strip = cfg.topology == "cd"
     written = {}
     for eps in cfg.eps_list:
-        mmesh, _ = geometry.tile_micro_domain(mesh, surf.facets, eps, strip)
+        mmesh = _tiling(cfg, mesh, surf, eps)
         fld = micro.solve_micro(_micro_run(cfg, mmesh))
         p = _micro_path(out, eps)
         header = dict(_header(cfg), **{key: _F % fld.diagnostics[key]
@@ -346,9 +351,8 @@ def _read_field(cfg, path, kind, nv):
 def _micro_fields(cfg, out, mesh, surf, read):
     """Yield (eps, tiling, field) of each micro solution in out, in
     decreasing eps, appending each path to read as it is read."""
-    strip = cfg.topology == "cd"
     for eps in sorted(cfg.eps_list, reverse=True):
-        tiled, _ = geometry.tile_micro_domain(mesh, surf.facets, eps, strip)
+        tiled = _tiling(cfg, mesh, surf, eps)
         path = _micro_path(out, eps)
         field = _read_field(cfg, path, "micro", len(tiled.vertices))
         read.append(path)
@@ -464,8 +468,7 @@ def _verify_checks(cfg, out, read):
         dbl = cell.CellCoefficients(2 * coeffs.lam_int, coeffs.lam_out,
                                     2 * coeffs.alpha)
         sys2 = cell.CellSystem(mesh, surf, dbl)
-        A2, _, _ = tensors.compute_Ahom_klt1(sys2, cell.solve_chi0(sys2),
-                                             cfg.topology)
+        A2, _, _ = tensors.compute_Ahom_klt1(sys2, cell.solve_chi0(sys2))
         rel = np.abs(A2 - A_klt1).max() / max(np.abs(A_klt1).max(), 1e-300)
         yield "klt1_coefficient_independence", rel <= 1e-8, \
             f"rel change={rel:.3e}"
@@ -491,7 +494,7 @@ def _verify_checks(cfg, out, read):
 
     if cfg.geometry.kind == "Disk2D":
         bc, band_surf = geometry.build_membrane_cell(
-            cfg.geometry, min(cfg.eta_list or (0.1,)))
+            cfg.geometry, min(cfg.eta_list))
         bm, _ = geometry.tile_micro_domain(bc, band_surf.facets,
                                            max(cfg.eps_list), False)
         u0f = cfg.u0_function() or preset_function("sin-product", N)

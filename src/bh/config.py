@@ -5,9 +5,10 @@ downstream commands can refuse artifacts produced under different settings.
 bh reads no environment variable: the output directory is [output] dir,
 or the --out option when it is given.
 
-Sizes are refused before anything is allocated: either time grid may have
-at most MAX_STEPS steps (t_end / dt, rounded), and every eps must be the
-reciprocal of a positive integer with a finite reciprocal and tile the
+Before anything is built, a config is checked by the geometry module's
+rules: the kind's parameters, every eps's tiling (tiles_per_axis) and, on
+a Disk2D cell, every eta's membrane band.  Either time grid may have at
+most MAX_STEPS steps (t_end / dt, rounded), and every eps may tile the
 domain with at most MAX_TILES cells, (1/eps)^dim.  No eps_list tiling and
 no eta_list value may repeat: each gives one micro file or one study row.
 """
@@ -20,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import CellCoefficients
-from .errors import ConfigInvalid, InvalidGeometry, NonpositiveCoefficient
-from .geometry import GeometrySpec
+from .errors import (ConfigInvalid, InvalidGeometry, NonIntegerTiling,
+                     NonpositiveCoefficient)
+from .geometry import KINDS, GeometrySpec, tiles_per_axis
 from .timegrid import TimeGrid
 
 PRESETS = ("zero", "sin-product", "gaussian-bump")
@@ -33,12 +35,6 @@ MAX_STEPS = 10_000
 # largest tile count (1/eps)^dim of a micro domain, 64^2 in 2D or 16^3 in
 # 3D; every tile is a full copy of the cell mesh
 MAX_TILES = 4096
-
-_GEOMETRY_PARAMS = {
-    "Disk2D": ("r0",),
-    "Layered2D": ("a", "b"),
-    "TubeLattice3D": ("rho",),
-}
 
 
 def preset_function(name: str, dim: int):
@@ -83,7 +79,7 @@ class RunConfig:
 
     @property
     def dim(self) -> int:
-        return 3 if self.geometry.kind == "TubeLattice3D" else 2
+        return self.geometry.dim
 
     @property
     def topology(self) -> str:
@@ -180,16 +176,12 @@ def load_config(path: str) -> RunConfig:
         raise ConfigInvalid(f"config file {path!r} not found or unreadable")
 
     kind = cp.get("geometry", "kind", fallback="Disk2D").strip()
-    if kind not in _GEOMETRY_PARAMS:
+    if kind not in KINDS:
         raise ConfigInvalid(f"unknown geometry kind {kind!r}")
     params = {p: _get_float(cp, "geometry", p, positive=True)
-              for p in _GEOMETRY_PARAMS[kind]}
+              for p in KINDS[kind]}
     h = _get_float(cp, "geometry", "h", positive=True)
     spec = GeometrySpec(kind, params, h)
-    try:
-        spec.validate()
-    except InvalidGeometry as exc:
-        raise ConfigInvalid(f"geometry: {exc}") from exc
 
     try:
         coeffs = CellCoefficients(
@@ -213,18 +205,23 @@ def load_config(path: str) -> RunConfig:
             raise ConfigInvalid(f"unknown preset {name!r}, choose from {PRESETS}")
 
     eps_list = _get_list(cp, "study", "eps_list", (0.5, 0.25, 0.125))
-    for i, eps in enumerate(eps_list):
-        m = 1.0 / eps
-        if not math.isfinite(m) or round(m) < 1 or abs(round(m) - m) > 1e-9:
-            raise ConfigInvalid(f"eps={eps} is not a reciprocal integer")
-        if round(m) ** spec.dim > MAX_TILES:
+    eta_list = _get_list(cp, "study", "eta_list", (0.2, 0.1, 0.05))
+    try:
+        spec.validate()
+        tilings = [tiles_per_axis(eps) for eps in eps_list]
+        if kind == "Disk2D":   # bh converge and verify build these bands
+            for eta in eta_list:
+                spec.membrane_band(eta)
+    except (InvalidGeometry, NonIntegerTiling) as exc:
+        raise ConfigInvalid(f"geometry: {exc}") from exc
+    for i, (eps, m) in enumerate(zip(eps_list, tilings)):
+        if m ** spec.dim > MAX_TILES:
             raise ConfigInvalid(f"eps={eps} tiles the domain with (1/eps)^"
                                 f"{spec.dim} cells, more than the "
                                 f"{MAX_TILES} allowed")
-        if round(m) in [round(1.0 / e) for e in eps_list[:i]]:
+        if m in tilings[:i]:
             raise ConfigInvalid(f"[study] eps_list repeats eps={eps} "
-                                f"(1/eps = {round(m)})")
-    eta_list = _get_list(cp, "study", "eta_list", (0.2, 0.1, 0.05))
+                                f"(1/eps = {m})")
     for i, eta in enumerate(eta_list):
         if eta in eta_list[:i]:
             raise ConfigInvalid(f"[study] eta_list repeats eta={eta}")

@@ -189,19 +189,28 @@ def surface_gradients(vertices, facets):
 # constrained solvers
 # ---------------------------------------------------------------------------
 
-def residual_check(K, x, b, tol=1e-10, rows=None):
-    """Relative residual of K x = b, per column when b is a block, over the
-    given rows (all by default), with no block of squares."""
+def residual_check(K, x, b, rows=None):
+    """Relative residual of K x = b to 1e-10, per column when b is a block,
+    over the given rows (all by default), with no block of squares."""
     r = K @ x
     if rows is not None:
         r, b = r[rows], b[rows]
     r -= b
     bnorm, rnorm = np.sqrt([np.einsum("i...,i...->...", v, v) for v in (b, r)])
     rel = rnorm / np.maximum(bnorm, 1e-300)
-    bad = ~np.isfinite(rel) | ((rel > tol) & (bnorm > 0))
+    bad = ~np.isfinite(rel) | ((rel > 1e-10) & (bnorm > 0))
     if np.any(bad):
         worst = float(np.max(np.where(np.isfinite(rel), rel, np.inf)))
-        raise SingularSystem(f"relative residual {worst:.3e} exceeds {tol:.0e}")
+        raise SingularSystem(f"relative residual {worst:.3e} exceeds 1e-10")
+
+
+def mean_zero_check(sums, w):
+    """The volume mean of each column x, from sums = w^T x (any shape): each
+    |w^T x| must be at most 1e-12 of sum |w|, and a NaN fails."""
+    mean = np.abs(sums) / max(float(np.abs(w).sum()), 1e-300)
+    if not np.all(mean <= 1e-12):
+        raise SingularSystem(
+            f"mean-zero constraint violated by {np.max(mean):.3e}")
 
 
 def _free_dofs(n, fixed):
@@ -272,10 +281,7 @@ class DirichletFactor:
             return x
         x -= (self.w @ x) / self.w.sum()
         residual_check(self.K, x, b)
-        mean = np.abs(self.w @ x) / max(float(np.abs(self.w).sum()), 1e-300)
-        if np.max(mean) > 1e-12:
-            raise SingularSystem(
-                f"mean-zero constraint violated by {np.max(mean):.3e}")
+        mean_zero_check(self.w @ x, self.w)
         return x
 
 

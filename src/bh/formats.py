@@ -381,8 +381,7 @@ def write_manifest(path, command, config_hash, tool_version, started_iso,
 # legacy VTK export
 # ---------------------------------------------------------------------------
 
-def write_vtk(path, vertices, simplices, values, name="u",
-              cell_values=None, cell_name="phase"):
+def write_vtk(path, vertices, simplices, values, cell_values=None):
     nv, dim = vertices.shape
     npv = simplices.shape[1]
     cell_type = {3: 5, 4: 10}[npv]
@@ -396,12 +395,12 @@ def write_vtk(path, vertices, simplices, values, name="u",
     lines.append(f"CELL_TYPES {len(simplices)}")
     lines += [str(cell_type)] * len(simplices)
     lines.append(f"POINT_DATA {nv}")
-    lines.append(f"SCALARS {name} double 1")
+    lines.append("SCALARS u double 1")
     lines.append("LOOKUP_TABLE default")
     lines += _rows(values, [_F])
     if cell_values is not None:
         lines.append(f"CELL_DATA {len(simplices)}")
-        lines.append(f"SCALARS {cell_name} int 1")
+        lines.append("SCALARS phase int 1")
         lines.append("LOOKUP_TABLE default")
         lines += _rows(cell_values, ["%d"])
     with open(path, "w") as fh:

@@ -37,7 +37,8 @@ PHASE_MEMBRANE = 2
 _PHASE_RANK = np.empty(3, dtype=np.int64)
 _PHASE_RANK[[PHASE_INT, PHASE_MEMBRANE, PHASE_OUT]] = [0, 1, 2]
 
-KINDS = ("Disk2D", "Layered2D", "TubeLattice3D")
+# each kind with the names of its parameters
+KINDS = {"Disk2D": ("r0",), "Layered2D": ("a", "b"), "TubeLattice3D": ("rho",)}
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +81,21 @@ class GeometrySpec:
     def topology(self) -> str:
         """'cd' if inclusions are disconnected, 'cc' if both phases connect."""
         return "cd" if self.kind == "Disk2D" else "cc"
+
+    def membrane_band(self, eta: float):
+        """The radii r0 -+ eta/2 of a membrane band of width eta around the
+        Disk2D interface; raises InvalidGeometry unless 0 < eta <= 0.2 and
+        the band stays inside the cell."""
+        if self.kind != "Disk2D":
+            raise InvalidGeometry("membrane cells are only defined for Disk2D")
+        if not (0.0 < eta <= 0.2):
+            raise InvalidGeometry(f"membrane width eta={eta} outside (0, 0.2]")
+        r0 = self.params["r0"]
+        r_in, r_ex = r0 - eta / 2.0, r0 + eta / 2.0
+        if r_in <= 0.0 or r_ex >= 0.5:
+            raise InvalidGeometry(f"membrane band of width eta={eta} around "
+                                  f"r0={r0} leaves the unit cell")
+        return r_in, r_ex
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +489,11 @@ def _build_disk(spec: GeometrySpec):
 def build_membrane_cell(spec: GeometrySpec, eta: float):
     """Replace the Disk2D interface by a resolved band of width eta.
 
-    The band occupies r0 - eta/2 < r < r0 + eta/2 and is marked
-    PHASE_MEMBRANE.  Only Disk2D cells support membranes.
+    The band occupies r0 - eta/2 < r < r0 + eta/2 (GeometrySpec.membrane_band)
+    and is marked PHASE_MEMBRANE.
     """
     spec.validate()
-    if spec.kind != "Disk2D":
-        raise InvalidGeometry("membrane cells are only defined for Disk2D")
-    if not (0.0 < eta <= 0.2):
-        raise InvalidGeometry(f"membrane width eta={eta} outside (0, 0.2]")
-    r0 = spec.params["r0"]
-    r_in, r_ex = r0 - eta / 2.0, r0 + eta / 2.0
-    if r_in <= 0.0 or r_ex >= 0.5:
-        raise InvalidGeometry("membrane band leaves the unit cell")
-    base = _polar_cell_mesh([r_in, r_ex],
+    base = _polar_cell_mesh(list(spec.membrane_band(eta)),
                             [PHASE_INT, PHASE_MEMBRANE, PHASE_OUT], spec.h)
     mesh = MembraneMesh(vertices=base.vertices, simplices=base.simplices,
                         phase=base.phase, periodic_pairs=base.periodic_pairs,
@@ -730,15 +738,24 @@ def build_unit_cell(spec: GeometrySpec):
     return mesh, surf
 
 
+def tiles_per_axis(eps: float) -> int:
+    """The tiles m = 1/eps along each axis, uncapped: the rounded finite
+    1/eps, m >= 1 with |m eps - 1| <= 1e-12; else raises NonIntegerTiling."""
+    recip = 1.0 / eps
+    m = int(round(recip)) if np.isfinite(recip) else 0
+    if m < 1 or abs(m * eps - 1.0) > 1e-12:
+        raise NonIntegerTiling(f"eps={eps} is not a reciprocal integer")
+    return m
+
+
 def tile_micro_domain(mesh: CellMesh, facets: np.ndarray, eps: float,
                       strip_boundary_inclusions: bool):
     """Tile a unit cell mesh eps-periodically over the unit domain.
 
-    eps must be the reciprocal of an integer m.  For disconnected inclusion
-    geometries the inclusions of cells touching the outer boundary are
-    re-labelled as matrix material (stripped) when
-    strip_boundary_inclusions is set, so that no inclusion meets the
-    boundary.
+    eps must be the reciprocal of an integer m (tiles_per_axis).  With
+    strip_boundary_inclusions set, the tiles touching the outer boundary
+    are all matrix material (stripped), so that no inclusion meets it;
+    callers set it for disconnected inclusions only (topology "cd").
 
     facets are the cell's interface facets.  Returns (micro,
     micro.interface): the interface of the tiling is the union of their
@@ -751,15 +768,9 @@ def tile_micro_domain(mesh: CellMesh, facets: np.ndarray, eps: float,
     cell's, so a periodic pair more than 1e-12 off e_axis raises
     MeshFailure.
     """
-    m = int(round(1.0 / eps))
-    if m < 1 or abs(m * eps - 1.0) > 1e-12:
-        raise NonIntegerTiling(f"eps={eps} is not a reciprocal integer")
+    m = tiles_per_axis(eps)
     dim = mesh.dim
     nv = mesh.vertices.shape[0]
-
-    # membranes only exist around disconnected inclusions
-    inclusions_disconnected = (bool(np.any(mesh.phase == PHASE_MEMBRANE))
-                               or _looks_disconnected(mesh))
 
     V = np.asarray(mesh.vertices, dtype=float)
     low, high, axis = np.asarray(mesh.periodic_pairs,
@@ -790,7 +801,7 @@ def tile_micro_domain(mesh: CellMesh, facets: np.ndarray, eps: float,
     simplices = np.take(local_global, mesh.simplices, 1).reshape(-1, dim + 1)
     phase = np.tile(np.asarray(mesh.phase, dtype=np.int64), n_cells)
     stripped = np.zeros(n_cells, dtype=bool)
-    if strip_boundary_inclusions and inclusions_disconnected:
+    if strip_boundary_inclusions:
         stripped = np.any((cells == 0) | (cells == m - 1), axis=1)
         phase[np.repeat(stripped, ne)] = PHASE_OUT
     tiled = np.sort(local_global[~stripped][:, facets], axis=2).reshape(-1, dim)
@@ -801,15 +812,3 @@ def tile_micro_domain(mesh: CellMesh, facets: np.ndarray, eps: float,
                       interface=tiled[np.lexsort(tiled.T[::-1])],
                       local_global=local_global, cell=mesh, stripped=stripped)
     return micro, micro.interface
-
-
-def _looks_disconnected(mesh: CellMesh) -> bool:
-    """Inclusions are isolated particles iff the inner phase stays strictly
-    inside the cell; a phase reaching the cell boundary continues into the
-    neighboring copy and must never be stripped."""
-    inner = mesh.simplices[mesh.phase == PHASE_INT]
-    if len(inner) == 0:
-        return False
-    pts = mesh.vertices[np.unique(inner)]
-    touches = np.any((np.abs(pts) <= 1e-12) | (np.abs(pts - 1.0) <= 1e-12))
-    return not bool(touches)

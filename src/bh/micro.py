@@ -271,7 +271,7 @@ def local_average(fld: TransientField, mesh: MicroMesh) -> CellAverages:
     elem_mean = fld.levels[:, mesh.simplices].mean(axis=2)   # (levels, ne)
     tiles = elem_mean.reshape(len(elem_mean), len(mesh.local_global), -1)
     return CellAverages(values=np.einsum("ltk,k->lt", tiles, vols) / vols.sum(),
-                        m=int(round(1.0 / mesh.eps)), dim=mesh.dim,
+                        m=geometry.tiles_per_axis(mesh.eps), dim=mesh.dim,
                         grid=fld.grid)
 
 

@@ -1,10 +1,11 @@
 """Effective tensors of the homogenized conduction laws.
 
-Every tensor is evaluated along two independent discrete routes and the
-routes are compared; a disagreement beyond tolerance raises
-CrossCheckFailed.  The surface routes trade bulk integrals for interface
-moments through the per-phase gradient theorem, which P1 elements
-reproduce to roundoff on fitted meshes.
+Every tensor is evaluated along two independent discrete routes, compared
+by one check (_route_gap): max|M1 - M2| over the tensor's scale beyond its
+tolerance, or a NaN, raises CrossCheckFailed naming the tensor.  The
+surface routes trade bulk integrals for interface moments through the
+per-phase gradient theorem, which P1 elements reproduce to roundoff on
+fitted meshes.  Each route builds its own per-facet forms (_SurfaceForms).
 
 The volume routes are products with operators the CellSystem already
 holds.  With B the (N, nd) stack of the directional loads b_dir and K the
@@ -45,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import CellFunctionSet, CellSystem
-from .errors import CrossCheckFailed, WrongGeometryClass
-from .geometry import PHASE_OUT
+from .errors import CrossCheckFailed
+from .geometry import PHASE_INT, PHASE_OUT
 from .timegrid import TimeGrid
 
 
@@ -108,8 +109,14 @@ class _SurfaceForms:
         return np.einsum("f,jfk,hfk->jh", self.meas, fields_a, fields_b)
 
 
-def _rel_gap(M1, M2, scale):
-    return float(np.abs(M1 - M2).max()) / max(scale, 1e-300)
+def _route_gap(name, M1, M2, scale, tol):
+    """Relative gap max|M1 - M2| / scale of two routes to the tensor name;
+    raises CrossCheckFailed above tol (or on a NaN), else returns it."""
+    gap = float(np.abs(M1 - M2).max()) / max(scale, 1e-300)
+    if not gap <= tol:
+        raise CrossCheckFailed(f"{name} routes disagree by {gap:.2e}, "
+                               f"more than {tol:.0e}")
+    return gap
 
 
 def _gram(K, B, lam_total, X):
@@ -124,12 +131,11 @@ def _gram(K, B, lam_total, X):
 # ---------------------------------------------------------------------------
 
 def compute_lambda0(mesh, coeffs) -> float:
-    from .geometry import PHASE_INT
     return (coeffs.lam_int * mesh.phase_volume(PHASE_INT)
             + coeffs.lam_out * mesh.phase_volume(PHASE_OUT))
 
 
-def compute_C0(sys: CellSystem, chi0: np.ndarray, forms: _SurfaceForms = None):
+def compute_C0(sys: CellSystem, chi0: np.ndarray):
     """Surface tensor, Gram and mixed routes.
 
     Gram:   C_jh = alpha int grad_B(y_j + chi0^j) . grad_B(y_h + chi0^h)
@@ -137,28 +143,23 @@ def compute_C0(sys: CellSystem, chi0: np.ndarray, forms: _SurfaceForms = None):
 
     The trace problem makes grad_B(y_j + chi0^j) orthogonal to tangential
     gradients of surface test functions, so both routes coincide up to
-    solver precision.
+    solver precision; the gap is relative to alpha |Gamma|.
     """
-    forms = forms or _SurfaceForms(sys)
+    forms = _SurfaceForms(sys)
     trace = chi0[:, sys.gamma_dofs]
     G = np.stack([forms.proj_dirs[j] + forms.tangential_gradient(trace[j])
                   for j in range(sys.dim)])
     a = sys.coeffs.alpha
     C_gram = a * forms.tangential_gram(G, G)
     C_mixed = a * forms.tangential_gram(G, forms.proj_dirs)
-    scale = a * sys.surf.area()
-    gap = _rel_gap(C_gram, C_mixed, scale)
-    if gap > 1e-6:
-        raise CrossCheckFailed(f"C0 routes disagree by {gap:.2e} (rel to alpha|Gamma|)")
+    gap = _route_gap("C0", C_gram, C_mixed, a * sys.surf.area(), 1e-6)
     return C_gram, C_mixed, gap
 
 
-def compute_A0(sys: CellSystem, chi0: np.ndarray, v: np.ndarray,
-               forms: _SurfaceForms = None):
+def compute_A0(sys: CellSystem, chi0: np.ndarray, v: np.ndarray):
     """Stationary correction tensor, volume and flux routes, plus the Gram
     consistency value of lambda0 I + A0; v holds traces."""
-    forms = forms or _SurfaceForms(sys)
-    N = sys.dim
+    forms = _SurfaceForms(sys)
     surf_init = sys.coeffs.alpha * forms.int_grad_components(v)
     A_vol = chi0 @ sys.b_dir.T + surf_init
     A_flux = (-sys.coeffs.jump
@@ -167,13 +168,10 @@ def compute_A0(sys: CellSystem, chi0: np.ndarray, v: np.ndarray,
     lam0 = compute_lambda0(sys.mesh, sys.coeffs)
     gram = _gram(sys.K, sys.b_dir, lam0, chi0)
 
-    scale = max(lam0, float(np.abs(A_vol).max()), 1e-300)
-    gap_forms = _rel_gap(A_vol, A_flux, scale)
-    gap_gram = _rel_gap(lam0 * np.eye(N) + A_vol, gram, scale)
-    if gap_forms > 1e-5:
-        raise CrossCheckFailed(f"A0 volume/flux routes disagree by {gap_forms:.2e}")
-    if gap_gram > 1e-6:
-        raise CrossCheckFailed(f"A0 Gram identity violated by {gap_gram:.2e}")
+    scale = max(lam0, float(np.abs(A_vol).max()))
+    gap_forms = _route_gap("A0 volume and flux", A_vol, A_flux, scale, 1e-5)
+    gap_gram = _route_gap("A0 Gram", lam0 * np.eye(sys.dim) + A_vol, gram,
+                          scale, 1e-6)
     return A_vol, A_flux, gram, (gap_forms, gap_gram)
 
 
@@ -194,35 +192,30 @@ def _kernel_pair(sys, Y, W, grid, forms):
 
 
 def compute_B0(sys: CellSystem, chi1: np.ndarray, W: np.ndarray,
-               grid: TimeGrid, forms: _SurfaceForms = None):
+               grid: TimeGrid):
     """Memory kernel samples B0(t_n) along the chi1 relaxation, from its
     traces and W = b_dir E."""
-    forms = forms or _SurfaceForms(sys)
-    B_vol, B_flux = _kernel_pair(sys, chi1, W, grid, forms)
+    B_vol, B_flux = _kernel_pair(sys, chi1, W, grid, _SurfaceForms(sys))
     # absolute floor in the denominator: for degenerate geometries the
     # kernel is pure roundoff and a raw ratio would compare noise to noise
-    scale = max(float(np.abs(B_vol).max()), 1e-12)
-    gap = _rel_gap(B_vol, B_flux, scale)
-    if gap > 1e-5:
-        raise CrossCheckFailed(f"B0 routes disagree by {gap:.2e}")
+    gap = _route_gap("B0", B_vol, B_flux,
+                     max(float(np.abs(B_vol).max()), 1e-12), 1e-5)
     return B_vol, B_flux, gap
 
 
 def compute_F_coeffs(sys: CellSystem, omega: np.ndarray, W: np.ndarray,
-                     grid: TimeGrid, forms: _SurfaceForms = None):
+                     grid: TimeGrid):
     """Source coefficients Phi(t_n) along the omega relaxation, from its
-    traces and W = b_dir E."""
-    forms = forms or _SurfaceForms(sys)
-    P_vol, P_flux = _kernel_pair(sys, omega, W, grid, forms)
-    scale = max(float(np.abs(P_vol).max()), 1e-12)
-    gap = _rel_gap(P_vol, P_flux, scale)
-    if gap > 1e-5:
-        raise CrossCheckFailed(f"F coefficient routes disagree by {gap:.2e}")
+    traces and W = b_dir E, with the floor of compute_B0."""
+    P_vol, P_flux = _kernel_pair(sys, omega, W, grid, _SurfaceForms(sys))
+    gap = _route_gap("F coefficient", P_vol, P_flux,
+                     max(float(np.abs(P_vol).max()), 1e-12), 1e-5)
     return P_flux, P_vol, gap
 
 
-def compute_Ahom_klt1(sys: CellSystem, chi0: np.ndarray, topology: str):
-    """Effective tensor of the k < 1 regime on disconnected inclusions.
+def compute_Ahom_klt1(sys: CellSystem, chi0: np.ndarray):
+    """Effective tensor of the k < 1 regime on disconnected inclusions
+    (compute_all evaluates it for topology "cd" only).
 
     Dirichlet form of the outer phase against the locked interface traces:
 
@@ -235,9 +228,6 @@ def compute_Ahom_klt1(sys: CellSystem, chi0: np.ndarray, topology: str):
     y_M-centred flux term).  Both routes use only lam_out and chi0, hence
     the tensor cannot depend on lam_int or alpha.
     """
-    if topology != "cd":
-        raise WrongGeometryClass(
-            "k < 1 effective tensor requires disconnected inclusions")
     sub = sys.sub[PHASE_OUT]
     X = chi0[:, sub.dofs]
     lam_total = sub.lam * float(np.abs(sys.vols[sub.elements]).sum())
@@ -250,10 +240,8 @@ def compute_Ahom_klt1(sys: CellSystem, chi0: np.ndarray, topology: str):
     split = (lam_total * np.eye(len(X)) + X @ sub.b_dir.T
              + R[:, sub.fixed] @ X[:, sub.fixed].T)
 
-    scale = max(float(np.abs(gram).max()), 1e-300)
-    gap = _rel_gap(gram, split, scale)
-    if gap > 1e-6:
-        raise CrossCheckFailed(f"k<1 tensor routes disagree by {gap:.2e}")
+    gap = _route_gap("k < 1 tensor", gram, split, float(np.abs(gram).max()),
+                     1e-6)
     return gram, split, gap
 
 
@@ -263,10 +251,8 @@ def compute_Ahom_kgt1(sys: CellSystem, chi0_tilde: np.ndarray):
     lam0 = compute_lambda0(sys.mesh, sys.coeffs)
     direct = lam0 * np.eye(sys.dim) + chi0_tilde @ sys.b_dir.T
     gram = _gram(sys.K, sys.b_dir, lam0, chi0_tilde)
-    scale = max(float(np.abs(gram).max()), 1e-300)
-    gap = _rel_gap(direct, gram, scale)
-    if gap > 1e-6:
-        raise CrossCheckFailed(f"k>1 tensor routes disagree by {gap:.2e}")
+    gap = _route_gap("k > 1 tensor", direct, gram, float(np.abs(gram).max()),
+                     1e-6)
     return direct, gram, gap
 
 
@@ -278,18 +264,16 @@ def compute_all(sys: CellSystem, funcs: CellFunctionSet,
                 topology: str) -> EffectiveTensors:
     """Evaluate every tensor of a solved cell function set; the k < 1 tensor
     only on disconnected inclusions (topology "cd")."""
-    forms = _SurfaceForms(sys)
     lam0 = compute_lambda0(sys.mesh, sys.coeffs)
-    C0, C0_mixed, gap_c = compute_C0(sys, funcs.chi0, forms)
-    A0, A0_flux, _, (gap_a, gap_g) = compute_A0(sys, funcs.chi0, funcs.v, forms)
-    B0, B0_flux, gap_b = compute_B0(sys, funcs.chi1, funcs.W, funcs.grid,
-                                    forms)
+    C0, C0_mixed, gap_c = compute_C0(sys, funcs.chi0)
+    A0, A0_flux, _, (gap_a, gap_g) = compute_A0(sys, funcs.chi0, funcs.v)
+    B0, B0_flux, gap_b = compute_B0(sys, funcs.chi1, funcs.W, funcs.grid)
     Phi, Phi_vol, gap_f = compute_F_coeffs(sys, funcs.omega, funcs.W,
-                                           funcs.grid, forms)
+                                           funcs.grid)
 
     klt1 = gap_k = None
     if topology == "cd":
-        klt1, _, gap_k = compute_Ahom_klt1(sys, funcs.chi0, topology)
+        klt1, _, gap_k = compute_Ahom_klt1(sys, funcs.chi0)
     kgt1, _, gap_kg = compute_Ahom_kgt1(sys, funcs.chi0_tilde)
 
     disc = {"C0": gap_c, "A0_forms": gap_a, "A0_gram": gap_g,

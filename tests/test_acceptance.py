@@ -199,7 +199,7 @@ def test_criterion_10_slow_surface_tensor(adisk):
     emin = np.linalg.eigvalsh((A1 + A1.T) / 2).min()
     dbl = cell.CellCoefficients(2.0, 3.0, 2.0)
     sys2 = cell.CellSystem(adisk.mesh, adisk.surf, dbl)
-    A2, _, _ = tensors.compute_Ahom_klt1(sys2, cell.solve_chi0(sys2), "cd")
+    A2, _, _ = tensors.compute_Ahom_klt1(sys2, cell.solve_chi0(sys2))
     rel = np.abs(A2 - A1).max() / np.abs(A1).max()
     ok = sym <= 1e-10 and emin > 0.0 and rel <= 1e-8
     _report(10, ok, "min eig %.4f, doubling changes %.1e" % (emin, rel))

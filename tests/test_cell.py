@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bh import cell, fem
-from bh.errors import NonpositiveCoefficient
+from bh.errors import NonpositiveCoefficient, SolverFailure
 from bh.timegrid import TimeGrid
 
 from conftest import facet_field_gradients
@@ -179,6 +179,40 @@ def test_energy_balance_is_exact(request, name):
                   + b.coeffs.alpha * _quad(sys.S1, d))
     scale = max(energy[:, 0].max(), b.coeffs.alpha * b.surf.area())
     assert np.abs(np.diff(energy, axis=1) + dissipated).max() <= BALANCE_RTOL * scale
+
+
+class _ShiftOnCall:
+    """An inverse whose product number call adds 1e-6 to every row but the
+    last: the level of one step of the march, not its multiplier."""
+
+    def __init__(self, inv, call):
+        self.inv, self.call, self.calls = inv, call, 0
+
+    def __getitem__(self, key):
+        return _ShiftOnCall(self.inv[key], self.call)
+
+    def __matmul__(self, rhs):
+        self.calls += 1
+        sol = self.inv @ rhs
+        if self.calls == self.call:
+            sol[:-1] += 1e-6
+        return sol
+
+
+def test_march_names_the_level_off_mean_zero(disk, monkeypatch):
+    # the constants span the kernel of the reduced step matrix, so a shifted
+    # level passes its step's residual check and fails only the mean check
+    former = cell._interface_system
+
+    def shifted(sys, cS):
+        A, Ew, B_inv = former(sys, cS)
+        return A, Ew, _ShiftOnCall(B_inv, 3)
+
+    monkeypatch.setattr(cell, "_interface_system", shifted)
+    traces = disk.funcs.v
+    with pytest.raises(SolverFailure,
+                       match="level 3: mean-zero constraint violated"):
+        cell.evolve_surface_coupled(disk.system, traces, TimeGrid(0.1, 0.02))
 
 
 def test_energy_nonincreasing_helper():

@@ -13,7 +13,9 @@ spelled in formats.py only.
 
 Every attribute assigned on self and every annotated class field in src/bh
 must be read in src/: loaded as an attribute, or named by a string
-constant (cli reads the cell arrays with getattr).  A string used as a
+constant (cli reads the cell arrays with getattr).  Every parameter default
+must be overridden by some call in src/: a knob no caller turns is a
+literal.  A string used as a
 dict key is a value stored, not read.  Every key of a diagnostics= dict
 literal must be named by a string constant in src/ outside such keys.  A
 value stored and never read is a result computed and thrown away.
@@ -120,6 +122,52 @@ def test_every_diagnostic_is_read_outside_the_tests():
               for line, key in _diagnostic_keys(trees[path])
               if not reads[key]]
     assert not unread, unread
+
+
+def _defaults(tree):
+    """(line, called name, parameter, position) of each parameter with a
+    default in a tree: the called name of a method __init__ is its class,
+    and position counts the arguments a call passes (None: keyword only)."""
+    owner = {id(fn): cls.name for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) for fn in cls.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        a, cls = fn.args, owner.get(id(fn))
+        called = cls if fn.name == "__init__" else fn.name
+        params = a.posonlyargs + a.args
+        first = len(params) - len(a.defaults)
+        for i, p in enumerate(params[first:], first):
+            yield fn.lineno, called, p.arg, i - (cls is not None)
+        for p, d in zip(a.kwonlyargs, a.kw_defaults):
+            if d is not None:
+                yield fn.lineno, called, p.arg, None
+
+
+def _passes(call, param, position):
+    """True when a call may pass param: by keyword, by **, at its position
+    or through a * argument at or before it."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(arg, ast.Starred) or i >= position
+               for i, arg in enumerate(call.args))
+
+
+def test_every_parameter_default_is_overridden_in_src():
+    trees = _trees()
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unturned = [
+        f"{path.name}:{line} {called}({param})"
+        for path in sorted((ROOT / "src" / "bh").glob("*.py"))
+        for line, called, param, position in _defaults(trees[path])
+        if not (path.name == "cli.py" and called == "main")  # main(argv)
+        and not any(_passes(call, param, position) for call in calls
+                    if getattr(call.func, "attr", getattr(call.func, "id",
+                                                          None)) == called)]
+    assert not unturned, unturned
 
 
 def _call_sites(name):

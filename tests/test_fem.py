@@ -251,3 +251,18 @@ def test_residual_check_rejects_a_perturbed_or_nan_solution(cols):
         with pytest.raises(SingularSystem, match="relative residual"):
             fem.residual_check(K, y, b, rows=np.arange(5, n))
     assert np.array_equal(b, K @ x)     # the load is left as given
+
+
+@pytest.mark.parametrize("cols", [None, 3], ids=["vector", "block"])
+def test_mean_zero_check_bounds_each_column(cols):
+    # the one volume-mean rule of the mean-zero solves and the cell march:
+    # |w^T x| at most 1e-12 of sum |w| in every column, and a NaN fails
+    w = np.linspace(0.1, 0.4, 8)
+    for mean, ok in ((5e-13, True), (2e-12, False), (np.nan, False)):
+        x = np.zeros((8,) if cols is None else (8, cols))
+        x[(2,) if cols is None else (2, -1)] = mean * w.sum() / w[2]
+        if ok:
+            fem.mean_zero_check(w @ x, w)
+            continue
+        with pytest.raises(SingularSystem, match="mean-zero constraint"):
+            fem.mean_zero_check(w @ x, w)

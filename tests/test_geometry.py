@@ -207,8 +207,10 @@ def test_boundary_vertices_on_boundary(disk):
 
 
 def test_tube_tiling_keeps_connected_lattice(tube):
-    mmesh, facets = tile_micro_domain(tube.mesh, tube.surf.facets, 0.5, True)
-    # the connected lattice is never stripped, interfaces meet the boundary
+    # callers strip disconnected inclusions only (bh micro: topology "cd"),
+    # so the connected lattice is kept and its interfaces meet the boundary
+    mmesh, facets = tile_micro_domain(tube.mesh, tube.surf.facets, 0.5,
+                                      tube.spec.topology == "cd")
     assert (mmesh.phase == PHASE_INT).sum() > 0
     assert len(facets) == 8 * len(tube.surf.facets)
 

@@ -219,7 +219,7 @@ def test_cli_eps_past_tile_limit_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("patch, message", [
     ("eps_list = 0.5", "eps_list = 0.5, 0.5"),
-    ("eps_list = 0.5", "eps_list = 0.5, 0.25, 0.5000000001"),
+    ("eps_list = 0.5", "eps_list = 0.5, 0.25, 0.5000000000001"),
     ("eta_list = 0.2", "eta_list = 0.2, 0.1, 0.2"),
 ], ids=["eps", "eps-same-tiling", "eta"])
 def test_cli_repeated_study_value_exits_2(tmp_path, capsys, patch, message):
@@ -759,28 +759,43 @@ def test_cli_bad_config_exits_2(tmp_path):
 
 
 # the exit-2 case run as its own process; the others run main in process
-_DT_NAN = "[kernel]\nt_end = 0.2\ndt = nan"
+_DT_NAN = ("[kernel]\nt_end = 0.2\ndt = 0.05",
+           "[kernel]\nt_end = 0.2\ndt = nan")
+# the tiny config on a Disk2D cell, r0 given
+_DISK = "kind = Layered2D\na = 0.25\nb = 0.75", "kind = Disk2D\nr0 = {}"
 
 
-@pytest.mark.parametrize("patch, message, command", [
-    ("[kernel]\nt_end = 0.2\ndt = 0.05", _DT_NAN, "cell"),
-    ("lambda_int = 1.0", "lambda_int = nan", "cell"),
-    ("dt = 0.05\nn = 8", "dt = 0.05\nn = 0.5", "macro"),
-    ("eps_list = 0.5", "eps_list = 1e-320", "tensors"),
-], ids=["dt-nan", "lambda_int-nan", "n-fraction", "eps-1e-320"])
-def test_cli_bad_value_exits_2_without_traceback(tmp_path, capsys, patch,
-                                                 message, command):
-    p = tmp_path / "bad.ini"
-    p.write_text(TINY_INI.replace(patch, message))
-    if message == _DT_NAN:
-        proc = _subprocess_bh(command, str(p), str(tmp_path / "out"))
+@pytest.mark.parametrize("edits, command", [
+    ([_DT_NAN], "cell"),
+    ([("lambda_int = 1.0", "lambda_int = nan")], "cell"),
+    ([("dt = 0.05\nn = 8", "dt = 0.05\nn = 0.5")], "macro"),
+    ([("eps_list = 0.5", "eps_list = 1e-320")], "tensors"),
+    # each of these three once passed load and failed mid-chain, in micro
+    # or converge: 1/eps 3e-10 off 3, a band wider than 0.2, and a band
+    # (of the default eta_list) reaching past the cell
+    ([("eps_list = 0.5", "eps_list = 0.5, 0.3333333333")], "mesh"),
+    ([(_DISK[0], _DISK[1].format(0.25)), ("eta_list = 0.2", "eta_list = 0.3")],
+     "mesh"),
+    ([(_DISK[0], _DISK[1].format(0.49)), ("eta_list = 0.2\n", "")], "mesh"),
+], ids=["dt-nan", "lambda_int-nan", "n-fraction", "eps-1e-320",
+        "eps-not-reciprocal", "eta-wider-than-0.2", "disk-band-leaves-cell"])
+def test_cli_bad_value_exits_2_without_traceback(tmp_path, capsys, edits,
+                                                 command):
+    text = TINY_INI
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    p, out = tmp_path / "bad.ini", tmp_path / "out"
+    p.write_text(text)
+    if edits == [_DT_NAN]:
+        proc = _subprocess_bh(command, str(p), str(out))
         code, err = proc.returncode, proc.stderr
     else:
-        code, err = _bh_in_process(command, str(p), str(tmp_path / "out"),
-                                   capsys)
+        code, err = _bh_in_process(command, str(p), str(out), capsys)
     assert code == 2, err
     assert "Traceback" not in err
     assert err.startswith("config error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edit", [_as_version_1, _as_bhcell_2, _truncate,

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from bh import cell, fem, tensors
-from bh.errors import WrongGeometryClass
+from bh.errors import CrossCheckFailed
 from bh.timegrid import TimeGrid
 
 REL = 1e-9
@@ -116,16 +116,23 @@ def test_memory_kernel_decays(disk):
     assert np.all(np.diff(mags) <= 1e-10)
 
 
-def test_klt1_requires_disconnected(layered):
-    with pytest.raises(WrongGeometryClass):
-        tensors.compute_Ahom_klt1(layered.system, layered.funcs.chi0, "cc")
+def test_route_gap_checks_its_bound():
+    # every tensor's two routes meet at this one check
+    M1 = np.array([[1.0, 2.0], [3.0, 4.0]])
+    M2 = M1 + np.array([[0.0, 3e-6], [-1e-6, 0.0]])
+    gap = tensors._route_gap("B0", M1, M2, 0.5, 1e-5)
+    assert gap == float(np.abs(M1 - M2).max()) / 0.5
+    with pytest.raises(CrossCheckFailed, match="B0 routes disagree"):
+        tensors._route_gap("B0", M1, M2, 0.5, 1e-6)
+    with pytest.raises(CrossCheckFailed, match="C0 routes disagree"):
+        tensors._route_gap("C0", M1, M1 * np.nan, 1.0, 1e-6)
 
 
 def test_klt1_independent_of_inner_coefficients(disk):
     A1 = disk.tens.A_hom_klt1
     dbl = cell.CellCoefficients(2.0, 3.0, 2.0)
     sys2 = cell.CellSystem(disk.mesh, disk.surf, dbl)
-    A2, _, _ = tensors.compute_Ahom_klt1(sys2, cell.solve_chi0(sys2), "cd")
+    A2, _, _ = tensors.compute_Ahom_klt1(sys2, cell.solve_chi0(sys2))
     assert np.abs(A2 - A1).max() <= 1e-12 * np.abs(A1).max()
 
 
