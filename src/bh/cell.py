@@ -1,10 +1,12 @@
 """Cell problems on the periodic unit cell.
 
 Every corrector has one form, P + E y.  P is the response of each phase
-to the directional loads with a zero interface trace, and E (nd x g) the
-discrete-harmonic extension of a trace y on the g interface dofs; one
-block solve per phase factor gives both.  The bulk is quasi-static; only
-the trace carries the structure.  Solves, in order:
+to the directional loads with a zero interface trace, and E, an operator
+(CellSystem.extend) and never a matrix, the discrete-harmonic extension
+of a trace y on the g interface dofs: the dynamics need only Sigma =
+(K E)[Gamma], the phases' Schur complements summed (Quarteroni and Valli,
+1999, ch. 1).  The bulk is quasi-static; only the trace carries the
+structure.  Solves, in order:
 
 * chi0    stationary corrector with a perfectly conducting interface: y
           from per-component surface trace problems, their constants from
@@ -22,8 +24,8 @@ the trace carries the structure.  Solves, in order:
 
 chi0 and chi0_tilde are kept in the bulk, since their tensors need the
 stiffness.  v, chi1 and omega are kept as their traces: every tensor read
-from them needs the facet values and the directional moments W = b_dir E
-(N x g) alone, and a level's bulk field E y is never formed.
+from them needs the facet values and the directional moments W (N x g)
+alone, and a level's bulk field E y is never formed.
 
 Flux functionals are residual based: the discrete normal flux of a solved
 field against a surface test function is read off from the bulk stiffness
@@ -129,41 +131,42 @@ class CellSystem:
         # per-phase subsystems for Dirichlet extensions and flux readout
         self.sub = {ph: _PhaseSub(self, ph, val, kloc, loads) for ph, val in (
             (PHASE_OUT, coeffs.lam_out), (PHASE_INT, coeffs.lam_int))}
-        self._trace_factors = None
 
     # -- factorizations and phase solves, built lazily and reused --------
 
-    def trace_factor(self, c):
-        if self._trace_factors is None:
-            self._trace_factors = [None] * self.m
-        if self._trace_factors[c] is None:
-            self._trace_factors[c] = fem.DirichletFactor(
-                _restrict(self.S1, self.comp_dofs[c]),
-                weights=self.comp_w[c][self.comp_dofs[c]])
-        return self._trace_factors[c]
+    @cached_property
+    def trace_factors(self):
+        """The weighted factor of S1 on each component."""
+        return [fem.DirichletFactor(_restrict(self.S1, d), weights=w[d])
+                for d, w in zip(self.comp_dofs, self.comp_w)]
 
     @cached_property
-    def phase_solves(self):
-        """(E, P), from one block solve of one factor per phase; the interface
-        separates the phases, so each phase solves for its own dofs.
-
-        E (nd x g) holds the discrete-harmonic extensions of the unit traces
-        on gamma_dofs, column i for gamma_dofs[i], so E[gamma_dofs] = I.  Row
-        j of P (N x nd) is the response to the -b_dir_j load with a zero
-        interface trace.  Every corrector is P + Y E^T for its traces Y
-        (without P for the load-free relaxations).
-        """
-        g, N = len(self.gamma_dofs), self.dim
-        E, P = np.zeros((self.nd, g)), np.zeros((N, self.nd))
+    def interface_operators(self):
+        """(Sigma, P, Ew, W), E never formed: Sigma = (K E)[Gamma] sums the
+        phases' Schur complements; row j of P (N x nd) answers the -b_dir_j
+        load with a zero trace, and the same solve gives z = K_II^-1 w_I.  As
+        K is symmetric, Ew = E^T w = w_Gamma - (K z)[Gamma] and W = b_dir E
+        = (b_dir + P K)[:, Gamma] (N x g)."""
+        gam, N = self.gamma_dofs, self.dim
+        Sigma, P = np.zeros((len(gam), len(gam))), np.zeros((N, self.nd))
+        Ew = self.vol_w[gam].copy()
         for sub in self.sub.values():
-            nf = len(sub.fixed)
-            unit = np.zeros((nf, g + N))
-            unit[np.arange(nf), np.searchsorted(self.gamma_dofs,
-                                                sub.dofs[sub.fixed])] = 1.0
-            b = np.hstack([np.zeros((len(sub.dofs), g)), -sub.b_dir.T])
-            x = sub.factor.solve(b, unit)
-            E[sub.dofs], P[:, sub.dofs] = x[:, :g], x[:, g:].T
-        return E, P
+            Sigma[np.ix_(sub.trace_pos, sub.trace_pos)] += sub.factor.schur()
+            x = sub.factor.solve(np.column_stack([-sub.b_dir.T,
+                                                  self.vol_w[sub.dofs]]))
+            P[:, sub.dofs] = x[:, :N].T
+            Ew[sub.trace_pos] -= (sub.K @ x[:, N])[sub.fixed]
+        W = self.b_dir[:, gam] + (self.K[gam] @ P.T).T
+        return Sigma, P, Ew, W
+
+    def extend(self, Y):
+        """E Y (nd x k) of the traces Y (g x k) on gamma_dofs: one solve per
+        phase with Y as its fixed values."""
+        X = np.zeros((self.nd, Y.shape[1]))
+        for sub in self.sub.values():
+            X[sub.dofs] = sub.factor.solve(
+                np.zeros((len(sub.dofs), Y.shape[1])), Y[sub.trace_pos])
+        return X
 
 
 class _PhaseSub:
@@ -188,15 +191,13 @@ class _PhaseSub:
         comp = [glob_to_sub[d] for d in sys.comp_dofs]
         self.gamma_sub = [g[g >= 0] for g in comp]
         self.fixed = np.unique(np.concatenate(self.gamma_sub))
-        self._factor = None
+        self.trace_pos = np.searchsorted(sys.gamma_dofs, dofs[self.fixed])
 
-    @property
+    @cached_property
     def factor(self):
         """Dirichlet factor of this phase, built on first use: the tensor
         routes read only K, b_dir, dofs and fixed."""
-        if self._factor is None:
-            self._factor = fem.DirichletFactor(self.K, self.fixed)
-        return self._factor
+        return fem.DirichletFactor(self.K, self.fixed)
 
     def flux(self, x_sub, load=0.0):
         """Weak normal fluxes per component and column of x_sub: with load
@@ -222,12 +223,13 @@ def solve_chi0(system: CellSystem):
     trace y_j up to one constant per component; with m > 1 components the
     m x m flux system of the lifts E 1_c fixes the constants so that no net
     flux crosses any component.  The field is then shifted to volume mean
-    zero.
+    zero.  (K E Y)[Gamma] = Sigma Y must hold to 1e-10 of the norms of
+    (K X)[Gamma], (K P)[Gamma] and Sigma Y, or SolverFailure is raised.
     """
     sys = system
     N, nd, g = sys.dim, sys.nd, len(sys.gamma_dofs)
     surf, (fgrads, fmeas) = sys.surf, sys.facet_geom
-    E, P = sys.phase_solves
+    Sigma, P, _, _ = sys.interface_operators
     Y = np.zeros((g, N))
     ind = np.zeros((g, sys.m))          # component indicators on gamma_dofs
     for c in range(sys.m):
@@ -245,16 +247,22 @@ def solve_chi0(system: CellSystem):
             raise ComponentSingular(
                 f"trace problem on component {c} has incompatible data "
                 f"(sum {total[bad][0]:.3e})")
-        Y[pos] = sys.trace_factor(c).solve(rhs)
+        Y[pos] = sys.trace_factors[c].solve(rhs)
 
-    X = P.T + E @ Y
+    EY = sys.extend(np.hstack([Y, ind]) if sys.m > 1 else Y)
+    X = P.T + EY[:, :N]
+    KP, KE = (sys.K[sys.gamma_dofs] @ Z for Z in (P.T, EY[:, :N]))
+    SY = Sigma @ Y
+    gap = np.linalg.norm(KE - SY)
+    if not gap <= 1e-10 * sum(map(np.linalg.norm, (KP + KE, KP, SY))):
+        raise SolverFailure(f"interface operator off by {gap:.3e}")
     out = sys.sub[PHASE_OUT]
     if sys.m > 1:
-        M = -out.flux(E[out.dofs] @ ind) / sys.coeffs.lam_out
+        M = -out.flux(EY[out.dofs, N:]) / sys.coeffs.lam_out
         # rows and columns of M sum to zero; fix the constant gauge
         consts = np.linalg.solve(M + 1.0 / sys.m,
                                  -flux_residuals(sys, X.T))
-        X += E @ (ind @ consts)
+        X += EY[:, N:] @ consts
     X -= sys.vol_w @ X  # total volume is 1
     return np.ascontiguousarray(X.T)
 
@@ -299,7 +307,7 @@ def solve_v_init(system: CellSystem, chi0: np.ndarray):
                 raise CompatibilityViolated(
                     f"surface data on closed component {c} has mean "
                     f"{total:.3e} > 1e-8 * |Gamma_{c}|")
-            v[j, sys.comp_pos[c]] = sys.trace_factor(c).solve(
+            v[j, sys.comp_pos[c]] = sys.trace_factors[c].solve(
                 Lc / sys.coeffs.alpha)
     return v
 
@@ -315,8 +323,8 @@ def evolve_surface_coupled(system: CellSystem, traces: np.ndarray,
     traces holds k initial traces on the g interface dofs as the rows of a
     (k, g) array; all of them march together.  Only the surface law carries
     time, so the state at every level is E y, the discrete-harmonic
-    extension (E of CellSystem.phase_solves, nd x g) of its trace y, and
-    the march runs on y alone.  Testing the bordered step
+    extension (CellSystem.extend) of its trace y, and the march runs on y
+    alone.  Testing the bordered step
     (K + alpha/dt S1) x + mu w = alpha/dt S1 x_prev, w^T x = 0 against E
     gives the Steklov-Poincare system
 
@@ -376,19 +384,18 @@ def solve_chi0_tilde(system: CellSystem) -> np.ndarray:
 
     x_j = P_j + E y_j satisfies every row off the interface by construction;
     the interface rows and the mean give the bordered system of the march
-    at c = 0, [[Sigma, E^T w], [w^T E, 0]] [y_j; mu_j] =
-    [-(b_dir_j + K P_j)[Gamma]; -w^T P_j].  mu_j takes the roundoff of
-    sum b_dir_j.  Each column checks the whole-K residual of this bordered
-    system to 1e-10 and its volume mean (fem.mean_zero_check); a failure
-    raises SingularSystem.
+    at c = 0, [[Sigma, E^T w], [w^T E, 0]] [y_j; mu_j] = [-W_j; -w^T P_j],
+    W_j = (b_dir_j + K P_j)[Gamma].  mu_j takes the roundoff of sum b_dir_j.
+    Each column checks the whole-K residual of this bordered system to
+    1e-10 and its volume mean (fem.mean_zero_check); a failure raises
+    SingularSystem.
     """
     sys = system
     gam, g = sys.gamma_dofs, len(sys.gamma_dofs)
-    E, P = sys.phase_solves
+    _, P, _, W = sys.interface_operators
     _, Ew, B_inv = _interface_system(sys, 0.0)
-    sol = B_inv @ np.vstack([-(sys.b_dir[:, gam].T + sys.K[gam] @ P.T),
-                             -(P @ sys.vol_w)[None, :]])
-    X = P.T + E @ sol[:g]
+    sol = B_inv @ np.vstack([-W.T, -(P @ sys.vol_w)[None, :]])
+    X = P.T + sys.extend(sol[:g])
     load = -sys.b_dir.T
     load[gam] -= np.outer(Ew, sol[g])
     fem.residual_check(sys.K, X, load)
@@ -399,13 +406,13 @@ def solve_chi0_tilde(system: CellSystem) -> np.ndarray:
 def _interface_system(sys: CellSystem, cS):
     """The Steklov-Poincare reduction of K + cS on the interface dofs.
 
-    Returns A = Sigma + cS with Sigma = (K E)[Gamma], Ew = E^T w and the
-    inverse of the bordered [[A, Ew], [Ew^T, 0]] ((g+1) x (g+1)); raises
-    SolverFailure when it is singular.
+    Returns A = Sigma + cS, Sigma = (K E)[Gamma] the phases' Schur
+    complements summed, Ew = E^T w and the inverse of the bordered
+    [[A, Ew], [Ew^T, 0]] ((g+1) x (g+1)); raises SolverFailure when it is
+    singular.
     """
-    E = sys.phase_solves[0]
-    Ew = E.T @ sys.vol_w
-    A = sys.K[sys.gamma_dofs] @ E + cS
+    Sigma, _, Ew, _ = sys.interface_operators
+    A = Sigma + cS
     B = np.block([[A, Ew[:, None]], [Ew[None, :], np.zeros((1, 1))]])
     try:
         return A, Ew, np.linalg.inv(B)
@@ -428,7 +435,7 @@ def solve_cell_functions(system: CellSystem, grid: TimeGrid) -> CellFunctionSet:
         sys, np.concatenate([v, -chi0[:, sys.gamma_dofs]]), grid)
     return CellFunctionSet(chi0=chi0, v=v, chi0_tilde=solve_chi0_tilde(sys),
                            chi1=Y[:N], omega=Y[N:],
-                           W=sys.b_dir @ sys.phase_solves[0], grid=grid)
+                           W=sys.interface_operators[3], grid=grid)
 
 
 def energy_nonincreasing(series, scale=1.0):

@@ -113,11 +113,10 @@ def _load_cell_mesh(cfg, paths):
         return mesh, surf, data
     header, data = _read(formats.read_mesh, paths["mesh"], "mesh")
     _check_header(header, cfg, paths["mesh"], "mesh")
+    vols = geometry.simplex_volumes(data["vertices"], data["simplices"])
     mesh = geometry.CellMesh(vertices=data["vertices"],
-                             simplices=data["simplices"],
-                             phase=data["phase"],
-                             periodic_pairs=data["pairs"])
-    vols = mesh.volumes()
+                             simplices=data["simplices"], phase=data["phase"],
+                             periodic_pairs=data["pairs"], vols=vols)
     if np.any(vols <= 0.0) or abs(vols.sum() - 1.0) > 1e-12:
         raise MissingArtifact(f"{paths['mesh']} does not tile the unit cell "
                               "with positive elements; re-run bh mesh")

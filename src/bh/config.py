@@ -11,6 +11,7 @@ a Disk2D cell, every eta's membrane band.  Either time grid may have at
 most MAX_STEPS steps (t_end / dt, rounded), and every eps may tile the
 domain with at most MAX_TILES cells, (1/eps)^dim.  No eps_list tiling and
 no eta_list value may repeat: each gives one micro file or one study row.
+The connected k = 1 regime needs initial data (macro.require_initial_data).
 """
 
 import configparser
@@ -24,6 +25,7 @@ from .cell import CellCoefficients
 from .errors import (ConfigInvalid, InvalidGeometry, NonIntegerTiling,
                      NonpositiveCoefficient)
 from .geometry import KINDS, GeometrySpec, tiles_per_axis
+from .macro import require_initial_data
 from .timegrid import TimeGrid
 
 PRESETS = ("zero", "sin-product", "gaussian-bump")
@@ -231,8 +233,10 @@ def load_config(path: str) -> RunConfig:
     text = _canonical_text(cp)
     geom_text = "\n".join(
         f"{key}={cp['geometry'][key].strip()}" for key in sorted(cp["geometry"]))
-    return RunConfig(geometry=spec, coeffs=coeffs, k=k,
-                     kernel_grid=kernel_grid, macro_grid=macro_grid,
-                     macro_n=macro_n, u0_name=u0_name, f_name=f_name,
-                     eps_list=eps_list, eta_list=eta_list, out_dir=out_dir,
-                     config_hash=_hash(text), geometry_hash=_hash(geom_text))
+    cfg = RunConfig(geometry=spec, coeffs=coeffs, k=k,
+                    kernel_grid=kernel_grid, macro_grid=macro_grid,
+                    macro_n=macro_n, u0_name=u0_name, f_name=f_name,
+                    eps_list=eps_list, eta_list=eta_list, out_dir=out_dir,
+                    config_hash=_hash(text), geometry_hash=_hash(geom_text))
+    require_initial_data(cfg.regime, cfg.u0_function())
+    return cfg

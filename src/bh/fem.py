@@ -11,12 +11,12 @@ intrinsic facet coordinates, and agree with the projected gradient
 Laplace-Beltrami operator (Dziuk and Elliott, Acta Numer. 22 (2013)).
 
 Every direct solve goes through one SuperLU factor, DirichletFactor, of an
-SPD system ordered by minimum degree on the pattern of A + A^T (Liu, ACM
-TOMS 11 (1985) 141-153; README, "Solvers"), with fixed dofs or with the
-constants as its kernel, for the cell problems and the macro limits.  The
-2D micro marches solve with SubstructuredFactor, built from DirichletFactors
-of the tile interiors and of the skeleton; 3D micro marches use diagonally
-preconditioned conjugate gradients.
+SPD system ordered by minimum degree on A + A^T (Liu, ACM TOMS 11 (1985)
+141-153; README, "Solvers"), with fixed dofs or the constants as its kernel,
+for the cell problems and the macro limits; DirichletFactor.schur reads the
+complement on the fixed dofs off one more factor, with those dofs last.  2D
+micro marches use SubstructuredFactor, of DirichletFactors of the tile
+interiors and the skeleton; 3D ones diagonally preconditioned CG.
 """
 
 import numpy as np
@@ -229,6 +229,14 @@ def _split(K, fixed):
     return fixed, free, Kr[:, free], Kr[:, fixed]
 
 
+def _splu(A, **options):
+    """SuperLU factor of a CSC matrix, or SingularSystem."""
+    try:
+        return spla.splu(A, **options)
+    except RuntimeError as exc:
+        raise SingularSystem(f"factorization failed: {exc}") from exc
+
+
 class DirichletFactor:
     """SuperLU factor of K on its free dofs, for repeated solves.
 
@@ -247,18 +255,31 @@ class DirichletFactor:
 
     def __init__(self, K: sp.spmatrix, fixed=(), weights=None):
         self.w = weights
-        self.K = None
         if weights is not None:
             fixed = [int(np.argmax(weights))]
-            self.K = K.tocsr()
+        self.K = K.tocsr()
         self.n = K.shape[0]
         self.fixed, self.free, self.Kff, self.Kfc = _split(K, fixed)
         if len(self.free):
-            try:
-                self.lu = spla.splu(self.Kff.tocsc(),
-                                    permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
-                raise SingularSystem(f"factorization failed: {exc}") from exc
+            self.lu = _splu(self.Kff.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+    def schur(self) -> np.ndarray:
+        """Dense K_cc - K_cf K_ff^-1 K_fc on the fixed dofs of a symmetric K:
+        L_cc U_cc - d I of one more factor, of K with the free dofs in this
+        factor's order, the fixed last and their diagonal shifted by its
+        largest entry d (which makes a K singular on the constants SPD).
+        Raises SingularSystem when that factor moved a fixed dof."""
+        nf, g = len(self.free), len(self.fixed)
+        order = np.r_[self.free[np.argsort(self.lu.perm_c)], self.fixed]
+        d = float(self.K.diagonal()[self.fixed].max())
+        A = self.K[order][:, order] + sp.diags(d * (np.arange(nf + g) >= nf))
+        lu = _splu(A.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+        if not all(np.array_equal(p[nf:], np.arange(nf, nf + g))
+                   for p in (lu.perm_r, lu.perm_c)):
+            raise SingularSystem("Schur factor moved a fixed dof")
+        L, U = lu.L[nf:, nf:].toarray(), lu.U[nf:, nf:].toarray()
+        return L @ U - d * np.eye(g)
 
     def solve(self, b: np.ndarray, fixed_values=None) -> np.ndarray:
         if self.w is not None:

@@ -110,20 +110,17 @@ class CellMesh:
     simplices: np.ndarray       # (ne, N+1) int
     phase: np.ndarray           # (ne,) int
     periodic_pairs: np.ndarray  # (npair, 3) int rows (low, high, axis)
+    vols: np.ndarray            # (ne,) signed, read-only: meshes never change
+
+    def __post_init__(self):
+        self.vols.flags.writeable = False
 
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
 
     def volumes(self) -> np.ndarray:
-        return self._volumes
-
-    @cached_property
-    def _volumes(self) -> np.ndarray:
-        # kept: no builder changes a mesh's vertices or simplices once made
-        vols = simplex_volumes(self.vertices, self.simplices)
-        vols.flags.writeable = False
-        return vols
+        return self.vols
 
     def phase_volume(self, phase: int) -> float:
         return float(self.volumes()[self.phase == phase].sum())
@@ -221,7 +218,8 @@ def _substructure(tiles):
 # ---------------------------------------------------------------------------
 
 def simplex_volumes(vertices: np.ndarray, simplices: np.ndarray) -> np.ndarray:
-    """Positive volumes of simplices (orientation is fixed at build time)."""
+    """Signed volumes of simplices, det(edges) / N!: positive on the meshes
+    the builders make, whose orientation _fix_orientation fixes."""
     p0 = vertices[simplices[:, 0]]
     edges = vertices[simplices[:, 1:]] - p0[:, None, :]
     n = vertices.shape[1]
@@ -230,14 +228,18 @@ def simplex_volumes(vertices: np.ndarray, simplices: np.ndarray) -> np.ndarray:
     return det / fact
 
 
-def _fix_orientation(vertices: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+def _fix_orientation(vertices, simplices):
+    """The simplices, each positively oriented, and their volumes; a flipped
+    simplex's is computed again, as the determinant of its swapped edges
+    need not be the negated one bit for bit."""
     vols = simplex_volumes(vertices, simplices)
     flip = vols < 0
     if np.any(flip):
         simplices = simplices.copy()
         simplices[flip, 0], simplices[flip, 1] = (
             simplices[flip, 1].copy(), simplices[flip, 0].copy())
-    return simplices
+        vols[flip] = simplex_volumes(vertices, simplices[flip])
+    return simplices, vols
 
 
 def facet_measures(vertices: np.ndarray, facets: np.ndarray) -> np.ndarray:
@@ -439,12 +441,13 @@ def _polar_cell_mesh(radii, zone_phase, h):
                                 1 + step])
     quad_tris = _split_quads(ring[:-1] + i, ring[:-1] + step, ring[1:] + i,
                              ring[1:] + step, i % 2 == 0)
-    simplices = _fix_orientation(vertices, np.vstack([fan_tris, quad_tris]))
+    simplices, vols = _fix_orientation(vertices,
+                                       np.vstack([fan_tris, quad_tris]))
     phase = np.concatenate([np.full(n_theta, ring_phase[0]),
                             np.repeat(ring_phase[1:], 2 * n_theta)]
                            ).astype(np.int64)
     return CellMesh(vertices=vertices, simplices=simplices, phase=phase,
-                    periodic_pairs=_match_boundary_pairs(vertices))
+                    periodic_pairs=_match_boundary_pairs(vertices), vols=vols)
 
 
 def _match_boundary_pairs(vertices):
@@ -478,14 +481,6 @@ def _match_boundary_pairs(vertices):
     return pairs[np.lexsort(pairs.T[::-1])]
 
 
-def _build_disk(spec: GeometrySpec):
-    r0 = spec.params["r0"]
-    mesh = _polar_cell_mesh([r0], [PHASE_INT, PHASE_OUT], spec.h)
-    surf = extract_interface(mesh.vertices, mesh.simplices, mesh.phase,
-                             mesh.periodic_pairs)
-    return mesh, surf
-
-
 def build_membrane_cell(spec: GeometrySpec, eta: float):
     """Replace the Disk2D interface by a resolved band of width eta.
 
@@ -497,7 +492,7 @@ def build_membrane_cell(spec: GeometrySpec, eta: float):
                             [PHASE_INT, PHASE_MEMBRANE, PHASE_OUT], spec.h)
     mesh = MembraneMesh(vertices=base.vertices, simplices=base.simplices,
                         phase=base.phase, periodic_pairs=base.periodic_pairs,
-                        eta=eta)
+                        vols=base.vols, eta=eta)
     surf = extract_interface(mesh.vertices, mesh.simplices, mesh.phase,
                              mesh.periodic_pairs)
     return mesh, surf
@@ -527,15 +522,12 @@ def _build_layered(spec: GeometrySpec):
     v00 = j * (nx + 1) + i
     tris = _split_quads(v00, v00 + 1, v00 + nx + 1, v00 + nx + 2,
                         (i + j) % 2 == 0)
-    simplices = _fix_orientation(vertices, tris)
+    simplices, vols = _fix_orientation(vertices, tris)
     ymid = 0.5 * (ys[:-1] + ys[1:])
     phase = np.repeat(np.where((a < ymid) & (ymid < b), PHASE_INT, PHASE_OUT),
                       2 * nx)
-    pairs = _match_boundary_pairs(vertices)
-    mesh = CellMesh(vertices=vertices, simplices=simplices, phase=phase,
-                    periodic_pairs=pairs)
-    surf = extract_interface(vertices, simplices, phase, pairs)
-    return mesh, surf
+    return CellMesh(vertices=vertices, simplices=simplices, phase=phase,
+                    periodic_pairs=_match_boundary_pairs(vertices), vols=vols)
 
 
 # ---------------------------------------------------------------------------
@@ -667,14 +659,12 @@ def _build_tube(spec: GeometrySpec):
     # tet by tet; a cut tet's rows are in case order, side -1 first
     rows, phase, k = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(k, kind="stable")
-    simplices, phase = rows[order], phase[order]
-
-    vols = simplex_volumes(all_pos, simplices)
+    simplices, vols = _fix_orientation(all_pos, rows[order])
+    phase = phase[order]
     if np.any(np.abs(vols) < 1e-6 * (1.0 / n) ** 3 / 6.0):
         # drop exact slivers created by coning through coplanar points
         keep = np.abs(vols) > 1e-12 * (1.0 / n) ** 3
-        simplices, phase = simplices[keep], phase[keep]
-    simplices = _fix_orientation(all_pos, simplices)
+        simplices, phase, vols = simplices[keep], phase[keep], vols[keep]
 
     # compact unused vertices
     used = np.unique(simplices)
@@ -683,11 +673,8 @@ def _build_tube(spec: GeometrySpec):
     vertices = all_pos[used]
     simplices = remap[simplices]
 
-    pairs = _match_boundary_pairs(vertices)
-    mesh = CellMesh(vertices=vertices, simplices=simplices, phase=phase,
-                    periodic_pairs=pairs)
-    surf = extract_interface(vertices, simplices, phase, pairs)
-    return mesh, surf
+    return CellMesh(vertices=vertices, simplices=simplices, phase=phase,
+                    periodic_pairs=_match_boundary_pairs(vertices), vols=vols)
 
 
 def _clip_case(signs, side, cpoly):
@@ -724,11 +711,13 @@ def build_unit_cell(spec: GeometrySpec):
     """Fitted periodic mesh of the unit cell plus its interface."""
     spec.validate()
     if spec.kind == "Disk2D":
-        mesh, surf = _build_disk(spec)
-    elif spec.kind == "Layered2D":
-        mesh, surf = _build_layered(spec)
+        mesh = _polar_cell_mesh([spec.params["r0"]], [PHASE_INT, PHASE_OUT],
+                                spec.h)
     else:
-        mesh, surf = _build_tube(spec)
+        mesh = (_build_layered if spec.kind == "Layered2D" else _build_tube)(
+            spec)
+    surf = extract_interface(mesh.vertices, mesh.simplices, mesh.phase,
+                             mesh.periodic_pairs)
 
     total = mesh.volumes().sum()
     if abs(total - 1.0) > 1e-12:

@@ -197,7 +197,14 @@ def _resample_kernel(samples, kernel_grid: TimeGrid, lags: np.ndarray):
 # memory stepper (k = 1)
 # ---------------------------------------------------------------------------
 
+def require_initial_data(regime, u0):
+    """ConfigInvalid unless the connected k = 1 limit has its initial u0."""
+    if regime == "k1_connected_connected" and u0 is None:
+        raise ConfigInvalid("connected regime requires initial data")
+
+
 def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
+    require_initial_data(problem.regime, problem.u0_bar)
     mesh = problem.mesh
     grid = problem.grid
     dim = mesh.dim
@@ -232,8 +239,6 @@ def solve_homogenized_memory(problem: MacroProblem) -> TransientField:
 
     U = np.zeros((M + 1, nv))
     if connected:
-        if problem.u0_bar is None:
-            raise SingularStep("connected regime requires initial data")
         U[0] = problem.u0_bar
         U[0, mesh.boundary] = 0.0
     # trapezoidal history weights: level 0 dt/2, the levels after it dt

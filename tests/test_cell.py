@@ -171,7 +171,9 @@ def test_energy_balance_is_exact(request, name):
     b = request.getfixturevalue(name)
     sys = b.system
     # the bulk levels E y of the stored traces
-    X = np.concatenate([b.funcs.chi1, b.funcs.omega]) @ sys.phase_solves[0].T
+    Y = np.concatenate([b.funcs.chi1, b.funcs.omega])
+    X = sys.extend(Y.reshape(-1, Y.shape[-1]).T).T.reshape(
+        Y.shape[:-1] + (sys.nd,))
     energy = cell.surface_energy(sys, np.concatenate([b.funcs.chi1,
                                                       b.funcs.omega]))
     d = np.diff(X, axis=1)

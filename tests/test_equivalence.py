@@ -120,8 +120,17 @@ built per table; it is now cached on the cell, one COO matrix taking each
 table's values.  The elliptic macro limits once solved once per level.
 The former factor, assembly and level loop survive as oracles, and all
 three must match bitwise.
+
+The cell system once solved g + N right-hand sides per phase into a
+dense extension E (nd x g) and read Sigma = (K E)[Gamma], E^T w and
+b_dir E off it.  Sigma is now the sum of the phases' Schur complements,
+the other operators come from an N + 1 column solve, and E is applied by
+CellSystem.extend.  The block solve survives as the oracle, with a cell
+system that reads every operator off its E: the operators and the six
+cell arrays must match within the tolerance stated below.
 """
 import dataclasses
+import functools
 import sys
 from collections import defaultdict
 
@@ -524,7 +533,7 @@ def loop_build_tube(spec):
     if np.any(np.abs(vols) < 1e-6 * (1.0 / n) ** 3 / 6.0):
         keep = np.abs(vols) > 1e-12 * (1.0 / n) ** 3
         simplices, phase = simplices[keep], phase[keep]
-    simplices = geometry._fix_orientation(all_pos, simplices)
+    simplices, vols = geometry._fix_orientation(all_pos, simplices)
 
     used = np.unique(simplices)
     remap = -np.ones(all_pos.shape[0], dtype=np.int64)
@@ -534,7 +543,7 @@ def loop_build_tube(spec):
     return geometry.CellMesh(vertices=vertices, simplices=simplices,
                              phase=phase,
                              periodic_pairs=geometry._match_boundary_pairs(
-                                 vertices))
+                                 vertices), vols=vols)
 
 
 def loop_clip_tet_to_side(t, s, cuts, all_pos, side):
@@ -742,7 +751,7 @@ def former_solve_chi0(sys):
             rhs = -former_surface_gradient_load(
                 sys.mesh.vertices, surf.facets[fc], 1.0,
                 np.eye(N)[j] - nrm * nrm[:, j:j + 1], sys.vdof, nd)
-            trace[sys.comp_dofs[c]] = sys.trace_factor(c).solve(
+            trace[sys.comp_dofs[c]] = sys.trace_factors[c].solve(
                 rhs[sys.comp_dofs[c]])
         x_out = out.factor.solve(-out.b_dir[j], trace[out.dofs][out.fixed])
         if sys.m > 1:
@@ -921,7 +930,9 @@ def bulk_forms(sys):
 
 def bulk_levels(sys, Y):
     """The former bulk levels of chi1 and omega: every trace extended by E."""
-    return Y @ sys.phase_solves[0].T
+    Y = np.asarray(Y)
+    X = sys.extend(Y.reshape(-1, Y.shape[-1]).T)
+    return X.T.reshape(Y.shape[:-1] + (sys.nd,))
 
 
 def bulk_v(sys, v):
@@ -2248,6 +2259,70 @@ def test_interface_form_tensors_match_former_fields(former):
             scale = max(float(np.abs(want).max()), 1.0)
             assert (np.abs(np.asarray(got) - want).max()
                     <= CORRECTOR_TENSOR_RTOL * scale), field.name
+
+
+# ---------------------------------------------------------------------------
+# interface operators: Schur complements against the dense extension
+# ---------------------------------------------------------------------------
+
+def former_phase_solves(sys):
+    """The former CellSystem.phase_solves: (E, P) from one block solve of
+    g + N right-hand sides per phase factor, E (nd x g) the extensions of
+    the unit traces on gamma_dofs."""
+    g, N = len(sys.gamma_dofs), sys.dim
+    E, P = np.zeros((sys.nd, g)), np.zeros((N, sys.nd))
+    for sub in sys.sub.values():
+        nf = len(sub.fixed)
+        unit = np.zeros((nf, g + N))
+        unit[np.arange(nf), np.searchsorted(sys.gamma_dofs,
+                                            sub.dofs[sub.fixed])] = 1.0
+        b = np.hstack([np.zeros((len(sub.dofs), g)), -sub.b_dir.T])
+        x = sub.factor.solve(b, unit)
+        E[sub.dofs], P[:, sub.dofs] = x[:, :g], x[:, g:].T
+    return E, P
+
+
+class FormerExtensionSystem(cell.CellSystem):
+    """The cell system of the former route: Sigma = (K E)[Gamma], E^T w and
+    b_dir E read off the dense E, and extend a product with it."""
+
+    @functools.cached_property
+    def interface_operators(self):
+        self.E, P = former_phase_solves(self)
+        return (self.K[self.gamma_dofs] @ self.E, P, self.E.T @ self.vol_w,
+                self.b_dir @ self.E)
+
+    def extend(self, Y):
+        return self.E @ Y
+
+
+# The block solve and the Schur factor reach Sigma by different roundoff,
+# and the march and kernels carry the gap.  The largest gaps measured,
+# relative to max(max|ref|, 0.01) (the correctors vanish on the layered
+# cell, as for CORRECTOR_RTOL), were 1.5e-15 for the operators (Ew,
+# Disk2D) and 8.0e-15 for the cell arrays (omega, Disk2D) on these
+# fixtures; on the cell_pipeline benchmark cell they were 2.1e-15 and
+# 3.7e-14.
+EXTENSION_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("name", ["disk", "layered", "tube"])
+def test_interface_operators_match_former_extension(request, name):
+    b = request.getfixturevalue(name)
+    sys = b.system
+    old = FormerExtensionSystem(b.mesh, b.surf, b.coeffs)
+    gam = sys.gamma_dofs
+    Y = np.random.default_rng(2).standard_normal((len(gam), 3))
+    pairs = list(zip(sys.interface_operators, old.interface_operators))
+    pairs.append((sys.extend(Y), old.extend(Y)))
+    funcs = cell.solve_cell_functions(old, b.grid)
+    pairs += [(getattr(b.funcs, f), getattr(funcs, f)) for f in
+              ("chi0", "v", "chi0_tilde", "chi1", "omega", "W")]
+    for got, ref in pairs:
+        assert got.shape == ref.shape
+        scale = max(float(np.abs(ref).max()), 0.01)
+        assert np.abs(got - ref).max() <= EXTENSION_RTOL * scale
+    assert np.array_equal(sys.extend(Y)[gam], Y)
 
 
 # ---------------------------------------------------------------------------

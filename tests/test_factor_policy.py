@@ -34,9 +34,13 @@ POLICY_RTOL = 1e-11
 _SPLU = spla.splu
 
 
-def _colamd_splu(A, **_):
-    """The former factor: scipy's default ordering, COLAMD."""
-    return _SPLU(A)
+def _colamd_splu(A, permc_spec, **options):
+    """The former factor: scipy's default ordering, COLAMD, in place of the
+    minimum degree policy; the Schur factor's explicit order and pivoting
+    pass through."""
+    if permc_spec == "MMD_AT_PLUS_A":
+        return _SPLU(A)
+    return _SPLU(A, permc_spec=permc_spec, **options)
 
 
 def _fill(lu):

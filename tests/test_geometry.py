@@ -34,6 +34,26 @@ def test_volumes_partition_unit_cell(disk, layered, tube):
         assert abs(total - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("kind, params, h", [
+    ("Disk2D", {"r0": R0}, 0.04),                 # disk_default and micro_2d
+    ("Disk2D", {"r0": R0}, 0.014),                # cell_pipeline
+    ("Layered2D", {"a": 0.25, "b": 0.75}, 0.05),  # layered_kgt1
+    ("TubeLattice3D", {"rho": RHO}, 0.1667),      # tube_klt1
+], ids=["disk", "pipeline", "layered", "tube"])
+def test_builder_volumes_equal_a_recompute_bitwise(kind, params, h):
+    # the builders hand their signed volumes to the mesh, the flipped
+    # simplices' recomputed; a mesh read back from its file recomputes all
+    spec = GeometrySpec(kind, params, h)
+    cells = [build_unit_cell(spec)[0]]
+    if kind == "Disk2D":
+        cells.append(build_membrane_cell(spec, 0.05)[0])
+    for mesh in cells:
+        vols = mesh.volumes()
+        assert np.array_equal(vols, simplex_volumes(mesh.vertices,
+                                                    mesh.simplices))
+        assert vols.min() > 0.0 and not vols.flags.writeable
+
+
 def test_disk_measures_near_closed_forms(disk):
     # polygonal inscribed boundary: both measures approach from below at O(h^2)
     vol = disk.mesh.phase_volume(PHASE_INT)

@@ -952,6 +952,23 @@ def test_cli_vtk_flag(tiny_cfg, tmp_path):
 
 # ---------------------------------------------------------------------------
 # converge scores the macro and micro artifacts
+def test_cli_connected_regime_without_initial_data_exits_2(tmp_path, capsys):
+    # the connected k = 1 limit marches from u0; with u0 = zero this config
+    # once passed load, and mesh, cell and tensors wrote their files before
+    # macro exited 1
+    with open(os.path.join(CONFIGS, "layered_kgt1.ini")) as fh:
+        text = fh.read()
+    assert "k = 2.0" in text and "u0 = zero" in text
+    p, out = tmp_path / "bad.ini", tmp_path / "out"
+    p.write_text(text.replace("k = 2.0", "k = 1.0"))
+    code, err = _bh_in_process("mesh cell tensors macro", str(p), str(out),
+                               capsys)
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("config error:") and "initial data" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 
 UPSTREAM = ("mesh", "cell", "tensors", "macro", "micro")
