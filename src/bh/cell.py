@@ -93,7 +93,7 @@ class CellSystem:
 
         lam = fem.phase_coefficient(mesh.phase, {PHASE_INT: coeffs.lam_int,
                                                  PHASE_OUT: coeffs.lam_out})
-        geom = fem.element_gradients(V, S, mesh.volumes())
+        geom = fem.element_gradients(V, S, mesh.vols)
         self.vols = geom[1]
         # the element matrices, and the element loads of the directions
         # (direction, element, vertex); each phase takes its own rows of them
@@ -151,7 +151,8 @@ class CellSystem:
         Sigma, P = np.zeros((len(gam), len(gam))), np.zeros((N, self.nd))
         Ew = self.vol_w[gam].copy()
         for sub in self.sub.values():
-            Sigma[np.ix_(sub.trace_pos, sub.trace_pos)] += sub.factor.schur()
+            pos = np.ix_(sub.trace_pos, sub.trace_pos)
+            Sigma[pos] += sub.factor.schur(sub.K)
             x = sub.factor.solve(np.column_stack([-sub.b_dir.T,
                                                   self.vol_w[sub.dofs]]))
             P[:, sub.dofs] = x[:, :N].T
@@ -175,11 +176,9 @@ class _PhaseSub:
 
     def __init__(self, sys: CellSystem, phase, lam_val, kloc, loads):
         mesh = sys.mesh
-        els = np.where(mesh.phase == phase)[0]
-        self.elements = els
+        self.elements = els = np.flatnonzero(mesh.phase == phase)
         sub = mesh.simplices[els]
-        dofs = np.unique(sys.vdof[sub])
-        self.dofs = dofs
+        self.dofs = dofs = np.unique(sys.vdof[sub])
         self.lam = lam_val
         glob_to_sub = -np.ones(sys.nd, dtype=np.int64)
         glob_to_sub[dofs] = np.arange(len(dofs))

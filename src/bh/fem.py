@@ -255,24 +255,26 @@ class DirichletFactor:
 
     def __init__(self, K: sp.spmatrix, fixed=(), weights=None):
         self.w = weights
+        self.K = None if weights is None else K.tocsr()
         if weights is not None:
             fixed = [int(np.argmax(weights))]
-        self.K = K.tocsr()
         self.n = K.shape[0]
         self.fixed, self.free, self.Kff, self.Kfc = _split(K, fixed)
         if len(self.free):
             self.lu = _splu(self.Kff.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
-    def schur(self) -> np.ndarray:
-        """Dense K_cc - K_cf K_ff^-1 K_fc on the fixed dofs of a symmetric K:
-        L_cc U_cc - d I of one more factor, of K with the free dofs in this
-        factor's order, the fixed last and their diagonal shifted by its
-        largest entry d (which makes a K singular on the constants SPD).
-        Raises SingularSystem when that factor moved a fixed dof."""
-        nf, g = len(self.free), len(self.fixed)
+    def schur(self, K: sp.spmatrix) -> np.ndarray:
+        """Dense K_cc - K_cf K_ff^-1 K_fc on the fixed dofs of the symmetric
+        K factored (K_cc if none is free): L_cc U_cc - d I of a factor of K
+        with the free dofs in this factor's order, the fixed last and their
+        diagonal shifted by its largest entry d, which makes a K singular on
+        the constants SPD.  SingularSystem if that factor moved a fixed dof."""
+        K, nf, g = K.tocsr(), len(self.free), len(self.fixed)
+        if not nf:
+            return K[self.fixed][:, self.fixed].toarray()
         order = np.r_[self.free[np.argsort(self.lu.perm_c)], self.fixed]
-        d = float(self.K.diagonal()[self.fixed].max())
-        A = self.K[order][:, order] + sp.diags(d * (np.arange(nf + g) >= nf))
+        d = float(K.diagonal()[self.fixed].max())
+        A = K[order][:, order] + sp.diags(d * (np.arange(nf + g) >= nf))
         lu = _splu(A.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
         if not all(np.array_equal(p[nf:], np.arange(nf, nf + g))

@@ -119,11 +119,8 @@ class CellMesh:
     def dim(self) -> int:
         return self.vertices.shape[1]
 
-    def volumes(self) -> np.ndarray:
-        return self.vols
-
     def phase_volume(self, phase: int) -> float:
-        return float(self.volumes()[self.phase == phase].sum())
+        return float(self.vols[self.phase == phase].sum())
 
     @cached_property
     def phase_stiffness(self):
@@ -131,7 +128,7 @@ class CellMesh:
         1, 2), zero off p, on the pattern that all three share."""
         from . import fem   # fem imports this module
         V, S, nv = self.vertices, self.simplices, len(self.vertices)
-        geom = fem.element_gradients(V, S, self.volumes())
+        geom = fem.element_gradients(V, S, self.vols)
         A = [fem.assemble_stiffness(geom, S, self.phase == ph, np.arange(nv),
                                     nv, allow_zero=True).tocoo()
              for ph in range(3)]
@@ -195,7 +192,7 @@ class MicroMesh:
         return getattr(self.cell, "eta", 0.0)
 
     def volumes(self) -> np.ndarray:
-        return np.tile(self.cell.volumes(), len(self.local_global)) \
+        return np.tile(self.cell.vols, len(self.local_global)) \
             * self.eps ** self.dim
 
     @cached_property
@@ -229,15 +226,13 @@ def simplex_volumes(vertices: np.ndarray, simplices: np.ndarray) -> np.ndarray:
 
 
 def _fix_orientation(vertices, simplices):
-    """The simplices, each positively oriented, and their volumes; a flipped
-    simplex's is computed again, as the determinant of its swapped edges
-    need not be the negated one bit for bit."""
+    """The simplices, each positively oriented, and their volumes, a flipped
+    one's recomputed: it need not be the negated determinant bit for bit."""
     vols = simplex_volumes(vertices, simplices)
     flip = vols < 0
     if np.any(flip):
         simplices = simplices.copy()
-        simplices[flip, 0], simplices[flip, 1] = (
-            simplices[flip, 1].copy(), simplices[flip, 0].copy())
+        simplices[flip, :2] = simplices[flip, 1::-1]
         vols[flip] = simplex_volumes(vertices, simplices[flip])
     return simplices, vols
 
@@ -660,11 +655,9 @@ def _build_tube(spec: GeometrySpec):
     rows, phase, k = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(k, kind="stable")
     simplices, vols = _fix_orientation(all_pos, rows[order])
-    phase = phase[order]
-    if np.any(np.abs(vols) < 1e-6 * (1.0 / n) ** 3 / 6.0):
-        # drop exact slivers created by coning through coplanar points
-        keep = np.abs(vols) > 1e-12 * (1.0 / n) ** 3
-        simplices, phase, vols = simplices[keep], phase[keep], vols[keep]
+    # drop exact slivers created by coning through coplanar points
+    keep = np.abs(vols) > 1e-12 * (1.0 / n) ** 3
+    simplices, phase, vols = simplices[keep], phase[order][keep], vols[keep]
 
     # compact unused vertices
     used = np.unique(simplices)
@@ -713,13 +706,14 @@ def build_unit_cell(spec: GeometrySpec):
     if spec.kind == "Disk2D":
         mesh = _polar_cell_mesh([spec.params["r0"]], [PHASE_INT, PHASE_OUT],
                                 spec.h)
+    elif spec.kind == "Layered2D":
+        mesh = _build_layered(spec)
     else:
-        mesh = (_build_layered if spec.kind == "Layered2D" else _build_tube)(
-            spec)
+        mesh = _build_tube(spec)
     surf = extract_interface(mesh.vertices, mesh.simplices, mesh.phase,
                              mesh.periodic_pairs)
 
-    total = mesh.volumes().sum()
+    total = mesh.vols.sum()
     if abs(total - 1.0) > 1e-12:
         raise MeshFailure(f"cell volume sums to {total!r}, not 1")
     if len(surf.facets) < 8 * surf.n_components:

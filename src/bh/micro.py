@@ -267,7 +267,7 @@ def local_average(fld: TransientField, mesh: MicroMesh) -> CellAverages:
     means with the cell's element volumes.  With 1/eps integer every cell
     lies inside the domain, so the average is defined on the full grid.
     """
-    vols = mesh.cell.volumes()
+    vols = mesh.cell.vols
     elem_mean = fld.levels[:, mesh.simplices].mean(axis=2)   # (levels, ne)
     tiles = elem_mean.reshape(len(elem_mean), len(mesh.local_global), -1)
     return CellAverages(values=np.einsum("ltk,k->lt", tiles, vols) / vols.sum(),

@@ -56,6 +56,13 @@ def layered():
 
 
 @pytest.fixture(scope="session")
+def thin_layer():
+    # one row of cells across the strip: no inclusion dof is off Gamma
+    return _build("Layered2D", {"a": 0.25, "b": 0.35}, 0.1,
+                  TimeGrid(0.2, 0.02), "cc")
+
+
+@pytest.fixture(scope="session")
 def tube():
     return _build("TubeLattice3D", {"rho": 0.25}, 1.0 / 6.0,
                   TimeGrid(0.1, 0.05), "cc")

@@ -1211,7 +1211,7 @@ def former_tiled_stiffness(mesh, *tables):
     """The former micro._tiled_stiffness: the cell's phase stiffness
     assembled on every call, and one COO matrix built per table."""
     V, S, phase = mesh.cell.vertices, mesh.cell.simplices, mesh.cell.phase
-    geom, nv = fem.element_gradients(V, S, mesh.cell.volumes()), len(V)
+    geom, nv = fem.element_gradients(V, S, mesh.cell.vols), len(V)
     phases = np.arange(3)
     A = [fem.assemble_stiffness(geom, S, phase == ph, fem.identity_dof_map(nv),
                                 nv, allow_zero=True) for ph in phases]
@@ -2306,7 +2306,7 @@ class FormerExtensionSystem(cell.CellSystem):
 EXTENSION_RTOL = 1e-12
 
 
-@pytest.mark.parametrize("name", ["disk", "layered", "tube"])
+@pytest.mark.parametrize("name", ["disk", "layered", "thin_layer", "tube"])
 def test_interface_operators_match_former_extension(request, name):
     b = request.getfixturevalue(name)
     sys = b.system

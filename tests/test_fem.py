@@ -295,7 +295,8 @@ def _dense_schur(K, fixed):
 
 
 def _assert_schur(K, fixed):
-    got, want = fem.DirichletFactor(K, fixed).schur(), _dense_schur(K, fixed)
+    got = fem.DirichletFactor(K, fixed).schur(K)
+    want = _dense_schur(K, fixed)
     assert got.shape == (len(fixed), len(fixed))
     assert np.abs(got - want).max() <= SCHUR_RTOL * np.abs(want).max()
 
@@ -309,6 +310,16 @@ def test_schur_matches_the_dense_complement_on_config_cells(name):
         # each phase stiffness is singular, the constants its kernel
         assert np.abs(sub.K @ np.ones(len(sub.dofs))).max() <= 1e-12 * abs(
             sub.K).max()
+        _assert_schur(sub.K, sub.fixed)
+
+
+def test_schur_of_a_phase_without_free_dofs(thin_layer):
+    # one row of cells across the strip puts every inclusion dof on Gamma:
+    # that phase has no free dof to factor, and its complement is K_cc
+    subs = thin_layer.system.sub
+    assert len(subs[geometry.PHASE_INT].fixed) == len(
+        subs[geometry.PHASE_INT].dofs)
+    for sub in subs.values():
         _assert_schur(sub.K, sub.fixed)
 
 
@@ -347,7 +358,7 @@ def test_schur_guard_rejects_a_factor_that_moves_the_fixed_dofs(
 
     monkeypatch.setattr(fem.spla, "splu", reordering)
     with pytest.raises(SingularSystem, match="moved a fixed dof"):
-        fac.schur()
+        fac.schur(A)
 
 
 def test_perturbed_schur_trips_the_route_check(disk, monkeypatch):
@@ -355,7 +366,7 @@ def test_perturbed_schur_trips_the_route_check(disk, monkeypatch):
     # no longer meet it, and the check refuses the cell
     schur = fem.DirichletFactor.schur
     monkeypatch.setattr(fem.DirichletFactor, "schur",
-                        lambda self: schur(self) * (1.0 + 1e-8))
+                        lambda self, K: schur(self, K) * (1.0 + 1e-8))
     sys = cell.CellSystem(disk.mesh, disk.surf, disk.coeffs)
     with pytest.raises(SolverFailure, match="interface operator"):
         cell.solve_chi0(sys)

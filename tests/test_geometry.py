@@ -30,7 +30,7 @@ TUBE_AREA = 6 * np.pi * RHO - 24 * np.sqrt(2) * RHO ** 2
 
 def test_volumes_partition_unit_cell(disk, layered, tube):
     for b in (disk, layered, tube):
-        total = np.abs(b.mesh.volumes()).sum()
+        total = np.abs(b.mesh.vols).sum()
         assert abs(total - 1.0) <= 1e-12
 
 
@@ -48,7 +48,7 @@ def test_builder_volumes_equal_a_recompute_bitwise(kind, params, h):
     if kind == "Disk2D":
         cells.append(build_membrane_cell(spec, 0.05)[0])
     for mesh in cells:
-        vols = mesh.volumes()
+        vols = mesh.vols
         assert np.array_equal(vols, simplex_volumes(mesh.vertices,
                                                     mesh.simplices))
         assert vols.min() > 0.0 and not vols.flags.writeable
@@ -247,7 +247,7 @@ def test_membrane_band_volume(eta):
     # annulus of width eta centred on the circle: exactly 2 pi r0 eta
     assert abs(band - 2 * np.pi * R0 * eta) <= 0.05 * 2 * np.pi * R0 * eta
     assert mesh.eta == eta
-    total = np.abs(mesh.volumes()).sum()
+    total = np.abs(mesh.vols).sum()
     assert abs(total - 1.0) <= 1e-12
 
 

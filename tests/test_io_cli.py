@@ -1599,7 +1599,7 @@ def test_cli_mesh_keeps_what_a_load_derives(name, tmp_path):
     assert cli._reused["mesh"][1][0] == header
     pairs = [(data, loaded[2]), (_array_fields(mesh), _array_fields(loaded[0])),
              (_array_fields(surf), _array_fields(loaded[1])),
-             ({"volumes": mesh.volumes()}, {"volumes": loaded[0].volumes()})]
+             ({"volumes": mesh.vols}, {"volumes": loaded[0].vols})]
     for kept, got in pairs:
         assert kept.keys() == got.keys()
         for field, vals in kept.items():
