@@ -5,6 +5,7 @@ harnesses comparing them.  Importing bh pins the OpenBLAS of numpy and the
 one of scipy to one thread each, process-wide (README, "Solvers")."""
 import ctypes
 import importlib
+import os
 
 __version__ = "0.1.0"
 
@@ -23,3 +24,8 @@ def _pin(module, suffix):
 # the pool sizes of numpy's OpenBLAS and of scipy's, which SuperLU calls
 blas_threads = _pin("numpy._core._multiarray_umath", "64_")
 scipy_blas_threads = _pin("scipy.sparse.linalg._dsolve._superlu", "")
+
+
+def cpus():
+    """The CPUs this process may run on, which size micro's thread pools."""
+    return len(os.sched_getaffinity(0))

@@ -17,6 +17,7 @@ downstream commands refuse inputs produced under a different config.
 
 import argparse
 import datetime
+import functools
 import os
 import sys
 import time
@@ -314,10 +315,24 @@ def _micro_run(cfg, mmesh):
 def cmd_micro(cfg, out, vtk):
     paths = _paths(out)
     mesh, surf, _ = _load_cell_mesh(cfg, paths)
+
+    def solve(eps):
+        """(tiling, solution) of eps, or the error that ended its solve."""
+        try:
+            mmesh = _tiling(cfg, mesh, surf, eps)
+            return mmesh, micro.solve_micro(_micro_run(cfg, mmesh))
+        except BHError as exc:
+            return exc
+
+    # the files of each eps before the first that failed are written, as
+    # when the eps were solved one at a time
+    solved = micro._concurrently(*(functools.partial(solve, eps)
+                                   for eps in cfg.eps_list))
     written = {}
-    for eps in cfg.eps_list:
-        mmesh = _tiling(cfg, mesh, surf, eps)
-        fld = micro.solve_micro(_micro_run(cfg, mmesh))
+    for eps, got in zip(cfg.eps_list, solved):
+        if isinstance(got, BHError):
+            raise got
+        mmesh, fld = got
         p = _micro_path(out, eps)
         header = dict(_header(cfg), **{key: _F % fld.diagnostics[key]
                                        for key in _ENERGIES})

@@ -24,7 +24,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import blas_threads, scipy_blas_threads
+from . import blas_threads, cpus, scipy_blas_threads
 from .errors import MissingArtifact
 
 _F = "%.17g"
@@ -369,7 +369,8 @@ def write_manifest(path, command, config_hash, tool_version, started_iso,
             f"started {started_iso}",
             f"wall_time_s {_F % wall_time_s}",
             f"blas_threads {blas_threads() or 'unpinned'}",
-            f"scipy_blas_threads {scipy_blas_threads() or 'unpinned'}"]
+            f"scipy_blas_threads {scipy_blas_threads() or 'unpinned'}",
+            f"cpus {cpus()}"]
     for p in inputs:
         body.append(f"input {os.path.basename(p)} {file_sha256(p)}")
     for p, digest in outputs.items():

@@ -13,6 +13,11 @@ operators are the cell's phase stiffness matrices scattered tile by tile
 eps^N: nothing computes the element geometry of a tiling.  2D tilings
 solve by substructuring (see _solver), 3D tilings with Jacobi-CG.
 
+Work runs concurrently at two sites, through _concurrently: bh micro
+tiles and solves each eps of eps_list on its own thread, and _march
+builds the harmonic start and the step solver on two.  Each result is
+the same bits on any number of CPUs.
+
 solve_micro is the dynamic-interface problem for any surface scaling
 exponent k: K is the bulk diffusion stiffness, Q the Laplace-Beltrami
 stiffness S1 on the interface facets the tiled MicroMesh carries, and
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import fem, geometry
+from . import cpus, fem, geometry
 from .cell import CellCoefficients
 from .errors import (BHError, MissingArtifact, SolverFailure,
                      WrongGeometryClass)
@@ -117,6 +122,25 @@ def _tiled_stiffness(mesh, *tables):
     return out
 
 
+def _concurrently(*calls):
+    """The results of the zero-argument calls, in call order, computed on a
+    pool of one thread per call up to the CPUs this process may run on.
+
+    Every call runs to its end; then the exception of the first call, in
+    call order, that failed is raised.  The heavy work of a march (SuperLU
+    factors and solves, sparse products and conversions) releases the GIL,
+    and each call's arithmetic is the same on any thread, so the results
+    do not depend on the pool's size or scheduling.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # loaded at first use
+    with ThreadPoolExecutor(min(len(calls), cpus())) as pool:
+        futures = [pool.submit(call) for call in calls]
+    for exc in [fut.exception() for fut in futures]:
+        if exc is not None:
+            raise exc
+    return [fut.result() for fut in futures]
+
+
 def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
     """Implicit Euler march of (K + c Q) x_n = c Q x_(n-1) + load, the same
     load vector (or None) at every step.
@@ -124,20 +148,24 @@ def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
     mesh is the tiling K lives on.  x_0 is the K-harmonic extension of the
     nodal values u0 from support + boundary, zero on the boundary (zero
     everywhere when u0 is None or the support is empty); every level is
-    zero on the boundary.
+    zero on the boundary.  x_0 and the step solver are computed
+    concurrently.
     Returns the levels, x_n . Q x_n per level and the bulk energy
     sum_n dt x_n . K_unit x_n, both taken after the march with one einsum
     each.
     """
     nd = K.shape[0]
-    x0 = np.zeros(nd)
-    if u0 is not None and len(support):
+
+    def start():
+        if u0 is None or not len(support):
+            return np.zeros(nd)
         fixed0 = np.union1d(support, boundary)
         fv = u0[fixed0]
         fv[np.isin(fixed0, boundary)] = 0.0
-        x0 = _solver(K, fixed0, mesh).solve(np.zeros(nd), fv)
+        return _solver(K, fixed0, mesh).solve(np.zeros(nd), fv)
 
-    fac = _solver((K + c * Q).tocsr(), boundary, mesh)
+    x0, fac = _concurrently(
+        start, lambda: _solver((K + c * Q).tocsr(), boundary, mesh))
     dt = grid.step
     X = np.zeros((grid.n_steps + 1, nd))
     X[0] = x0

@@ -20,6 +20,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -566,6 +567,7 @@ def test_cli_chain_matches_one_command_a_call(tiny_cfg, tmp_path, capsys):
         for pool in ("blas_threads", "scipy_blas_threads"):
             assert re.search(rf"^{pool} (1|unpinned)$", text,
                              re.MULTILINE), (cmd, pool)
+        assert re.search(r"^cpus [1-9][0-9]*$", text, re.MULTILINE), cmd
 
 
 def test_cli_manifest_output_digests_are_the_files(tiny_cfg, tmp_path,
@@ -680,6 +682,19 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_starts_no_thread():
+    # bh micro makes its thread pools at first use, each for one call
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, threading, bh.cli; print(threading.active_count(),"
+         " 'concurrent.futures.thread' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False"]
+
+
 def _bundled_openblas(package, pattern):
     """The OpenBLAS that package bundles, found among the files of
     <package>.libs that this process has loaded, or None."""
@@ -724,6 +739,60 @@ def test_tube_bytes_do_not_depend_on_blas_threads(tmp_path):
         found.append(_digests(out))
     assert {"mesh.bhmesh", "cell.bhcell", "tensors.bhtens"} <= set(found[0])
     assert found[0] == found[1]
+
+
+def test_micro_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
+                                                    capsys):
+    # bh micro sizes its thread pools by the CPUs it may run on; on one CPU
+    # the same calls run in call order on one thread
+    cfg = os.path.join(CONFIGS, "disk_default.ini")
+    found, manifests = [], []
+    for name in ("as_is", "one_cpu"):
+        if name == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        out = str(tmp_path / name)
+        assert _run(["mesh", "micro", "--config", cfg, "--out", out,
+                     "--vtk"]) == 0
+        found.append(_digests(out))
+        with open(os.path.join(out, "micro.bhrun")) as fh:
+            manifests.append(fh.read())
+    capsys.readouterr()
+    assert {f"micro_m{m}.bhsol" for m in (2, 4, 8)} <= set(found[0])
+    assert found[0] == found[1]
+    monkeypatch.undo()
+    assert f"\ncpus {len(os.sched_getaffinity(0))}\n" in manifests[0]
+    assert "\ncpus 1\n" in manifests[1]
+
+
+def test_cli_micro_fails_at_the_first_failing_eps(tmp_path, monkeypatch,
+                                                  capsys):
+    # all three eps solve at once, and eps = 1/8 fails before eps = 1/4; as
+    # in a loop over eps_list, the files of eps = 1/2 are written and the
+    # error of eps = 1/4 ends the command
+    cfg = tmp_path / "three.ini"
+    cfg.write_text(TINY_INI.replace("eps_list = 0.5",
+                                    "eps_list = 0.5, 0.25, 0.125"))
+    solve, called, eighth_failed = micro.solve_micro, [], threading.Event()
+
+    def failing(run):
+        eps = run.mesh.eps
+        called.append(eps)
+        if eps == 0.5:
+            return solve(run)
+        if eps == 0.25:
+            assert eighth_failed.wait(timeout=60)
+        else:
+            eighth_failed.set()
+        raise SolverFailure(f"march at eps={eps} failed")
+
+    monkeypatch.setattr(micro, "cpus", lambda: 3)
+    monkeypatch.setattr(micro, "solve_micro", failing)
+    out = str(tmp_path / "run")
+    code, err = _bh_in_process("mesh micro", str(cfg), out, capsys)
+    assert (code, err) == (1, "error: march at eps=0.25 failed\n")
+    assert sorted(called) == [0.125, 0.25, 0.5]
+    assert sorted(os.listdir(out)) == ["mesh.bhmesh", "mesh.bhrun",
+                                       "micro_m2.bhsol"]
 
 
 _INI_LINES = TINY_INI.splitlines()

@@ -8,6 +8,9 @@ solve_membrane in tests/test_equivalence.py.
 """
 import dataclasses
 import pathlib
+import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -127,15 +130,23 @@ def test_micro_scaling_exponent_enters(disk_tiled, disk):
 
 @pytest.fixture
 def built_solvers(monkeypatch):
-    """Names of the fem solvers constructed, in order; a substructured
-    factor is listed before the factors it builds."""
+    """(thread, name) of the fem solvers constructed, in order; a
+    substructured factor is listed before the factors it builds."""
     built = []
     for name in ("DirichletFactor", "CGSolver", "SubstructuredFactor"):
         def counting(*args, _cls=getattr(fem, name), _name=name):
-            built.append(_name)
+            built.append((threading.get_ident(), _name))
             return _cls(*args)
         monkeypatch.setattr(fem, name, counting)
     return built
+
+
+def per_thread(built):
+    """The names in built_solvers, one list for each thread that built."""
+    lists = {}
+    for thread, name in built:
+        lists.setdefault(thread, []).append(name)
+    return list(lists.values())
 
 
 # one tile type at eps = 1/2 without stripping: its interior factor, then
@@ -143,22 +154,31 @@ def built_solvers(monkeypatch):
 SUBSTRUCTURED = ["SubstructuredFactor", "DirichletFactor", "DirichletFactor"]
 
 
-def test_micro_step_solver_follows_dimension(built_solvers, disk, disk_tiled,
-                                             tube):
+def test_micro_step_solver_follows_dimension(built_solvers, monkeypatch,
+                                             disk, disk_tiled, tube):
     # without an initial datum the solvers built are the step solver's; with
-    # one the harmonic start builds one more of the same kind, so the 3D
-    # tiling (3,349 dofs) builds no factor at all
+    # one the harmonic start builds one more of the same kind, on a thread
+    # of its own, so the 3D tiling (3,349 dofs) builds no factor at all
+    monkeypatch.setattr(micro, "cpus", lambda: 2)
+    solver = micro._solver
     tube_tiled, _ = tile_micro_domain(tube.mesh, tube.surf.facets, 0.5,
                                       False)
     cases = ((disk_tiled[0], disk.coeffs, SUBSTRUCTURED),
              (tube_tiled, tube.coeffs, ["CGSolver"]))
     for mesh, coeffs, expected in cases:
         for u0, n in ((None, 1), (sin_product, 2)):
+            # the builds meet before they start, so a fast harmonic start
+            # cannot hand its pool thread on to the step build
+            def meeting(*args, _builds=threading.Barrier(n, timeout=30)):
+                _builds.wait()
+                return solver(*args)
+
+            monkeypatch.setattr(micro, "_solver", meeting)
             built_solvers.clear()
             micro.solve_micro(micro.MicroRun(
                 mesh=mesh, coeffs=coeffs, k=1.0, grid=TimeGrid(0.1, 0.05),
                 u0_bar=u0))
-            assert built_solvers == n * expected
+            assert per_thread(built_solvers) == n * [expected]
 
 
 def test_membrane_step_solver_follows_dimension(built_solvers, disk):
@@ -166,7 +186,7 @@ def test_membrane_step_solver_follows_dimension(built_solvers, disk):
     bm, _ = tile_micro_domain(bc, bs.facets, 0.5, False)
     micro.solve_membrane(micro.MembraneRun(mesh=bm, coeffs=disk.coeffs,
                                            grid=TimeGrid(0.1, 0.05)))
-    assert built_solvers == SUBSTRUCTURED
+    assert per_thread(built_solvers) == [SUBSTRUCTURED]
 
 
 def test_march_computes_each_layout_and_phase_stiffness_once(monkeypatch,
@@ -203,6 +223,65 @@ def test_march_computes_each_layout_and_phase_stiffness_once(monkeypatch,
     assert len(analysed) == 2 and len(assembled) == 1
 
 
+def test_concurrently_raises_the_first_failure_in_call_order(monkeypatch):
+    # the second call fails first and the third ends last; the first call's
+    # error is raised once every call has ended
+    monkeypatch.setattr(micro, "cpus", lambda: 3)
+    second_failed, ended = threading.Event(), []
+
+    def first():
+        assert second_failed.wait(timeout=60)
+        raise SolverFailure("first")
+
+    def second():
+        second_failed.set()
+        raise SolverFailure("second")
+
+    def third():
+        assert second_failed.wait(timeout=60)
+        time.sleep(0.05)
+        ended.append(3)
+
+    with pytest.raises(SolverFailure, match="first"):
+        micro._concurrently(first, second, third)
+    assert ended == [3]
+    assert micro._concurrently(lambda: 1, lambda: 2, lambda: 3) == [1, 2, 3]
+
+
+def test_threads_sharing_a_fresh_tiling_solve_it_bitwise(monkeypatch, disk):
+    # four threads, more than the host has cores, solve one run whose
+    # tiling's layout and cell's phase stiffness are cached by the first
+    # thread to read them; each gets the levels of a solve on one thread
+    def fresh_run():
+        cell_mesh = dataclasses.replace(disk.mesh)   # nothing cached on it yet
+        tiled, _ = tile_micro_domain(cell_mesh, disk.surf.facets, 0.25, False)
+        return micro.MicroRun(mesh=tiled, coeffs=disk.coeffs, k=1.0,
+                              grid=TimeGrid(0.1, 0.05), u0_bar=sin_product)
+
+    monkeypatch.setattr(micro, "cpus", lambda: 1)
+    expected = micro.solve_micro(fresh_run()).levels.tobytes()
+    monkeypatch.undo()
+    run, found = fresh_run(), [None] * 4
+
+    def solve(i):
+        found[i] = micro.solve_micro(run).levels.tobytes()
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert found == [expected] * 4
+    assert "substructure" in vars(run.mesh)
+    assert "phase_stiffness" in vars(run.mesh.cell)
+
+
 def test_step_solver_ignores_dof_count(built_solvers):
     # 100 tiles of 700 dofs that no tile shares (70,000 free dofs) are
     # substructured in 2D; a 10-dof system runs CG in 3D
@@ -214,7 +293,7 @@ def test_step_solver_ignores_dof_count(built_solvers):
     micro._solver(large, np.array([0]), tiling)
     small = sp.identity(10, format="csr")
     micro._solver(small, np.array([0]), SimpleNamespace(dim=3))
-    assert built_solvers == SUBSTRUCTURED + ["CGSolver"]
+    assert per_thread(built_solvers) == [SUBSTRUCTURED + ["CGSolver"]]
 
 
 @pytest.mark.parametrize("solver", ["SubstructuredFactor", "CGSolver"])
