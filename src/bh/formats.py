@@ -36,7 +36,8 @@ def _row(vals):
 
 def _rows(table, fmts):
     """One text line per row of a 2D array (per value of a 1D array, with
-    one format); fmts holds one %-format per column.
+    one format), joined by newlines into one item of a list of lines (no
+    item for no rows); fmts holds one %-format per column.
 
     One template, the row template once per row, formats the flat Python
     values of the whole array, the same text as formatting each numpy
@@ -45,13 +46,12 @@ def _rows(table, fmts):
     """
     n = len(table)
     text = "\n".join([" ".join(fmts)] * n) % tuple(np.ravel(table).tolist())
-    return text.split("\n") if n else []
+    return [text] if n else []
 
 
 def _pack(vals):
-    """One line of base64 text holding the little-endian float64 bytes."""
-    raw = np.ascontiguousarray(vals, dtype="<f8").tobytes()
-    return base64.b64encode(raw).decode("ascii")
+    """One line of base64 bytes holding the little-endian float64 bytes."""
+    return base64.b64encode(np.ascontiguousarray(vals, dtype="<f8").tobytes())
 
 
 def _unpack(line, n, path):
@@ -75,12 +75,15 @@ def _unpack(line, n, path):
 # ---------------------------------------------------------------------------
 
 def write_artifact(path, magic, header, body_lines):
-    """Write the artifact; returns the sha256 of the file."""
-    lines = [magic]
-    for key in sorted(header):
-        lines.append(f"# {key} {header[key]}")
-    lines.extend(body_lines)
-    body = ("\n".join(lines) + "\n").encode()
+    """Write the artifact; returns the sha256 of the file.
+
+    Each body line is text, or ASCII bytes (a packed block): the text
+    lines are encoded one by one and joined with the packed blocks once,
+    so no megabyte-sized block is copied as text.
+    """
+    lines = [magic] + [f"# {key} {header[key]}" for key in sorted(header)]
+    body = b"\n".join([ln if isinstance(ln, bytes) else ln.encode()
+                       for ln in lines + body_lines] + [b""])
     sha = hashlib.sha256(body)
     trailer = f"checksum {sha.hexdigest()}\n".encode()
     sha.update(trailer)

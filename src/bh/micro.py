@@ -123,8 +123,10 @@ def _tiled_stiffness(mesh, *tables):
 
 
 def _concurrently(*calls):
-    """The results of the zero-argument calls, in call order, computed on a
-    pool of one thread per call up to the CPUs this process may run on.
+    """The results of the zero-argument calls, in call order.  The last
+    call runs on the calling thread, the others on a pool of one thread per
+    call up to one less than the CPUs this process may run on: on one CPU
+    every call runs on the calling thread, in call order.
 
     Every call runs to its end; then the exception of the first call, in
     call order, that failed is raised.  The heavy work of a march (SuperLU
@@ -132,13 +134,27 @@ def _concurrently(*calls):
     and each call's arithmetic is the same on any thread, so the results
     do not depend on the pool's size or scheduling.
     """
-    from concurrent.futures import ThreadPoolExecutor  # loaded at first use
-    with ThreadPoolExecutor(min(len(calls), cpus())) as pool:
-        futures = [pool.submit(call) for call in calls]
-    for exc in [fut.exception() for fut in futures]:
+    workers = min(len(calls), cpus()) - 1
+    if workers:
+        from concurrent.futures import ThreadPoolExecutor  # at first use
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(_outcome, call) for call in calls[:-1]]
+            last = _outcome(calls[-1])
+        outcomes = [fut.result() for fut in futures] + [last]
+    else:
+        outcomes = [_outcome(call) for call in calls]
+    for result, exc in outcomes:
         if exc is not None:
             raise exc
-    return [fut.result() for fut in futures]
+    return [result for result, _ in outcomes]
+
+
+def _outcome(call):
+    """(result, None) of the call, or (None, the exception it raised)."""
+    try:
+        return call(), None
+    except Exception as exc:
+        return None, exc
 
 
 def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):

@@ -2081,7 +2081,7 @@ GOLDEN_SOLUTION_SHA256 = (
 
 def test_solution_layout_pinned(tmp_path):
     # one double packs as its little-endian bytes: 1.0 is 00..00 f0 3f
-    assert formats._pack([1.0]) == "AAAAAAAA8D8="
+    assert formats._pack([1.0]) == b"AAAAAAAA8D8="
     path = str(tmp_path / "s.bhsol")
     levels = np.array([[0.0, -0.0, 1.0, 5e-324],
                        [0.1, -2.5, 1.7976931348623157e308, 1.0 / 3.0],

@@ -695,6 +695,46 @@ def test_import_starts_no_thread():
     assert proc.stdout.split() == ["1", "False"]
 
 
+# a module of each package that numpy.f2py and numpy.testing run at once
+_DEFERRED = ("numpy.f2py.crackfortran", "numpy.testing._private.utils")
+
+
+def _fresh_python(code):
+    """The standard output of code run in a new interpreter that finds bh."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_defers_numpy_f2py_and_numpy_testing():
+    # scipy's import reads every attribute of numpy; bh enters both modules
+    # unrun, and each runs in full at its first attribute access
+    out = _fresh_python(
+        f"import sys, bh.cli; deferred = {_DEFERRED!r}\n"
+        "print([m for m in deferred if m in sys.modules])\n"
+        "from numpy.testing import assert_allclose\n"
+        "import numpy.f2py.crackfortran\n"
+        "assert_allclose(1.0, 1.0)\n"
+        "print([m for m in deferred if m in sys.modules],"
+        " callable(numpy.f2py.crackfortran.crackfortran))")
+    assert out.splitlines() == ["[]", f"{list(_DEFERRED)!r} True"]
+
+
+def test_cli_chain_runs_neither_deferred_module(tmp_path):
+    # the import's saving does not move into a stage
+    cfg = os.path.join(CONFIGS, "disk_default.ini")
+    argv = ["mesh", "cell", "tensors", "macro", "micro", "--config", cfg,
+            "--out", str(tmp_path)]
+    out = _fresh_python(
+        "import sys, bh.cli\n"
+        f"print(bh.cli.main({argv!r}),"
+        f" [m for m in {_DEFERRED!r} if m in sys.modules])")
+    assert out.split() == ["0", "[]"]
+
+
 def _bundled_openblas(package, pattern):
     """The OpenBLAS that package bundles, found among the files of
     <package>.libs that this process has loaded, or None."""
@@ -909,7 +949,7 @@ def _reshaped(name, change):
         vals = change(np.frombuffer(base64.b64decode(lines[i + 1]),
                                     dtype="<f8").reshape(shape))
         head = " ".join(["array", name] + [str(n) for n in vals.shape])
-        return lines[:i] + [head, formats._pack(vals)] + lines[i + 2:]
+        return lines[:i] + [head, formats._pack(vals).decode()] + lines[i + 2:]
     return edit
 
 
@@ -1173,7 +1213,7 @@ def _first_value(value):
     def change(line):
         vals = np.frombuffer(base64.b64decode(line), dtype="<f8").copy()
         vals[0] = value
-        return [formats._pack(vals)]
+        return [formats._pack(vals).decode()]
     return change
 
 
