@@ -10,7 +10,6 @@ module when it is first read, about 0.1 s of each start (README, "Command
 line").  Each is entered in sys.modules as a module that runs in full at
 its first attribute access, so an import of either still works."""
 import ctypes
-import importlib
 import importlib.util
 import os
 import sys

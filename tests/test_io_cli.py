@@ -682,23 +682,6 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_import_starts_no_thread():
-    # bh micro makes its thread pools at first use, each for one call
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(bh.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, threading, bh.cli; print(threading.active_count(),"
-         " 'concurrent.futures.thread' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "False"]
-
-
-# a module of each package that numpy.f2py and numpy.testing run at once
-_DEFERRED = ("numpy.f2py.crackfortran", "numpy.testing._private.utils")
-
-
 def _fresh_python(code):
     """The standard output of code run in a new interpreter that finds bh."""
     env = dict(os.environ,
@@ -707,6 +690,18 @@ def _fresh_python(code):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_import_starts_no_thread():
+    # bh micro makes its thread pools at first use, each for one call
+    out = _fresh_python(
+        "import sys, threading, bh.cli; print(threading.active_count(),"
+        " 'concurrent.futures.thread' in sys.modules)")
+    assert out.split() == ["1", "False"]
+
+
+# a module of each package that numpy.f2py and numpy.testing run at once
+_DEFERRED = ("numpy.f2py.crackfortran", "numpy.testing._private.utils")
 
 
 def test_import_defers_numpy_f2py_and_numpy_testing():
