@@ -211,7 +211,7 @@ def load_config(path: str) -> RunConfig:
     try:
         spec.validate()
         tilings = [tiles_per_axis(eps) for eps in eps_list]
-        if kind == "Disk2D":   # bh converge and verify build these bands
+        if kind == "Disk2D":   # bh converge's eta study builds these bands
             for eta in eta_list:
                 spec.membrane_band(eta)
     except (InvalidGeometry, NonIntegerTiling) as exc:

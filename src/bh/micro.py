@@ -275,13 +275,11 @@ def solve_membrane(run: MembraneRun) -> TransientField:
                                 np.unique(mesh.boundary_vertices),
                                 np.unique(S[phase == PHASE_MEMBRANE]), u0,
                                 run.grid, mesh, K_unit)
-    band_energy = band_quad / coeffs.alpha
     return TransientField(
         levels=X, grid=run.grid,
         diagnostics={
-            "membrane_energy": band_energy,
             "energy_bulk": bulk,
-            "energy_surface": float(band_energy.max()) * mesh.eta,
+            "energy_surface": float(band_quad.max()) / coeffs.alpha * mesh.eta,
         })
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: one solved bundle per geometry, built once per session.
+"""Shared fixtures: one solved bundle per geometry, built once per session,
+and one run of each configs/ file up to the artifacts bh verify reads.
 
 The bundles use short kernel horizons so the unit tests stay fast; the
 acceptance module builds its own bundles at the parameters the criteria
@@ -7,14 +8,17 @@ end are test oracles: the library computes tangential gradients only
 through fem.surface_gradients, and scores eps studies only in bh converge,
 from the micro solutions bh micro wrote.
 """
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from bh import cell, fem, geometry, micro, tensors
+from bh import cell, cli, fem, geometry, micro, tensors
 from bh.timegrid import TimeGrid
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
 
 settings.register_profile(
     "ci", max_examples=25, deadline=None, derandomize=True,
@@ -68,6 +72,25 @@ def tube():
                   TimeGrid(0.1, 0.05), "cc")
 
 
+@pytest.fixture(scope="session")
+def config_run(tmp_path_factory):
+    """config_run(name) -> (path of configs/<name>.ini, run directory after
+    bh mesh cell tensors micro, which write every file bh verify reads);
+    each config is run once per session and callers copy the directory."""
+    runs = {}
+
+    def get(name):
+        if name not in runs:
+            cfg = os.path.join(CONFIGS, name + ".ini")
+            out = str(tmp_path_factory.mktemp(name) / "run")
+            for cmd in ("mesh", "cell", "tensors", "micro"):
+                assert cli.main([cmd, "--config", cfg, "--out", out]) == 0
+            runs[name] = cfg, out
+        return runs[name]
+
+    return get
+
+
 def sin_product(pts):
     out = np.ones(len(pts))
     for i in range(pts.shape[1]):
@@ -81,6 +104,16 @@ def micro_surface_energy(run, levels):
     S1 = micro._micro_operators(run)[1]
     quad = np.einsum("ni,in->n", levels, S1 @ levels.T)
     return run.mesh.eps ** run.k * run.coeffs.alpha * quad
+
+
+def membrane_band_energy(run, levels):
+    """x_n . K_band x_n / alpha of each level of a solve_membrane march, with
+    K_band the band's stiffness at alpha / eta, the per-level quadratic form
+    taken as the march takes it."""
+    K_band, = micro._tiled_stiffness(
+        run.mesh, {geometry.PHASE_MEMBRANE: run.coeffs.alpha / run.mesh.eta})
+    quad = np.einsum("ni,in->n", levels, K_band @ levels.T)
+    return quad / run.coeffs.alpha
 
 
 def projected_surface_gradients(vertices, facets):

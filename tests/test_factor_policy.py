@@ -106,8 +106,7 @@ def test_macro_report_matches_the_level_loop(chains):
     out = outs["mmd"]
     cfg = load_config(os.path.join(CONFIGS, name + ".ini"))
     paths = cli._paths(out)
-    mesh, prob = cli._macro_problem(cfg, cli._stored_tensors(cfg, paths),
-                                    paths["tensors"])
+    mesh, prob = cli._macro_problem(cfg, cli._stored_tensors(cfg, paths))
     A_inst = prob.lambda0 * np.eye(cfg.dim) + (
         prob.A0 if prob.A0 is not None else 0.0)
     if not cfg.regime.startswith("k1"):

@@ -258,6 +258,20 @@ def test_klt1_connected_degenerates_to_zero(mesh12):
     assert np.all(fld.levels == 0.0)
 
 
+@pytest.mark.parametrize("source", [None, lambda pts: np.zeros(len(pts))],
+                         ids=["no-source", "zero-source"])
+@pytest.mark.parametrize("regime, topology", [("kgt1", "cc"),
+                                              ("klt1", "cd")])
+def test_elliptic_zero_data_zero_solution(mesh12, regime, topology, source):
+    prob = macro.MacroProblem(mesh=mesh12, regime=regime,
+                              grid=TimeGrid(0.2, 0.1),
+                              A_elliptic=np.array([[3.0, 0.5], [0.5, 2.0]]),
+                              source=source, topology=topology)
+    fld = macro.solve_homogenized_elliptic(prob)
+    assert fld.levels.shape == (3, len(mesh12.vertices))
+    assert np.all(fld.levels == 0.0)
+
+
 def test_elliptic_rejects_indefinite_tensor(mesh12):
     prob = macro.MacroProblem(mesh=mesh12, regime="kgt1",
                               grid=TimeGrid(0.2, 0.1),

@@ -48,8 +48,8 @@ def test_layered_closed_forms(layered):
     assert np.abs(t.A_hom_kgt1 - np.diag([2.0, 1.5])).max() <= 1e-12
 
 
-def test_uniform_conductivity_identity(disk, layered):
-    for b in (disk, layered):
+def test_uniform_conductivity_identity(disk, layered, tube):
+    for b in (disk, layered, tube):
         uni = cell.CellCoefficients(3.0, 3.0, 1.0)
         sys = cell.CellSystem(b.mesh, b.surf, uni)
         A, _, _ = tensors.compute_Ahom_kgt1(sys, cell.solve_chi0_tilde(sys))

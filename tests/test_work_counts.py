@@ -1,4 +1,5 @@
-"""Exact work counts of `bh cell`: SuperLU factors and solved columns.
+"""Exact work counts of `bh cell` and `bh verify`: SuperLU factors and
+solved columns.
 
 Every direct factor goes through one splu call (fem._splu), so wrapping
 scipy's splu counts them all.  One in-process `bh cell` per config, after
@@ -12,8 +13,12 @@ The columns are the N + 1 column solve of each phase (P and K_II^-1 w),
 the extensions of chi0 (N columns, plus m lifts when m > 1) and of
 chi0_tilde (N), per phase, and 2N columns per component on its trace
 factor, N for the trace of chi0 and N for v.
+
+`bh verify` judges the stored artifacts and solves nothing: in a process
+that holds no cell mesh or system it makes no factor.
 """
 import os
+import shutil
 
 import pytest
 
@@ -41,11 +46,8 @@ class _Counted:
         return getattr(self._lu, name)
 
 
-@pytest.mark.parametrize("name", sorted(WORK))
-def test_cell_work_is_pinned(name, tmp_path, monkeypatch):
-    cfg, out = os.path.join(CONFIGS, name + ".ini"), str(tmp_path / "run")
-    monkeypatch.setattr(cli, "_reused", {})
-    assert cli.main(["mesh", "--config", cfg, "--out", out]) == 0
+def _count_work(monkeypatch):
+    """{"factors": 0, "columns": 0}, counting from now on."""
     counts = {"factors": 0, "columns": 0}
     splu = fem.spla.splu
 
@@ -54,5 +56,27 @@ def test_cell_work_is_pinned(name, tmp_path, monkeypatch):
         return _Counted(splu(A, **options), counts)
 
     monkeypatch.setattr(fem.spla, "splu", counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(WORK))
+def test_cell_work_is_pinned(name, tmp_path, monkeypatch):
+    cfg, out = os.path.join(CONFIGS, name + ".ini"), str(tmp_path / "run")
+    monkeypatch.setattr(cli, "_reused", {})
+    assert cli.main(["mesh", "--config", cfg, "--out", out]) == 0
+    counts = _count_work(monkeypatch)
     assert cli.main(["cell", "--config", cfg, "--out", out]) == 0
     assert (counts["factors"], counts["columns"]) == WORK[name], counts
+
+
+@pytest.mark.parametrize("name", sorted(WORK))
+def test_verify_makes_no_factor(name, config_run, tmp_path, monkeypatch,
+                                capsys):
+    cfg, run = config_run(name)
+    out = str(tmp_path / "run")
+    shutil.copytree(run, out)
+    monkeypatch.setattr(cli, "_reused", {})
+    counts = _count_work(monkeypatch)
+    assert cli.main(["verify", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    assert counts == {"factors": 0, "columns": 0}
