@@ -336,9 +336,11 @@ class SubstructuredFactor:
     factored with the fixed skeleton dofs as its fixed set.  solve takes the
     arguments of DirichletFactor.solve; it gathers the loads from b,
     condenses the tiles of each type with one block solve, solves on the
-    skeleton and back-substitutes with one T x_B product per type.  Every
-    solve checks the residual of the free rows per column to 1e-10 of their
-    load, so a tile whose blocks differ from its type's fails.
+    skeleton and back-substitutes with one T x_B product per type; a type
+    whose gathered load has the bytes of its last one (a stripped tile's,
+    at every march step) reuses that condensation.  Every solve checks the
+    residual of the free rows per column to 1e-10 of their load, so a tile
+    whose blocks differ from its type's fails.
     """
 
     def __init__(self, K: sp.spmatrix, fixed, layout, patterns: np.ndarray):
@@ -364,6 +366,7 @@ class SubstructuredFactor:
             bps.append(bp)
             klocs.append(np.broadcast_to(A_bi @ T, (len(members), nb, nb)))
             self.types.append((fac, T, A_bi, tiles[members][:, li], bp))
+        self._last = [None] * len(self.types)
         schur = K[self.skeleton][:, self.skeleton] - scatter_matrix(
             np.concatenate(klocs), np.concatenate(bps), len(self.skeleton))
         self.skeleton_factor = DirichletFactor(
@@ -383,12 +386,16 @@ class SubstructuredFactor:
         nc = r.shape[1]
         g = r[self.skeleton]
         condensed = []
-        for fac, _, A_bi, gi, bp in self.types:
+        for ty, (fac, _, A_bi, gi, bp) in enumerate(self.types):
             k, ni = gi.shape
-            Y = fac.solve(r[gi].transpose(1, 0, 2).reshape(ni, k * nc))
-            flux = (A_bi @ Y).reshape(-1, k, nc).transpose(1, 0, 2)
-            np.subtract.at(g, bp, flux)
-            condensed.append(Y)
+            load = r[gi].transpose(1, 0, 2).reshape(ni, k * nc)
+            key, last = load.tobytes(), self._last[ty]   # -0.0 is not +0.0
+            if last is None or last[0] != key:
+                Y = fac.solve(load)
+                flux = (A_bi @ Y).reshape(-1, k, nc).transpose(1, 0, 2)
+                self._last[ty] = last = key, Y, flux
+            np.subtract.at(g, bp, last[2])
+            condensed.append(last[1])
         xs = self.skeleton_factor.solve(g)
         y[self.skeleton] = xs
         for (_, T, _, gi, bp), Y in zip(self.types, condensed):

@@ -72,6 +72,9 @@ class GeometrySpec:
             b = self.params.get("b")
             if a is None or b is None or not (0.0 < a < b < 1.0):
                 raise InvalidGeometry(f"Layered2D needs 0 < a < b < 1, got a={a} b={b}")
+            if _layer_columns(self.h) < 8:   # build_unit_cell's resolution
+                raise InvalidGeometry(f"Layered2D h={self.h} puts fewer "
+                                      "than 8 facets on each layer line")
         elif self.kind == "TubeLattice3D":
             rho = self.params.get("rho")
             if rho is None or not (0.0 < rho < 0.5):
@@ -497,10 +500,15 @@ def build_membrane_cell(spec: GeometrySpec, eta: float):
 # Layered2D: structured grid with exact layer lines
 # ---------------------------------------------------------------------------
 
+def _layer_columns(h: float) -> int:
+    """Grid columns, and facets per layer line, of a Layered2D cell."""
+    return max(2, int(round(1.0 / h)))
+
+
 def _build_layered(spec: GeometrySpec):
     a, b = spec.params["a"], spec.params["b"]
     h = spec.h
-    nx = max(2, int(round(1.0 / h)))
+    nx = _layer_columns(h)
     xs = np.linspace(0.0, 1.0, nx + 1)
 
     ys = [np.linspace(0.0, a, max(1, int(round(a / h))) + 1)]
@@ -773,10 +781,11 @@ def tile_micro_domain(mesh: CellMesh, facets: np.ndarray, eps: float,
     key = ((periodic_classes(nv, mesh.periodic_pairs) * (m + 1) ** dim
             + on_high @ stride) + (cells @ stride)[:, None]).ravel()
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
     rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
+    rank[order] = np.arange(len(first))
     local_global = rank[inverse].reshape(n_cells, nv)
-    first = np.sort(first)
+    first = first[order]
     vertices = (V[first % nv] + cells[first // nv]) / m
 
     ne = mesh.simplices.shape[0]

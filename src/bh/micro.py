@@ -15,8 +15,8 @@ solve by substructuring (see _solver), 3D tilings with Jacobi-CG.
 
 Work runs concurrently at two sites, through _concurrently: bh micro
 tiles and solves each eps of eps_list on its own thread, and _march
-builds the harmonic start and the step solver on two.  Each result is
-the same bits on any number of CPUs.
+solves the harmonic start beside the steps.  Each result is the same bits
+on any number of CPUs.
 
 solve_micro is the dynamic-interface problem for any surface scaling
 exponent k: K is the bulk diffusion stiffness, Q the Laplace-Beltrami
@@ -103,23 +103,28 @@ def _tiled_stiffness(mesh, *tables):
     assembled once per cell) is scaled by eps^(N-2) to a tile's.  Tile t
     adds sum_p c(t, p) A_p through local_global[t]; c(t, p) is the table's
     value of the phase p has in t, the matrix phase for every p of a
-    stripped tile.  One COO matrix takes each table's values in turn."""
+    stripped tile, so the products are formed per pattern and gathered per
+    tile.  One COO matrix takes each table's values in turn and is returned
+    for the last table (the unit one, which _march converts beside its
+    steps), a CSR conversion for every other."""
     rows, cols, unit = mesh.cell.phase_stiffness
     unit = unit * mesh.eps ** (mesh.dim - 2)
     phases = np.arange(3)          # PHASE_INT, PHASE_OUT, PHASE_MEMBRANE
     lg = mesh.local_global
-    tile_phase = np.where(mesh.stripped[:, None], PHASE_OUT, phases)
     coeff = np.array([[t.get(ph, 0.0) for ph in phases] for t in tables])
+    kept_stripped = np.array([phases, np.full(3, PHASE_OUT)])
+    prods = np.einsum("bsp,pk->bsk", np.take(coeff, kept_stripped, 1), unit)
     # np.take gathers C-ordered blocks, so no ravel below copies
-    vals = np.einsum("btp,pk->btk", np.take(coeff, tile_phase, 1), unit)
+    vals = np.take(prods, mesh.stripped.astype(np.intp), 1)
     coo = sp.coo_matrix((vals[0].ravel(), (np.take(lg, rows, 1).ravel(),
                                            np.take(lg, cols, 1).ravel())),
                         shape=(len(mesh.vertices),) * 2)
     out = []
-    for v in vals:
+    for v in vals[:-1]:
         coo.data = v.ravel()
         out.append(coo.tocsr())
-    return out
+    coo.data = vals[-1].ravel()
+    return out + [coo]
 
 
 def _concurrently(*calls):
@@ -164,38 +169,45 @@ def _march(K, Q, c, boundary, support, u0, grid, mesh, K_unit, load=None):
     mesh is the tiling K lives on.  x_0 is the K-harmonic extension of the
     nodal values u0 from support + boundary, zero on the boundary (zero
     everywhere when u0 is None or the support is empty); every level is
-    zero on the boundary.  x_0 and the step solver are computed
-    concurrently.
+    zero on the boundary.  x_0 (and K_unit, converted from COO) is computed
+    beside the step solver's build and the steps, which start from its fixed
+    values alone: Q's columns vanish off them, and a CSR row sum starts at
+    +0.0, which a zero product leaves as it is, so Q x_0 is the same bits.
     Returns the levels, x_n . Q x_n per level and the bulk energy
     sum_n dt x_n . K_unit x_n, both taken after the march with one einsum
     each.
     """
     nd = K.shape[0]
-
-    def start():
-        if u0 is None or not len(support):
-            return np.zeros(nd)
+    X = np.zeros((grid.n_steps + 1, nd))
+    fixed0 = fv = None
+    if u0 is not None and len(support):
         fixed0 = np.union1d(support, boundary)
         fv = u0[fixed0]
         fv[np.isin(fixed0, boundary)] = 0.0
-        return _solver(K, fixed0, mesh).solve(np.zeros(nd), fv)
+        X[0, fixed0] = fv
 
-    x0, fac = _concurrently(
-        start, lambda: _solver((K + c * Q).tocsr(), boundary, mesh))
-    dt = grid.step
-    X = np.zeros((grid.n_steps + 1, nd))
-    X[0] = x0
-    for n in range(1, grid.n_steps + 1):
-        rhs = c * (Q @ X[n - 1])
-        if load is not None:
-            rhs += load
-        try:
-            X[n] = fac.solve(rhs)
-        except BHError as exc:
-            raise SolverFailure(f"march step {n} failed: {exc}") from exc
+    def start():
+        x0 = None if fv is None else _solver(K, fixed0, mesh).solve(
+            np.zeros(nd), fv)
+        return x0, K_unit.tocsr()
+
+    def steps():
+        fac = _solver((K + c * Q).tocsr(), boundary, mesh)
+        for n in range(1, grid.n_steps + 1):
+            rhs = c * (Q @ X[n - 1])
+            if load is not None:
+                rhs += load
+            try:
+                X[n] = fac.solve(rhs)
+            except BHError as exc:
+                raise SolverFailure(f"march step {n} failed: {exc}") from exc
+
+    (x0, K_unit), _ = _concurrently(start, steps)
+    if x0 is not None:
+        X[0] = x0
     quad = np.einsum("ni,in->n", X, Q @ X.T)
     bulk = np.einsum("ni,in->n", X[1:], K_unit @ X[1:].T)
-    return X, quad, float(np.sum(dt * bulk))
+    return X, quad, float(np.sum(grid.step * bulk))
 
 
 def _micro_operators(run: MicroRun):
@@ -240,9 +252,10 @@ def solve_micro(run: MicroRun) -> TransientField:
 
 
 def step_gaps(run: MicroRun, levels) -> np.ndarray:
-    """|x_n . ((K + c Q) x_n - b_n)| / (|x_n| |b_n|), b_n = c Q x_(n-1) + f,
-    for each step n >= 1 of solve_micro's march on levels (0 where the
-    denominator is 0).  Its vanishing is the step's energy identity
+    """|x_n . (A x_n - b_n)| / (|x_n| |b_n|), A = K + c Q and b_n =
+    c Q x_(n-1) + f, for each step n >= 1 of solve_micro's march on levels;
+    where b_n = 0 the denominator is |x_n| |A x_n| instead, and a zero
+    denominator gives 0.  Its vanishing is the step's energy identity
     x_n.K x_n + c x_n.Q x_n = c x_n.Q x_(n-1) + x_n.f: the surface energy
     dissipates, up to the work of the source."""
     K, Q, c, *_, load = _micro_operators(run)
@@ -251,8 +264,11 @@ def step_gaps(run: MicroRun, levels) -> np.ndarray:
     if load is not None:
         b += load[:, None]
     x = X[:, 1:]
-    num = np.abs(np.einsum("in,in->n", x, (K + c * Q) @ x - b))
-    den = np.linalg.norm(x, axis=0) * np.linalg.norm(b, axis=0)
+    Ax = (K + c * Q) @ x
+    num = np.abs(np.einsum("in,in->n", x, Ax - b))
+    bnorm = np.linalg.norm(b, axis=0)
+    den = np.linalg.norm(x, axis=0) * np.where(
+        bnorm > 0.0, bnorm, np.linalg.norm(Ax, axis=0))
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 

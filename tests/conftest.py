@@ -110,8 +110,9 @@ def membrane_band_energy(run, levels):
     """x_n . K_band x_n / alpha of each level of a solve_membrane march, with
     K_band the band's stiffness at alpha / eta, the per-level quadratic form
     taken as the march takes it."""
-    K_band, = micro._tiled_stiffness(
+    coo, = micro._tiled_stiffness(
         run.mesh, {geometry.PHASE_MEMBRANE: run.coeffs.alpha / run.mesh.eta})
+    K_band = coo.tocsr()    # a single table's matrix is left in COO form
     quad = np.einsum("ni,in->n", levels, K_band @ levels.T)
     return quad / run.coeffs.alpha
 

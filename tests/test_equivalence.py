@@ -1275,12 +1275,15 @@ class _Captured(Exception):
 
 def march_operators(solve, run):
     """The bulk operator K, the memory operator Q, K_unit and the load
-    vector (or None) that solve hands to micro._march for run."""
+    vector (or None) that solve hands to micro._march for run; K_unit is
+    handed over in COO form, and returned converted as the march converts
+    it."""
     got = []
 
     def capture(K, Q, c, boundary, support, u0, grid, mesh, K_unit,
                 load=None):
-        got.append((K, Q, K_unit, load))
+        assert K.format == Q.format == "csr" and K_unit.format == "coo"
+        got.append((K, Q, K_unit.tocsr(), load))
         raise _Captured
 
     original = micro._march
@@ -1761,9 +1764,10 @@ def test_substructured_factor_matches_former_bitwise(request, name, strip,
             _assert_bitwise(new.solve(b, fv), old.solve(b, fv))
 
 
-# The cell's phase stiffness is assembled once per cell and one COO matrix
-# takes each table's values in turn; the matrices are bitwise the former
-# ones, built per call and per table.
+# The cell's phase stiffness is assembled once per cell, the coefficient
+# products are formed once per tile pattern, and one COO matrix takes each
+# table's values in turn, the last left unconverted; converted, the
+# matrices are bitwise the former ones, built per call and per table.
 @pytest.mark.parametrize("name, strip, eps", [
     ("disk", True, 0.25), ("disk", False, 0.5), ("layered", False, 0.25),
     ("tube", False, 0.5), ("membrane", False, 1.0 / 3.0)])
@@ -1773,8 +1777,11 @@ def test_tiled_stiffness_matches_former_bitwise(request, name, strip, eps):
     tables = ({PHASE_INT: 2.5, PHASE_OUT: 1.5},
               {PHASE_MEMBRANE: 7.0},
               {PHASE_INT: 1.0, PHASE_OUT: 1.0, PHASE_MEMBRANE: 1.0})
-    for got, ref in zip(micro._tiled_stiffness(tiled, *tables),
-                        former_tiled_stiffness(tiled, *tables), strict=True):
+    found = micro._tiled_stiffness(tiled, *tables)
+    assert [m.format for m in found] == ["csr", "csr", "coo"]
+    for got, ref in zip(found, former_tiled_stiffness(tiled, *tables),
+                        strict=True):
+        got = got.tocsr()
         _assert_same(got.indptr, ref.indptr)
         _assert_same(got.indices, ref.indices)
         _assert_bitwise(got.data, ref.data)
@@ -2009,7 +2016,7 @@ def test_march_quadratic_forms_match_former_dots(request, monkeypatch, name):
                   load=None):
         out = original(K, Q, c, boundary, support, u0, grid, mesh, K_unit,
                        load)
-        seen.append((Q, K_unit, out))
+        seen.append((Q, K_unit.tocsr(), out))
         return out
 
     monkeypatch.setattr(micro, "_march", recording)
@@ -2022,6 +2029,68 @@ def test_march_quadratic_forms_match_former_dots(request, monkeypatch, name):
     assert np.all(dots > 0.0) and former_bulk > 0.0
     assert np.all(np.abs(quad - dots) <= 1e-12 * dots)
     assert abs(bulk - former_bulk) <= 1e-12 * former_bulk
+
+
+def former_march(K, Q, c, boundary, support, u0, grid, mesh, K_unit,
+                 load=None):
+    """The former micro._march order: the harmonic start, then the step
+    solver, then the steps, condensing every tile type at every step, and
+    K_unit converted after the last step."""
+    nd = K.shape[0]
+    x0 = np.zeros(nd)
+    if u0 is not None and len(support):
+        fixed0 = np.union1d(support, boundary)
+        fv = u0[fixed0]
+        fv[np.isin(fixed0, boundary)] = 0.0
+        x0 = micro._solver(K, fixed0, mesh).solve(np.zeros(nd), fv)
+    fac = micro._solver((K + c * Q).tocsr(), boundary, mesh)
+    X = np.zeros((grid.n_steps + 1, nd))
+    X[0] = x0
+    for n in range(1, grid.n_steps + 1):
+        rhs = c * (Q @ X[n - 1])
+        if load is not None:
+            rhs += load
+        if isinstance(fac, fem.SubstructuredFactor):
+            fac._last = [None] * len(fac.types)     # nothing to reuse
+        X[n] = fac.solve(rhs)
+    K_unit = K_unit.tocsr()
+    quad = np.einsum("ni,in->n", X, Q @ X.T)
+    bulk = np.einsum("ni,in->n", X[1:], K_unit @ X[1:].T)
+    return X, quad, float(np.sum(grid.step * bulk))
+
+
+# The steps start beside the harmonic start from its fixed values alone,
+# and reuse the condensation of a tile type whose load block repeats; the
+# levels and energies are bitwise those of the former order, on one thread
+# and on two.
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name, strip", [
+    ("disk", True), ("disk", False), ("layered", False), ("tube", False),
+    ("membrane", False)])
+def test_march_schedule_matches_former_order_bitwise(request, monkeypatch,
+                                                     name, strip, threads):
+    mesh, surf = _cell(request, name)
+    eps = 0.5 if name == "tube" else 0.25
+    tiled, _ = tile_micro_domain(mesh, surf.facets, eps, strip)
+    coeffs = request.getfixturevalue("disk" if name == "membrane"
+                                     else name).coeffs
+    grid = TimeGrid(0.2, 0.05)
+    if name == "membrane":
+        solve, run = micro.solve_membrane, micro.MembraneRun(
+            mesh=tiled, coeffs=coeffs, grid=grid, u0_bar=sin_product)
+    else:
+        solve, run = micro.solve_micro, micro.MicroRun(
+            mesh=tiled, coeffs=coeffs, k=1.0, grid=grid, u0_bar=sin_product,
+            source=_source)
+    monkeypatch.setattr(micro, "cpus", lambda: threads)
+    new = solve(run)
+    monkeypatch.setattr(micro, "_march", former_march)
+    old = solve(run)
+    assert np.abs(old.levels[0]).max() > 0.0
+    _assert_bitwise(new.levels, old.levels)
+    for key in ("energy_bulk", "energy_surface"):
+        _assert_bitwise(np.float64(new.diagnostics[key]),
+                        np.float64(old.diagnostics[key]))
 
 
 @pytest.mark.parametrize("name, eps", [("disk", 0.25), ("layered", 0.5),

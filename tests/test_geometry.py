@@ -140,6 +140,20 @@ def test_geometry_spec_validation_errors():
         GeometrySpec("TubeLattice3D", {"rho": 0.6}, 0.1).validate()
 
 
+def test_layered_mesh_size_refused_below_8_facets_per_layer_line():
+    # the builder puts round(1/h) facets on each layer line, and 1/h = 7.5
+    # rounds to 8 at h = 2/15; the next float up rounds to 7, which would
+    # leave build_unit_cell below its 8 facets per interface component
+    largest = 2.0 / 15.0
+    spec = GeometrySpec("Layered2D", {"a": 0.25, "b": 0.75}, largest)
+    spec.validate()
+    _, surf = build_unit_cell(spec)
+    assert (len(surf.facets), surf.n_components) == (16, 2)
+    for h in (float(np.nextafter(largest, 1.0)), 0.15, 0.25):
+        with pytest.raises(InvalidGeometry, match="fewer than 8"):
+            dataclasses.replace(spec, h=h).validate()
+
+
 def test_topology_labels():
     assert GeometrySpec("Disk2D", {"r0": 0.2}).topology == "cd"
     assert GeometrySpec("Layered2D", {"a": 0.2, "b": 0.8}).topology == "cc"

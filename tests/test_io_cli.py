@@ -35,7 +35,7 @@ from bh.errors import (BHError, ConfigInvalid, MissingArtifact,
                        SolverFailure, WrongGeometryClass)
 from bh.timegrid import TimeGrid
 
-from conftest import convergence_study
+from conftest import convergence_study, sin_product
 
 TINY_INI = """\
 [geometry]
@@ -1073,6 +1073,20 @@ def test_cli_connected_regime_without_initial_data_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_coarse_layered_mesh_exits_2_at_load(tmp_path, capsys):
+    # ROADMAP item 3, class 1: at h = 0.15 the layered cell has 7 facets on
+    # each layer line, and bh mesh once exited 1 on building it
+    with open(os.path.join(CONFIGS, "layered_kgt1.ini")) as fh:
+        text = fh.read()
+    assert "h = 0.05" in text
+    p, out = tmp_path / "bad.ini", tmp_path / "out"
+    p.write_text(text.replace("h = 0.05", "h = 0.15"))
+    code, err = _bh_in_process("mesh", str(p), str(out), capsys)
+    assert code == 2, err
+    assert err.startswith("config error:") and "fewer than 8" in err
+    assert not out.exists()
+
+
 HIGH_CONTRAST_DISK_INI = """\
 [geometry]
 kind = Disk2D
@@ -1673,25 +1687,36 @@ def _raise_entry_12(line):
     return [" ".join([name, first, formats._F % (float(second) + 1.0), rest])]
 
 
-def _finest_micro(cfg, out, change):
-    """The micro solution of the smallest eps, with change applied to its
-    levels and to the vertices on the boundary of its tiling."""
+def _micro_file(cfg, out, change, pick=min):
+    """The micro solution of the eps that pick chooses from eps_list (the
+    smallest by default), with change applied to its levels and to its
+    tiling."""
     conf = load_config(cfg)
     mesh, surf, _ = cli._load_cell_mesh(conf, cli._paths(out))
-    eps = min(conf.eps_list)
-    boundary = cli._tiling(conf, mesh, surf, eps).boundary_vertices
+    eps = pick(conf.eps_list)
+    tiled = cli._tiling(conf, mesh, surf, eps)
     return os.path.basename(cli._micro_path(out, eps)), _reshaped(
-        "micro", lambda levels: change(levels.copy(), boundary))
+        "micro", lambda levels: change(levels.copy(), tiled))
 
 
-def _negate_finest_level_2(levels, boundary):
+def _negate_finest_level_2(levels, tiled):
     levels[2] = -levels[2]
     return levels
 
 
-def _set_a_finest_boundary_value(levels, boundary):
+def _set_a_finest_boundary_value(levels, tiled):
     # far below what moves a step energy by 1e-10
-    levels[-1, boundary[0]] = 1e-30
+    levels[-1, tiled.boundary_vertices[0]] = 1e-30
+    return levels
+
+
+def _interior_field_at_level_2(levels, tiled):
+    # every level of disk_default's eps = 1/2 solution is zero (both tiles
+    # stripped, so no interface, and f = zero): each step's load is zero,
+    # and negating a level would flip only the signs of zeros
+    assert not np.any(levels)
+    levels[2] = sin_product(tiled.vertices)
+    levels[2, tiled.boundary_vertices] = 0.0
     return levels
 
 
@@ -1709,9 +1734,9 @@ _TAMPERS = {
         "tensors.bhtens", _edit_line("C0 ", _raise_entry_12, 0)),
     "C0_class_property": lambda cfg, out: (
         "tensors.bhtens", _edit_line("C0 ", _raise_entry_12, 0)),
-    "micro_energy_dissipation": lambda cfg, out: _finest_micro(
+    "micro_energy_dissipation": lambda cfg, out: _micro_file(
         cfg, out, _negate_finest_level_2),
-    "micro_dirichlet_exact": lambda cfg, out: _finest_micro(
+    "micro_dirichlet_exact": lambda cfg, out: _micro_file(
         cfg, out, _set_a_finest_boundary_value),
     "tensor_serialization_deterministic": lambda cfg, out: (
         "tensors.bhtens", _edit_line("t, B11", _change_first_entry, 2)),
@@ -1730,18 +1755,24 @@ _ALSO_REBUILT = {
 }
 
 
-@pytest.mark.parametrize("name, check", [
-    (name, check) for name in sorted(_CONFIG_CHECKS)
-    for check in _CONFIG_CHECKS[name]])
+@pytest.mark.parametrize("name, check, tamper", [
+    pytest.param(name, check, _TAMPERS[check], id=f"{name}-{check}")
+    for name in sorted(_CONFIG_CHECKS) for check in _CONFIG_CHECKS[name]] + [
+    # a step whose load is zero is judged too
+    pytest.param("disk_default", "micro_energy_dissipation",
+                 lambda cfg, out: _micro_file(cfg, out,
+                                              _interior_field_at_level_2, max),
+                 id="disk_default-micro_energy_dissipation-zero-load")])
 def test_cli_verify_line_fails_on_a_tampered_artifact(config_run, tmp_path,
-                                                      capsys, name, check):
+                                                      capsys, name, check,
+                                                      tamper):
     # one edit of one artifact, under a valid checksum, that no reader and
     # no tensor route refuses: the check reading the edited values fails,
     # and so do exactly the checks listed with it
     cfg, run = config_run(name)
     out = str(tmp_path / "run")
     shutil.copytree(run, out)
-    artifact, edit = _TAMPERS[check](cfg, out)
+    artifact, edit = tamper(cfg, out)
     _rewrite(os.path.join(out, artifact), edit)
     assert _run(["verify", "--config", cfg, "--out", out]) == 1
     assert "verification failed" in capsys.readouterr().err

@@ -158,7 +158,8 @@ def test_micro_step_solver_follows_dimension(built_solvers, monkeypatch,
                                              disk, disk_tiled, tube):
     # without an initial datum the solvers built are the step solver's; with
     # one the harmonic start builds one more of the same kind, on a thread
-    # of its own, so the 3D tiling (3,349 dofs) builds no factor at all
+    # of its own beside the step solver's build and the steps, so the 3D
+    # tiling (3,349 dofs) builds no factor at all
     monkeypatch.setattr(micro, "cpus", lambda: 2)
     solver = micro._solver
     tube_tiled, _ = tile_micro_domain(tube.mesh, tube.surf.facets, 0.5,
@@ -419,6 +420,78 @@ def test_tile_off_its_type_fails_the_march(disk):
         micro._march(K, bump, 1.0, boundary, np.empty(0, dtype=np.int64),
                      None, TimeGrid(0.1, 0.05), tiled, K,
                      load=np.ones(n))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_march_raises_a_start_failure_before_a_step_failure(monkeypatch,
+                                                            disk, threads):
+    # the harmonic start and the steps run side by side; when both fail, the
+    # start's error is raised, the steps having run to their failure
+    tiled, _ = tile_micro_domain(disk.mesh, disk.surf.facets, 0.5, False)
+    run = micro.MicroRun(mesh=tiled, coeffs=disk.coeffs, k=1.0,
+                         grid=TimeGrid(0.1, 0.05), u0_bar=sin_product)
+    boundary, solved = np.unique(tiled.boundary_vertices), []
+
+    class Failing:
+        def __init__(self, M, fixed, mesh):
+            self.which = "step" if np.array_equal(fixed, boundary) else "start"
+
+        def solve(self, b, fixed_values=None):
+            solved.append(self.which)
+            raise SingularSystem(f"{self.which} failed")
+
+    monkeypatch.setattr(micro, "cpus", lambda: threads)
+    monkeypatch.setattr(micro, "_solver", Failing)
+    with pytest.raises(SingularSystem, match="start failed"):
+        micro.solve_micro(run)
+    assert sorted(solved) == ["start", "step"]
+    run = dataclasses.replace(run, u0_bar=None)     # no harmonic start
+    with pytest.raises(SolverFailure, match="march step 1 failed: step"):
+        micro.solve_micro(run)
+
+
+def test_condensation_reused_only_for_the_same_load_bytes(monkeypatch, disk):
+    # at eps = 1/4 with stripping, the stripped tiles form types of their
+    # own; a load that repeats on a type's tiles is condensed once, and a
+    # zero turned into -0.0 is a new load.  Every solve checks the residual
+    # of all free rows.
+    tiled, _ = tile_micro_domain(disk.mesh, disk.surf.facets, 0.25, True)
+    n = len(tiled.vertices)
+    K = micro._micro_operators(micro.MicroRun(
+        mesh=tiled, coeffs=disk.coeffs, k=1.0, grid=TimeGrid(0.1, 0.05)))[0]
+    fac = micro._solver(K, np.unique(tiled.boundary_vertices), tiled)
+    condensed, checked = [], []
+    for ty, (tile_fac, *_) in enumerate(fac.types):
+        def counted(b, _ty=ty, _solve=tile_fac.solve):
+            condensed.append(_ty)
+            return _solve(b)
+        monkeypatch.setattr(tile_fac, "solve", counted)
+    check = fem.residual_check
+
+    def checking(K, x, b, rows=None):
+        if rows is not None:            # not a tile's own block solve
+            checked.append(rows is fac.free)
+        return check(K, x, b, rows)
+
+    monkeypatch.setattr(fem, "residual_check", checking)
+    every = list(range(len(fac.types)))
+
+    b = np.zeros(n)
+    x = fac.solve(b)
+    assert condensed == every and checked == [True]
+    b[tiled.local_global[0]] = 1.0      # the first tile is stripped
+    y = fac.solve(b)
+    assert 0 < len(condensed) - len(every) < len(every)
+    assert np.abs(y).max() > 0.0
+    condensed.clear()
+    assert np.array_equal(fac.solve(b.copy()).view(np.int64),
+                          y.view(np.int64))
+    assert condensed == [] and checked == [True] * 3
+    b[b == 0.0] = -0.0
+    z = fac.solve(b)
+    assert sorted(condensed) == every and checked == [True] * 4
+    assert np.array_equal(np.abs(z), np.abs(y))
+    assert not np.any(x)
 
 
 def test_no_dof_count_solver_limit_left():
